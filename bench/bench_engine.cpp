@@ -1,13 +1,13 @@
-// Engine-session overhead: what the kav::Engine front door costs (and
-// saves) relative to the legacy free functions.
+// Engine-session costs: what the kav::Engine front door pays per call.
 //
-//  * pool amortization -- the legacy parallel facade spins a fresh
-//    ThreadPool up per call; a reused Engine pays that once. Measured
-//    as repeated verification of a many-key trace through both paths,
-//    plus batch + monitor interleaving on one engine.
+//  * session reuse -- repeated verification of a many-key trace on one
+//    Engine whose pool is spun up once, plus batch + monitor
+//    interleaving on that one engine.
 //  * source abstraction -- a virtual next() per record vs the raw
 //    BinaryTraceReader loop on the same .kavb file, and Engine::verify
-//    from a file source vs legacy read_any_trace_file + verify.
+//    end to end from a file source.
+//  * observability overhead -- the selective-verify pair run_bench.sh
+//    guards (see below).
 //
 // The workload defaults to 200,000 operations over 128 keys (smaller
 // than bench_ingest: every iteration verifies, not just parses);
@@ -90,28 +90,8 @@ void ops_rate(benchmark::State& state, std::uint64_t ops_done) {
 
 // --- Pool amortization -----------------------------------------------------
 
-// Legacy path: every call builds a temporary Engine (and so a pool).
-void verify_per_call_pool(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  VerifyOptions options;
-  PipelineOptions pipeline;
-  pipeline.threads = threads;
-  std::uint64_t ops_done = 0;
-  for (auto _ : state) {
-    const KeyedReport report =
-        verify_keyed_trace(fixture().trace, options, pipeline);
-    benchmark::DoNotOptimize(report);
-    ops_done += fixture().trace.size();
-  }
-  ops_rate(state, ops_done);
-  state.counters["threads"] = static_cast<double>(threads);
-}
-BENCHMARK(verify_per_call_pool)->Arg(1)->Arg(4)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// Session path: one Engine, pool reused across calls; shards pre-split
-// so the measured delta against verify_per_call_pool is pool spin-up +
-// per-call splitting, the two costs a session amortizes.
+// One Engine, pool reused across calls; shards pre-split, so each
+// iteration is shard dispatch + decide + merge and nothing else.
 void verify_reused_engine(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   EngineOptions options;
@@ -185,8 +165,8 @@ void binary_trace_source(benchmark::State& state) {
 }
 BENCHMARK(binary_trace_source)->UseRealTime()->Unit(benchmark::kMillisecond);
 
-// End to end from disk: Engine::verify over a file source vs the
-// legacy read-then-verify spelling of the same job.
+// End to end from disk: Engine::verify over a file source (decode,
+// split, decide).
 void verify_from_file_engine(benchmark::State& state) {
   EngineOptions options;
   options.threads = 1;
@@ -201,18 +181,6 @@ void verify_from_file_engine(benchmark::State& state) {
   ops_rate(state, ops_done);
 }
 BENCHMARK(verify_from_file_engine)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-void verify_from_file_legacy(benchmark::State& state) {
-  std::uint64_t ops_done = 0;
-  for (auto _ : state) {
-    const KeyedTrace trace = read_any_trace_file(fixture().binary_path);
-    const KeyedReport report = verify_keyed_trace(trace);
-    benchmark::DoNotOptimize(report);
-    ops_done += trace.size();
-  }
-  ops_rate(state, ops_done);
-}
-BENCHMARK(verify_from_file_legacy)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // --- Observability overhead (the run_bench.sh guardrail pair) ---------------
 //

@@ -3,7 +3,7 @@
 // before the decision procedures do. Compares the text parser
 // (history/serialization.h) against the binary .kavb reader
 // (ingest/binary_trace.h) on the same generated trace, measures both
-// writers, and streams the trace through the KeyedStreamingMonitor to
+// writers, and streams the trace through Engine::monitor to
 // get end-to-end monitored ops/sec plus the peak window (the memory
 // bound the O(slack + horizon) argument promises).
 //
@@ -24,9 +24,9 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "history/serialization.h"
 #include "ingest/binary_trace.h"
-#include "ingest/keyed_monitor.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -159,28 +159,26 @@ void binary_write(benchmark::State& state) {
 }
 BENCHMARK(binary_write)->UseRealTime()->Unit(benchmark::kMillisecond);
 
-// End-to-end online monitoring: every operation through the reorder
-// buffer, per-key queue, and streaming checker. peak_window is the
+// End-to-end online monitoring on one reused Engine: every operation
+// through the reorder buffer, per-key queue, and streaming checker.
+// peak_window is the
 // reported memory high-water mark -- it must stay O(slack + horizon),
 // not O(trace).
 void monitor_stream(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
-  MonitorOptions options;
+  EngineOptions options;
   options.streaming.staleness_horizon = 200;
   options.reorder_slack = 64;
   options.threads = threads;
+  Engine engine(options);
   std::uint64_t ops_done = 0;
   double peak_window = 0;
   for (auto _ : state) {
-    KeyedStreamingMonitor monitor(options);
-    for (const KeyedOperation& kop : fixture().trace.ops) {
-      monitor.ingest(kop);
-    }
-    const MonitorReport report = monitor.finish();
+    const Report report = engine.monitor(fixture().trace);
     benchmark::DoNotOptimize(report);
-    ops_done += report.totals.operations_ingested;
-    peak_window =
-        std::max(peak_window, static_cast<double>(report.totals.peak_window));
+    ops_done += report.monitor_totals.operations_ingested;
+    peak_window = std::max(
+        peak_window, static_cast<double>(report.monitor_totals.peak_window));
   }
   ops_rate(state, ops_done);
   state.counters["threads"] = static_cast<double>(threads);

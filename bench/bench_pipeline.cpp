@@ -1,6 +1,8 @@
 // Serial vs sharded-parallel keyed verification: the speedup the
 // Section II-B locality argument buys once per-key shards run on the
-// work-stealing pool. Sweeps key counts and thread counts on the same
+// work-stealing pool. `keyed_serial` times the serial reference
+// verify_keyed_trace; `keyed_parallel` and `keyed_fail_fast` time one
+// reused kav::Engine. Sweeps key counts and thread counts on the same
 // deterministic multi-key workload, so the `keyed_serial` /
 // `keyed_parallel` series are directly comparable; per-series counters
 // report trace size and throughput.
@@ -12,10 +14,10 @@
 
 #include <string>
 
+#include "core/engine.h"
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "history/keyed_trace.h"
-#include "pipeline/sharded_verifier.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -47,7 +49,7 @@ void keyed_serial(benchmark::State& state) {
   options.k = 2;
   std::uint64_t keys_checked = 0;
   for (auto _ : state) {
-    const KeyedReport report = verify_keyed_trace(trace, options);
+    const Report report = verify_keyed_trace(trace, options);
     benchmark::DoNotOptimize(report);
     keys_checked += report.per_key.size();
   }
@@ -63,17 +65,16 @@ void keyed_parallel(benchmark::State& state) {
   const int keys = static_cast<int>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));
   const KeyedTrace trace = keyed_workload(keys, 24, 42);
-  VerifyOptions options;
-  options.k = 2;
-  PipelineOptions pipeline;
-  pipeline.threads = threads;
+  EngineOptions options;
+  options.verify.k = 2;
+  options.threads = threads;
   // Pool constructed once outside the timed loop, as a long-lived
-  // monitor would hold it. Each iteration splits the trace and
-  // verifies, the same work the serial facade above performs.
-  ShardedVerifier verifier(options, pipeline);
+  // service would hold it. Each iteration splits the trace and
+  // verifies, the same work the serial reference above performs.
+  Engine engine(options);
   std::uint64_t keys_checked = 0;
   for (auto _ : state) {
-    const KeyedReport report = verifier.verify(trace);
+    const Report report = engine.verify(trace);
     benchmark::DoNotOptimize(report);
     keys_checked += report.per_key.size();
   }
@@ -97,14 +98,13 @@ void keyed_fail_fast(benchmark::State& state) {
   KeyedTrace trace = keyed_workload(keys - 1, 24, 42);
   const History bad = gen::generate_forced_separation(2);
   for (const Operation& op : bad.operations()) trace.add("bad", op);
-  VerifyOptions options;
-  options.k = 2;
-  PipelineOptions pipeline;
-  pipeline.threads = 4;
-  pipeline.fail_fast = fail_fast;
-  ShardedVerifier verifier(options, pipeline);
+  EngineOptions options;
+  options.verify.k = 2;
+  options.threads = 4;
+  options.fail_fast = fail_fast;
+  Engine engine(options);
   for (auto _ : state) {
-    const KeyedReport report = verifier.verify(trace);
+    const Report report = engine.verify(trace);
     benchmark::DoNotOptimize(report);
   }
 }

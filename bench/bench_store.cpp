@@ -361,7 +361,7 @@ void BM_StoreAppend(benchmark::State& state) {
   const Fixture& f = fixture();
   // Appending re-reads the v2 segment sequentially: realistic record
   // volume without regenerating the trace per iteration.
-  const KeyedTrace trace = read_any_trace_file(f.v2_path);
+  const KeyedTrace trace = drain(*open_trace_source(f.v2_path));
   for (auto _ : state) {
     const fs::path dir = f.dir / "append_bench";
     fs::remove_all(dir);
@@ -376,7 +376,7 @@ BENCHMARK(BM_StoreAppend)->Unit(benchmark::kMillisecond);
 
 void BM_StoreCompact4(benchmark::State& state) {
   const Fixture& f = fixture();
-  const KeyedTrace trace = read_any_trace_file(f.v2_path);
+  const KeyedTrace trace = drain(*open_trace_source(f.v2_path));
   const std::size_t quarter = trace.size() / 4;
   for (auto _ : state) {
     state.PauseTiming();

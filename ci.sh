@@ -143,3 +143,12 @@ ctest --test-dir "$BUILD_DIR" -LE unit --output-on-failure -j "$(nproc)"
 if [[ -x "$BUILD_DIR/bench_ingest" ]]; then
   bench/run_bench.sh --smoke "$BUILD_DIR"
 fi
+
+# End-to-end benchmark smoke: every kavbench workload once, briefly.
+# kavbench.py exits 1 when any workload's verdicts disagree with serial
+# verify_k_atomicity, so the benchmark's correctness checks gate CI too.
+if command -v python3 >/dev/null 2>&1; then
+  python3 kavbench/kavbench.py run --smoke
+else
+  echo "!! SKIPPED: python3 not found -- the kavbench smoke did NOT run" >&2
+fi

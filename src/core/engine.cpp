@@ -247,6 +247,9 @@ struct Engine::Metrics {
 
     void finish(const Report& report) {
       finished_ = true;
+      // Everything the run records lands before the ledger calls it
+      // finished, so a scraper that sees it completed sees all of it.
+      timer_.stop();
       obs::Counter& end =
           batch_ ? (report.cancelled ? metrics_.runs_cancelled_batch
                                      : metrics_.runs_completed_batch)
@@ -325,16 +328,6 @@ std::optional<std::chrono::steady_clock::time_point> effective_deadline(
   return deadline;
 }
 
-bool is_skip_reason(const Verdict& verdict, std::string* reason) {
-  if (verdict.outcome != Outcome::undecided) return false;
-  if (verdict.reason != kSkipCancelledReason &&
-      verdict.reason != kSkipDeadlineReason) {
-    return false;
-  }
-  if (reason->empty()) *reason = verdict.reason;
-  return true;
-}
-
 // Shared run-control scaffolding for every source-consuming loop.
 constexpr std::chrono::milliseconds kPullWait{100};
 // Deadline polls on hot item paths are amortized to one steady_clock
@@ -393,11 +386,7 @@ Engine::Engine(EngineOptions options)
       status_(std::make_unique<StatusCollector>()),
       pool_(std::make_unique<pipeline::ThreadPool>(options_.threads,
                                                    metrics_)) {
-  PipelineOptions pipeline_options;
-  pipeline_options.shard_op_budget = options_.shard_op_budget;
-  pipeline_options.fail_fast = options_.fail_fast;
-  verifier_ = std::make_unique<ShardedVerifier>(*pool_, options_.verify,
-                                                pipeline_options, metrics_);
+  verifier_ = std::make_unique<ShardedVerifier>(*pool_, *metrics_, options_);
   if (options_.telemetry_port >= 0) {
     serve_telemetry(options_.telemetry_address, options_.telemetry_port);
   }
@@ -441,21 +430,6 @@ std::unique_ptr<TraceStore> Engine::open_store(
 
 namespace {
 
-// Merges the pipeline's KeyedReport into the unified batch Report,
-// promoting skip reasons into cancellation state.
-Report batch_report_from(KeyedReport&& keyed) {
-  Report report;
-  report.mode = Report::Mode::batch;
-  report.verify_totals = keyed.total_stats();
-  for (auto& [key, verdict] : keyed.per_key) {
-    if (is_skip_reason(verdict, &report.stop_reason)) {
-      report.cancelled = true;
-    }
-    report.per_key.emplace(key, KeyResult{std::move(verdict), {}, {}});
-  }
-  return report;
-}
-
 RunControl run_control_for(
     const RunOptions& run,
     const std::optional<std::chrono::steady_clock::time_point>& deadline) {
@@ -466,32 +440,14 @@ RunControl run_control_for(
   return control;
 }
 
-}  // namespace
-
-Report Engine::run_batch(
-    const KeyedHistories& shards, const RunOptions& run,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
-  return batch_report_from(
-      verifier_->verify(shards, run.verify ? *run.verify : options_.verify,
-                        run_control_for(run, deadline)));
-}
-
-Report Engine::run_specs(
-    const std::vector<ShardSpec>& specs, const RunOptions& run,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
-  return batch_report_from(verifier_->verify_shards(
-      specs, run.verify ? *run.verify : options_.verify,
-      run_control_for(run, deadline)));
-}
-
-Report Engine::verify_filtered(
-    const KeyedHistories& shards, const RunOptions& run,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
-  const KeyFilter filter(run);
+// One pinned ShardSpec per shard that passes `filter`, in key order. Each
+// History is pinned by pointer -- no copies; verify_shards waits for
+// every task before returning, so the pointers never dangle.
+std::vector<ShardSpec> pinned_specs(const KeyedHistories& shards,
+                                    const KeyFilter& filter) {
   std::vector<ShardSpec> specs;
-  std::set<std::string> offered;
+  specs.reserve(shards.per_key.size());
   for (const auto& [key, history] : shards.per_key) {
-    offered.insert(key);
     if (!filter.pass(key)) continue;
     ShardSpec spec;
     spec.key = key;
@@ -499,8 +455,36 @@ Report Engine::verify_filtered(
     spec.pinned = &history;
     specs.push_back(std::move(spec));
   }
-  Report report = run_specs(specs, run, deadline);
-  account_selection(report, filter, offered);
+  return specs;
+}
+
+// A stopped run still finishes cleanly: what was ingested is fully
+// checked, so the partial report is sound for the prefix.
+Report finish_monitor(KeyedStreamingMonitor& monitor, const std::string& stop) {
+  Report report = monitor.finish();
+  if (!stop.empty()) {
+    report.cancelled = true;
+    report.stop_reason = stop;
+  }
+  return report;
+}
+
+}  // namespace
+
+Report Engine::run_specs(
+    const std::vector<ShardSpec>& specs, const RunOptions& run,
+    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
+  return verifier_->verify_shards(specs,
+                                  run.verify ? *run.verify : options_.verify,
+                                  run_control_for(run, deadline));
+}
+
+Report Engine::verify_pinned(
+    const KeyedHistories& shards, const RunOptions& run,
+    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
+  const KeyFilter filter(run);
+  Report report = run_specs(pinned_specs(shards, filter), run, deadline);
+  account_selection(report, filter, shards.per_key);
   return report;
 }
 
@@ -530,20 +514,14 @@ Report Engine::verify_selective(
 Report Engine::verify(const KeyedTrace& trace, const RunOptions& run) {
   Metrics::RunScope scope(*em_, *status_, /*batch=*/true);
   const auto deadline = effective_deadline(run);
-  const KeyedHistories shards = split_by_key(trace);
-  Report report = run.key_filter.empty()
-                      ? run_batch(shards, run, deadline)
-                      : verify_filtered(shards, run, deadline);
+  Report report = verify_pinned(split_by_key(trace), run, deadline);
   scope.finish(report);
   return report;
 }
 
 Report Engine::verify(const KeyedHistories& shards, const RunOptions& run) {
   Metrics::RunScope scope(*em_, *status_, /*batch=*/true);
-  const auto deadline = effective_deadline(run);
-  Report report = run.key_filter.empty()
-                      ? run_batch(shards, run, deadline)
-                      : verify_filtered(shards, run, deadline);
+  Report report = verify_pinned(shards, run, effective_deadline(run));
   scope.finish(report);
   return report;
 }
@@ -553,42 +531,34 @@ Report Engine::verify(TraceSource& source, const RunOptions& run) {
   // Anchored once at entry: the same cutoff governs reading the source
   // AND the shard phase, so a slow source cannot re-arm the timeout.
   const auto deadline = effective_deadline(run);
+  // The selective fast path: an index-backed source hands out per-key
+  // op counts and lazy loaders, so only the requested keys' blocks are
+  // ever decoded -- no full-file materialization.
   if (!run.key_filter.empty()) {
-    // The selective fast path: an index-backed source hands out per-key
-    // op counts and lazy loaders, so only the requested keys' blocks
-    // are ever decoded -- no full-file materialization.
     if (auto* selective = dynamic_cast<SelectiveTraceSource*>(&source)) {
       Report report = verify_selective(*selective, run, deadline);
       scope.finish(report);
       return report;
     }
-    // Any other source: filter while draining. Still one pass and no
-    // stored non-matching operations, but every record is decoded.
-    const KeyFilter filter(run);
-    KeyedTrace trace;
-    std::set<std::string> offered;
-    const std::string stop = drive_source(
-        source, run, deadline, "reading " + source.describe(),
-        [&trace, &offered, &filter](KeyedOperation kop) {
-          offered.insert(kop.key);
-          if (filter.pass(kop.key)) trace.ops.push_back(std::move(kop));
-        });
-    Report report = run_batch(split_by_key(trace), run, deadline);
-    account_selection(report, filter, offered);
-    if (!stop.empty()) {
-      report.cancelled = true;
-      report.stop_reason = stop;
-    }
-    scope.finish(report);
-    return report;
   }
+  // Any other source: drain it, filtering while reading when a
+  // key_filter is set -- still one pass and no stored non-matching
+  // operations, but every record is decoded.
+  const KeyFilter filter(run);
   KeyedTrace trace;
-  const std::string stop =
-      drive_source(source, run, deadline, "reading " + source.describe(),
-                   [&trace](KeyedOperation kop) {
-                     trace.ops.push_back(std::move(kop));
-                   });
-  Report report = run_batch(split_by_key(trace), run, deadline);
+  std::set<std::string> offered;
+  const std::string stop = drive_source(
+      source, run, deadline, "reading " + source.describe(),
+      [&trace, &offered, &filter](KeyedOperation kop) {
+        if (filter.active) {
+          offered.insert(kop.key);
+          if (!filter.pass(kop.key)) return;
+        }
+        trace.ops.push_back(std::move(kop));
+      });
+  const KeyedHistories shards = split_by_key(trace);
+  Report report = run_specs(pinned_specs(shards, filter), run, deadline);
+  account_selection(report, filter, offered);
   if (!stop.empty()) {
     report.cancelled = true;
     report.stop_reason = stop;
@@ -597,51 +567,20 @@ Report Engine::verify(TraceSource& source, const RunOptions& run) {
   return report;
 }
 
-namespace {
-
-MonitorOptions monitor_options_for(const EngineOptions& options,
-                                   const RunOptions& run,
-                                   obs::MetricsRegistry* metrics) {
-  MonitorOptions monitor_options;
-  monitor_options.streaming = options.streaming;
-  monitor_options.reorder_slack = options.reorder_slack;
-  monitor_options.queue_capacity = options.queue_capacity;
-  monitor_options.on_violation = run.on_finding;
-  // The engine's resolved registry, not options.metrics: a null there
-  // already resolved to the global at engine construction.
-  monitor_options.metrics = metrics;
-  return monitor_options;
-}
-
-// A cancelled run still finishes cleanly: what was ingested is fully
-// checked, so the partial report is sound for the prefix.
-void finish_monitor_into(KeyedStreamingMonitor& monitor, Report& report) {
-  MonitorReport finished = monitor.finish();
-  report.monitor_totals = std::move(finished.totals);
-  for (auto& [key, result] : finished.per_key) {
-    report.per_key.emplace(key,
-                           KeyResult{std::move(result.verdict), result.stats,
-                                     std::move(result.violations)});
-  }
-}
-
-}  // namespace
-
 Report Engine::monitor(const KeyedTrace& trace, const RunOptions& run) {
   Metrics::RunScope scope(*em_, *status_, /*batch=*/false);
   // Dedicated loop rather than a MemoryTraceSource: the trace is
   // already in memory, so every operation is ingested by reference --
-  // no O(trace) copy on this (and the legacy monitor_trace) path.
+  // no O(trace) copy.
   const auto deadline = effective_deadline(run);
   const KeyFilter filter(run);
   const std::string activity =
       "monitoring memory(" + std::to_string(trace.size()) + " ops)";
-  Report report;
-  report.mode = Report::Mode::monitor;
   std::set<std::string> offered;
+  Report report;
   {
-    KeyedStreamingMonitor monitor(
-        *pool_, monitor_options_for(options_, run, metrics_));
+    KeyedStreamingMonitor monitor(*pool_, *metrics_, options_, run.on_finding);
+    std::string stop;
     std::uint64_t pulled = 0;
     for (const KeyedOperation& kop : trace.ops) {
       if (filter.active) {
@@ -650,15 +589,11 @@ Report Engine::monitor(const KeyedTrace& trace, const RunOptions& run) {
       }
       monitor.ingest(kop);
       ++pulled;
-      std::string stop = check_stop(run, deadline, false, pulled, activity);
-      if (!stop.empty()) {
-        report.cancelled = true;
-        report.stop_reason = std::move(stop);
-        break;
-      }
+      stop = check_stop(run, deadline, false, pulled, activity);
+      if (!stop.empty()) break;
     }
-    finish_monitor_into(monitor, report);
-  }
+    report = finish_monitor(monitor, stop);
+  }  // the monitor retires its gauges before the run counts as finished
   account_selection(report, filter, offered);
   scope.finish(report);
   return report;
@@ -668,12 +603,10 @@ Report Engine::monitor(TraceSource& source, const RunOptions& run) {
   Metrics::RunScope scope(*em_, *status_, /*batch=*/false);
   const auto deadline = effective_deadline(run);
   const KeyFilter filter(run);
-  Report report;
-  report.mode = Report::Mode::monitor;
   std::set<std::string> offered;
+  Report report;
   {
-    KeyedStreamingMonitor monitor(
-        *pool_, monitor_options_for(options_, run, metrics_));
+    KeyedStreamingMonitor monitor(*pool_, *metrics_, options_, run.on_finding);
     const std::string stop = drive_source(
         source, run, deadline, "monitoring " + source.describe(),
         [&monitor, &filter, &offered](KeyedOperation kop) {
@@ -683,60 +616,11 @@ Report Engine::monitor(TraceSource& source, const RunOptions& run) {
           }
           monitor.ingest(kop);
         });
-    if (!stop.empty()) {
-      report.cancelled = true;
-      report.stop_reason = stop;
-    }
-    finish_monitor_into(monitor, report);
-  }
+    report = finish_monitor(monitor, stop);
+  }  // the monitor retires its gauges before the run counts as finished
   account_selection(report, filter, offered);
   scope.finish(report);
   return report;
-}
-
-// --- Legacy facade wrappers ------------------------------------------------
-
-// The parallel overload declared in core/verify.h: a temporary Engine
-// per call. Kept for source compatibility; a reused Engine amortizes
-// the pool spin-up this wrapper pays every time (bench_engine measures
-// the difference).
-KeyedReport verify_keyed_trace(const KeyedTrace& trace,
-                               const VerifyOptions& options,
-                               const PipelineOptions& pipeline_options) {
-  EngineOptions engine_options;
-  engine_options.verify = options;
-  engine_options.threads = pipeline_options.threads;
-  engine_options.shard_op_budget = pipeline_options.shard_op_budget;
-  engine_options.fail_fast = pipeline_options.fail_fast;
-  Engine engine(engine_options);
-  Report report = engine.verify(trace);
-  KeyedReport keyed;
-  for (auto& [key, result] : report.per_key) {
-    keyed.per_key.emplace(key, std::move(result.verdict));
-  }
-  return keyed;
-}
-
-// The monitor facade declared in core/verify.h, same deal.
-MonitorReport monitor_trace(const KeyedTrace& trace,
-                            const MonitorOptions& options) {
-  EngineOptions engine_options;
-  engine_options.threads = options.threads;
-  engine_options.streaming = options.streaming;
-  engine_options.reorder_slack = options.reorder_slack;
-  engine_options.queue_capacity = options.queue_capacity;
-  Engine engine(engine_options);
-  RunOptions run;
-  run.on_finding = options.on_violation;
-  Report report = engine.monitor(trace, run);
-  MonitorReport monitor_report;
-  monitor_report.totals = std::move(report.monitor_totals);
-  for (auto& [key, result] : report.per_key) {
-    monitor_report.per_key.emplace(
-        key, KeyMonitorResult{std::move(result.verdict), result.stream,
-                              std::move(result.findings)});
-  }
-  return monitor_report;
 }
 
 }  // namespace kav

@@ -1,7 +1,7 @@
 // kav::Engine -- the library's one front door. A long-lived session
 // object in the spirit of a production verifier (the paper's Section
 // VII experiment run as a service, not a one-shot function call):
-// constructed once from a consolidated EngineOptions, owning ONE
+// constructed once from EngineOptions (core/options.h), owning ONE
 // work-stealing thread pool shared by sharded batch verification
 // (pipeline/sharded_verifier.h) and keyed online monitoring
 // (ingest/keyed_monitor.h), and consuming any input through the
@@ -16,20 +16,17 @@
 //   1. RunOptions::verify (per call) overrides EngineOptions::verify.
 //   2. RunOptions::deadline and ::timeout compose: the earlier cutoff
 //      wins when both are set.
-//   3. EngineOptions::threads is the only pool size -- the threads
-//      fields of the absorbed PipelineOptions / MonitorOptions have no
-//      Engine equivalent, because the whole point is one pool.
+//   3. EngineOptions::threads is the only pool size: the verifier and
+//      every monitor borrow the engine's pool and never spawn their own.
 //
 // Determinism: Engine::verify inherits the sharded pipeline's
 // guarantee -- with fail_fast off and no cancel/deadline trigger, the
-// Report's verdicts are bit-identical to the legacy serial
-// verify_keyed_trace for any thread count (differentially fuzzed by
-// tests/engine_fuzz_test.cpp).
+// Report's verdicts are bit-identical to the serial reference
+// verify_keyed_trace (core/verify.h) for any thread count
+// (differentially fuzzed by tests/engine_fuzz_test.cpp).
 //
-// The free functions in core/verify.h survive as thin legacy wrappers
-// (the parallel and monitor ones over a temporary Engine); new code
-// should include kav.h and construct an Engine. Full surface map and
-// migration table: docs/API.md.
+// The only other multi-register entry point is that serial reference,
+// kept as the differential oracle. Full surface map: docs/API.md.
 #ifndef KAV_CORE_ENGINE_H
 #define KAV_CORE_ENGINE_H
 
@@ -41,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "core/options.h"
 #include "core/report.h"
 #include "core/run_control.h"
 #include "core/streaming.h"
@@ -62,47 +60,8 @@ struct ShardSpec;
 class TraceStore;
 struct CompactionOptions;
 
-// Everything the three legacy options structs said, minus their
-// duplicated thread counts. Field-by-field origin: VerifyOptions
-// (unchanged, nested), PipelineOptions (shard_op_budget, fail_fast),
-// MonitorOptions (streaming, reorder_slack, queue_capacity).
-struct EngineOptions {
-  // What to verify: k, algorithm, normalization (core/verify.h).
-  VerifyOptions verify;
-  // Size of the one shared pool; 0 picks hardware_concurrency().
-  std::size_t threads = 0;
-
-  // Batch verification (Engine::verify):
-  // Largest per-key shard handed to a decider; bigger shards answer
-  // UNDECIDED. 0 = unlimited.
-  std::size_t shard_op_budget = 0;
-  // Once one shard answers NO, not-yet-started shards are skipped.
-  bool fail_fast = false;
-
-  // Online monitoring (Engine::monitor):
-  StreamingOptions streaming;       // per-key staleness horizon
-  TimePoint reorder_slack = 1'000;  // arrival disorder bound
-  std::size_t queue_capacity = 1'024;  // per-key backpressure queue
-
-  // Observability (src/obs/): the registry every subsystem this engine
-  // owns reports into -- pool, sharded verifier, per-run monitors, and
-  // any store from open_store(). nullptr = the process-wide
-  // obs::MetricsRegistry::global(). Inject a private registry to
-  // isolate one engine's series (tests do) or to scrape several
-  // engines separately from one process.
-  obs::MetricsRegistry* metrics = nullptr;
-
-  // Live telemetry (obs/telemetry_server.h): >= 0 starts an HTTP
-  // server over this engine's registry at construction -- 0 picks an
-  // ephemeral port (read engine.telemetry()->port() back), -1 (the
-  // default) serves nothing. Equivalent to calling serve_telemetry()
-  // yourself after construction.
-  int telemetry_port = -1;
-  std::string telemetry_address = "127.0.0.1";
-};
-
-// Per-call run options. Default-constructed RunOptions reproduce the
-// legacy facade behavior exactly.
+// Per-call run options. Default-constructed RunOptions verify (or
+// monitor) everything under EngineOptions, with no early stop.
 struct RunOptions {
   // Overrides EngineOptions::verify for this call, e.g. auditing the
   // same shards at several k on one pool.
@@ -132,7 +91,7 @@ struct RunOptions {
   // key, skipped shards included). Keep it cheap.
   std::function<void(const std::string& key, const Verdict& verdict)> on_key;
   // Monitor: live violation sink, invoked at detection time (see
-  // MonitorOptions::on_violation for the threading contract).
+  // KeyedStreamingMonitor's constructor for the threading contract).
   std::function<void(const std::string& key,
                      const StreamingViolation& violation)>
       on_finding;
@@ -210,17 +169,12 @@ class Engine {
   // `deadline` is the already-anchored cutoff for the whole call --
   // computed once at the public entry point so a slow TraceSource read
   // phase cannot re-arm a relative timeout for the shard phase.
-  Report run_batch(
-      const KeyedHistories& shards, const RunOptions& run,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline);
-  // Shard-spec form of run_batch (the key_filter paths): pinned specs
-  // for filtered in-memory shards, lazy specs for index-backed loads.
   Report run_specs(
       const std::vector<ShardSpec>& specs, const RunOptions& run,
       const std::optional<std::chrono::steady_clock::time_point>& deadline);
-  // key_filter over pre-split shards: verifies only the requested
-  // shards (pinned, no copies) and fills the selection accounting.
-  Report verify_filtered(
+  // Pre-split shards, pinned by pointer (no copies): all of them, or only
+  // the key_filter's keys with the selection accounting filled.
+  Report verify_pinned(
       const KeyedHistories& shards, const RunOptions& run,
       const std::optional<std::chrono::steady_clock::time_point>& deadline);
   // key_filter over an index-backed source: one lazy spec per

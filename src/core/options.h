@@ -1,0 +1,69 @@
+// EngineOptions -- the library's one options type. kav::Engine
+// (core/engine.h) is constructed from it and hands the same struct to
+// the components it wires onto its shared pool: the sharded batch
+// verifier (pipeline/sharded_verifier.h) reads the batch fields, the
+// keyed online monitor (ingest/keyed_monitor.h) the monitoring ones.
+// It lives in its own header so those components need not include the
+// Engine itself.
+#ifndef KAV_CORE_OPTIONS_H
+#define KAV_CORE_OPTIONS_H
+
+#include <cstddef>
+#include <string>
+
+#include "core/streaming.h"
+#include "core/verify.h"
+#include "util/time_types.h"
+
+namespace kav {
+
+namespace obs {
+class MetricsRegistry;
+}  // namespace obs
+
+struct EngineOptions {
+  // What to verify: k, algorithm, normalization (core/verify.h).
+  VerifyOptions verify;
+  // Size of the one shared pool; 0 picks hardware_concurrency().
+  std::size_t threads = 0;
+
+  // Batch verification (Engine::verify):
+  // Largest per-key shard handed to a decider; bigger shards answer
+  // UNDECIDED. 0 = unlimited. The cutoff depends only on the shard, so
+  // it does not break determinism.
+  std::size_t shard_op_budget = 0;
+  // Once one shard answers NO, not-yet-started shards are skipped.
+  bool fail_fast = false;
+
+  // Online monitoring (Engine::monitor):
+  StreamingOptions streaming;  // per-key staleness horizon
+  // Arrival disorder bound handed to each key's ReorderBuffer: every
+  // arrival starts at most this many ticks before the key's maximum
+  // start seen so far. Safe choice: max operation duration plus
+  // delivery jitter. Arrivals beyond the slack are late_arrival
+  // findings, not crashes.
+  TimePoint reorder_slack = 1'000;
+  // Per-key queue capacity; a producer that outruns checking blocks
+  // here (backpressure) instead of growing an unbounded backlog.
+  std::size_t queue_capacity = 1'024;
+
+  // Observability (src/obs/): the registry every subsystem this engine
+  // owns reports into -- pool, sharded verifier, per-run monitors, and
+  // any store from open_store(). nullptr = the process-wide
+  // obs::MetricsRegistry::global(). Inject a private registry to
+  // isolate one engine's series (tests do) or to scrape several
+  // engines separately from one process.
+  obs::MetricsRegistry* metrics = nullptr;
+
+  // Live telemetry (obs/telemetry_server.h): >= 0 starts an HTTP
+  // server over this engine's registry at construction -- 0 picks an
+  // ephemeral port (read engine.telemetry()->port() back), -1 (the
+  // default) serves nothing. Equivalent to calling serve_telemetry()
+  // yourself after construction.
+  int telemetry_port = -1;
+  std::string telemetry_address = "127.0.0.1";
+};
+
+}  // namespace kav
+
+#endif  // KAV_CORE_OPTIONS_H

@@ -2,15 +2,6 @@
 
 namespace kav {
 
-std::string format_key_counts(std::size_t total, std::size_t yes,
-                              std::size_t no, std::size_t undecided,
-                              std::size_t invalid) {
-  return std::to_string(yes) + "/" + std::to_string(total) +
-         " keys atomic within bound, " + std::to_string(no) + " NO, " +
-         std::to_string(undecided) + " undecided, " +
-         std::to_string(invalid) + " invalid";
-}
-
 std::string describe(const Verdict& verdict) {
   std::string text = to_string(verdict.outcome);
   if (verdict.yes()) {
@@ -40,9 +31,12 @@ std::size_t Report::count(Outcome outcome) const {
 }
 
 std::string Report::summary() const {
-  std::string text = format_key_counts(
-      per_key.size(), count(Outcome::yes), count(Outcome::no),
-      count(Outcome::undecided), count(Outcome::precondition_failed));
+  std::string text =
+      std::to_string(count(Outcome::yes)) + "/" +
+      std::to_string(per_key.size()) + " keys atomic within bound, " +
+      std::to_string(count(Outcome::no)) + " NO, " +
+      std::to_string(count(Outcome::undecided)) + " undecided, " +
+      std::to_string(count(Outcome::precondition_failed)) + " invalid";
   if (selected) {
     text += " (selected " + std::to_string(keys_selected) + "/" +
             std::to_string(keys_available) + " keys";

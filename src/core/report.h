@@ -1,14 +1,10 @@
-// The unified verification report -- one result shape for both front
-// doors of kav::Engine (core/engine.h). Batch verification and online
-// monitoring used to return unrelated structs (KeyedReport,
-// MonitorReport) with ad-hoc summary strings; Report subsumes both:
+// The unified verification report -- the one result shape of the
+// library. Engine::verify and Engine::monitor (core/engine.h) and the
+// serial reference verify_keyed_trace (core/verify.h) all return it:
 // per-key Verdicts plus (in monitor mode) per-key streaming findings,
 // aggregate VerifyStats / MonitorStats totals, and one summary()
-// format, so batch and monitor output are grep-compatible.
-//
-// The legacy KeyedReport::summary() and MonitorReport::summary() render
-// through the same format_key_counts() formatter, so every tally line
-// this library prints has the shape
+// format, so batch and monitor output are grep-compatible. Every tally
+// line this library prints has the shape
 //
 //   <yes>/<total> keys atomic within bound, <no> NO, <undecided>
 //   undecided, <invalid> invalid
@@ -26,20 +22,14 @@
 
 namespace kav {
 
-// The one per-key tally formatter behind Report::summary(),
-// KeyedReport::summary(), and MonitorReport::summary().
-std::string format_key_counts(std::size_t total, std::size_t yes,
-                              std::size_t no, std::size_t undecided,
-                              std::size_t invalid);
-
 // One-line rendering of a single verdict, e.g.
 //   "YES (witness over 12 ops)"
 //   "NO: chunk {3,4,7} is not 2-atomic"
 std::string describe(const Verdict& verdict);
 
 // Aggregated monitoring snapshot across all keys; available mid-stream
-// via KeyedStreamingMonitor::stats() and as Report::monitor_totals /
-// MonitorReport::totals after a run. (Defined here rather than in
+// via KeyedStreamingMonitor::stats() and as Report::monitor_totals
+// after a run. (Defined here rather than in
 // ingest/keyed_monitor.h so the unified Report can embed it without
 // pulling the whole monitor machinery into every report consumer.)
 struct MonitorStats {
@@ -97,7 +87,7 @@ struct Report {
 
   bool all_yes() const;
   std::size_t count(Outcome outcome) const;
-  std::string summary() const;  // format_key_counts over per_key
+  std::string summary() const;  // the tally line above, plus run state
 };
 
 }  // namespace kav

@@ -7,9 +7,9 @@
 // never interrupted, so a verdict that is produced is always a real
 // verdict.
 //
-// The public front door for all of this is kav::Engine (core/engine.h);
-// ShardedVerifier consumes a RunControl directly for callers that
-// manage their own pool.
+// The public front door for all of this is kav::Engine (core/engine.h),
+// which translates RunOptions into the RunControl its ShardedVerifier
+// consumes.
 //
 // Concurrency contract: this header is deliberately lock-free, so it
 // carries none of the util/thread_safety.h capability annotations --
@@ -60,10 +60,10 @@ inline constexpr const char* kSkipDeadlineReason =
 inline constexpr const char* kSkipFailFastReason =
     "skipped: fail-fast cancellation after another shard answered NO";
 
-// Per-run control block threaded through ShardedVerifier::verify. The
-// default RunControl never cancels, has no deadline, and reports to
-// nobody -- exactly the legacy behavior, so the bit-identical
-// determinism guarantee is untouched unless a caller opts in.
+// Per-run control block threaded through ShardedVerifier::verify_shards.
+// The default RunControl never cancels, has no deadline, and reports to
+// nobody, so the bit-identical determinism guarantee is untouched unless
+// a caller opts in.
 struct RunControl {
   CancelToken cancel;
   // Absolute wall-clock cutoff; shards that have not started by then

@@ -47,6 +47,18 @@ struct VerifyStats {
   std::uint64_t orders_tested = 0;     // FZF: viability subroutine calls
   std::uint64_t nodes = 0;             // oracle: search nodes expanded
 
+  // Field-wise sum: the aggregate effort over several verdicts.
+  VerifyStats& operator+=(const VerifyStats& other) {
+    epochs += other.epochs;
+    candidates_tried += other.candidates_tried;
+    steps += other.steps;
+    chunks += other.chunks;
+    dangling += other.dangling;
+    orders_tested += other.orders_tested;
+    nodes += other.nodes;
+    return *this;
+  }
+
   friend bool operator==(const VerifyStats&, const VerifyStats&) = default;
 };
 

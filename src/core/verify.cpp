@@ -1,7 +1,6 @@
 #include "core/verify.h"
 
 #include "core/analysis.h"
-#include "core/report.h"
 #include "core/fzf.h"
 #include "core/gk.h"
 #include "core/greedy.h"
@@ -151,47 +150,14 @@ Verdict verify_k_atomicity(const History& history,
   return dispatch(history, options.k, options.algorithm);
 }
 
-bool KeyedReport::all_yes() const {
-  for (const auto& [key, verdict] : per_key) {
-    if (!verdict.yes()) return false;
-  }
-  return true;
-}
-
-std::size_t KeyedReport::count(Outcome outcome) const {
-  std::size_t n = 0;
-  for (const auto& [key, verdict] : per_key) {
-    if (verdict.outcome == outcome) ++n;
-  }
-  return n;
-}
-
-VerifyStats KeyedReport::total_stats() const {
-  VerifyStats total;
-  for (const auto& [key, verdict] : per_key) {
-    total.epochs += verdict.stats.epochs;
-    total.candidates_tried += verdict.stats.candidates_tried;
-    total.steps += verdict.stats.steps;
-    total.chunks += verdict.stats.chunks;
-    total.dangling += verdict.stats.dangling;
-    total.orders_tested += verdict.stats.orders_tested;
-    total.nodes += verdict.stats.nodes;
-  }
-  return total;
-}
-
-std::string KeyedReport::summary() const {
-  return format_key_counts(per_key.size(), count(Outcome::yes),
-                           count(Outcome::no), count(Outcome::undecided),
-                           count(Outcome::precondition_failed));
-}
-
-KeyedReport verify_keyed_trace(const KeyedTrace& trace,
-                               const VerifyOptions& options) {
-  KeyedReport report;
+Report verify_keyed_trace(const KeyedTrace& trace,
+                          const VerifyOptions& options) {
+  Report report;
   const KeyedHistories split = split_by_key(trace);
   for (const auto& [key, history] : split.per_key) {
-    report.per_key.emplace(key, verify_k_atomicity(history, options));
+    Verdict verdict = verify_k_atomicity(history, options);
+    report.verify_totals += verdict.stats;
+    report.per_key.emplace(key, KeyResult{std::move(verdict), {}, {}});
   }
   return report;
 }

@@ -4,32 +4,24 @@
 // (Section II-B of the paper), so a trace is k-atomic iff its
 // projection onto each register is.
 //
-// The free functions over KeyedTrace below are the library's LEGACY
-// surface: they predate kav::Engine (core/engine.h, included via
-// kav.h), which consolidates the three parallel front doors --
-// verify_keyed_trace x2, monitor_trace -- into one session object with
-// one shared thread pool, pluggable TraceSources, a unified Report,
-// and run control. They are kept so every existing caller compiles;
-// the parallel and monitor ones are thin wrappers over a temporary
-// Engine. Migration table: docs/API.md.
+// Multi-register traces go through kav::Engine (core/engine.h, included
+// via kav.h): one session object with one shared thread pool, pluggable
+// TraceSources, and run control. The serial verify_keyed_trace below is
+// the reference it is differentially tested against, not a second front
+// door.
 //
 // Paper-section map and guarantees for every procedure: docs/ALGORITHMS.md.
 #ifndef KAV_CORE_VERIFY_H
 #define KAV_CORE_VERIFY_H
 
-#include <map>
-#include <string>
-
+#include "core/report.h"
 #include "core/verdict.h"
 #include "history/history.h"
 #include "history/keyed_trace.h"
 
 namespace kav {
 
-struct ZoneProfile;      // core/analysis.h
-struct PipelineOptions;  // pipeline/sharded_verifier.h
-struct MonitorOptions;   // ingest/keyed_monitor.h
-struct MonitorReport;    // ingest/keyed_monitor.h
+struct ZoneProfile;  // core/analysis.h
 
 enum class Algorithm : unsigned char {
   auto_select,  // GK for k=1, LBT/FZF by ZoneProfile for k=2,
@@ -66,49 +58,14 @@ struct VerifyOptions {
 Verdict verify_k_atomicity(const History& history,
                            const VerifyOptions& options = {});
 
-// Multi-register verification: splits by key and verifies each
-// projection independently. Legacy result shape; kav::Engine returns
-// the unified Report (core/report.h) instead, and both render their
-// summaries through the same format_key_counts() formatter.
-struct KeyedReport {
-  std::map<std::string, Verdict> per_key;
-
-  bool all_yes() const;
-  std::size_t count(Outcome outcome) const;
-  std::string summary() const;  // shared formatter, core/report.h
-  // Work counters summed over all keys -- the aggregate effort of the
-  // whole trace, comparable between serial and sharded runs.
-  VerifyStats total_stats() const;
-};
-
-// Serial reference implementation -- the semantics every parallel and
-// streaming path is differentially fuzzed against. Legacy: new code
-// uses kav::Engine::verify.
-KeyedReport verify_keyed_trace(const KeyedTrace& trace,
-                               const VerifyOptions& options = {});
-
-// Parallel variant: shards the trace by key and verifies shards on a
-// work-stealing thread pool. With fail_fast off and no shard_op_budget
-// the report is bit-identical to the serial overload above for any
-// thread count; those two options trade detail for speed (skipped
-// shards answer UNDECIDED). Legacy wrapper over a temporary
-// kav::Engine (defined in core/engine.cpp; include
-// pipeline/sharded_verifier.h for PipelineOptions) -- a reused Engine
-// amortizes the per-call pool spin-up this pays.
-KeyedReport verify_keyed_trace(const KeyedTrace& trace,
-                               const VerifyOptions& options,
-                               const PipelineOptions& pipeline_options);
-
-// Online variant: replays the trace in its arrival order through the
-// ingest subsystem's KeyedStreamingMonitor (per-key StreamingChecker
-// shards behind reorder buffers on the thread pool), returning per-key
-// streaming verdicts and aggregate throughput/window statistics
-// instead of batch verdicts. Memory stays O(slack + horizon) per key
-// rather than O(trace). Legacy wrapper over a temporary kav::Engine
-// (defined in core/engine.cpp; include ingest/keyed_monitor.h for the
-// option and report types).
-MonitorReport monitor_trace(const KeyedTrace& trace,
-                            const MonitorOptions& options);
+// Serial multi-register reference: splits by key (split_by_key) and
+// verifies each projection in key order on the calling thread -- no
+// pool, no run control. Fills Report::per_key verdicts and
+// Report::verify_totals. This is the semantics every parallel and
+// streaming path is differentially fuzzed against; Engine::verify is
+// bit-identical to it for any thread count.
+Report verify_keyed_trace(const KeyedTrace& trace,
+                          const VerifyOptions& options = {});
 
 }  // namespace kav
 

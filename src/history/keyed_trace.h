@@ -43,7 +43,7 @@ struct KeyedHistories {
   // the verification pipeline dispatches and merges in.
   std::vector<std::string> keys() const;
   // Total operations across all shards and the largest single shard;
-  // what PipelineOptions::shard_op_budget is measured against.
+  // what EngineOptions::shard_op_budget is measured against.
   std::size_t total_ops() const;
   std::size_t max_shard_ops() const;
 };

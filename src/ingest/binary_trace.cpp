@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "history/serialization.h"
-#include "ingest/trace_source.h"
 #include "store/segment_writer.h"
 
 namespace kav {
@@ -288,12 +287,6 @@ bool is_binary_trace_file(const std::string& path) {
   in.read(reinterpret_cast<char*>(magic_bytes), sizeof magic_bytes);
   return static_cast<std::size_t>(in.gcount()) == sizeof magic_bytes &&
          load_u32(magic_bytes) == kBinaryTraceMagic;
-}
-
-KeyedTrace read_any_trace_file(const std::string& path) {
-  // Legacy spelling of the TraceSource abstraction (ingest/trace_source.h):
-  // one polymorphic input behind the same magic sniff.
-  return drain(*open_trace_source(path));
 }
 
 // --- Converters ------------------------------------------------------------

@@ -193,12 +193,10 @@ void write_binary_trace_file(const std::string& path, const KeyedTrace& trace,
 KeyedTrace read_binary_trace(std::istream& in);
 KeyedTrace read_binary_trace_file(const std::string& path);
 
-// Format sniffing: true iff the file starts with the .kavb magic.
+// Format sniffing: true iff the file starts with the .kavb magic. To
+// read a file of either format, use drain(*open_trace_source(path))
+// (ingest/trace_source.h).
 bool is_binary_trace_file(const std::string& path);
-// Reads either format, deciding by magic (not by file extension).
-// Legacy wrapper: equals drain(*open_trace_source(path)) over the
-// polymorphic TraceSource abstraction in ingest/trace_source.h.
-KeyedTrace read_any_trace_file(const std::string& path);
 
 // Lossless format converters. text -> binary loads the trace (the text
 // reader is whole-stream) and can emit either version; binary -> text

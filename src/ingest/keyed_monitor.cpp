@@ -61,60 +61,20 @@ struct KeyedStreamingMonitor::Metrics {
 // KeyState is defined in keyed_monitor.h so the locking contracts
 // (KAV_REQUIRES(state.process_mutex)) can name its mutex.
 
-// --- MonitorReport ---------------------------------------------------------
-
-bool MonitorReport::all_clean() const {
-  for (const auto& [key, result] : per_key) {
-    if (!result.violations.empty()) return false;
-  }
-  return true;
-}
-
-std::string MonitorReport::summary() const {
-  std::size_t yes = 0, no = 0, undecided = 0, invalid = 0;
-  for (const auto& [key, result] : per_key) {
-    switch (result.verdict.outcome) {
-      case Outcome::yes:
-        ++yes;
-        break;
-      case Outcome::no:
-        ++no;
-        break;
-      case Outcome::undecided:
-        ++undecided;
-        break;
-      case Outcome::precondition_failed:
-        ++invalid;
-        break;
-    }
-  }
-  return format_key_counts(per_key.size(), yes, no, undecided, invalid);
-}
-
-// --- KeyedStreamingMonitor -------------------------------------------------
-
-KeyedStreamingMonitor::KeyedStreamingMonitor(const MonitorOptions& options)
-    : options_(options),
-      metrics_(std::make_unique<Metrics>(
-          options.metrics != nullptr ? *options.metrics
-                                     : obs::MetricsRegistry::global())),
-      owned_pool_(std::make_unique<pipeline::ThreadPool>(options.threads,
-                                                         options.metrics)),
-      pool_(owned_pool_.get()) {}
-
 KeyedStreamingMonitor::KeyedStreamingMonitor(pipeline::ThreadPool& pool,
-                                             const MonitorOptions& options)
+                                             obs::MetricsRegistry& metrics,
+                                             const EngineOptions& options,
+                                             FindingSink on_finding)
     : options_(options),
-      metrics_(std::make_unique<Metrics>(
-          options.metrics != nullptr ? *options.metrics
-                                     : obs::MetricsRegistry::global())),
+      on_finding_(std::move(on_finding)),
+      metrics_(std::make_unique<Metrics>(metrics)),
       pool_(&pool) {}
 
 KeyedStreamingMonitor::~KeyedStreamingMonitor() {
   // Every queued or running drain task holds a pointer into keys_; wait
-  // for them all before the key states are destroyed. A borrowed pool
-  // is never shut down here -- it belongs to the caller (typically a
-  // kav::Engine outliving many monitors).
+  // for them all before the key states are destroyed. The pool is never
+  // shut down here -- it belongs to the caller (typically a kav::Engine
+  // outliving many monitors).
   quiesce();
   // Retire this monitor's share of the level gauges so a shared
   // registry (several monitors over one Engine lifetime) returns to
@@ -189,8 +149,8 @@ void KeyedStreamingMonitor::ingest(const std::string& key,
     try {
       pool_->submit([this, &state] { drain(state); });
     } catch (...) {
-      // submit() can throw (e.g. a borrowed pool already shut down by
-      // its owner). Undo the claim: no drain task will ever run to
+      // submit() can throw (e.g. the pool already shut down by its
+      // owner). Undo the claim: no drain task will ever run to
       // decrement the counter or release the drainer role, and the
       // destructor's quiesce() must not wait forever on it.
       {
@@ -230,7 +190,7 @@ void KeyedStreamingMonitor::process_one(KeyState& state, const Operation& op) {
 }
 
 void KeyedStreamingMonitor::emit_new_violations(KeyState& state) {
-  if (!options_.on_violation ||
+  if (!on_finding_ ||
       sink_failed_.load(std::memory_order_acquire)) {
     return;
   }
@@ -242,19 +202,18 @@ void KeyedStreamingMonitor::emit_new_violations(KeyState& state) {
   try {
     const std::vector<StreamingViolation>& found = state.checker.violations();
     while (state.reported_checker < found.size()) {
-      options_.on_violation(state.key, found[state.reported_checker]);
+      on_finding_(state.key, found[state.reported_checker]);
       ++state.reported_checker;
     }
     while (state.reported_extra < state.extra_violations.size()) {
-      options_.on_violation(state.key,
-                            state.extra_violations[state.reported_extra]);
+      on_finding_(state.key, state.extra_violations[state.reported_extra]);
       ++state.reported_extra;
     }
   } catch (...) {
     sink_failed_.store(true, std::memory_order_release);
     state.extra_violations.push_back(
         {StreamingViolation::Kind::hard_anomaly, state.reorder.watermark(),
-         "on_violation sink threw; live emission disabled for this monitor"});
+         "on_finding sink threw; live emission disabled for this monitor"});
   }
 }
 
@@ -343,14 +302,14 @@ void KeyedStreamingMonitor::drain(KeyState& state) {
     }
   } catch (...) {
     // Last resort: even the recorder threw (bad_alloc building the
-    // finding, or a non-std exception out of the user's on_violation
+    // finding, or a non-std exception out of the user's on_finding
     // sink). Nothing sane can be recorded; release the drainer role so
     // a later ingest can reschedule instead of wedging the key.
     state.scheduled.store(false, std::memory_order_release);
   }
 }
 
-MonitorReport KeyedStreamingMonitor::finish() {
+Report KeyedStreamingMonitor::finish() {
   if (finished_.exchange(true, std::memory_order_acq_rel)) {
     throw std::logic_error("KeyedStreamingMonitor::finish called twice");
   }
@@ -362,7 +321,8 @@ MonitorReport KeyedStreamingMonitor::finish() {
     for (auto& [key, state] : keys_) states.emplace_back(key, state.get());
   }
 
-  MonitorReport report;
+  Report report;
+  report.mode = Report::Mode::monitor;
   for (auto& [key, state] : states) {
     util::MutexLock lock(state->process_mutex);
     Operation op;
@@ -372,15 +332,15 @@ MonitorReport KeyedStreamingMonitor::finish() {
     state->peak_window =
         std::max(state->peak_window, state->checker.window_size());
 
-    KeyMonitorResult result;
+    KeyResult result;
     result.verdict = state->checker.finish();
     emit_new_violations(*state);
-    result.stats = state->checker.stats();
-    result.violations = state->checker.violations();
-    result.violations.insert(result.violations.end(),
-                             state->extra_violations.begin(),
-                             state->extra_violations.end());
-    if (result.verdict.yes() && !result.violations.empty()) {
+    result.stream = state->checker.stats();
+    result.findings = state->checker.violations();
+    result.findings.insert(result.findings.end(),
+                           state->extra_violations.begin(),
+                           state->extra_violations.end());
+    if (result.verdict.yes() && !result.findings.empty()) {
       result.verdict = Verdict::make_no(
           std::to_string(state->extra_violations.size()) +
           " monitor-level violation(s); first: " +
@@ -389,7 +349,7 @@ MonitorReport KeyedStreamingMonitor::finish() {
     update_key_metrics(*state);
     report.per_key.emplace(key, std::move(result));
   }
-  report.totals = snapshot_totals();
+  report.monitor_totals = snapshot_totals();
   return report;
 }
 
@@ -448,11 +408,6 @@ MonitorStats KeyedStreamingMonitor::snapshot_totals() const {
     }
   }
   return totals;
-}
-
-std::size_t KeyedStreamingMonitor::key_count() const {
-  util::ReaderMutexLock lock(keys_mutex_);
-  return keys_.size();
 }
 
 }  // namespace kav

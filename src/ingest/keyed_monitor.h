@@ -10,11 +10,11 @@
 // per-key processing is serial (checkers are not thread-safe) while
 // distinct keys check in parallel.
 //
-// The pool can be owned (legacy constructor) or borrowed (ThreadPool&
-// constructor): kav::Engine (core/engine.h, the library's front door)
-// runs batch verification and monitoring on ONE shared pool. A monitor
-// on a borrowed pool never shuts the pool down; its destructor only
-// waits for its own in-flight drain tasks to quiesce.
+// The pool is borrowed: kav::Engine (core/engine.h, the library's front
+// door) runs batch verification and monitoring on ONE shared pool, and
+// Engine::monitor constructs one monitor per run. A monitor never shuts
+// the pool down; its destructor only waits for its own in-flight drain
+// tasks to quiesce.
 //
 // Soundness inherits from the two layers (see docs/ALGORITHMS.md):
 // the reorder slack S gives each checker a valid watermark, and the
@@ -31,12 +31,12 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "core/options.h"
 #include "core/report.h"
 #include "core/streaming.h"
 #include "history/keyed_trace.h"
@@ -48,66 +48,31 @@
 
 namespace kav {
 
-struct MonitorOptions {
-  // Per-key checker options (staleness horizon).
-  StreamingOptions streaming;
-  // Arrival disorder bound handed to each key's ReorderBuffer: every
-  // arrival starts at most this many ticks before the key's maximum
-  // start seen so far. Safe choice: max operation duration plus
-  // delivery jitter. Arrivals beyond the slack are late_arrival
-  // violations, not crashes.
-  TimePoint reorder_slack = 1'000;
-  // Worker threads; 0 picks std::thread::hardware_concurrency().
-  // Ignored when the monitor borrows a caller-provided pool.
-  std::size_t threads = 0;
-  // Per-key queue capacity; a producer that outruns checking blocks
-  // here (backpressure) instead of growing an unbounded backlog.
-  std::size_t queue_capacity = 1'024;
-  // Optional live sink: invoked as violations are detected (drain time,
-  // not finish time), from pool workers, serialized per key and holding
-  // that key's processing lock -- keep it cheap and never call back
-  // into the monitor. Per-key order is detection order. A sink that
-  // throws disables live emission for the rest of the run (recorded as
-  // a hard_anomaly finding); the final report is never affected.
-  std::function<void(const std::string& key,
-                     const StreamingViolation& violation)>
-      on_violation;
-  // Registry the monitor instruments into (kav_monitor_* series: live
-  // ingest/violation counters plus watermark-lag, reorder-occupancy,
-  // and backlog gauges -- ops/sec is rate(kav_monitor_ops_ingested_total)
-  // on the scraper side). nullptr means the process registry,
-  // obs::MetricsRegistry::global(); kav::Engine injects its own. Must
-  // outlive the monitor. MonitorStats stays the per-run summary view
-  // and is computed from the same per-key state, never from these.
-  obs::MetricsRegistry* metrics = nullptr;
-};
-
 // MonitorStats lives in core/report.h (the unified Report embeds it).
-
-struct KeyMonitorResult {
-  Verdict verdict;  // YES iff the key's stream produced no violations
-  StreamingStats stats;
-  std::vector<StreamingViolation> violations;  // late_arrivals appended
-};
-
-struct MonitorReport {
-  std::map<std::string, KeyMonitorResult> per_key;
-  MonitorStats totals;
-
-  bool all_clean() const;
-  // Rendered by the shared format_key_counts() formatter (core/report.h)
-  // so monitor and batch tallies are grep-compatible.
-  std::string summary() const;
-};
 
 class KeyedStreamingMonitor {
  public:
-  // Owning: spawns a pool sized by options.threads.
-  explicit KeyedStreamingMonitor(const MonitorOptions& options = {});
-  // Non-owning: checking tasks run on the caller's pool, which must
-  // outlive the monitor.
+  // Live violation sink (RunOptions::on_finding).
+  using FindingSink = std::function<void(const std::string& key,
+                                         const StreamingViolation& violation)>;
+
+  // Checking tasks run on `pool`; the kav_monitor_* series (live
+  // ingest/violation counters plus watermark-lag, reorder-occupancy,
+  // and backlog gauges) go to `metrics`. Both must outlive the monitor.
+  // Reads EngineOptions::streaming (per-key staleness horizon),
+  // ::reorder_slack, and ::queue_capacity.
+  //
+  // `on_finding`, when set, is invoked as violations are detected
+  // (drain time, not finish time), from pool workers, serialized per
+  // key and holding that key's processing lock -- keep it cheap and
+  // never call back into the monitor. Per-key order is detection order.
+  // A sink that throws disables live emission for the rest of the run
+  // (recorded as a hard_anomaly finding); the final report is never
+  // affected.
   KeyedStreamingMonitor(pipeline::ThreadPool& pool,
-                        const MonitorOptions& options = {});
+                        obs::MetricsRegistry& metrics,
+                        const EngineOptions& options,
+                        FindingSink on_finding = {});
   ~KeyedStreamingMonitor();
 
   KeyedStreamingMonitor(const KeyedStreamingMonitor&) = delete;
@@ -121,21 +86,21 @@ class KeyedStreamingMonitor {
       KAV_EXCLUDES(keys_mutex_, drains_mutex_);
 
   // Drains every queue, flushes every reorder buffer, finishes every
-  // checker, and returns the per-key results. Call once, from one
-  // thread, after all producers have stopped.
-  MonitorReport finish() KAV_EXCLUDES(keys_mutex_);
+  // checker, and returns a monitor-mode Report: per key, a verdict (YES
+  // iff the key's stream produced no violations), its StreamingStats,
+  // and its findings (monitor-level ones such as late arrivals
+  // appended), plus MonitorStats totals. Call once, from one thread,
+  // after all producers have stopped.
+  Report finish() KAV_EXCLUDES(keys_mutex_);
 
   // Aggregated snapshot; safe to call from any thread mid-stream.
   MonitorStats stats() const KAV_EXCLUDES(keys_mutex_);
-
-  std::size_t thread_count() const { return pool_->thread_count(); }
-  std::size_t key_count() const KAV_EXCLUDES(keys_mutex_);
 
  private:
   // Per-key state. Defined here (not in the .cpp) so the KAV_REQUIRES
   // contracts on the helpers below can name state.process_mutex.
   struct KeyState {
-    KeyState(std::string key_name, const MonitorOptions& options)
+    KeyState(std::string key_name, const EngineOptions& options)
         : key(std::move(key_name)),
           queue(options.queue_capacity),
           reorder(options.reorder_slack),
@@ -165,7 +130,7 @@ class KeyedStreamingMonitor {
         KAV_GUARDED_BY(process_mutex);
     std::size_t peak_window KAV_GUARDED_BY(process_mutex) = 0;
     // High-water marks of violations already handed to the live
-    // on_violation sink, so each finding is emitted exactly once.
+    // on_finding sink, so each finding is emitted exactly once.
     std::size_t reported_checker KAV_GUARDED_BY(process_mutex) = 0;
     std::size_t reported_extra KAV_GUARDED_BY(process_mutex) = 0;
     // High-water marks of what update_key_metrics() already folded into
@@ -182,7 +147,7 @@ class KeyedStreamingMonitor {
   // Feeds one arrival through the reorder buffer into the checker.
   void process_one(KeyState& state, const Operation& op)
       KAV_REQUIRES(state.process_mutex);
-  // Reports not-yet-reported violations to options_.on_violation.
+  // Reports not-yet-reported violations to on_finding_.
   void emit_new_violations(KeyState& state) KAV_REQUIRES(state.process_mutex);
   // Folds the key's progress since the last call into the registry
   // (violation/chunk deltas via per-key high-water marks, gauge
@@ -192,13 +157,13 @@ class KeyedStreamingMonitor {
   void quiesce() KAV_EXCLUDES(drains_mutex_);
   MonitorStats snapshot_totals() const KAV_EXCLUDES(keys_mutex_);
 
-  MonitorOptions options_;
+  const EngineOptions options_;
+  const FindingSink on_finding_;
   // kav_monitor_* instruments (keyed_monitor.cpp); owned by the
-  // registry in options_.metrics, not by the monitor.
+  // registry, not by the monitor.
   struct Metrics;
   std::unique_ptr<Metrics> metrics_;
-  std::unique_ptr<pipeline::ThreadPool> owned_pool_;
-  pipeline::ThreadPool* pool_;  // owned_pool_.get() or the borrowed pool
+  pipeline::ThreadPool* pool_;
 
   // Shared for the per-ingest known-key lookup (the hot path stays
   // contention-free across producers), exclusive only when a key is
@@ -210,23 +175,17 @@ class KeyedStreamingMonitor {
       KAV_GUARDED_BY(keys_mutex_);
   bool started_ KAV_GUARDED_BY(keys_mutex_) = false;
   std::atomic<bool> finished_{false};
-  // Set when the user's on_violation sink throws: live emission is
+  // Set when the user's on_finding sink throws: live emission is
   // disabled for the rest of the run (recorded as a hard_anomaly
   // finding) rather than letting the exception destroy the report.
   std::atomic<bool> sink_failed_{false};
 
-  // In-flight drain-task accounting, so a monitor on a borrowed pool
-  // can quiesce without shutting the shared pool down.
+  // In-flight drain-task accounting, so a monitor can quiesce without
+  // shutting the shared pool down.
   util::Mutex drains_mutex_;
   util::CondVar drains_cv_;
   std::size_t active_drains_ KAV_GUARDED_BY(drains_mutex_) = 0;
 };
-
-// The facade overload declared in core/verify.h: replays a complete
-// trace (in its arrival order) through a KeyedStreamingMonitor.
-// Legacy wrapper -- new code should use kav::Engine::monitor.
-MonitorReport monitor_trace(const KeyedTrace& trace,
-                            const MonitorOptions& options);
 
 }  // namespace kav
 

@@ -27,8 +27,8 @@ TextFileTraceSource::TextFileTraceSource(const std::string& path)
 
 bool TextFileTraceSource::next(KeyedOperation& out) {
   if (pos_ >= trace_.ops.size()) return false;
-  // Single-pass source: moving the key string out keeps the legacy
-  // read_any_trace_file (= drain over this source) a one-copy path.
+  // Single-pass source: moving the key string out keeps drain() over
+  // this source a one-copy path.
   out = std::move(trace_.ops[pos_++]);
   return true;
 }

@@ -8,8 +8,7 @@
 //
 // Sources are single-pass: next() walks the stream once. File sources
 // detect format by magic bytes (open_trace_source), never by file
-// extension; the legacy read_any_trace_file is drain() over this
-// abstraction. Memory cost: binary file sources and push sources are
+// extension; drain() pulls any source into a KeyedTrace. Memory cost: binary file sources and push sources are
 // truly streaming (O(chunk) / O(capacity)); text file sources load the
 // whole trace at construction, which is inherent to the line-oriented
 // text format.
@@ -177,8 +176,8 @@ class PushTraceSource final : public TraceSource {
 // cannot be opened or its header is malformed.
 std::unique_ptr<TraceSource> open_trace_source(const std::string& path);
 
-// Pulls a source dry into a KeyedTrace. read_any_trace_file
-// (ingest/binary_trace.h) is exactly drain(*open_trace_source(path)).
+// Pulls a source dry into a KeyedTrace; drain(*open_trace_source(path))
+// reads a trace file of either format.
 KeyedTrace drain(TraceSource& source);
 
 }  // namespace kav

@@ -10,14 +10,14 @@
 // Inputs come from any TraceSource (in-memory trace, text or binary
 // .kavb file, live push stream); runs take per-call RunOptions
 // (VerifyOptions override, CancelToken, deadline, live callbacks);
-// results come back as the unified Report. Surface map and the
-// legacy-facade migration table: docs/API.md. Paper-section map and
-// per-algorithm guarantees: docs/ALGORITHMS.md.
+// results come back as the unified Report. Surface map: docs/API.md.
+// Paper-section map and per-algorithm guarantees: docs/ALGORITHMS.md.
 #ifndef KAV_KAV_H
 #define KAV_KAV_H
 
 // The session API.
 #include "core/engine.h"
+#include "core/options.h"
 #include "core/report.h"
 #include "core/run_control.h"
 

@@ -7,6 +7,10 @@
 #include <utility>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "obs/span.h"
 #include "util/thread_safety.h"
 
@@ -83,69 +87,71 @@ struct ShardedVerifier::Metrics {
   }
 };
 
-ShardedVerifier::ShardedVerifier(VerifyOptions verify_options,
-                                 PipelineOptions pipeline_options,
-                                 obs::MetricsRegistry* metrics)
-    : verify_options_(verify_options),
-      pipeline_options_(pipeline_options),
-      owned_pool_(std::make_unique<pipeline::ThreadPool>(
-          pipeline_options.threads, metrics)),
-      pool_(owned_pool_.get()),
-      metrics_(std::make_shared<Metrics>(
-          metrics != nullptr ? *metrics : obs::MetricsRegistry::global())) {}
-
 ShardedVerifier::ShardedVerifier(pipeline::ThreadPool& pool,
-                                 VerifyOptions verify_options,
-                                 PipelineOptions pipeline_options,
-                                 obs::MetricsRegistry* metrics)
-    : verify_options_(verify_options),
-      pipeline_options_(pipeline_options),
+                                 obs::MetricsRegistry& metrics,
+                                 const EngineOptions& options)
+    : shard_op_budget_(options.shard_op_budget),
+      fail_fast_(options.fail_fast),
       pool_(&pool),
-      metrics_(std::make_shared<Metrics>(
-          metrics != nullptr ? *metrics : obs::MetricsRegistry::global())) {}
+      metrics_(std::make_shared<Metrics>(metrics)) {}
 
-KeyedReport ShardedVerifier::verify(const KeyedTrace& trace) {
-  return verify(split_by_key(trace));
-}
+namespace {
 
-KeyedReport ShardedVerifier::verify(const KeyedHistories& shards) {
-  return verify(shards, verify_options_);
-}
-
-KeyedReport ShardedVerifier::verify(const KeyedHistories& shards,
-                                    const VerifyOptions& verify_options) {
-  return verify(shards, verify_options, RunControl{});
-}
-
-KeyedReport ShardedVerifier::verify(const KeyedHistories& shards,
-                                    const VerifyOptions& verify_options,
-                                    const RunControl& run) {
-  // The map path pins each shard's History by pointer -- no copies;
-  // verify_shards waits for every task before returning, so the
-  // pointers never dangle.
-  std::vector<ShardSpec> specs;
-  specs.reserve(shards.per_key.size());
-  for (const auto& [key, history] : shards.per_key) {
-    ShardSpec spec;
-    spec.key = key;
-    spec.op_count = history.size();
-    spec.pinned = &history;
-    specs.push_back(std::move(spec));
+// Sums the merged verdicts' work counters into verify_totals and marks
+// the run cancelled when a caller's cancel or deadline skipped a shard
+// (budget and fail-fast skips do not count), keeping the first such
+// reason in key order.
+void fill_batch_totals(Report& report) {
+  for (const auto& [key, result] : report.per_key) {
+    const Verdict& verdict = result.verdict;
+    report.verify_totals += verdict.stats;
+    if (verdict.outcome == Outcome::undecided &&
+        (verdict.reason == kSkipCancelledReason ||
+         verdict.reason == kSkipDeadlineReason) &&
+        !report.cancelled) {
+      report.cancelled = true;
+      report.stop_reason = verdict.reason;
+    }
   }
-  return verify_shards(specs, verify_options, run);
 }
 
-KeyedReport ShardedVerifier::verify_shards(const std::vector<ShardSpec>& shards,
-                                           const VerifyOptions& options,
-                                           const RunControl& run) {
+// A shard this large leaves megabytes of freed working memory behind.
+constexpr std::size_t kReleaseAfterShardOps = std::size_t{1} << 16;
+
+// glibc keeps what a worker frees in that worker's malloc arena instead
+// of returning it to the OS, so every worker that ever decided a large
+// shard holds that shard's working set from then on. Which workers did
+// is up to scheduling (work stealing, and the arenas a fresh pool's
+// threads pick up), so resident memory stepped by whole working sets
+// between identical runs. Releasing the free memory after a batch with
+// a large shard keeps it to what the batch itself needs, at the price
+// of the next batch faulting those pages back in.
+void release_worker_memory(const std::vector<ShardSpec>& shards) {
+#if defined(__GLIBC__)
+  for (const ShardSpec& shard : shards) {
+    if (shard.op_count >= kReleaseAfterShardOps) {
+      malloc_trim(0);
+      return;
+    }
+  }
+#else
+  (void)shards;
+#endif
+}
+
+}  // namespace
+
+Report ShardedVerifier::verify_shards(const std::vector<ShardSpec>& shards,
+                                      const VerifyOptions& options,
+                                      const RunControl& run) {
   // One fail-fast flag per call: a NO on one trace must not poison a
-  // later verify() on the same (reused) pool. Caller cancellation is
+  // later call on the same (reused) pool. Caller cancellation is
   // the token inside `run` -- also per call, by construction.
   auto failed = std::make_shared<std::atomic<bool>>(false);
   // Serializes the optional live per-key callback across workers.
   auto sink_mutex = std::make_shared<util::Mutex>();
-  const bool fail_fast = pipeline_options_.fail_fast;
-  const std::size_t budget = pipeline_options_.shard_op_budget;
+  const bool fail_fast = fail_fast_;
+  const std::size_t budget = shard_op_budget_;
   const VerifyOptions verify_options = options;
 
   // Captured by pointer, not copied per shard: every exit path of this
@@ -228,8 +234,10 @@ KeyedReport ShardedVerifier::verify_shards(const std::vector<ShardSpec>& shards,
   // loader propagates out of this call exactly as the pooled path
   // rethrows it from future::get with no sibling shards to wait on.
   if (shards.size() == 1) {
-    KeyedReport report;
-    report.per_key.emplace(shards.front().key, run_shard(&shards.front()));
+    Report report;
+    report.per_key.emplace(shards.front().key,
+                           KeyResult{run_shard(&shards.front()), {}, {}});
+    fill_batch_totals(report);
     return report;
   }
 
@@ -258,14 +266,15 @@ KeyedReport ShardedVerifier::verify_shards(const std::vector<ShardSpec>& shards,
   // this function.
   for (const auto& future : futures) future.wait();
 
-  // Merge in spec order (the map overload builds specs in sorted-key
-  // order), so the report layout never depends on which worker
-  // finished first.
-  KeyedReport report;
+  // Merge into the key-ordered map, so the report layout never depends
+  // on which worker finished first.
+  Report report;
   std::size_t i = 0;
   for (const ShardSpec& shard : shards) {
-    report.per_key.emplace(shard.key, futures[i++].get());
+    report.per_key.emplace(shard.key, KeyResult{futures[i++].get(), {}, {}});
   }
+  fill_batch_totals(report);
+  release_worker_memory(shards);
   return report;
 }
 

@@ -76,10 +76,9 @@ TEST(ConcurrencyRegression, MonitorDestructionRacesDrainTasks) {
   obs::MetricsRegistry registry;
   pipeline::ThreadPool pool(4, &registry);
   for (int round = 0; round < 20; ++round) {
-    MonitorOptions options;
-    options.metrics = &registry;
+    EngineOptions options;
     options.reorder_slack = 50;
-    KeyedStreamingMonitor monitor(pool, options);
+    KeyedStreamingMonitor monitor(pool, registry, options);
 
     std::atomic<bool> stop{false};
     std::thread prober([&] {

@@ -1,10 +1,11 @@
-// Seeded differential fuzzing of the kav::Engine session API against
-// the legacy facade: for random multi-key traces, Engine::verify must
-// be bit-identical (outcome, witness, reason, conflict, stats) to the
-// legacy serial verify_keyed_trace -- across 1/2/8 threads, every
+// Seeded differential fuzzing of the kav::Engine session API: for
+// random multi-key traces, Engine::verify must be bit-identical
+// (outcome, witness, reason, conflict, per-key stats, verify_totals) to
+// the serial reference verify_keyed_trace -- across 1/2/8 threads, every
 // Algorithm value (including k-mismatched precondition_failed combos),
 // and with the engines REUSED across trials, so cross-call
-// contamination on the shared pool would be caught too.
+// contamination on the shared pool would be caught too. Engine::monitor
+// must answer the same at 2 and 8 threads as at 1.
 //
 // The master seed comes from KAV_FUZZ_SEED when set and is printed on
 // every failure, so any finding reproduces with
@@ -71,7 +72,7 @@ KeyedTrace random_trace(Rng& rng) {
   return trace;
 }
 
-void expect_bit_identical(const KeyedReport& serial, const Report& engine,
+void expect_bit_identical(const Report& serial, const Report& engine,
                           const std::string& context) {
   ASSERT_EQ(serial.per_key.size(), engine.per_key.size()) << context;
   auto its = serial.per_key.begin();
@@ -79,15 +80,17 @@ void expect_bit_identical(const KeyedReport& serial, const Report& engine,
   for (; its != serial.per_key.end(); ++its, ++ite) {
     SCOPED_TRACE(context + ", key " + its->first);
     ASSERT_EQ(its->first, ite->first);
-    ASSERT_EQ(its->second.outcome, ite->second.verdict.outcome)
-        << "serial: " << its->second.reason
-        << "\nengine: " << ite->second.verdict.reason;
-    ASSERT_EQ(its->second.witness, ite->second.verdict.witness);
-    ASSERT_EQ(its->second.reason, ite->second.verdict.reason);
-    ASSERT_EQ(its->second.conflict, ite->second.verdict.conflict);
+    const Verdict& vs = its->second.verdict;
+    const Verdict& ve = ite->second.verdict;
+    ASSERT_EQ(vs.outcome, ve.outcome) << "serial: " << vs.reason
+                                      << "\nengine: " << ve.reason;
+    ASSERT_EQ(vs.witness, ve.witness);
+    ASSERT_EQ(vs.reason, ve.reason);
+    ASSERT_EQ(vs.conflict, ve.conflict);
     // Defaulted operator== covers every counter, present and future.
-    ASSERT_TRUE(its->second.stats == ite->second.verdict.stats);
+    ASSERT_TRUE(vs.stats == ve.stats);
   }
+  ASSERT_TRUE(serial.verify_totals == engine.verify_totals) << context;
 }
 
 TEST(EngineFuzz, VerifyBitIdenticalToLegacySerialForAllAlgorithms) {
@@ -129,7 +132,7 @@ TEST(EngineFuzz, VerifyBitIdenticalToLegacySerialForAllAlgorithms) {
       VerifyOptions options;
       options.k = config.k;
       options.algorithm = config.algorithm;
-      const KeyedReport serial = verify_keyed_trace(trace, options);
+      const Report serial = verify_keyed_trace(trace, options);
       RunOptions run;
       run.verify = options;
       for (std::size_t i = 0; i < engines.size(); ++i) {
@@ -145,34 +148,34 @@ TEST(EngineFuzz, VerifyBitIdenticalToLegacySerialForAllAlgorithms) {
   }
 }
 
-TEST(EngineFuzz, MonitorAgreesWithLegacyMonitorAcrossThreadCounts) {
+TEST(EngineFuzz, MonitorAgreesAcrossThreadCounts) {
   Rng rng(fuzz_seed() ^ 0xe46eULL);
+  // One engine per thread count, reused across trials; the 1-thread
+  // engine is the reference.
+  std::vector<std::unique_ptr<Engine>> engines;
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    EngineOptions options;
+    options.threads = threads;
+    options.streaming.staleness_horizon = 1 << 22;
+    options.reorder_slack = 1 << 20;
+    engines.push_back(std::make_unique<Engine>(options));
+  }
   constexpr int kTrials = 8;
   for (int trial = 0; trial < kTrials; ++trial) {
     SCOPED_TRACE("reproduce with KAV_FUZZ_SEED=" + std::to_string(fuzz_seed()) +
                  " (monitor trial " + std::to_string(trial) + ")");
     const KeyedTrace trace = random_trace(rng);
-    MonitorOptions legacy_options;
-    legacy_options.threads = 1;
-    legacy_options.streaming.staleness_horizon = 1 << 22;
-    legacy_options.reorder_slack = 1 << 20;
-    const MonitorReport legacy = monitor_trace(trace, legacy_options);
-
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      EngineOptions options;
-      options.threads = threads;
-      options.streaming = legacy_options.streaming;
-      options.reorder_slack = legacy_options.reorder_slack;
-      Engine engine(options);
-      const Report live = engine.monitor(trace);
-      ASSERT_EQ(live.per_key.size(), legacy.per_key.size());
-      for (const auto& [key, result] : legacy.per_key) {
+    const Report reference = engines.front()->monitor(trace);
+    for (std::size_t i = 1; i < engines.size(); ++i) {
+      SCOPED_TRACE("threads " + std::to_string(engines[i]->thread_count()));
+      const Report live = engines[i]->monitor(trace);
+      ASSERT_EQ(live.per_key.size(), reference.per_key.size());
+      for (const auto& [key, result] : reference.per_key) {
         SCOPED_TRACE("key " + key);
         EXPECT_EQ(live.per_key.at(key).verdict.outcome,
                   result.verdict.outcome);
         EXPECT_EQ(live.per_key.at(key).findings.size(),
-                  result.violations.size());
+                  result.findings.size());
       }
     }
   }
@@ -191,7 +194,7 @@ std::uint64_t series_total(const obs::RegistrySnapshot& snapshot,
 }
 
 // The registry is not a second bookkeeping system: its counters must
-// equal the legacy VerifyStats / MonitorStats views on the same run.
+// equal the Report's VerifyStats / MonitorStats totals on the same run.
 // Fresh registry per engine so each trial's totals stand alone.
 TEST(EngineFuzz, RegistryCountersEqualLegacyStatsTotals) {
   const std::uint64_t seed = fuzz_seed();

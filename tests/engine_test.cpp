@@ -3,7 +3,8 @@
 // monitor work creates exactly one ThreadPool -- the created_count
 // hook), cancellation and deadline semantics, TraceSource equivalence
 // (memory == text file == binary file == push), the unified Report /
-// one-formatter summary contract, and the legacy facade wrappers.
+// one-formatter summary contract, and the pipeline components used
+// directly on a caller's pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -85,18 +86,6 @@ TEST(Engine, BatchAndMonitorShareExactlyOnePool) {
     EXPECT_EQ(engine.thread_count(), 2u);
   }
   EXPECT_EQ(pipeline::ThreadPool::created_count(), pools_before + 1);
-}
-
-TEST(Engine, LegacyWrappersSpawnAPoolPerCall) {
-  // The cost the session API removes: each legacy parallel/monitor
-  // facade call builds a temporary Engine with its own pool.
-  const KeyedTrace trace = multi_key_trace(2, 10, 9);
-  const std::uint64_t pools_before = pipeline::ThreadPool::created_count();
-  PipelineOptions pipeline;
-  pipeline.threads = 1;
-  verify_keyed_trace(trace, {}, pipeline);
-  verify_keyed_trace(trace, {}, pipeline);
-  EXPECT_EQ(pipeline::ThreadPool::created_count(), pools_before + 2);
 }
 
 TEST(Engine, PoolIsExposedForSideWork) {
@@ -223,8 +212,13 @@ class EngineSourceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     trace_ = multi_key_trace(5, 14, 77);
-    text_path_ = ::testing::TempDir() + "engine_source_test.txt";
-    binary_path_ = ::testing::TempDir() + "engine_source_test.kavb";
+    // Per-test names: ctest -j runs this fixture's tests as concurrent
+    // processes, and one's TearDown must not delete another's input.
+    const std::string stem =
+        ::testing::TempDir() + "engine_source_test_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    text_path_ = stem + ".txt";
+    binary_path_ = stem + ".kavb";
     write_trace_file(text_path_, trace_);
     write_binary_trace_file(binary_path_, trace_);
   }
@@ -273,20 +267,6 @@ TEST_F(EngineSourceTest, MonitorAgreesAcrossFileFormats) {
               from_text.per_key.at(key).findings.size());
     EXPECT_EQ(result.findings.size(),
               from_binary.per_key.at(key).findings.size());
-  }
-}
-
-TEST_F(EngineSourceTest, DrainEqualsLegacyReadAnyTraceFile) {
-  auto text = open_trace_source(text_path_);
-  const KeyedTrace drained = drain(*text);
-  const KeyedTrace legacy = read_any_trace_file(binary_path_);
-  ASSERT_EQ(drained.size(), trace_.size());
-  ASSERT_EQ(legacy.size(), trace_.size());
-  for (std::size_t i = 0; i < trace_.size(); ++i) {
-    EXPECT_EQ(drained.ops[i].key, trace_.ops[i].key);
-    EXPECT_EQ(legacy.ops[i].key, trace_.ops[i].key);
-    EXPECT_TRUE(drained.ops[i].op == trace_.ops[i].op);
-    EXPECT_TRUE(legacy.ops[i].op == trace_.ops[i].op);
   }
 }
 
@@ -345,21 +325,15 @@ TEST(EngineSource, PushSourceRejectsPushAfterClose) {
 
 // --- Unified Report -------------------------------------------------------
 
-TEST(EngineReport, OneFormatterAcrossBatchMonitorAndLegacy) {
+TEST(EngineReport, OneFormatterAcrossBatchAndMonitor) {
   const KeyedTrace trace = one_bad_key_trace(3);
   Engine engine;
   const std::string batch = engine.verify(trace).summary();
   const std::string monitor = engine.monitor(trace).summary();
-  const std::string legacy_batch = verify_keyed_trace(trace).summary();
-  MonitorOptions monitor_options;
-  monitor_options.threads = 1;
-  const std::string legacy_monitor =
-      monitor_trace(trace, monitor_options).summary();
 
-  // Same grep-able shape everywhere; batch and legacy batch agree
-  // exactly, monitor paths agree exactly.
-  EXPECT_EQ(batch, legacy_batch);
-  EXPECT_EQ(monitor, legacy_monitor);
+  // Same grep-able shape everywhere; the Engine's batch line and the
+  // serial reference's agree exactly.
+  EXPECT_EQ(batch, verify_keyed_trace(trace).summary());
   for (const std::string& line : {batch, monitor}) {
     EXPECT_NE(line.find("/4 keys atomic within bound"), std::string::npos)
         << line;
@@ -372,7 +346,7 @@ TEST(EngineReport, BatchFillsVerifyTotalsMonitorFillsMonitorTotals) {
   Engine engine;
   const Report batch = engine.verify(trace);
   EXPECT_EQ(batch.mode, Report::Mode::batch);
-  EXPECT_TRUE(batch.verify_totals == verify_keyed_trace(trace).total_stats());
+  EXPECT_TRUE(batch.verify_totals == verify_keyed_trace(trace).verify_totals);
   EXPECT_EQ(batch.monitor_totals.operations_ingested, 0u);
 
   const Report live = engine.monitor(trace);
@@ -408,21 +382,28 @@ TEST(EngineReport, MonitorFindingsFlowThroughOnFinding) {
   for (const std::string& key : live_keys) EXPECT_EQ(key, "a");
 }
 
-// --- Borrowed pools (the satellite refactor, used directly) ---------------
+// --- Components on a caller's pool (what the Engine wires up) ------------
 
 TEST(BorrowedPool, ShardedVerifierRunsOnACallerPool) {
   const KeyedTrace trace = multi_key_trace(4, 12, 13);
-  pipeline::ThreadPool pool(2);
-  const std::uint64_t pools_before = pipeline::ThreadPool::created_count();
-  ShardedVerifier verifier(pool);
-  EXPECT_EQ(verifier.thread_count(), 2u);
-  const KeyedReport parallel = verifier.verify(trace);
-  EXPECT_EQ(pipeline::ThreadPool::created_count(), pools_before);
-  const KeyedReport serial = verify_keyed_trace(trace);
-  ASSERT_EQ(parallel.per_key.size(), serial.per_key.size());
-  for (const auto& [key, verdict] : serial.per_key) {
-    expect_verdicts_equal(parallel.per_key.at(key), verdict);
+  const KeyedHistories shards = split_by_key(trace);
+  std::vector<ShardSpec> specs;
+  for (const auto& [key, history] : shards.per_key) {
+    ShardSpec spec;
+    spec.key = key;
+    spec.op_count = history.size();
+    spec.pinned = &history;
+    specs.push_back(std::move(spec));
   }
+  pipeline::ThreadPool pool(2);
+  obs::MetricsRegistry registry;
+  const std::uint64_t pools_before = pipeline::ThreadPool::created_count();
+  ShardedVerifier verifier(pool, registry, EngineOptions{});
+  const Report parallel = verifier.verify_shards(specs, {}, RunControl{});
+  EXPECT_EQ(pipeline::ThreadPool::created_count(), pools_before);
+  const Report serial = verify_keyed_trace(trace);
+  expect_reports_equal(parallel, serial);
+  EXPECT_TRUE(parallel.verify_totals == serial.verify_totals);
 }
 
 // --- Observability (src/obs/ wired through the engine) --------------------
@@ -577,14 +558,15 @@ TEST(EngineObs, CatalogSpansEveryLayerWithAtLeast25Metrics) {
 
 TEST(BorrowedPool, MonitorQuiescesWithoutShuttingTheSharedPoolDown) {
   pipeline::ThreadPool pool(2);
-  MonitorOptions options;
+  obs::MetricsRegistry registry;
   {
-    KeyedStreamingMonitor monitor(pool, options);
+    KeyedStreamingMonitor monitor(pool, registry, EngineOptions{});
     for (int i = 0; i < 50; ++i) {
       monitor.ingest("k", make_write(i * 10, i * 10 + 5, i));
     }
-    const MonitorReport report = monitor.finish();
-    EXPECT_EQ(report.totals.operations_ingested, 50u);
+    const Report report = monitor.finish();
+    EXPECT_EQ(report.mode, Report::Mode::monitor);
+    EXPECT_EQ(report.monitor_totals.operations_ingested, 50u);
   }  // destructor quiesces in-flight drains, must NOT shut the pool down
   EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
 }

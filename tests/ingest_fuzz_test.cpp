@@ -4,9 +4,9 @@
 //      text -> binary are byte-identical for randomized KeyedTraces
 //      (any trace the text format can express);
 //   2. monitor-vs-batch differential -- on randomized multi-key traces
-//      delivered with bounded (in-slack, in-horizon) reordering, the
-//      KeyedStreamingMonitor must flag exactly the keys the batch
-//      verify_keyed_trace(k=2) facade answers NO for, with zero late
+//      delivered with bounded (in-slack, in-horizon) reordering,
+//      Engine::monitor must flag exactly the keys the serial batch
+//      reference verify_keyed_trace(k=2) answers NO for, with zero late
 //      arrivals and a window that never holds the whole trace.
 //
 // The master seed comes from KAV_FUZZ_SEED when set and is printed on
@@ -16,16 +16,17 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "gen/mutators.h"
 #include "history/serialization.h"
 #include "ingest/binary_trace.h"
-#include "ingest/keyed_monitor.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -145,6 +146,15 @@ TEST(IngestFuzz, MonitorFlagsExactlyTheBatchNoKeys) {
   Rng rng(seed);
   constexpr int kTrials = 25;
   constexpr TimePoint kSlack = 500;
+  // One engine per thread count, reused across trials.
+  std::vector<std::unique_ptr<Engine>> engines;
+  for (std::size_t threads : {1u, 4u}) {
+    EngineOptions options;
+    options.streaming.staleness_horizon = 1 << 24;  // in-horizon regime
+    options.reorder_slack = kSlack;
+    options.threads = threads;
+    engines.push_back(std::make_unique<Engine>(options));
+  }
   for (int trial = 0; trial < kTrials; ++trial) {
     SCOPED_TRACE("reproduce with KAV_FUZZ_SEED=" + std::to_string(fuzz_seed()) +
                  " (trial " + std::to_string(trial) + ")");
@@ -176,35 +186,32 @@ TEST(IngestFuzz, MonitorFlagsExactlyTheBatchNoKeys) {
                      [](const Arrival& a, const Arrival& b) {
                        return a.sort_key < b.sort_key;
                      });
+    KeyedTrace arrived;
+    arrived.ops.reserve(trace.size());
+    for (const Arrival& arrival : arrivals) {
+      arrived.ops.push_back(trace.ops[arrival.index]);
+    }
 
     VerifyOptions batch_options;
     batch_options.k = 2;
-    const KeyedReport batch = verify_keyed_trace(trace, batch_options);
+    const Report batch = verify_keyed_trace(trace, batch_options);
 
-    for (std::size_t threads : {1u, 4u}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      MonitorOptions options;
-      options.streaming.staleness_horizon = 1 << 24;  // in-horizon regime
-      options.reorder_slack = kSlack;
-      options.threads = threads;
-      KeyedStreamingMonitor monitor(options);
-      for (const Arrival& arrival : arrivals) {
-        monitor.ingest(trace.ops[arrival.index]);
-      }
-      const MonitorReport report = monitor.finish();
+    for (const auto& engine : engines) {
+      SCOPED_TRACE("threads " + std::to_string(engine->thread_count()));
+      const Report report = engine->monitor(arrived);
 
       ASSERT_EQ(report.per_key.size(), batch.per_key.size());
-      EXPECT_EQ(report.totals.late_arrivals, 0u);
-      for (const auto& [key, verdict] : batch.per_key) {
+      EXPECT_EQ(report.monitor_totals.late_arrivals, 0u);
+      for (const auto& [key, batch_result] : batch.per_key) {
         SCOPED_TRACE("key " + key);
         ASSERT_TRUE(report.per_key.count(key));
-        const KeyMonitorResult& streamed = report.per_key.at(key);
+        const Verdict& verdict = batch_result.verdict;
+        const KeyResult& streamed = report.per_key.at(key);
         ASSERT_TRUE(verdict.decided()) << verdict.reason;
-        EXPECT_EQ(streamed.violations.empty(), verdict.yes())
+        EXPECT_EQ(streamed.findings.empty(), verdict.yes())
             << "batch: " << verdict.reason << "\nstreamed: "
-            << (streamed.violations.empty()
-                    ? "clean"
-                    : streamed.violations.front().detail);
+            << (streamed.findings.empty() ? "clean"
+                                          : streamed.findings.front().detail);
         EXPECT_EQ(streamed.verdict.yes(), verdict.yes());
       }
     }

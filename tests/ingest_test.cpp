@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/streaming.h"
 #include "core/verify.h"
 #include "gen/generators.h"
@@ -20,6 +21,7 @@
 #include "ingest/binary_trace.h"
 #include "ingest/keyed_monitor.h"
 #include "ingest/reorder_buffer.h"
+#include "ingest/trace_source.h"
 #include "pipeline/bounded_queue.h"
 #include "util/rng.h"
 
@@ -193,8 +195,8 @@ TEST(BinaryTrace, FileRoundTripAndSniffing) {
   write_trace_file(text_path, trace);
   EXPECT_TRUE(is_binary_trace_file(binary_path));
   EXPECT_FALSE(is_binary_trace_file(text_path));
-  expect_traces_equal(trace, read_any_trace_file(binary_path));
-  expect_traces_equal(trace, read_any_trace_file(text_path));
+  expect_traces_equal(trace, drain(*open_trace_source(binary_path)));
+  expect_traces_equal(trace, drain(*open_trace_source(text_path)));
   std::remove(binary_path.c_str());
   std::remove(text_path.c_str());
 }
@@ -343,12 +345,30 @@ TEST(StreamingReset, ResetChecksLikeAFreshInstance) {
 
 // --- KeyedStreamingMonitor -------------------------------------------------
 
-MonitorOptions test_options(std::size_t threads = 2) {
-  MonitorOptions options;
+EngineOptions test_options() {
+  EngineOptions options;
   options.streaming.staleness_horizon = 1 << 24;
   options.reorder_slack = 1 << 20;
-  options.threads = threads;
   return options;
+}
+
+// A monitor on its own pool and private registry, wired the way
+// Engine::monitor wires one onto the engine's.
+struct MonitorHarness {
+  explicit MonitorHarness(std::size_t threads,
+                          const EngineOptions& options = test_options())
+      : pool(threads), monitor(pool, registry, options) {}
+
+  pipeline::ThreadPool pool;
+  obs::MetricsRegistry registry;
+  KeyedStreamingMonitor monitor;
+};
+
+Report monitor_on_engine(const KeyedTrace& trace, std::size_t threads) {
+  EngineOptions options = test_options();
+  options.threads = threads;
+  Engine engine(options);
+  return engine.monitor(trace);
 }
 
 TEST(KeyedMonitor, CleanStreamsComeOutClean) {
@@ -363,15 +383,15 @@ TEST(KeyedMonitor, CleanStreamsComeOutClean) {
       trace.add("k" + std::to_string(k), op);
     }
   }
-  const MonitorReport report = monitor_trace(trace, test_options());
-  EXPECT_TRUE(report.all_clean());
+  const Report report = monitor_on_engine(trace, 2);
   ASSERT_EQ(report.per_key.size(), 4u);
-  EXPECT_EQ(report.totals.keys, 4u);
-  EXPECT_EQ(report.totals.operations_ingested, trace.size());
-  EXPECT_EQ(report.totals.late_arrivals, 0u);
-  EXPECT_EQ(report.totals.violations, 0u);
+  EXPECT_EQ(report.monitor_totals.keys, 4u);
+  EXPECT_EQ(report.monitor_totals.operations_ingested, trace.size());
+  EXPECT_EQ(report.monitor_totals.late_arrivals, 0u);
+  EXPECT_EQ(report.monitor_totals.violations, 0u);
   for (const auto& [key, result] : report.per_key) {
     EXPECT_TRUE(result.verdict.yes()) << key << ": " << result.verdict.reason;
+    EXPECT_TRUE(result.findings.empty()) << key;
   }
 }
 
@@ -386,64 +406,68 @@ TEST(KeyedMonitor, FlagsExactlyTheViolatingKey) {
   const History bad = gen::generate_forced_separation(2);
   for (const Operation& op : bad.operations()) trace.add("bad", op);
 
-  const MonitorReport report = monitor_trace(trace, test_options());
-  EXPECT_FALSE(report.all_clean());
+  const Report report = monitor_on_engine(trace, 2);
   EXPECT_TRUE(report.per_key.at("good").verdict.yes());
+  EXPECT_TRUE(report.per_key.at("good").findings.empty());
   EXPECT_TRUE(report.per_key.at("bad").verdict.no());
-  ASSERT_EQ(report.totals.violations_per_key.size(), 1u);
-  EXPECT_EQ(report.totals.violations_per_key.begin()->first, "bad");
-  // The shared format_key_counts formatter (core/report.h): monitor
-  // summaries are grep-compatible with batch summaries.
+  EXPECT_FALSE(report.per_key.at("bad").findings.empty());
+  ASSERT_EQ(report.monitor_totals.violations_per_key.size(), 1u);
+  EXPECT_EQ(report.monitor_totals.violations_per_key.begin()->first, "bad");
+  // Report::summary(): monitor summaries are grep-compatible with batch
+  // summaries.
   EXPECT_EQ(report.summary(),
             "1/2 keys atomic within bound, 1 NO, 0 undecided, 0 invalid");
 }
 
 TEST(KeyedMonitor, ReportsLateArrivalsAsViolations) {
-  MonitorOptions options = test_options(1);
+  EngineOptions options = test_options();
   options.reorder_slack = 5;
-  KeyedStreamingMonitor monitor(options);
+  MonitorHarness harness(1, options);
+  KeyedStreamingMonitor& monitor = harness.monitor;
   monitor.ingest("k", make_write(100, 105, 1));
   monitor.ingest("k", make_read(10, 15, 1));  // 90 ticks behind: late
-  const MonitorReport report = monitor.finish();
-  EXPECT_EQ(report.totals.late_arrivals, 1u);
+  const Report report = monitor.finish();
+  EXPECT_EQ(report.monitor_totals.late_arrivals, 1u);
   ASSERT_EQ(report.per_key.size(), 1u);
-  const KeyMonitorResult& result = report.per_key.at("k");
+  const KeyResult& result = report.per_key.at("k");
   EXPECT_TRUE(result.verdict.no());
-  ASSERT_FALSE(result.violations.empty());
-  EXPECT_EQ(result.violations.back().kind,
+  ASSERT_FALSE(result.findings.empty());
+  EXPECT_EQ(result.findings.back().kind,
             StreamingViolation::Kind::late_arrival);
 }
 
 TEST(KeyedMonitor, BackpressureWithTinyQueuesStillCompletes) {
-  MonitorOptions options = test_options(2);
+  EngineOptions options = test_options();
   options.queue_capacity = 1;
   Rng rng(13);
   gen::KAtomicConfig config;
   config.writes = 40;
   config.k = 2;
   const History shard = gen::generate_k_atomic(config, rng).history;
-  KeyedStreamingMonitor monitor(options);
-  for (const Operation& op : shard.operations()) monitor.ingest("k", op);
-  const MonitorReport report = monitor.finish();
-  EXPECT_TRUE(report.all_clean());
-  EXPECT_EQ(report.totals.operations_ingested, shard.size());
+  MonitorHarness harness(2, options);
+  for (const Operation& op : shard.operations()) harness.monitor.ingest("k", op);
+  const Report report = harness.monitor.finish();
+  EXPECT_EQ(report.monitor_totals.violations, 0u);
+  EXPECT_EQ(report.monitor_totals.operations_ingested, shard.size());
 }
 
 TEST(KeyedMonitor, IngestAfterFinishThrows) {
-  KeyedStreamingMonitor monitor(test_options(1));
-  monitor.ingest("k", make_write(0, 5, 1));
-  monitor.finish();
-  EXPECT_THROW(monitor.ingest("k", make_write(10, 15, 2)), std::logic_error);
+  MonitorHarness harness(1);
+  harness.monitor.ingest("k", make_write(0, 5, 1));
+  harness.monitor.finish();
+  EXPECT_THROW(harness.monitor.ingest("k", make_write(10, 15, 2)),
+               std::logic_error);
 }
 
 TEST(KeyedMonitor, FinishTwiceThrows) {
-  KeyedStreamingMonitor monitor(test_options(1));
-  monitor.finish();
-  EXPECT_THROW(monitor.finish(), std::logic_error);
+  MonitorHarness harness(1);
+  harness.monitor.finish();
+  EXPECT_THROW(harness.monitor.finish(), std::logic_error);
 }
 
 TEST(KeyedMonitor, MidStreamStatsSeeIngestedOps) {
-  KeyedStreamingMonitor monitor(test_options(1));
+  MonitorHarness harness(1);
+  KeyedStreamingMonitor& monitor = harness.monitor;
   for (TimePoint t = 0; t < 100; t += 10) {
     monitor.ingest("a", make_write(t, t + 4, t));
     monitor.ingest("b", make_write(t + 1, t + 5, t + 1000));
@@ -460,22 +484,21 @@ TEST(KeyedMonitor, MidStreamStatsSeeIngestedOps) {
 // quadrupling the trace must not budge it.
 TEST(KeyedMonitor, PeakWindowIsBoundedBySlackPlusHorizon) {
   const auto run = [](std::size_t ops) {
-    MonitorOptions options;
+    EngineOptions options;
     options.streaming.staleness_horizon = 1'000;
     options.reorder_slack = 100;
-    options.threads = 1;
     options.queue_capacity = 64;  // keeps un-drained backlog small too
-    KeyedStreamingMonitor monitor(options);
+    MonitorHarness harness(1, options);
     TimePoint t = 0;
     for (std::size_t i = 0; i < ops; i += 2) {
       const auto value = static_cast<Value>(i);
-      monitor.ingest("k", make_write(t, t + 5, value));
-      monitor.ingest("k", make_read(t + 6, t + 9, value));
+      harness.monitor.ingest("k", make_write(t, t + 5, value));
+      harness.monitor.ingest("k", make_read(t + 6, t + 9, value));
       t += 10;  // ~0.2 ops per tick: window ~ (1000 + 100) / 5
     }
-    const MonitorReport report = monitor.finish();
-    EXPECT_TRUE(report.all_clean());
-    return report.totals.peak_window;
+    const Report report = harness.monitor.finish();
+    EXPECT_EQ(report.monitor_totals.violations, 0u);
+    return report.monitor_totals.peak_window;
   };
   const std::size_t peak_short = run(10'000);
   const std::size_t peak_long = run(40'000);

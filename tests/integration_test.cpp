@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/analysis.h"
+#include "core/engine.h"
 #include "core/fzf.h"
 #include "core/lbt.h"
 #include "core/minimal_k.h"
@@ -23,7 +24,6 @@
 #include "history/anomaly.h"
 #include "history/serialization.h"
 #include "ingest/binary_trace.h"
-#include "ingest/keyed_monitor.h"
 #include "quorum/sim.h"
 
 namespace kav {
@@ -138,7 +138,7 @@ TEST_P(PipelineSweep, SpectrumIsConsistentWithMinimalK) {
 
 TEST_P(PipelineSweep, MonitorAgreesWithBatch) {
   // The keyed monitor (ingest subsystem) must flag exactly the keys
-  // the batch facade answers NO for. Batch verification normalizes
+  // the serial batch reference answers NO for. Batch verification normalizes
   // per-key histories, so feed the monitor the normalized operations,
   // merged across keys in global start order.
   const quorum::SimResult sim = simulate();
@@ -154,17 +154,18 @@ TEST_P(PipelineSweep, MonitorAgreesWithBatch) {
                    });
   VerifyOptions options;
   options.k = 2;
-  const KeyedReport batch = verify_keyed_trace(normalized, options);
-  MonitorOptions monitor_options;
-  monitor_options.streaming.staleness_horizon = 1 << 24;
-  monitor_options.reorder_slack = 64;  // arrivals already in start order
-  const MonitorReport streamed = monitor_trace(normalized, monitor_options);
+  const Report batch = verify_keyed_trace(normalized, options);
+  EngineOptions engine_options;
+  engine_options.streaming.staleness_horizon = 1 << 24;
+  engine_options.reorder_slack = 64;  // arrivals already in start order
+  Engine engine(engine_options);
+  const Report streamed = engine.monitor(normalized);
   ASSERT_EQ(streamed.per_key.size(), batch.per_key.size());
-  EXPECT_EQ(streamed.totals.late_arrivals, 0u);
-  for (const auto& [key, verdict] : batch.per_key) {
+  EXPECT_EQ(streamed.monitor_totals.late_arrivals, 0u);
+  for (const auto& [key, result] : batch.per_key) {
     ASSERT_TRUE(streamed.per_key.count(key)) << key;
-    EXPECT_EQ(streamed.per_key.at(key).verdict.yes(), verdict.yes())
-        << key << ": batch says " << to_string(verdict.outcome);
+    EXPECT_EQ(streamed.per_key.at(key).verdict.yes(), result.verdict.yes())
+        << key << ": batch says " << to_string(result.verdict.outcome);
   }
 }
 

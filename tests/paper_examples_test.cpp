@@ -160,11 +160,11 @@ TEST(PaperExamples, LocalityOneBadRegister) {
   trace.add("k2", make_read(20'160, 20'170, 2));
   VerifyOptions options;
   options.k = 2;
-  const KeyedReport report = verify_keyed_trace(trace, options);
+  const Report report = verify_keyed_trace(trace, options);
   EXPECT_FALSE(report.all_yes());
   EXPECT_EQ(report.count(Outcome::no), 1u);
-  EXPECT_FALSE(report.per_key.at("k2").yes());
-  EXPECT_TRUE(report.per_key.at("k0").yes());
+  EXPECT_FALSE(report.per_key.at("k2").verdict.yes());
+  EXPECT_TRUE(report.per_key.at("k0").verdict.yes());
 }
 
 // The binary-search observation of Section II-B: k-AV for arbitrary k

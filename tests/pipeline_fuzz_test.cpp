@@ -1,8 +1,9 @@
 // Seeded differential fuzzing of the sharded pipeline: randomized
 // multi-key traces -- organic mixes, k-atomic-by-construction shards,
 // mutator-damaged shards (repairable and hard anomalies alike) -- must
-// produce a KeyedReport from the parallel path that is field-for-field
-// identical to the serial facade, for every thread count tried.
+// produce a Report from kav::Engine's sharded path that is
+// field-for-field identical to the serial verify_keyed_trace reference,
+// for every thread count tried.
 //
 // The master seed comes from KAV_FUZZ_SEED when set and is printed on
 // every failure, so any finding reproduces with
@@ -13,11 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "gen/mutators.h"
 #include "history/keyed_trace.h"
-#include "pipeline/sharded_verifier.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -64,29 +65,38 @@ History random_shard(Rng& rng) {
   return h;
 }
 
-void expect_reports_identical(const KeyedReport& serial,
-                              const KeyedReport& parallel) {
+void expect_reports_identical(const Report& serial, const Report& parallel) {
   ASSERT_EQ(serial.per_key.size(), parallel.per_key.size());
   auto its = serial.per_key.begin();
   auto itp = parallel.per_key.begin();
   for (; its != serial.per_key.end(); ++its, ++itp) {
     SCOPED_TRACE("key " + its->first);
     ASSERT_EQ(its->first, itp->first);
-    ASSERT_EQ(its->second.outcome, itp->second.outcome)
-        << "serial: " << its->second.reason
-        << "\nparallel: " << itp->second.reason;
-    ASSERT_EQ(its->second.witness, itp->second.witness);
-    ASSERT_EQ(its->second.reason, itp->second.reason);
-    ASSERT_EQ(its->second.conflict, itp->second.conflict);
+    const Verdict& vs = its->second.verdict;
+    const Verdict& vp = itp->second.verdict;
+    ASSERT_EQ(vs.outcome, vp.outcome) << "serial: " << vs.reason
+                                      << "\nparallel: " << vp.reason;
+    ASSERT_EQ(vs.witness, vp.witness);
+    ASSERT_EQ(vs.reason, vp.reason);
+    ASSERT_EQ(vs.conflict, vp.conflict);
     // Defaulted operator== covers every counter, present and future.
-    ASSERT_TRUE(its->second.stats == itp->second.stats);
+    ASSERT_TRUE(vs.stats == vp.stats);
   }
+  ASSERT_TRUE(serial.verify_totals == parallel.verify_totals);
+}
+
+EngineOptions engine_options(std::size_t threads) {
+  EngineOptions options;
+  options.threads = threads;
+  return options;
 }
 
 TEST(PipelineFuzz, ParallelReportIdenticalToSerial) {
   const std::uint64_t seed = fuzz_seed();
   Rng rng(seed);
   constexpr int kTrials = 30;
+  Engine two(engine_options(2));
+  Engine five(engine_options(5));
   for (int trial = 0; trial < kTrials; ++trial) {
     SCOPED_TRACE("reproduce with KAV_FUZZ_SEED=" + std::to_string(seed) +
                  " (trial " + std::to_string(trial) + ")");
@@ -97,16 +107,14 @@ TEST(PipelineFuzz, ParallelReportIdenticalToSerial) {
       const std::string key = "k" + std::to_string(k);
       for (const Operation& op : shard.operations()) trace.add(key, op);
     }
-    VerifyOptions options;
-    options.k = 1 + static_cast<int>(rng.bounded(3));  // k in {1, 2, 3}
+    RunOptions run;
+    run.verify = VerifyOptions{};
+    run.verify->k = 1 + static_cast<int>(rng.bounded(3));  // k in {1, 2, 3}
 
-    const KeyedReport serial = verify_keyed_trace(trace, options);
-    for (std::size_t threads : {2u, 5u}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      PipelineOptions pipeline;
-      pipeline.threads = threads;
-      expect_reports_identical(
-          serial, verify_keyed_trace(trace, options, pipeline));
+    const Report serial = verify_keyed_trace(trace, *run.verify);
+    for (Engine* engine : {&two, &five}) {
+      SCOPED_TRACE("threads " + std::to_string(engine->thread_count()));
+      expect_reports_identical(serial, engine->verify(trace, run));
     }
   }
 }
@@ -114,6 +122,12 @@ TEST(PipelineFuzz, ParallelReportIdenticalToSerial) {
 TEST(PipelineFuzz, BudgetCutoffIsDeterministicAcrossThreadCounts) {
   const std::uint64_t seed = fuzz_seed() ^ 0xb00dUL;
   Rng rng(seed);
+  EngineOptions one_thread = engine_options(1);
+  one_thread.shard_op_budget = 12;
+  EngineOptions many_threads = one_thread;
+  many_threads.threads = 6;
+  Engine one(one_thread);
+  Engine many(many_threads);
   for (int trial = 0; trial < 10; ++trial) {
     SCOPED_TRACE("reproduce with KAV_FUZZ_SEED=" + std::to_string(fuzz_seed()) +
                  " (budget trial " + std::to_string(trial) + ")");
@@ -125,13 +139,7 @@ TEST(PipelineFuzz, BudgetCutoffIsDeterministicAcrossThreadCounts) {
         trace.add("k" + std::to_string(k), op);
       }
     }
-    PipelineOptions one_thread;
-    one_thread.threads = 1;
-    one_thread.shard_op_budget = 12;
-    PipelineOptions many_threads = one_thread;
-    many_threads.threads = 6;
-    expect_reports_identical(verify_keyed_trace(trace, {}, one_thread),
-                             verify_keyed_trace(trace, {}, many_threads));
+    expect_reports_identical(one.verify(trace), many.verify(trace));
   }
 }
 
@@ -141,6 +149,10 @@ TEST(PipelineFuzz, FailFastAlwaysSurfacesANo) {
   // report, and every skip is labelled as a fail-fast skip.
   const std::uint64_t seed = fuzz_seed() ^ 0xfa57UL;
   Rng rng(seed);
+  EngineOptions options = engine_options(4);
+  options.verify.k = 2;
+  options.fail_fast = true;
+  Engine engine(options);
   for (int trial = 0; trial < 10; ++trial) {
     SCOPED_TRACE("reproduce with KAV_FUZZ_SEED=" + std::to_string(fuzz_seed()) +
                  " (fail-fast trial " + std::to_string(trial) + ")");
@@ -162,17 +174,13 @@ TEST(PipelineFuzz, FailFastAlwaysSurfacesANo) {
     }
     for (const Operation& op : bad.operations()) planted.add(bad_key, op);
 
-    VerifyOptions options;
-    options.k = 2;
-    PipelineOptions pipeline;
-    pipeline.threads = 4;
-    pipeline.fail_fast = true;
-    const KeyedReport report =
-        verify_keyed_trace(planted, options, pipeline);
+    const Report report = engine.verify(planted);
     EXPECT_GE(report.count(Outcome::no), 1u);
-    EXPECT_TRUE(report.per_key.at(bad_key).no() ||
-                report.per_key.at(bad_key).outcome == Outcome::undecided);
-    for (const auto& [key, verdict] : report.per_key) {
+    const Verdict& planted_verdict = report.per_key.at(bad_key).verdict;
+    EXPECT_TRUE(planted_verdict.no() ||
+                planted_verdict.outcome == Outcome::undecided);
+    for (const auto& [key, result] : report.per_key) {
+      const Verdict& verdict = result.verdict;
       if (verdict.outcome == Outcome::undecided) {
         EXPECT_NE(verdict.reason.find("fail-fast"), std::string::npos)
             << key << ": " << verdict.reason;

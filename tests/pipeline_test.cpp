@@ -1,8 +1,9 @@
 // Tests for the parallel sharded verification pipeline: the thread
 // pool's contract (drain-on-shutdown, exception propagation, rejection
 // after shutdown), determinism of the sharded verifier across thread
-// counts (the report must be bit-identical to the serial facade),
-// fail-fast cancellation, per-shard budgets, and stats aggregation.
+// counts (the Engine's report must be bit-identical to the serial
+// reference), fail-fast cancellation, per-shard budgets, and stats
+// aggregation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,10 +13,10 @@
 #include <vector>
 
 #include "core/analysis.h"
+#include "core/engine.h"
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "history/keyed_trace.h"
-#include "pipeline/sharded_verifier.h"
 #include "pipeline/thread_pool.h"
 #include "util/rng.h"
 
@@ -125,41 +126,49 @@ KeyedTrace multi_key_trace(int keys, int ops_per_key, std::uint64_t seed) {
   return trace;
 }
 
-void expect_reports_identical(const KeyedReport& a, const KeyedReport& b) {
+void expect_reports_identical(const Report& a, const Report& b) {
   ASSERT_EQ(a.per_key.size(), b.per_key.size());
   auto ita = a.per_key.begin();
   auto itb = b.per_key.begin();
   for (; ita != a.per_key.end(); ++ita, ++itb) {
     SCOPED_TRACE("key " + ita->first);
     ASSERT_EQ(ita->first, itb->first);
-    EXPECT_EQ(ita->second.outcome, itb->second.outcome);
-    EXPECT_EQ(ita->second.witness, itb->second.witness);
-    EXPECT_EQ(ita->second.reason, itb->second.reason);
-    EXPECT_EQ(ita->second.conflict, itb->second.conflict);
-    EXPECT_TRUE(ita->second.stats == itb->second.stats);
+    const Verdict& va = ita->second.verdict;
+    const Verdict& vb = itb->second.verdict;
+    EXPECT_EQ(va.outcome, vb.outcome);
+    EXPECT_EQ(va.witness, vb.witness);
+    EXPECT_EQ(va.reason, vb.reason);
+    EXPECT_EQ(va.conflict, vb.conflict);
+    EXPECT_TRUE(va.stats == vb.stats);
   }
+}
+
+EngineOptions engine_options(std::size_t threads) {
+  EngineOptions options;
+  options.threads = threads;
+  return options;
 }
 
 TEST(ShardedVerifier, IdenticalToSerialAcrossThreadCounts) {
   const KeyedTrace trace = multi_key_trace(12, 24, 91);
   VerifyOptions options;
   options.k = 2;
-  const KeyedReport serial = verify_keyed_trace(trace, options);
+  const Report serial = verify_keyed_trace(trace, options);
   for (std::size_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    PipelineOptions pipeline;
-    pipeline.threads = threads;
-    expect_reports_identical(serial,
-                             verify_keyed_trace(trace, options, pipeline));
+    EngineOptions engine_opts = engine_options(threads);
+    engine_opts.verify = options;
+    Engine engine(engine_opts);
+    expect_reports_identical(serial, engine.verify(trace));
   }
 }
 
 TEST(ShardedVerifier, EmptyTrace) {
-  ShardedVerifier verifier;
-  const KeyedReport report = verifier.verify(KeyedTrace{});
+  Engine engine;
+  const Report report = engine.verify(KeyedTrace{});
   EXPECT_TRUE(report.per_key.empty());
   EXPECT_TRUE(report.all_yes());  // vacuously
-  EXPECT_TRUE(report.total_stats() == VerifyStats{});
+  EXPECT_TRUE(report.verify_totals == VerifyStats{});
 }
 
 TEST(ShardedVerifier, SingleKeyMatchesSingleRegisterFacade) {
@@ -167,38 +176,35 @@ TEST(ShardedVerifier, SingleKeyMatchesSingleRegisterFacade) {
   trace.add("solo", make_write(0, 10, 1));
   trace.add("solo", make_write(20, 30, 2));
   trace.add("solo", make_read(40, 50, 1));
-  VerifyOptions options;
-  options.k = 2;
-  PipelineOptions pipeline;
-  pipeline.threads = 2;
-  const KeyedReport report = verify_keyed_trace(trace, options, pipeline);
+  EngineOptions options = engine_options(2);
+  options.verify.k = 2;
+  Engine engine(options);
+  const Report report = engine.verify(trace);
   ASSERT_EQ(report.per_key.size(), 1u);
-  const Verdict direct =
-      verify_k_atomicity(split_by_key(trace).per_key.at("solo"), options);
-  EXPECT_EQ(report.per_key.at("solo").outcome, direct.outcome);
-  EXPECT_EQ(report.per_key.at("solo").witness, direct.witness);
+  const Verdict direct = verify_k_atomicity(
+      split_by_key(trace).per_key.at("solo"), options.verify);
+  EXPECT_EQ(report.per_key.at("solo").verdict.outcome, direct.outcome);
+  EXPECT_EQ(report.per_key.at("solo").verdict.witness, direct.witness);
 }
 
 TEST(ShardedVerifier, TotalStatsAggregatesPerKeyCounters) {
   const KeyedTrace trace = multi_key_trace(6, 20, 17);
-  PipelineOptions pipeline;
-  pipeline.threads = 4;
-  ShardedVerifier verifier({}, pipeline);
-  const KeyedReport report = verifier.verify(trace);
+  Engine engine(engine_options(4));
+  const Report report = engine.verify(trace);
   VerifyStats manual;
-  for (const auto& [key, verdict] : report.per_key) {
-    manual.epochs += verdict.stats.epochs;
-    manual.candidates_tried += verdict.stats.candidates_tried;
-    manual.steps += verdict.stats.steps;
-    manual.chunks += verdict.stats.chunks;
-    manual.dangling += verdict.stats.dangling;
-    manual.orders_tested += verdict.stats.orders_tested;
-    manual.nodes += verdict.stats.nodes;
+  for (const auto& [key, result] : report.per_key) {
+    const VerifyStats& stats = result.verdict.stats;
+    manual.epochs += stats.epochs;
+    manual.candidates_tried += stats.candidates_tried;
+    manual.steps += stats.steps;
+    manual.chunks += stats.chunks;
+    manual.dangling += stats.dangling;
+    manual.orders_tested += stats.orders_tested;
+    manual.nodes += stats.nodes;
   }
-  EXPECT_TRUE(report.total_stats() == manual);
+  EXPECT_TRUE(report.verify_totals == manual);
   // The aggregate effort must also match the serial path's.
-  EXPECT_TRUE(report.total_stats() ==
-              verify_keyed_trace(trace).total_stats());
+  EXPECT_TRUE(report.verify_totals == verify_keyed_trace(trace).verify_totals);
 }
 
 KeyedTrace one_bad_key_trace(int good_keys) {
@@ -217,65 +223,62 @@ KeyedTrace one_bad_key_trace(int good_keys) {
 
 TEST(ShardedVerifier, FailFastSkipsShardsAfterNo) {
   const KeyedTrace trace = one_bad_key_trace(6);
-  VerifyOptions options;
-  options.k = 2;
-  PipelineOptions pipeline;
   // One worker executes shards strictly in submission (key) order, so
   // the NO on "a" lands before any "b*" shard starts: the skip set is
   // deterministic here.
-  pipeline.threads = 1;
-  pipeline.fail_fast = true;
-  const KeyedReport report = verify_keyed_trace(trace, options, pipeline);
-  EXPECT_TRUE(report.per_key.at("a").no());
+  EngineOptions options = engine_options(1);
+  options.verify.k = 2;
+  options.fail_fast = true;
+  Engine engine(options);
+  const Report report = engine.verify(trace);
+  EXPECT_TRUE(report.per_key.at("a").verdict.no());
   EXPECT_EQ(report.count(Outcome::no), 1u);
   EXPECT_EQ(report.count(Outcome::undecided), 6u);
-  for (const auto& [key, verdict] : report.per_key) {
+  // Fail-fast skips are not a caller-initiated stop.
+  EXPECT_FALSE(report.cancelled);
+  for (const auto& [key, result] : report.per_key) {
     if (key == "a") continue;
-    EXPECT_EQ(verdict.outcome, Outcome::undecided);
-    EXPECT_NE(verdict.reason.find("fail-fast"), std::string::npos);
+    EXPECT_EQ(result.verdict.outcome, Outcome::undecided);
+    EXPECT_EQ(result.verdict.reason, kSkipFailFastReason);
   }
 }
 
 TEST(ShardedVerifier, FailFastOffDecidesEveryShard) {
   const KeyedTrace trace = one_bad_key_trace(6);
-  VerifyOptions options;
-  options.k = 2;
-  PipelineOptions pipeline;
-  pipeline.threads = 4;
-  const KeyedReport report = verify_keyed_trace(trace, options, pipeline);
+  EngineOptions options = engine_options(4);
+  options.verify.k = 2;
+  Engine engine(options);
+  const Report report = engine.verify(trace);
   EXPECT_EQ(report.count(Outcome::no), 1u);
   EXPECT_EQ(report.count(Outcome::yes), 6u);
   EXPECT_EQ(report.count(Outcome::undecided), 0u);
 }
 
 TEST(ShardedVerifier, FailFastDoesNotPoisonLaterCalls) {
-  VerifyOptions options;
-  options.k = 2;
-  PipelineOptions pipeline;
-  pipeline.threads = 1;
-  pipeline.fail_fast = true;
-  ShardedVerifier verifier(options, pipeline);
-  const KeyedReport first = verifier.verify(one_bad_key_trace(3));
+  EngineOptions options = engine_options(1);
+  options.verify.k = 2;
+  options.fail_fast = true;
+  Engine engine(options);
+  const Report first = engine.verify(one_bad_key_trace(3));
   EXPECT_EQ(first.count(Outcome::undecided), 3u);
-  // A clean trace on the same verifier must verify fully: the
+  // A clean trace on the same engine must verify fully: the
   // cancellation flag is per call, and the pool is reused.
-  const KeyedReport second = verifier.verify(multi_key_trace(4, 10, 5));
+  const Report second = engine.verify(multi_key_trace(4, 10, 5));
   EXPECT_EQ(second.count(Outcome::undecided), 0u);
 }
 
 TEST(ShardedVerifier, PerCallOptionsReuseOnePool) {
   const KeyedTrace trace = multi_key_trace(5, 16, 33);
   const KeyedHistories shards = split_by_key(trace);
-  PipelineOptions pipeline;
-  pipeline.threads = 2;
-  ShardedVerifier verifier({}, pipeline);  // constructed with k = 2
-  VerifyOptions options;
-  options.k = 1;
-  expect_reports_identical(verify_keyed_trace(trace, options),
-                           verifier.verify(shards, options));
-  options.k = 2;
-  expect_reports_identical(verify_keyed_trace(trace, options),
-                           verifier.verify(shards, options));
+  Engine engine(engine_options(2));  // constructed with k = 2
+  RunOptions run;
+  run.verify = VerifyOptions{};
+  run.verify->k = 1;
+  expect_reports_identical(verify_keyed_trace(trace, *run.verify),
+                           engine.verify(shards, run));
+  run.verify->k = 2;
+  expect_reports_identical(verify_keyed_trace(trace, *run.verify),
+                           engine.verify(shards, run));
 }
 
 TEST(ShardedVerifier, ShardOpBudgetSkipsOversizedShards) {
@@ -285,13 +288,13 @@ TEST(ShardedVerifier, ShardOpBudgetSkipsOversizedShards) {
   for (int i = 0; i < 5; ++i) {
     trace.add("large", make_write(i * 100, i * 100 + 10, i + 1));
   }
-  PipelineOptions pipeline;
-  pipeline.threads = 2;
-  pipeline.shard_op_budget = 3;
-  const KeyedReport report = verify_keyed_trace(trace, {}, pipeline);
-  EXPECT_TRUE(report.per_key.at("small").yes());
-  EXPECT_EQ(report.per_key.at("large").outcome, Outcome::undecided);
-  EXPECT_NE(report.per_key.at("large").reason.find("budget"),
+  EngineOptions options = engine_options(2);
+  options.shard_op_budget = 3;
+  Engine engine(options);
+  const Report report = engine.verify(trace);
+  EXPECT_TRUE(report.per_key.at("small").verdict.yes());
+  EXPECT_EQ(report.per_key.at("large").verdict.outcome, Outcome::undecided);
+  EXPECT_NE(report.per_key.at("large").verdict.reason.find("budget"),
             std::string::npos);
 }
 

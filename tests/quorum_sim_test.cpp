@@ -79,7 +79,7 @@ TEST(QuorumSim, StrictQuorumsAreAtomicInPractice) {
     const SimResult result = run_sloppy_quorum_sim(config);
     VerifyOptions k1;
     k1.k = 1;
-    const KeyedReport report = verify_keyed_trace(result.trace, k1);
+    const Report report = verify_keyed_trace(result.trace, k1);
     EXPECT_TRUE(report.all_yes()) << "seed " << seed << ": "
                                   << report.summary();
   }
@@ -104,7 +104,7 @@ TEST(QuorumSim, SloppyQuorumsProduceStaleness) {
     total_stale += result.stats.stale_reads;
     VerifyOptions k1;
     k1.k = 1;
-    const KeyedReport report = verify_keyed_trace(result.trace, k1);
+    const Report report = verify_keyed_trace(result.trace, k1);
     non_atomic_keys += static_cast<int>(report.count(Outcome::no));
   }
   EXPECT_GT(total_stale, 0u);

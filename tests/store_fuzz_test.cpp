@@ -167,12 +167,13 @@ TEST(StoreFuzz, AllFormatsAndSelectiveRunsAgree) {
     const KeyedTrace trace = random_trace(rng);
     const std::string tag = std::to_string(trial);
 
-    // The reference: the serial legacy facade over the in-memory trace.
-    const KeyedReport reference = verify_keyed_trace(trace);
+    // The reference: the serial verify_keyed_trace over the in-memory
+    // trace.
+    const Report reference = verify_keyed_trace(trace);
     const Report full_memory = engine.verify(trace);
     ASSERT_EQ(full_memory.per_key.size(), reference.per_key.size());
-    for (const auto& [key, verdict] : reference.per_key) {
-      expect_verdict_equal(full_memory.per_key.at(key).verdict, verdict,
+    for (const auto& [key, result] : reference.per_key) {
+      expect_verdict_equal(full_memory.per_key.at(key).verdict, result.verdict,
                            "memory key " + key);
     }
 

@@ -108,16 +108,16 @@ TEST(VerifyKeyed, LocalitySplitsByKey) {
   trace.add("b", make_read(40, 50, 1));
   VerifyOptions options;
   options.k = 1;
-  const KeyedReport report = verify_keyed_trace(trace, options);
+  const Report report = verify_keyed_trace(trace, options);
   ASSERT_EQ(report.per_key.size(), 2u);
-  EXPECT_TRUE(report.per_key.at("a").yes());
-  EXPECT_TRUE(report.per_key.at("b").no());
+  EXPECT_TRUE(report.per_key.at("a").verdict.yes());
+  EXPECT_TRUE(report.per_key.at("b").verdict.no());
   EXPECT_FALSE(report.all_yes());
   EXPECT_EQ(report.count(Outcome::yes), 1u);
   EXPECT_EQ(report.count(Outcome::no), 1u);
 
   options.k = 2;
-  const KeyedReport report2 = verify_keyed_trace(trace, options);
+  const Report report2 = verify_keyed_trace(trace, options);
   EXPECT_TRUE(report2.all_yes());
 }
 
@@ -129,7 +129,7 @@ TEST(VerifyKeyed, DuplicateValuesAcrossKeysAreFine) {
   trace.add("y", make_write(0, 10, 42));
   trace.add("x", make_read(12, 20, 42));
   trace.add("y", make_read(12, 20, 42));
-  const KeyedReport report = verify_keyed_trace(trace);
+  const Report report = verify_keyed_trace(trace);
   EXPECT_TRUE(report.all_yes()) << report.summary();
 }
 
@@ -137,7 +137,7 @@ TEST(VerifyKeyed, SummaryMentionsCounts) {
   KeyedTrace trace;
   trace.add("a", make_write(0, 10, 1));
   trace.add("a", make_read(12, 20, 1));
-  const KeyedReport report = verify_keyed_trace(trace);
+  const Report report = verify_keyed_trace(trace);
   EXPECT_NE(report.summary().find("1/1"), std::string::npos);
 }
 

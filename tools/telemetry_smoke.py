@@ -25,8 +25,10 @@ Registered as the `telemetry_smoke` ctest case (integration label) so
 ./ci.sh's non-unit sweep runs it on every pipeline.
 """
 
+import json
 import subprocess
 import sys
+import time
 import urllib.request
 
 ANNOUNCE = "telemetry listening on http://"
@@ -75,6 +77,17 @@ def main():
         status, body = get(endpoint, "/status")
         if status != 200 or '"server"' not in body or '"runs"' not in body:
             fail(f"/status: {status} {body[:200]!r}")
+        # The server is up before the demo run starts: wait for the run
+        # to finish, or the scrape below can predate its final counts.
+        deadline = time.monotonic() + 60
+        while True:
+            runs = json.loads(body)["runs"]
+            if runs["in_flight"] == 0 and runs["completed"] >= 1:
+                break
+            if time.monotonic() > deadline:
+                fail(f"demo run never finished: {runs}")
+            time.sleep(0.05)
+            status, body = get(endpoint, "/status")
         status, scraped = get(endpoint, "/metrics")
         if status != 200 or "# TYPE" not in scraped:
             fail(f"/metrics: {status} {scraped[:120]!r}")
