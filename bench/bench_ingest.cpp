@@ -160,10 +160,9 @@ void binary_write(benchmark::State& state) {
 BENCHMARK(binary_write)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // End-to-end online monitoring on one reused Engine: every operation
-// through the reorder buffer, per-key queue, and streaming checker.
-// peak_window is the
-// reported memory high-water mark -- it must stay O(slack + horizon),
-// not O(trace).
+// through its key's partition queue, reorder buffer, and streaming
+// checker. peak_window is the reported memory high-water mark -- it
+// must stay O(slack + horizon), not O(trace).
 void monitor_stream(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   EngineOptions options;

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Perf trajectory data points: runs the ingest, pipeline, engine,
-# store, and obs benchmarks and writes BENCH_ingest.json /
+# store, obs, and streaming benchmarks and writes BENCH_ingest.json /
 # BENCH_pipeline.json / BENCH_engine.json / BENCH_store.json /
-# BENCH_obs.json (Google Benchmark JSON: ops/s, peak_window, keys/s,
-# scrape counters) at the repo root so successive PRs can compare
-# numbers.
+# BENCH_obs.json / BENCH_streaming.json (Google Benchmark JSON: ops/s,
+# peak_window, keys/s, scrape counters) at the repo root so successive
+# PRs can compare numbers.
 #
 # Usage: bench/run_bench.sh [--smoke] [build-dir]   (default: build)
 #   --smoke: quick mode for CI -- a 200k-op workload and minimal
@@ -21,7 +21,7 @@ fi
 BUILD_DIR="${1:-build}"
 
 for bench in bench_ingest bench_pipeline bench_engine bench_store \
-             bench_obs; do
+             bench_obs bench_streaming; do
   if [[ ! -x "$BUILD_DIR/$bench" ]]; then
     echo "run_bench.sh: $BUILD_DIR/$bench not built" \
          "(Google Benchmark missing or KAV_BUILD_BENCH=OFF)" >&2
@@ -66,6 +66,14 @@ if [[ "$MODE" == smoke ]]; then
              --benchmark_enable_random_interleaving=true)
 fi
 "$BUILD_DIR/bench_obs"      "${OBS_ARGS[@]}" --benchmark_out=BENCH_obs.json
+STREAMING_ARGS=("${ARGS[@]}")
+if [[ "$MODE" == smoke ]]; then
+  # The window guardrail below uses the min over repetitions.
+  STREAMING_ARGS+=(--benchmark_repetitions=5
+                   --benchmark_enable_random_interleaving=true)
+fi
+"$BUILD_DIR/bench_streaming" "${STREAMING_ARGS[@]}" \
+  --benchmark_out=BENCH_streaming.json
 
 # Guardrail (smoke mode): the zero-copy decode+verify path must not be
 # slower than the materializing reference it replaced. The median of
@@ -178,8 +186,43 @@ print(f"monitor under scrape (min of reps): {scraped:.3f}ms vs "
 if verdict != "ok":
     sys.exit("background /metrics scraping slows the monitor hot path")
 EOF
+
+  # Streaming-checker guardrail: the checker's cost per operation must
+  # not grow with its window. bench_streaming's streaming_throughput_wide
+  # runs one trace at a 1<<8 horizon (a window of ~50 operations) and a
+  # 1<<14 horizon (~2000); both feed the same operations, so the time
+  # ratio is the per-operation ratio. A checker that rescans its window
+  # on every watermark advance sits at ~15x; an incremental one at
+  # ~1.5x (the deeper heaps and hash tables of a larger window).
+  python3 - <<'EOF'
+import json, sys
+
+with open("BENCH_streaming.json") as f:
+    entries = json.load(f)["benchmarks"]
+results, peaks = {}, {}
+for b in entries:
+    if "aggregate_name" in b:
+        continue  # raw repetition samples only
+    results[b["name"]] = min(results.get(b["name"], float("inf")),
+                             b["real_time"])
+    peaks[b["name"]] = b.get("peak_window", 0)
+
+narrow = results["streaming_throughput_wide/500/256"]
+wide_name = "streaming_throughput_wide/500/16384"
+wide = results[wide_name]
+if peaks[wide_name] < 256:
+    sys.exit(f"{wide_name}: peak_window {peaks[wide_name]} < 256; "
+             "the fixture no longer exercises a wide window")
+budget = narrow * 2.0
+verdict = "ok" if wide <= budget else "WINDOW-BOUND"
+print(f"streaming checker, window {peaks[wide_name]:.0f} (min of reps): "
+      f"{wide:.3f}ms vs narrow window: {narrow:.3f}ms "
+      f"(budget {budget:.3f}ms) -> {verdict}")
+if verdict != "ok":
+    sys.exit("streaming checker cost per operation grows with its window")
+EOF
 fi
 
 echo
 echo "wrote BENCH_ingest.json, BENCH_pipeline.json, BENCH_engine.json," \
-     "BENCH_store.json, and BENCH_obs.json ($MODE mode)"
+     "BENCH_store.json, BENCH_obs.json, and BENCH_streaming.json ($MODE mode)"

@@ -43,8 +43,10 @@ struct EngineOptions {
   // delivery jitter. Arrivals beyond the slack are late_arrival
   // findings, not crashes.
   TimePoint reorder_slack = 1'000;
-  // Per-key queue capacity; a producer that outruns checking blocks
-  // here (backpressure) instead of growing an unbounded backlog.
+  // Queue capacity of each monitor partition (keys are spread over one
+  // partition per pool thread, ingest/keyed_monitor.h); a producer
+  // that outruns checking blocks while its key's partition queue is
+  // full (backpressure) instead of growing an unbounded backlog.
   std::size_t queue_capacity = 1'024;
 
   // Observability (src/obs/): the registry every subsystem this engine

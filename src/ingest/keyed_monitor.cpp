@@ -58,8 +58,9 @@ struct KeyedStreamingMonitor::Metrics {
                                    "Distinct keys seen by live monitors.")) {}
 };
 
-// KeyState is defined in keyed_monitor.h so the locking contracts
-// (KAV_REQUIRES(state.process_mutex)) can name its mutex.
+// KeyState and Partition are defined in keyed_monitor.h so the locking
+// contracts (KAV_REQUIRES(state.partition.process_mutex)) can name
+// their mutexes.
 
 KeyedStreamingMonitor::KeyedStreamingMonitor(pipeline::ThreadPool& pool,
                                              obs::MetricsRegistry& metrics,
@@ -68,25 +69,35 @@ KeyedStreamingMonitor::KeyedStreamingMonitor(pipeline::ThreadPool& pool,
     : options_(options),
       on_finding_(std::move(on_finding)),
       metrics_(std::make_unique<Metrics>(metrics)),
-      pool_(&pool) {}
+      pool_(&pool) {
+  const std::size_t partitions = std::max<std::size_t>(1, pool.thread_count());
+  partitions_.reserve(partitions);
+  for (std::size_t i = 0; i < partitions; ++i) {
+    partitions_.push_back(std::make_unique<Partition>(options.queue_capacity));
+  }
+}
 
 KeyedStreamingMonitor::~KeyedStreamingMonitor() {
-  // Every queued or running drain task holds a pointer into keys_; wait
-  // for them all before the key states are destroyed. The pool is never
-  // shut down here -- it belongs to the caller (typically a kav::Engine
-  // outliving many monitors).
+  // Every queued or running drain task holds a pointer into
+  // partitions_; wait for them all before anything is destroyed. The
+  // pool is never shut down here -- it belongs to the caller (typically
+  // a kav::Engine outliving many monitors).
   quiesce();
   // Retire this monitor's share of the level gauges so a shared
   // registry (several monitors over one Engine lifetime) returns to
   // zero between runs. Counters stay -- they are lifetime series.
+  for (const auto& partition : partitions_) {
+    util::MutexLock lock(partition->queue_mutex);
+    metrics_->queue_backlog.sub(
+        static_cast<std::int64_t>(partition->queue.size()));
+  }
   util::ReaderMutexLock lock(keys_mutex_);
   for (const auto& [key, state] : keys_) {
-    metrics_->queue_backlog.sub(state->backlog.load(std::memory_order_relaxed));
-    // last_reorder_pending is guarded by the key's process_mutex; the
-    // drain tasks have quiesced, but taking the lock keeps the contract
-    // unconditional (and pairs with the acquire of anything the last
-    // drainer published).
-    util::MutexLock state_lock(state->process_mutex);
+    // last_reorder_pending is guarded by the partition's process_mutex;
+    // the drain tasks have quiesced, but taking the lock keeps the
+    // contract unconditional (and pairs with the acquire of anything
+    // the last drainer published).
+    util::MutexLock state_lock(state->partition.process_mutex);
     metrics_->reorder_pending.sub(state->last_reorder_pending);
   }
   metrics_->active_keys.sub(static_cast<std::int64_t>(keys_.size()));
@@ -111,7 +122,10 @@ KeyedStreamingMonitor::KeyState& KeyedStreamingMonitor::state_for(
   }
   auto it = keys_.find(key);  // re-check: another producer may have won
   if (it == keys_.end()) {
-    it = keys_.emplace(key, std::make_unique<KeyState>(key, options_)).first;
+    // First-seen index modulo the partition count: fixed for the run.
+    Partition& owner = *partitions_[keys_.size() % partitions_.size()];
+    it = keys_.emplace(key, std::make_unique<KeyState>(key, owner, options_))
+             .first;
     metrics_->active_keys.add(1);
   }
   return *it->second;
@@ -123,54 +137,94 @@ void KeyedStreamingMonitor::ingest(const std::string& key,
     throw std::logic_error("KeyedStreamingMonitor::ingest after finish()");
   }
   KeyState& state = state_for(key);
-  state.queue.push(op);  // blocks when full: backpressure
-  state.ingested.fetch_add(1, std::memory_order_relaxed);
-  state.backlog.fetch_add(1, std::memory_order_relaxed);
+  Partition& partition = state.partition;
+  bool claimed = false;
+  {
+    util::MutexLock lock(partition.queue_mutex);
+    // Backpressure: wait for the drainer to take the queue.
+    while (partition.queue.size() >= partition.capacity) {
+      partition.not_full.wait(partition.queue_mutex);
+    }
+    partition.queue.emplace_back(&state, op);
+    // Producers of one partition serialize on queue_mutex, so plain
+    // load/store pairs keep these exact without read-modify-write loops.
+    state.ingested.store(state.ingested.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
+    if (op.start > state.newest_start.load(std::memory_order_relaxed)) {
+      state.newest_start.store(op.start, std::memory_order_relaxed);
+    }
+    if (op.start < state.oldest_start.load(std::memory_order_relaxed)) {
+      state.oldest_start.store(op.start, std::memory_order_relaxed);
+    }
+    if (!partition.draining) {
+      partition.draining = true;
+      claimed = true;
+    }
+  }
   metrics_->ops_ingested.add(1);
   metrics_->queue_backlog.add(1);
-  TimePoint seen = state.newest_start.load(std::memory_order_relaxed);
-  while (op.start > seen &&
-         !state.newest_start.compare_exchange_weak(
-             seen, op.start, std::memory_order_relaxed)) {
-  }
-  seen = state.oldest_start.load(std::memory_order_relaxed);
-  while (op.start < seen &&
-         !state.oldest_start.compare_exchange_weak(
-             seen, op.start, std::memory_order_relaxed)) {
-  }
-  // Claim the drainer role for this key if nobody holds it. The drain
-  // task re-checks the queue after releasing the role, so an arrival
-  // that lands between its last pop and the release is never stranded.
-  if (!state.scheduled.exchange(true, std::memory_order_acq_rel)) {
-    {
-      util::MutexLock lock(drains_mutex_);
-      ++active_drains_;
-    }
-    try {
-      pool_->submit([this, &state] { drain(state); });
-    } catch (...) {
-      // submit() can throw (e.g. the pool already shut down by its
-      // owner). Undo the claim: no drain task will ever run to
-      // decrement the counter or release the drainer role, and the
-      // destructor's quiesce() must not wait forever on it.
-      {
-        util::MutexLock lock(drains_mutex_);
-        --active_drains_;
-        drains_cv_.notify_all();
-      }
-      state.scheduled.store(false, std::memory_order_release);
-      throw;
-    }
-  }
+  if (claimed) schedule_drain(partition);
 }
 
 void KeyedStreamingMonitor::ingest(const KeyedOperation& kop) {
   ingest(kop.key, kop.op);
 }
 
+void KeyedStreamingMonitor::schedule_drain(Partition& partition) {
+  {
+    util::MutexLock lock(drains_mutex_);
+    ++active_drains_;
+  }
+  try {
+    pool_->submit([this, &partition] { drain(partition); });
+  } catch (...) {
+    // submit() can throw (e.g. the pool already shut down by its
+    // owner). Undo the claim: no drain task will ever run to decrement
+    // the counter or release it, and the destructor's quiesce() must
+    // not wait forever on it. The queued operation stays for finish().
+    {
+      util::MutexLock lock(drains_mutex_);
+      --active_drains_;
+      drains_cv_.notify_all();
+    }
+    {
+      util::MutexLock lock(partition.queue_mutex);
+      partition.draining = false;
+    }
+    throw;
+  }
+}
+
+bool KeyedStreamingMonitor::take_queue(Partition& partition,
+                                       bool release_claim_if_empty) {
+  partition.batch.clear();
+  util::MutexLock lock(partition.queue_mutex);
+  if (partition.queue.empty()) {
+    // An arrival after this point finds the claim clear and schedules
+    // a successor, so nothing is ever stranded.
+    if (release_claim_if_empty) partition.draining = false;
+    return false;
+  }
+  // Producers wait only at capacity, so only a full queue has waiters.
+  const bool was_full = partition.queue.size() >= partition.capacity;
+  partition.batch.swap(partition.queue);
+  if (was_full) partition.not_full.notify_all();
+  return true;
+}
+
+void KeyedStreamingMonitor::process_batch(Partition& partition) {
+  metrics_->queue_backlog.sub(
+      static_cast<std::int64_t>(partition.batch.size()));
+  for (const auto& [state, op] : partition.batch) {
+    if (!state->touched) {
+      state->touched = true;
+      partition.touched.push_back(state);
+    }
+    process_one(*state, op);
+  }
+}
+
 void KeyedStreamingMonitor::process_one(KeyState& state, const Operation& op) {
-  state.backlog.fetch_sub(1, std::memory_order_relaxed);
-  metrics_->queue_backlog.sub(1);
   if (!state.reorder.push(op)) {
     metrics_->late_arrivals.add(1);
     state.extra_violations.push_back(
@@ -179,14 +233,32 @@ void KeyedStreamingMonitor::process_one(KeyState& state, const Operation& op) {
              " behind watermark " + std::to_string(state.reorder.watermark()) +
              " (reorder slack " + std::to_string(options_.reorder_slack) +
              " exceeded)"});
-  } else {
-    Operation released;
-    while (state.reorder.pop(released)) state.checker.add(released);
+    // Emitted now, so the live sink's per-key order stays detection
+    // order: checker findings only appear at watermark advances.
+    emit_new_violations(state);
+    return;
   }
-  // Emitting here, per operation, keeps the live sink's per-key order
-  // equal to detection order: a single op adds either a late_arrival or
-  // checker violations, never both.
-  emit_new_violations(state);
+  release_ready(state);
+}
+
+void KeyedStreamingMonitor::release_ready(KeyState& state) {
+  Operation released;
+  while (state.reorder.pop(released)) {
+    // A rejected operation (start >= finish) becomes a finding; the
+    // rest of the stream goes on.
+    try {
+      state.checker.add(released);
+    } catch (const std::exception& e) {
+      record_failure(state, e);
+    }
+  }
+}
+
+void KeyedStreamingMonitor::record_failure(KeyState& state,
+                                           const std::exception& error) {
+  state.extra_violations.push_back(
+      {StreamingViolation::Kind::hard_anomaly, state.reorder.watermark(),
+       std::string("monitor drain failed: ") + error.what()});
 }
 
 void KeyedStreamingMonitor::emit_new_violations(KeyState& state) {
@@ -249,7 +321,7 @@ void KeyedStreamingMonitor::update_key_metrics(KeyState& state) {
   }
 }
 
-void KeyedStreamingMonitor::drain(KeyState& state) {
+void KeyedStreamingMonitor::drain(Partition& partition) {
   // The in-flight count must drop on EVERY exit path, exceptional ones
   // included -- a leaked increment would hang the destructor's
   // quiesce() forever. Notify while still holding the mutex: quiesce()
@@ -267,51 +339,50 @@ void KeyedStreamingMonitor::drain(KeyState& state) {
 
   try {
     for (;;) {
-      // Nothing may escape this loop: the task's future is discarded,
-      // and an unwound drain would leave `scheduled` stuck true -- no
-      // later ingest would ever schedule another drainer, wedging the
-      // key and deadlocking producers on its full queue. Failures
-      // become hard_anomaly findings instead.
-      try {
-        util::MutexLock lock(state.process_mutex);
-        Operation op;
-        bool any = false;
-        while (state.queue.try_pop(op)) {
-          process_one(state, op);
-          any = true;
+      util::MutexLock lock(partition.process_mutex);
+      if (!take_queue(partition, /*release_claim_if_empty=*/true)) return;
+      process_batch(partition);
+      // One watermark advance per touched key per batch. Failures
+      // become findings: nothing may escape, or the claim would stay
+      // set and wedge the partition.
+      for (KeyState* state : partition.touched) {
+        state->touched = false;
+        try {
+          state->checker.advance_watermark(state->reorder.watermark());
+        } catch (const std::exception& e) {
+          record_failure(*state, e);
         }
-        if (any) {
-          state.checker.advance_watermark(state.reorder.watermark());
-          emit_new_violations(state);  // violations found while settling
-        }
-        state.peak_window =
-            std::max(state.peak_window,
-                     state.checker.window_size() + state.reorder.pending());
-        update_key_metrics(state);
-      } catch (const std::exception& e) {
-        util::MutexLock lock(state.process_mutex);
-        state.extra_violations.push_back(
-            {StreamingViolation::Kind::hard_anomaly, state.reorder.watermark(),
-             std::string("monitor drain failed: ") + e.what()});
+        emit_new_violations(*state);  // violations found while settling
+        state->peak_window =
+            std::max(state->peak_window,
+                     state->checker.window_size() + state->reorder.pending());
+        update_key_metrics(*state);
       }
-      state.scheduled.store(false, std::memory_order_release);
-      if (state.queue.empty()) break;
-      // An arrival slipped in after the final pop; re-claim the drainer
-      // role unless its producer already scheduled a successor.
-      if (state.scheduled.exchange(true, std::memory_order_acq_rel)) break;
+      partition.touched.clear();
     }
   } catch (...) {
-    // Last resort: even the recorder threw (bad_alloc building the
-    // finding, or a non-std exception out of the user's on_finding
-    // sink). Nothing sane can be recorded; release the drainer role so
-    // a later ingest can reschedule instead of wedging the key.
-    state.scheduled.store(false, std::memory_order_release);
+    // Last resort: even the recorder threw (bad_alloc building a
+    // finding). Nothing sane can be recorded; release the claim so a
+    // later ingest can reschedule instead of wedging the partition.
+    util::MutexLock queue_lock(partition.queue_mutex);
+    partition.draining = false;
   }
 }
 
 Report KeyedStreamingMonitor::finish() {
   if (finished_.exchange(true, std::memory_order_acq_rel)) {
     throw std::logic_error("KeyedStreamingMonitor::finish called twice");
+  }
+
+  // Whatever producers left queued is processed first, partition by
+  // partition; a drain task still in flight either already took it or
+  // finds its queue empty.
+  for (const auto& partition : partitions_) {
+    util::MutexLock lock(partition->process_mutex);
+    if (!take_queue(*partition, /*release_claim_if_empty=*/false)) continue;
+    process_batch(*partition);
+    for (KeyState* state : partition->touched) state->touched = false;
+    partition->touched.clear();
   }
 
   std::vector<std::pair<std::string, KeyState*>> states;
@@ -324,11 +395,9 @@ Report KeyedStreamingMonitor::finish() {
   Report report;
   report.mode = Report::Mode::monitor;
   for (auto& [key, state] : states) {
-    util::MutexLock lock(state->process_mutex);
-    Operation op;
-    while (state->queue.try_pop(op)) process_one(*state, op);
+    util::MutexLock lock(state->partition.process_mutex);
     state->reorder.flush();
-    while (state->reorder.pop(op)) state->checker.add(op);
+    release_ready(*state);
     state->peak_window =
         std::max(state->peak_window, state->checker.window_size());
 
@@ -373,7 +442,7 @@ MonitorStats KeyedStreamingMonitor::snapshot_totals() const {
   for (const auto& [key, state] : states) {
     totals.operations_ingested += static_cast<std::uint64_t>(
         state->ingested.load(std::memory_order_relaxed));
-    util::MutexLock lock(state->process_mutex);
+    util::MutexLock lock(state->partition.process_mutex);
     for (const StreamingViolation& violation : state->extra_violations) {
       if (violation.kind == StreamingViolation::Kind::late_arrival) {
         ++totals.late_arrivals;

@@ -3,12 +3,21 @@
 // Section II-B), so the monitor shards incoming operations to one
 // StreamingChecker per key; a ReorderBuffer in front of each checker
 // turns bounded arrival disorder into the watermark promise the
-// checker needs, and a bounded per-key queue decouples producers from
-// checking while capping memory (backpressure: ingest() blocks when a
-// key's queue is full). Checking runs as tasks on a work-stealing
-// pipeline::ThreadPool -- at most one drain task per key at a time, so
-// per-key processing is serial (checkers are not thread-safe) while
-// distinct keys check in parallel.
+// checker needs.
+//
+// Keys are owned by a fixed set of partitions, one per pool thread: a
+// key's partition is its first-seen index modulo the pool's thread
+// count, and never changes. Each partition has one bounded queue and
+// one drain claim. ingest() appends to the key's partition queue
+// (blocking while that queue holds queue_capacity operations:
+// backpressure) and submits a drain task when none is claimed. A drain
+// swaps out the partition's whole queue, feeds each operation through
+// its key's ReorderBuffer and checker in arrival order, then advances
+// each touched key's watermark once for the batch -- so the per-batch
+// costs (the claim, the pool task, the watermark advance) are paid per
+// batch, not per operation. One drainer per partition keeps per-key
+// processing serial (checkers are not thread-safe) while partitions
+// check in parallel.
 //
 // The pool is borrowed: kav::Engine (core/engine.h, the library's front
 // door) runs batch verification and monitoring on ONE shared pool, and
@@ -19,7 +28,11 @@
 // Soundness inherits from the two layers (see docs/ALGORITHMS.md):
 // the reorder slack S gives each checker a valid watermark, and the
 // staleness horizon H lets it evict settled chunks, so each per-key
-// window is O(ops in flight within S + H ticks) -- not O(trace).
+// window is O(ops in flight within S + H ticks) -- not O(trace). The
+// partitioning changes only how arrivals are batched: per-key verdicts
+// do not depend on it, while under a horizon tighter than the stream's
+// real staleness the findings can depend on where batches end (a read
+// may arrive before or after its write's cluster was evicted).
 //
 // Ingest may be called from many producer threads concurrently;
 // per-key violation order is arrival order. finish() must be called
@@ -30,10 +43,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/options.h"
@@ -42,7 +57,6 @@
 #include "history/keyed_trace.h"
 #include "ingest/reorder_buffer.h"
 #include "obs/metrics.h"
-#include "pipeline/bounded_queue.h"
 #include "pipeline/thread_pool.h"
 #include "util/thread_safety.h"
 
@@ -60,7 +74,8 @@ class KeyedStreamingMonitor {
   // ingest/violation counters plus watermark-lag, reorder-occupancy,
   // and backlog gauges) go to `metrics`. Both must outlive the monitor.
   // Reads EngineOptions::streaming (per-key staleness horizon),
-  // ::reorder_slack, and ::queue_capacity.
+  // ::reorder_slack, and ::queue_capacity (per partition). The pool's
+  // thread count fixes the number of partitions.
   //
   // `on_finding`, when set, is invoked as violations are detected
   // (drain time, not finish time), from pool workers, serialized per
@@ -78,8 +93,9 @@ class KeyedStreamingMonitor {
   KeyedStreamingMonitor(const KeyedStreamingMonitor&) = delete;
   KeyedStreamingMonitor& operator=(const KeyedStreamingMonitor&) = delete;
 
-  // Thread-safe; blocks when the key's queue is full (backpressure).
-  // Throws std::logic_error after finish().
+  // Thread-safe; blocks while the key's partition queue holds
+  // queue_capacity operations (backpressure). Throws std::logic_error
+  // after finish().
   void ingest(const std::string& key, const Operation& op)
       KAV_EXCLUDES(keys_mutex_, drains_mutex_);
   void ingest(const KeyedOperation& kop)
@@ -97,62 +113,103 @@ class KeyedStreamingMonitor {
   MonitorStats stats() const KAV_EXCLUDES(keys_mutex_);
 
  private:
+  struct KeyState;
+
+  // A fixed share of the keys, drained by at most one task at a time.
+  // Lock order: process_mutex before queue_mutex.
+  struct Partition {
+    explicit Partition(std::size_t queue_capacity)
+        : capacity(queue_capacity == 0 ? 1 : queue_capacity) {}
+
+    util::Mutex process_mutex;
+    util::Mutex queue_mutex KAV_ACQUIRED_AFTER(process_mutex);
+    util::CondVar not_full;
+    std::vector<std::pair<KeyState*, Operation>> queue
+        KAV_GUARDED_BY(queue_mutex);
+    // True while a drain task is scheduled or running. Set by the
+    // ingest that finds it clear, cleared by the drain that finds the
+    // queue empty -- both under queue_mutex, so an arrival is never
+    // stranded.
+    bool draining KAV_GUARDED_BY(queue_mutex) = false;
+    const std::size_t capacity;
+    // Drain scratch: the swapped-out batch and the keys it touched.
+    std::vector<std::pair<KeyState*, Operation>> batch
+        KAV_GUARDED_BY(process_mutex);
+    std::vector<KeyState*> touched KAV_GUARDED_BY(process_mutex);
+  };
+
   // Per-key state. Defined here (not in the .cpp) so the KAV_REQUIRES
-  // contracts on the helpers below can name state.process_mutex.
+  // contracts on the helpers below can name its partition's mutex.
   struct KeyState {
-    KeyState(std::string key_name, const EngineOptions& options)
+    KeyState(std::string key_name, Partition& owner,
+             const EngineOptions& options)
         : key(std::move(key_name)),
-          queue(options.queue_capacity),
+          partition(owner),
           reorder(options.reorder_slack),
           checker(options.streaming) {}
 
     const std::string key;
-    pipeline::BoundedQueue<Operation> queue;
-    // True while a drain task is scheduled or running; together with
-    // process_mutex this guarantees at most one drainer per key, so the
-    // (non-thread-safe) reorder buffer and checker see serial access.
-    std::atomic<bool> scheduled{false};
+    Partition& partition;
+    // Written by producers under partition.queue_mutex; atomics so
+    // stats() can read them without it.
     std::atomic<std::int64_t> ingested{0};
-    // This key's share of the kav_monitor_queue_backlog gauge (ops
-    // pushed minus ops popped), so the destructor can retire exactly
-    // what was never processed.
-    std::atomic<std::int64_t> backlog{0};
     std::atomic<TimePoint> newest_start{kTimeMin};
     std::atomic<TimePoint> oldest_start{kTimeMax};
 
-    util::Mutex process_mutex;
-    ReorderBuffer reorder KAV_GUARDED_BY(process_mutex);
-    StreamingChecker checker KAV_GUARDED_BY(process_mutex);
+    ReorderBuffer reorder KAV_GUARDED_BY(partition.process_mutex);
+    StreamingChecker checker KAV_GUARDED_BY(partition.process_mutex);
     // Violations detected by the monitor layer rather than the checker:
-    // late arrivals, and drain-task failures (which must be surfaced as
+    // late arrivals, and drain failures (which must be surfaced as
     // findings -- a swallowed exception would wedge the key forever).
     std::vector<StreamingViolation> extra_violations
-        KAV_GUARDED_BY(process_mutex);
-    std::size_t peak_window KAV_GUARDED_BY(process_mutex) = 0;
+        KAV_GUARDED_BY(partition.process_mutex);
+    std::size_t peak_window KAV_GUARDED_BY(partition.process_mutex) = 0;
+    // In the current drain batch's touched list.
+    bool touched KAV_GUARDED_BY(partition.process_mutex) = false;
     // High-water marks of violations already handed to the live
     // on_finding sink, so each finding is emitted exactly once.
-    std::size_t reported_checker KAV_GUARDED_BY(process_mutex) = 0;
-    std::size_t reported_extra KAV_GUARDED_BY(process_mutex) = 0;
+    std::size_t reported_checker KAV_GUARDED_BY(partition.process_mutex) = 0;
+    std::size_t reported_extra KAV_GUARDED_BY(partition.process_mutex) = 0;
     // High-water marks of what update_key_metrics() already folded into
     // the registry, so counter deltas are exact (checker totals are
     // monotone for the life of the key).
-    std::size_t counted_checker KAV_GUARDED_BY(process_mutex) = 0;
-    std::size_t counted_extra KAV_GUARDED_BY(process_mutex) = 0;
-    std::uint64_t counted_chunks KAV_GUARDED_BY(process_mutex) = 0;
-    std::int64_t last_reorder_pending KAV_GUARDED_BY(process_mutex) = 0;
+    std::size_t counted_checker KAV_GUARDED_BY(partition.process_mutex) = 0;
+    std::size_t counted_extra KAV_GUARDED_BY(partition.process_mutex) = 0;
+    std::uint64_t counted_chunks KAV_GUARDED_BY(partition.process_mutex) = 0;
+    std::int64_t last_reorder_pending
+        KAV_GUARDED_BY(partition.process_mutex) = 0;
   };
 
   KeyState& state_for(const std::string& key) KAV_EXCLUDES(keys_mutex_);
-  void drain(KeyState& state) KAV_EXCLUDES(drains_mutex_);
+  // Submits a drain task for a partition whose claim the caller took.
+  void schedule_drain(Partition& partition) KAV_EXCLUDES(drains_mutex_);
+  void drain(Partition& partition) KAV_EXCLUDES(drains_mutex_);
+  // Swaps the partition's queue out into its batch; false if it was
+  // empty, in which case the drainer (release_claim_if_empty) gives up
+  // the partition's drain claim under the same lock.
+  bool take_queue(Partition& partition, bool release_claim_if_empty)
+      KAV_REQUIRES(partition.process_mutex) KAV_EXCLUDES(partition.queue_mutex);
+  // Feeds the batch through each key's reorder buffer into its checker
+  // and lists the keys it touched.
+  void process_batch(Partition& partition)
+      KAV_REQUIRES(partition.process_mutex);
   // Feeds one arrival through the reorder buffer into the checker.
   void process_one(KeyState& state, const Operation& op)
-      KAV_REQUIRES(state.process_mutex);
+      KAV_REQUIRES(state.partition.process_mutex);
+  // Moves every operation the reorder buffer released into the checker.
+  void release_ready(KeyState& state)
+      KAV_REQUIRES(state.partition.process_mutex);
+  // Records an exception out of the key's processing as a finding.
+  void record_failure(KeyState& state, const std::exception& error)
+      KAV_REQUIRES(state.partition.process_mutex);
   // Reports not-yet-reported violations to on_finding_.
-  void emit_new_violations(KeyState& state) KAV_REQUIRES(state.process_mutex);
+  void emit_new_violations(KeyState& state)
+      KAV_REQUIRES(state.partition.process_mutex);
   // Folds the key's progress since the last call into the registry
   // (violation/chunk deltas via per-key high-water marks, gauge
   // refreshes).
-  void update_key_metrics(KeyState& state) KAV_REQUIRES(state.process_mutex);
+  void update_key_metrics(KeyState& state)
+      KAV_REQUIRES(state.partition.process_mutex);
   // Blocks until no drain task of this monitor is queued or running.
   void quiesce() KAV_EXCLUDES(drains_mutex_);
   MonitorStats snapshot_totals() const KAV_EXCLUDES(keys_mutex_);
@@ -165,6 +222,8 @@ class KeyedStreamingMonitor {
   std::unique_ptr<Metrics> metrics_;
   pipeline::ThreadPool* pool_;
 
+  // Fixed at construction, one per pool thread.
+  std::vector<std::unique_ptr<Partition>> partitions_;
   // Shared for the per-ingest known-key lookup (the hot path stays
   // contention-free across producers), exclusive only when a key is
   // first seen.

@@ -69,12 +69,17 @@ void PushTraceSource::push(std::string key, Operation op) {
 }
 
 void PushTraceSource::push(KeyedOperation kop) {
-  util::MutexLock lock(mutex_);
-  while (!closed_ && items_.size() >= capacity_) not_full_.wait(mutex_);
-  if (closed_) {
-    throw std::logic_error("PushTraceSource::push after close()");
+  {
+    util::MutexLock lock(mutex_);
+    while (!closed_ && items_.size() >= capacity_) not_full_.wait(mutex_);
+    if (closed_) {
+      throw std::logic_error("PushTraceSource::push after close()");
+    }
+    items_.push_back(std::move(kop));
+    // Only the first operation of a batch can find the consumer
+    // waiting.
+    if (items_.size() != 1) return;
   }
-  items_.push_back(std::move(kop));
   not_empty_.notify_one();
 }
 
@@ -87,36 +92,52 @@ void PushTraceSource::close() {
   not_full_.notify_all();
 }
 
+TraceSource::Pull PushTraceSource::pull(KeyedOperation& out,
+                                        const std::chrono::milliseconds* wait) {
+  if (taken_pos_ == taken_.size()) {
+    taken_.clear();
+    taken_pos_ = 0;
+    bool was_full = false;
+    {
+      util::MutexLock lock(mutex_);
+      if (wait == nullptr) {
+        while (!closed_ && items_.empty()) not_empty_.wait(mutex_);
+      } else {
+        const auto deadline = std::chrono::steady_clock::now() + *wait;
+        while (!closed_ && items_.empty()) {
+          if (not_empty_.wait_until(mutex_, deadline) ==
+                  std::cv_status::timeout &&
+              !closed_ && items_.empty()) {
+            return Pull::pending;
+          }
+        }
+      }
+      if (items_.empty()) return Pull::closed;  // closed and drained
+      was_full = items_.size() >= capacity_;
+      items_.swap(taken_);
+    }
+    // Producers wait only at capacity, so only a full queue has
+    // waiters; the swap leaves room for all of them.
+    if (was_full) not_full_.notify_all();
+  }
+  out = std::move(taken_[taken_pos_++]);
+  taken_left_.store(taken_.size() - taken_pos_, std::memory_order_relaxed);
+  return Pull::item;
+}
+
 bool PushTraceSource::next(KeyedOperation& out) {
-  util::MutexLock lock(mutex_);
-  while (!closed_ && items_.empty()) not_empty_.wait(mutex_);
-  if (items_.empty()) return false;  // closed and drained
-  out = std::move(items_.front());
-  items_.pop_front();
-  not_full_.notify_one();
-  return true;
+  return pull(out, nullptr) == Pull::item;
 }
 
 TraceSource::Pull PushTraceSource::try_next_for(
     KeyedOperation& out, std::chrono::milliseconds wait) {
-  const auto deadline = std::chrono::steady_clock::now() + wait;
-  util::MutexLock lock(mutex_);
-  while (!closed_ && items_.empty()) {
-    if (not_empty_.wait_until(mutex_, deadline) == std::cv_status::timeout &&
-        !closed_ && items_.empty()) {
-      return Pull::pending;
-    }
-  }
-  if (items_.empty()) return Pull::closed;  // closed and drained
-  out = std::move(items_.front());
-  items_.pop_front();
-  not_full_.notify_one();
-  return Pull::item;
+  return pull(out, &wait);
 }
 
 std::string PushTraceSource::describe() const {
+  const std::size_t taken = taken_left_.load(std::memory_order_relaxed);
   util::MutexLock lock(mutex_);
-  return "push(" + std::to_string(items_.size()) + " queued" +
+  return "push(" + std::to_string(items_.size() + taken) + " queued" +
          (closed_ ? ", closed)" : ")");
 }
 

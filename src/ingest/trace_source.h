@@ -15,9 +15,9 @@
 #ifndef KAV_INGEST_TRACE_SOURCE_H
 #define KAV_INGEST_TRACE_SOURCE_H
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <deque>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -135,9 +135,18 @@ class BinaryFileTraceSource final : public TraceSource {
 // Incremental push source: producers push() completed operations from
 // any thread; the consumer side (Engine::monitor, typically on another
 // thread) pulls them via next(), which blocks until an operation is
-// available or the source is closed. push() blocks while the internal
-// queue is at capacity (backpressure) and throws std::logic_error
-// after close().
+// available or the source is closed. push() blocks while the shared
+// queue holds `capacity` operations (backpressure) and throws
+// std::logic_error after close().
+//
+// The handoff moves batches: when the consumer runs dry it swaps the
+// whole shared queue out under one lock and hands the taken operations
+// out without locking. The source signals only on the transitions a
+// waiter needs -- the consumer when the queue goes from empty to
+// non-empty, producers when a swap takes a full queue -- so a steady
+// stream costs one lock round trip per batch, not a wakeup per
+// operation. At most 2 x capacity operations are in flight: one queue
+// being filled, one batch being handed out.
 class PushTraceSource final : public TraceSource {
  public:
   explicit PushTraceSource(std::size_t capacity = 1'024)
@@ -156,19 +165,33 @@ class PushTraceSource final : public TraceSource {
   Pull try_next_for(KeyedOperation& out,
                     std::chrono::milliseconds wait) override
       KAV_EXCLUDES(mutex_);
+  // "push(N queued)", N counting both the shared queue and the batch
+  // the consumer took but has not handed out yet.
   std::string describe() const override KAV_EXCLUDES(mutex_);
 
  private:
-  // One lock orders the whole handoff: producers block on not_full_
+  // Consumer side: hands out the taken batch, refilling it from the
+  // shared queue when it runs dry. `wait` bounds the refill's blocking
+  // wait; nullptr waits until an operation or close() arrives.
+  Pull pull(KeyedOperation& out, const std::chrono::milliseconds* wait)
+      KAV_EXCLUDES(mutex_);
+
+  // One lock orders the shared queue: producers block on not_full_
   // (capacity backpressure), the consumer blocks on not_empty_, and
   // close() flips closed_ then wakes both sides.
   mutable util::Mutex mutex_;
   util::CondVar not_full_;
   util::CondVar not_empty_;
-  std::deque<KeyedOperation> items_ KAV_GUARDED_BY(mutex_);
+  std::vector<KeyedOperation> items_ KAV_GUARDED_BY(mutex_);
   // Immutable after construction; readable without the lock.
   const std::size_t capacity_;
   bool closed_ KAV_GUARDED_BY(mutex_) = false;
+  // The consumer's batch: touched only by the (single) consumer thread.
+  std::vector<KeyedOperation> taken_;
+  std::size_t taken_pos_ = 0;
+  // Operations of taken_ not handed out yet, for describe() from any
+  // thread.
+  std::atomic<std::size_t> taken_left_{0};
 };
 
 // Opens a trace file as a source, deciding text vs binary by magic

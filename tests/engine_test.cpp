@@ -12,7 +12,9 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -321,6 +323,153 @@ TEST(EngineSource, PushSourceRejectsPushAfterClose) {
   EXPECT_TRUE(push.next(kop));  // the queued op drains...
   EXPECT_EQ(kop.key, "k");
   EXPECT_FALSE(push.next(kop));  // ...then the stream ends
+}
+
+// The consumer swaps the whole queue out at once, so capacity 1 is the
+// hardest case for the handoff: every push after the first waits for a
+// swap.
+TEST(EngineSource, PushSourceKeepsEachProducersOrderAtCapacityOne) {
+  PushTraceSource push(1);
+  constexpr int kPerProducer = 2'000;
+  auto produce = [&push](const std::string& key) {
+    for (int i = 0; i < kPerProducer; ++i) {
+      push.push(key, make_write(i, i + 1, i));
+    }
+  };
+  std::thread a(produce, "a");
+  std::thread b(produce, "b");
+  std::thread closer([&] {
+    a.join();
+    b.join();
+    push.close();
+  });
+  std::map<std::string, Value> next_value;
+  KeyedOperation kop;
+  int pulled = 0;
+  while (push.next(kop)) {
+    EXPECT_EQ(kop.op.value, next_value[kop.key]++) << kop.key;
+    ++pulled;
+  }
+  closer.join();
+  EXPECT_EQ(pulled, 2 * kPerProducer);  // neither producer stranded
+  EXPECT_EQ(next_value["a"], kPerProducer);
+  EXPECT_EQ(next_value["b"], kPerProducer);
+}
+
+TEST(EngineSource, PushBlockedAtCapacityResumesAfterOnePull) {
+  PushTraceSource push(1);
+  push.push("k", make_write(0, 5, 1));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    push.push("k", make_write(6, 9, 2));  // full: blocks
+    pushed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(pushed.load());
+  KeyedOperation kop;
+  ASSERT_TRUE(push.next(kop));  // one pull frees the queue
+  EXPECT_EQ(kop.op.value, 1);
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  ASSERT_TRUE(push.next(kop));
+  EXPECT_EQ(kop.op.value, 2);
+}
+
+TEST(EngineSource, CloseThrowsInAProducerBlockedAtCapacity) {
+  PushTraceSource push(1);
+  push.push("k", make_write(0, 5, 1));
+  std::atomic<bool> threw{false};
+  std::thread producer([&] {
+    try {
+      push.push("k", make_write(6, 9, 2));  // full: blocks until close()
+    } catch (const std::logic_error&) {
+      threw = true;
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  push.close();
+  producer.join();
+  EXPECT_TRUE(threw.load());
+  KeyedOperation kop;
+  EXPECT_TRUE(push.next(kop));  // the queued op still drains
+  EXPECT_EQ(kop.op.value, 1);
+  EXPECT_FALSE(push.next(kop));
+}
+
+TEST(EngineSource, PushSourceDescribeCountsQueuedAndTakenItems) {
+  PushTraceSource push(8);
+  for (Value v = 1; v <= 3; ++v) push.push("k", make_write(v, v + 1, v));
+  KeyedOperation kop;
+  ASSERT_TRUE(push.next(kop));  // takes all three, hands out one
+  push.push("k", make_write(10, 11, 4));
+  EXPECT_EQ(push.describe(), "push(3 queued)");  // 2 taken + 1 queued
+  push.close();
+  EXPECT_EQ(push.describe(), "push(3 queued, closed)");
+  int rest = 0;
+  while (push.next(kop)) ++rest;
+  EXPECT_EQ(rest, 3);
+  EXPECT_EQ(push.describe(), "push(0 queued, closed)");
+}
+
+// A read that precedes its dictating write is a chunk normalize()
+// rejects. Engine::monitor must report it as one hard_anomaly finding
+// (the key is NO; the batch path calls it invalid) instead of throwing
+// away the whole report.
+TEST(EngineMonitor, ReadPrecedingItsWriteIsAFindingNotAThrow) {
+  KeyedTrace trace;
+  trace.add("k", make_read(1, 5, 7));
+  trace.add("k", make_write(10, 20, 7));
+  trace.add("ok", make_write(0, 4, 1));
+  trace.add("ok", make_read(6, 8, 1));
+  EngineOptions options;
+  options.streaming.staleness_horizon = 100;
+  options.reorder_slack = 10;
+  Engine engine(options);
+
+  const Report monitored = engine.monitor(trace);
+  const KeyResult& k = monitored.per_key.at("k");
+  EXPECT_TRUE(k.verdict.no());
+  ASSERT_EQ(k.findings.size(), 1u);
+  EXPECT_EQ(k.findings[0].kind, StreamingViolation::Kind::hard_anomaly);
+  EXPECT_NE(k.findings[0].detail.find("read(v=7) [1, 5)"), std::string::npos)
+      << k.findings[0].detail;
+  EXPECT_NE(k.findings[0].detail.find("write(v=7) [10, 20)"),
+            std::string::npos)
+      << k.findings[0].detail;
+  EXPECT_TRUE(monitored.per_key.at("ok").verdict.yes());
+
+  const Report batch = engine.verify(trace);
+  EXPECT_EQ(batch.per_key.at("k").verdict.outcome,
+            Outcome::precondition_failed);
+}
+
+// A long stream on one key where the bad chunk is decided mid-stream:
+// exactly one finding, however many drains follow.
+TEST(EngineMonitor, ReadPrecedingItsWriteMidStreamIsReportedOnce) {
+  KeyedTrace trace;
+  trace.add("k", make_read(1, 5, 7));
+  trace.add("k", make_write(10, 20, 7));
+  for (TimePoint t = 100; t < 20'000; t += 10) {
+    const auto value = static_cast<Value>(t);
+    trace.add("k", make_write(t, t + 3, value));
+    trace.add("k", make_read(t + 4, t + 8, value));
+  }
+  EngineOptions options;
+  options.streaming.staleness_horizon = 100;
+  options.reorder_slack = 10;
+  options.queue_capacity = 16;  // many small drains
+  Engine engine(options);
+  std::atomic<int> live{0};
+  RunOptions run;
+  run.on_finding = [&live](const std::string&, const StreamingViolation&) {
+    ++live;
+  };
+  const Report report = engine.monitor(trace, run);
+  const KeyResult& k = report.per_key.at("k");
+  ASSERT_EQ(k.findings.size(), 1u);
+  EXPECT_EQ(k.findings[0].kind, StreamingViolation::Kind::hard_anomaly);
+  EXPECT_EQ(live.load(), 1);
+  EXPECT_LT(k.findings[0].when, kTimeMax);  // decided before finish()
 }
 
 // --- Unified Report -------------------------------------------------------

@@ -1,8 +1,8 @@
 // Unit tests for the ingest subsystem: the .kavb binary trace format
 // (header validation, chunking, key interning, corruption reporting),
 // the format converters, the ReorderBuffer's watermark contract, the
-// bounded backpressure queue, the streaming checker's reuse hook, and
-// the KeyedStreamingMonitor end to end (including its bounded-window
+// streaming checker's reuse hook, and the KeyedStreamingMonitor end to
+// end (including its bounded-window
 // guarantee on a long steady stream).
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/engine.h"
@@ -22,7 +21,6 @@
 #include "ingest/keyed_monitor.h"
 #include "ingest/reorder_buffer.h"
 #include "ingest/trace_source.h"
-#include "pipeline/bounded_queue.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -281,40 +279,6 @@ TEST(ReorderBuffer, RejectsArrivalsBeyondTheSlack) {
   EXPECT_EQ(buffer.pending(), 1u);
 }
 
-// --- BoundedQueue ----------------------------------------------------------
-
-TEST(BoundedQueue, FifoAndCapacity) {
-  pipeline::BoundedQueue<int> queue(2);
-  EXPECT_TRUE(queue.try_push(1));
-  EXPECT_TRUE(queue.try_push(2));
-  EXPECT_FALSE(queue.try_push(3));  // full
-  int out = 0;
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(queue.try_push(3));
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out, 2);
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out, 3);
-  EXPECT_FALSE(queue.try_pop(out));
-}
-
-TEST(BoundedQueue, PushBlocksUntilAPopMakesRoom) {
-  pipeline::BoundedQueue<int> queue(1);
-  queue.push(1);
-  std::thread producer([&queue] { queue.push(2); });  // blocks: full
-  int out = 0;
-  // The consumer side keeps popping until both items came through; the
-  // producer can only finish if push() unblocked.
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out, 1);
-  while (!queue.try_pop(out)) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(out, 2);
-  producer.join();
-}
-
 // --- StreamingChecker reuse hook -------------------------------------------
 
 TEST(StreamingReset, ResetChecksLikeAFreshInstance) {
@@ -449,6 +413,24 @@ TEST(KeyedMonitor, BackpressureWithTinyQueuesStillCompletes) {
   const Report report = harness.monitor.finish();
   EXPECT_EQ(report.monitor_totals.violations, 0u);
   EXPECT_EQ(report.monitor_totals.operations_ingested, shard.size());
+}
+
+// A malformed operation (start >= finish) is rejected by the key's
+// checker: one finding, and the rest of the key's stream is checked.
+TEST(KeyedMonitor, MalformedOperationIsOneFindingNotAWedgedKey) {
+  MonitorHarness harness(2);
+  KeyedStreamingMonitor& monitor = harness.monitor;
+  monitor.ingest("k", make_write(0, 5, 1));
+  monitor.ingest("k", make_write(7, 7, 2));  // malformed
+  monitor.ingest("k", make_read(8, 9, 1));
+  monitor.ingest("ok", make_write(0, 5, 1));
+  const Report report = monitor.finish();
+  const KeyResult& k = report.per_key.at("k");
+  ASSERT_EQ(k.findings.size(), 1u);
+  EXPECT_EQ(k.findings[0].kind, StreamingViolation::Kind::hard_anomaly);
+  EXPECT_NE(k.findings[0].detail.find("start >= finish"), std::string::npos);
+  EXPECT_EQ(k.stream.operations_ingested, 2u);
+  EXPECT_TRUE(report.per_key.at("ok").verdict.yes());
 }
 
 TEST(KeyedMonitor, IngestAfterFinishThrows) {

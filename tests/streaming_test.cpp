@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/fzf.h"
 #include "core/streaming.h"
@@ -123,6 +126,32 @@ TEST(Streaming, HorizonViolationReported) {
             StreamingViolation::Kind::horizon_exceeded);
 }
 
+// Every write value is remembered after eviction, the extreme ones
+// included, so a stale read is told apart from a read without a write.
+TEST(Streaming, HorizonViolationsForExtremeAndManyValues) {
+  StreamingOptions options;
+  options.staleness_horizon = 100;
+  StreamingChecker checker(options);
+  const Value lowest = std::numeric_limits<Value>::min();
+  checker.add(make_write(0, 10, lowest));
+  for (Value v = 1; v <= 1'000; ++v) {
+    checker.add(make_write(10 * v, 10 * v + 5, v));
+  }
+  checker.advance_watermark(1'000'000);  // everything settles and evicts
+  ASSERT_EQ(checker.window_size(), 0u);
+  checker.add(make_read(1'000'010, 1'000'020, lowest));
+  checker.add(make_read(1'000'011, 1'000'021, 500));
+  checker.add(make_read(1'000'012, 1'000'022, 5'000));  // never written
+  checker.finish();
+  ASSERT_EQ(checker.violations().size(), 3u);
+  EXPECT_EQ(checker.violations()[0].kind,
+            StreamingViolation::Kind::horizon_exceeded);
+  EXPECT_EQ(checker.violations()[1].kind,
+            StreamingViolation::Kind::horizon_exceeded);
+  EXPECT_EQ(checker.violations()[2].kind,
+            StreamingViolation::Kind::hard_anomaly);
+}
+
 TEST(Streaming, OrphanReadIsHardAnomaly) {
   StreamingChecker checker;
   checker.add(make_read(0, 10, 99));
@@ -141,6 +170,59 @@ TEST(Streaming, DuplicateWriteValueFlagged) {
   ASSERT_FALSE(checker.violations().empty());
   EXPECT_EQ(checker.violations().front().kind,
             StreamingViolation::Kind::hard_anomaly);
+}
+
+// A read [1, 5) of value 7 whose write is [10, 20): the read precedes
+// its dictating write, a hard anomaly. normalize() rejects such a
+// chunk, so the checker must report it before normalizing -- one
+// finding naming both operations -- and still evict the chunk.
+TEST(Streaming, ReadPrecedingItsWriteIsOneHardAnomaly) {
+  StreamingOptions options;
+  options.staleness_horizon = 100;
+  StreamingChecker checker(options);
+  checker.add(make_read(1, 5, 7));
+  checker.add(make_write(10, 20, 7));
+  checker.advance_watermark(500);  // settles and decides the chunk
+  ASSERT_EQ(checker.violations().size(), 1u);
+  const StreamingViolation& finding = checker.violations().front();
+  EXPECT_EQ(finding.kind, StreamingViolation::Kind::hard_anomaly);
+  EXPECT_NE(finding.detail.find(describe(make_read(1, 5, 7))),
+            std::string::npos)
+      << finding.detail;
+  EXPECT_NE(finding.detail.find(describe(make_write(10, 20, 7))),
+            std::string::npos)
+      << finding.detail;
+  EXPECT_EQ(checker.window_size(), 0u);  // evicted, not retried
+  checker.advance_watermark(1'000);
+  EXPECT_EQ(checker.violations().size(), 1u);
+  EXPECT_TRUE(checker.finish().no());
+  EXPECT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.stats().operations_evicted, 2u);
+}
+
+TEST(Streaming, ReadPrecedingItsWriteInsideALargerChunk) {
+  // Cluster 1: write [0, 30) read by [40, 50): forward zone [30, 40].
+  // Cluster 2: read [31, 33) precedes its write [35, 60): zone [33, 35],
+  // inside the first -- one chunk of two forward clusters.
+  StreamingOptions options;
+  options.staleness_horizon = 100;
+  StreamingChecker checker(options);
+  checker.add(make_write(0, 30, 1));
+  checker.add(make_read(31, 33, 2));
+  checker.add(make_write(35, 60, 2));
+  checker.add(make_read(40, 50, 1));
+  EXPECT_TRUE(checker.finish().no());
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.violations().front().kind,
+            StreamingViolation::Kind::hard_anomaly);
+  EXPECT_EQ(checker.stats().chunks_verified, 1u);
+}
+
+TEST(Streaming, AddRejectsMalformedIntervals) {
+  StreamingChecker checker;
+  EXPECT_THROW(checker.add(make_write(10, 10, 1)), std::invalid_argument);
+  EXPECT_EQ(checker.stats().operations_ingested, 0u);
+  EXPECT_TRUE(checker.finish().yes());
 }
 
 TEST(Streaming, QuorumTraceEndToEnd) {
