@@ -4,8 +4,8 @@
 //    Engine whose pool is spun up once, plus batch + monitor
 //    interleaving on that one engine.
 //  * source abstraction -- a virtual next() per record vs the raw
-//    BinaryTraceReader loop on the same .kavb file, and Engine::verify
-//    end to end from a file source.
+//    MappedSegment::Cursor loop on the same .kavb file, and
+//    Engine::verify end to end from a file source.
 //  * observability overhead -- the selective-verify pair run_bench.sh
 //    guards (see below).
 //
@@ -133,15 +133,19 @@ BENCHMARK(batch_plus_monitor_one_engine)->Arg(1)->Arg(4)
 
 // --- Source abstraction overhead -------------------------------------------
 
-// Baseline: the raw streaming reader, no virtual dispatch.
+// Baseline: the raw sequential cursor, no virtual dispatch.
 void binary_raw_reader(benchmark::State& state) {
   std::uint64_t ops_done = 0;
   for (auto _ : state) {
-    std::ifstream in(fixture().binary_path, std::ios::binary);
-    BinaryTraceReader reader(in);
+    const MappedSegment segment(fixture().binary_path);
+    MappedSegment::Cursor cursor = segment.cursor();
     KeyedOperation kop;
-    while (reader.next(kop)) benchmark::DoNotOptimize(kop);
-    ops_done += reader.records_read();
+    std::string_view key;
+    while (cursor.next(key, kop.op)) {
+      kop.key.assign(key);
+      benchmark::DoNotOptimize(kop);
+      ++ops_done;
+    }
   }
   ops_rate(state, ops_done);
 }

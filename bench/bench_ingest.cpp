@@ -2,7 +2,8 @@
 // trace *into* the verifier, which bounds any production monitor long
 // before the decision procedures do. Compares the text parser
 // (history/serialization.h) against the binary .kavb reader
-// (ingest/binary_trace.h) on the same generated trace, measures both
+// (store/mapped_segment.h, behind open_trace_source) on the same
+// generated trace, measures both
 // writers, and streams the trace through Engine::monitor to
 // get end-to-end monitored ops/sec plus the peak window (the memory
 // bound the O(slack + horizon) argument promises).
@@ -19,7 +20,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +27,8 @@
 #include "core/engine.h"
 #include "history/serialization.h"
 #include "ingest/binary_trace.h"
+#include "ingest/trace_source.h"
+#include "store/mapped_segment.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -111,7 +113,7 @@ BENCHMARK(text_read)->UseRealTime()->Unit(benchmark::kMillisecond);
 void binary_read(benchmark::State& state) {
   std::uint64_t ops_done = 0;
   for (auto _ : state) {
-    const KeyedTrace trace = read_binary_trace_file(fixture().binary_path);
+    const KeyedTrace trace = drain(*open_trace_source(fixture().binary_path));
     benchmark::DoNotOptimize(trace);
     ops_done += trace.size();
   }
@@ -124,12 +126,14 @@ BENCHMARK(binary_read)->UseRealTime()->Unit(benchmark::kMillisecond);
 void binary_stream_decode(benchmark::State& state) {
   std::uint64_t ops_done = 0;
   for (auto _ : state) {
-    std::ifstream in(fixture().binary_path, std::ios::binary);
-    BinaryTraceReader reader(in);
+    const MappedSegment segment(fixture().binary_path);
+    MappedSegment::Cursor cursor = segment.cursor();
     std::string_view key;
     Operation op;
-    while (reader.next(key, op)) benchmark::DoNotOptimize(op);
-    ops_done += reader.records_read();
+    while (cursor.next(key, op)) {
+      benchmark::DoNotOptimize(op);
+      ++ops_done;
+    }
   }
   ops_rate(state, ops_done);
 }

@@ -17,7 +17,6 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -127,12 +126,12 @@ BENCHMARK(BM_ReadOneKey_Indexed)->Unit(benchmark::kMillisecond);
 void BM_ReadOneKey_FullBinaryDecode(benchmark::State& state) {
   const Fixture& f = fixture();
   for (auto _ : state) {
-    std::ifstream in(f.v1_path, std::ios::binary);
-    BinaryTraceReader reader(in);
+    const MappedSegment segment(f.v1_path);
+    MappedSegment::Cursor cursor = segment.cursor();
     std::vector<Operation> ops;
     std::string_view key;
     Operation op;
-    while (reader.next(key, op)) {
+    while (cursor.next(key, op)) {
       if (key == kProbeKey) ops.push_back(op);
     }
     benchmark::DoNotOptimize(ops);

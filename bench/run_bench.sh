@@ -10,6 +10,9 @@
 #   --smoke: quick mode for CI -- a 200k-op workload and minimal
 #            per-benchmark time, enough for a data point and to catch
 #            crashes/regressions in the bench binaries themselves.
+#            Writes the JSON files to <build-dir>/bench-smoke/ instead
+#            of the repo root (the checked-in trajectory files stay
+#            untouched) and runs the guardrails on those.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,15 +32,18 @@ for bench in bench_ingest bench_pipeline bench_engine bench_store \
   fi
 done
 
+OUT_DIR=.
 ARGS=(--benchmark_out_format=json)
 if [[ "$MODE" == smoke ]]; then
+  OUT_DIR="$BUILD_DIR/bench-smoke"
+  mkdir -p "$OUT_DIR"
   # System libbenchmark 1.7.x: min_time is a plain double (no 's').
   ARGS+=(--benchmark_min_time=0.01)
   export KAV_BENCH_OPS="${KAV_BENCH_OPS:-200000}"
 fi
 
-"$BUILD_DIR/bench_ingest"   "${ARGS[@]}" --benchmark_out=BENCH_ingest.json
-"$BUILD_DIR/bench_pipeline" "${ARGS[@]}" --benchmark_out=BENCH_pipeline.json
+"$BUILD_DIR/bench_ingest"   "${ARGS[@]}" --benchmark_out="$OUT_DIR/BENCH_ingest.json"
+"$BUILD_DIR/bench_pipeline" "${ARGS[@]}" --benchmark_out="$OUT_DIR/BENCH_pipeline.json"
 ENGINE_ARGS=("${ARGS[@]}")
 if [[ "$MODE" == smoke ]]; then
   # The observability guardrail below compares a pair expected to
@@ -49,7 +55,7 @@ if [[ "$MODE" == smoke ]]; then
   ENGINE_ARGS+=(--benchmark_repetitions=15
                 --benchmark_enable_random_interleaving=true)
 fi
-"$BUILD_DIR/bench_engine"   "${ENGINE_ARGS[@]}" --benchmark_out=BENCH_engine.json
+"$BUILD_DIR/bench_engine"   "${ENGINE_ARGS[@]}" --benchmark_out="$OUT_DIR/BENCH_engine.json"
 STORE_ARGS=("${ARGS[@]}")
 if [[ "$MODE" == smoke ]]; then
   # The guardrail below compares sub-0.1ms benchmarks; one 10ms sample
@@ -57,7 +63,7 @@ if [[ "$MODE" == smoke ]]; then
   # several repetitions.
   STORE_ARGS+=(--benchmark_repetitions=5)
 fi
-"$BUILD_DIR/bench_store"    "${STORE_ARGS[@]}" --benchmark_out=BENCH_store.json
+"$BUILD_DIR/bench_store"    "${STORE_ARGS[@]}" --benchmark_out="$OUT_DIR/BENCH_store.json"
 OBS_ARGS=("${ARGS[@]}")
 if [[ "$MODE" == smoke ]]; then
   # The scrape-vs-no-scrape guardrail below uses the min over
@@ -65,7 +71,7 @@ if [[ "$MODE" == smoke ]]; then
   OBS_ARGS+=(--benchmark_repetitions=5
              --benchmark_enable_random_interleaving=true)
 fi
-"$BUILD_DIR/bench_obs"      "${OBS_ARGS[@]}" --benchmark_out=BENCH_obs.json
+"$BUILD_DIR/bench_obs"      "${OBS_ARGS[@]}" --benchmark_out="$OUT_DIR/BENCH_obs.json"
 STREAMING_ARGS=("${ARGS[@]}")
 if [[ "$MODE" == smoke ]]; then
   # The window guardrail below uses the min over repetitions.
@@ -73,7 +79,12 @@ if [[ "$MODE" == smoke ]]; then
                    --benchmark_enable_random_interleaving=true)
 fi
 "$BUILD_DIR/bench_streaming" "${STREAMING_ARGS[@]}" \
-  --benchmark_out=BENCH_streaming.json
+  --benchmark_out="$OUT_DIR/BENCH_streaming.json"
+
+echo
+echo "wrote BENCH_ingest.json, BENCH_pipeline.json, BENCH_engine.json," \
+     "BENCH_store.json, BENCH_obs.json, and BENCH_streaming.json to" \
+     "$OUT_DIR ($MODE mode)"
 
 # Guardrail (smoke mode): the zero-copy decode+verify path must not be
 # slower than the materializing reference it replaced. The median of
@@ -82,6 +93,8 @@ fi
 # re-growing an Operation vector, a kernel falling off its vector
 # path) shows up far above that.
 if [[ "$MODE" == smoke ]]; then
+  # The guardrails read the files this smoke run just wrote.
+  cd "$OUT_DIR"
   python3 - <<'EOF'
 import json, sys
 
@@ -223,6 +236,3 @@ if verdict != "ok":
 EOF
 fi
 
-echo
-echo "wrote BENCH_ingest.json, BENCH_pipeline.json, BENCH_engine.json," \
-     "BENCH_store.json, BENCH_obs.json, and BENCH_streaming.json ($MODE mode)"

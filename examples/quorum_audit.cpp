@@ -73,16 +73,10 @@ int main(int argc, char** argv) {
   engine_options.threads = threads;
   Engine engine(engine_options);
   if (!listen.empty()) {
-    std::string address = "127.0.0.1";
-    std::string port_text = listen;
-    const std::size_t colon = listen.rfind(':');
-    if (colon != std::string::npos) {
-      address = listen.substr(0, colon);
-      port_text = listen.substr(colon + 1);
-    }
     try {
+      const ListenAddress address = parse_listen_address(listen);
       obs::TelemetryServer& server =
-          engine.serve_telemetry(address, std::stoi(port_text));
+          engine.serve_telemetry(address.address, address.port);
       std::fprintf(stderr, "telemetry listening on http://%s:%u\n",
                    server.address().c_str(), server.port());
     } catch (const std::exception& e) {

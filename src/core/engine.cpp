@@ -5,6 +5,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "ingest/keyed_monitor.h"
@@ -401,10 +402,14 @@ Engine::~Engine() {
 obs::TelemetryServer& Engine::serve_telemetry(const std::string& address,
                                               int port) {
   if (telemetry_) return *telemetry_;
+  if (port < 0 || port > 65535) {
+    throw std::invalid_argument("serve_telemetry: port " +
+                                std::to_string(port) +
+                                " is outside [0, 65535]");
+  }
   obs::TelemetryOptions telemetry_options;
   telemetry_options.address = address;
-  telemetry_options.port =
-      static_cast<std::uint16_t>(port < 0 ? 0 : port);
+  telemetry_options.port = static_cast<std::uint16_t>(port);
   telemetry_ =
       std::make_unique<obs::TelemetryServer>(*metrics_, telemetry_options);
   telemetry_->set_status_source([this] { return status(); });

@@ -153,7 +153,8 @@ class Engine {
   // /status, /healthz, /spans -- obs/telemetry_server.h) and wires
   // /status to this->status(). Port 0 = ephemeral; idempotent (the
   // running server is returned, the arguments of later calls are
-  // ignored). Throws on bind failure.
+  // ignored). Throws std::invalid_argument for a port outside
+  // [0, 65535] and std::runtime_error on bind failure.
   obs::TelemetryServer& serve_telemetry(
       const std::string& address = "127.0.0.1", int port = 0);
   // The running server, or nullptr when none was started.

@@ -145,7 +145,10 @@ Verdict verify_k_atomicity(const History& history,
                                           : "hard anomalies") +
           ": " + describe(report.anomalies.front(), history));
     }
-    return dispatch(normalize(history), options.k, options.algorithm);
+    // The report in hand already proves the history repairable;
+    // normalize() would scan for anomalies a second time.
+    return dispatch(detail::normalize_repairable(history), options.k,
+                    options.algorithm);
   }
   return dispatch(history, options.k, options.algorithm);
 }

@@ -161,7 +161,10 @@ History normalize(const History& history) {
     throw std::invalid_argument(
         "normalize: history has hard anomalies; see find_anomalies");
   }
+  return detail::normalize_repairable(history);
+}
 
+History detail::normalize_repairable(const History& history) {
   const std::size_t n = history.size();
   std::vector<Operation> ops(history.operations().begin(),
                              history.operations().end());

@@ -77,6 +77,16 @@ bool is_normalized(const History& history);
 // has hard anomalies (normalize cannot give those meaning).
 History normalize(const History& history);
 
+namespace detail {
+
+// normalize() minus its find_anomalies pass, for a caller that already
+// ran find_anomalies(history) and found it repairable()
+// (verify_k_atomicity). On a history with hard anomalies the result is
+// meaningless.
+History normalize_repairable(const History& history);
+
+}  // namespace detail
+
 }  // namespace kav
 
 #endif  // KAV_HISTORY_ANOMALY_H

@@ -4,7 +4,7 @@
 // than deciding 2-atomicity does, so the binary format stores
 // fixed-width little-endian records behind a versioned header, interns
 // repeated keys into an id table, and groups records into chunks so
-// both writer and reader stream in O(chunk) memory.
+// the writer streams in O(chunk) memory.
 //
 // Byte-for-byte layout (all integers little-endian): docs/FORMATS.md.
 // In short:
@@ -18,7 +18,7 @@
 //
 // Key ids are file-global and assigned in order of first appearance; a
 // chunk carries only the table entries it introduces, so appending
-// chunks never rewrites earlier bytes. A reader detects truncation,
+// chunks never rewrites earlier bytes. The reader detects truncation,
 // bad magic/version, out-of-range key ids, bad type bytes, and
 // non-increasing intervals, and reports the absolute byte offset.
 //
@@ -30,9 +30,12 @@
 // per single-key chunk: absolute offset, record count, time bounds),
 // and a fixed 12-byte trailer { payload_bytes u64 | magic 'KAVI' u32 }
 // so an indexed reader (store/mapped_segment.h) can seek from the end
-// and decode only the blocks of requested keys. BinaryTraceReader
-// streams both versions; v2 files with a damaged or missing footer
-// remain sequentially readable.
+// and decode only the blocks of requested keys.
+//
+// This header holds the format constants and the writers. The one
+// decoder of both versions is store/mapped_segment.h; read a file with
+// drain(*open_trace_source(path)) (ingest/trace_source.h). v2 files
+// with a missing footer remain sequentially readable.
 //
 // Both formats are lossless for any trace the text format accepts
 // (property-tested by tests/ingest_fuzz_test.cpp); the binary format
@@ -42,12 +45,10 @@
 #define KAV_INGEST_BINARY_TRACE_H
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "history/keyed_trace.h"
 #include "ingest/wire.h"
@@ -144,66 +145,23 @@ class BinaryTraceWriter {
   std::uint64_t records_written_ = 0;
 };
 
-// Streaming reader: pull one record at a time; memory stays O(chunk +
-// key table). Reads format v1 and v2 (for v2 the record stream ends at
-// the footer sentinel; the footer itself is never materialized -- use
-// MappedSegment for indexed access). Throws std::runtime_error with
-// the absolute byte offset on any malformed input.
-class BinaryTraceReader {
- public:
-  // Reads and validates the header immediately.
-  explicit BinaryTraceReader(std::istream& in);
-
-  // Returns false at a clean end of stream. The string_view overload
-  // avoids a per-record key copy; the view stays valid for the
-  // reader's lifetime (the interned table never discards entries).
-  bool next(std::string_view& key, Operation& op);
-  bool next(KeyedOperation& out);
-
-  std::size_t key_count() const { return keys_.size(); }
-  const std::string& key(std::uint32_t id) const { return keys_[id]; }
-  std::uint64_t records_read() const { return records_read_; }
-  std::uint16_t version() const { return version_; }
-
- private:
-  bool load_chunk();  // false at clean EOF (v2: at the footer sentinel)
-
-  std::istream* in_;
-  std::uint16_t version_ = kBinaryTraceVersion;
-  // deque: growth never moves existing strings, so string_views handed
-  // to the caller stay valid across chunk loads.
-  std::deque<std::string> keys_;
-  std::vector<unsigned char> buffer_;  // current chunk's record payload
-  std::size_t buffer_pos_ = 0;
-  std::uint64_t records_read_ = 0;
-  std::uint64_t offset_ = 0;  // absolute byte offset, for error messages
-};
-
-// Whole-trace convenience wrappers, mirroring history/serialization.h.
-// `version` selects the on-disk format: kBinaryTraceVersion (chunked
-// stream, records_per_chunk-sized chunks in arrival order) or
+// Whole-trace writers, mirroring history/serialization.h. `version`
+// selects the on-disk format: kBinaryTraceVersion (chunked stream,
+// records_per_chunk-sized chunks in arrival order) or
 // kBinaryTraceVersion2 (indexed segment via store/segment_writer.h;
 // records grouped into per-key blocks of at most records_per_chunk,
-// key-table + index footer appended). Readers accept both.
+// key-table + index footer appended). drain(*open_trace_source(path))
+// reads either back.
 void write_binary_trace(std::ostream& out, const KeyedTrace& trace,
                         std::size_t records_per_chunk = 4096,
                         std::uint16_t version = kBinaryTraceVersion);
 void write_binary_trace_file(const std::string& path, const KeyedTrace& trace,
                              std::uint16_t version = kBinaryTraceVersion);
-KeyedTrace read_binary_trace(std::istream& in);
-KeyedTrace read_binary_trace_file(const std::string& path);
 
 // Format sniffing: true iff the file starts with the .kavb magic. To
 // read a file of either format, use drain(*open_trace_source(path))
 // (ingest/trace_source.h).
 bool is_binary_trace_file(const std::string& path);
-
-// Lossless format converters. text -> binary loads the trace (the text
-// reader is whole-stream) and can emit either version; binary -> text
-// streams record by record and reads either version.
-void convert_text_to_binary(std::istream& text_in, std::ostream& binary_out,
-                            std::uint16_t version = kBinaryTraceVersion);
-void convert_binary_to_text(std::istream& binary_in, std::ostream& text_out);
 
 }  // namespace kav
 

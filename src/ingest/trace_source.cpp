@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "history/serialization.h"
+#include "ingest/binary_trace.h"
 #include "store/indexed_source.h"
 
 namespace kav {
@@ -39,27 +40,35 @@ std::string TextFileTraceSource::describe() const { return "text:" + path_; }
 
 namespace {
 
-// Turns an unopenable path into a clear error before BinaryTraceReader
-// would report a confusing truncated-header one.
-const std::string& require_readable(const std::string& path) {
-  std::ifstream probe(path, std::ios::binary);
-  if (!probe) throw std::runtime_error("cannot open trace file: " + path);
-  return path;
-}
+// How far the cursor runs between page releases: large enough that the
+// madvise calls cost nothing measurable, small enough that the resident
+// window stays a rounding error next to the decoded trace.
+constexpr std::uint64_t kReleaseStride = std::uint64_t{1} << 20;
 
 }  // namespace
 
-BinaryFileTraceSource::BinaryFileTraceSource(const std::string& path)
-    : path_(path),
-      in_(require_readable(path), std::ios::binary),
-      reader_(in_) {}
+BinaryFileTraceSource::BinaryFileTraceSource(
+    std::unique_ptr<MappedSegment> segment)
+    : segment_(std::move(segment)), cursor_(segment_->cursor()) {}
 
 bool BinaryFileTraceSource::next(KeyedOperation& out) {
-  return reader_.next(out);
+  std::string_view key;
+  if (!cursor_.next(key, out.op)) {
+    // The stream is done, but the caller often keeps the source alive
+    // while it decides: drop the last window too.
+    segment_->release_below(segment_->size_bytes());
+    return false;
+  }
+  out.key.assign(key);
+  if (cursor_.offset() >= next_release_) {
+    segment_->release_below(cursor_.offset());
+    next_release_ = cursor_.offset() + kReleaseStride;
+  }
+  return true;
 }
 
 std::string BinaryFileTraceSource::describe() const {
-  return "binary:" + path_;
+  return "binary:" + segment_->path();
 }
 
 // --- PushTraceSource -------------------------------------------------------
@@ -145,12 +154,13 @@ std::string PushTraceSource::describe() const {
 
 std::unique_ptr<TraceSource> open_trace_source(const std::string& path) {
   if (is_binary_trace_file(path)) {
-    // Indexed v2 segments open mmap-backed with the selective
-    // interface; v1 (and unsealed v2) files stream chunk by chunk.
-    // A file claiming an index it cannot back up (corrupt footer)
-    // throws here rather than silently degrading.
-    if (auto indexed = IndexedTraceSource::try_open(path)) return indexed;
-    return std::make_unique<BinaryFileTraceSource>(path);
+    auto segment = std::make_unique<MappedSegment>(path);
+    if (!segment->indexed()) {
+      return std::make_unique<BinaryFileTraceSource>(std::move(segment));
+    }
+    return std::make_unique<IndexedTraceSource>(
+        std::vector<std::shared_ptr<const MappedSegment>>{std::move(segment)},
+        "indexed:" + path);
   }
   return std::make_unique<TextFileTraceSource>(path);
 }

@@ -8,24 +8,25 @@
 //
 // Sources are single-pass: next() walks the stream once. File sources
 // detect format by magic bytes (open_trace_source), never by file
-// extension; drain() pulls any source into a KeyedTrace. Memory cost: binary file sources and push sources are
-// truly streaming (O(chunk) / O(capacity)); text file sources load the
-// whole trace at construction, which is inherent to the line-oriented
-// text format.
+// extension; drain() pulls any source into a KeyedTrace. Memory cost:
+// binary file sources map the file and keep O(1 MiB) of it resident
+// (pages behind the cursor are released as it advances), push sources
+// hold O(capacity); text file sources load the whole trace at
+// construction, which is inherent to the line-oriented text format.
 #ifndef KAV_INGEST_TRACE_SOURCE_H
 #define KAV_INGEST_TRACE_SOURCE_H
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <fstream>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "history/history.h"
 #include "history/keyed_trace.h"
-#include "ingest/binary_trace.h"
+#include "store/mapped_segment.h"
 #include "util/thread_safety.h"
 
 namespace kav {
@@ -116,20 +117,23 @@ class TextFileTraceSource final : public TraceSource {
   std::size_t pos_ = 0;
 };
 
-// Binary .kavb file (ingest/binary_trace.h): true streaming, one chunk
-// in memory at a time. Throws std::runtime_error with a byte offset on
-// malformed input.
+// Unindexed binary .kavb file (v1, or a v2 segment that was never
+// sealed), walked sequentially by a MappedSegment::Cursor. The source
+// owns the mapping outright, so it releases the pages behind the
+// cursor as it goes, and the rest when the stream ends: resident
+// memory stays O(1 MiB) however large the file. Throws std::runtime_error with a byte offset on malformed
+// input.
 class BinaryFileTraceSource final : public TraceSource {
  public:
-  explicit BinaryFileTraceSource(const std::string& path);
+  explicit BinaryFileTraceSource(std::unique_ptr<MappedSegment> segment);
 
   bool next(KeyedOperation& out) override;
   std::string describe() const override;
 
  private:
-  std::string path_;
-  std::ifstream in_;
-  BinaryTraceReader reader_;
+  std::unique_ptr<MappedSegment> segment_;
+  MappedSegment::Cursor cursor_;
+  std::uint64_t next_release_ = 0;  // cursor offset of the next release
 };
 
 // Incremental push source: producers push() completed operations from
@@ -195,8 +199,12 @@ class PushTraceSource final : public TraceSource {
 };
 
 // Opens a trace file as a source, deciding text vs binary by magic
-// bytes (never by extension). Throws std::runtime_error when the file
-// cannot be opened or its header is malformed.
+// bytes (never by extension). A binary file is mapped once: an indexed
+// (sealed v2) segment becomes an IndexedTraceSource
+// (store/indexed_source.h), anything else a BinaryFileTraceSource over
+// the same mapping. Throws std::runtime_error when the file cannot be
+// opened, its header is malformed, or it claims an index it cannot
+// back up (corrupt footer).
 std::unique_ptr<TraceSource> open_trace_source(const std::string& path);
 
 // Pulls a source dry into a KeyedTrace; drain(*open_trace_source(path))

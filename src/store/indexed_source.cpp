@@ -1,12 +1,10 @@
 #include "store/indexed_source.h"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 #include <stdexcept>
 #include <utility>
 
-#include "ingest/binary_trace.h"
 #include "store/block_cursor.h"
 
 namespace kav {
@@ -36,29 +34,6 @@ IndexedTraceSource::IndexedTraceSource(
                                   segment->path());
     }
   }
-}
-
-std::unique_ptr<IndexedTraceSource> IndexedTraceSource::try_open(
-    const std::string& path) {
-  // Cheap 8-byte probe before mapping anything: only version-2 files
-  // can carry an index, and on a platform without mmap constructing a
-  // MappedSegment would read the whole file into memory just to
-  // discover a v1 stream and throw it away. Short or non-v2 files are
-  // the sequential reader's to handle (including its error messages).
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("cannot open trace file: " + path);
-    unsigned char header[kBinaryTraceHeaderBytes];
-    in.read(reinterpret_cast<char*>(header), sizeof header);
-    if (static_cast<std::size_t>(in.gcount()) != sizeof header) return nullptr;
-    if (wire::load_u32(header) != kBinaryTraceMagic) return nullptr;
-    if (wire::load_u16(header + 4) != kBinaryTraceVersion2) return nullptr;
-  }
-  auto segment = std::make_shared<const MappedSegment>(path);
-  if (!segment->indexed()) return nullptr;
-  return std::make_unique<IndexedTraceSource>(
-      std::vector<std::shared_ptr<const MappedSegment>>{std::move(segment)},
-      "indexed:" + path);
 }
 
 bool IndexedTraceSource::next(KeyedOperation& out) {

@@ -37,18 +37,13 @@ class IndexedTraceSource final : public SelectiveTraceSource {
   // Opens one segment file; throws std::runtime_error when the file
   // cannot be opened, is not a .kavb trace, or carries a corrupt
   // index, and std::invalid_argument when it is merely unindexed (v1
-  // or unsealed v2) -- callers wanting a graceful fallback use
-  // try_open.
+  // or unsealed v2) -- open_trace_source (ingest/trace_source.h) falls
+  // back to sequential access instead.
   explicit IndexedTraceSource(const std::string& path);
   // Wraps already-open segments (the TraceStore path). Every segment
   // must be indexed. `label` is used by describe().
   IndexedTraceSource(std::vector<std::shared_ptr<const MappedSegment>> segments,
                      std::string label);
-
-  // nullptr when `path` is readable .kavb but has no index (v1 or
-  // unsealed v2) -- the caller should fall back to sequential access.
-  // Throws like the constructor on unreadable files or corrupt indexes.
-  static std::unique_ptr<IndexedTraceSource> try_open(const std::string& path);
 
   bool next(KeyedOperation& out) override;
   std::string describe() const override;

@@ -362,13 +362,7 @@ std::uint64_t MappedSegment::block_records_begin(const BlockEntry& block) const 
     fail(block.offset,
          "implausible chunk key count " + std::to_string(new_keys));
   }
-  for (std::uint32_t k = 0; k < new_keys; ++k) {
-    if (records_end_ - off < 2) fail(off, "truncated key length");
-    const std::uint16_t length = load_u16(at(off));
-    off += 2;
-    if (records_end_ - off < length) fail(off, "truncated key bytes");
-    off += length;
-  }
+  off = walk_key_entries(off, new_keys, nullptr);
   if (records_end_ - off <
       static_cast<std::uint64_t>(records) * kBinaryTraceRecordBytes) {
     fail(off, "block extent points past the end of the record region");
@@ -378,18 +372,38 @@ std::uint64_t MappedSegment::block_records_begin(const BlockEntry& block) const 
   // mapped -- header, key entries, records -- so no corrupt byte can
   // reach a decoder.
   if (has_integrity_ && options_.verify_block_crc) {
-    const std::uint64_t end =
-        off + static_cast<std::uint64_t>(records) * kBinaryTraceRecordBytes;
-    const std::uint32_t computed =
-        crc::crc32c(at(block.offset), end - block.offset);
-    if (computed != block.crc) {
-      if (options_.crc_failures != nullptr) options_.crc_failures->add(1);
-      fail(block.offset, "block checksum mismatch (stored " +
-                             hex32(block.crc) + ", computed " +
-                             hex32(computed) + ")");
-    }
+    check_chunk_crc(
+        block.offset,
+        off + static_cast<std::uint64_t>(records) * kBinaryTraceRecordBytes,
+        block.crc);
   }
   return off;
+}
+
+std::uint64_t MappedSegment::walk_key_entries(
+    std::uint64_t off, std::uint32_t count,
+    std::vector<std::string_view>* keys) const {
+  for (std::uint32_t k = 0; k < count; ++k) {
+    if (records_end_ - off < 2) fail(off, "truncated key length");
+    const std::uint16_t length = load_u16(at(off));
+    off += 2;
+    if (records_end_ - off < length) fail(off, "truncated key bytes");
+    if (keys != nullptr) {
+      keys->emplace_back(reinterpret_cast<const char*>(at(off)), length);
+    }
+    off += length;
+  }
+  return off;
+}
+
+void MappedSegment::check_chunk_crc(std::uint64_t begin, std::uint64_t end,
+                                    std::uint32_t stored) const {
+  const std::uint32_t computed = crc::crc32c(at(begin), end - begin);
+  if (computed != stored) {
+    if (options_.crc_failures != nullptr) options_.crc_failures->add(1);
+    fail(begin, "block checksum mismatch (stored " + hex32(stored) +
+                    ", computed " + hex32(computed) + ")");
+  }
 }
 
 std::vector<Operation> MappedSegment::read_key(std::string_view key) const {
@@ -456,20 +470,7 @@ bool MappedSegment::Cursor::next(std::string_view& key, Operation& op) {
       seg.fail(offset_, "empty chunk");
     }
     const std::uint64_t chunk_start = offset_;
-    offset_ += 8;
-    for (std::uint32_t k = 0; k < new_keys; ++k) {
-      if (seg.records_end_ - offset_ < 2) {
-        seg.fail(offset_, "truncated key length");
-      }
-      const std::uint16_t length = wire::load_u16(seg.at(offset_));
-      offset_ += 2;
-      if (seg.records_end_ - offset_ < length) {
-        seg.fail(offset_, "truncated key bytes");
-      }
-      keys_.emplace_back(reinterpret_cast<const char*>(seg.at(offset_)),
-                         length);
-      offset_ += length;
-    }
+    offset_ = seg.walk_key_entries(offset_ + 8, new_keys, &keys_);
     // v2.1: the whole chunk is covered by its CRC page slot, so the
     // sequential path is as tamper-evident as the indexed one. Every
     // chunk of a sealed v2.1 file IS a block, so an offset the index
@@ -487,16 +488,7 @@ bool MappedSegment::Cursor::next(std::string_view& key, Operation& op) {
       if (it == seg.chunk_crcs_.end() || it->first != chunk_start) {
         seg.fail(chunk_start, "chunk not present in the block index");
       }
-      const std::uint32_t computed =
-          crc::crc32c(seg.at(chunk_start), chunk_end - chunk_start);
-      if (computed != it->second) {
-        if (seg.options_.crc_failures != nullptr) {
-          seg.options_.crc_failures->add(1);
-        }
-        seg.fail(chunk_start, "block checksum mismatch (stored " +
-                                  hex32(it->second) + ", computed " +
-                                  hex32(computed) + ")");
-      }
+      seg.check_chunk_crc(chunk_start, chunk_end, it->second);
     }
     chunk_records_ = records;
   }
@@ -515,13 +507,21 @@ bool MappedSegment::Cursor::next(std::string_view& key, Operation& op) {
   return true;
 }
 
-KeyedTrace MappedSegment::read_all() const {
-  KeyedTrace trace;
-  Cursor walk = cursor();
-  std::string_view key;
-  Operation op;
-  while (walk.next(key, op)) trace.add(std::string(key), op);
-  return trace;
+void MappedSegment::release_below(std::uint64_t offset) {
+#if KAV_STORE_HAVE_MMAP
+  if (map_base_ == nullptr) return;
+  static const std::uint64_t page =
+      static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  const std::uint64_t end = std::min<std::uint64_t>(offset, size_) / page * page;
+  if (end <= released_) return;
+  // The range starts on a page boundary: map_base_ is page-aligned and
+  // released_ is always a multiple of the page size.
+  ::madvise(static_cast<unsigned char*>(map_base_) + released_,
+            end - released_, MADV_DONTNEED);
+  released_ = end;
+#else
+  (void)offset;
+#endif
 }
 
 std::uint64_t MappedSegment::verify_integrity(

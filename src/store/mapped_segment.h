@@ -11,9 +11,11 @@
 // workers can decode different keys of one MappedSegment concurrently
 // (the Engine's index-driven sharding does exactly that).
 //
-// v1 files (and v2 files whose footer is absent, e.g. a writer died
-// mid-seal) open with indexed() == false: sequential access via
-// Cursor/read_all still works, selective access does not.
+// MappedSegment is the one decoder of .kavb bytes: open_trace_source
+// (ingest/trace_source.h) maps every binary file through it. v1 files
+// (and v2 files whose footer is absent, e.g. a writer died mid-seal)
+// open with indexed() == false: sequential access via Cursor still
+// works, selective access does not.
 //
 // v2.1 footers (trailer magic 'KAVJ') add integrity pages: a CRC32C
 // per block, verified transparently on every read path (read_key,
@@ -108,10 +110,13 @@ class MappedSegment {
 
   // Sequential zero-copy walk over the whole record stream (works for
   // v1 and unindexed files too). The string_view points into the
-  // mapping and stays valid for the segment's lifetime.
+  // mapping and stays valid for the segment's lifetime. Throws
+  // std::runtime_error naming the byte offset on malformed input.
   class Cursor {
    public:
     bool next(std::string_view& key, Operation& op);
+    // Offset of the next unread byte.
+    std::uint64_t offset() const { return offset_; }
 
    private:
     friend class MappedSegment;
@@ -123,7 +128,13 @@ class MappedSegment {
   };
   Cursor cursor() const { return Cursor(this); }
 
-  KeyedTrace read_all() const;  // drain a cursor
+  // Returns the resident pages wholly below `offset` to the kernel, so
+  // a single pass over a large file need not keep all of it in memory.
+  // A later read of those bytes refaults them from the
+  // file, so views stay valid. Only for a reader that owns the mapping
+  // outright: shared store segments serve concurrent index reads,
+  // which would refault what this drops. No-op without mmap.
+  void release_below(std::uint64_t offset);
 
   // Deep scan for TraceStore::fsck(): re-validates every block's
   // structure and checksum, decodes every record, and self-checks the
@@ -161,6 +172,15 @@ class MappedSegment {
   // its first record. Shared by read_key and BlockCursor so both paths
   // reject corruption with identical errors.
   std::uint64_t block_records_begin(const BlockEntry& block) const;
+  // Walks `count` key-table entries of a chunk from `off`, bounds-checked
+  // against the record region; appends each key to `keys` when non-null.
+  // Returns the offset past the entries.
+  std::uint64_t walk_key_entries(std::uint64_t off, std::uint32_t count,
+                                 std::vector<std::string_view>* keys) const;
+  // The v2.1 integrity gate shared by every read path: throws (and
+  // counts in crc_failures) unless [begin, end) hashes to `stored`.
+  void check_chunk_crc(std::uint64_t begin, std::uint64_t end,
+                       std::uint32_t stored) const;
   void unmap() noexcept;
 
   std::string path_;
@@ -168,6 +188,7 @@ class MappedSegment {
   const unsigned char* data_ = nullptr;
   std::size_t size_ = 0;
   void* map_base_ = nullptr;                 // non-null iff mmap succeeded
+  std::uint64_t released_ = 0;               // release_below high-water mark
   std::vector<unsigned char> heap_fallback_; // used when mmap unavailable
   std::uint16_t version_ = 0;
   bool indexed_ = false;

@@ -159,8 +159,10 @@ class TraceStore {
                                std::size_t records_per_block = 4096)
       KAV_EXCLUDES(writer_mutex_);
   // Streams a trace file in any readable format (text, .kavb v1 or
-  // v2) into a new indexed segment -- O(chunk) memory for binary
-  // inputs. Returns the new segment's path.
+  // v2) into a new indexed segment. A binary input is mapped, not
+  // loaded: an unindexed one keeps about 1 MiB resident as it is
+  // walked, an indexed one is paged in by the kernel as it is read.
+  // Returns the new segment's path.
   std::filesystem::path import_file(const std::string& path,
                                     std::size_t records_per_block = 4096)
       KAV_EXCLUDES(writer_mutex_);

@@ -4,6 +4,8 @@
 // following non-boolean token (`--json trace.kavb`) hands it back as a
 // positional at get_bool time. Unknown flags are an error so typos
 // fail loudly rather than silently running a default experiment.
+// parse_listen_address() reads the --listen=[ADDR:]PORT value the
+// telemetry-serving examples share.
 #ifndef KAV_UTIL_FLAGS_H
 #define KAV_UTIL_FLAGS_H
 
@@ -92,6 +94,35 @@ class Flags {
   std::set<std::string> known_;
   std::vector<std::string> positional_;
 };
+
+// A --listen=[ADDR:]PORT value.
+struct ListenAddress {
+  std::string address = "127.0.0.1";
+  int port = 0;  // 0 = ephemeral
+};
+
+// Parses [ADDR:]PORT, splitting at the last ':'. The port must be a
+// plain decimal number in [0, 65535]; anything else ("80abc", "-5",
+// "70000", "") throws std::invalid_argument instead of binding some
+// other port.
+inline ListenAddress parse_listen_address(const std::string& text) {
+  ListenAddress listen;
+  std::string port = text;
+  const std::size_t colon = text.rfind(':');
+  if (colon != std::string::npos) {
+    listen.address = text.substr(0, colon);
+    port = text.substr(colon + 1);
+  }
+  // At most 5 digits, so stoi cannot overflow.
+  if (port.empty() || port.size() > 5 ||
+      port.find_first_not_of("0123456789") != std::string::npos ||
+      std::stoi(port) > 65535) {
+    throw std::invalid_argument("listen port must be a number in [0, 65535], "
+                                "got \"" + port + "\"");
+  }
+  listen.port = std::stoi(port);
+  return listen;
+}
 
 }  // namespace kav
 

@@ -1,0 +1,197 @@
+// Hostile bytes on the one sequential .kavb decoder: every single-byte
+// mutation and every truncation of a small v1 file and of an unsealed
+// v2 segment, each read the way callers read trace files --
+// drain(*open_trace_source(path)). A read must either return a trace
+// or throw std::runtime_error; a binary-sniffed file's error must name
+// the byte offset. The untouched files round-trip exactly.
+//
+// Also enforces the sequential source's memory bound: draining a file
+// larger than 32 MiB keeps only O(1 MiB) of it resident (RssFile).
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+
+#include "history/keyed_trace.h"
+#include "ingest/wire.h"
+#include "ingest/binary_trace.h"
+#include "ingest/trace_source.h"
+#include "scratch_file.h"
+
+namespace kav {
+namespace {
+
+using testing_util::ScratchFile;
+
+KeyedTrace small_trace() {
+  KeyedTrace trace;
+  trace.add("alpha", make_write(0, 10, 42, 7));
+  trace.add("beta", make_write(-5, 3, 1));
+  trace.add("alpha", make_read(12, 20, 42));
+  trace.add("gamma", make_write(1, 2, 9, 1));
+  trace.add("beta", make_read(4, 9, 1, 3));
+  return trace;
+}
+
+std::string v1_bytes(const KeyedTrace& trace) {
+  std::stringstream out;
+  write_binary_trace(out, trace, /*records_per_chunk=*/2);
+  return out.str();
+}
+
+// A v2 segment whose writer died right after the footer sentinel: the
+// chunk stream ends cleanly, the index never landed.
+std::string unsealed_v2_bytes(const KeyedTrace& trace) {
+  std::stringstream out;
+  write_binary_trace(out, trace, /*records_per_chunk=*/2, kBinaryTraceVersion2);
+  std::string bytes = out.str();
+  const std::size_t trailer = bytes.size() - kBinaryTraceTrailerBytes;
+  const std::uint64_t payload_bytes = wire::load_u64(
+      reinterpret_cast<const unsigned char*>(bytes.data()) + trailer);
+  bytes.resize(trailer - payload_bytes);
+  return bytes;
+}
+
+// v2 streams records in block (per-key) order, so the exact round trip
+// is the same operations in the same order within each key.
+void expect_same_per_key(const KeyedTrace& expected, const KeyedTrace& got) {
+  ASSERT_EQ(expected.size(), got.size());
+  const KeyedHistories want = split_by_key(expected);
+  const KeyedHistories have = split_by_key(got);
+  for (const auto& [key, ops] : want.per_key) {
+    const History& back = have.per_key.at(key);
+    ASSERT_EQ(back.size(), ops.size()) << key;
+    for (OpId id = 0; id < ops.size(); ++id) {
+      EXPECT_EQ(back.op(id), ops.op(id)) << key << " op " << id;
+    }
+  }
+}
+
+// Reads `bytes` through `file`; fails the test unless the read returns
+// or throws std::runtime_error, with a byte offset when the bytes
+// still sniff as binary. Returns true when the read threw.
+bool read_or_reject(const ScratchFile& file, const std::string& bytes,
+                    const std::string& what) {
+  file.write(bytes);
+  try {
+    drain(*open_trace_source(file.path()));
+    return false;
+  } catch (const std::runtime_error& e) {
+    if (is_binary_trace_file(file.path())) {
+      EXPECT_NE(std::string(e.what()).find("at byte "), std::string::npos)
+          << what << ": " << e.what();
+    }
+    return true;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": non-runtime_error " << e.what();
+    return true;
+  }
+}
+
+void fuzz_every_byte(const KeyedTrace& trace, const std::string& clean) {
+  const ScratchFile file("mutant.kavb");
+  file.write(clean);
+  expect_same_per_key(trace, drain(*open_trace_source(file.path())));
+
+  std::size_t rejected = 0;
+  for (std::size_t at = 0; at < clean.size(); ++at) {
+    for (int delta = 1; delta < 256; ++delta) {
+      std::string bytes = clean;
+      bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) ^
+                                    static_cast<unsigned char>(delta));
+      rejected += read_or_reject(file, bytes,
+                                 "byte " + std::to_string(at) + " ^ " +
+                                     std::to_string(delta));
+    }
+  }
+  for (std::size_t length = 0; length < clean.size(); ++length) {
+    read_or_reject(file, clean.substr(0, length),
+                   "truncated to " + std::to_string(length));
+  }
+  // Sanity: the sweep hit the decoder's error paths, not just bytes it
+  // never reads.
+  EXPECT_GT(rejected, clean.size());
+}
+
+TEST(DecodeFuzz, EveryMutationOfAV1FileIsReadOrRejected) {
+  const KeyedTrace trace = small_trace();
+  {
+    // v1 keeps arrival order across keys too.
+    const ScratchFile file("clean.kavb");
+    file.write(v1_bytes(trace));
+    const KeyedTrace back = drain(*open_trace_source(file.path()));
+    ASSERT_EQ(back.size(), trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      EXPECT_EQ(back.ops[i].key, trace.ops[i].key) << "op " << i;
+      EXPECT_EQ(back.ops[i].op, trace.ops[i].op) << "op " << i;
+    }
+  }
+  fuzz_every_byte(trace, v1_bytes(trace));
+}
+
+TEST(DecodeFuzz, EveryMutationOfAnUnsealedV2FileIsReadOrRejected) {
+  const KeyedTrace trace = small_trace();
+  const std::string bytes = unsealed_v2_bytes(trace);
+  {
+    const ScratchFile file("unsealed.kavb");
+    file.write(bytes);
+    // Unsealed: served by the sequential source, not the index.
+    EXPECT_EQ(dynamic_cast<SelectiveTraceSource*>(
+                  open_trace_source(file.path()).get()),
+              nullptr);
+  }
+  fuzz_every_byte(trace, bytes);
+}
+
+// Resident file-backed pages of this process, in bytes.
+std::uint64_t rss_file_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("RssFile:", 0) == 0) {
+      return std::stoull(line.substr(8)) * 1024;  // reported in kB
+    }
+  }
+  return 0;
+}
+
+TEST(DecodeFuzz, DrainingALargeFileKeepsFewPagesResident) {
+  if (rss_file_bytes() == 0) GTEST_SKIP() << "no RssFile in /proc/self/status";
+  constexpr std::uint64_t kRecords = 1'050'000;  // ~33 MiB of records
+  const ScratchFile file("large.kavb");
+  {
+    std::ofstream out(file.path(), std::ios::binary);
+    BinaryTraceWriter writer(out);
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+      const auto t = static_cast<TimePoint>(10 * i);
+      writer.add("k" + std::to_string(i % 64),
+                 make_write(t, t + 5, static_cast<Value>(i)));
+    }
+    writer.flush();
+  }
+  {
+    std::ifstream in(file.path(), std::ios::binary | std::ios::ate);
+    ASSERT_GE(static_cast<std::uint64_t>(in.tellg()), 32u << 20);
+  }
+
+  const std::uint64_t before = rss_file_bytes();
+  std::uint64_t peak = before;
+  auto source = open_trace_source(file.path());
+  KeyedOperation kop;
+  std::uint64_t records = 0;
+  while (source->next(kop)) {
+    if (++records % 4096 == 0) peak = std::max(peak, rss_file_bytes());
+  }
+  peak = std::max(peak, rss_file_bytes());
+  EXPECT_EQ(records, kRecords);
+  EXPECT_LE(peak - before, std::uint64_t{4} << 20)
+      << "draining kept " << (peak - before) / 1024 << " KiB of the file "
+      << "resident";
+}
+
+}  // namespace
+}  // namespace kav

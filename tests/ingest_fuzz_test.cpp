@@ -2,7 +2,8 @@
 //
 //   1. format round-trips -- text -> binary -> text and binary ->
 //      text -> binary are byte-identical for randomized KeyedTraces
-//      (any trace the text format can express);
+//      (any trace the text format can express), every binary read
+//      going through drain(*open_trace_source(path));
 //   2. monitor-vs-batch differential -- on randomized multi-key traces
 //      delivered with bounded (in-slack, in-horizon) reordering,
 //      Engine::monitor must flag exactly the keys the serial batch
@@ -27,10 +28,13 @@
 #include "gen/mutators.h"
 #include "history/serialization.h"
 #include "ingest/binary_trace.h"
+#include "scratch_file.h"
 #include "util/rng.h"
 
 namespace kav {
 namespace {
+
+using testing_util::read_trace_bytes;
 
 constexpr std::uint64_t kDefaultSeed = 0x1265357ULL;
 
@@ -89,30 +93,25 @@ TEST(IngestFuzz, FormatRoundTripsAreLossless) {
 
     // text -> binary -> text: byte-identical text.
     const std::string text = format_trace(trace);
-    std::stringstream text_in(text);
     std::stringstream binary_mid;
-    convert_text_to_binary(text_in, binary_mid);
-    std::stringstream text_out;
-    convert_binary_to_text(binary_mid, text_out);
-    ASSERT_EQ(text_out.str(), text);
+    write_binary_trace(binary_mid, parse_trace(text));
+    ASSERT_EQ(format_trace(read_trace_bytes(binary_mid.str())), text);
 
-    // binary -> text -> binary: byte-identical binary, across chunk
-    // sizes on the original write (converters use the default size, so
-    // compare against a default-size original).
+    // binary -> text -> binary: byte-identical binary (default chunk
+    // size on both writes).
     std::stringstream binary_in;
     write_binary_trace(binary_in, trace);
     const std::string binary = binary_in.str();
-    std::stringstream text_mid;
-    convert_binary_to_text(binary_in, text_mid);
     std::stringstream binary_out;
-    convert_text_to_binary(text_mid, binary_out);
+    write_binary_trace(binary_out,
+                       parse_trace(format_trace(read_trace_bytes(binary))));
     ASSERT_EQ(binary_out.str(), binary);
 
     // And the parsed trace itself survives a binary round-trip through
     // a randomized chunk size.
     std::stringstream chunked;
     write_binary_trace(chunked, trace, 1 + rng.bounded(17));
-    const KeyedTrace back = read_binary_trace(chunked);
+    const KeyedTrace back = read_trace_bytes(chunked.str());
     ASSERT_EQ(back.size(), trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i) {
       ASSERT_EQ(back.ops[i].key, trace.ops[i].key) << "op " << i;

@@ -1,6 +1,7 @@
 // Unit tests for the ingest subsystem: the .kavb binary trace format
-// (header validation, chunking, key interning, corruption reporting),
-// the format converters, the ReorderBuffer's watermark contract, the
+// read through open_trace_source (header validation, chunking, key
+// interning, corruption reporting), text <-> binary conversion, the
+// ReorderBuffer's watermark contract, the
 // streaming checker's reuse hook, and the KeyedStreamingMonitor end to
 // end (including its bounded-window
 // guarantee on a long steady stream).
@@ -21,6 +22,8 @@
 #include "ingest/keyed_monitor.h"
 #include "ingest/reorder_buffer.h"
 #include "ingest/trace_source.h"
+#include "scratch_file.h"
+#include "store/mapped_segment.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -45,137 +48,154 @@ KeyedTrace sample_trace() {
 }
 
 // --- Binary format ---------------------------------------------------------
+//
+// Every read goes through drain(*open_trace_source(path)), the one path
+// callers use: the bytes are written to a per-test scratch file first.
+
+using testing_util::read_trace_bytes;
+using testing_util::ScratchFile;
+
+std::string binary_bytes(const KeyedTrace& trace,
+                         std::size_t records_per_chunk = 4096) {
+  std::stringstream buffer;
+  write_binary_trace(buffer, trace, records_per_chunk);
+  return buffer.str();
+}
+
+// Reads `bytes`, expecting a std::runtime_error whose message names a
+// byte offset and contains `needle`.
+void expect_read_error(const std::string& bytes, const std::string& needle) {
+  try {
+    read_trace_bytes(bytes);
+    FAIL() << "expected an error containing \"" << needle << "\"";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+    EXPECT_NE(what.find("at byte "), std::string::npos) << what;
+  }
+}
+
+// One-key, one-record file: header(8) + chunk header(8) + key entry
+// (2 + 1) puts the record at byte 19.
+constexpr std::size_t kRecordAt = 8 + 8 + 3;
 
 TEST(BinaryTrace, RoundTripPreservesEverything) {
   const KeyedTrace trace = sample_trace();
-  std::stringstream buffer;
-  write_binary_trace(buffer, trace);
-  expect_traces_equal(trace, read_binary_trace(buffer));
+  expect_traces_equal(trace, read_trace_bytes(binary_bytes(trace)));
 }
 
 TEST(BinaryTrace, EmptyTraceIsJustAHeader) {
-  std::stringstream buffer;
-  write_binary_trace(buffer, KeyedTrace{});
-  EXPECT_EQ(buffer.str().size(), kBinaryTraceHeaderBytes);
-  EXPECT_TRUE(read_binary_trace(buffer).empty());
+  const std::string bytes = binary_bytes(KeyedTrace{});
+  EXPECT_EQ(bytes.size(), kBinaryTraceHeaderBytes);
+  EXPECT_TRUE(read_trace_bytes(bytes).empty());
 }
 
 TEST(BinaryTrace, ChunkingIsInvisibleToTheReader) {
   const KeyedTrace trace = sample_trace();
   for (std::size_t chunk : {1u, 2u, 3u, 100u}) {
-    std::stringstream buffer;
-    write_binary_trace(buffer, trace, chunk);
-    expect_traces_equal(trace, read_binary_trace(buffer));
+    expect_traces_equal(trace, read_trace_bytes(binary_bytes(trace, chunk)));
   }
 }
 
 TEST(BinaryTrace, KeysAreInternedOncePerFile) {
-  // 3-record chunks split "alpha"'s uses across chunks; the table must
-  // still carry one entry per distinct key.
+  // 3-record chunks split "alpha"'s uses across chunks; the key bytes
+  // must still be written once, in the chunk that introduces them.
   const KeyedTrace trace = sample_trace();
-  std::stringstream buffer;
-  write_binary_trace(buffer, trace, 3);
-  BinaryTraceReader reader(buffer);
-  KeyedOperation kop;
-  while (reader.next(kop)) {
-  }
-  EXPECT_EQ(reader.key_count(), 2u);
-  EXPECT_EQ(reader.key(0), "alpha");
-  EXPECT_EQ(reader.key(1), "beta");
+  const std::string bytes = binary_bytes(trace, 3);
+  const auto occurrences = [&](const std::string& needle) {
+    std::size_t count = 0;
+    for (std::size_t at = bytes.find(needle); at != std::string::npos;
+         at = bytes.find(needle, at + 1)) {
+      ++count;
+    }
+    return count;
+  };
+  EXPECT_EQ(occurrences("alpha"), 1u);
+  EXPECT_EQ(occurrences("beta"), 1u);
+  expect_traces_equal(trace, read_trace_bytes(bytes));
 }
 
 TEST(BinaryTrace, BinaryKeysMayContainWhitespace) {
   KeyedTrace trace;
   trace.add("user profile:42\tshard 1", make_write(0, 5, 1));
-  std::stringstream buffer;
-  write_binary_trace(buffer, trace);
-  expect_traces_equal(trace, read_binary_trace(buffer));
+  expect_traces_equal(trace, read_trace_bytes(binary_bytes(trace)));
 }
 
 TEST(BinaryTrace, StreamingReaderYieldsStableViews) {
   const KeyedTrace trace = sample_trace();
-  std::stringstream buffer;
-  write_binary_trace(buffer, trace, 2);
-  BinaryTraceReader reader(buffer);
+  const ScratchFile file("views.kavb");
+  file.write(binary_bytes(trace, 2));
+  const MappedSegment segment(file.path());
+  MappedSegment::Cursor cursor = segment.cursor();
   std::vector<std::string_view> keys;
   std::string_view key;
   Operation op;
-  while (reader.next(key, op)) keys.push_back(key);
+  while (cursor.next(key, op)) keys.push_back(key);
   ASSERT_EQ(keys.size(), trace.size());
-  // Views handed out before later chunk loads must still be valid.
-  EXPECT_EQ(keys.front(), "alpha");
-  EXPECT_EQ(keys[2], "beta");
+  // Views handed out before later chunks were walked must still be
+  // valid.
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(keys[i], trace.ops[i].key) << "op " << i;
+  }
 }
 
 TEST(BinaryTrace, RejectsBadMagic) {
-  std::stringstream buffer("not a kavb file at all");
+  // Without the magic a file is not binary at all: open_trace_source
+  // hands it to the text parser, which rejects it by line.
+  EXPECT_THROW(read_trace_bytes("not a kavb file at all"), std::runtime_error);
+  // The binary decoder itself names the problem.
+  const ScratchFile file("magic.kavb");
+  file.write("not a kavb file at all");
   try {
-    read_binary_trace(buffer);
-    FAIL() << "expected a parse error";
+    const MappedSegment segment(file.path());
+    FAIL() << "expected a bad-magic error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos);
   }
 }
 
 TEST(BinaryTrace, RejectsUnsupportedVersion) {
-  const KeyedTrace trace = sample_trace();
-  std::stringstream buffer;
-  write_binary_trace(buffer, trace);
-  std::string bytes = buffer.str();
+  std::string bytes = binary_bytes(sample_trace());
   bytes[4] = '\x07';  // version low byte
-  std::stringstream patched(bytes);
-  try {
-    read_binary_trace(patched);
-    FAIL() << "expected a version error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version 7"), std::string::npos);
-  }
+  expect_read_error(bytes, "version 7");
 }
 
 TEST(BinaryTrace, ReportsTruncationWithByteOffset) {
-  const KeyedTrace trace = sample_trace();
-  std::stringstream buffer;
-  write_binary_trace(buffer, trace);
-  const std::string bytes = buffer.str();
+  const std::string bytes = binary_bytes(sample_trace());
   // Chop mid-record; the reader must say what it was reading and where.
-  std::stringstream truncated(bytes.substr(0, bytes.size() - 5));
-  try {
-    read_binary_trace(truncated);
-    FAIL() << "expected a truncation error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("truncated"), std::string::npos) << what;
-    EXPECT_NE(what.find("byte"), std::string::npos) << what;
-  }
+  expect_read_error(bytes.substr(0, bytes.size() - 5), "truncated");
+  // And mid-header.
+  expect_read_error(bytes.substr(0, 5), "truncated header");
+}
+
+TEST(BinaryTrace, RejectsEmptyChunk) {
+  std::string bytes = binary_bytes(KeyedTrace{});
+  bytes.append(8, '\0');  // chunk header: 0 new keys, 0 records
+  expect_read_error(bytes, "empty chunk");
 }
 
 TEST(BinaryTrace, RejectsOutOfRangeKeyId) {
   KeyedTrace trace;
   trace.add("k", make_write(0, 5, 1));
-  std::stringstream buffer;
-  write_binary_trace(buffer, trace);
-  std::string bytes = buffer.str();
-  // Record starts after header(8) + chunk header(8) + key entry(2+1).
-  const std::size_t record_at = 8 + 8 + 3;
-  bytes[record_at] = '\x09';  // key_id = 9, table has 1 entry
-  std::stringstream patched(bytes);
-  try {
-    read_binary_trace(patched);
-    FAIL() << "expected a key id error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("key id 9"), std::string::npos);
-  }
+  std::string bytes = binary_bytes(trace);
+  bytes[kRecordAt] = '\x09';  // key_id = 9, table has 1 entry
+  expect_read_error(bytes, "key id 9");
 }
 
 TEST(BinaryTrace, RejectsBadTypeByte) {
   KeyedTrace trace;
   trace.add("k", make_write(0, 5, 1));
-  std::stringstream buffer;
-  write_binary_trace(buffer, trace);
-  std::string bytes = buffer.str();
+  std::string bytes = binary_bytes(trace);
   bytes[bytes.size() - 1] = '\x05';  // type byte is the record's last
-  std::stringstream patched(bytes);
-  EXPECT_THROW(read_binary_trace(patched), std::runtime_error);
+  expect_read_error(bytes, "bad record type byte 5");
+}
+
+TEST(BinaryTrace, RejectsStartNotBeforeFinish) {
+  KeyedTrace trace;
+  trace.add("k", make_write(0, 5, 1));
+  std::string bytes = binary_bytes(trace);
+  bytes[kRecordAt + 4] = '\x05';  // start (low byte) = 5 = finish
+  expect_read_error(bytes, "start must be < finish");
 }
 
 TEST(BinaryTrace, WriterRejectsMalformedIntervals) {
@@ -186,38 +206,28 @@ TEST(BinaryTrace, WriterRejectsMalformedIntervals) {
 
 TEST(BinaryTrace, FileRoundTripAndSniffing) {
   const KeyedTrace trace = sample_trace();
-  const std::string dir = testing::TempDir();
-  const std::string binary_path = dir + "/kav_ingest_test.kavb";
-  const std::string text_path = dir + "/kav_ingest_test.trace";
-  write_binary_trace_file(binary_path, trace);
-  write_trace_file(text_path, trace);
-  EXPECT_TRUE(is_binary_trace_file(binary_path));
-  EXPECT_FALSE(is_binary_trace_file(text_path));
-  expect_traces_equal(trace, drain(*open_trace_source(binary_path)));
-  expect_traces_equal(trace, drain(*open_trace_source(text_path)));
-  std::remove(binary_path.c_str());
-  std::remove(text_path.c_str());
+  const ScratchFile binary("trace.kavb");
+  const ScratchFile text("trace.txt");
+  write_binary_trace_file(binary.path(), trace);
+  write_trace_file(text.path(), trace);
+  EXPECT_TRUE(is_binary_trace_file(binary.path()));
+  EXPECT_FALSE(is_binary_trace_file(text.path()));
+  expect_traces_equal(trace, drain(*open_trace_source(binary.path())));
+  expect_traces_equal(trace, drain(*open_trace_source(text.path())));
 }
 
 TEST(BinaryTrace, ConvertersAreLossless) {
+  // Conversion is composition: read_trace / format_trace on the text
+  // side, write_binary_trace / open_trace_source on the binary side.
   const KeyedTrace trace = sample_trace();
+  const std::string text = format_trace(trace);
   // text -> binary -> text reproduces the text bytes exactly.
-  std::stringstream text_in(format_trace(trace));
-  std::stringstream binary_out;
-  convert_text_to_binary(text_in, binary_out);
-  std::stringstream text_out;
-  convert_binary_to_text(binary_out, text_out);
-  EXPECT_EQ(text_out.str(), format_trace(trace));
-  // binary -> text -> binary reproduces the binary bytes exactly
-  // (default chunk size on both sides).
-  std::stringstream binary_in;
-  write_binary_trace(binary_in, trace);
-  const std::string original = binary_in.str();
-  std::stringstream text_mid;
-  convert_binary_to_text(binary_in, text_mid);
-  std::stringstream binary_back;
-  convert_text_to_binary(text_mid, binary_back);
-  EXPECT_EQ(binary_back.str(), original);
+  EXPECT_EQ(format_trace(read_trace_bytes(binary_bytes(parse_trace(text)))),
+            text);
+  // binary -> text -> binary reproduces the binary bytes exactly.
+  const std::string binary = binary_bytes(trace);
+  EXPECT_EQ(binary_bytes(parse_trace(format_trace(read_trace_bytes(binary)))),
+            binary);
 }
 
 // --- ReorderBuffer ---------------------------------------------------------

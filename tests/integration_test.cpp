@@ -25,6 +25,7 @@
 #include "history/serialization.h"
 #include "ingest/binary_trace.h"
 #include "quorum/sim.h"
+#include "scratch_file.h"
 
 namespace kav {
 namespace {
@@ -76,7 +77,8 @@ TEST_P(PipelineSweep, BinarySerializationIsLossless) {
   const quorum::SimResult sim = simulate();
   std::stringstream buffer;
   write_binary_trace(buffer, sim.trace);
-  const KeyedTrace round_tripped = read_binary_trace(buffer);
+  const KeyedTrace round_tripped =
+      testing_util::read_trace_bytes(buffer.str());
   ASSERT_EQ(round_tripped.size(), sim.trace.size());
   for (std::size_t i = 0; i < sim.trace.size(); ++i) {
     EXPECT_EQ(round_tripped.ops[i].key, sim.trace.ops[i].key);

@@ -27,6 +27,7 @@
 #include "ingest/binary_trace.h"
 #include "ingest/trace_source.h"
 #include "pipeline/thread_pool.h"
+#include "scratch_file.h"
 #include "store/bloom.h"
 #include "store/indexed_source.h"
 #include "store/mapped_segment.h"
@@ -91,6 +92,16 @@ void expect_same_keyed_content(const KeyedTrace& a, const KeyedTrace& b) {
           << ita->first << " op " << i;
     }
   }
+}
+
+// Every record of `segment` in stream order, via its sequential cursor.
+KeyedTrace walk(const MappedSegment& segment) {
+  KeyedTrace trace;
+  MappedSegment::Cursor cursor = segment.cursor();
+  std::string_view key;
+  Operation op;
+  while (cursor.next(key, op)) trace.add(std::string(key), op);
+  return trace;
 }
 
 std::vector<Operation> ops_of(const KeyedTrace& trace,
@@ -193,13 +204,12 @@ std::string to_legacy_v2(const std::string& bytes) {
 
 TEST(SegmentWriter, V2StreamIsReadableBySequentialReader) {
   const KeyedTrace trace = sample_trace();
-  std::stringstream buffer;
-  write_binary_trace(buffer, trace, 4096, kBinaryTraceVersion2);
-  BinaryTraceReader reader(buffer);
-  EXPECT_EQ(reader.version(), kBinaryTraceVersion2);
-  KeyedTrace decoded;
-  KeyedOperation kop;
-  while (reader.next(kop)) decoded.ops.push_back(kop);
+  TempDir dir("v2_sequential");
+  const MappedSegment segment(write_v2_file(dir, "seg.kavb", trace));
+  EXPECT_EQ(segment.version(), kBinaryTraceVersion2);
+  // The cursor ignores the index: it walks the chunk stream and stops
+  // at the footer sentinel.
+  const KeyedTrace decoded = walk(segment);
   EXPECT_EQ(decoded.size(), trace.size());
   expect_same_keyed_content(trace, decoded);
 }
@@ -209,7 +219,8 @@ TEST(SegmentWriter, SmallBlocksRoundTrip) {
   for (const std::size_t block : {1u, 2u, 3u}) {
     std::stringstream buffer;
     write_binary_trace(buffer, trace, block, kBinaryTraceVersion2);
-    expect_same_keyed_content(trace, read_binary_trace(buffer));
+    expect_same_keyed_content(trace,
+                              testing_util::read_trace_bytes(buffer.str()));
   }
 }
 
@@ -229,7 +240,8 @@ TEST(SegmentWriter, EvictionUnderMemoryPressureKeepsPerKeyOrder) {
   EXPECT_EQ(stats.records, 100u);
   EXPECT_EQ(stats.keys, 7u);
   EXPECT_GT(stats.blocks, 7u);  // eviction forced multiple blocks per key
-  expect_same_keyed_content(trace, read_binary_trace(buffer));
+  expect_same_keyed_content(trace,
+                            testing_util::read_trace_bytes(buffer.str()));
 }
 
 TEST(SegmentWriter, AddAfterFinishThrows) {
@@ -274,7 +286,7 @@ TEST(MappedSegment, ParsesIndexAndServesSelectiveReads) {
     EXPECT_EQ(segment.read_key(key), ops_of(trace, key)) << key;
   }
   EXPECT_TRUE(segment.read_key("absent").empty());
-  expect_same_keyed_content(trace, segment.read_all());
+  expect_same_keyed_content(trace, walk(segment));
 }
 
 TEST(MappedSegment, ReadsV1FilesUnindexed) {
@@ -286,7 +298,7 @@ TEST(MappedSegment, ReadsV1FilesUnindexed) {
   MappedSegment segment(path);
   EXPECT_FALSE(segment.indexed());
   EXPECT_EQ(segment.version(), kBinaryTraceVersion);
-  expect_same_keyed_content(trace, segment.read_all());
+  expect_same_keyed_content(trace, walk(segment));
   EXPECT_THROW(segment.read_key("alpha"), std::logic_error);
 }
 
@@ -297,7 +309,7 @@ TEST(MappedSegment, EmptyV2SegmentIsIndexedAndEmpty) {
   EXPECT_TRUE(segment.indexed());
   EXPECT_EQ(segment.key_count(), 0u);
   EXPECT_EQ(segment.total_records(), 0u);
-  EXPECT_TRUE(segment.read_all().empty());
+  EXPECT_TRUE(walk(segment).empty());
 }
 
 // --- Error paths -----------------------------------------------------------
@@ -388,7 +400,7 @@ TEST(StoreErrors, ChoppedFooterDegradesToSequential) {
 
   MappedSegment segment(path);
   EXPECT_FALSE(segment.indexed());
-  expect_same_keyed_content(trace, segment.read_all());
+  expect_same_keyed_content(trace, walk(segment));
 
   // open_trace_source falls back to the sequential binary source,
   // which stops cleanly at the footer sentinel.
@@ -461,11 +473,6 @@ TEST(StoreErrors, HugeFooterKeyCountIsRejectedBeforeAllocation) {
     EXPECT_NE(std::string(e.what()).find("truncated footer"),
               std::string::npos);
   }
-}
-
-TEST(StoreErrors, BinaryReaderEmptyStream) {
-  std::stringstream empty;
-  EXPECT_THROW(BinaryTraceReader reader(empty), std::runtime_error);
 }
 
 // --- Integrity primitives --------------------------------------------------
@@ -590,7 +597,7 @@ TEST(StoreIntegrity, LegacyV2FooterStillOpensWithoutIntegrity) {
   EXPECT_FALSE(segment.has_integrity());
   // Without a bloom page every key "may" be present.
   EXPECT_TRUE(segment.maybe_contains(bloom_probe("definitely-absent")));
-  expect_same_keyed_content(trace, segment.read_all());
+  expect_same_keyed_content(trace, walk(segment));
   EXPECT_EQ(segment.read_key("alpha"), ops_of(trace, "alpha"));
 }
 
@@ -630,7 +637,7 @@ TEST(StoreIntegrity, BlockChecksumGatesReadsAndIsOptional) {
     EXPECT_NE(std::string(e.what()).find("block checksum mismatch"),
               std::string::npos);
   }
-  EXPECT_THROW(checked.read_all(), std::runtime_error);
+  EXPECT_THROW(walk(checked), std::runtime_error);
 
   MappedSegmentOptions lax;
   lax.verify_block_crc = false;
@@ -660,7 +667,7 @@ TEST(StoreIntegrity, EveryByteCorruptionIsDetected) {
         // the index refused the bytes instead of serving them.
         detected = true;
       } else {
-        segment.read_all();
+        walk(segment);
         for (const std::string_view key : segment.keys()) {
           segment.read_key(std::string(key));
         }

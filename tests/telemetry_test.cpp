@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -307,6 +308,19 @@ TEST(EngineTelemetry, OptionsPortStartsServerAndStatusTracksRuns) {
   EXPECT_NE(status.body.find("\"mode\": \"monitor\""), std::string::npos);
 
   EXPECT_EQ(net::http_get(address, port, "/healthz").status, 200);
+}
+
+TEST(EngineTelemetry, PortOutsideU16RangeIsRejectedNotWrapped) {
+  // 70000 would wrap to 4464 and -5 would become an ephemeral port if
+  // the int were narrowed blindly.
+  Engine engine;
+  EXPECT_THROW(engine.serve_telemetry("127.0.0.1", 70000),
+               std::invalid_argument);
+  EXPECT_THROW(engine.serve_telemetry("127.0.0.1", -5), std::invalid_argument);
+  EXPECT_EQ(engine.telemetry(), nullptr);
+  EngineOptions options;
+  options.telemetry_port = 65536;
+  EXPECT_THROW(Engine{options}, std::invalid_argument);
 }
 
 TEST(EngineTelemetry, StatusLedgerCountsWithoutServer) {

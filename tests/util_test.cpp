@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "util/flags.h"
@@ -243,6 +244,24 @@ TEST(Flags, RejectsUnknown) {
   const char* argv[] = {"prog", "--oops=1"};
   Flags flags(2, const_cast<char**>(argv));
   EXPECT_THROW(flags.check_unknown(), std::invalid_argument);
+}
+
+TEST(Flags, ParsesListenAddress) {
+  const ListenAddress bare = parse_listen_address("9100");
+  EXPECT_EQ(bare.address, "127.0.0.1");
+  EXPECT_EQ(bare.port, 9100);
+  const ListenAddress full = parse_listen_address("0.0.0.0:65535");
+  EXPECT_EQ(full.address, "0.0.0.0");
+  EXPECT_EQ(full.port, 65535);
+  EXPECT_EQ(parse_listen_address("::1:0").address, "::1");  // last ':' splits
+  EXPECT_EQ(parse_listen_address("0").port, 0);
+}
+
+TEST(Flags, ListenAddressRejectsJunkAndOutOfRangePorts) {
+  for (const char* bad : {"80abc", "70000", "65536", "-5", "", "host:",
+                          "host:+80", "host: 80", "123456", "0x50"}) {
+    EXPECT_THROW(parse_listen_address(bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(TablePrinter, AlignsColumns) {
