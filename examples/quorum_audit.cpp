@@ -11,6 +11,7 @@
 //   $ ./quorum_audit --replicas=5 --write-quorum=1 --read-quorum=1
 //         --first-responders=false --clients=4 --ops=60 --seed=7
 //         --threads=4
+#include <algorithm>
 #include <cstdio>
 
 #include "kav.h"
@@ -94,9 +95,12 @@ int main(int argc, char** argv) {
   verify.k = 2;
   run.verify = verify;
   const Report report2 = engine.verify(split, run);
+  std::size_t largest = 0;
+  for (const auto& [key, history] : split.per_key) {
+    largest = std::max(largest, history.size());
+  }
   std::printf("engine: %zu threads, %zu shards (largest %zu ops)\n\n",
-              engine.thread_count(), split.per_key.size(),
-              split.max_shard_ops());
+              engine.thread_count(), split.per_key.size(), largest);
 
   TablePrinter table({"key", "ops", "writes", "c", "1-atomic", "2-atomic",
                       "minimal k"});

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "ingest/keyed_monitor.h"
@@ -287,13 +288,13 @@ namespace {
 // and ordered. Inactive (pass-everything) when the filter is empty.
 struct KeyFilter {
   bool active = false;
-  std::set<std::string> wanted;
+  std::set<std::string, std::less<>> wanted;
 
   explicit KeyFilter(const RunOptions& run)
       : active(!run.key_filter.empty()),
         wanted(run.key_filter.begin(), run.key_filter.end()) {}
 
-  bool pass(const std::string& key) const {
+  bool pass(std::string_view key) const {
     return !active || wanted.count(key) > 0;
   }
 };
@@ -546,24 +547,21 @@ Report Engine::verify(TraceSource& source, const RunOptions& run) {
       return report;
     }
   }
-  // Any other source: drain it, filtering while reading when a
-  // key_filter is set -- still one pass and no stored non-matching
-  // operations, but every record is decoded.
+  // Any other source: group it by key while reading -- one pass, each
+  // operation stored once, in its key's History. A key_filter is
+  // applied once per key, when the key first appears; every record is
+  // still decoded.
   const KeyFilter filter(run);
-  KeyedTrace trace;
-  std::set<std::string> offered;
-  const std::string stop = drive_source(
-      source, run, deadline, "reading " + source.describe(),
-      [&trace, &offered, &filter](KeyedOperation kop) {
-        if (filter.active) {
-          offered.insert(kop.key);
-          if (!filter.pass(kop.key)) return;
-        }
-        trace.ops.push_back(std::move(kop));
-      });
-  const KeyedHistories shards = split_by_key(trace);
+  KeyGrouper grouper(
+      [&filter](std::string_view key) { return filter.pass(key); });
+  const std::string stop =
+      drive_source(source, run, deadline, "reading " + source.describe(),
+                   [&grouper](KeyedOperation&& kop) {
+                     grouper.add(kop.key, kop.op);
+                   });
+  const KeyedHistories shards = grouper.finish();
   Report report = run_specs(pinned_specs(shards, filter), run, deadline);
-  account_selection(report, filter, offered);
+  account_selection(report, filter, grouper.ids());
   if (!stop.empty()) {
     report.cancelled = true;
     report.stop_reason = stop;

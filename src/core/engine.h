@@ -109,7 +109,9 @@ class Engine {
   // pool, merge in key order. Report::mode == batch.
   Report verify(const KeyedTrace& trace, const RunOptions& run = {});
   Report verify(const KeyedHistories& shards, const RunOptions& run = {});
-  // Pulls the source dry first (cancellable), then verifies -- unless
+  // Pulls the source dry first (cancellable), grouping each operation
+  // into its key's History as it is read (KeyGrouper), then verifies --
+  // unless
   // RunOptions::key_filter is set and the source is index-backed
   // (SelectiveTraceSource), in which case only the requested keys'
   // blocks are ever decoded, each inside a pool worker.

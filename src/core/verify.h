@@ -54,7 +54,11 @@ struct VerifyOptions {
   bool normalize = true;
 };
 
-// Single-register verification.
+// Single-register verification. Classifying the history against the
+// Section II-C preconditions costs two O(n) scans
+// (detail::has_hard_anomaly, is_normalized; history/anomaly.h); only a
+// precondition_failed verdict runs find_anomalies, to name the first
+// offending operation in its reason.
 Verdict verify_k_atomicity(const History& history,
                            const VerifyOptions& options = {});
 

@@ -146,6 +146,15 @@ AnomalyReport find_anomalies(const History& history) {
   return report;
 }
 
+bool detail::has_hard_anomaly(const History& history) {
+  if (history.has_duplicate_write_values()) return true;
+  for (OpId r : history.reads()) {
+    const OpId w = history.dictating_write(r);
+    if (w == kInvalidOp || history.precedes(r, w)) return true;
+  }
+  return false;
+}
+
 bool is_normalized(const History& history) {
   if (has_duplicate_timestamp(history)) return false;
   for (OpId w : history.writes_by_start()) {
@@ -157,7 +166,7 @@ bool is_normalized(const History& history) {
 }
 
 History normalize(const History& history) {
-  if (!find_anomalies(history).repairable()) {
+  if (detail::has_hard_anomaly(history)) {
     throw std::invalid_argument(
         "normalize: history has hard anomalies; see find_anomalies");
   }

@@ -16,6 +16,12 @@
 // repaired. (3) and (4) are repaired by normalize(), which preserves
 // the "precedes" partial order exactly and therefore preserves
 // k-atomicity for every k.
+//
+// Classifying a history costs O(n) scans and no allocation:
+// detail::has_hard_anomaly answers (1)-(2), is_normalized (3)-(4).
+// verify_k_atomicity and normalize() decide with those two alone;
+// find_anomalies, which lists every anomaly (a hash walk over all 2n
+// timestamps when any collide), runs only to explain a failure.
 #ifndef KAV_HISTORY_ANOMALY_H
 #define KAV_HISTORY_ANOMALY_H
 
@@ -59,11 +65,14 @@ struct AnomalyReport {
   std::vector<Anomaly> hard_anomalies() const;
 };
 
+// Every anomaly, in a fixed order: duplicate write values, read
+// anomalies, duplicate timestamps, outliving writes. For explaining a
+// failure; deciding whether there is one is O(n) (see above).
 AnomalyReport find_anomalies(const History& history);
 
 // True iff the history satisfies (3) and (4) above. (1) and (2) are
 // separate concerns: a normalized history can still contain hard
-// anomalies, which checkers reject via find_anomalies.
+// anomalies (detail::has_hard_anomaly).
 bool is_normalized(const History& history);
 
 // Produces an equivalent history with unique timestamps and shortened
@@ -79,10 +88,15 @@ History normalize(const History& history);
 
 namespace detail {
 
-// normalize() minus its find_anomalies pass, for a caller that already
-// ran find_anomalies(history) and found it repairable()
-// (verify_k_atomicity). On a history with hard anomalies the result is
-// meaningless.
+// True iff the history has a hard anomaly -- (1) or (2) above: a read
+// with no dictating write, a read preceding its dictating write, or two
+// writes of one value. Equals !find_anomalies(history).repairable() in
+// O(n) without listing anything.
+bool has_hard_anomaly(const History& history);
+
+// normalize() minus its has_hard_anomaly check, for a caller that
+// already ran it (verify_k_atomicity). On a history with hard anomalies
+// the result is meaningless.
 History normalize_repairable(const History& history);
 
 }  // namespace detail

@@ -1,13 +1,9 @@
 #include "history/keyed_trace.h"
 
-namespace kav {
+#include <algorithm>
+#include <numeric>
 
-std::vector<std::string> KeyedHistories::keys() const {
-  std::vector<std::string> out;
-  out.reserve(per_key.size());
-  for (const auto& [key, history] : per_key) out.push_back(key);
-  return out;
-}
+namespace kav {
 
 std::size_t KeyedHistories::total_ops() const {
   std::size_t n = 0;
@@ -15,28 +11,38 @@ std::size_t KeyedHistories::total_ops() const {
   return n;
 }
 
-std::size_t KeyedHistories::max_shard_ops() const {
-  std::size_t n = 0;
-  for (const auto& [key, history] : per_key) {
-    if (history.size() > n) n = history.size();
+void KeyGrouper::add(std::string_view key, const Operation& op) {
+  auto it = ids_.find(key);
+  if (it == ids_.end()) {
+    const auto id = static_cast<std::uint32_t>(names_.size());
+    it = ids_.emplace(std::string(key), id).first;
+    names_.emplace_back(key);
+    kept_.push_back(!keep_ || keep_(key));
+    groups_.emplace_back();
   }
-  return n;
+  if (kept_[it->second]) groups_[it->second].push_back(op);
+}
+
+KeyedHistories KeyGrouper::finish() {
+  std::vector<std::uint32_t> order(names_.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return names_[a] < names_[b];
+            });
+  KeyedHistories out;
+  for (const std::uint32_t id : order) {
+    if (!kept_[id]) continue;
+    out.per_key.emplace_hint(out.per_key.end(), std::move(names_[id]),
+                             History(std::move(groups_[id])));
+  }
+  return out;
 }
 
 KeyedHistories split_by_key(const KeyedTrace& trace) {
-  std::map<std::string, std::vector<Operation>> grouped;
-  std::map<std::string, std::vector<std::size_t>> indexes;
-  for (std::size_t i = 0; i < trace.ops.size(); ++i) {
-    const KeyedOperation& kop = trace.ops[i];
-    grouped[kop.key].push_back(kop.op);
-    indexes[kop.key].push_back(i);
-  }
-  KeyedHistories out;
-  for (auto& [key, ops] : grouped) {
-    out.per_key.emplace(key, History(std::move(ops)));
-    out.trace_index.emplace(key, std::move(indexes[key]));
-  }
-  return out;
+  KeyGrouper grouper;
+  for (const KeyedOperation& kop : trace.ops) grouper.add(kop.key, kop.op);
+  return grouper.finish();
 }
 
 }  // namespace kav

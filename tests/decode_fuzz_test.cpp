@@ -26,6 +26,7 @@ namespace kav {
 namespace {
 
 using testing_util::ScratchFile;
+using testing_util::unsealed_v2_bytes;
 
 KeyedTrace small_trace() {
   KeyedTrace trace;
@@ -41,19 +42,6 @@ std::string v1_bytes(const KeyedTrace& trace) {
   std::stringstream out;
   write_binary_trace(out, trace, /*records_per_chunk=*/2);
   return out.str();
-}
-
-// A v2 segment whose writer died right after the footer sentinel: the
-// chunk stream ends cleanly, the index never landed.
-std::string unsealed_v2_bytes(const KeyedTrace& trace) {
-  std::stringstream out;
-  write_binary_trace(out, trace, /*records_per_chunk=*/2, kBinaryTraceVersion2);
-  std::string bytes = out.str();
-  const std::size_t trailer = bytes.size() - kBinaryTraceTrailerBytes;
-  const std::uint64_t payload_bytes = wire::load_u64(
-      reinterpret_cast<const unsigned char*>(bytes.data()) + trailer);
-  bytes.resize(trailer - payload_bytes);
-  return bytes;
 }
 
 // v2 streams records in block (per-key) order, so the exact round trip

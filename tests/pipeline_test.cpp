@@ -6,6 +6,7 @@
 // aggregation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <stdexcept>
@@ -321,9 +322,15 @@ TEST(AutoDispatchPolicy, ExercisesBothDeciders) {
 TEST(KeyedHistories, ShardHelpers) {
   const KeyedTrace trace = one_bad_key_trace(2);
   const KeyedHistories shards = split_by_key(trace);
-  EXPECT_EQ(shards.keys(), (std::vector<std::string>{"a", "b0", "b1"}));
+  std::vector<std::string> keys;
+  std::size_t largest = 0;
+  for (const auto& [key, history] : shards.per_key) {
+    keys.push_back(key);
+    largest = std::max(largest, history.size());
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"a", "b0", "b1"}));
   EXPECT_EQ(shards.total_ops(), trace.size());
-  EXPECT_EQ(shards.max_shard_ops(), 4u);  // "a": 3 writes + 1 read
+  EXPECT_EQ(largest, 4u);  // "a": 3 writes + 1 read
 }
 
 }  // namespace

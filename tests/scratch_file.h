@@ -1,20 +1,25 @@
 // Scratch files for suites that feed bytes to the file readers. A
 // binary trace is read through one decoder -- the MappedSegment behind
 // open_trace_source -- which maps a path, so in-memory byte strings
-// reach it through a file.
+// reach it through a file. Also builds the unsealed v2 bytes that
+// open_trace_source reads sequentially.
 #ifndef KAV_TESTS_SCRATCH_FILE_H
 #define KAV_TESTS_SCRATCH_FILE_H
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "history/keyed_trace.h"
+#include "ingest/binary_trace.h"
 #include "ingest/trace_source.h"
+#include "ingest/wire.h"
 
 namespace kav::testing_util {
 
@@ -59,6 +64,21 @@ inline KeyedTrace read_trace_bytes(const std::string& bytes) {
   const ScratchFile file("read.kavb");
   file.write(bytes);
   return drain(*open_trace_source(file.path()));
+}
+
+// A v2 segment whose writer died right after the footer sentinel: the
+// chunk stream ends cleanly, the index never landed, so
+// open_trace_source serves it sequentially.
+inline std::string unsealed_v2_bytes(const KeyedTrace& trace,
+                                     std::size_t records_per_chunk = 2) {
+  std::stringstream out;
+  write_binary_trace(out, trace, records_per_chunk, kBinaryTraceVersion2);
+  std::string bytes = out.str();
+  const std::size_t trailer = bytes.size() - kBinaryTraceTrailerBytes;
+  const std::uint64_t payload_bytes = wire::load_u64(
+      reinterpret_cast<const unsigned char*>(bytes.data()) + trailer);
+  bytes.resize(trailer - payload_bytes);
+  return bytes;
 }
 
 }  // namespace kav::testing_util
