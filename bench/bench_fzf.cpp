@@ -52,13 +52,13 @@ BENCHMARK(fzf_on_lbt_quadratic_workload)
     ->Range(1 << 8, 1 << 14)
     ->Complexity(benchmark::oNLogN);
 
-// Stage 1 in isolation: chunk-set computation over many small chunks.
+// Stage 1 in isolation: zones plus the partition, over many small chunks.
 void fzf_stage1_many_chunks(benchmark::State& state) {
   const History h =
       bench::practical_workload(static_cast<int>(state.range(0)), 0.3, 5);
   for (auto _ : state) {
-    const ChunkSet cs = compute_chunk_set(h);
-    benchmark::DoNotOptimize(cs);
+    const ChunkPartition partition = partition_chunks(compute_zones(h));
+    benchmark::DoNotOptimize(partition);
   }
   state.SetComplexityN(static_cast<std::int64_t>(h.size()));
 }

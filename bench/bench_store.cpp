@@ -212,7 +212,7 @@ void BM_VerifyOneKey_Materializing(benchmark::State& state) {
 BENCHMARK(BM_VerifyOneKey_Materializing)->Unit(benchmark::kMillisecond);
 
 // The structural-profile scan that drives 2-AV algorithm selection:
-// zones + SIMD forward/backward census + counter-only chunk stats.
+// zones + FZF's Stage-1 partition, whose counts the profile reads.
 void BM_ZoneProfileScan(benchmark::State& state) {
   const Fixture& f = fixture();
   const IndexedTraceSource source(f.v2_path);

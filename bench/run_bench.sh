@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Perf trajectory data points: runs the ingest, pipeline, engine,
-# store, obs, and streaming benchmarks and writes BENCH_ingest.json /
-# BENCH_pipeline.json / BENCH_engine.json / BENCH_store.json /
-# BENCH_obs.json / BENCH_streaming.json (Google Benchmark JSON: ops/s,
-# peak_window, keys/s, scrape counters) at the repo root so successive
+# store, obs, streaming, and LBT-vs-FZF benchmarks and writes
+# BENCH_ingest.json / BENCH_pipeline.json / BENCH_engine.json /
+# BENCH_store.json / BENCH_obs.json / BENCH_streaming.json /
+# BENCH_lbt_vs_fzf.json (Google Benchmark JSON: ops/s, peak_window,
+# keys/s, scrape counters, ns per op) at the repo root so successive
 # PRs can compare numbers.
 #
 # Usage: bench/run_bench.sh [--smoke] [build-dir]   (default: build)
@@ -24,7 +25,7 @@ fi
 BUILD_DIR="${1:-build}"
 
 for bench in bench_ingest bench_pipeline bench_engine bench_store \
-             bench_obs bench_streaming; do
+             bench_obs bench_streaming bench_lbt_vs_fzf; do
   if [[ ! -x "$BUILD_DIR/$bench" ]]; then
     echo "run_bench.sh: $BUILD_DIR/$bench not built" \
          "(Google Benchmark missing or KAV_BUILD_BENCH=OFF)" >&2
@@ -80,11 +81,20 @@ if [[ "$MODE" == smoke ]]; then
 fi
 "$BUILD_DIR/bench_streaming" "${STREAMING_ARGS[@]}" \
   --benchmark_out="$OUT_DIR/BENCH_streaming.json"
+# The crossover ledger behind select_2av_algorithm's c threshold: the
+# min over interleaved repetitions is each row's estimator, in both
+# modes (the regret guardrail below reads it in smoke mode). At c >= 3
+# auto and FZF do the same work, and on a shared box the min of five
+# repetitions of that pair still drifted apart by up to 17%, so take
+# nine.
+"$BUILD_DIR/bench_lbt_vs_fzf" "${ARGS[@]}" --benchmark_repetitions=9 \
+  --benchmark_enable_random_interleaving=true \
+  --benchmark_out="$OUT_DIR/BENCH_lbt_vs_fzf.json"
 
 echo
 echo "wrote BENCH_ingest.json, BENCH_pipeline.json, BENCH_engine.json," \
-     "BENCH_store.json, BENCH_obs.json, and BENCH_streaming.json to" \
-     "$OUT_DIR ($MODE mode)"
+     "BENCH_store.json, BENCH_obs.json, BENCH_streaming.json, and" \
+     "BENCH_lbt_vs_fzf.json to $OUT_DIR ($MODE mode)"
 
 # Guardrail (smoke mode): the zero-copy decode+verify path must not be
 # slower than the materializing reference it replaced. The median of
@@ -234,5 +244,40 @@ print(f"streaming checker, window {peaks[wide_name]:.0f} (min of reps): "
 if verdict != "ok":
     sys.exit("streaming checker cost per operation grows with its window")
 EOF
-fi
 
+  # Dispatch-regret guardrail: at every write concurrency c of the
+  # LBT-vs-FZF sweep, auto dispatch may cost at most 1.25x the cheaper
+  # of the two deciders (CPU time, min over interleaved repetitions;
+  # all three rows pay the same precondition classification). A policy
+  # that sends a c to the slower decider shows up at 1.5x or more: FZF
+  # at c = 4 cost ~3.5x LBT before FZF's stages were flattened.
+  python3 - <<'EOF'
+import json, sys
+
+with open("BENCH_lbt_vs_fzf.json") as f:
+    entries = json.load(f)["benchmarks"]
+results = {}
+for b in entries:
+    if "aggregate_name" in b:
+        continue  # raw repetition samples only
+    results[b["name"]] = min(results.get(b["name"], float("inf")),
+                             b["cpu_time"])
+
+failed = False
+sweep = sorted(int(n.split("/")[1]) for n in results
+               if n.startswith("head_to_head_auto/"))
+if not sweep:
+    sys.exit("BENCH_lbt_vs_fzf.json has no head_to_head_auto rows")
+for c in sweep:
+    lbt = results[f"head_to_head_lbt/{c}"]
+    fzf = results[f"head_to_head_fzf/{c}"]
+    auto = results[f"head_to_head_auto/{c}"]
+    best = min(lbt, fzf)
+    verdict = "ok" if auto <= best * 1.25 else "REGRET"
+    print(f"c={c}: auto {auto / 1e6:.3f}ms vs lbt {lbt / 1e6:.3f}ms, "
+          f"fzf {fzf / 1e6:.3f}ms (x{auto / best:.2f}) -> {verdict}")
+    failed |= verdict != "ok"
+if failed:
+    sys.exit("auto dispatch costs more than 1.25x the cheaper decider")
+EOF
+fi

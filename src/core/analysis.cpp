@@ -6,7 +6,6 @@
 
 #include "core/fzf.h"
 #include "core/witness.h"
-#include "util/simd.h"
 
 namespace kav {
 
@@ -76,6 +75,11 @@ std::string ZoneProfile::to_string() const {
 }
 
 ZoneProfile zone_profile(const History& history) {
+  return zone_profile(history, partition_chunks(compute_zones(history)));
+}
+
+ZoneProfile zone_profile(const History& history,
+                         const ChunkPartition& partition) {
   ZoneProfile profile;
   profile.clusters = history.write_count();
   profile.max_concurrent_writes = history.max_concurrent_writes();
@@ -84,27 +88,18 @@ ZoneProfile zone_profile(const History& history) {
         static_cast<double>(history.read_count()) /
         static_cast<double>(history.write_count());
   }
-  // One zone pass feeds both the forward/backward census and the chunk
-  // set (compute_chunk_set used to recompute the zones internally).
-  // The census runs as a SIMD pairwise scan over the zone endpoint
-  // columns: forward <=> min finish < max start, by definition.
-  const std::vector<Zone> zones = compute_zones(history);
-  std::vector<TimePoint> min_finishes;
-  std::vector<TimePoint> max_starts;
-  min_finishes.reserve(zones.size());
-  max_starts.reserve(zones.size());
-  for (const Zone& zone : zones) {
-    min_finishes.push_back(zone.min_finish);
-    max_starts.push_back(zone.max_start);
+  profile.forward_zones = partition.forward_writes.size();
+  profile.backward_zones =
+      partition.backward_writes.size() + partition.dangling_writes.size();
+  profile.chunks = partition.chunk_count();
+  profile.dangling = partition.dangling_writes.size();
+  for (std::size_t c = 0; c < partition.chunk_count(); ++c) {
+    const std::size_t backward = partition.backward(c).size();
+    profile.largest_chunk_clusters = std::max(
+        profile.largest_chunk_clusters, partition.forward(c).size() + backward);
+    profile.max_backward_per_chunk =
+        std::max(profile.max_backward_per_chunk, backward);
   }
-  profile.forward_zones = simd::count_less_i64(
-      min_finishes.data(), max_starts.data(), zones.size());
-  profile.backward_zones = zones.size() - profile.forward_zones;
-  const ChunkStats chunk_stats = compute_chunk_stats(zones);
-  profile.chunks = chunk_stats.chunks;
-  profile.dangling = chunk_stats.dangling;
-  profile.largest_chunk_clusters = chunk_stats.largest_chunk_clusters;
-  profile.max_backward_per_chunk = chunk_stats.max_backward_per_chunk;
   return profile;
 }
 

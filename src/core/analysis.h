@@ -26,6 +26,8 @@
 
 namespace kav {
 
+struct ChunkPartition;
+
 struct StalenessSpectrum {
   // histogram[s] = number of reads separated from their dictating write
   // by exactly s other writes in the witness order.
@@ -58,7 +60,13 @@ struct ZoneProfile {
   std::string to_string() const;
 };
 
+// Reads the chunk fields off FZF's Stage-1 partition (core/fzf.h), the
+// one implementation of the chunk-merging rule.
 ZoneProfile zone_profile(const History& history);
+// Same over a partition the caller already computed from this
+// history's zones; auto dispatch then hands that partition to FZF.
+ZoneProfile zone_profile(const History& history,
+                         const ChunkPartition& partition);
 
 }  // namespace kav
 

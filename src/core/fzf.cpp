@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "history/anomaly.h"
 
@@ -20,365 +22,358 @@ constexpr std::int32_t kNone = -1;
 // starting after w.finish must be a read dictated by w or by p (a
 // remaining *write* there also refutes T, which subsumes checking that
 // T is a valid order). Cost O(n_K).
+//
+// One instance serves a whole FZF call: load() switches it to the next
+// chunk, and its arrays only ever grow, to the largest chunk's size.
 class ViabilityCheck {
  public:
-  // chunk_ops: the chunk's operation ids sorted by start time.
-  // local_pos: scratch map OpId -> position in chunk_ops (only entries
-  // for chunk_ops members are valid).
-  ViabilityCheck(const History& history, const std::vector<OpId>& chunk_ops,
-                 const std::vector<std::int32_t>& local_pos)
-      : history_(history), ops_(chunk_ops), pos_(local_pos) {}
+  explicit ViabilityCheck(const History& history) : history_(history) {}
 
-  bool viable(const std::vector<OpId>& order, std::vector<OpId>* out_order) {
+  // ops: the chunk's operation ids sorted by start time. slot: scratch
+  // indexed by OpId; load() stores each chunk write's position in ops
+  // there, and viable() looks the order's writes up in it.
+  void load(std::span<const OpId> ops, std::vector<std::int32_t>& slot) {
+    ops_ = ops;
+    slot_ = &slot;
+    if (nodes_.size() < ops.size()) nodes_.resize(ops.size());
+    for (std::size_t p = 0; p < ops.size(); ++p) {
+      const Operation& op = history_.op(ops[p]);
+      nodes_[p].start = op.start;
+      if (op.is_write()) slot[ops[p]] = static_cast<std::int32_t>(p);
+    }
+    // A read's owner is its dictating write's position; writes own
+    // nothing (kNone).
+    for (std::size_t p = 0; p < ops.size(); ++p) {
+      nodes_[p].owner = history_.op(ops[p]).is_write()
+                            ? kNone
+                            : slot[history_.dictating_write(ops[p])];
+    }
+  }
+
+  // On success writes the chunk's order into out (out.size() equals the
+  // chunk's operation count). out is filled back to front, so a refuted
+  // order leaves garbage there for the next candidate to overwrite.
+  bool viable(std::span<const OpId> order, std::span<OpId> out) {
     build_lists();
-    std::vector<OpId> reversed;  // segments, back to front
-    reversed.reserve(ops_.size());
+    const std::vector<std::int32_t>& slot = *slot_;
+    const std::span<const TimePoint> finishes = history_.finish_column();
+    std::size_t free = out.size();
 
     for (std::size_t j = order.size(); j-- > 0;) {
       const OpId w = order[j];
-      const OpId pred = j > 0 ? order[j - 1] : kInvalidOp;
-      const TimePoint w_finish = history_.op(w).finish;
+      const std::int32_t w_pos = slot[w];
+      const std::int32_t pred_pos = j > 0 ? slot[order[j - 1]] : kNone;
+      const TimePoint w_finish = finishes[w];
 
-      // `reversed` is the final order written backwards, so within it a
-      // segment must read: descending-start reads, then w. Reads
-      // strictly after w come off the tail scan already descending.
-      for (std::int32_t p = tail_; p != kNone && start_of(p) > w_finish;) {
-        const std::int32_t next = prev_[p];
-        const OpId op = ops_[p];
-        if (history_.op(op).is_write()) return false;
-        const OpId dictating = history_.dictating_write(op);
-        if (dictating != w && dictating != pred) return false;
+      // Reads strictly after w come off the tail scan in descending
+      // start order; placing them back to front leaves them ascending.
+      for (std::int32_t p = tail_; p != kNone && nodes_[p].start > w_finish;) {
+        const std::int32_t next = nodes_[p].prev;
+        const std::int32_t owner = nodes_[p].owner;
+        if (owner == kNone) return false;  // a write
+        if (owner != w_pos && owner != pred_pos) return false;
         unlink(p);
         unlink_read(p);
-        reversed.push_back(op);
+        out[--free] = ops_[p];
         p = next;
       }
-      // Remaining reads of w all start before w.finish (smaller than
-      // every scanned read); the read list yields them ascending, so
-      // flip that block to keep `reversed` descending overall.
-      const std::size_t remaining_begin = reversed.size();
-      for (std::int32_t p = read_head_[pos_[w]]; p != kNone;) {
-        const std::int32_t next = read_next_[p];
+      // Remaining reads of w all start before w.finish (earlier than
+      // every read just placed): walk w's list from its tail so they
+      // also land ascending, then w itself.
+      for (std::int32_t p = nodes_[w_pos].read_tail; p != kNone;
+           p = nodes_[p].read_prev) {
         unlink(p);
-        unlink_read(p);
-        reversed.push_back(ops_[p]);
-        p = next;
+        out[--free] = ops_[p];
       }
-      std::reverse(reversed.begin() + remaining_begin, reversed.end());
-      unlink(pos_[w]);
-      reversed.push_back(w);
-    }
-
-    if (out_order != nullptr) {
-      out_order->assign(reversed.rbegin(), reversed.rend());
+      nodes_[w_pos].read_head = kNone;
+      nodes_[w_pos].read_tail = kNone;
+      unlink(w_pos);
+      out[--free] = w;
     }
     return true;
   }
 
  private:
-  TimePoint start_of(std::int32_t p) const { return history_.op(ops_[p]).start; }
+  // Per position in the chunk: its start, its owner, its links in the
+  // start-ordered list of unplaced operations and in its owner's list
+  // of unplaced reads, and (for a write) the ends of its own read list.
+  struct Node {
+    TimePoint start;
+    std::int32_t owner;
+    std::int32_t prev, next;
+    std::int32_t read_prev, read_next;
+    std::int32_t read_head, read_tail;
+  };
 
   void build_lists() {
     const auto n = static_cast<std::int32_t>(ops_.size());
-    prev_.assign(n, kNone);
-    next_.assign(n, kNone);
-    read_prev_.assign(n, kNone);
-    read_next_.assign(n, kNone);
-    read_head_.assign(n, kNone);
-    read_tail_.assign(n, kNone);
     for (std::int32_t p = 0; p < n; ++p) {
-      prev_[p] = p - 1;
-      next_[p] = p + 1 < n ? p + 1 : kNone;
+      Node& node = nodes_[p];
+      node.prev = p - 1;
+      node.next = p + 1 < n ? p + 1 : kNone;
+      node.read_prev = kNone;
+      node.read_next = kNone;
+      node.read_head = kNone;
+      node.read_tail = kNone;
     }
-    head_ = n > 0 ? 0 : kNone;
     tail_ = n - 1;
     // Dictated-read lists in start order (ops_ is start-sorted).
     for (std::int32_t p = 0; p < n; ++p) {
-      const OpId op = ops_[p];
-      if (history_.op(op).is_write()) continue;
-      const std::int32_t wp = pos_[history_.dictating_write(op)];
-      if (read_tail_[wp] == kNone) {
-        read_head_[wp] = p;
+      const std::int32_t wp = nodes_[p].owner;
+      if (wp == kNone) continue;
+      Node& write = nodes_[wp];
+      if (write.read_tail == kNone) {
+        write.read_head = p;
       } else {
-        read_next_[read_tail_[wp]] = p;
-        read_prev_[p] = read_tail_[wp];
+        nodes_[write.read_tail].read_next = p;
+        nodes_[p].read_prev = write.read_tail;
       }
-      read_tail_[wp] = p;
+      write.read_tail = p;
     }
   }
 
   void unlink(std::int32_t p) {
-    if (prev_[p] == kNone) {
-      head_ = next_[p];
+    const Node& node = nodes_[p];
+    if (node.prev != kNone) nodes_[node.prev].next = node.next;
+    if (node.next == kNone) {
+      tail_ = node.prev;
     } else {
-      next_[prev_[p]] = next_[p];
-    }
-    if (next_[p] == kNone) {
-      tail_ = prev_[p];
-    } else {
-      prev_[next_[p]] = prev_[p];
+      nodes_[node.next].prev = node.prev;
     }
   }
 
   void unlink_read(std::int32_t p) {
-    const OpId op = ops_[p];
-    if (history_.op(op).is_write()) return;
-    const std::int32_t wp = pos_[history_.dictating_write(op)];
-    if (read_prev_[p] == kNone) {
-      read_head_[wp] = read_next_[p];
+    const Node& node = nodes_[p];
+    Node& write = nodes_[node.owner];
+    if (node.read_prev == kNone) {
+      write.read_head = node.read_next;
     } else {
-      read_next_[read_prev_[p]] = read_next_[p];
+      nodes_[node.read_prev].read_next = node.read_next;
     }
-    if (read_next_[p] == kNone) {
-      read_tail_[wp] = read_prev_[p];
+    if (node.read_next == kNone) {
+      write.read_tail = node.read_prev;
     } else {
-      read_prev_[read_next_[p]] = read_prev_[p];
+      nodes_[node.read_next].read_prev = node.read_prev;
     }
   }
 
   const History& history_;
-  const std::vector<OpId>& ops_;
-  const std::vector<std::int32_t>& pos_;
-  std::vector<std::int32_t> prev_, next_, read_prev_, read_next_;
-  std::vector<std::int32_t> read_head_, read_tail_;
-  std::int32_t head_ = kNone, tail_ = kNone;
+  std::span<const OpId> ops_;
+  const std::vector<std::int32_t>* slot_ = nullptr;
+  std::vector<Node> nodes_;  // grows to the largest chunk, never shrinks
+  std::int32_t tail_ = kNone;
 };
 
-}  // namespace
-
-ChunkSet compute_chunk_set(const History& history) {
-  return compute_chunk_set(history, compute_zones(history));
+std::optional<Verdict> precondition_failure(const History& history,
+                                            const FzfOptions& options) {
+  if (!options.check_preconditions) return std::nullopt;
+  const AnomalyReport report = find_anomalies(history);
+  if (report.verifiable()) return std::nullopt;
+  return Verdict::make_precondition_failed(
+      "history must be normalized and anomaly-free: " +
+      describe(report.anomalies.front(), history));
 }
 
-ChunkSet compute_chunk_set(const History&,
-                           const std::vector<Zone>& zones) {  // sorted by low
-  ChunkSet result;
-
-  // Maximal runs of transitively overlapping forward zones. Endpoints
-  // are distinct, so "continuous union" is plain interval merging with
-  // strict overlap.
-  for (const Zone& z : zones) {
-    if (!z.forward) continue;
-    if (!result.chunks.empty() && z.low() < result.chunks.back().extent.hi) {
-      Chunk& chunk = result.chunks.back();
-      chunk.forward_writes.push_back(z.write);
-      chunk.extent.hi = std::max(chunk.extent.hi, z.high());
-    } else {
-      result.chunks.push_back(Chunk{{z.write}, {}, z.interval()});
-    }
-  }
-
-  // Backward clusters: contained in some chunk's extent, or dangling.
-  // Chunks are disjoint and sorted, so binary search by low endpoint.
-  for (const Zone& z : zones) {
-    if (z.forward) continue;
-    auto it = std::upper_bound(
-        result.chunks.begin(), result.chunks.end(), z.low(),
-        [](TimePoint t, const Chunk& c) { return t < c.extent.lo; });
-    if (it != result.chunks.begin() &&
-        (it - 1)->extent.contains(z.interval())) {
-      (it - 1)->backward_writes.push_back(z.write);
-    } else {
-      result.dangling_writes.push_back(z.write);
-    }
-  }
-  return result;
-}
-
-ChunkStats compute_chunk_stats(const std::vector<Zone>& zones) {
-  // Mirrors compute_chunk_set exactly, keeping only chunk extents and
-  // per-chunk cluster counters (flat, parallel vectors). Any change to
-  // the merging or containment rules must land in both.
-  ChunkStats stats;
-  std::vector<Interval> extents;
-  std::vector<std::size_t> forward_counts;
-  for (const Zone& z : zones) {
-    if (!z.forward) continue;
-    if (!extents.empty() && z.low() < extents.back().hi) {
-      ++forward_counts.back();
-      extents.back().hi = std::max(extents.back().hi, z.high());
-    } else {
-      extents.push_back(z.interval());
-      forward_counts.push_back(1);
-    }
-  }
-  std::vector<std::size_t> backward_counts(extents.size(), 0);
-  for (const Zone& z : zones) {
-    if (z.forward) continue;
-    auto it = std::upper_bound(
-        extents.begin(), extents.end(), z.low(),
-        [](TimePoint t, const Interval& extent) { return t < extent.lo; });
-    if (it != extents.begin() && (it - 1)->contains(z.interval())) {
-      ++backward_counts[static_cast<std::size_t>(it - extents.begin()) - 1];
-    } else {
-      ++stats.dangling;
-    }
-  }
-  stats.chunks = extents.size();
-  for (std::size_t c = 0; c < extents.size(); ++c) {
-    stats.largest_chunk_clusters = std::max(
-        stats.largest_chunk_clusters, forward_counts[c] + backward_counts[c]);
-    stats.max_backward_per_chunk =
-        std::max(stats.max_backward_per_chunk, backward_counts[c]);
-  }
-  return stats;
-}
-
-Verdict check_2atomicity_fzf(const History& history, const FzfOptions& options) {
-  if (options.check_preconditions) {
-    const AnomalyReport report = find_anomalies(history);
-    if (!report.verifiable()) {
-      return Verdict::make_precondition_failed(
-          "history must be normalized and anomaly-free: " +
-          describe(report.anomalies.front(), history));
-    }
-  }
-  if (history.empty()) return Verdict::make_yes({});
-
+// Stages 2 and 3 over a non-empty history's partition.
+Verdict decide(const History& history, const ChunkPartition& partition) {
   VerifyStats stats;
+  stats.chunks = partition.chunk_count();
+  stats.dangling = partition.dangling_writes.size();
+  const std::size_t chunks = partition.chunk_count();
 
-  // ---- Stage 1 ----
-  const ChunkSet chunk_set = compute_chunk_set(history);
-  stats.chunks = chunk_set.chunks.size();
-  stats.dangling = chunk_set.dangling_writes.size();
-
-  // Bucket every operation into its chunk (or dangling cluster), in
-  // start order, so per-chunk op lists are start-sorted for free.
-  // element id: chunk index, or chunks.size() + dangling index.
-  const std::size_t num_elements =
-      chunk_set.chunks.size() + chunk_set.dangling_writes.size();
-  std::vector<std::int32_t> element_of_write(history.size(), kNone);
-  for (std::size_t c = 0; c < chunk_set.chunks.size(); ++c) {
-    for (OpId w : chunk_set.chunks[c].forward_writes) {
-      element_of_write[w] = static_cast<std::int32_t>(c);
+  // Bucket every chunk operation by chunk, in CSR form: op_begin[c]
+  // first counts chunk c's operations (writes plus dictated reads) as
+  // an inclusive prefix sum, then a reverse pass over by_start fills
+  // each bucket back to front, leaving buckets start-sorted and
+  // op_begin[c] at chunk c's first slot. slot[w] names a write's chunk
+  // here; Stage 2 reuses it for positions. Dangling clusters need no
+  // bucket: their order comes straight from dictated_reads.
+  std::vector<std::int32_t> slot(history.size(), kNone);
+  std::vector<std::uint32_t> op_begin(chunks + 1, 0);
+  std::uint32_t total = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    for (const std::span<const OpId> writes :
+         {partition.forward(c), partition.backward(c)}) {
+      for (OpId w : writes) {
+        slot[w] = static_cast<std::int32_t>(c);
+        total += 1 + static_cast<std::uint32_t>(
+                         history.dictated_reads(w).size());
+      }
     }
-    for (OpId w : chunk_set.chunks[c].backward_writes) {
-      element_of_write[w] = static_cast<std::int32_t>(c);
-    }
+    op_begin[c] = total;
   }
-  for (std::size_t d = 0; d < chunk_set.dangling_writes.size(); ++d) {
-    element_of_write[chunk_set.dangling_writes[d]] =
-        static_cast<std::int32_t>(chunk_set.chunks.size() + d);
-  }
-  std::vector<std::vector<OpId>> element_ops(num_elements);
-  for (OpId op : history.by_start()) {
-    const OpId cluster_write = history.op(op).is_write()
-                                   ? op
-                                   : history.dictating_write(op);
-    element_ops[element_of_write[cluster_write]].push_back(op);
+  op_begin[chunks] = total;
+  std::vector<OpId> chunk_ops(total);
+  const std::span<const OpId> by_start = history.by_start();
+  for (std::size_t i = by_start.size(); i-- > 0;) {
+    const OpId op = by_start[i];
+    const OpId cluster_write =
+        history.op(op).is_write() ? op : history.dictating_write(op);
+    const std::int32_t c = slot[cluster_write];
+    if (c != kNone) chunk_ops[--op_begin[c]] = op;
   }
 
   // ---- Stage 2 ----
-  std::vector<std::int32_t> local_pos(history.size(), kNone);
-  std::vector<std::vector<OpId>> element_order(num_elements);
-  for (std::size_t c = 0; c < chunk_set.chunks.size(); ++c) {
-    const Chunk& chunk = chunk_set.chunks[c];
+  // Each chunk's accepted order lands in chunk_order at its bucket's
+  // offsets; candidate orders are built in one reused buffer.
+  std::vector<OpId> chunk_order(total);
+  std::vector<OpId> order;
+  ViabilityCheck checker(history);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::span<const OpId> ops = std::span<const OpId>(chunk_ops).subspan(
+        op_begin[c], op_begin[c + 1] - op_begin[c]);
+    const std::span<const OpId> tf = partition.forward(c);
+    const std::span<const OpId> backward = partition.backward(c);
 
     // Lemma 4.3, case B >= 3: not 2-atomic, no orders to try.
-    if (chunk.backward_writes.size() >= 3) {
+    if (backward.size() >= 3) {
       Verdict verdict = Verdict::make_no(
-          "chunk with " + std::to_string(chunk.backward_writes.size()) +
+          "chunk with " + std::to_string(backward.size()) +
               " backward clusters (>= 3) cannot be 2-atomic (Lemma 4.3)",
           stats);
-      verdict.conflict = element_ops[c];
+      verdict.conflict.assign(ops.begin(), ops.end());
       return verdict;
     }
 
-    const std::vector<OpId>& tf = chunk.forward_writes;
-    std::vector<OpId> tf_prime = tf;
-    if (tf_prime.size() >= 2) std::swap(tf_prime[0], tf_prime[1]);
-
-    // Candidate orders S per Figure 4.
-    std::vector<std::vector<OpId>> orders;
-    auto add_order = [&orders](std::vector<OpId> base, OpId front, OpId back) {
-      std::vector<OpId> order;
-      if (front != kInvalidOp) order.push_back(front);
-      order.insert(order.end(), base.begin(), base.end());
-      if (back != kInvalidOp) order.push_back(back);
-      orders.push_back(std::move(order));
+    // Candidate orders S per Figure 4: T_F, then T_F' (first two
+    // swapped; a different order only when |T_F| >= 2), each with the
+    // backward writes at its ends in the listed placements.
+    struct Ends {
+      OpId front, back;
     };
-    const bool distinct_tf = tf_prime != tf;
-    if (chunk.backward_writes.empty()) {
-      add_order(tf, kInvalidOp, kInvalidOp);
-      if (distinct_tf) add_order(tf_prime, kInvalidOp, kInvalidOp);
-    } else if (chunk.backward_writes.size() == 1) {
-      const OpId w = chunk.backward_writes[0];
-      add_order(tf, w, kInvalidOp);
-      add_order(tf, kInvalidOp, w);
-      if (distinct_tf) {
-        add_order(tf_prime, w, kInvalidOp);
-        add_order(tf_prime, kInvalidOp, w);
-      }
-    } else {
-      const OpId w1 = chunk.backward_writes[0];
-      const OpId w2 = chunk.backward_writes[1];
-      add_order(tf, w1, w2);
-      add_order(tf, w2, w1);
-      if (distinct_tf) {
-        add_order(tf_prime, w1, w2);
-        add_order(tf_prime, w2, w1);
-      }
+    Ends ends[2] = {{kInvalidOp, kInvalidOp}, {kInvalidOp, kInvalidOp}};
+    std::size_t placements = 1;
+    if (backward.size() == 1) {
+      ends[0] = {backward[0], kInvalidOp};
+      ends[1] = {kInvalidOp, backward[0]};
+      placements = 2;
+    } else if (backward.size() == 2) {
+      ends[0] = {backward[0], backward[1]};
+      ends[1] = {backward[1], backward[0]};
+      placements = 2;
     }
+    const int variants = tf.size() >= 2 ? 2 : 1;
 
-    // Try each order with the viability subroutine.
-    const std::vector<OpId>& chunk_ops = element_ops[c];
-    for (std::size_t p = 0; p < chunk_ops.size(); ++p) {
-      local_pos[chunk_ops[p]] = static_cast<std::int32_t>(p);
-    }
-    ViabilityCheck checker(history, chunk_ops, local_pos);
+    const std::span<OpId> out =
+        std::span<OpId>(chunk_order).subspan(op_begin[c], ops.size());
+    checker.load(ops, slot);
     bool chunk_ok = false;
-    for (const std::vector<OpId>& order : orders) {
-      ++stats.orders_tested;
-      if (checker.viable(order, &element_order[c])) {
-        chunk_ok = true;
-        break;
+    for (int swapped = 0; swapped < variants && !chunk_ok; ++swapped) {
+      for (std::size_t e = 0; e < placements && !chunk_ok; ++e) {
+        order.clear();
+        if (ends[e].front != kInvalidOp) order.push_back(ends[e].front);
+        const std::size_t tf_at = order.size();
+        order.insert(order.end(), tf.begin(), tf.end());
+        if (swapped == 1) std::swap(order[tf_at], order[tf_at + 1]);
+        if (ends[e].back != kInvalidOp) order.push_back(ends[e].back);
+        ++stats.orders_tested;
+        chunk_ok = checker.viable(order, out);
       }
     }
     if (!chunk_ok) {
+      const Interval& extent = partition.extents[c];
       Verdict verdict = Verdict::make_no(
-          "chunk over [" + std::to_string(chunk.extent.lo) + ", " +
-              std::to_string(chunk.extent.hi) + "] with " +
+          "chunk over [" + std::to_string(extent.lo) + ", " +
+              std::to_string(extent.hi) + "] with " +
               std::to_string(tf.size()) + " forward and " +
-              std::to_string(chunk.backward_writes.size()) +
+              std::to_string(backward.size()) +
               " backward clusters admits no viable write order",
           stats);
-      verdict.conflict = element_ops[c];
+      verdict.conflict.assign(ops.begin(), ops.end());
       return verdict;
     }
   }
 
-  // Dangling backward clusters: write followed by its reads in start
-  // order is always a valid 1-atomic (hence 2-atomic) order for the
-  // cluster in isolation.
-  for (std::size_t d = 0; d < chunk_set.dangling_writes.size(); ++d) {
-    const OpId w = chunk_set.dangling_writes[d];
-    std::vector<OpId>& order = element_order[chunk_set.chunks.size() + d];
-    order.push_back(w);
-    for (OpId r : history.dictated_reads(w)) order.push_back(r);
-  }
-
   // ---- Stage 3 ----
-  // Assemble the global witness: order elements (chunks and dangling
-  // clusters) by low endpoint, which extends the <=_H relation of
-  // Lemma 4.1, and concatenate their orders.
-  std::vector<std::pair<TimePoint, std::size_t>> element_lows;
-  element_lows.reserve(num_elements);
-  for (std::size_t c = 0; c < chunk_set.chunks.size(); ++c) {
-    element_lows.emplace_back(chunk_set.chunks[c].extent.lo, c);
-  }
-  for (std::size_t d = 0; d < chunk_set.dangling_writes.size(); ++d) {
-    const Zone zone = compute_zone(history, chunk_set.dangling_writes[d]);
-    element_lows.emplace_back(zone.low(), chunk_set.chunks.size() + d);
-  }
-  std::sort(element_lows.begin(), element_lows.end());
-
+  // Concatenate chunk and dangling-cluster orders by low endpoint, which
+  // extends the <=_H relation of Lemma 4.1. Both runs are sorted
+  // already, so this is a merge; a chunk goes first on a tied low. A
+  // dangling cluster's order is its write followed by its reads in
+  // start order: always 1-atomic (hence 2-atomic) in isolation.
   std::vector<OpId> witness;
   witness.reserve(history.size());
-  for (const auto& [low, element] : element_lows) {
-    witness.insert(witness.end(), element_order[element].begin(),
-                   element_order[element].end());
+  std::size_t d = 0;
+  const auto append_dangling = [&] {
+    const OpId w = partition.dangling_writes[d++];
+    witness.push_back(w);
+    const std::span<const OpId> reads = history.dictated_reads(w);
+    witness.insert(witness.end(), reads.begin(), reads.end());
+  };
+  for (std::size_t c = 0; c < chunks; ++c) {
+    while (d < partition.dangling_writes.size() &&
+           partition.dangling_lows[d] < partition.extents[c].lo) {
+      append_dangling();
+    }
+    witness.insert(witness.end(), chunk_order.begin() + op_begin[c],
+                   chunk_order.begin() + op_begin[c + 1]);
   }
+  while (d < partition.dangling_writes.size()) append_dangling();
   return Verdict::make_yes(std::move(witness), stats);
+}
+
+}  // namespace
+
+ChunkPartition partition_chunks(std::span<const Zone> zones) {
+  // Maximal runs of transitively overlapping forward zones. Endpoints
+  // are distinct, so "continuous union" is plain interval merging with
+  // strict overlap. A backward zone can only lie inside the chunk open
+  // when it is reached (every later chunk starts at or after its low,
+  // and containment is strict), but the open chunk's extent is final
+  // only once the next chunk starts: close() then sorts the backward
+  // zones seen since the chunk opened into contained and dangling.
+  ChunkPartition partition;
+  const std::size_t none = zones.size();
+  std::size_t open = none;  // index of the open chunk's first zone
+  const auto close = [&](std::size_t end) {
+    const Interval extent = partition.extents.back();
+    for (std::size_t j = open; j < end; ++j) {
+      const Zone& z = zones[j];
+      if (z.forward) continue;
+      if (extent.contains(z.interval())) {
+        partition.backward_writes.push_back(z.write);
+      } else {
+        partition.dangling_writes.push_back(z.write);
+        partition.dangling_lows.push_back(z.low());
+      }
+    }
+    partition.forward_begin.push_back(
+        static_cast<std::uint32_t>(partition.forward_writes.size()));
+    partition.backward_begin.push_back(
+        static_cast<std::uint32_t>(partition.backward_writes.size()));
+  };
+  for (std::size_t i = 0; i < zones.size(); ++i) {
+    const Zone& z = zones[i];
+    if (z.forward) {
+      if (open != none && z.low() < partition.extents.back().hi) {
+        Interval& extent = partition.extents.back();
+        extent.hi = std::max(extent.hi, z.high());
+      } else {
+        if (open != none) close(i);
+        open = i;
+        partition.extents.push_back(z.interval());
+      }
+      partition.forward_writes.push_back(z.write);
+    } else if (open == none) {
+      partition.dangling_writes.push_back(z.write);
+      partition.dangling_lows.push_back(z.low());
+    }
+  }
+  if (open != none) close(zones.size());
+  return partition;
+}
+
+Verdict check_2atomicity_fzf(const History& history, const FzfOptions& options) {
+  if (auto failed = precondition_failure(history, options)) return *failed;
+  if (history.empty()) return Verdict::make_yes({});
+  return decide(history, partition_chunks(compute_zones(history)));
+}
+
+Verdict check_2atomicity_fzf(const History& history,
+                             const ChunkPartition& partition,
+                             const FzfOptions& options) {
+  if (auto failed = precondition_failure(history, options)) return *failed;
+  if (history.empty()) return Verdict::make_yes({});
+  return decide(history, partition);
 }
 
 }  // namespace kav

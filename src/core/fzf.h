@@ -17,10 +17,21 @@
 // witness assembled by concatenating per-chunk and per-dangling-cluster
 // orders along the timeline (the construction in Lemma 4.1's proof).
 //
+// Every stage is flat, so a call allocates a constant number of
+// buffers whatever its chunk count: Stage 1 writes the partition below
+// in one pass over the zones; chunk operations are bucketed in CSR form
+// in one pass over by_start; one viability checker, grown to the
+// largest chunk, and one candidate-order buffer serve every chunk; each
+// accepted order lands in place in a flat buffer laid out like the
+// buckets; and Stage 3 merges two already-sorted runs (chunk extents,
+// dangling lows).
+//
 // Paper-section map and guarantees for every procedure: docs/ALGORITHMS.md.
 #ifndef KAV_CORE_FZF_H
 #define KAV_CORE_FZF_H
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/verdict.h"
@@ -30,49 +41,49 @@
 
 namespace kav {
 
-struct Chunk {
-  // Dictating writes of forward clusters, ordered by zone low endpoint
-  // (the order T_F is exactly this sequence).
+// Stage 1's partition, flat: chunk c has extent extents[c], forward
+// writes forward(c) ordered by zone low endpoint (exactly T_F), and the
+// backward writes contained in its extent, backward(c), in zone order.
+// Chunks lie along the timeline (extent lows strictly increase);
+// dangling backward clusters keep their zone low so Stage 3 can merge
+// them with the chunks without recomputing a zone. This is the only
+// implementation of the chunk-merging rule: zone_profile reads its
+// counts from it, and auto dispatch at k = 2 hands the same partition
+// to FZF, so a key's zones and chunks are computed once.
+struct ChunkPartition {
+  std::vector<Interval> extents;
+  std::vector<std::uint32_t> forward_begin{0};   // chunks + 1 offsets
   std::vector<OpId> forward_writes;
-  // Dictating writes of backward clusters contained in the extent.
+  std::vector<std::uint32_t> backward_begin{0};  // chunks + 1 offsets
   std::vector<OpId> backward_writes;
-  // Union of the forward zones (continuous by construction).
-  Interval extent;
+  std::vector<OpId> dangling_writes;   // in zone order
+  std::vector<TimePoint> dangling_lows;
+
+  std::size_t chunk_count() const { return extents.size(); }
+  std::span<const OpId> forward(std::size_t c) const {
+    return std::span<const OpId>(forward_writes)
+        .subspan(forward_begin[c], forward_begin[c + 1] - forward_begin[c]);
+  }
+  std::span<const OpId> backward(std::size_t c) const {
+    return std::span<const OpId>(backward_writes)
+        .subspan(backward_begin[c], backward_begin[c + 1] - backward_begin[c]);
+  }
 };
 
-struct ChunkSet {
-  std::vector<Chunk> chunks;          // ordered along the timeline
-  std::vector<OpId> dangling_writes;  // backward clusters outside chunks
-};
-
-// Stage 1, exposed for tests (the Figure 3 reproduction) and analysis.
-// Requires a normalized history.
-ChunkSet compute_chunk_set(const History& history);
-// Same, over zones the caller already computed (must be the
-// compute_zones(history) output, i.e. sorted by low endpoint) --
-// zone_profile and the dispatch policy share one zone pass this way.
-ChunkSet compute_chunk_set(const History& history,
-                           const std::vector<Zone>& zones);
-
-// Aggregate statistics of the Stage-1 partition, computed with the
-// same merging logic as compute_chunk_set but counters only -- no
-// per-chunk write lists, so a profile-driven caller (zone_profile, the
-// dispatch policy) pays O(chunks) flat storage instead of thousands of
-// small vectors. Field for field equal to deriving the stats from
-// compute_chunk_set(history, zones) (enforced by analysis_test).
-struct ChunkStats {
-  std::size_t chunks = 0;
-  std::size_t dangling = 0;
-  std::size_t largest_chunk_clusters = 0;
-  std::size_t max_backward_per_chunk = 0;
-};
-ChunkStats compute_chunk_stats(const std::vector<Zone>& zones);
+// Stage 1 in one pass over `zones`, which must be compute_zones(history)
+// of a normalized history (sorted by low endpoint).
+ChunkPartition partition_chunks(std::span<const Zone> zones);
 
 struct FzfOptions {
   bool check_preconditions = true;  // see LbtOptions
 };
 
 Verdict check_2atomicity_fzf(const History& history,
+                             const FzfOptions& options = {});
+// Same, deciding over a partition the caller already computed from
+// this history's zones (auto dispatch shares the one zone_profile used).
+Verdict check_2atomicity_fzf(const History& history,
+                             const ChunkPartition& partition,
                              const FzfOptions& options = {});
 
 }  // namespace kav

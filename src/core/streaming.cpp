@@ -499,8 +499,12 @@ void StreamingChecker::decide_run(const Run& run) {
         chunk_ops.push_back(read_nodes_[r].op);
       }
     });
+    // normalize() has just established FZF's preconditions (it throws
+    // on a hard anomaly), so FZF's own precondition pass is skipped.
     const History chunk_history = normalize(History(std::move(chunk_ops)));
-    const Verdict verdict = check_2atomicity_fzf(chunk_history);
+    FzfOptions options;
+    options.check_preconditions = false;
+    const Verdict verdict = check_2atomicity_fzf(chunk_history, options);
     if (!verdict.yes()) {
       violations_.push_back({StreamingViolation::Kind::not_2atomic,
                              watermark_,

@@ -36,10 +36,10 @@ enum class Algorithm : unsigned char {
 
 const char* to_string(Algorithm algorithm);
 
-// The k = 2 policy behind Algorithm::auto_select: picks LBT when the
-// profile predicts its O(n log n + c*n) bound beats FZF's constants
-// (writes nearly serial, no chunk already doomed by Lemma 4.3), else
-// FZF. Returns Algorithm::lbt or Algorithm::fzf only. Both deciders
+// The k = 2 policy behind Algorithm::auto_select: picks LBT where it
+// measured cheaper than FZF (write concurrency c <= 2, the crossover in
+// BENCH_lbt_vs_fzf.json) unless a chunk is already doomed by Lemma 4.3,
+// else FZF. Returns Algorithm::lbt or Algorithm::fzf only. Both deciders
 // are exact for k = 2, so the choice never changes a verdict (property-
 // tested by tests/agreement_fuzz_test.cpp); it is a pure function of
 // the profile, so serial and sharded verification dispatch identically.

@@ -58,15 +58,6 @@ std::pair<std::int64_t, std::int64_t> scalar_min_max(const std::int64_t* a,
   return {lo, hi};
 }
 
-std::size_t scalar_count_less(const std::int64_t* a, const std::int64_t* b,
-                              std::size_t n) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    count += a[i] < b[i] ? 1 : 0;
-  }
-  return count;
-}
-
 std::size_t scalar_first_not_less(const std::int64_t* a, const std::int64_t* b,
                                   std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -177,22 +168,6 @@ avx2_min_max(const std::int64_t* a, std::size_t n) {
   }
   const auto [tail_lo, tail_hi] = scalar_min_max(a + i, n - i);
   return {tail_lo < lo ? tail_lo : lo, tail_hi > hi ? tail_hi : hi};
-}
-
-__attribute__((target("avx2"))) std::size_t avx2_count_less(
-    const std::int64_t* a, const std::int64_t* b, std::size_t n) {
-  std::size_t i = 0;
-  std::size_t count = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i lt = _mm256_cmpgt_epi64(vb, va);  // a < b
-    count += static_cast<std::size_t>(__builtin_popcount(
-        static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(lt)))));
-  }
-  return count + scalar_count_less(a + i, b + i, n - i);
 }
 
 __attribute__((target("avx2"))) std::size_t avx2_first_not_less(
@@ -347,16 +322,6 @@ std::pair<std::int64_t, std::int64_t> min_max_i64(const std::int64_t* a,
   }
 #endif
   return scalar_min_max(a, n);
-}
-
-std::size_t count_less_i64(const std::int64_t* a, const std::int64_t* b,
-                           std::size_t n, Level level) {
-#if KAV_SIMD_X86
-  if (level >= Level::avx2 && supported(Level::avx2)) {
-    return avx2_count_less(a, b, n);
-  }
-#endif
-  return scalar_count_less(a, b, n);
 }
 
 std::size_t first_not_less_i64(const std::int64_t* a, const std::int64_t* b,

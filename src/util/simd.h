@@ -67,11 +67,6 @@ bool has_adjacent_duplicate_i64(const std::int64_t* a, std::size_t n,
 std::pair<std::int64_t, std::int64_t> min_max_i64(
     const std::int64_t* a, std::size_t n, Level level = active_level());
 
-// Number of indices with a[i] < b[i] -- e.g. forward zones, where
-// zone.low (min finish) < zone.high (max start).
-std::size_t count_less_i64(const std::int64_t* a, const std::int64_t* b,
-                           std::size_t n, Level level = active_level());
-
 // First index with a[i] >= b[i], or n when a[i] < b[i] everywhere.
 // Record validation (start < finish) uses this to accept a whole block
 // in one scan and still point at the exact offending record.

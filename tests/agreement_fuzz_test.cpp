@@ -110,14 +110,19 @@ TEST_P(AgreementFuzz, ZoneProfileAutoDispatchNeverChangesVerdicts) {
   // The facade's auto_select at k = 2 routes each history to LBT or
   // FZF by its ZoneProfile. Both are exact, so whichever decider the
   // policy picks, the verdict must agree with *both* -- the dispatch
-  // is a performance choice, never a semantic one.
+  // is a performance choice, never a semantic one. Beyond yes/no, the
+  // dispatched verdict is the chosen decider's verdict field for field
+  // (so a key's witness, reason, conflict and stats change exactly when
+  // its decider does), every YES witness validates, and a NO with >= 3
+  // backward clusters in a chunk keeps FZF's localized conflict.
   // (That the policy actually exercises both branches is pinned by the
   // deterministic AutoDispatchPolicy tests in tests/pipeline_test.cpp;
   // here the property is agreement on whatever it picks.)
   Rng rng(GetParam().seed + 3);
   for (int t = 0; t < kTrials; ++t) {
     const History h = next_history(rng);
-    const Algorithm chosen = select_2av_algorithm(zone_profile(h));
+    const ZoneProfile profile = zone_profile(h);
+    const Algorithm chosen = select_2av_algorithm(profile);
     ASSERT_TRUE(chosen == Algorithm::lbt || chosen == Algorithm::fzf)
         << to_string(chosen);
     VerifyOptions options;
@@ -130,9 +135,18 @@ TEST_P(AgreementFuzz, ZoneProfileAutoDispatchNeverChangesVerdicts) {
         << "trial " << t << ", dispatched to " << to_string(chosen);
     ASSERT_EQ(dispatched.yes(), fzf.yes())
         << "trial " << t << ", dispatched to " << to_string(chosen);
+    const Verdict& picked = chosen == Algorithm::lbt ? lbt : fzf;
+    EXPECT_EQ(dispatched.reason, picked.reason) << "trial " << t;
+    EXPECT_EQ(dispatched.witness, picked.witness) << "trial " << t;
+    EXPECT_EQ(dispatched.conflict, picked.conflict) << "trial " << t;
+    EXPECT_TRUE(dispatched.stats == picked.stats) << "trial " << t;
     if (dispatched.yes()) {
       const WitnessCheck check = validate_witness(h, dispatched.witness, 2);
       ASSERT_TRUE(check.ok()) << check.detail;
+    } else if (profile.max_backward_per_chunk >= 3) {
+      EXPECT_EQ(chosen, Algorithm::fzf) << "trial " << t;
+      EXPECT_FALSE(dispatched.conflict.empty()) << "trial " << t;
+      EXPECT_EQ(dispatched.conflict, fzf.conflict) << "trial " << t;
     }
   }
 }

@@ -2,6 +2,9 @@
 // structural zone profiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/analysis.h"
 #include "core/fzf.h"
 #include "core/gk.h"
@@ -9,6 +12,7 @@
 #include "core/oracle.h"
 #include "gen/generators.h"
 #include "history/history.h"
+#include "reference_fzf.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -112,27 +116,49 @@ TEST(ZoneProfile, ReportsConcurrencyKnob) {
   EXPECT_EQ(high_c.max_concurrent_writes, 12u);
 }
 
+// ZoneProfile reads its chunk fields off FZF's Stage-1 partition, the
+// one implementation of the chunk-merging rule. These cases check them
+// against the materializing chunk set FZF used before (kept test-only
+// in reference_fzf.h), an independent implementation of that rule.
+std::string profile_mismatch(const History& h) {
+  const ZoneProfile profile = zone_profile(h);
+  const reference::ChunkSet set = reference::compute_chunk_set(h);
+  std::size_t forward = 0;
+  std::size_t contained = 0;
+  std::size_t largest = 0;
+  std::size_t max_backward = 0;
+  for (const reference::Chunk& chunk : set.chunks) {
+    forward += chunk.forward_writes.size();
+    contained += chunk.backward_writes.size();
+    largest = std::max(largest, chunk.forward_writes.size() +
+                                    chunk.backward_writes.size());
+    max_backward = std::max(max_backward, chunk.backward_writes.size());
+  }
+  if (profile.chunks != set.chunks.size()) return "chunks";
+  if (profile.dangling != set.dangling_writes.size()) return "dangling";
+  if (profile.forward_zones != forward) return "forward_zones";
+  if (profile.backward_zones != contained + set.dangling_writes.size()) {
+    return "backward_zones";
+  }
+  if (profile.largest_chunk_clusters != largest) return "largest";
+  if (profile.max_backward_per_chunk != max_backward) return "max_backward";
+  // The partition overload must read the same partition the same way.
+  const ZoneProfile shared =
+      zone_profile(h, partition_chunks(compute_zones(h)));
+  if (shared.chunks != profile.chunks ||
+      shared.largest_chunk_clusters != profile.largest_chunk_clusters ||
+      shared.max_backward_per_chunk != profile.max_backward_per_chunk) {
+    return "partition overload";
+  }
+  return "";
+}
+
 TEST(ChunkStats, MatchesChunkSetOnCuratedShapes) {
-  // compute_chunk_stats mirrors compute_chunk_set with counters only;
-  // the two must agree field for field on every chunk shape.
   for (const History& h :
        {gen::generate_b3_chunk(3), gen::generate_b3_chunk(4),
         gen::generate_property_p_triple(), gen::generate_property_p_fan(5),
         gen::generate_forced_separation(3, 2), History{}}) {
-    const std::vector<Zone> zones = compute_zones(h);
-    const ChunkSet set = compute_chunk_set(h, zones);
-    const ChunkStats stats = compute_chunk_stats(zones);
-    EXPECT_EQ(stats.chunks, set.chunks.size());
-    EXPECT_EQ(stats.dangling, set.dangling_writes.size());
-    std::size_t largest = 0;
-    std::size_t max_backward = 0;
-    for (const Chunk& chunk : set.chunks) {
-      largest = std::max(largest, chunk.forward_writes.size() +
-                                      chunk.backward_writes.size());
-      max_backward = std::max(max_backward, chunk.backward_writes.size());
-    }
-    EXPECT_EQ(stats.largest_chunk_clusters, largest);
-    EXPECT_EQ(stats.max_backward_per_chunk, max_backward);
+    EXPECT_EQ(profile_mismatch(h), "");
   }
 }
 
@@ -142,20 +168,7 @@ TEST(ChunkStats, MatchesChunkSetOnRandomHistories) {
     gen::RandomMixConfig config;
     config.operations = 10 + static_cast<int>(rng.bounded(80));
     const History h = gen::generate_random_mix(config, rng);
-    const std::vector<Zone> zones = compute_zones(h);
-    const ChunkSet set = compute_chunk_set(h, zones);
-    const ChunkStats stats = compute_chunk_stats(zones);
-    ASSERT_EQ(stats.chunks, set.chunks.size()) << "trial " << trial;
-    ASSERT_EQ(stats.dangling, set.dangling_writes.size()) << "trial " << trial;
-    std::size_t largest = 0;
-    std::size_t max_backward = 0;
-    for (const Chunk& chunk : set.chunks) {
-      largest = std::max(largest, chunk.forward_writes.size() +
-                                      chunk.backward_writes.size());
-      max_backward = std::max(max_backward, chunk.backward_writes.size());
-    }
-    ASSERT_EQ(stats.largest_chunk_clusters, largest) << "trial " << trial;
-    ASSERT_EQ(stats.max_backward_per_chunk, max_backward) << "trial " << trial;
+    ASSERT_EQ(profile_mismatch(h), "") << "trial " << trial;
   }
 }
 

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "core/fzf.h"
 #include "history/anomaly.h"
@@ -63,29 +65,37 @@ Figure3 build_figure3() {
   return fig;
 }
 
-std::set<OpId> to_set(const std::vector<OpId>& v) {
+std::set<OpId> to_set(std::span<const OpId> v) {
   return {v.begin(), v.end()};
+}
+
+std::vector<OpId> to_vector(std::span<const OpId> v) {
+  return {v.begin(), v.end()};
+}
+
+ChunkPartition chunks_of(const History& history) {
+  return partition_chunks(compute_zones(history));
 }
 
 TEST(ChunkSet, Figure3Reproduction) {
   const Figure3 fig = build_figure3();
-  const ChunkSet cs = compute_chunk_set(fig.history);
+  const ChunkPartition cs = chunks_of(fig.history);
 
-  ASSERT_EQ(cs.chunks.size(), 3u);
+  ASSERT_EQ(cs.chunk_count(), 3u);
 
-  EXPECT_EQ(to_set(cs.chunks[0].forward_writes),
+  EXPECT_EQ(to_set(cs.forward(0)),
             (std::set<OpId>{fig.fz[1]}));
-  EXPECT_EQ(to_set(cs.chunks[0].backward_writes),
+  EXPECT_EQ(to_set(cs.backward(0)),
             (std::set<OpId>{fig.bz[1]}));
 
-  EXPECT_EQ(to_set(cs.chunks[1].forward_writes),
+  EXPECT_EQ(to_set(cs.forward(1)),
             (std::set<OpId>{fig.fz[2], fig.fz[3], fig.fz[4]}));
-  EXPECT_EQ(to_set(cs.chunks[1].backward_writes),
+  EXPECT_EQ(to_set(cs.backward(1)),
             (std::set<OpId>{fig.bz[3], fig.bz[4]}));
 
-  EXPECT_EQ(to_set(cs.chunks[2].forward_writes),
+  EXPECT_EQ(to_set(cs.forward(2)),
             (std::set<OpId>{fig.fz[5], fig.fz[6], fig.fz[7], fig.fz[8]}));
-  EXPECT_EQ(to_set(cs.chunks[2].backward_writes),
+  EXPECT_EQ(to_set(cs.backward(2)),
             (std::set<OpId>{fig.bz[6]}));
 
   EXPECT_EQ(to_set(cs.dangling_writes),
@@ -94,41 +104,39 @@ TEST(ChunkSet, Figure3Reproduction) {
 
 TEST(ChunkSet, Figure3ForwardWritesOrderedByZoneLow) {
   const Figure3 fig = build_figure3();
-  const ChunkSet cs = compute_chunk_set(fig.history);
-  ASSERT_EQ(cs.chunks.size(), 3u);
+  const ChunkPartition cs = chunks_of(fig.history);
+  ASSERT_EQ(cs.chunk_count(), 3u);
   // T_F for the middle chunk must be FZ2, FZ3, FZ4 in that order.
-  EXPECT_EQ(cs.chunks[1].forward_writes,
+  EXPECT_EQ(to_vector(cs.forward(1)),
             (std::vector<OpId>{fig.fz[2], fig.fz[3], fig.fz[4]}));
-  EXPECT_EQ(cs.chunks[2].forward_writes,
+  EXPECT_EQ(to_vector(cs.forward(2)),
             (std::vector<OpId>{fig.fz[5], fig.fz[6], fig.fz[7], fig.fz[8]}));
 }
 
 TEST(ChunkSet, Figure3ExtentsAreTheForwardUnions) {
   const Figure3 fig = build_figure3();
-  const ChunkSet cs = compute_chunk_set(fig.history);
-  ASSERT_EQ(cs.chunks.size(), 3u);
-  EXPECT_EQ(cs.chunks[0].extent, (Interval{0, 100}));
-  EXPECT_EQ(cs.chunks[1].extent, (Interval{200, 500}));
-  EXPECT_EQ(cs.chunks[2].extent, (Interval{600, 1000}));
+  const ChunkPartition cs = chunks_of(fig.history);
+  ASSERT_EQ(cs.chunk_count(), 3u);
+  EXPECT_EQ(cs.extents[0], (Interval{0, 100}));
+  EXPECT_EQ(cs.extents[1], (Interval{200, 500}));
+  EXPECT_EQ(cs.extents[2], (Interval{600, 1000}));
 }
 
 TEST(ChunkSet, StableUnderNormalization) {
   const Figure3 fig = build_figure3();
-  const ChunkSet raw = compute_chunk_set(fig.history);
-  const ChunkSet norm = compute_chunk_set(normalize(fig.history));
-  ASSERT_EQ(raw.chunks.size(), norm.chunks.size());
-  for (std::size_t i = 0; i < raw.chunks.size(); ++i) {
-    EXPECT_EQ(to_set(raw.chunks[i].forward_writes),
-              to_set(norm.chunks[i].forward_writes));
-    EXPECT_EQ(to_set(raw.chunks[i].backward_writes),
-              to_set(norm.chunks[i].backward_writes));
+  const ChunkPartition raw = chunks_of(fig.history);
+  const ChunkPartition norm = chunks_of(normalize(fig.history));
+  ASSERT_EQ(raw.chunk_count(), norm.chunk_count());
+  for (std::size_t i = 0; i < raw.chunk_count(); ++i) {
+    EXPECT_EQ(to_set(raw.forward(i)), to_set(norm.forward(i)));
+    EXPECT_EQ(to_set(raw.backward(i)), to_set(norm.backward(i)));
   }
   EXPECT_EQ(to_set(raw.dangling_writes), to_set(norm.dangling_writes));
 }
 
 TEST(ChunkSet, EmptyHistory) {
-  const ChunkSet cs = compute_chunk_set(History{});
-  EXPECT_TRUE(cs.chunks.empty());
+  const ChunkPartition cs = chunks_of(History{});
+  EXPECT_TRUE(cs.chunk_count() == 0);
   EXPECT_TRUE(cs.dangling_writes.empty());
 }
 
@@ -137,8 +145,8 @@ TEST(ChunkSet, AllBackwardMeansAllDangling) {
   for (int i = 0; i < 4; ++i) {
     b.write(i * 100, i * 100 + 50, i + 1);  // no reads: backward zones
   }
-  const ChunkSet cs = compute_chunk_set(b.build());
-  EXPECT_TRUE(cs.chunks.empty());
+  const ChunkPartition cs = chunks_of(b.build());
+  EXPECT_TRUE(cs.chunk_count() == 0);
   EXPECT_EQ(cs.dangling_writes.size(), 4u);
 }
 
@@ -146,10 +154,10 @@ TEST(ChunkSet, SingleForwardClusterIsItsOwnChunk) {
   HistoryBuilder b;
   b.write(0, 10, 1);
   b.read(20, 30, 1);
-  const ChunkSet cs = compute_chunk_set(b.build());
-  ASSERT_EQ(cs.chunks.size(), 1u);
-  EXPECT_EQ(cs.chunks[0].forward_writes.size(), 1u);
-  EXPECT_EQ(cs.chunks[0].extent, (Interval{10, 20}));
+  const ChunkPartition cs = chunks_of(b.build());
+  ASSERT_EQ(cs.chunk_count(), 1u);
+  EXPECT_EQ(cs.forward(0).size(), 1u);
+  EXPECT_EQ(cs.extents[0], (Interval{10, 20}));
 }
 
 TEST(ChunkSet, BackwardZoneTouchingExtentBoundaryIsDangling) {
@@ -159,10 +167,10 @@ TEST(ChunkSet, BackwardZoneTouchingExtentBoundaryIsDangling) {
   b.read(40, 60, 1);   // forward zone [20, 40]
   b.write(25, 55, 2);  // cluster zone [30, 50]... compute:
   b.read(30, 50, 2);   // min finish 50, max start 30: backward [30, 50]
-  const ChunkSet cs = compute_chunk_set(b.build());
-  ASSERT_EQ(cs.chunks.size(), 1u);
+  const ChunkPartition cs = chunks_of(b.build());
+  ASSERT_EQ(cs.chunk_count(), 1u);
   // [30, 50] is NOT strictly inside [20, 40] (50 > 40): dangling.
-  EXPECT_TRUE(cs.chunks[0].backward_writes.empty());
+  EXPECT_TRUE(cs.backward(0).empty());
   EXPECT_EQ(cs.dangling_writes.size(), 1u);
 }
 
@@ -175,10 +183,10 @@ TEST(ChunkSet, ChunksOrderedAlongTimeline) {
     b.read(base + 20, base + 30, v);
     ++v;
   }
-  const ChunkSet cs = compute_chunk_set(b.build());
-  ASSERT_EQ(cs.chunks.size(), 5u);
-  for (std::size_t i = 1; i < cs.chunks.size(); ++i) {
-    EXPECT_LT(cs.chunks[i - 1].extent.hi, cs.chunks[i].extent.lo);
+  const ChunkPartition cs = chunks_of(b.build());
+  ASSERT_EQ(cs.chunk_count(), 5u);
+  for (std::size_t i = 1; i < cs.chunk_count(); ++i) {
+    EXPECT_LT(cs.extents[i - 1].hi, cs.extents[i].lo);
   }
 }
 

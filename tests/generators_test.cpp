@@ -96,9 +96,9 @@ TEST(Generators, PropertyPFanOverlapStructure) {
 TEST(Generators, B3ChunkHasSingleChunkWithBBackwardClusters) {
   for (int b = 3; b <= 6; ++b) {
     const History h = gen::generate_b3_chunk(b);
-    const ChunkSet cs = compute_chunk_set(h);
-    ASSERT_EQ(cs.chunks.size(), 1u) << "b=" << b;
-    EXPECT_EQ(cs.chunks[0].backward_writes.size(),
+    const ChunkPartition cs = partition_chunks(compute_zones(h));
+    ASSERT_EQ(cs.chunk_count(), 1u) << "b=" << b;
+    EXPECT_EQ(cs.backward(0).size(),
               static_cast<std::size_t>(b));
     EXPECT_TRUE(cs.dangling_writes.empty());
   }

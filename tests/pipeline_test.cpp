@@ -319,6 +319,30 @@ TEST(AutoDispatchPolicy, ExercisesBothDeciders) {
   EXPECT_EQ(select_2av_algorithm(doomed_chunk), Algorithm::fzf);
 }
 
+TEST(AutoDispatchPolicy, PinsTheMeasuredCrossover) {
+  // bench_lbt_vs_fzf (BENCH_lbt_vs_fzf.json) puts the LBT/FZF crossover
+  // between c = 2 and c = 3: LBT up to T = 2, FZF from T + 1. A chunk
+  // with >= 3 backward clusters goes to FZF at any c (Lemma 4.3).
+  ZoneProfile at_threshold;
+  at_threshold.max_concurrent_writes = 2;
+  EXPECT_EQ(select_2av_algorithm(at_threshold), Algorithm::lbt);
+
+  ZoneProfile above_threshold;
+  above_threshold.max_concurrent_writes = 3;
+  EXPECT_EQ(select_2av_algorithm(above_threshold), Algorithm::fzf);
+
+  for (const std::size_t c : {0, 1, 2, 3, 4, 256}) {
+    ZoneProfile doomed;
+    doomed.max_concurrent_writes = c;
+    doomed.max_backward_per_chunk = 3;
+    EXPECT_EQ(select_2av_algorithm(doomed), Algorithm::fzf) << "c = " << c;
+    doomed.max_backward_per_chunk = 2;
+    EXPECT_EQ(select_2av_algorithm(doomed),
+              c <= 2 ? Algorithm::lbt : Algorithm::fzf)
+        << "c = " << c;
+  }
+}
+
 TEST(KeyedHistories, ShardHelpers) {
   const KeyedTrace trace = one_bad_key_trace(2);
   const KeyedHistories shards = split_by_key(trace);

@@ -63,13 +63,6 @@ std::pair<std::int64_t, std::int64_t> ref_min_max(
   return mm;
 }
 
-std::size_t ref_count_less(const std::vector<std::int64_t>& a,
-                           const std::vector<std::int64_t>& b) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) count += a[i] < b[i] ? 1 : 0;
-  return count;
-}
-
 std::size_t ref_first_not_less(const std::vector<std::int64_t>& a,
                                const std::vector<std::int64_t>& b) {
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -157,34 +150,6 @@ TEST_P(SimdLevelTest, MinMaxEmptyIsFoldIdentity) {
   const auto mm = simd::min_max_i64(nullptr, 0, level());
   EXPECT_EQ(mm.first, kI64Max);
   EXPECT_EQ(mm.second, kI64Min);
-}
-
-TEST_P(SimdLevelTest, CountLessMatchesReference) {
-  const auto families = i64_families();
-  Rng rng(0xC0);
-  for (const auto& a : families) {
-    // Pair each family with itself (all-equal -> zero), a shifted copy,
-    // and a random partner of the same length. The shift saturates at
-    // the i64 extremes so it stays well-defined.
-    std::vector<std::int64_t> shifted = a;
-    for (auto& v : shifted) {
-      const std::int64_t delta = 1 - static_cast<std::int64_t>(rng.bounded(3));
-      if (delta > 0 && v > kI64Max - delta) {
-        v = kI64Max;
-      } else if (delta < 0 && v < kI64Min - delta) {
-        v = kI64Min;
-      } else {
-        v += delta;
-      }
-    }
-    std::vector<std::int64_t> random(a.size());
-    for (auto& v : random) v = static_cast<std::int64_t>(rng.next());
-    for (const auto& b : {a, shifted, random}) {
-      EXPECT_EQ(simd::count_less_i64(a.data(), b.data(), a.size(), level()),
-                ref_count_less(a, b))
-          << "n=" << a.size();
-    }
-  }
 }
 
 TEST_P(SimdLevelTest, FirstNotLessMatchesReference) {
@@ -344,8 +309,6 @@ TEST_P(SimdLevelTest, RandomizedDifferentialAgainstScalarLevel) {
               simd::has_adjacent_duplicate_i64(a.data(), n, Level::scalar));
     EXPECT_EQ(simd::min_max_i64(a.data(), n, level()),
               simd::min_max_i64(a.data(), n, Level::scalar));
-    EXPECT_EQ(simd::count_less_i64(a.data(), b.data(), n, level()),
-              simd::count_less_i64(a.data(), b.data(), n, Level::scalar));
     EXPECT_EQ(simd::first_not_less_i64(a.data(), b.data(), n, level()),
               simd::first_not_less_i64(a.data(), b.data(), n, Level::scalar));
     std::vector<std::uint32_t> u(n);
