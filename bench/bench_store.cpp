@@ -341,6 +341,80 @@ void BM_VerifyOneKey_FullDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_VerifyOneKey_FullDecode)->Unit(benchmark::kMillisecond);
 
+// --- Selective query cost vs store width -----------------------------------
+//
+// The same 4-key selective query (store.open_source() + Engine::verify
+// with a key_filter) on two 8-segment stores that differ only in how
+// many other keys they hold: ~1k (narrow) and ~16k (wide). The query
+// keys' histories, and so the decode and decide work, are identical
+// in both. A query looks up only its own keys, so the pair should cost
+// the same; run_bench.sh --smoke fails when wide costs more than 1.25x
+// narrow, which is what listing every key of every segment per query
+// costs.
+
+constexpr int kWidthSegments = 8;
+constexpr int kWidthQueryKeys = 4;
+constexpr int kWidthQueryKeyOps = 1024;
+
+struct WidthStore {
+  std::unique_ptr<TraceStore> store;
+  RunOptions run;
+
+  explicit WidthStore(int keys) {
+    const fs::path dir =
+        fs::temp_directory_path() / ("kav_bench_store_width_" +
+                                     std::to_string(keys));
+    fs::remove_all(dir);
+    store = std::make_unique<TraceStore>(dir);
+    for (int q = 0; q < kWidthQueryKeys; ++q) {
+      run.key_filter.push_back("query" + std::to_string(q));
+    }
+    // Query keys: a serial write/read cadence continued across the
+    // segments. Fillers: one write and one read each, dealt round-robin.
+    std::vector<TimePoint> clocks(kWidthQueryKeys, 0);
+    constexpr int kPerSegment = kWidthQueryKeyOps / kWidthSegments / 2;
+    for (int s = 0; s < kWidthSegments; ++s) {
+      KeyedTrace chunk;
+      for (int q = 0; q < kWidthQueryKeys; ++q) {
+        TimePoint& t = clocks[static_cast<std::size_t>(q)];
+        for (int i = 0; i < kPerSegment; ++i) {
+          const auto value = static_cast<Value>(t / 8 + 1);
+          chunk.add(run.key_filter[static_cast<std::size_t>(q)],
+                    make_write(t, t + 3, value));
+          chunk.add(run.key_filter[static_cast<std::size_t>(q)],
+                    make_read(t + 4, t + 7, value));
+          t += 8;
+        }
+      }
+      for (int f = s; f < keys - kWidthQueryKeys; f += kWidthSegments) {
+        const std::string key = "filler" + std::to_string(f);
+        chunk.add(key, make_write(0, 1, 1));
+        chunk.add(key, make_read(2, 3, 1));
+      }
+      store->append(chunk);
+    }
+  }
+};
+
+void BM_StoreSelectiveQuery(benchmark::State& state) {
+  static WidthStore narrow(1024);
+  static WidthStore wide(16384);
+  const WidthStore& f = state.range(0) == 1024 ? narrow : wide;
+  Engine engine;
+  for (auto _ : state) {
+    const auto source = f.store->open_source();
+    benchmark::DoNotOptimize(engine.verify(*source, f.run));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(kWidthQueryKeys) *
+                          kWidthQueryKeyOps * state.iterations());
+  state.counters["store_keys"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_StoreSelectiveQuery)
+    ->Arg(1024)
+    ->Arg(16384)
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMicrosecond);
+
 // --- Segment open cost (header + footer only) ------------------------------
 
 void BM_OpenAndStatSegment(benchmark::State& state) {

@@ -59,10 +59,12 @@ fi
 "$BUILD_DIR/bench_engine"   "${ENGINE_ARGS[@]}" --benchmark_out="$OUT_DIR/BENCH_engine.json"
 STORE_ARGS=("${ARGS[@]}")
 if [[ "$MODE" == smoke ]]; then
-  # The guardrail below compares sub-0.1ms benchmarks; one 10ms sample
-  # window on a busy 1-vCPU CI box is too noisy, so take the median of
-  # several repetitions.
-  STORE_ARGS+=(--benchmark_repetitions=5)
+  # The guardrails below compare sub-millisecond benchmarks; one 10ms
+  # sample window on a busy box is too noisy, so take several
+  # repetitions, interleaved so drift cannot bias one side of a pair:
+  # the zero-copy pairs read the median, the store-width pair the min.
+  STORE_ARGS+=(--benchmark_repetitions=9
+               --benchmark_enable_random_interleaving=true)
 fi
 "$BUILD_DIR/bench_store"    "${STORE_ARGS[@]}" --benchmark_out="$OUT_DIR/BENCH_store.json"
 OBS_ARGS=("${ARGS[@]}")
@@ -135,6 +137,36 @@ for zero_copy, materializing in pairs:
     failed |= verdict != "ok"
 if failed:
     sys.exit("zero-copy path slower than materializing reference")
+EOF
+
+  # Store-width guardrail: a selective query must cost the same however
+  # many other keys the store holds. bench_store's
+  # BM_StoreSelectiveQuery runs one 4-key query on an 8-segment store
+  # of ~1k keys and on one of ~16k keys (process CPU time, so the pool
+  # workers' decode and decide count too; min over interleaved
+  # repetitions). A query that lists every key of every segment costs
+  # the wide store several times the narrow one (~8x measured); per-key
+  # index lookups cost both the same.
+  python3 - <<'EOF'
+import json, sys
+
+with open("BENCH_store.json") as f:
+    entries = json.load(f)["benchmarks"]
+results = {}
+for b in entries:
+    if "aggregate_name" in b:
+        continue  # raw repetition samples only
+    results[b["name"]] = min(results.get(b["name"], float("inf")),
+                             b["cpu_time"])
+
+narrow = results["BM_StoreSelectiveQuery/1024/process_time"]
+wide = results["BM_StoreSelectiveQuery/16384/process_time"]
+budget = narrow * 1.25
+verdict = "ok" if wide <= budget else "WIDTH-BOUND"
+print(f"selective query on a 16k-key store (min of reps): {wide:.1f}us vs "
+      f"1k-key store: {narrow:.1f}us (budget {budget:.1f}us) -> {verdict}")
+if verdict != "ok":
+    sys.exit("selective query cost grows with the number of keys in the store")
 EOF
 
   # Observability guardrail: the always-on metrics layer may cost at

@@ -317,6 +317,16 @@ void account_selection(Report& report, const KeyFilter& filter,
   }
 }
 
+// A selective source seen as account_selection's offered set: its size
+// and membership come from per-key index lookups, not a key listing.
+struct SourceKeys {
+  const SelectiveTraceSource& source;
+  std::size_t size() const { return source.key_count(); }
+  std::size_t count(const std::string& key) const {
+    return source.contains(key) ? 1 : 0;
+  }
+};
+
 // The earlier of the absolute deadline and the relative timeout,
 // anchored at call entry (RunOptions precedence rule 2).
 std::optional<std::chrono::steady_clock::time_point> effective_deadline(
@@ -498,8 +508,9 @@ Report Engine::verify_selective(
     SelectiveTraceSource& source, const RunOptions& run,
     const std::optional<std::chrono::steady_clock::time_point>& deadline) {
   const KeyFilter filter(run);
-  const std::vector<std::string> available = source.selectable_keys();
-  const std::set<std::string> offered(available.begin(), available.end());
+  // Only the requested keys are looked up; the source's other keys are
+  // never listed.
+  const SourceKeys offered{source};
   std::vector<ShardSpec> specs;
   specs.reserve(filter.wanted.size());
   for (const std::string& key : filter.wanted) {

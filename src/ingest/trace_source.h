@@ -70,10 +70,16 @@ class TraceSource {
 // (RunOptions::key_filter) by materializing ONLY the requested keys'
 // histories -- each one loaded inside a pool worker, straight from the
 // index, with the rest of the input never decoded.
+//
+// Every per-key method costs an index lookup, independent of how many
+// other keys the source holds, so a selective run costs O(requested
+// keys), never a listing of the whole source.
 class SelectiveTraceSource : public TraceSource {
  public:
-  // Every key the source can serve selectively (unspecified order).
-  virtual std::vector<std::string> selectable_keys() const = 0;
+  // True when the source's index holds `key` (even with zero records).
+  virtual bool contains(const std::string& key) const = 0;
+  // Distinct keys the source holds: Report::keys_available.
+  virtual std::size_t key_count() const = 0;
   // Operations stored for `key`; 0 when absent. Available without
   // decoding records -- this is what index-driven shard budgeting and
   // scheduling read.

@@ -7,11 +7,8 @@
 #include <utility>
 #include <vector>
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include "obs/span.h"
+#include "util/memory.h"
 #include "util/thread_safety.h"
 
 namespace kav {
@@ -118,25 +115,19 @@ void fill_batch_totals(Report& report) {
 // A shard this large leaves megabytes of freed working memory behind.
 constexpr std::size_t kReleaseAfterShardOps = std::size_t{1} << 16;
 
-// glibc keeps what a worker frees in that worker's malloc arena instead
-// of returning it to the OS, so every worker that ever decided a large
-// shard holds that shard's working set from then on. Which workers did
+// Every worker that ever decided a large shard would otherwise hold that
+// shard's working set from then on (util/memory.h). Which workers did
 // is up to scheduling (work stealing, and the arenas a fresh pool's
 // threads pick up), so resident memory stepped by whole working sets
 // between identical runs. Releasing the free memory after a batch with
-// a large shard keeps it to what the batch itself needs, at the price
-// of the next batch faulting those pages back in.
+// a large shard keeps it to what the batch itself needs.
 void release_worker_memory(const std::vector<ShardSpec>& shards) {
-#if defined(__GLIBC__)
   for (const ShardSpec& shard : shards) {
     if (shard.op_count >= kReleaseAfterShardOps) {
-      malloc_trim(0);
+      util::release_free_memory();
       return;
     }
   }
-#else
-  (void)shards;
-#endif
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "store/block_cursor.h"
@@ -21,12 +23,29 @@ std::shared_ptr<const MappedSegment> open_indexed(const std::string& path) {
 
 }  // namespace
 
+std::size_t distinct_key_count(
+    const std::vector<std::shared_ptr<const MappedSegment>>& segments) {
+  // A segment's key table holds each key once (MappedSegment rejects
+  // duplicates), so one segment needs no set.
+  if (segments.size() == 1) return segments.front()->key_count();
+  std::size_t table_entries = 0;
+  for (const auto& segment : segments) table_entries += segment->key_count();
+  std::unordered_set<std::string_view> keys;
+  keys.reserve(table_entries);
+  for (const auto& segment : segments) {
+    keys.insert(segment->keys().begin(), segment->keys().end());
+  }
+  return keys.size();
+}
+
 IndexedTraceSource::IndexedTraceSource(const std::string& path)
-    : segments_{open_indexed(path)}, label_("indexed:" + path) {}
+    : segments_{open_indexed(path)},
+      label_("indexed:" + path),
+      key_count_(segments_.front()->key_count()) {}
 
 IndexedTraceSource::IndexedTraceSource(
     std::vector<std::shared_ptr<const MappedSegment>> segments,
-    std::string label)
+    std::string label, std::optional<std::size_t> key_count)
     : segments_(std::move(segments)), label_(std::move(label)) {
   for (const auto& segment : segments_) {
     if (!segment->indexed()) {
@@ -34,6 +53,7 @@ IndexedTraceSource::IndexedTraceSource(
                                   segment->path());
     }
   }
+  key_count_ = key_count ? *key_count : distinct_key_count(segments_);
 }
 
 bool IndexedTraceSource::next(KeyedOperation& out) {
@@ -53,14 +73,8 @@ bool IndexedTraceSource::next(KeyedOperation& out) {
 }
 
 std::string IndexedTraceSource::describe() const {
-  std::uint64_t records = 0;
-  std::set<std::string_view> keys;
-  for (const auto& segment : segments_) {
-    records += segment->total_records();
-    keys.insert(segment->keys().begin(), segment->keys().end());
-  }
-  return label_ + "(" + std::to_string(keys.size()) + " keys, " +
-         std::to_string(records) + " records)";
+  return label_ + "(" + std::to_string(key_count_) + " keys, " +
+         std::to_string(total_records()) + " records)";
 }
 
 std::vector<std::string> IndexedTraceSource::selectable_keys() const {
@@ -69,6 +83,14 @@ std::vector<std::string> IndexedTraceSource::selectable_keys() const {
     merged.insert(segment->keys().begin(), segment->keys().end());
   }
   return {merged.begin(), merged.end()};
+}
+
+bool IndexedTraceSource::contains(const std::string& key) const {
+  const BloomProbe probe = bloom_probe(key);
+  for (const auto& segment : segments_) {
+    if (segment->maybe_contains(probe) && segment->contains(key)) return true;
+  }
+  return false;
 }
 
 std::size_t IndexedTraceSource::key_op_count(const std::string& key) const {

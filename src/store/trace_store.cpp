@@ -23,6 +23,7 @@
 #include "pipeline/thread_pool.h"
 #include "store/fault_injection.h"
 #include "util/crc32c.h"
+#include "util/memory.h"
 
 namespace kav {
 
@@ -65,6 +66,23 @@ std::optional<std::uint64_t> parse_decimal(std::string_view digits) {
     number = number * 10 + digit;
   }
   return number;
+}
+
+// Keys of `segment` that no segment of `older` holds: per key, a bloom
+// probe per older segment, then its key table only on a bloom hit.
+std::size_t keys_not_in(
+    const MappedSegment& segment,
+    const std::vector<std::shared_ptr<const MappedSegment>>& older) {
+  std::size_t fresh = 0;
+  for (const std::string_view key : segment.keys()) {
+    const BloomProbe probe = bloom_probe(key);
+    const bool held = std::any_of(
+        older.begin(), older.end(), [&](const auto& other) {
+          return other->maybe_contains(probe) && other->contains(key);
+        });
+    if (!held) ++fresh;
+  }
+  return fresh;
 }
 
 bool ends_with(std::string_view name, std::string_view suffix) {
@@ -368,6 +386,7 @@ TraceStore::TraceStore(std::filesystem::path directory,
     std::error_code remove_ec;
     std::filesystem::remove(path, remove_ec);  // best effort
   }
+  key_count_ = distinct_key_count(segments_);
   refresh_gauges();
 }
 
@@ -512,12 +531,14 @@ std::filesystem::path TraceStore::append_segment_locked(
   const std::filesystem::path path(segment->path());
 
   std::vector<std::uint64_t> numbers;
+  std::size_t fresh_keys = 0;
   {
     // Writers are serialized on writer_mutex_, so nobody can swap the
     // set between this read and the exclusive swap below -- but reads
     // of numbers_ still take the shared side: that is the contract.
     util::ReaderMutexLock lock(segments_mutex_);
     numbers = numbers_;
+    fresh_keys = keys_not_in(*segment, segments_);
   }
   numbers.push_back(number);
   store_detail::fault_point(store_detail::kFaultAppendBeforeManifest);
@@ -536,6 +557,7 @@ std::filesystem::path TraceStore::append_segment_locked(
     util::WriterMutexLock lock(segments_mutex_);
     segments_.push_back(std::move(segment));
     numbers_ = std::move(numbers);
+    key_count_ += fresh_keys;
   }
   metrics_->appends.add(1);
   refresh_gauges();
@@ -667,8 +689,15 @@ History TraceStore::read_key(const std::string& key) const {
 }
 
 std::unique_ptr<IndexedTraceSource> TraceStore::open_source() const {
+  std::vector<std::shared_ptr<const MappedSegment>> segments;
+  std::size_t keys = 0;
+  {
+    util::ReaderMutexLock lock(segments_mutex_);
+    segments = segments_;
+    keys = key_count_;
+  }
   return std::make_unique<IndexedTraceSource>(
-      snapshot(), "store:" + directory_.string());
+      std::move(segments), "store:" + directory_.string(), keys);
 }
 
 std::size_t TraceStore::compact(std::size_t first_n,
@@ -748,6 +777,8 @@ void TraceStore::fold_range_locked(std::size_t begin, std::size_t count,
     segments_.insert(segments_.begin() + static_cast<std::ptrdiff_t>(begin),
                      std::move(folded));
     numbers_ = std::move(numbers);
+    // key_count_ stands: every key a victim lists has records (that is
+    // how SegmentWriter writes them), so the fold's stream carries each.
   }
   std::vector<std::filesystem::path> victim_paths;
   victim_paths.reserve(victims.size());
@@ -758,6 +789,9 @@ void TraceStore::fold_range_locked(std::size_t begin, std::size_t count,
     std::error_code remove_ec;
     std::filesystem::remove(path, remove_ec);  // best effort
   }
+  // The writer's buffers were freed on this pool worker, whose arena
+  // would otherwise keep them resident (util/memory.h).
+  util::release_free_memory();
   metrics_->compaction_folds.add(1);
   refresh_gauges();
 }
@@ -766,6 +800,7 @@ std::size_t TraceStore::apply_retention_locked(std::uint64_t retain_bytes) {
   std::size_t drop = 0;
   std::vector<std::uint64_t> numbers;
   std::vector<std::shared_ptr<const MappedSegment>> dropped;
+  std::size_t kept_keys = 0;
   {
     util::ReaderMutexLock lock(segments_mutex_);
     std::uint64_t total = 0;
@@ -779,6 +814,9 @@ std::size_t TraceStore::apply_retention_locked(std::uint64_t retain_bytes) {
                    numbers_.end());
     dropped.assign(segments_.begin(),
                    segments_.begin() + static_cast<std::ptrdiff_t>(drop));
+    kept_keys = distinct_key_count(
+        {segments_.begin() + static_cast<std::ptrdiff_t>(drop),
+         segments_.end()});
   }
   commit_manifest(numbers, next_number_);
   {
@@ -786,6 +824,7 @@ std::size_t TraceStore::apply_retention_locked(std::uint64_t retain_bytes) {
     segments_.erase(segments_.begin(),
                     segments_.begin() + static_cast<std::ptrdiff_t>(drop));
     numbers_ = std::move(numbers);
+    key_count_ = kept_keys;
   }
   std::vector<std::filesystem::path> paths;
   paths.reserve(dropped.size());

@@ -183,8 +183,9 @@ class TraceStore {
   // The whole store as one source (sequential + selective). The source
   // holds shared mappings, so it stays valid across later append()s
   // and compactions (it serves the segments that existed when it was
-  // opened).
-  std::unique_ptr<IndexedTraceSource> open_source() const;
+  // opened, and their key count, both read under one lock).
+  std::unique_ptr<IndexedTraceSource> open_source() const
+      KAV_EXCLUDES(segments_mutex_);
 
   // Folds the `first_n` oldest segments (0 = all) into one indexed
   // segment, re-blocked at records_per_block. No-op when fewer than
@@ -294,6 +295,11 @@ class TraceStore {
       KAV_GUARDED_BY(segments_mutex_);  // replay order
   std::vector<std::uint64_t> numbers_
       KAV_GUARDED_BY(segments_mutex_);  // parallel to segments_
+  // Distinct keys across segments_. An append adds the new segment's
+  // keys no older segment holds; a fold keeps it (the folded segment
+  // holds exactly its victims' keys, each of which has records); a
+  // retention drop and open recount it once.
+  std::size_t key_count_ KAV_GUARDED_BY(segments_mutex_) = 0;
   std::uint64_t next_number_ KAV_GUARDED_BY(writer_mutex_) = 1;
 
   // Background compaction accounting (quiesce mirrors the keyed

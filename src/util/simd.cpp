@@ -47,17 +47,6 @@ bool scalar_has_adjacent_duplicate(const std::int64_t* a, std::size_t n) {
   return false;
 }
 
-std::pair<std::int64_t, std::int64_t> scalar_min_max(const std::int64_t* a,
-                                                     std::size_t n) {
-  std::int64_t lo = INT64_MAX;
-  std::int64_t hi = INT64_MIN;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] < lo) lo = a[i];
-    if (a[i] > hi) hi = a[i];
-  }
-  return {lo, hi};
-}
-
 std::size_t scalar_first_not_less(const std::int64_t* a, const std::int64_t* b,
                                   std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -142,32 +131,6 @@ __attribute__((target("avx2"))) bool avx2_has_adjacent_duplicate(
     if (_mm256_movemask_pd(_mm256_castsi256_pd(eq)) != 0) return true;
   }
   return scalar_has_adjacent_duplicate(a + (i - 1), n - (i - 1));
-}
-
-__attribute__((target("avx2"))) std::pair<std::int64_t, std::int64_t>
-avx2_min_max(const std::int64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  std::int64_t lo = INT64_MAX;
-  std::int64_t hi = INT64_MIN;
-  if (n >= 4) {
-    // AVX2 has no 64-bit min/max instruction; keep vector accumulators
-    // via compare + blend and reduce at the end.
-    __m256i vlo = _mm256_set1_epi64x(INT64_MAX);
-    __m256i vhi = _mm256_set1_epi64x(INT64_MIN);
-    for (; i + 4 <= n; i += 4) {
-      const __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-      vlo = _mm256_blendv_epi8(vlo, v, _mm256_cmpgt_epi64(vlo, v));
-      vhi = _mm256_blendv_epi8(vhi, v, _mm256_cmpgt_epi64(v, vhi));
-    }
-    alignas(32) std::int64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vlo);
-    for (std::int64_t lane : lanes) lo = lane < lo ? lane : lo;
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vhi);
-    for (std::int64_t lane : lanes) hi = lane > hi ? lane : hi;
-  }
-  const auto [tail_lo, tail_hi] = scalar_min_max(a + i, n - i);
-  return {tail_lo < lo ? tail_lo : lo, tail_hi > hi ? tail_hi : hi};
 }
 
 __attribute__((target("avx2"))) std::size_t avx2_first_not_less(
@@ -312,16 +275,6 @@ bool has_adjacent_duplicate_i64(const std::int64_t* a, std::size_t n,
   }
 #endif
   return scalar_has_adjacent_duplicate(a, n);
-}
-
-std::pair<std::int64_t, std::int64_t> min_max_i64(const std::int64_t* a,
-                                                  std::size_t n, Level level) {
-#if KAV_SIMD_X86
-  if (level >= Level::avx2 && supported(Level::avx2)) {
-    return avx2_min_max(a, n);
-  }
-#endif
-  return scalar_min_max(a, n);
 }
 
 std::size_t first_not_less_i64(const std::int64_t* a, const std::int64_t* b,

@@ -30,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 
 namespace kav::simd {
 
@@ -61,11 +60,6 @@ bool is_strictly_increasing_i64(const std::int64_t* a, std::size_t n,
 // sorted column (find_anomalies' fast path).
 bool has_adjacent_duplicate_i64(const std::int64_t* a, std::size_t n,
                                 Level level = active_level());
-
-// {min, max} of a[0..n). For n == 0 returns {INT64_MAX, INT64_MIN}
-// (the fold identity), so callers can combine partial scans.
-std::pair<std::int64_t, std::int64_t> min_max_i64(
-    const std::int64_t* a, std::size_t n, Level level = active_level());
 
 // First index with a[i] >= b[i], or n when a[i] < b[i] everywhere.
 // Record validation (start < finish) uses this to accept a whole block

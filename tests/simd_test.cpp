@@ -53,16 +53,6 @@ bool ref_adjacent_duplicate(const std::vector<std::int64_t>& a) {
   return false;
 }
 
-std::pair<std::int64_t, std::int64_t> ref_min_max(
-    const std::vector<std::int64_t>& a) {
-  std::pair<std::int64_t, std::int64_t> mm{kI64Max, kI64Min};
-  for (std::int64_t v : a) {
-    mm.first = std::min(mm.first, v);
-    mm.second = std::max(mm.second, v);
-  }
-  return mm;
-}
-
 std::size_t ref_first_not_less(const std::vector<std::int64_t>& a,
                                const std::vector<std::int64_t>& b) {
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -139,19 +129,6 @@ TEST_P(SimdLevelTest, AdjacentDuplicateMatchesReference) {
   }
 }
 
-TEST_P(SimdLevelTest, MinMaxMatchesReference) {
-  for (const auto& a : i64_families()) {
-    EXPECT_EQ(simd::min_max_i64(a.data(), a.size(), level()), ref_min_max(a))
-        << "n=" << a.size();
-  }
-}
-
-TEST_P(SimdLevelTest, MinMaxEmptyIsFoldIdentity) {
-  const auto mm = simd::min_max_i64(nullptr, 0, level());
-  EXPECT_EQ(mm.first, kI64Max);
-  EXPECT_EQ(mm.second, kI64Min);
-}
-
 TEST_P(SimdLevelTest, FirstNotLessMatchesReference) {
   const auto families = i64_families();
   for (const auto& a : families) {
@@ -217,9 +194,6 @@ TEST_P(SimdLevelTest, ScansAcceptUnalignedBases) {
       EXPECT_EQ(
           simd::has_adjacent_duplicate_i64(buffer.data() + offset, n, level()),
           ref_adjacent_duplicate(window))
-          << "offset=" << offset << " n=" << n;
-      EXPECT_EQ(simd::min_max_i64(buffer.data() + offset, n, level()),
-                ref_min_max(window))
           << "offset=" << offset << " n=" << n;
     }
   }
@@ -307,8 +281,6 @@ TEST_P(SimdLevelTest, RandomizedDifferentialAgainstScalarLevel) {
               simd::is_strictly_increasing_i64(a.data(), n, Level::scalar));
     EXPECT_EQ(simd::has_adjacent_duplicate_i64(a.data(), n, level()),
               simd::has_adjacent_duplicate_i64(a.data(), n, Level::scalar));
-    EXPECT_EQ(simd::min_max_i64(a.data(), n, level()),
-              simd::min_max_i64(a.data(), n, Level::scalar));
     EXPECT_EQ(simd::first_not_less_i64(a.data(), b.data(), n, level()),
               simd::first_not_less_i64(a.data(), b.data(), n, Level::scalar));
     std::vector<std::uint32_t> u(n);
@@ -376,8 +348,7 @@ TEST(SimdDispatch, UnsupportedLevelDegradesToReferenceResults) {
   std::vector<std::int64_t> a{1, 2, 3, 4, 5, 6, 7, 8, 9};
   for (Level level : {Level::sse2, Level::avx2}) {
     EXPECT_TRUE(simd::is_strictly_increasing_i64(a.data(), a.size(), level));
-    EXPECT_EQ(simd::min_max_i64(a.data(), a.size(), level),
-              (std::pair<std::int64_t, std::int64_t>{1, 9}));
+    EXPECT_FALSE(simd::has_adjacent_duplicate_i64(a.data(), a.size(), level));
   }
 }
 

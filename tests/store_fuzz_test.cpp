@@ -14,7 +14,14 @@
 //      index must beat full-file decode + verify of the same key by
 //      >= 10x (it is typically far more), with identical verdicts.
 //
-//   3. zero-copy differential -- the BlockCursor/SIMD column-decode
+//   3. selection-accounting differential -- over a seeded sequence of
+//      appends (shared and fresh keys), compactions, retention drops
+//      and reopens, a selective run's keys_available / keys_selected /
+//      missing_keys and per-key verdicts equal the answer derived from
+//      the store's full key listing (TraceStore::keys()) and a full
+//      run, after every step; likewise for a standalone sealed file;
+//
+//   4. zero-copy differential -- the BlockCursor/SIMD column-decode
 //      path (IndexedTraceSource::load_key) must be bit-identical to
 //      the materializing reference (load_key_materializing): same
 //      Histories record for record, same Engine verdicts and Report
@@ -34,6 +41,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -278,6 +288,180 @@ TEST(StoreFuzz, AllFormatsAndSelectiveRunsAgree) {
                            "selective compacted store");
     }
   }
+}
+
+// --- The selection-accounting differential --------------------------------
+
+// A selective run judged against what a full key listing and a full run
+// say: the selection fields from `listing`, each present key's verdict
+// from `full`.
+void expect_selection_matches_listing(const Report& got,
+                                      const std::vector<std::string>& wanted,
+                                      const std::vector<std::string>& listing,
+                                      const Report& full,
+                                      const std::string& context) {
+  ASSERT_TRUE(got.selected) << context;
+  ASSERT_EQ(got.keys_available, listing.size()) << context;
+  std::vector<std::string> sorted_wanted = wanted;
+  std::sort(sorted_wanted.begin(), sorted_wanted.end());
+  sorted_wanted.erase(std::unique(sorted_wanted.begin(), sorted_wanted.end()),
+                      sorted_wanted.end());
+  Report want;
+  std::size_t selected = 0;
+  std::vector<std::string> missing;
+  for (const std::string& key : sorted_wanted) {
+    if (std::binary_search(listing.begin(), listing.end(), key)) {
+      ++selected;
+      want.per_key.emplace(key, full.per_key.at(key));
+    } else {
+      missing.push_back(key);
+    }
+  }
+  ASSERT_EQ(got.keys_selected, selected) << context;
+  ASSERT_EQ(got.missing_keys, missing) << context;
+  expect_reports_equal(got, want, context);
+}
+
+RunOptions selecting(const std::vector<std::string>& keys) {
+  RunOptions run;
+  run.key_filter = keys;
+  return run;
+}
+
+// Per-key operation generator whose state outlives one append, so a
+// shared key's history continues across segments: fresh writes, reads
+// of the latest value, and now and then a stale read.
+struct KeyWriter {
+  TimePoint clock = 0;
+  Value last = 0;
+  Value next = 1;
+
+  void add(const std::string& key, Rng& rng, KeyedTrace& trace) {
+    const TimePoint start = clock + static_cast<TimePoint>(rng.bounded(4));
+    const TimePoint finish = start + 1 + static_cast<TimePoint>(rng.bounded(5));
+    clock = finish - static_cast<TimePoint>(rng.bounded(2));
+    if (last == 0 || rng.bernoulli(0.5)) {
+      last = next++;
+      trace.add(key, make_write(start, finish, last,
+                                static_cast<ClientId>(rng.bounded(4))));
+    } else {
+      const Value value = rng.bernoulli(0.1) && last > 1 ? last - 1 : last;
+      trace.add(key, make_read(start, finish, value,
+                               static_cast<ClientId>(rng.bounded(4))));
+    }
+  }
+};
+
+TEST(StoreFuzz, SelectionAccountingMatchesFullListing) {
+  const std::uint64_t seed = fuzz_seed() ^ 0x5E1EC7;
+  Rng rng(seed);
+  TempDir dir("selection");
+  const fs::path store_dir = dir.path() / "store";
+  auto store = std::make_unique<TraceStore>(store_dir);
+  Engine engine;
+  std::map<std::string, KeyWriter> writers;  // every key ever appended
+  std::size_t fresh_names = 0;
+  std::map<std::string, int> steps_run;
+  const int kSteps = fuzz_trials(120);
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE("reproduce with KAV_FUZZ_SEED=" + std::to_string(fuzz_seed()) +
+                 " (step " + std::to_string(step) + ")");
+    const std::size_t action = step < 3 ? 0 : rng.bounded(5);
+    std::string what;
+    if (action <= 1) {
+      // Append: some keys that older segments (may) hold, some new.
+      KeyedTrace batch;
+      const std::size_t shared = writers.empty() ? 0 : rng.bounded(5);
+      const std::size_t fresh = rng.bounded(4) + (shared == 0 ? 1 : 0);
+      std::vector<std::string> keys;
+      for (std::size_t i = 0; i < shared; ++i) {
+        auto it = writers.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(
+                             rng.bounded(writers.size())));
+        keys.push_back(it->first);
+      }
+      for (std::size_t i = 0; i < fresh; ++i) {
+        keys.push_back("fresh" + std::to_string(fresh_names++));
+      }
+      const std::size_t ops = keys.size() * (1 + rng.bounded(6));
+      for (std::size_t i = 0; i < ops; ++i) {
+        const std::string& key = keys[rng.bounded(keys.size())];
+        writers[key].add(key, rng, batch);
+      }
+      store->append(batch, 1 + rng.bounded(5));
+      what = "append";
+    } else if (action == 2) {
+      store->compact(rng.bounded(store->segment_count() + 1),
+                     1 + rng.bounded(5));
+      what = "compact";
+    } else if (action == 3) {
+      std::uint64_t bytes = 0;
+      for (const SegmentInfo& info : store->segments()) bytes += info.bytes;
+      CompactionOptions options;
+      options.fanout = 1000;  // retention only: no fold applies
+      options.retain_bytes = std::max<std::uint64_t>(
+          1, bytes * (3 + rng.bounded(6)) / 10);
+      what = store->run_maintenance(options) > 0 ? "retention drop"
+                                                 : "retention no-op";
+    } else {
+      store.reset();
+      store = std::make_unique<TraceStore>(store_dir);
+      what = "reopen";
+    }
+    SCOPED_TRACE("after " + what);
+    ++steps_run[what];
+
+    const std::vector<std::string> listing = store->keys();
+    auto source = store->open_source();
+    ASSERT_EQ(source->key_count(), listing.size());
+    ASSERT_EQ(source->selectable_keys(), listing);
+    const Report full = engine.verify(*store->open_source());
+    ASSERT_EQ(full.per_key.size(), listing.size());
+
+    // Listed keys, keys retention dropped, and names never written.
+    std::vector<std::string> candidates;
+    for (const auto& [key, writer] : writers) candidates.push_back(key);
+    candidates.push_back("never-written");
+    for (int query = 0; query < 4; ++query) {
+      std::vector<std::string> wanted;
+      const std::size_t size = 1 + rng.bounded(5);
+      for (std::size_t i = 0; i < size; ++i) {
+        wanted.push_back(candidates[rng.bounded(candidates.size())]);
+      }
+      const Report got = engine.verify(*source, selecting(wanted));
+      expect_selection_matches_listing(got, wanted, listing, full,
+                                       "query " + std::to_string(query));
+    }
+  }
+
+  if (kSteps >= 60) {
+    for (const char* what : {"append", "compact", "retention drop", "reopen"}) {
+      EXPECT_GT(steps_run[what], 0) << what << " never ran";
+    }
+  }
+
+  // A standalone sealed file, opened the way trace_check opens one.
+  KeyedTrace trace;
+  for (auto& [key, writer] : writers) {
+    for (std::size_t i = 0, n = 1 + rng.bounded(4); i < n; ++i) {
+      writer.add(key, rng, trace);
+    }
+  }
+  const std::string path = dir.file("sealed.kavb");
+  write_binary_trace_file(path, trace, kBinaryTraceVersion2);
+  auto file = open_trace_source(path);
+  auto* selective = dynamic_cast<SelectiveTraceSource*>(file.get());
+  ASSERT_NE(selective, nullptr);
+  std::vector<std::string> listing;
+  for (const auto& [key, history] : split_by_key(trace).per_key) {
+    listing.push_back(key);
+  }
+  ASSERT_EQ(selective->key_count(), listing.size());
+  const Report full = engine.verify(trace);
+  std::vector<std::string> wanted = {"never-written", listing.front(),
+                                     listing.back()};
+  expect_selection_matches_listing(engine.verify(*file, selecting(wanted)),
+                                   wanted, listing, full, "sealed file");
 }
 
 // --- The zero-copy differential -------------------------------------------

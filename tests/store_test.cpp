@@ -1058,7 +1058,7 @@ TEST(IndexedSource, OpenTraceSourceReturnsSelectiveForV2) {
   auto source = open_trace_source(path);
   auto* selective = dynamic_cast<SelectiveTraceSource*>(source.get());
   ASSERT_NE(selective, nullptr);
-  EXPECT_EQ(selective->selectable_keys().size(), 3u);
+  EXPECT_EQ(selective->key_count(), 3u);
   EXPECT_EQ(selective->key_op_count("alpha"), 3u);
   EXPECT_EQ(selective->key_op_count("absent"), 0u);
   EXPECT_EQ(selective->load_key("beta").size(), 2u);
