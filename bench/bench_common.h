@@ -4,6 +4,9 @@
 #define KAV_BENCH_BENCH_COMMON_H
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
+
+#include <cstdint>
 
 #include "gen/generators.h"
 #include "history/history.h"
@@ -41,6 +44,37 @@ inline History quadratic_workload(int n, std::uint64_t seed) {
   const int concurrent = std::max(3, n / 2);
   return adversarial_workload(1, concurrent, seed);
 }
+
+// CPU time of the whole process -- every thread, pool workers included
+// -- in nanoseconds (getrusage: user + system).
+inline double process_cpu_ns() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto ns = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e9 +
+           static_cast<double>(tv.tv_usec) * 1e3;
+  };
+  return ns(usage.ru_utime) + ns(usage.ru_stime);
+}
+
+// The proc_cpu_ns_per_op counter: process CPU per operation over a
+// benchmark's timed loop. Google Benchmark's cpu_time is the main
+// thread's alone, so the work a run hands to pool workers -- and any
+// cost that grows with pool width -- never shows there. Construct right
+// before the loop; call report() right after it.
+class ProcessCpu {
+ public:
+  ProcessCpu() : start_ns_(process_cpu_ns()) {}
+
+  void report(benchmark::State& state, std::uint64_t ops) const {
+    state.counters["proc_cpu_ns_per_op"] =
+        ops == 0 ? 0.0
+                 : (process_cpu_ns() - start_ns_) / static_cast<double>(ops);
+  }
+
+ private:
+  double start_ns_;
+};
 
 }  // namespace kav::bench
 

@@ -18,12 +18,15 @@
 //                  --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "kav.h"
 #include "util/rng.h"
 
@@ -98,11 +101,13 @@ void verify_reused_engine(benchmark::State& state) {
   options.threads = threads;
   Engine engine(options);
   std::uint64_t ops_done = 0;
+  const bench::ProcessCpu cpu;
   for (auto _ : state) {
     const Report report = engine.verify(fixture().shards);
     benchmark::DoNotOptimize(report);
     ops_done += fixture().trace.size();
   }
+  cpu.report(state, ops_done);
   ops_rate(state, ops_done);
   state.counters["threads"] = static_cast<double>(threads);
 }
@@ -118,6 +123,7 @@ void batch_plus_monitor_one_engine(benchmark::State& state) {
   options.reorder_slack = 64;
   Engine engine(options);
   std::uint64_t ops_done = 0;
+  const bench::ProcessCpu cpu;
   for (auto _ : state) {
     const Report batch = engine.verify(fixture().shards);
     benchmark::DoNotOptimize(batch);
@@ -125,6 +131,7 @@ void batch_plus_monitor_one_engine(benchmark::State& state) {
     benchmark::DoNotOptimize(live);
     ops_done += 2 * fixture().trace.size();
   }
+  cpu.report(state, ops_done);
   ops_rate(state, ops_done);
   state.counters["threads"] = static_cast<double>(state.range(0));
 }
@@ -176,12 +183,14 @@ void verify_from_file_engine(benchmark::State& state) {
   options.threads = 1;
   Engine engine(options);
   std::uint64_t ops_done = 0;
+  const bench::ProcessCpu cpu;
   for (auto _ : state) {
     auto source = open_trace_source(fixture().binary_path);
     const Report report = engine.verify(*source);
     benchmark::DoNotOptimize(report);
     ops_done += fixture().trace.size();
   }
+  cpu.report(state, ops_done);
   ops_rate(state, ops_done);
 }
 BENCHMARK(verify_from_file_engine)->UseRealTime()->Unit(benchmark::kMillisecond);
@@ -196,8 +205,8 @@ BENCHMARK(verify_from_file_engine)->UseRealTime()->Unit(benchmark::kMillisecond)
 // folds, run lifecycle) -- once with the injected registry enabled and
 // once with it disabled, which is byte-for-byte what KAV_NO_METRICS
 // does at registry construction. bench/run_bench.sh --smoke fails CI
-// when the enabled side exceeds the disabled side by more than 2%
-// (min over interleaved repetitions, the low-noise estimator).
+// when the enabled side exceeds the disabled side by more than 2% plus
+// a 0.5 ms floor (median over repetitions of the paired excess).
 
 std::size_t selective_ops() {
   if (const char* env = std::getenv("KAV_BENCH_OPS")) {
@@ -228,37 +237,52 @@ const SelectiveFixture& selective_fixture() {
   return instance;
 }
 
-void selective_verify_pair(benchmark::State& state, bool metrics_enabled) {
-  obs::MetricsRegistry registry;
-  registry.set_enabled(metrics_enabled);
-  EngineOptions options;
-  options.threads = 1;  // timer noise, not scheduling, is the subject
-  options.metrics = &registry;
-  Engine engine(options);
+// Both engines are timed back to back inside one benchmark, alternating
+// which goes first, so a slow stretch of a shared host lands on both
+// sides of a pair instead of on whichever side ran through it. Reports
+// each side's mean wall time per call over the repetition.
+void selective_verify_metrics_paired(benchmark::State& state) {
+  obs::MetricsRegistry enabled, disabled;
+  disabled.set_enabled(false);
+  const auto engine_for = [](obs::MetricsRegistry& registry) {
+    EngineOptions options;
+    options.threads = 1;  // timer noise, not scheduling, is the subject
+    options.metrics = &registry;
+    return std::make_unique<Engine>(options);
+  };
+  const std::unique_ptr<Engine> with = engine_for(enabled);
+  const std::unique_ptr<Engine> without = engine_for(disabled);
   RunOptions run;
   run.key_filter = selective_fixture().keys;
-  std::uint64_t ops_done = 0;
-  for (auto _ : state) {
+  const auto timed_ms = [&run](Engine& engine) {
+    const auto start = std::chrono::steady_clock::now();
     auto source = open_trace_source(selective_fixture().path);
-    const Report report = engine.verify(*source, run);
-    benchmark::DoNotOptimize(report);
-    ops_done += selective_ops();
+    benchmark::DoNotOptimize(engine.verify(*source, run));
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  double with_ms = 0;
+  double without_ms = 0;
+  bool with_first = true;
+  const bench::ProcessCpu cpu;
+  for (auto _ : state) {
+    if (with_first) {
+      with_ms += timed_ms(*with);
+      without_ms += timed_ms(*without);
+    } else {
+      without_ms += timed_ms(*without);
+      with_ms += timed_ms(*with);
+    }
+    with_first = !with_first;
   }
-  ops_rate(state, ops_done);
-  state.counters["trace_ops"] = static_cast<double>(selective_ops());
-  state.counters["metrics"] = metrics_enabled ? 1.0 : 0.0;
+  cpu.report(state, 2 * selective_ops() *
+                        static_cast<std::uint64_t>(state.iterations()));
+  const auto calls = static_cast<double>(state.iterations());
+  state.counters["metrics_ms"] = with_ms / calls;
+  state.counters["no_metrics_ms"] = without_ms / calls;
 }
-
-void selective_verify_metrics(benchmark::State& state) {
-  selective_verify_pair(state, /*metrics_enabled=*/true);
-}
-BENCHMARK(selective_verify_metrics)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-
-void selective_verify_no_metrics(benchmark::State& state) {
-  selective_verify_pair(state, /*metrics_enabled=*/false);
-}
-BENCHMARK(selective_verify_no_metrics)
+BENCHMARK(selective_verify_metrics_paired)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace

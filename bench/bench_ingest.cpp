@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/engine.h"
 #include "history/serialization.h"
 #include "ingest/binary_trace.h"
@@ -166,7 +167,9 @@ BENCHMARK(binary_write)->UseRealTime()->Unit(benchmark::kMillisecond);
 // End-to-end online monitoring on one reused Engine: every operation
 // through its key's partition queue, reorder buffer, and streaming
 // checker. peak_window is the reported memory high-water mark -- it
-// must stay O(slack + horizon), not O(trace).
+// must stay O(slack + horizon), not O(trace). proc_cpu_ns_per_op
+// charges every thread's CPU to the operations: run_bench.sh --smoke
+// fails when 4 threads cost more than 1.5x one thread per operation.
 void monitor_stream(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   EngineOptions options;
@@ -174,15 +177,22 @@ void monitor_stream(benchmark::State& state) {
   options.reorder_slack = 64;
   options.threads = threads;
   Engine engine(options);
+  const KeyedTrace& trace = fixture().trace;  // built outside the timing
+  // One untimed run first: a fresh pool's workers fault in their malloc
+  // arenas on first use, a one-off cost that grows with the thread
+  // count and would otherwise land in proc_cpu_ns_per_op.
+  engine.monitor(trace);
   std::uint64_t ops_done = 0;
   double peak_window = 0;
+  const bench::ProcessCpu cpu;
   for (auto _ : state) {
-    const Report report = engine.monitor(fixture().trace);
+    const Report report = engine.monitor(trace);
     benchmark::DoNotOptimize(report);
     ops_done += report.monitor_totals.operations_ingested;
     peak_window = std::max(
         peak_window, static_cast<double>(report.monitor_totals.peak_window));
   }
+  cpu.report(state, ops_done);
   ops_rate(state, ops_done);
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["peak_window"] = peak_window;

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "bench_common.h"
 #include "kav.h"
 #include "util/rng.h"
 
@@ -143,11 +144,13 @@ void monitor_under_scrape(benchmark::State& state) {
   }
 
   std::uint64_t ops_done = 0;
+  const bench::ProcessCpu cpu;
   for (auto _ : state) {
     const Report report = engine.monitor(bench_trace());
     benchmark::DoNotOptimize(&report);
     ops_done += bench_trace().size();
   }
+  cpu.report(state, ops_done);
   done = true;
   for (std::thread& t : scraper_threads) t.join();
 

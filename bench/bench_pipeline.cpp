@@ -14,6 +14,7 @@
 
 #include <string>
 
+#include "bench_common.h"
 #include "core/engine.h"
 #include "core/verify.h"
 #include "gen/generators.h"
@@ -73,11 +74,13 @@ void keyed_parallel(benchmark::State& state) {
   // verifies, the same work the serial reference above performs.
   Engine engine(options);
   std::uint64_t keys_checked = 0;
+  const bench::ProcessCpu cpu;
   for (auto _ : state) {
     const Report report = engine.verify(trace);
     benchmark::DoNotOptimize(report);
     keys_checked += report.per_key.size();
   }
+  cpu.report(state, trace.size() * state.iterations());
   state.counters["trace_ops"] = static_cast<double>(trace.size());
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["keys/s"] = benchmark::Counter(
@@ -103,10 +106,12 @@ void keyed_fail_fast(benchmark::State& state) {
   options.threads = 4;
   options.fail_fast = fail_fast;
   Engine engine(options);
+  const bench::ProcessCpu cpu;
   for (auto _ : state) {
     const Report report = engine.verify(trace);
     benchmark::DoNotOptimize(report);
   }
+  cpu.report(state, trace.size() * state.iterations());
 }
 BENCHMARK(keyed_fail_fast)->Args({64, 0})->Args({64, 1})
     ->UseRealTime()->Unit(benchmark::kMillisecond);

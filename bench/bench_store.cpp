@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/analysis.h"
 #include "core/engine.h"
 #include "core/verify.h"
@@ -318,10 +319,12 @@ void BM_VerifyOneKey_Indexed(benchmark::State& state) {
   Engine engine;
   RunOptions run;
   run.key_filter = {kProbeKey};
+  const bench::ProcessCpu cpu;
   for (auto _ : state) {
     auto source = open_trace_source(f.v2_path);
     benchmark::DoNotOptimize(engine.verify(*source, run));
   }
+  cpu.report(state, f.probe_ops * state.iterations());
   state.SetItemsProcessed(static_cast<std::int64_t>(f.probe_ops) *
                           state.iterations());
 }
@@ -332,10 +335,12 @@ void BM_VerifyOneKey_FullDecode(benchmark::State& state) {
   Engine engine;
   RunOptions run;
   run.key_filter = {kProbeKey};
+  const bench::ProcessCpu cpu;
   for (auto _ : state) {
     auto source = open_trace_source(f.v1_path);
     benchmark::DoNotOptimize(engine.verify(*source, run));
   }
+  cpu.report(state, f.ops * state.iterations());
   state.SetItemsProcessed(static_cast<std::int64_t>(f.ops) *
                           state.iterations());
 }
@@ -401,10 +406,12 @@ void BM_StoreSelectiveQuery(benchmark::State& state) {
   static WidthStore wide(16384);
   const WidthStore& f = state.range(0) == 1024 ? narrow : wide;
   Engine engine;
+  const bench::ProcessCpu cpu;
   for (auto _ : state) {
     const auto source = f.store->open_source();
     benchmark::DoNotOptimize(engine.verify(*source, f.run));
   }
+  cpu.report(state, kWidthQueryKeys * kWidthQueryKeyOps * state.iterations());
   state.SetItemsProcessed(static_cast<std::int64_t>(kWidthQueryKeys) *
                           kWidthQueryKeyOps * state.iterations());
   state.counters["store_keys"] = static_cast<double>(state.range(0));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -14,6 +15,7 @@
 #include "pipeline/sharded_verifier.h"
 #include "pipeline/thread_pool.h"
 #include "store/trace_store.h"
+#include "util/memory.h"
 #include "util/thread_safety.h"
 
 namespace kav {
@@ -327,6 +329,34 @@ struct SourceKeys {
   }
 };
 
+// A streamed input's keys seen as account_selection's offered set: how
+// many it named, and which of the requested ones. Fed the new keys of
+// each chunk -- never touched per operation.
+struct OfferedKeys {
+  explicit OfferedKeys(const KeyFilter& key_filter) : filter(key_filter) {}
+
+  const KeyFilter& filter;
+  std::size_t named = 0;
+  std::set<std::string, std::less<>> wanted;
+
+  void add(const KeyedChunk& chunk) {
+    named += chunk.new_keys.size();
+    if (!filter.active) return;
+    for (const std::string& key : chunk.new_keys) {
+      if (filter.pass(key)) wanted.insert(key);
+    }
+  }
+  std::size_t size() const { return named; }
+  std::size_t count(const std::string& key) const { return wanted.count(key); }
+};
+
+// The key_filter as a grouper/monitor keep predicate; empty (keep
+// everything, no call per key) when no filter is set.
+std::function<bool(std::string_view)> keep_for(const KeyFilter& filter) {
+  if (!filter.active) return {};
+  return [&filter](std::string_view key) { return filter.pass(key); };
+}
+
 // The earlier of the absolute deadline and the relative timeout,
 // anchored at call entry (RunOptions precedence rule 2).
 std::optional<std::chrono::steady_clock::time_point> effective_deadline(
@@ -342,48 +372,42 @@ std::optional<std::chrono::steady_clock::time_point> effective_deadline(
 
 // Shared run-control scaffolding for every source-consuming loop.
 constexpr std::chrono::milliseconds kPullWait{100};
-// Deadline polls on hot item paths are amortized to one steady_clock
-// read per this many items (the cancel flag is a plain atomic load and
-// is checked every time).
-constexpr std::uint64_t kDeadlinePollMask = 255;
+// Operations per pull when reading a source for batch verification:
+// large enough that the per-chunk costs (the stop check, the pull
+// call) vanish, small enough that the chunk stays cache-resident.
+constexpr std::size_t kVerifyChunkOps = 1'024;
 
-// Non-empty stop reason when the run must stop now. `always_check`
-// bypasses the amortization (a pending pull already waited ~kPullWait,
-// so its clock read is free by comparison).
+// Non-empty stop reason when the run must stop now; checked once per
+// pulled chunk.
 std::string check_stop(
     const RunOptions& run,
     const std::optional<std::chrono::steady_clock::time_point>& deadline,
-    bool always_check, std::uint64_t pulled, const std::string& activity) {
+    const std::string& activity) {
   if (run.cancel.cancelled()) {
     return "cancelled by caller while " + activity;
   }
-  if (deadline && (always_check || (pulled & kDeadlinePollMask) == 0) &&
-      std::chrono::steady_clock::now() >= *deadline) {
+  if (deadline && std::chrono::steady_clock::now() >= *deadline) {
     return "wall-clock deadline exceeded while " + activity;
   }
   return {};
 }
 
-// Pulls `source` dry through bounded try_next_for waits -- so a
-// blocking source (PushTraceSource) cannot starve cancellation --
-// feeding each operation to `per_item`. Returns the empty string on a
-// clean end of stream, else the stop reason.
-template <typename PerItem>
+// Pulls `source` dry in chunks of at most `chunk_ops` operations,
+// through bounded waits -- so a blocking source (PushTraceSource)
+// cannot starve cancellation -- handing each chunk to `per_chunk`.
+// Returns the empty string on a clean end of stream, else the stop
+// reason.
+template <typename PerChunk>
 std::string drive_source(
-    TraceSource& source, const RunOptions& run,
+    TraceSource& source, std::size_t chunk_ops, const RunOptions& run,
     const std::optional<std::chrono::steady_clock::time_point>& deadline,
-    const std::string& activity, PerItem&& per_item) {
-  KeyedOperation kop;
-  std::uint64_t pulled = 0;
+    const std::string& activity, PerChunk&& per_chunk) {
+  KeyedChunk chunk;
   for (;;) {
-    const TraceSource::Pull pull = source.try_next_for(kop, kPullWait);
+    const TraceSource::Pull pull = source.pull(chunk, chunk_ops, kPullWait);
     if (pull == TraceSource::Pull::closed) return {};
-    if (pull == TraceSource::Pull::item) {
-      per_item(std::move(kop));
-      ++pulled;
-    }
-    std::string stop = check_stop(
-        run, deadline, pull == TraceSource::Pull::pending, pulled, activity);
+    if (pull == TraceSource::Pull::ready) per_chunk(chunk);
+    std::string stop = check_stop(run, deadline, activity);
     if (!stop.empty()) return stop;
   }
 }
@@ -474,6 +498,10 @@ std::vector<ShardSpec> pinned_specs(const KeyedHistories& shards,
   return specs;
 }
 
+// A monitor run this long leaves megabytes of freed per-key state
+// behind.
+constexpr std::uint64_t kReleaseAfterMonitorOps = std::uint64_t{1} << 16;
+
 // A stopped run still finishes cleanly: what was ingested is fully
 // checked, so the partial report is sound for the prefix.
 Report finish_monitor(KeyedStreamingMonitor& monitor, const std::string& stop) {
@@ -559,20 +587,21 @@ Report Engine::verify(TraceSource& source, const RunOptions& run) {
     }
   }
   // Any other source: group it by key while reading -- one pass, each
-  // operation stored once, in its key's History. A key_filter is
-  // applied once per key, when the key first appears; every record is
-  // still decoded.
+  // operation stored once, in its key's History, found by its KeyId. A
+  // key_filter is applied once per key, when the key is first named;
+  // every record is still decoded.
   const KeyFilter filter(run);
-  KeyGrouper grouper(
-      [&filter](std::string_view key) { return filter.pass(key); });
-  const std::string stop =
-      drive_source(source, run, deadline, "reading " + source.describe(),
-                   [&grouper](KeyedOperation&& kop) {
-                     grouper.add(kop.key, kop.op);
-                   });
+  OfferedKeys offered(filter);
+  KeyGrouper grouper(keep_for(filter));
+  const std::string stop = drive_source(
+      source, kVerifyChunkOps, run, deadline, "reading " + source.describe(),
+      [&offered, &grouper](const KeyedChunk& chunk) {
+        offered.add(chunk);
+        grouper.add(chunk);
+      });
   const KeyedHistories shards = grouper.finish();
   Report report = run_specs(pinned_specs(shards, filter), run, deadline);
-  account_selection(report, filter, grouper.ids());
+  account_selection(report, filter, offered);
   if (!stop.empty()) {
     report.cancelled = true;
     report.stop_reason = stop;
@@ -582,56 +611,39 @@ Report Engine::verify(TraceSource& source, const RunOptions& run) {
 }
 
 Report Engine::monitor(const KeyedTrace& trace, const RunOptions& run) {
-  Metrics::RunScope scope(*em_, *status_, /*batch=*/false);
-  // Dedicated loop rather than a MemoryTraceSource: the trace is
-  // already in memory, so every operation is ingested by reference --
-  // no O(trace) copy.
-  const auto deadline = effective_deadline(run);
-  const KeyFilter filter(run);
-  const std::string activity =
-      "monitoring memory(" + std::to_string(trace.size()) + " ops)";
-  std::set<std::string> offered;
-  Report report;
-  {
-    KeyedStreamingMonitor monitor(*pool_, *metrics_, options_, run.on_finding);
-    std::string stop;
-    std::uint64_t pulled = 0;
-    for (const KeyedOperation& kop : trace.ops) {
-      if (filter.active) {
-        offered.insert(kop.key);
-        if (!filter.pass(kop.key)) continue;
-      }
-      monitor.ingest(kop);
-      ++pulled;
-      stop = check_stop(run, deadline, false, pulled, activity);
-      if (!stop.empty()) break;
-    }
-    report = finish_monitor(monitor, stop);
-  }  // the monitor retires its gauges before the run counts as finished
-  account_selection(report, filter, offered);
-  scope.finish(report);
-  return report;
+  // Read in place: the trace is already in memory, so no O(trace) copy.
+  MemoryTraceSource source(&trace);
+  return monitor(source, run);
 }
 
 Report Engine::monitor(TraceSource& source, const RunOptions& run) {
   Metrics::RunScope scope(*em_, *status_, /*batch=*/false);
   const auto deadline = effective_deadline(run);
   const KeyFilter filter(run);
-  std::set<std::string> offered;
+  OfferedKeys offered(filter);
   Report report;
   {
-    KeyedStreamingMonitor monitor(*pool_, *metrics_, options_, run.on_finding);
+    KeyedStreamingMonitor monitor(*pool_, *metrics_, options_, run.on_finding,
+                                  keep_for(filter));
+    // Chunks of at most queue_capacity operations keep every partition
+    // queue under 2 x queue_capacity (ingest/keyed_monitor.h).
     const std::string stop = drive_source(
-        source, run, deadline, "monitoring " + source.describe(),
-        [&monitor, &filter, &offered](KeyedOperation kop) {
-          if (filter.active) {
-            offered.insert(kop.key);
-            if (!filter.pass(kop.key)) return;
-          }
-          monitor.ingest(kop);
+        source, std::max<std::size_t>(1, options_.queue_capacity), run,
+        deadline, "monitoring " + source.describe(),
+        [&monitor, &offered](const KeyedChunk& chunk) {
+          offered.add(chunk);
+          monitor.ingest(chunk);
         });
     report = finish_monitor(monitor, stop);
   }  // the monitor retires its gauges before the run counts as finished
+  // The drain tasks built each key's checker and reorder state in their
+  // workers' malloc arenas; freed, it would stay resident there, and
+  // repeated runs on one Engine touch ever more of those arenas
+  // (util/memory.h). Hand it back, as ShardedVerifier does after a
+  // large shard.
+  if (report.monitor_totals.operations_ingested >= kReleaseAfterMonitorOps) {
+    util::release_free_memory();
+  }
   account_selection(report, filter, offered);
   scope.finish(report);
   return report;

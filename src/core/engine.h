@@ -80,7 +80,7 @@ struct RunOptions {
   // Cooperative cancellation: keep a copy, call cancel() from any
   // thread. Shards that have not started answer UNDECIDED
   // (kSkipCancelledReason); a monitor run stops ingesting. Checked at
-  // shard / operation granularity -- running deciders complete.
+  // shard / pulled-chunk granularity -- running deciders complete.
   CancelToken cancel;
   // Relative wall-clock budget for this call; 0 = none.
   std::chrono::milliseconds timeout{0};
@@ -109,17 +109,19 @@ class Engine {
   // pool, merge in key order. Report::mode == batch.
   Report verify(const KeyedTrace& trace, const RunOptions& run = {});
   Report verify(const KeyedHistories& shards, const RunOptions& run = {});
-  // Pulls the source dry first (cancellable), grouping each operation
-  // into its key's History as it is read (KeyGrouper), then verifies --
-  // unless
+  // Pulls the source dry first in chunks (TraceSource::pull;
+  // cancellable between chunks), grouping each operation into its key's
+  // History by KeyId as it is read (KeyGrouper), then verifies -- unless
   // RunOptions::key_filter is set and the source is index-backed
   // (SelectiveTraceSource), in which case only the requested keys'
   // blocks are ever decoded, each inside a pool worker.
   Report verify(TraceSource& source, const RunOptions& run = {});
 
-  // Online monitoring: stream the source through a per-key
-  // StreamingChecker array on the same shared pool. Report::mode ==
-  // monitor; per-key findings and MonitorStats totals are filled in.
+  // Online monitoring: stream the source, in chunks of at most
+  // EngineOptions::queue_capacity operations, through a per-key
+  // StreamingChecker array on the same shared pool (the KeyedTrace
+  // overload reads the trace in place). Report::mode == monitor;
+  // per-key findings and MonitorStats totals are filled in.
   // RunOptions::verify is ignored (the streaming checker is the k = 2
   // online decider).
   Report monitor(const KeyedTrace& trace, const RunOptions& run = {});

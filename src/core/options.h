@@ -44,9 +44,11 @@ struct EngineOptions {
   // findings, not crashes.
   TimePoint reorder_slack = 1'000;
   // Queue capacity of each monitor partition (keys are spread over one
-  // partition per pool thread, ingest/keyed_monitor.h); a producer
-  // that outruns checking blocks while its key's partition queue is
-  // full (backpressure) instead of growing an unbounded backlog.
+  // partition per pool thread, ingest/keyed_monitor.h); an ingester
+  // that outruns checking blocks while a partition queue is full
+  // (backpressure) instead of growing an unbounded backlog. Also the
+  // most operations Engine::monitor pulls per chunk, so a partition
+  // queue never holds 2 x queue_capacity operations.
   std::size_t queue_capacity = 1'024;
 
   // Observability (src/obs/): the registry every subsystem this engine

@@ -33,7 +33,7 @@ std::string describe(const Verdict& verdict);
 // ingest/keyed_monitor.h so the unified Report can embed it without
 // pulling the whole monitor machinery into every report consumer.)
 struct MonitorStats {
-  std::uint64_t operations_ingested = 0;  // ingest() calls accepted
+  std::uint64_t operations_ingested = 0;  // operations accepted
   std::uint64_t late_arrivals = 0;        // beyond the reorder slack
   std::uint64_t violations = 0;           // all kinds, all keys
   std::uint64_t chunks_verified = 0;
@@ -44,7 +44,11 @@ struct MonitorStats {
   // Max over keys of (newest start enqueued - checker watermark): how
   // far verification trails ingest.
   TimePoint max_watermark_lag = 0;
-  double elapsed_seconds = 0.0;  // since the first ingest()
+  // Most operations one partition queue held at once: below
+  // queue_capacity plus one ingested chunk's share
+  // (ingest/keyed_monitor.h).
+  std::size_t peak_queue = 0;
+  double elapsed_seconds = 0.0;  // since the first ingested chunk
   double ops_per_second = 0.0;
   // Keys with at least one violation and their counts.
   std::map<std::string, std::uint64_t> violations_per_key;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace kav {
 
@@ -11,16 +13,47 @@ std::size_t KeyedHistories::total_ops() const {
   return n;
 }
 
-void KeyGrouper::add(std::string_view key, const Operation& op) {
+KeyId KeyInterner::intern(std::string_view key, bool& fresh) {
   auto it = ids_.find(key);
-  if (it == ids_.end()) {
-    const auto id = static_cast<std::uint32_t>(names_.size());
-    it = ids_.emplace(std::string(key), id).first;
-    names_.emplace_back(key);
-    kept_.push_back(!keep_ || keep_(key));
-    groups_.emplace_back();
+  fresh = it == ids_.end();
+  if (fresh) {
+    it = ids_.emplace(std::string(key), static_cast<KeyId>(ids_.size()))
+             .first;
   }
-  if (kept_[it->second]) groups_[it->second].push_back(op);
+  return it->second;
+}
+
+void KeyInterner::append(KeyedChunk& chunk, std::string_view key,
+                         const Operation& op) {
+  bool fresh = false;
+  const KeyId id = intern(key, fresh);
+  if (fresh) {
+    if (chunk.new_keys.empty()) chunk.first_new_key = id;
+    chunk.new_keys.emplace_back(key);
+  }
+  chunk.ops.push_back({id, op});
+}
+
+void KeyGrouper::add_key(std::string name) {
+  kept_.push_back(!keep_ || keep_(name));
+  names_.push_back(std::move(name));
+  groups_.emplace_back();
+}
+
+void KeyGrouper::add(const KeyedChunk& chunk) {
+  if (!chunk.new_keys.empty() && chunk.first_new_key != names_.size()) {
+    throw std::invalid_argument(
+        "KeyGrouper: chunk names id " + std::to_string(chunk.first_new_key) +
+        ", expected " + std::to_string(names_.size()));
+  }
+  for (const std::string& name : chunk.new_keys) add_key(name);
+  for (const IdOperation& iop : chunk.ops) {
+    if (iop.key >= names_.size()) {
+      throw std::invalid_argument("KeyGrouper: chunk uses unnamed id " +
+                                  std::to_string(iop.key));
+    }
+    add(iop.key, iop.op);
+  }
 }
 
 KeyedHistories KeyGrouper::finish() {
@@ -40,8 +73,14 @@ KeyedHistories KeyGrouper::finish() {
 }
 
 KeyedHistories split_by_key(const KeyedTrace& trace) {
+  KeyInterner interner;
   KeyGrouper grouper;
-  for (const KeyedOperation& kop : trace.ops) grouper.add(kop.key, kop.op);
+  for (const KeyedOperation& kop : trace.ops) {
+    bool fresh = false;
+    const KeyId id = interner.intern(kop.key, fresh);
+    if (fresh) grouper.add_key(kop.key);
+    grouper.add(id, kop.op);
+  }
   return grouper.finish();
 }
 

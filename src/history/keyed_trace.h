@@ -2,9 +2,10 @@
 // of the paper): a trace over many registers is k-atomic iff the
 // projection onto each register is, so verification splits a trace by
 // key and reasons per register. KeyedTrace is the raw form emitted by
-// workload sources (the quorum simulator, trace files); KeyGrouper
-// groups operations into one single-register History per key as they
-// are read, and split_by_key applies it to a whole KeyedTrace.
+// workload sources (the quorum simulator, trace files); a stream names
+// each key by a dense KeyId once read (KeyInterner), KeyGrouper groups
+// operations into one single-register History per id as they are read,
+// and split_by_key applies both to a whole KeyedTrace.
 #ifndef KAV_HISTORY_KEYED_TRACE_H
 #define KAV_HISTORY_KEYED_TRACE_H
 
@@ -46,42 +47,85 @@ struct KeyedHistories {
   std::size_t total_ops() const;
 };
 
-// Groups operations by key in one pass, as they arrive: each key gets a
-// dense id the first time it appears (one hash probe per operation) and
-// its operations are appended to that id's vector. finish() moves every
-// vector into its key's History, so the operations are stored once and
-// no intermediate KeyedTrace exists.
-class KeyGrouper {
+// Dense key id: the position of a key in the order a stream first
+// named it (0, 1, 2, ...). A TraceSource assigns ids once, as it reads;
+// KeyGrouper and KeyedStreamingMonitor index their per-key state by id,
+// so nothing downstream hashes a key string per operation.
+using KeyId = std::uint32_t;
+
+struct IdOperation {
+  KeyId key;
+  Operation op;
+};
+
+// One pull's worth of a stream (TraceSource::pull): operations named
+// by KeyId, plus the names of the ids first named in this chunk. Ids
+// are dense in first-appearance order, so new_keys[i] names id
+// first_new_key + i, and every operation's id is below
+// first_new_key + new_keys.size().
+struct KeyedChunk {
+  std::vector<IdOperation> ops;
+  KeyId first_new_key = 0;
+  std::vector<std::string> new_keys;
+
+  void clear() {
+    ops.clear();
+    new_keys.clear();
+  }
+};
+
+// Assigns dense KeyIds in first-appearance order: one hash probe per
+// lookup, each name stored once. The one interner behind every source
+// that reads key strings (ingest/trace_source.h) and behind
+// split_by_key.
+class KeyInterner {
  public:
-  // `keep`, when set, is asked once per distinct key, on its first
-  // appearance, whether that key's operations are grouped; a dropped
-  // key is still counted in ids().
-  explicit KeyGrouper(std::function<bool(std::string_view)> keep = {})
-      : keep_(std::move(keep)) {}
+  // `key`'s id, assigning the next one when `key` is new.
+  KeyId intern(std::string_view key, bool& fresh);
+  // Interns `key` and appends (id, op) to `chunk`, naming the id in
+  // chunk.new_keys when it is new.
+  void append(KeyedChunk& chunk, std::string_view key, const Operation& op);
 
-  void add(std::string_view key, const Operation& op);
-
+ private:
   struct KeyHash {
     using is_transparent = void;
     std::size_t operator()(std::string_view key) const noexcept {
       return std::hash<std::string_view>{}(key);
     }
   };
-  using IdTable =
-      std::unordered_map<std::string, std::uint32_t, KeyHash, std::equal_to<>>;
+  std::unordered_map<std::string, KeyId, KeyHash, std::equal_to<>> ids_;
+};
 
-  // Every distinct key added so far, kept or dropped, with its dense id.
-  const IdTable& ids() const { return ids_; }
+// Groups operations by key in one pass, as they arrive: operations come
+// named by KeyId (a source chunk) and are appended to that id's vector
+// -- an index, not a hash probe. finish() moves every vector into its
+// key's History, so the operations are stored once and no intermediate
+// KeyedTrace exists.
+class KeyGrouper {
+ public:
+  // `keep`, when set, is asked once per distinct key, on its first
+  // appearance, whether that key's operations are grouped.
+  explicit KeyGrouper(std::function<bool(std::string_view)> keep = {})
+      : keep_(std::move(keep)) {}
+
+  // Names the next id (ids arrive dense: each call names one more).
+  void add_key(std::string name);
+  void add(KeyId id, const Operation& op) {
+    if (kept_[id]) groups_[id].push_back(op);
+  }
+  // Names the chunk's new ids, then groups its operations. Throws
+  // std::invalid_argument when the chunk's ids do not continue this
+  // grouper's id space.
+  void add(const KeyedChunk& chunk);
 
   // One History per kept key, in key order. Call once: the keys and
-  // grouped operations are moved out (ids() stays). Throws
-  // std::invalid_argument, as History does, for the first key in key
-  // order holding an operation with start >= finish.
+  // grouped operations are moved out. Throws std::invalid_argument, as
+  // History does, for the first key in key order holding an operation
+  // with start >= finish.
   KeyedHistories finish();
 
  private:
   std::function<bool(std::string_view)> keep_;
-  IdTable ids_;
   // Indexed by id: the key, whether it is kept, and its operations.
   std::vector<std::string> names_;
   std::vector<bool> kept_;

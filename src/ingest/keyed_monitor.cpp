@@ -12,10 +12,11 @@ namespace kav {
 // computed against high-water marks stored in KeyState (always under
 // that key's process_mutex), so registry totals equal the
 // snapshot_totals() sums at every quiescent point -- the differential
-// test in tests/engine_fuzz_test.cpp pins that equality. Gauges are
-// refreshed on the same cadence (every drain pass), which is what
-// makes them *live*: a scraper sees lag and occupancy move while the
-// run is still in flight.
+// test in tests/engine_fuzz_test.cpp pins that equality. A drain pass
+// sums its keys' deltas and writes each shared instrument once; that
+// cadence is what makes the gauges *live*: a scraper sees lag and
+// occupancy move while the run is still in flight. The ingest side
+// (ops_ingested, queue_backlog) is written once per chunk.
 struct KeyedStreamingMonitor::Metrics {
   obs::Counter& ops_ingested;
   obs::Counter& late_arrivals;
@@ -29,8 +30,8 @@ struct KeyedStreamingMonitor::Metrics {
   explicit Metrics(obs::MetricsRegistry& registry)
       : ops_ingested(registry.counter(
             "kav_monitor_ops_ingested_total",
-            "Operations accepted by ingest(); live ops/sec is this "
-            "series' rate.")),
+            "Operations the monitors accepted (added once per ingested "
+            "chunk); live ops/sec is this series' rate.")),
         late_arrivals(registry.counter(
             "kav_monitor_late_arrivals_total",
             "Arrivals behind the reorder watermark (slack exceeded), "
@@ -45,8 +46,8 @@ struct KeyedStreamingMonitor::Metrics {
         watermark_lag(registry.gauge(
             "kav_monitor_watermark_lag",
             "Verification lag in trace ticks (newest ingested start "
-            "minus checker watermark) of the most recently drained "
-            "key.")),
+            "minus checker watermark): the largest among the keys of "
+            "the latest drain pass.")),
         reorder_pending(registry.gauge(
             "kav_monitor_reorder_pending",
             "Operations buffered in reorder buffers across keys.")),
@@ -65,9 +66,11 @@ struct KeyedStreamingMonitor::Metrics {
 KeyedStreamingMonitor::KeyedStreamingMonitor(pipeline::ThreadPool& pool,
                                              obs::MetricsRegistry& metrics,
                                              const EngineOptions& options,
-                                             FindingSink on_finding)
+                                             FindingSink on_finding,
+                                             KeepKey keep)
     : options_(options),
       on_finding_(std::move(on_finding)),
+      keep_(std::move(keep)),
       metrics_(std::make_unique<Metrics>(metrics)),
       pool_(&pool) {
   const std::size_t partitions = std::max<std::size_t>(1, pool.thread_count());
@@ -75,6 +78,7 @@ KeyedStreamingMonitor::KeyedStreamingMonitor(pipeline::ThreadPool& pool,
   for (std::size_t i = 0; i < partitions; ++i) {
     partitions_.push_back(std::make_unique<Partition>(options.queue_capacity));
   }
+  staged_.resize(partitions);
 }
 
 KeyedStreamingMonitor::~KeyedStreamingMonitor() {
@@ -92,14 +96,16 @@ KeyedStreamingMonitor::~KeyedStreamingMonitor() {
         static_cast<std::int64_t>(partition->queue.size()));
   }
   util::ReaderMutexLock lock(keys_mutex_);
-  for (const auto& [key, state] : keys_) {
+  std::int64_t pending = 0;
+  for (const auto& state : keys_) {
     // last_reorder_pending is guarded by the partition's process_mutex;
     // the drain tasks have quiesced, but taking the lock keeps the
     // contract unconditional (and pairs with the acquire of anything
     // the last drainer published).
     util::MutexLock state_lock(state->partition.process_mutex);
-    metrics_->reorder_pending.sub(state->last_reorder_pending);
+    pending += state->last_reorder_pending;
   }
+  metrics_->reorder_pending.sub(pending);
   metrics_->active_keys.sub(static_cast<std::int64_t>(keys_.size()));
 }
 
@@ -108,66 +114,119 @@ void KeyedStreamingMonitor::quiesce() {
   while (active_drains_ != 0) drains_cv_.wait(drains_mutex_);
 }
 
-KeyedStreamingMonitor::KeyState& KeyedStreamingMonitor::state_for(
-    const std::string& key) {
-  {
-    util::ReaderMutexLock lock(keys_mutex_);
-    auto it = keys_.find(key);
-    if (it != keys_.end()) return *it->second;
+void KeyedStreamingMonitor::register_keys(const KeyedChunk& chunk) {
+  // State is built outside the lock; stats() waits only for the append.
+  std::vector<std::unique_ptr<KeyState>> fresh;
+  for (const std::string& name : chunk.new_keys) {
+    const auto id = static_cast<KeyId>(routes_.size());
+    Route route;
+    route.partition = static_cast<std::uint32_t>(id % partitions_.size());
+    if (!keep_ || keep_(name)) {
+      fresh.push_back(std::make_unique<KeyState>(
+          name, *partitions_[route.partition], options_));
+      route.state = fresh.back().get();
+    }
+    routes_.push_back(route);
   }
   util::WriterMutexLock lock(keys_mutex_);
   if (!started_) {
     started_ = true;
     start_time_ = std::chrono::steady_clock::now();
   }
-  auto it = keys_.find(key);  // re-check: another producer may have won
-  if (it == keys_.end()) {
-    // First-seen index modulo the partition count: fixed for the run.
-    Partition& owner = *partitions_[keys_.size() % partitions_.size()];
-    it = keys_.emplace(key, std::make_unique<KeyState>(key, owner, options_))
-             .first;
-    metrics_->active_keys.add(1);
-  }
-  return *it->second;
+  for (auto& state : fresh) keys_.push_back(std::move(state));
+  metrics_->active_keys.add(static_cast<std::int64_t>(fresh.size()));
 }
 
-void KeyedStreamingMonitor::ingest(const std::string& key,
-                                   const Operation& op) {
+void KeyedStreamingMonitor::ingest(const KeyedChunk& chunk) {
   if (finished_.load(std::memory_order_acquire)) {
     throw std::logic_error("KeyedStreamingMonitor::ingest after finish()");
   }
-  KeyState& state = state_for(key);
-  Partition& partition = state.partition;
+  if (ingesting_.exchange(true, std::memory_order_acquire)) {
+    throw std::logic_error(
+        "KeyedStreamingMonitor::ingest called concurrently (single "
+        "ingester)");
+  }
+  struct IngestGuard {
+    std::atomic<bool>& flag;
+    ~IngestGuard() { flag.store(false, std::memory_order_release); }
+  } guard{ingesting_};
+
+  // Validate before anything is named or queued, so a rejected chunk
+  // leaves the monitor untouched.
+  const std::size_t named = routes_.size() + chunk.new_keys.size();
+  if (!chunk.new_keys.empty() && chunk.first_new_key != routes_.size()) {
+    throw std::invalid_argument(
+        "KeyedStreamingMonitor::ingest: chunk names id " +
+        std::to_string(chunk.first_new_key) + ", expected " +
+        std::to_string(routes_.size()));
+  }
+  for (const IdOperation& iop : chunk.ops) {
+    if (iop.key >= named) {
+      throw std::invalid_argument(
+          "KeyedStreamingMonitor::ingest: chunk uses unnamed id " +
+          std::to_string(iop.key));
+    }
+  }
+  if (!chunk.new_keys.empty()) register_keys(chunk);
+
+  std::size_t routed = 0;
+  for (const IdOperation& iop : chunk.ops) {
+    Route& route = routes_[iop.key];
+    if (route.state == nullptr) continue;
+    if (!route.in_chunk) {
+      route.in_chunk = true;
+      chunk_keys_.push_back(iop.key);
+    }
+    route.newest = std::max(route.newest, iop.op.start);
+    route.oldest = std::min(route.oldest, iop.op.start);
+    staged_[route.partition].emplace_back(route.state, iop.op);
+    ++routed;
+  }
+  // Per-key stats and the ingest counters: once per chunk, not per
+  // operation. Published before the operations are queued, so a
+  // drainer never sees an operation its key's stats do not cover.
+  for (const KeyId id : chunk_keys_) {
+    Route& route = routes_[id];
+    route.in_chunk = false;
+    route.state->newest_start.store(route.newest, std::memory_order_relaxed);
+    route.state->oldest_start.store(route.oldest, std::memory_order_relaxed);
+  }
+  chunk_keys_.clear();
+  if (routed == 0) return;
+  ingested_.fetch_add(routed, std::memory_order_relaxed);
+  metrics_->ops_ingested.add(routed);
+  metrics_->queue_backlog.add(static_cast<std::int64_t>(routed));
+  for (std::size_t p = 0; p < partitions_.size(); ++p) {
+    if (!staged_[p].empty()) enqueue(*partitions_[p], staged_[p]);
+  }
+}
+
+void KeyedStreamingMonitor::enqueue(Partition& partition,
+                                    std::vector<Queued>& staged) {
   bool claimed = false;
   {
     util::MutexLock lock(partition.queue_mutex);
-    // Backpressure: wait for the drainer to take the queue.
+    // Backpressure: wait for the drainer to take the queue. The whole
+    // share goes in at once, so the queue may end up to one chunk's
+    // share above capacity.
     while (partition.queue.size() >= partition.capacity) {
       partition.not_full.wait(partition.queue_mutex);
     }
-    partition.queue.emplace_back(&state, op);
-    // Producers of one partition serialize on queue_mutex, so plain
-    // load/store pairs keep these exact without read-modify-write loops.
-    state.ingested.store(state.ingested.load(std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
-    if (op.start > state.newest_start.load(std::memory_order_relaxed)) {
-      state.newest_start.store(op.start, std::memory_order_relaxed);
+    if (partition.queue.empty()) {
+      partition.queue.swap(staged);  // no copy; staged gets a spare buffer
+    } else {
+      partition.queue.insert(partition.queue.end(), staged.begin(),
+                             staged.end());
     }
-    if (op.start < state.oldest_start.load(std::memory_order_relaxed)) {
-      state.oldest_start.store(op.start, std::memory_order_relaxed);
-    }
+    partition.peak_queue =
+        std::max(partition.peak_queue, partition.queue.size());
     if (!partition.draining) {
       partition.draining = true;
       claimed = true;
     }
   }
-  metrics_->ops_ingested.add(1);
-  metrics_->queue_backlog.add(1);
+  staged.clear();
   if (claimed) schedule_drain(partition);
-}
-
-void KeyedStreamingMonitor::ingest(const KeyedOperation& kop) {
-  ingest(kop.key, kop.op);
 }
 
 void KeyedStreamingMonitor::schedule_drain(Partition& partition) {
@@ -181,7 +240,7 @@ void KeyedStreamingMonitor::schedule_drain(Partition& partition) {
     // submit() can throw (e.g. the pool already shut down by its
     // owner). Undo the claim: no drain task will ever run to decrement
     // the counter or release it, and the destructor's quiesce() must
-    // not wait forever on it. The queued operation stays for finish().
+    // not wait forever on it. The queued operations stay for finish().
     {
       util::MutexLock lock(drains_mutex_);
       --active_drains_;
@@ -289,36 +348,47 @@ void KeyedStreamingMonitor::emit_new_violations(KeyState& state) {
   }
 }
 
-void KeyedStreamingMonitor::update_key_metrics(KeyState& state) {
-  // Counter deltas against per-key high-water marks: checker violation
-  // and chunk totals only grow for a live key, so each call adds
-  // exactly the progress since the previous one. This mirrors the sums
+void KeyedStreamingMonitor::update_key_metrics(KeyState& state,
+                                               PassMetrics& pass) {
+  // Deltas against per-key high-water marks: checker violation and
+  // chunk totals only grow for a live key, so each call adds exactly
+  // the progress since the previous one. This mirrors the sums
   // snapshot_totals() computes, keeping registry totals equal to
   // MonitorStats at quiescence.
   const std::size_t checker_now = state.checker.violations().size();
   const std::size_t extra_now = state.extra_violations.size();
-  metrics_->violations.add((checker_now - state.counted_checker) +
-                           (extra_now - state.counted_extra));
+  pass.violations += (checker_now - state.counted_checker) +
+                     (extra_now - state.counted_extra);
   state.counted_checker = checker_now;
   state.counted_extra = extra_now;
 
   const std::uint64_t chunks_now = state.checker.stats().chunks_verified;
-  metrics_->chunks_verified.add(chunks_now - state.counted_chunks);
+  pass.chunks += chunks_now - state.counted_chunks;
   state.counted_chunks = chunks_now;
 
   const std::int64_t pending_now =
       static_cast<std::int64_t>(state.reorder.pending());
-  metrics_->reorder_pending.add(pending_now - state.last_reorder_pending);
+  pass.reorder_pending += pending_now - state.last_reorder_pending;
   state.last_reorder_pending = pending_now;
 
-  // Same lag definition as MonitorStats::max_watermark_lag, but as the
-  // current level of the key just drained -- the live view.
+  // Same lag definition as MonitorStats::max_watermark_lag, as the
+  // current level of the pass's keys -- the live view.
   const TimePoint newest = state.newest_start.load(std::memory_order_relaxed);
   const TimePoint oldest = state.oldest_start.load(std::memory_order_relaxed);
   if (newest != kTimeMin) {
     const TimePoint floor = std::max(state.checker.watermark(), oldest);
-    metrics_->watermark_lag.set(newest - floor);
+    const TimePoint lag = newest - floor;
+    pass.max_lag = std::max(pass.max_lag.value_or(lag), lag);
   }
+}
+
+void KeyedStreamingMonitor::publish(const PassMetrics& pass) {
+  if (pass.violations != 0) metrics_->violations.add(pass.violations);
+  if (pass.chunks != 0) metrics_->chunks_verified.add(pass.chunks);
+  if (pass.reorder_pending != 0) {
+    metrics_->reorder_pending.add(pass.reorder_pending);
+  }
+  if (pass.max_lag) metrics_->watermark_lag.set(*pass.max_lag);
 }
 
 void KeyedStreamingMonitor::drain(Partition& partition) {
@@ -342,9 +412,11 @@ void KeyedStreamingMonitor::drain(Partition& partition) {
       util::MutexLock lock(partition.process_mutex);
       if (!take_queue(partition, /*release_claim_if_empty=*/true)) return;
       process_batch(partition);
-      // One watermark advance per touched key per batch. Failures
-      // become findings: nothing may escape, or the claim would stay
-      // set and wedge the partition.
+      // One watermark advance per touched key per batch, one registry
+      // write per instrument per pass. Failures become findings:
+      // nothing may escape, or the claim would stay set and wedge the
+      // partition.
+      PassMetrics pass;
       for (KeyState* state : partition.touched) {
         state->touched = false;
         try {
@@ -356,9 +428,10 @@ void KeyedStreamingMonitor::drain(Partition& partition) {
         state->peak_window =
             std::max(state->peak_window,
                      state->checker.window_size() + state->reorder.pending());
-        update_key_metrics(*state);
+        update_key_metrics(*state, pass);
       }
       partition.touched.clear();
+      publish(pass);
     }
   } catch (...) {
     // Last resort: even the recorder threw (bad_alloc building a
@@ -385,16 +458,17 @@ Report KeyedStreamingMonitor::finish() {
     partition->touched.clear();
   }
 
-  std::vector<std::pair<std::string, KeyState*>> states;
+  std::vector<KeyState*> states;
   {
     util::ReaderMutexLock lock(keys_mutex_);
     states.reserve(keys_.size());
-    for (auto& [key, state] : keys_) states.emplace_back(key, state.get());
+    for (const auto& state : keys_) states.push_back(state.get());
   }
 
   Report report;
   report.mode = Report::Mode::monitor;
-  for (auto& [key, state] : states) {
+  PassMetrics pass;
+  for (KeyState* state : states) {
     util::MutexLock lock(state->partition.process_mutex);
     state->reorder.flush();
     release_ready(*state);
@@ -415,9 +489,10 @@ Report KeyedStreamingMonitor::finish() {
           " monitor-level violation(s); first: " +
           state->extra_violations.front().detail);
     }
-    update_key_metrics(*state);
-    report.per_key.emplace(key, std::move(result));
+    update_key_metrics(*state, pass);
+    report.per_key.emplace(state->key, std::move(result));
   }
+  publish(pass);
   report.monitor_totals = snapshot_totals();
   return report;
 }
@@ -426,22 +501,23 @@ MonitorStats KeyedStreamingMonitor::stats() const { return snapshot_totals(); }
 
 MonitorStats KeyedStreamingMonitor::snapshot_totals() const {
   MonitorStats totals;
-  std::vector<std::pair<std::string, KeyState*>> states;
+  std::vector<const KeyState*> states;
   bool started = false;
   std::chrono::steady_clock::time_point start_time;
   {
     util::ReaderMutexLock lock(keys_mutex_);
     states.reserve(keys_.size());
-    for (const auto& [key, state] : keys_) {
-      states.emplace_back(key, state.get());
-    }
+    for (const auto& state : keys_) states.push_back(state.get());
     started = started_;
     start_time = start_time_;
   }
+  totals.operations_ingested = ingested_.load(std::memory_order_relaxed);
+  for (const auto& partition : partitions_) {
+    util::MutexLock lock(partition->queue_mutex);
+    totals.peak_queue = std::max(totals.peak_queue, partition->peak_queue);
+  }
   totals.keys = states.size();
-  for (const auto& [key, state] : states) {
-    totals.operations_ingested += static_cast<std::uint64_t>(
-        state->ingested.load(std::memory_order_relaxed));
+  for (const KeyState* state : states) {
     util::MutexLock lock(state->partition.process_mutex);
     for (const StreamingViolation& violation : state->extra_violations) {
       if (violation.kind == StreamingViolation::Kind::late_arrival) {
@@ -451,7 +527,9 @@ MonitorStats KeyedStreamingMonitor::snapshot_totals() const {
     const std::uint64_t key_violations =
         state->checker.violations().size() + state->extra_violations.size();
     totals.violations += key_violations;
-    if (key_violations > 0) totals.violations_per_key[key] = key_violations;
+    if (key_violations > 0) {
+      totals.violations_per_key[state->key] = key_violations;
+    }
     totals.chunks_verified += state->checker.stats().chunks_verified;
     totals.peak_window = std::max(totals.peak_window, state->peak_window);
     // Lag of verification behind ingest: newest enqueued start minus

@@ -5,19 +5,32 @@
 // turns bounded arrival disorder into the watermark promise the
 // checker needs.
 //
-// Keys are owned by a fixed set of partitions, one per pool thread: a
-// key's partition is its first-seen index modulo the pool's thread
-// count, and never changes. Each partition has one bounded queue and
-// one drain claim. ingest() appends to the key's partition queue
-// (blocking while that queue holds queue_capacity operations:
-// backpressure) and submits a drain task when none is claimed. A drain
-// swaps out the partition's whole queue, feeds each operation through
-// its key's ReorderBuffer and checker in arrival order, then advances
-// each touched key's watermark once for the batch -- so the per-batch
-// costs (the claim, the pool task, the watermark advance) are paid per
-// batch, not per operation. One drainer per partition keeps per-key
-// processing serial (checkers are not thread-safe) while partitions
-// check in parallel.
+// The unit of ingest is a source chunk (KeyedChunk, from
+// TraceSource::pull): operations named by a dense KeyId, plus the names
+// of ids the chunk introduces. Per-key state lives in a vector indexed
+// by id, so routing an operation is an index, not a hash probe or a
+// lock. Keys are owned by a fixed set of partitions, one per pool
+// thread: key id `i` belongs to partition i % P and never moves. Each
+// partition has one bounded queue and one drain claim. ingest() splits
+// a chunk by partition and appends each share to its partition queue
+// under ONE lock acquisition per partition per chunk, publishes per-key
+// stats and the ingest counters once per chunk, and submits a drain
+// task for every partition whose claim is clear. A drain swaps out the
+// partition's whole queue, feeds each operation through its key's
+// ReorderBuffer and checker in arrival order, advances each touched
+// key's watermark once for the batch, and refreshes the shared gauges
+// once for the pass -- so the per-batch costs (the claim, the pool
+// task, the watermark advance, the gauge writes) are paid per batch,
+// not per operation. One drainer per partition keeps per-key processing
+// serial (checkers are not thread-safe) while partitions check in
+// parallel.
+//
+// In-flight bound: ingest() appends a share only once its partition
+// queue is below queue_capacity (backpressure), so a partition queue
+// holds at most queue_capacity - 1 plus one chunk's share of operations
+// (MonitorStats::peak_queue records the most it held). Engine::monitor
+// pulls chunks of at most queue_capacity operations, so there each
+// queue stays under 2 x queue_capacity.
 //
 // The pool is borrowed: kav::Engine (core/engine.h, the library's front
 // door) runs batch verification and monitoring on ONE shared pool, and
@@ -29,14 +42,17 @@
 // the reorder slack S gives each checker a valid watermark, and the
 // staleness horizon H lets it evict settled chunks, so each per-key
 // window is O(ops in flight within S + H ticks) -- not O(trace). The
-// partitioning changes only how arrivals are batched: per-key verdicts
-// do not depend on it, while under a horizon tighter than the stream's
-// real staleness the findings can depend on where batches end (a read
-// may arrive before or after its write's cluster was evicted).
+// partitioning and the chunking change only how arrivals are batched:
+// per-key verdicts do not depend on them, while under a horizon tighter
+// than the stream's real staleness the findings can depend on where
+// batches end (a read may arrive before or after its write's cluster
+// was evicted).
 //
-// Ingest may be called from many producer threads concurrently;
-// per-key violation order is arrival order. finish() must be called
-// from one thread after all producers stop.
+// Single ingester: ingest() calls must not overlap (an overlapping call
+// throws std::logic_error); producers on many threads share one
+// monitor through a PushTraceSource and Engine::monitor. stats() is
+// safe from any thread at any time. finish() must be called from one
+// thread after the last ingest() returned.
 #ifndef KAV_INGEST_KEYED_MONITOR_H
 #define KAV_INGEST_KEYED_MONITOR_H
 
@@ -46,8 +62,9 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -69,6 +86,9 @@ class KeyedStreamingMonitor {
   // Live violation sink (RunOptions::on_finding).
   using FindingSink = std::function<void(const std::string& key,
                                          const StreamingViolation& violation)>;
+  // Asked once per key, when its id is named: false drops the key's
+  // operations (RunOptions::key_filter). Empty keeps every key.
+  using KeepKey = std::function<bool(std::string_view key)>;
 
   // Checking tasks run on `pool`; the kav_monitor_* series (live
   // ingest/violation counters plus watermark-lag, reorder-occupancy,
@@ -87,18 +107,20 @@ class KeyedStreamingMonitor {
   KeyedStreamingMonitor(pipeline::ThreadPool& pool,
                         obs::MetricsRegistry& metrics,
                         const EngineOptions& options,
-                        FindingSink on_finding = {});
+                        FindingSink on_finding = {}, KeepKey keep = {});
   ~KeyedStreamingMonitor();
 
   KeyedStreamingMonitor(const KeyedStreamingMonitor&) = delete;
   KeyedStreamingMonitor& operator=(const KeyedStreamingMonitor&) = delete;
 
-  // Thread-safe; blocks while the key's partition queue holds
-  // queue_capacity operations (backpressure). Throws std::logic_error
-  // after finish().
-  void ingest(const std::string& key, const Operation& op)
-      KAV_EXCLUDES(keys_mutex_, drains_mutex_);
-  void ingest(const KeyedOperation& kop)
+  // Names chunk.new_keys as this monitor's next ids (first_new_key
+  // must equal the number of ids named so far), then routes each
+  // operation to its key's partition queue. Blocks while a touched
+  // partition queue holds queue_capacity operations (backpressure).
+  // Throws std::logic_error after finish() or when another ingest() is
+  // running, and std::invalid_argument when the chunk's ids do not
+  // continue the monitor's id space (nothing of the chunk is ingested).
+  void ingest(const KeyedChunk& chunk)
       KAV_EXCLUDES(keys_mutex_, drains_mutex_);
 
   // Drains every queue, flushes every reorder buffer, finishes every
@@ -106,7 +128,7 @@ class KeyedStreamingMonitor {
   // iff the key's stream produced no violations), its StreamingStats,
   // and its findings (monitor-level ones such as late arrivals
   // appended), plus MonitorStats totals. Call once, from one thread,
-  // after all producers have stopped.
+  // after the last ingest() returned.
   Report finish() KAV_EXCLUDES(keys_mutex_);
 
   // Aggregated snapshot; safe to call from any thread mid-stream.
@@ -114,6 +136,7 @@ class KeyedStreamingMonitor {
 
  private:
   struct KeyState;
+  using Queued = std::pair<KeyState*, Operation>;
 
   // A fixed share of the keys, drained by at most one task at a time.
   // Lock order: process_mutex before queue_mutex.
@@ -124,17 +147,17 @@ class KeyedStreamingMonitor {
     util::Mutex process_mutex;
     util::Mutex queue_mutex KAV_ACQUIRED_AFTER(process_mutex);
     util::CondVar not_full;
-    std::vector<std::pair<KeyState*, Operation>> queue
-        KAV_GUARDED_BY(queue_mutex);
+    std::vector<Queued> queue KAV_GUARDED_BY(queue_mutex);
     // True while a drain task is scheduled or running. Set by the
     // ingest that finds it clear, cleared by the drain that finds the
     // queue empty -- both under queue_mutex, so an arrival is never
     // stranded.
     bool draining KAV_GUARDED_BY(queue_mutex) = false;
+    // Most operations the queue held at once (MonitorStats::peak_queue).
+    std::size_t peak_queue KAV_GUARDED_BY(queue_mutex) = 0;
     const std::size_t capacity;
     // Drain scratch: the swapped-out batch and the keys it touched.
-    std::vector<std::pair<KeyState*, Operation>> batch
-        KAV_GUARDED_BY(process_mutex);
+    std::vector<Queued> batch KAV_GUARDED_BY(process_mutex);
     std::vector<KeyState*> touched KAV_GUARDED_BY(process_mutex);
   };
 
@@ -150,9 +173,8 @@ class KeyedStreamingMonitor {
 
     const std::string key;
     Partition& partition;
-    // Written by producers under partition.queue_mutex; atomics so
-    // stats() can read them without it.
-    std::atomic<std::int64_t> ingested{0};
+    // Published by the ingester once per chunk; atomics so stats() and
+    // the drainer can read them without a lock.
     std::atomic<TimePoint> newest_start{kTimeMin};
     std::atomic<TimePoint> oldest_start{kTimeMax};
 
@@ -180,7 +202,34 @@ class KeyedStreamingMonitor {
         KAV_GUARDED_BY(partition.process_mutex) = 0;
   };
 
-  KeyState& state_for(const std::string& key) KAV_EXCLUDES(keys_mutex_);
+  // The ingester's view of one id: touched only by the thread inside
+  // ingest(), so the hot path takes no lock.
+  struct Route {
+    KeyState* state = nullptr;  // nullptr: the key was dropped (keep)
+    std::uint32_t partition = 0;
+    // Running start bounds, published to the KeyState once per chunk.
+    TimePoint newest = kTimeMin;
+    TimePoint oldest = kTimeMax;
+    bool in_chunk = false;  // listed in chunk_keys_
+  };
+
+  // Progress one drain pass (or finish()) folds into the registry: the
+  // per-key deltas summed, so each shared instrument is written once
+  // per pass.
+  struct PassMetrics {
+    std::uint64_t violations = 0;
+    std::uint64_t chunks = 0;
+    std::int64_t reorder_pending = 0;
+    std::optional<TimePoint> max_lag;  // over the keys with a lag
+  };
+
+  // Names the chunk's new ids: a Route each, a KeyState for each kept
+  // key.
+  void register_keys(const KeyedChunk& chunk) KAV_EXCLUDES(keys_mutex_);
+  // Appends `staged` to the partition queue under one lock (waiting
+  // below capacity first) and schedules a drain if none is claimed.
+  void enqueue(Partition& partition, std::vector<Queued>& staged)
+      KAV_EXCLUDES(drains_mutex_);
   // Submits a drain task for a partition whose claim the caller took.
   void schedule_drain(Partition& partition) KAV_EXCLUDES(drains_mutex_);
   void drain(Partition& partition) KAV_EXCLUDES(drains_mutex_);
@@ -205,17 +254,20 @@ class KeyedStreamingMonitor {
   // Reports not-yet-reported violations to on_finding_.
   void emit_new_violations(KeyState& state)
       KAV_REQUIRES(state.partition.process_mutex);
-  // Folds the key's progress since the last call into the registry
-  // (violation/chunk deltas via per-key high-water marks, gauge
-  // refreshes).
-  void update_key_metrics(KeyState& state)
+  // Adds the key's progress since the last call to `pass`
+  // (violation/chunk/reorder deltas via per-key high-water marks, its
+  // watermark lag).
+  void update_key_metrics(KeyState& state, PassMetrics& pass)
       KAV_REQUIRES(state.partition.process_mutex);
+  // Writes one pass's totals to the registry.
+  void publish(const PassMetrics& pass);
   // Blocks until no drain task of this monitor is queued or running.
   void quiesce() KAV_EXCLUDES(drains_mutex_);
   MonitorStats snapshot_totals() const KAV_EXCLUDES(keys_mutex_);
 
   const EngineOptions options_;
   const FindingSink on_finding_;
+  const KeepKey keep_;
   // kav_monitor_* instruments (keyed_monitor.cpp); owned by the
   // registry, not by the monitor.
   struct Metrics;
@@ -224,15 +276,26 @@ class KeyedStreamingMonitor {
 
   // Fixed at construction, one per pool thread.
   std::vector<std::unique_ptr<Partition>> partitions_;
-  // Shared for the per-ingest known-key lookup (the hot path stays
-  // contention-free across producers), exclusive only when a key is
-  // first seen.
+
+  // Ingester-only state (single ingester, enforced by ingesting_):
+  // routes by id, the per-partition shares of the chunk being ingested,
+  // and the ids it touched.
+  std::atomic<bool> ingesting_{false};
+  std::vector<Route> routes_;
+  std::vector<std::vector<Queued>> staged_;
+  std::vector<KeyId> chunk_keys_;
+
+  // Every kept key's state, in id order. Written only by the ingester,
+  // when a chunk names new keys; the lock lets stats() and finish()
+  // walk the list while it grows.
   mutable util::SharedMutex keys_mutex_;
-  std::unordered_map<std::string, std::unique_ptr<KeyState>> keys_
-      KAV_GUARDED_BY(keys_mutex_);
+  std::vector<std::unique_ptr<KeyState>> keys_ KAV_GUARDED_BY(keys_mutex_);
   std::chrono::steady_clock::time_point start_time_
       KAV_GUARDED_BY(keys_mutex_);
   bool started_ KAV_GUARDED_BY(keys_mutex_) = false;
+  // Operations routed to a partition queue
+  // (MonitorStats::operations_ingested).
+  std::atomic<std::uint64_t> ingested_{0};
   std::atomic<bool> finished_{false};
   // Set when the user's on_finding sink throws: live emission is
   // disabled for the rest of the run (recorded as a hard_anomaly

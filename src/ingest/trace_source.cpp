@@ -1,5 +1,6 @@
 #include "ingest/trace_source.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -9,16 +10,54 @@
 
 namespace kav {
 
+TraceSource::Pull TraceSource::pull(KeyedChunk& chunk, std::size_t max_ops,
+                                    std::chrono::milliseconds wait) {
+  (void)wait;
+  chunk.clear();
+  max_ops = std::max<std::size_t>(1, max_ops);
+  KeyedOperation kop;
+  while (chunk.ops.size() < max_ops && next(kop)) {
+    interner_.append(chunk, kop.key, kop.op);
+  }
+  return chunk.ops.empty() ? Pull::closed : Pull::ready;
+}
+
+namespace {
+
+// pull() over a trace already in memory: interns each key in place, so
+// no KeyedOperation is copied.
+TraceSource::Pull pull_from(const KeyedTrace& trace, std::size_t& pos,
+                            KeyInterner& interner, KeyedChunk& chunk,
+                            std::size_t max_ops) {
+  chunk.clear();
+  const std::size_t end =
+      pos + std::min(std::max<std::size_t>(1, max_ops), trace.size() - pos);
+  for (; pos < end; ++pos) {
+    interner.append(chunk, trace.ops[pos].key, trace.ops[pos].op);
+  }
+  return chunk.ops.empty() ? TraceSource::Pull::closed
+                           : TraceSource::Pull::ready;
+}
+
+}  // namespace
+
 // --- MemoryTraceSource -----------------------------------------------------
 
 bool MemoryTraceSource::next(KeyedOperation& out) {
-  if (pos_ >= trace_.ops.size()) return false;
-  out = trace_.ops[pos_++];
+  if (pos_ >= trace_->ops.size()) return false;
+  out = trace_->ops[pos_++];
   return true;
 }
 
+TraceSource::Pull MemoryTraceSource::pull(KeyedChunk& chunk,
+                                          std::size_t max_ops,
+                                          std::chrono::milliseconds wait) {
+  (void)wait;
+  return pull_from(*trace_, pos_, interner(), chunk, max_ops);
+}
+
 std::string MemoryTraceSource::describe() const {
-  return "memory(" + std::to_string(trace_.size()) + " ops)";
+  return "memory(" + std::to_string(trace_->size()) + " ops)";
 }
 
 // --- TextFileTraceSource ---------------------------------------------------
@@ -32,6 +71,13 @@ bool TextFileTraceSource::next(KeyedOperation& out) {
   // this source a one-copy path.
   out = std::move(trace_.ops[pos_++]);
   return true;
+}
+
+TraceSource::Pull TextFileTraceSource::pull(KeyedChunk& chunk,
+                                            std::size_t max_ops,
+                                            std::chrono::milliseconds wait) {
+  (void)wait;
+  return pull_from(trace_, pos_, interner(), chunk, max_ops);
 }
 
 std::string TextFileTraceSource::describe() const { return "text:" + path_; }
@@ -51,6 +97,13 @@ BinaryFileTraceSource::BinaryFileTraceSource(
     std::unique_ptr<MappedSegment> segment)
     : segment_(std::move(segment)), cursor_(segment_->cursor()) {}
 
+void BinaryFileTraceSource::release_behind() {
+  if (cursor_.offset() >= next_release_) {
+    segment_->release_below(cursor_.offset());
+    next_release_ = cursor_.offset() + kReleaseStride;
+  }
+}
+
 bool BinaryFileTraceSource::next(KeyedOperation& out) {
   std::string_view key;
   if (!cursor_.next(key, out.op)) {
@@ -60,11 +113,34 @@ bool BinaryFileTraceSource::next(KeyedOperation& out) {
     return false;
   }
   out.key.assign(key);
-  if (cursor_.offset() >= next_release_) {
-    segment_->release_below(cursor_.offset());
-    next_release_ = cursor_.offset() + kReleaseStride;
-  }
+  release_behind();
   return true;
+}
+
+TraceSource::Pull BinaryFileTraceSource::pull(KeyedChunk& chunk,
+                                              std::size_t max_ops,
+                                              std::chrono::milliseconds wait) {
+  (void)wait;
+  chunk.clear();
+  max_ops = std::max<std::size_t>(1, max_ops);
+  KeyId table_id = 0;
+  Operation op;
+  while (chunk.ops.size() < max_ops && cursor_.next(table_id, op)) {
+    if (table_id >= ids_.size()) ids_.resize(cursor_.key_count(), kUnnamed);
+    KeyId& id = ids_[table_id];
+    if (id == kUnnamed) {
+      id = named_++;
+      if (chunk.new_keys.empty()) chunk.first_new_key = id;
+      chunk.new_keys.emplace_back(cursor_.key(table_id));
+    }
+    chunk.ops.push_back({id, op});
+  }
+  if (chunk.ops.empty()) {
+    segment_->release_below(segment_->size_bytes());
+    return Pull::closed;
+  }
+  release_behind();
+  return Pull::ready;
 }
 
 std::string BinaryFileTraceSource::describe() const {
@@ -101,46 +177,57 @@ void PushTraceSource::close() {
   not_full_.notify_all();
 }
 
-TraceSource::Pull PushTraceSource::pull(KeyedOperation& out,
-                                        const std::chrono::milliseconds* wait) {
-  if (taken_pos_ == taken_.size()) {
-    taken_.clear();
-    taken_pos_ = 0;
-    bool was_full = false;
-    {
-      util::MutexLock lock(mutex_);
-      if (wait == nullptr) {
-        while (!closed_ && items_.empty()) not_empty_.wait(mutex_);
-      } else {
-        const auto deadline = std::chrono::steady_clock::now() + *wait;
-        while (!closed_ && items_.empty()) {
-          if (not_empty_.wait_until(mutex_, deadline) ==
-                  std::cv_status::timeout &&
-              !closed_ && items_.empty()) {
-            return Pull::pending;
-          }
+TraceSource::Pull PushTraceSource::refill(
+    const std::chrono::milliseconds* wait) {
+  if (taken_pos_ < taken_.size()) return Pull::ready;
+  taken_.clear();
+  taken_pos_ = 0;
+  bool was_full = false;
+  {
+    util::MutexLock lock(mutex_);
+    if (wait == nullptr) {
+      while (!closed_ && items_.empty()) not_empty_.wait(mutex_);
+    } else {
+      const auto deadline = std::chrono::steady_clock::now() + *wait;
+      while (!closed_ && items_.empty()) {
+        if (not_empty_.wait_until(mutex_, deadline) ==
+                std::cv_status::timeout &&
+            !closed_ && items_.empty()) {
+          return Pull::pending;
         }
       }
-      if (items_.empty()) return Pull::closed;  // closed and drained
-      was_full = items_.size() >= capacity_;
-      items_.swap(taken_);
     }
-    // Producers wait only at capacity, so only a full queue has
-    // waiters; the swap leaves room for all of them.
-    if (was_full) not_full_.notify_all();
+    if (items_.empty()) return Pull::closed;  // closed and drained
+    was_full = items_.size() >= capacity_;
+    items_.swap(taken_);
   }
-  out = std::move(taken_[taken_pos_++]);
-  taken_left_.store(taken_.size() - taken_pos_, std::memory_order_relaxed);
-  return Pull::item;
+  // Producers wait only at capacity, so only a full queue has waiters;
+  // the swap leaves room for all of them.
+  if (was_full) not_full_.notify_all();
+  return Pull::ready;
 }
 
 bool PushTraceSource::next(KeyedOperation& out) {
-  return pull(out, nullptr) == Pull::item;
+  if (refill(nullptr) != Pull::ready) return false;
+  out = std::move(taken_[taken_pos_++]);
+  taken_left_.store(taken_.size() - taken_pos_, std::memory_order_relaxed);
+  return true;
 }
 
-TraceSource::Pull PushTraceSource::try_next_for(
-    KeyedOperation& out, std::chrono::milliseconds wait) {
-  return pull(out, &wait);
+TraceSource::Pull PushTraceSource::pull(KeyedChunk& chunk,
+                                        std::size_t max_ops,
+                                        std::chrono::milliseconds wait) {
+  chunk.clear();
+  const Pull refilled = refill(&wait);
+  if (refilled != Pull::ready) return refilled;
+  const std::size_t end =
+      taken_pos_ +
+      std::min(std::max<std::size_t>(1, max_ops), taken_.size() - taken_pos_);
+  for (; taken_pos_ < end; ++taken_pos_) {
+    interner().append(chunk, taken_[taken_pos_].key, taken_[taken_pos_].op);
+  }
+  taken_left_.store(taken_.size() - taken_pos_, std::memory_order_relaxed);
+  return Pull::ready;
 }
 
 std::string PushTraceSource::describe() const {

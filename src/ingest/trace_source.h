@@ -3,10 +3,15 @@
 // an in-memory KeyedTrace, a text-format file, a binary .kavb file, or
 // a live producer pushing operations one at a time -- is the same
 // pull-based stream of KeyedOperations, so new backends (sockets, RPC
-// front-ends, replay logs) plug in by implementing two methods instead
-// of growing another facade overload.
+// front-ends, replay logs) plug in by implementing two methods (next()
+// and describe(); pull() has a default) instead of growing another
+// facade overload.
 //
-// Sources are single-pass: next() walks the stream once. File sources
+// Sources are single-pass: next() or pull() walks the stream once.
+// pull() is the chunked form the Engine reads through: each chunk names
+// its operations by a dense KeyId assigned once, at the source, so the
+// grouping and monitoring layers index per-key state instead of hashing
+// a key string per operation. File sources
 // detect format by magic bytes (open_trace_source), never by file
 // extension; drain() pulls any source into a KeyedTrace. Memory cost:
 // binary file sources map the file and keep O(1 MiB) of it resident
@@ -33,10 +38,9 @@ namespace kav {
 
 class TraceSource {
  public:
-  // Result of a bounded pull (try_next_for): an operation was produced,
-  // nothing arrived within the wait (stream still open), or the stream
-  // ended.
-  enum class Pull : unsigned char { item, pending, closed };
+  // Result of a chunked pull: operations arrived, nothing arrived
+  // within the wait (stream still open), or the stream ended.
+  enum class Pull : unsigned char { ready, pending, closed };
 
   virtual ~TraceSource() = default;
 
@@ -45,21 +49,35 @@ class TraceSource {
   // closes). Throws std::runtime_error on malformed input.
   virtual bool next(KeyedOperation& out) = 0;
 
-  // Bounded pull: like next(), but a source that might block
-  // indefinitely returns Pull::pending after ~`wait` instead, so a
-  // consumer can re-check a CancelToken or deadline between pulls
-  // (Engine::monitor does). The default forwards to next() -- correct
-  // for sources that never block longer than their input takes to
-  // read; blocking sources (PushTraceSource) override it.
-  virtual Pull try_next_for(KeyedOperation& out,
-                            std::chrono::milliseconds wait) {
-    (void)wait;
-    return next(out) ? Pull::item : Pull::closed;
-  }
+  // Chunked pull, the one kav::Engine reads through: clears `chunk` and
+  // fills it with up to `max_ops` (at least 1) of the operations the
+  // source already holds, each named by its dense KeyId, plus the names
+  // of the ids first seen in this chunk (KeyedChunk). Waits at most
+  // ~`wait`, and only for the first operation, so a consumer can
+  // re-check a CancelToken or deadline between pulls. Returns
+  // Pull::ready with at least one operation, Pull::pending with none
+  // (the stream is still open), Pull::closed at the end of the stream.
+  //
+  // Ids number keys in order of first appearance in what pull() has
+  // handed out; read a source through next() or through pull(), not
+  // both. The default pulls through next() and interns each key
+  // (KeyInterner) -- correct for sources that never block longer than
+  // their input takes to read (IndexedTraceSource uses it); the memory,
+  // text, binary-file and push sources override it to hand out what
+  // they hold without a per-operation copy.
+  virtual Pull pull(KeyedChunk& chunk, std::size_t max_ops,
+                    std::chrono::milliseconds wait);
 
   // Human-readable origin for reports and error messages, e.g.
   // "memory(120 ops)" or "binary:trace.kavb".
   virtual std::string describe() const = 0;
+
+ protected:
+  // Names the keys of the operations this source hands out by pull().
+  KeyInterner& interner() { return interner_; }
+
+ private:
+  KeyInterner interner_;
 };
 
 // Capability interface for sources backed by a per-key index (the
@@ -93,17 +111,30 @@ class SelectiveTraceSource : public TraceSource {
 // In-memory trace, replayed in insertion (arrival) order.
 class MemoryTraceSource final : public TraceSource {
  public:
-  explicit MemoryTraceSource(KeyedTrace trace) : trace_(std::move(trace)) {}
+  explicit MemoryTraceSource(KeyedTrace trace)
+      : owned_(std::move(trace)), trace_(&owned_) {}
+  // Reads `*trace` in place, without a copy; it must outlive the source.
+  explicit MemoryTraceSource(const KeyedTrace* trace) : trace_(trace) {}
+
+  MemoryTraceSource(const MemoryTraceSource&) = delete;
+  MemoryTraceSource& operator=(const MemoryTraceSource&) = delete;
 
   bool next(KeyedOperation& out) override;
+  Pull pull(KeyedChunk& chunk, std::size_t max_ops,
+            std::chrono::milliseconds wait) override;
   std::string describe() const override;
 
   // Memory sources alone are re-runnable: rewind to replay the same
-  // trace through another Engine call.
-  void rewind() { pos_ = 0; }
+  // trace through another Engine call. The replay names its keys
+  // afresh, from id 0.
+  void rewind() {
+    pos_ = 0;
+    interner() = KeyInterner{};
+  }
 
  private:
-  KeyedTrace trace_;
+  KeyedTrace owned_;
+  const KeyedTrace* trace_;
   std::size_t pos_ = 0;
 };
 
@@ -115,6 +146,8 @@ class TextFileTraceSource final : public TraceSource {
   explicit TextFileTraceSource(const std::string& path);
 
   bool next(KeyedOperation& out) override;
+  Pull pull(KeyedChunk& chunk, std::size_t max_ops,
+            std::chrono::milliseconds wait) override;
   std::string describe() const override;
 
  private:
@@ -127,36 +160,48 @@ class TextFileTraceSource final : public TraceSource {
 // sealed), walked sequentially by a MappedSegment::Cursor. The source
 // owns the mapping outright, so it releases the pages behind the
 // cursor as it goes, and the rest when the stream ends: resident
-// memory stays O(1 MiB) however large the file. Throws std::runtime_error with a byte offset on malformed
-// input.
+// memory stays O(1 MiB) however large the file. pull() hands out the
+// file's key-table ids without touching a key string, renumbered by a
+// vector lookup into first-appearance order (the identity on v1 files;
+// a v2 file's block order can name a later id first). Throws
+// std::runtime_error with a byte offset on malformed input.
 class BinaryFileTraceSource final : public TraceSource {
  public:
   explicit BinaryFileTraceSource(std::unique_ptr<MappedSegment> segment);
 
   bool next(KeyedOperation& out) override;
+  Pull pull(KeyedChunk& chunk, std::size_t max_ops,
+            std::chrono::milliseconds wait) override;
   std::string describe() const override;
 
  private:
+  // Releases the pages behind the cursor every kReleaseStride bytes.
+  void release_behind();
+
   std::unique_ptr<MappedSegment> segment_;
   MappedSegment::Cursor cursor_;
   std::uint64_t next_release_ = 0;  // cursor offset of the next release
+  // Key-table id -> pull() id; kUnnamed until the key's first record.
+  static constexpr KeyId kUnnamed = ~KeyId{0};
+  std::vector<KeyId> ids_;
+  KeyId named_ = 0;
 };
 
 // Incremental push source: producers push() completed operations from
 // any thread; the consumer side (Engine::monitor, typically on another
-// thread) pulls them via next(), which blocks until an operation is
-// available or the source is closed. push() blocks while the shared
-// queue holds `capacity` operations (backpressure) and throws
-// std::logic_error after close().
+// thread) pulls them via pull() or next(), which wait until an
+// operation is available or the source is closed. push() blocks while
+// the shared queue holds `capacity` operations (backpressure) and
+// throws std::logic_error after close().
 //
 // The handoff moves batches: when the consumer runs dry it swaps the
-// whole shared queue out under one lock and hands the taken operations
-// out without locking. The source signals only on the transitions a
-// waiter needs -- the consumer when the queue goes from empty to
-// non-empty, producers when a swap takes a full queue -- so a steady
-// stream costs one lock round trip per batch, not a wakeup per
-// operation. At most 2 x capacity operations are in flight: one queue
-// being filled, one batch being handed out.
+// whole shared queue out under one lock, and pull() hands the taken
+// batch over as one chunk (up to its max_ops). The source signals only
+// on the transitions a waiter needs -- the consumer when the queue
+// goes from empty to non-empty, producers when a swap takes a full
+// queue -- so a steady stream costs one lock round trip per batch, not
+// a wakeup per operation. At most 2 x capacity operations are in
+// flight: one queue being filled, one batch being handed out.
 class PushTraceSource final : public TraceSource {
  public:
   explicit PushTraceSource(std::size_t capacity = 1'024)
@@ -164,7 +209,7 @@ class PushTraceSource final : public TraceSource {
 
   void push(std::string key, Operation op);
   void push(KeyedOperation kop) KAV_EXCLUDES(mutex_);
-  // Ends the stream: next() drains what is queued, then returns false.
+  // Ends the stream: pulls drain what is queued, then report the end.
   // Idempotent.
   void close() KAV_EXCLUDES(mutex_);
 
@@ -172,19 +217,18 @@ class PushTraceSource final : public TraceSource {
   // Times out with Pull::pending instead of blocking forever, so a
   // cancelled Engine::monitor over a push source that is never closed
   // still returns.
-  Pull try_next_for(KeyedOperation& out,
-                    std::chrono::milliseconds wait) override
-      KAV_EXCLUDES(mutex_);
+  Pull pull(KeyedChunk& chunk, std::size_t max_ops,
+            std::chrono::milliseconds wait) override KAV_EXCLUDES(mutex_);
   // "push(N queued)", N counting both the shared queue and the batch
   // the consumer took but has not handed out yet.
   std::string describe() const override KAV_EXCLUDES(mutex_);
 
  private:
-  // Consumer side: hands out the taken batch, refilling it from the
-  // shared queue when it runs dry. `wait` bounds the refill's blocking
-  // wait; nullptr waits until an operation or close() arrives.
-  Pull pull(KeyedOperation& out, const std::chrono::milliseconds* wait)
-      KAV_EXCLUDES(mutex_);
+  // Consumer side: when the taken batch is handed out, swaps the shared
+  // queue in. `wait` bounds the blocking wait; nullptr waits until an
+  // operation or close() arrives. Pull::ready means taken_ holds an
+  // operation not handed out yet.
+  Pull refill(const std::chrono::milliseconds* wait) KAV_EXCLUDES(mutex_);
 
   // One lock orders the shared queue: producers block on not_full_
   // (capacity backpressure), the consumer blocks on not_empty_, and

@@ -440,7 +440,7 @@ std::vector<Operation> MappedSegment::read_key(std::string_view key) const {
 MappedSegment::Cursor::Cursor(const MappedSegment* segment)
     : segment_(segment), offset_(kBinaryTraceHeaderBytes) {}
 
-bool MappedSegment::Cursor::next(std::string_view& key, Operation& op) {
+bool MappedSegment::Cursor::next(KeyId& key_id, Operation& op) {
   const MappedSegment& seg = *segment_;
   while (chunk_records_ == 0) {
     if (offset_ >= seg.records_end_) return false;  // clean end of stream
@@ -495,13 +495,12 @@ bool MappedSegment::Cursor::next(std::string_view& key, Operation& op) {
   if (seg.records_end_ - offset_ < kBinaryTraceRecordBytes) {
     seg.fail(offset_, "truncated record payload");
   }
-  const std::uint32_t key_id = seg.decode_record(offset_, op);
+  key_id = seg.decode_record(offset_, op);
   if (key_id >= keys_.size()) {
     seg.fail(offset_, "key id " + std::to_string(key_id) +
                           " out of range (table has " +
                           std::to_string(keys_.size()) + " entries)");
   }
-  key = keys_[key_id];
   offset_ += kBinaryTraceRecordBytes;
   --chunk_records_;
   return true;

@@ -114,7 +114,18 @@ class MappedSegment {
   // std::runtime_error naming the byte offset on malformed input.
   class Cursor {
    public:
-    bool next(std::string_view& key, Operation& op);
+    bool next(std::string_view& key, Operation& op) {
+      KeyId key_id = 0;
+      if (!next(key_id, op)) return false;
+      key = keys_[key_id];
+      return true;
+    }
+    // The same walk, naming each record by its key-table id; key(id)
+    // is its name (valid once the record has been read).
+    bool next(KeyId& key_id, Operation& op);
+    std::string_view key(KeyId key_id) const { return keys_[key_id]; }
+    // Key-table entries introduced so far.
+    std::size_t key_count() const { return keys_.size(); }
     // Offset of the next unread byte.
     std::uint64_t offset() const { return offset_; }
 

@@ -8,6 +8,10 @@
 //     drains_mutex_ release of the last drain task. It now takes the
 //     key's process_mutex, so the contract holds even if the quiesce
 //     protocol is ever reshaped.
+//   * KeyedStreamingMonitor's per-key state is a vector indexed by key
+//     id. The ingester appends to it when a chunk names new keys;
+//     stats() and finish() walk it from other threads under the shared
+//     side of keys_mutex_, so registration takes the exclusive side.
 //   * TraceStore's writer paths (compact, run_maintenance, retention,
 //     append's manifest build) scanned segments_/numbers_ with no lock
 //     at all, leaning on writer serialization for the writes and on
@@ -27,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "chunk_feed.h"
 #include "history/keyed_trace.h"
 #include "history/operation.h"
 #include "ingest/keyed_monitor.h"
@@ -86,9 +91,7 @@ TEST(ConcurrencyRegression, MonitorDestructionRacesDrainTasks) {
         (void)monitor.stats();
       }
     });
-    for (const KeyedOperation& kop : small_trace(round).ops) {
-      monitor.ingest(kop);
-    }
+    testing_util::ChunkFeeder(monitor).ingest(small_trace(round), 8);
     stop.store(true, std::memory_order_release);
     prober.join();
     // The destructor runs here, concurrently with any still-queued
@@ -104,6 +107,41 @@ TEST(ConcurrencyRegression, MonitorDestructionRacesDrainTasks) {
   EXPECT_EQ(backlog, 0.0);
   EXPECT_EQ(pending, 0.0);
   EXPECT_EQ(active, 0.0);
+}
+
+// The monitor's key list grows while stats() walks it: every chunk
+// names new keys (first-seen registration appends to the id-indexed
+// state vector, reallocating it as it grows) while a prober snapshots
+// the totals. The prober must only ever see a consistent, growing
+// prefix.
+TEST(ConcurrencyRegression, MonitorStatsRaceKeyRegistration) {
+  obs::MetricsRegistry registry;
+  pipeline::ThreadPool pool(2, &registry);
+  EngineOptions options;
+  options.reorder_slack = 50;
+  KeyedStreamingMonitor monitor(pool, registry, options);
+
+  KeyedTrace trace;
+  for (int i = 0; i < 2'000; ++i) {
+    // Each op on a fresh key: every chunk registers all of its keys.
+    trace.add("fresh" + std::to_string(i), make_write(i, i + 5, i + 1));
+  }
+  std::atomic<bool> stop{false};
+  std::thread prober([&] {
+    std::size_t last_keys = 0;
+    while (!stop.load(std::memory_order_acquire)) {
+      const MonitorStats stats = monitor.stats();
+      EXPECT_GE(stats.keys, last_keys);
+      EXPECT_LE(stats.operations_ingested, 2'000u);
+      last_keys = stats.keys;
+    }
+  });
+  testing_util::ChunkFeeder(monitor).ingest(trace, 16);
+  stop.store(true, std::memory_order_release);
+  prober.join();
+  const Report report = monitor.finish();
+  EXPECT_EQ(report.per_key.size(), 2'000u);
+  EXPECT_EQ(report.monitor_totals.operations_ingested, 2'000u);
 }
 
 // Writers (append + synchronous maintenance with folds and retention)

@@ -13,10 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "chunk_feed.h"
 #include "gen/generators.h"
 #include "gen/mutators.h"
 #include "kav.h"
@@ -176,6 +179,81 @@ TEST(EngineFuzz, MonitorAgreesAcrossThreadCounts) {
                   result.verdict.outcome);
         EXPECT_EQ(live.per_key.at(key).findings.size(),
                   result.findings.size());
+      }
+    }
+  }
+}
+
+// A random merge of the trace's per-key sequences: arrival order mixes
+// keys while each key keeps its own order.
+KeyedTrace interleave(const KeyedTrace& trace, Rng& rng) {
+  std::map<std::string, std::vector<Operation>> per_key;
+  for (const KeyedOperation& kop : trace.ops) per_key[kop.key].push_back(kop.op);
+  std::vector<std::pair<std::string, std::size_t>> cursors;
+  for (const auto& [key, ops] : per_key) cursors.emplace_back(key, 0);
+  KeyedTrace out;
+  while (!cursors.empty()) {
+    const std::size_t pick = rng.bounded(cursors.size());
+    auto& [key, next] = cursors[pick];
+    out.add(key, per_key[key][next++]);
+    if (next == per_key[key].size()) cursors.erase(cursors.begin() + pick);
+  }
+  return out;
+}
+
+// Chunk-boundary differential: one interleaved trace fed to the monitor
+// in chunks of 1, 3, 64, queue_capacity and the whole trace, on 1, 2
+// and 4 threads. Every run gives each key batch Engine::verify's
+// answer (YES exactly where batch says YES); with the horizon covering
+// the stream's staleness the findings are identical however the stream
+// was chunked; and no partition queue ever held more than capacity
+// plus one chunk.
+TEST(EngineFuzz, MonitorIgnoresChunkBoundaries) {
+  const std::uint64_t seed = fuzz_seed();
+  Rng rng(seed ^ 0xc4a7ULL);
+  constexpr std::size_t kCapacity = 16;
+  EngineOptions options;
+  options.streaming.staleness_horizon = 1 << 22;
+  options.reorder_slack = 1 << 20;
+  options.queue_capacity = kCapacity;
+  Engine batch(options);
+  constexpr int kTrials = 8;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    SCOPED_TRACE("reproduce with KAV_FUZZ_SEED=" + std::to_string(seed) +
+                 " (chunk trial " + std::to_string(trial) + ")");
+    const KeyedTrace trace = interleave(random_trace(rng), rng);
+    const Report reference = batch.verify(trace);
+    std::optional<Report> first;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      pipeline::ThreadPool pool(threads);
+      for (const std::size_t chunk :
+           {std::size_t{1}, std::size_t{3}, std::size_t{64}, kCapacity,
+            trace.size()}) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + ", chunk " +
+                     std::to_string(chunk));
+        obs::MetricsRegistry registry;
+        KeyedStreamingMonitor monitor(pool, registry, options);
+        testing_util::ChunkFeeder(monitor).ingest(trace, chunk);
+        const Report live = monitor.finish();
+        EXPECT_EQ(live.monitor_totals.operations_ingested, trace.size());
+        EXPECT_LT(live.monitor_totals.peak_queue, kCapacity + chunk);
+        ASSERT_EQ(live.per_key.size(), reference.per_key.size());
+        for (const auto& [key, result] : reference.per_key) {
+          SCOPED_TRACE("key " + key);
+          const KeyResult& got = live.per_key.at(key);
+          EXPECT_EQ(got.verdict.yes(), result.verdict.yes())
+              << "batch: " << result.verdict.reason
+              << "\nmonitor: " << got.verdict.reason;
+          if (!first) continue;
+          const std::vector<StreamingViolation>& want =
+              first->per_key.at(key).findings;
+          ASSERT_EQ(got.findings.size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got.findings[i].kind, want[i].kind);
+            EXPECT_EQ(got.findings[i].detail, want[i].detail);
+          }
+        }
+        if (!first) first = live;
       }
     }
   }

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "chunk_feed.h"
 #include "gen/generators.h"
 #include "kav.h"
 #include "util/rng.h"
@@ -198,14 +199,18 @@ TEST(Engine, TimeoutAndDeadlineComposeEarlierWins) {
 }
 
 TEST(Engine, CancelledMonitorStillReportsThePrefixSoundly) {
-  Engine engine;
+  // Engine::monitor pulls chunks of at most queue_capacity operations
+  // and checks the token between chunks.
+  EngineOptions options;
+  options.queue_capacity = 8;
+  Engine engine(options);
   RunOptions run;
-  run.cancel.cancel();  // fires after the first ingested operation
+  run.cancel.cancel();  // fires after the first ingested chunk
   const Report report = engine.monitor(multi_key_trace(2, 20, 17), run);
   EXPECT_TRUE(report.cancelled);
   EXPECT_NE(report.stop_reason.find("cancelled"), std::string::npos);
-  // Exactly one operation was admitted before the token was observed.
-  EXPECT_EQ(report.monitor_totals.operations_ingested, 1u);
+  // Exactly one chunk was admitted before the token was observed.
+  EXPECT_EQ(report.monitor_totals.operations_ingested, 8u);
 }
 
 // --- TraceSource equivalence ----------------------------------------------
@@ -295,7 +300,7 @@ TEST(EngineSource, PushSourceStreamsFromAProducerThread) {
 
 TEST(EngineSource, CancelUnblocksMonitorOnAnIdlePushSource) {
   // The producer never calls close(): without bounded pulls
-  // (TraceSource::try_next_for) the monitor would block in next()
+  // (TraceSource::pull's wait) the monitor would block on the source
   // forever and the CancelToken could never be honored.
   Engine engine;
   PushTraceSource push;
@@ -710,9 +715,11 @@ TEST(BorrowedPool, MonitorQuiescesWithoutShuttingTheSharedPoolDown) {
   obs::MetricsRegistry registry;
   {
     KeyedStreamingMonitor monitor(pool, registry, EngineOptions{});
+    KeyedTrace trace;
     for (int i = 0; i < 50; ++i) {
-      monitor.ingest("k", make_write(i * 10, i * 10 + 5, i));
+      trace.add("k", make_write(i * 10, i * 10 + 5, i));
     }
+    testing_util::ChunkFeeder(monitor).ingest(trace, 16);
     const Report report = monitor.finish();
     EXPECT_EQ(report.mode, Report::Mode::monitor);
     EXPECT_EQ(report.monitor_totals.operations_ingested, 50u);

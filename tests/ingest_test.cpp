@@ -7,10 +7,15 @@
 // guarantee on a long steady stream).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/engine.h"
@@ -22,6 +27,7 @@
 #include "ingest/keyed_monitor.h"
 #include "ingest/reorder_buffer.h"
 #include "ingest/trace_source.h"
+#include "chunk_feed.h"
 #include "scratch_file.h"
 #include "store/mapped_segment.h"
 #include "util/rng.h"
@@ -331,11 +337,17 @@ EngineOptions test_options() {
 struct MonitorHarness {
   explicit MonitorHarness(std::size_t threads,
                           const EngineOptions& options = test_options())
-      : pool(threads), monitor(pool, registry, options) {}
+      : pool(threads), monitor(pool, registry, options), feeder(monitor) {}
+
+  // One operation as a chunk of its own.
+  void ingest(std::string_view key, const Operation& op) {
+    feeder.ingest(key, op);
+  }
 
   pipeline::ThreadPool pool;
   obs::MetricsRegistry registry;
   KeyedStreamingMonitor monitor;
+  testing_util::ChunkFeeder feeder;
 };
 
 Report monitor_on_engine(const KeyedTrace& trace, std::size_t threads) {
@@ -397,10 +409,9 @@ TEST(KeyedMonitor, ReportsLateArrivalsAsViolations) {
   EngineOptions options = test_options();
   options.reorder_slack = 5;
   MonitorHarness harness(1, options);
-  KeyedStreamingMonitor& monitor = harness.monitor;
-  monitor.ingest("k", make_write(100, 105, 1));
-  monitor.ingest("k", make_read(10, 15, 1));  // 90 ticks behind: late
-  const Report report = monitor.finish();
+  harness.ingest("k", make_write(100, 105, 1));
+  harness.ingest("k", make_read(10, 15, 1));  // 90 ticks behind: late
+  const Report report = harness.monitor.finish();
   EXPECT_EQ(report.monitor_totals.late_arrivals, 1u);
   ASSERT_EQ(report.per_key.size(), 1u);
   const KeyResult& result = report.per_key.at("k");
@@ -419,7 +430,7 @@ TEST(KeyedMonitor, BackpressureWithTinyQueuesStillCompletes) {
   config.k = 2;
   const History shard = gen::generate_k_atomic(config, rng).history;
   MonitorHarness harness(2, options);
-  for (const Operation& op : shard.operations()) harness.monitor.ingest("k", op);
+  for (const Operation& op : shard.operations()) harness.ingest("k", op);
   const Report report = harness.monitor.finish();
   EXPECT_EQ(report.monitor_totals.violations, 0u);
   EXPECT_EQ(report.monitor_totals.operations_ingested, shard.size());
@@ -429,12 +440,11 @@ TEST(KeyedMonitor, BackpressureWithTinyQueuesStillCompletes) {
 // checker: one finding, and the rest of the key's stream is checked.
 TEST(KeyedMonitor, MalformedOperationIsOneFindingNotAWedgedKey) {
   MonitorHarness harness(2);
-  KeyedStreamingMonitor& monitor = harness.monitor;
-  monitor.ingest("k", make_write(0, 5, 1));
-  monitor.ingest("k", make_write(7, 7, 2));  // malformed
-  monitor.ingest("k", make_read(8, 9, 1));
-  monitor.ingest("ok", make_write(0, 5, 1));
-  const Report report = monitor.finish();
+  harness.ingest("k", make_write(0, 5, 1));
+  harness.ingest("k", make_write(7, 7, 2));  // malformed
+  harness.ingest("k", make_read(8, 9, 1));
+  harness.ingest("ok", make_write(0, 5, 1));
+  const Report report = harness.monitor.finish();
   const KeyResult& k = report.per_key.at("k");
   ASSERT_EQ(k.findings.size(), 1u);
   EXPECT_EQ(k.findings[0].kind, StreamingViolation::Kind::hard_anomaly);
@@ -445,10 +455,9 @@ TEST(KeyedMonitor, MalformedOperationIsOneFindingNotAWedgedKey) {
 
 TEST(KeyedMonitor, IngestAfterFinishThrows) {
   MonitorHarness harness(1);
-  harness.monitor.ingest("k", make_write(0, 5, 1));
+  harness.ingest("k", make_write(0, 5, 1));
   harness.monitor.finish();
-  EXPECT_THROW(harness.monitor.ingest("k", make_write(10, 15, 2)),
-               std::logic_error);
+  EXPECT_THROW(harness.ingest("k", make_write(10, 15, 2)), std::logic_error);
 }
 
 TEST(KeyedMonitor, FinishTwiceThrows) {
@@ -459,16 +468,15 @@ TEST(KeyedMonitor, FinishTwiceThrows) {
 
 TEST(KeyedMonitor, MidStreamStatsSeeIngestedOps) {
   MonitorHarness harness(1);
-  KeyedStreamingMonitor& monitor = harness.monitor;
   for (TimePoint t = 0; t < 100; t += 10) {
-    monitor.ingest("a", make_write(t, t + 4, t));
-    monitor.ingest("b", make_write(t + 1, t + 5, t + 1000));
+    harness.ingest("a", make_write(t, t + 4, t));
+    harness.ingest("b", make_write(t + 1, t + 5, t + 1000));
   }
-  const MonitorStats stats = monitor.stats();
+  const MonitorStats stats = harness.monitor.stats();
   EXPECT_EQ(stats.operations_ingested, 20u);
   EXPECT_EQ(stats.keys, 2u);
   EXPECT_GE(stats.elapsed_seconds, 0.0);
-  monitor.finish();
+  harness.monitor.finish();
 }
 
 // The memory bound the subsystem exists for: on a steady stream, the
@@ -484,8 +492,8 @@ TEST(KeyedMonitor, PeakWindowIsBoundedBySlackPlusHorizon) {
     TimePoint t = 0;
     for (std::size_t i = 0; i < ops; i += 2) {
       const auto value = static_cast<Value>(i);
-      harness.monitor.ingest("k", make_write(t, t + 5, value));
-      harness.monitor.ingest("k", make_read(t + 6, t + 9, value));
+      harness.ingest("k", make_write(t, t + 5, value));
+      harness.ingest("k", make_read(t + 6, t + 9, value));
       t += 10;  // ~0.2 ops per tick: window ~ (1000 + 100) / 5
     }
     const Report report = harness.monitor.finish();
@@ -499,6 +507,226 @@ TEST(KeyedMonitor, PeakWindowIsBoundedBySlackPlusHorizon) {
   // O(trace): quadrupling the stream must not move the ceiling.
   EXPECT_LE(peak_short, 1'000u);
   EXPECT_LE(peak_long, 1'000u);
+}
+
+// The in-flight bound ingest/keyed_monitor.h states: ingest() appends a
+// partition's share only below queue_capacity, so with the drainer
+// stalled a queue reaches at most capacity - 1 plus one chunk, and the
+// ingester then blocks. While it is blocked, a second ingester is
+// refused (single-ingester contract).
+TEST(KeyedMonitor, PartitionQueueHoldsAtMostCapacityPlusOneChunk) {
+  constexpr std::size_t kCapacity = 10;
+  constexpr std::size_t kChunk = 7;
+  EngineOptions options = test_options();
+  options.queue_capacity = kCapacity;
+  MonitorHarness harness(1, options);
+  // Occupy the pool's only worker so no drain task can run.
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  auto blocker = harness.pool.submit([gate] { gate.wait(); });
+
+  KeyedTrace trace;
+  for (std::size_t i = 0; i < 3 * kChunk; ++i) {
+    const auto t = static_cast<TimePoint>(i);
+    trace.add("k", make_write(10 * t, 10 * t + 5, t + 1));
+  }
+  std::atomic<bool> returned{false};
+  std::thread ingester([&] {
+    harness.feeder.ingest(trace, kChunk);  // three chunks
+    returned.store(true);
+  });
+  // Chunks 1 and 2 fit (the queue is below capacity before each); the
+  // third is counted, then waits for room.
+  while (harness.monitor.stats().operations_ingested < 3 * kChunk) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load());
+  EXPECT_EQ(harness.monitor.stats().peak_queue, 2 * kChunk);
+  EXPECT_THROW(testing_util::ChunkFeeder(harness.monitor)
+                   .ingest("other", make_write(0, 5, 1)),
+               std::logic_error);
+
+  release.set_value();
+  ingester.join();
+  blocker.get();
+  const Report report = harness.monitor.finish();
+  EXPECT_EQ(report.monitor_totals.operations_ingested, trace.size());
+  EXPECT_LT(report.monitor_totals.peak_queue, kCapacity + kChunk);
+  EXPECT_TRUE(report.per_key.at("k").verdict.yes());
+}
+
+// --- Source ids: TraceSource::pull ------------------------------------------
+
+// One pulled operation with its id resolved to a name.
+struct NamedOp {
+  KeyId id;
+  std::string name;
+  Operation op;
+  friend bool operator==(const NamedOp&, const NamedOp&) = default;
+};
+
+// Pulls `source` dry, `chunk_ops` at a time, checking the chunk
+// contract on the way: at most chunk_ops per chunk, new names continue
+// the id space, and ids appear in first-appearance order (each op's id
+// is an earlier one or exactly the next).
+std::vector<NamedOp> pull_all(TraceSource& source, std::size_t chunk_ops) {
+  std::vector<std::string> names;
+  std::vector<NamedOp> out;
+  KeyId next_unseen = 0;
+  KeyedChunk chunk;
+  for (;;) {
+    const TraceSource::Pull pull =
+        source.pull(chunk, chunk_ops, std::chrono::seconds(5));
+    if (pull == TraceSource::Pull::closed) break;
+    EXPECT_EQ(pull, TraceSource::Pull::ready);
+    EXPECT_FALSE(chunk.ops.empty());
+    EXPECT_LE(chunk.ops.size(), chunk_ops);
+    if (!chunk.new_keys.empty()) {
+      EXPECT_EQ(chunk.first_new_key, names.size());
+    }
+    names.insert(names.end(), chunk.new_keys.begin(), chunk.new_keys.end());
+    for (const IdOperation& iop : chunk.ops) {
+      EXPECT_LE(iop.key, next_unseen) << "id out of first-appearance order";
+      if (iop.key == next_unseen) ++next_unseen;
+      if (iop.key >= names.size()) {
+        ADD_FAILURE() << "id " << iop.key << " used before it was named";
+        return out;
+      }
+      out.push_back({iop.key, names[iop.key], iop.op});
+    }
+  }
+  EXPECT_EQ(names.size(), next_unseen) << "a name was never used";
+  return out;
+}
+
+// What every source must yield for `trace`: ids numbered by first
+// appearance, in arrival order.
+std::vector<NamedOp> expected_named(const KeyedTrace& trace) {
+  KeyInterner interner;
+  std::vector<NamedOp> out;
+  for (const KeyedOperation& kop : trace.ops) {
+    bool fresh = false;
+    out.push_back({interner.intern(kop.key, fresh), kop.key, kop.op});
+  }
+  return out;
+}
+
+std::vector<NamedOp> pull_pushed(const KeyedTrace& trace,
+                                 std::size_t chunk_ops) {
+  PushTraceSource push(4);  // small: several swaps per run
+  std::thread producer([&] {
+    for (const KeyedOperation& kop : trace.ops) push.push(kop);
+    push.close();
+  });
+  std::vector<NamedOp> got = pull_all(push, chunk_ops);
+  producer.join();
+  return got;
+}
+
+// Arrival order in which each key's operations are contiguous, so a
+// sealed v2 segment's block order (one block per key, flushed in id
+// order) is the arrival order too.
+KeyedTrace key_grouped_trace() {
+  KeyedTrace trace;
+  for (const char* key : {"m", "b", "z", "a"}) {
+    for (TimePoint t = 0; t < 60; t += 10) {
+      trace.add(key, make_write(t, t + 4, t + 1, 2));
+    }
+  }
+  return trace;
+}
+
+TEST(SourceIds, EverySourceYieldsTheSameNamedIdSequence) {
+  const KeyedTrace trace = key_grouped_trace();
+  const std::vector<NamedOp> want = expected_named(trace);
+  const ScratchFile text("ids.trace");
+  write_trace_file(text.path(), trace);
+  const ScratchFile v1("ids_v1.kavb");
+  v1.write(binary_bytes(trace, 5));
+  const ScratchFile sealed("ids_sealed.kavb");
+  {
+    std::stringstream out;
+    write_binary_trace(out, trace, 4096, kBinaryTraceVersion2);
+    sealed.write(out.str());
+  }
+  ASSERT_TRUE(MappedSegment(sealed.path()).has_integrity());  // v2.1
+  const ScratchFile unsealed("ids_unsealed.kavb");
+  unsealed.write(testing_util::unsealed_v2_bytes(trace, 4096));
+
+  for (std::size_t chunk_ops : {std::size_t{1}, std::size_t{3}, trace.size()}) {
+    SCOPED_TRACE("chunk_ops " + std::to_string(chunk_ops));
+    MemoryTraceSource memory(trace);
+    EXPECT_EQ(pull_all(memory, chunk_ops), want) << "memory";
+    EXPECT_EQ(pull_all(*open_trace_source(text.path()), chunk_ops), want)
+        << "text";
+    EXPECT_EQ(pull_all(*open_trace_source(v1.path()), chunk_ops), want)
+        << "v1";
+    EXPECT_EQ(pull_all(*open_trace_source(unsealed.path()), chunk_ops), want)
+        << "unsealed v2";
+    EXPECT_EQ(pull_all(*open_trace_source(sealed.path()), chunk_ops), want)
+        << "sealed v2.1";
+    EXPECT_EQ(pull_pushed(trace, chunk_ops), want) << "push";
+  }
+}
+
+// Interleaved keys: the arrival-order sources agree exactly, and a v2
+// segment -- whose blocks name a later key-table id first -- still
+// numbers its ids by first appearance in its own (block) order.
+TEST(SourceIds, InterleavedKeysAndV2BlockOrder) {
+  const KeyedTrace trace = sample_trace();
+  const std::vector<NamedOp> want = expected_named(trace);
+  MemoryTraceSource memory(trace);
+  EXPECT_EQ(pull_all(memory, 2), want);
+  const ScratchFile v1("interleaved_v1.kavb");
+  v1.write(binary_bytes(trace, 2));
+  EXPECT_EQ(pull_all(*open_trace_source(v1.path()), 2), want);
+  EXPECT_EQ(pull_pushed(trace, 2), want);
+
+  // Two-record blocks: "b" (key-table id 1) fills its block first, so
+  // the stream opens with a chunk introducing ids 0 and 1 whose records
+  // are all "b"'s. pull() names "b" id 0.
+  KeyedTrace out_of_order;
+  out_of_order.add("a", make_write(0, 5, 1));
+  out_of_order.add("b", make_write(1, 6, 2));
+  out_of_order.add("b", make_read(7, 9, 2));
+  out_of_order.add("a", make_read(8, 10, 1));
+  const ScratchFile unsealed("interleaved_unsealed.kavb");
+  unsealed.write(testing_util::unsealed_v2_bytes(out_of_order, 2));
+  const KeyedTrace stream_order = drain(*open_trace_source(unsealed.path()));
+  ASSERT_EQ(stream_order.ops.front().key, "b");
+  const std::vector<NamedOp> got =
+      pull_all(*open_trace_source(unsealed.path()), 3);
+  EXPECT_EQ(got, expected_named(stream_order));
+  EXPECT_EQ(got.front().id, 0u);
+  EXPECT_EQ(got.front().name, "b");
+}
+
+TEST(SourceIds, RewoundMemorySourceNamesItsKeysAfresh) {
+  const KeyedTrace trace = sample_trace();
+  MemoryTraceSource memory(trace);
+  const std::vector<NamedOp> first = pull_all(memory, 2);
+  memory.rewind();
+  EXPECT_EQ(pull_all(memory, 4), first);
+}
+
+TEST(SourceIds, ConsumersRejectChunksThatSkipIds) {
+  KeyedChunk chunk;
+  chunk.first_new_key = 1;  // id 0 was never named
+  chunk.new_keys = {"late"};
+  chunk.ops.push_back({1, make_write(0, 5, 1)});
+  KeyGrouper grouper;
+  EXPECT_THROW(grouper.add(chunk), std::invalid_argument);
+
+  MonitorHarness harness(1);
+  EXPECT_THROW(harness.monitor.ingest(chunk), std::invalid_argument);
+  chunk.first_new_key = 0;
+  chunk.ops[0].key = 7;  // never named
+  EXPECT_THROW(harness.monitor.ingest(chunk), std::invalid_argument);
+  // A rejected chunk leaves the monitor untouched.
+  const Report report = harness.monitor.finish();
+  EXPECT_TRUE(report.per_key.empty());
+  EXPECT_EQ(report.monitor_totals.operations_ingested, 0u);
 }
 
 }  // namespace
