@@ -237,24 +237,29 @@ const SelectiveFixture& selective_fixture() {
   return instance;
 }
 
-// Both engines are timed back to back inside one benchmark, alternating
-// which goes first, so a slow stretch of a shared host lands on both
-// sides of a pair instead of on whichever side ran through it. Reports
-// each side's mean wall time per call over the repetition.
+// Both engines are timed inside one benchmark, so a slow stretch of a
+// shared host lands on both sides of a pair instead of on whichever
+// side ran through it. Each iteration runs them in a mirrored order, A
+// B B A B A A B, so drift within the iteration cancels; which engine is
+// A flips every iteration, across repetitions too (a smoke repetition
+// is a single iteration), so each side holds every slot equally often.
+// Reports each side's mean wall time per call over the repetition.
 void selective_verify_metrics_paired(benchmark::State& state) {
   obs::MetricsRegistry enabled, disabled;
   disabled.set_enabled(false);
-  const auto engine_for = [](obs::MetricsRegistry& registry) {
+  RunOptions run;
+  run.key_filter = selective_fixture().keys;
+  // A fresh engine per call, built and torn down outside the timed
+  // span. Its pool worker decodes and verifies in that thread's malloc
+  // arena; two long-lived engines would each keep one arena, in a state
+  // that depends on what the benchmarks run before them left there, and
+  // a whole process could time one side up to ~5% slow. A new worker
+  // takes over the arena the last one released, so both sides share.
+  const auto timed_ms = [&run](obs::MetricsRegistry& registry) {
     EngineOptions options;
     options.threads = 1;  // timer noise, not scheduling, is the subject
     options.metrics = &registry;
-    return std::make_unique<Engine>(options);
-  };
-  const std::unique_ptr<Engine> with = engine_for(enabled);
-  const std::unique_ptr<Engine> without = engine_for(disabled);
-  RunOptions run;
-  run.key_filter = selective_fixture().keys;
-  const auto timed_ms = [&run](Engine& engine) {
+    Engine engine(options);
     const auto start = std::chrono::steady_clock::now();
     auto source = open_trace_source(selective_fixture().path);
     benchmark::DoNotOptimize(engine.verify(*source, run));
@@ -264,21 +269,24 @@ void selective_verify_metrics_paired(benchmark::State& state) {
   };
   double with_ms = 0;
   double without_ms = 0;
-  bool with_first = true;
+  static bool with_first = true;  // outlives the repetition
   const bench::ProcessCpu cpu;
   for (auto _ : state) {
-    if (with_first) {
-      with_ms += timed_ms(*with);
-      without_ms += timed_ms(*without);
-    } else {
-      without_ms += timed_ms(*without);
-      with_ms += timed_ms(*with);
+    obs::MetricsRegistry* const a = with_first ? &enabled : &disabled;
+    obs::MetricsRegistry* const b = with_first ? &disabled : &enabled;
+    for (obs::MetricsRegistry* const registry : {a, b, b, a, b, a, a, b}) {
+      const double ms = timed_ms(*registry);
+      if (registry == &enabled) {
+        with_ms += ms;
+      } else {
+        without_ms += ms;
+      }
     }
     with_first = !with_first;
   }
-  cpu.report(state, 2 * selective_ops() *
-                        static_cast<std::uint64_t>(state.iterations()));
-  const auto calls = static_cast<double>(state.iterations());
+  // Four calls per side per iteration.
+  const auto calls = 4 * static_cast<double>(state.iterations());
+  cpu.report(state, static_cast<std::uint64_t>(2 * calls) * selective_ops());
   state.counters["metrics_ms"] = with_ms / calls;
   state.counters["no_metrics_ms"] = without_ms / calls;
 }

@@ -60,10 +60,10 @@ if [[ "$MODE" == smoke ]]; then
   # The observability guardrail below compares a pair expected to
   # differ by well under 2%, but individual smoke samples carry 4-50%
   # scheduler noise. Two countermeasures: each repetition times the two
-  # sides back to back (see the guardrail), and enough repetitions --
-  # one paired iteration each -- for the median of the pairs to settle
-  # (~15s for the whole binary). Random interleaving keeps drift from
-  # biasing any benchmark of the binary.
+  # sides in a mirrored order (see the guardrail), and enough
+  # repetitions -- one iteration of eight calls each -- for the median
+  # of the pairs to settle. Random interleaving keeps drift from biasing
+  # any benchmark of the binary.
   ENGINE_ARGS+=(--benchmark_repetitions=90
                 --benchmark_enable_random_interleaving=true)
 fi
@@ -215,18 +215,21 @@ EOF
   # Observability guardrail: the always-on metrics layer may cost at
   # most 2% on the selective-verify path (bench_engine's
   # selective_verify_metrics_paired: the same engine with the registry
-  # enabled vs disabled, which is what KAV_NO_METRICS toggles, timed back
-  # to back within each iteration, alternating which side goes first).
-  # Pairing is the estimator: on a shared host one ~17ms call can run
+  # enabled vs disabled, which is what KAV_NO_METRICS toggles, timed in
+  # the order A B B A B A A B within each iteration, with the side that
+  # plays A flipping every iteration, so neither side owns a slot; each
+  # call on a fresh engine, so both sides share one malloc arena).
+  # Pairing is the estimator: on a shared host one ~25ms call can run
   # 50% slow, and such stretches hit both sides of a pair alike, so the
   # per-repetition excess (enabled - disabled x 1.02 - floor) carries
   # only the two-sided residual, and its median over the repetitions is
   # the test. The 0.5ms floor absorbs that residual's scatter; the
-  # regressions this guardrail exists to catch sit far above floor + 2%:
-  # one clock read per operation costs ~4ms at 200k smoke ops, one
-  # atomic RMW per operation ~1ms. (The min of each side over 15, 45
-  # and 90 unpaired interleaved repetitions still failed about one smoke
-  # run in three, one in six and one in six.)
+  # regressions this guardrail exists to catch sit above floor + 2%:
+  # one clock read per operation adds ~10ms per call at 200k smoke ops,
+  # one relaxed atomic add per operation ~2ms, and the gate fails on
+  # both. (The min of each side over 15, 45 and 90 unpaired interleaved
+  # repetitions failed about one smoke run in three, one in six and one
+  # in six.)
   python3 - <<'EOF'
 import json, statistics, sys
 

@@ -330,24 +330,16 @@ struct SourceKeys {
 };
 
 // A streamed input's keys seen as account_selection's offered set: how
-// many it named, and which of the requested ones. Fed the new keys of
-// each chunk -- never touched per operation.
-struct OfferedKeys {
-  explicit OfferedKeys(const KeyFilter& key_filter) : filter(key_filter) {}
-
-  const KeyFilter& filter;
-  std::size_t named = 0;
-  std::set<std::string, std::less<>> wanted;
-
-  void add(const KeyedChunk& chunk) {
-    named += chunk.new_keys.size();
-    if (!filter.active) return;
-    for (const std::string& key : chunk.new_keys) {
-      if (filter.pass(key)) wanted.insert(key);
-    }
-  }
+// many ids the stream named, and the kept keys -- under a filter,
+// exactly the requested keys it named. Both are read from the consumer
+// (KeyGrouper, KeyedStreamingMonitor) that made the keep decision, once
+// per id.
+template <typename KeptMap>
+struct NamedKeys {
+  std::size_t named;
+  const KeptMap& kept;
   std::size_t size() const { return named; }
-  std::size_t count(const std::string& key) const { return wanted.count(key); }
+  std::size_t count(const std::string& key) const { return kept.count(key); }
 };
 
 // The key_filter as a grouper/monitor keep predicate; empty (keep
@@ -591,17 +583,14 @@ Report Engine::verify(TraceSource& source, const RunOptions& run) {
   // key_filter is applied once per key, when the key is first named;
   // every record is still decoded.
   const KeyFilter filter(run);
-  OfferedKeys offered(filter);
   KeyGrouper grouper(keep_for(filter));
   const std::string stop = drive_source(
       source, kVerifyChunkOps, run, deadline, "reading " + source.describe(),
-      [&offered, &grouper](const KeyedChunk& chunk) {
-        offered.add(chunk);
-        grouper.add(chunk);
-      });
+      [&grouper](const KeyedChunk& chunk) { grouper.add(chunk); });
+  const std::size_t named = grouper.key_count();
   const KeyedHistories shards = grouper.finish();
   Report report = run_specs(pinned_specs(shards, filter), run, deadline);
-  account_selection(report, filter, offered);
+  account_selection(report, filter, NamedKeys{named, shards.per_key});
   if (!stop.empty()) {
     report.cancelled = true;
     report.stop_reason = stop;
@@ -620,8 +609,8 @@ Report Engine::monitor(TraceSource& source, const RunOptions& run) {
   Metrics::RunScope scope(*em_, *status_, /*batch=*/false);
   const auto deadline = effective_deadline(run);
   const KeyFilter filter(run);
-  OfferedKeys offered(filter);
   Report report;
+  std::size_t named = 0;
   {
     KeyedStreamingMonitor monitor(*pool_, *metrics_, options_, run.on_finding,
                                   keep_for(filter));
@@ -630,11 +619,9 @@ Report Engine::monitor(TraceSource& source, const RunOptions& run) {
     const std::string stop = drive_source(
         source, std::max<std::size_t>(1, options_.queue_capacity), run,
         deadline, "monitoring " + source.describe(),
-        [&monitor, &offered](const KeyedChunk& chunk) {
-          offered.add(chunk);
-          monitor.ingest(chunk);
-        });
+        [&monitor](const KeyedChunk& chunk) { monitor.ingest(chunk); });
     report = finish_monitor(monitor, stop);
+    named = monitor.key_count();
   }  // the monitor retires its gauges before the run counts as finished
   // The drain tasks built each key's checker and reorder state in their
   // workers' malloc arenas; freed, it would stay resident there, and
@@ -644,7 +631,7 @@ Report Engine::monitor(TraceSource& source, const RunOptions& run) {
   if (report.monitor_totals.operations_ingested >= kReleaseAfterMonitorOps) {
     util::release_free_memory();
   }
-  account_selection(report, filter, offered);
+  account_selection(report, filter, NamedKeys{named, report.per_key});
   scope.finish(report);
   return report;
 }

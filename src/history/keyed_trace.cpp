@@ -34,6 +34,23 @@ void KeyInterner::append(KeyedChunk& chunk, std::string_view key,
   chunk.ops.push_back({id, op});
 }
 
+void KeyedChunk::check_continues(std::size_t named,
+                                 std::string_view who) const {
+  if (!new_keys.empty() && first_new_key != named) {
+    throw std::invalid_argument(std::string(who) + ": chunk names id " +
+                                std::to_string(first_new_key) +
+                                ", expected " + std::to_string(named));
+  }
+  const std::size_t limit = named + new_keys.size();
+  for (const IdOperation& iop : ops) {
+    if (iop.key >= limit) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": chunk uses unnamed id " +
+                                  std::to_string(iop.key));
+    }
+  }
+}
+
 void KeyGrouper::add_key(std::string name) {
   kept_.push_back(!keep_ || keep_(name));
   names_.push_back(std::move(name));
@@ -41,19 +58,9 @@ void KeyGrouper::add_key(std::string name) {
 }
 
 void KeyGrouper::add(const KeyedChunk& chunk) {
-  if (!chunk.new_keys.empty() && chunk.first_new_key != names_.size()) {
-    throw std::invalid_argument(
-        "KeyGrouper: chunk names id " + std::to_string(chunk.first_new_key) +
-        ", expected " + std::to_string(names_.size()));
-  }
+  chunk.check_continues(names_.size(), "KeyGrouper");
   for (const std::string& name : chunk.new_keys) add_key(name);
-  for (const IdOperation& iop : chunk.ops) {
-    if (iop.key >= names_.size()) {
-      throw std::invalid_argument("KeyGrouper: chunk uses unnamed id " +
-                                  std::to_string(iop.key));
-    }
-    add(iop.key, iop.op);
-  }
+  for (const IdOperation& iop : chunk.ops) add(iop.key, iop.op);
 }
 
 KeyedHistories KeyGrouper::finish() {

@@ -72,6 +72,10 @@ struct KeyedChunk {
     ops.clear();
     new_keys.clear();
   }
+  // Throws std::invalid_argument, naming `who`, unless this chunk
+  // continues an id space of `named` ids: its new names start at id
+  // `named`, and every operation uses an id they or earlier ones name.
+  void check_continues(std::size_t named, std::string_view who) const;
 };
 
 // Assigns dense KeyIds in first-appearance order: one hash probe per
@@ -114,9 +118,11 @@ class KeyGrouper {
     if (kept_[id]) groups_[id].push_back(op);
   }
   // Names the chunk's new ids, then groups its operations. Throws
-  // std::invalid_argument when the chunk's ids do not continue this
-  // grouper's id space.
+  // std::invalid_argument, grouping nothing, when the chunk's ids do
+  // not continue this grouper's id space.
   void add(const KeyedChunk& chunk);
+  // Ids named so far, kept or not.
+  std::size_t key_count() const { return names_.size(); }
 
   // One History per kept key, in key order. Call once: the keys and
   // grouped operations are moved out. Throws std::invalid_argument, as

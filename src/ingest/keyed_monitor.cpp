@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -153,20 +154,7 @@ void KeyedStreamingMonitor::ingest(const KeyedChunk& chunk) {
 
   // Validate before anything is named or queued, so a rejected chunk
   // leaves the monitor untouched.
-  const std::size_t named = routes_.size() + chunk.new_keys.size();
-  if (!chunk.new_keys.empty() && chunk.first_new_key != routes_.size()) {
-    throw std::invalid_argument(
-        "KeyedStreamingMonitor::ingest: chunk names id " +
-        std::to_string(chunk.first_new_key) + ", expected " +
-        std::to_string(routes_.size()));
-  }
-  for (const IdOperation& iop : chunk.ops) {
-    if (iop.key >= named) {
-      throw std::invalid_argument(
-          "KeyedStreamingMonitor::ingest: chunk uses unnamed id " +
-          std::to_string(iop.key));
-    }
-  }
+  chunk.check_continues(routes_.size(), "KeyedStreamingMonitor::ingest");
   if (!chunk.new_keys.empty()) register_keys(chunk);
 
   std::size_t routed = 0;
@@ -196,9 +184,20 @@ void KeyedStreamingMonitor::ingest(const KeyedChunk& chunk) {
   ingested_.fetch_add(routed, std::memory_order_relaxed);
   metrics_->ops_ingested.add(routed);
   metrics_->queue_backlog.add(static_cast<std::int64_t>(routed));
+  // Every share is queued even when scheduling a drain fails (the pool
+  // was shut down under the monitor): the counters above already cover
+  // the whole chunk, and finish() checks whatever the queues hold. The
+  // first failure is rethrown once all shares are in.
+  std::exception_ptr failure;
   for (std::size_t p = 0; p < partitions_.size(); ++p) {
-    if (!staged_[p].empty()) enqueue(*partitions_[p], staged_[p]);
+    if (staged_[p].empty()) continue;
+    try {
+      enqueue(*partitions_[p], staged_[p]);
+    } catch (...) {
+      if (!failure) failure = std::current_exception();
+    }
   }
+  if (failure) std::rethrow_exception(failure);
 }
 
 void KeyedStreamingMonitor::enqueue(Partition& partition,
@@ -208,8 +207,10 @@ void KeyedStreamingMonitor::enqueue(Partition& partition,
     util::MutexLock lock(partition.queue_mutex);
     // Backpressure: wait for the drainer to take the queue. The whole
     // share goes in at once, so the queue may end up to one chunk's
-    // share above capacity.
-    while (partition.queue.size() >= partition.capacity) {
+    // share above capacity. With no drain claimed (only after a failed
+    // schedule_drain) nobody would wake us: append, and try to claim.
+    while (partition.queue.size() >= partition.capacity &&
+           partition.draining) {
       partition.not_full.wait(partition.queue_mutex);
     }
     if (partition.queue.empty()) {

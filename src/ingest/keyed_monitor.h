@@ -30,7 +30,9 @@
 // holds at most queue_capacity - 1 plus one chunk's share of operations
 // (MonitorStats::peak_queue records the most it held). Engine::monitor
 // pulls chunks of at most queue_capacity operations, so there each
-// queue stays under 2 x queue_capacity.
+// queue stays under 2 x queue_capacity. (The bound needs a drainer:
+// once the pool has refused a partition's drain task, ingest() appends
+// without waiting, and finish() checks what piled up.)
 //
 // The pool is borrowed: kav::Engine (core/engine.h, the library's front
 // door) runs batch verification and monitoring on ONE shared pool, and
@@ -120,6 +122,9 @@ class KeyedStreamingMonitor {
   // Throws std::logic_error after finish() or when another ingest() is
   // running, and std::invalid_argument when the chunk's ids do not
   // continue the monitor's id space (nothing of the chunk is ingested).
+  // When the pool refuses a drain task (it was shut down), the whole
+  // chunk is still queued and counted, the pool's exception is
+  // rethrown, and finish() checks the queued operations.
   void ingest(const KeyedChunk& chunk)
       KAV_EXCLUDES(keys_mutex_, drains_mutex_);
 
@@ -133,6 +138,11 @@ class KeyedStreamingMonitor {
 
   // Aggregated snapshot; safe to call from any thread mid-stream.
   MonitorStats stats() const KAV_EXCLUDES(keys_mutex_);
+
+  // Ids named so far, kept or dropped by `keep`. Ingester-side state:
+  // call it from the ingesting thread, between ingest() calls or after
+  // finish().
+  std::size_t key_count() const { return routes_.size(); }
 
  private:
   struct KeyState;

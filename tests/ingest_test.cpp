@@ -556,6 +556,55 @@ TEST(KeyedMonitor, PartitionQueueHoldsAtMostCapacityPlusOneChunk) {
   EXPECT_TRUE(report.per_key.at("k").verdict.yes());
 }
 
+std::int64_t gauge_value(const obs::MetricsRegistry& registry,
+                         const std::string& name) {
+  for (const obs::MetricSnapshot& m : registry.snapshot().metrics) {
+    if (m.name == name) return static_cast<std::int64_t>(m.value);
+  }
+  ADD_FAILURE() << "no series " << name;
+  return 0;
+}
+
+// A pool that refuses drain tasks (shut down under the monitor) makes
+// ingest() throw, but every operation of the chunk is still queued:
+// finish() checks all of them, and the backlog gauge returns to zero.
+TEST(KeyedMonitor, IngestOverAShutDownPoolStillChecksEveryOperation) {
+  EngineOptions options = test_options();
+  options.queue_capacity = 2;
+  obs::MetricsRegistry registry;
+  pipeline::ThreadPool pool(4);
+  // Two chunks of 8: two operations on each of keys a-d (ids 0-3, one
+  // partition each).
+  KeyedTrace chunks[2];
+  for (TimePoint t = 0; t < 4; ++t) {
+    for (const char* key : {"a", "b", "c", "d"}) {
+      chunks[t / 2].add(key, make_write(10 * t, 10 * t + 5, t + 1));
+    }
+  }
+  const std::size_t total = chunks[0].size() + chunks[1].size();
+  {
+    KeyedStreamingMonitor monitor(pool, registry, options);
+    testing_util::ChunkFeeder feeder(monitor);
+    pool.shutdown();
+    // The second chunk finds each queue at capacity with no drain
+    // claimed, and must not wait for one.
+    for (const KeyedTrace& chunk : chunks) {
+      EXPECT_THROW(feeder.ingest(chunk, chunk.size()), std::runtime_error);
+    }
+    const Report report = monitor.finish();
+    EXPECT_EQ(report.monitor_totals.operations_ingested, total);
+    std::uint64_t checked = 0;
+    for (const auto& [key, result] : report.per_key) {
+      checked += result.stream.operations_ingested;
+      EXPECT_TRUE(result.verdict.yes()) << key;
+    }
+    EXPECT_EQ(checked, total);
+    EXPECT_EQ(report.per_key.size(), 4u);
+    EXPECT_EQ(gauge_value(registry, "kav_monitor_queue_backlog"), 0);
+  }
+  EXPECT_EQ(gauge_value(registry, "kav_monitor_queue_backlog"), 0);
+}
+
 // --- Source ids: TraceSource::pull ------------------------------------------
 
 // One pulled operation with its id resolved to a name.
@@ -723,7 +772,9 @@ TEST(SourceIds, ConsumersRejectChunksThatSkipIds) {
   chunk.first_new_key = 0;
   chunk.ops[0].key = 7;  // never named
   EXPECT_THROW(harness.monitor.ingest(chunk), std::invalid_argument);
-  // A rejected chunk leaves the monitor untouched.
+  EXPECT_THROW(grouper.add(chunk), std::invalid_argument);
+  // A rejected chunk leaves either consumer untouched.
+  EXPECT_TRUE(grouper.finish().per_key.empty());
   const Report report = harness.monitor.finish();
   EXPECT_TRUE(report.per_key.empty());
   EXPECT_EQ(report.monitor_totals.operations_ingested, 0u);
