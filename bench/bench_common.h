@@ -38,13 +38,6 @@ inline History adversarial_workload(int groups, int concurrent,
   return gen::generate_high_concurrency(groups, concurrent, rng);
 }
 
-// Adversarial workload with c = Theta(n): a single clump. Exhibits
-// LBT's quadratic worst case.
-inline History quadratic_workload(int n, std::uint64_t seed) {
-  const int concurrent = std::max(3, n / 2);
-  return adversarial_workload(1, concurrent, seed);
-}
-
 // CPU time of the whole process -- every thread, pool workers included
 // -- in nanoseconds (getrusage: user + system).
 inline double process_cpu_ns() {

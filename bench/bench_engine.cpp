@@ -3,7 +3,7 @@
 //  * session reuse -- repeated verification of a many-key trace on one
 //    Engine whose pool is spun up once, plus batch + monitor
 //    interleaving on that one engine.
-//  * source abstraction -- a virtual next() per record vs the raw
+//  * source abstraction -- a virtual pull() per chunk vs the raw
 //    MappedSegment::Cursor loop on the same .kavb file, and
 //    Engine::verify end to end from a file source.
 //  * observability overhead -- the selective-verify pair run_bench.sh
@@ -140,17 +140,17 @@ BENCHMARK(batch_plus_monitor_one_engine)->Arg(1)->Arg(4)
 
 // --- Source abstraction overhead -------------------------------------------
 
-// Baseline: the raw sequential cursor, no virtual dispatch.
+// Baseline: the raw sequential cursor, records named by key-table id,
+// no virtual dispatch.
 void binary_raw_reader(benchmark::State& state) {
   std::uint64_t ops_done = 0;
   for (auto _ : state) {
     const MappedSegment segment(fixture().binary_path);
     MappedSegment::Cursor cursor = segment.cursor();
-    KeyedOperation kop;
-    std::string_view key;
-    while (cursor.next(key, kop.op)) {
-      kop.key.assign(key);
-      benchmark::DoNotOptimize(kop);
+    KeyId key_id = 0;
+    Operation op;
+    while (cursor.next(key_id, op)) {
+      benchmark::DoNotOptimize(op);
       ++ops_done;
     }
   }
@@ -158,19 +158,19 @@ void binary_raw_reader(benchmark::State& state) {
 }
 BENCHMARK(binary_raw_reader)->UseRealTime()->Unit(benchmark::kMillisecond);
 
-// The same records through the polymorphic TraceSource: one virtual
-// call per record on top of the baseline above.
+// The same records through the polymorphic TraceSource, read as the
+// Engine reads it: one virtual pull() per chunk, each record renumbered
+// into the source's id space on top of the baseline above.
 void binary_trace_source(benchmark::State& state) {
   std::uint64_t ops_done = 0;
   for (auto _ : state) {
     auto source = open_trace_source(fixture().binary_path);
-    KeyedOperation kop;
-    std::uint64_t pulled = 0;
-    while (source->next(kop)) {
-      benchmark::DoNotOptimize(kop);
-      ++pulled;
+    KeyedChunk chunk;
+    while (source->pull(chunk, 1'024, std::chrono::milliseconds(0)) !=
+           TraceSource::Pull::closed) {
+      benchmark::DoNotOptimize(chunk.ops.data());
+      ops_done += chunk.ops.size();
     }
-    ops_done += pulled;
   }
   ops_rate(state, ops_done);
 }

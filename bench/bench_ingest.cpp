@@ -129,9 +129,9 @@ void binary_stream_decode(benchmark::State& state) {
   for (auto _ : state) {
     const MappedSegment segment(fixture().binary_path);
     MappedSegment::Cursor cursor = segment.cursor();
-    std::string_view key;
+    KeyId key_id = 0;
     Operation op;
-    while (cursor.next(key, op)) {
+    while (cursor.next(key_id, op)) {
       benchmark::DoNotOptimize(op);
       ++ops_done;
     }

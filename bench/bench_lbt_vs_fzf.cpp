@@ -9,9 +9,14 @@
 // decider forced (lbt, fzf) or chosen per history (auto), so all three
 // pay the same precondition classification and differ only in the
 // decider and, for auto, the ZoneProfile it reads. run_bench.sh --smoke
-// fails when auto costs more than 1.25x the cheaper decider at any c.
+// fails when auto costs more than 1.25x the cheaper decider at any c
+// (head_to_head's paired `regret`, median over repetitions).
 #include <benchmark/benchmark.h>
 
+#include <time.h>
+
+#include <algorithm>
+#include <array>
 #include <map>
 
 #include "bench_common.h"
@@ -56,23 +61,53 @@ void crossover_args(benchmark::internal::Benchmark* b) {
   for (int c : {3, 4, 6, 8, 16, 32, 64, 128, 256, 512}) b->Arg(c);
 }
 
-void head_to_head_lbt(benchmark::State& state) {
-  decide(state, workload_for(static_cast<int>(state.range(0))),
-         Algorithm::lbt);
+double thread_cpu_ns() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
 }
-BENCHMARK(head_to_head_lbt)->Apply(crossover_args);
 
-void head_to_head_fzf(benchmark::State& state) {
-  decide(state, workload_for(static_cast<int>(state.range(0))),
-         Algorithm::fzf);
+// The three deciders head to head at one c, timed back to back inside
+// each iteration so a slow stretch of a shared host lands on all three
+// instead of on whichever row ran through it. Each iteration runs them
+// in a mirrored order, A B C C B A, so drift within the iteration
+// cancels; which decider is A rotates every iteration, across
+// repetitions too (a smoke repetition may be a single iteration). Each
+// call is timed in this thread's CPU time (the deciders are serial).
+// Reports per-decider ns/op over the repetition, and `regret`, auto's
+// cost over the cheaper of LBT and FZF: run_bench.sh --smoke gates on
+// its median over repetitions.
+void head_to_head(benchmark::State& state) {
+  const History& h = workload_for(static_cast<int>(state.range(0)));
+  constexpr std::array<Algorithm, 3> kDeciders = {
+      Algorithm::auto_select, Algorithm::lbt, Algorithm::fzf};
+  std::array<double, 3> ns = {0, 0, 0};  // per kDeciders entry
+  static std::size_t first = 0;          // outlives the repetition
+  VerifyOptions options;
+  options.k = 2;
+  options.normalize = false;
+  for (auto _ : state) {
+    const std::size_t a = first, b = (first + 1) % 3, c = (first + 2) % 3;
+    for (const std::size_t d : {a, b, c, c, b, a}) {
+      options.algorithm = kDeciders[d];
+      const double start = thread_cpu_ns();
+      const Verdict v = verify_k_atomicity(h, options);
+      ns[d] += thread_cpu_ns() - start;
+      benchmark::DoNotOptimize(v);
+    }
+    first = (first + 1) % 3;
+  }
+  // Two calls per decider per iteration.
+  const double ops = 2 * static_cast<double>(state.iterations()) *
+                     static_cast<double>(h.size());
+  state.counters["auto_ns_per_op"] = ns[0] / ops;
+  state.counters["lbt_ns_per_op"] = ns[1] / ops;
+  state.counters["fzf_ns_per_op"] = ns[2] / ops;
+  state.counters["regret"] = ns[0] / std::min(ns[1], ns[2]);
+  state.counters["n"] = static_cast<double>(h.size());
+  state.counters["c"] = static_cast<double>(h.max_concurrent_writes());
 }
-BENCHMARK(head_to_head_fzf)->Apply(crossover_args);
-
-void head_to_head_auto(benchmark::State& state) {
-  decide(state, workload_for(static_cast<int>(state.range(0))),
-         Algorithm::auto_select);
-}
-BENCHMARK(head_to_head_auto)->Apply(crossover_args);
+BENCHMARK(head_to_head)->Apply(crossover_args);
 
 // Practical low-c side of the story (c <= 2): simplicity pays.
 const History& practical_for(int writes) {

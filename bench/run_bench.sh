@@ -94,12 +94,12 @@ if [[ "$MODE" == smoke ]]; then
 fi
 "$BUILD_DIR/bench_streaming" "${STREAMING_ARGS[@]}" \
   --benchmark_out="$OUT_DIR/BENCH_streaming.json"
-# The crossover ledger behind select_2av_algorithm's c threshold: the
-# min over interleaved repetitions is each row's estimator, in both
-# modes (the regret guardrail below reads it in smoke mode). At c >= 3
-# auto and FZF do the same work, and on a shared box the min of five
-# repetitions of that pair still drifted apart by up to 17%, so take
-# nine.
+# The crossover ledger behind select_2av_algorithm's c threshold:
+# head_to_head times auto, LBT and FZF back to back in every iteration
+# and reports each one's ns/op plus their paired ratio, in both modes
+# (the regret guardrail below reads the ratio in smoke mode). At c >= 3
+# auto and FZF do the same work, so the ratio sits near 1 and only its
+# scatter can trip the bound; nine repetitions give its median room.
 "$BUILD_DIR/bench_lbt_vs_fzf" "${ARGS[@]}" --benchmark_repetitions=9 \
   --benchmark_enable_random_interleaving=true \
   --benchmark_out="$OUT_DIR/BENCH_lbt_vs_fzf.json"
@@ -326,35 +326,35 @@ EOF
 
   # Dispatch-regret guardrail: at every write concurrency c of the
   # LBT-vs-FZF sweep, auto dispatch may cost at most 1.25x the cheaper
-  # of the two deciders (CPU time, min over interleaved repetitions;
-  # all three rows pay the same precondition classification). A policy
-  # that sends a c to the slower decider shows up at 1.5x or more: FZF
-  # at c = 4 cost ~3.5x LBT before FZF's stages were flattened.
+  # of the two deciders (thread CPU time; all three pay the same
+  # precondition classification). The estimator is the median over
+  # repetitions of head_to_head's paired ratio auto / min(LBT, FZF),
+  # each repetition timing the three back to back in a mirrored order.
+  # A policy that sends a c to the slower decider shows up at 1.5x or
+  # more: FZF at c = 4 cost ~3.5x LBT before FZF's stages were
+  # flattened.
   python3 - <<'EOF'
-import json, sys
+import json, statistics, sys
 
 with open("BENCH_lbt_vs_fzf.json") as f:
     entries = json.load(f)["benchmarks"]
-results = {}
+reps = {}
 for b in entries:
-    if "aggregate_name" in b:
-        continue  # raw repetition samples only
-    results[b["name"]] = min(results.get(b["name"], float("inf")),
-                             b["cpu_time"])
+    if "aggregate_name" in b or not b["name"].startswith("head_to_head/"):
+        continue  # raw repetition samples of the paired rows only
+    reps.setdefault(int(b["name"].split("/")[1]), []).append(b)
+if not reps:
+    sys.exit("BENCH_lbt_vs_fzf.json has no head_to_head rows")
 
 failed = False
-sweep = sorted(int(n.split("/")[1]) for n in results
-               if n.startswith("head_to_head_auto/"))
-if not sweep:
-    sys.exit("BENCH_lbt_vs_fzf.json has no head_to_head_auto rows")
-for c in sweep:
-    lbt = results[f"head_to_head_lbt/{c}"]
-    fzf = results[f"head_to_head_fzf/{c}"]
-    auto = results[f"head_to_head_auto/{c}"]
-    best = min(lbt, fzf)
-    verdict = "ok" if auto <= best * 1.25 else "REGRET"
-    print(f"c={c}: auto {auto / 1e6:.3f}ms vs lbt {lbt / 1e6:.3f}ms, "
-          f"fzf {fzf / 1e6:.3f}ms (x{auto / best:.2f}) -> {verdict}")
+for c in sorted(reps):
+    regret = statistics.median(b["regret"] for b in reps[c])
+    per_op = {d: statistics.median(b[f"{d}_ns_per_op"] for b in reps[c])
+              for d in ("auto", "lbt", "fzf")}
+    verdict = "ok" if regret <= 1.25 else "REGRET"
+    print(f"c={c}: auto {per_op['auto']:.1f} vs lbt {per_op['lbt']:.1f}, "
+          f"fzf {per_op['fzf']:.1f} ns/op (paired x{regret:.2f}, median "
+          f"of {len(reps[c])}) -> {verdict}")
     failed |= verdict != "ok"
 if failed:
     sys.exit("auto dispatch costs more than 1.25x the cheaper decider")

@@ -319,21 +319,12 @@ void account_selection(Report& report, const KeyFilter& filter,
   }
 }
 
-// A selective source seen as account_selection's offered set: its size
-// and membership come from per-key index lookups, not a key listing.
-struct SourceKeys {
-  const SelectiveTraceSource& source;
-  std::size_t size() const { return source.key_count(); }
-  std::size_t count(const std::string& key) const {
-    return source.contains(key) ? 1 : 0;
-  }
-};
-
-// A streamed input's keys seen as account_selection's offered set: how
-// many ids the stream named, and the kept keys -- under a filter,
-// exactly the requested keys it named. Both are read from the consumer
-// (KeyGrouper, KeyedStreamingMonitor) that made the keep decision, once
-// per id.
+// An input's keys seen as account_selection's offered set: how many
+// keys it holds, and the kept keys -- under a filter, exactly the
+// requested keys it holds. A streamed input's are read from the
+// consumer (KeyGrouper, KeyedStreamingMonitor) that made the keep
+// decision, once per id; an indexed source's from its key count and one
+// index lookup per requested key.
 template <typename KeptMap>
 struct NamedKeys {
   std::size_t named;
@@ -525,26 +516,28 @@ Report Engine::verify_pinned(
 }
 
 Report Engine::verify_selective(
-    SelectiveTraceSource& source, const RunOptions& run,
+    const IndexedTraceSource& source, const RunOptions& run,
     const std::optional<std::chrono::steady_clock::time_point>& deadline) {
   const KeyFilter filter(run);
-  // Only the requested keys are looked up; the source's other keys are
-  // never listed.
-  const SourceKeys offered{source};
+  // Only the requested keys are looked up, once each; the source's
+  // other keys are never listed.
+  std::set<std::string> present;
   std::vector<ShardSpec> specs;
   specs.reserve(filter.wanted.size());
   for (const std::string& key : filter.wanted) {
-    if (offered.count(key) == 0) continue;
+    const std::optional<KeyStat> stat = source.stat(key);
+    if (!stat.has_value()) continue;
+    present.insert(key);
     ShardSpec spec;
     spec.key = key;
     // Op count from index statistics: the budget check and any
     // scheduling decision happen before a single record is decoded.
-    spec.op_count = source.key_op_count(key);
+    spec.op_count = static_cast<std::size_t>(stat->records);
     spec.load = [&source, key]() { return source.load_key(key); };
     specs.push_back(std::move(spec));
   }
   Report report = run_specs(specs, run, deadline);
-  account_selection(report, filter, offered);
+  account_selection(report, filter, NamedKeys{source.key_count(), present});
   return report;
 }
 
@@ -572,8 +565,8 @@ Report Engine::verify(TraceSource& source, const RunOptions& run) {
   // op counts and lazy loaders, so only the requested keys' blocks are
   // ever decoded -- no full-file materialization.
   if (!run.key_filter.empty()) {
-    if (auto* selective = dynamic_cast<SelectiveTraceSource*>(&source)) {
-      Report report = verify_selective(*selective, run, deadline);
+    if (const auto* indexed = dynamic_cast<IndexedTraceSource*>(&source)) {
+      Report report = verify_selective(*indexed, run, deadline);
       scope.finish(report);
       return report;
     }

@@ -54,7 +54,7 @@ class ThreadPool;
 
 namespace kav {
 
-class SelectiveTraceSource;
+class IndexedTraceSource;
 class ShardedVerifier;
 struct ShardSpec;
 class TraceStore;
@@ -112,9 +112,10 @@ class Engine {
   // Pulls the source dry first in chunks (TraceSource::pull;
   // cancellable between chunks), grouping each operation into its key's
   // History by KeyId as it is read (KeyGrouper), then verifies -- unless
-  // RunOptions::key_filter is set and the source is index-backed
-  // (SelectiveTraceSource), in which case only the requested keys'
-  // blocks are ever decoded, each inside a pool worker.
+  // RunOptions::key_filter is set and the source is index-backed (an
+  // IndexedTraceSource: an indexed .kavb file or a TraceStore), in which
+  // case only the requested keys' blocks are ever decoded, each inside a
+  // pool worker.
   Report verify(TraceSource& source, const RunOptions& run = {});
 
   // Online monitoring: stream the source, in chunks of at most
@@ -185,7 +186,7 @@ class Engine {
   // key_filter over an index-backed source: one lazy spec per
   // requested key, decoded on the pool straight from the index.
   Report verify_selective(
-      SelectiveTraceSource& source, const RunOptions& run,
+      const IndexedTraceSource& source, const RunOptions& run,
       const std::optional<std::chrono::steady_clock::time_point>& deadline);
 
   EngineOptions options_;

@@ -37,13 +37,12 @@ Algorithm select_2av_algorithm(const ZoneProfile& profile) {
   if (profile.max_backward_per_chunk >= 3) return Algorithm::fzf;
   // The c threshold is the measured crossover. bench_lbt_vs_fzf
   // (BENCH_lbt_vs_fzf.json, bench/run_bench.sh) sweeps write
-  // concurrency c from 3 to 512 at n ~ 16k. c = 3 is a tie within
-  // noise (min of 9 reps: LBT 31.8, FZF 33.2 ns/op; medians 51.2 vs
-  // 41.6), which FZF takes for its bounded worst case. From c = 4 FZF
-  // wins (31.0 vs 37.9) and the gap widens, since LBT's
-  // O(n log n + c*n) (Theorem 3.2) grows with c and FZF's O(n log n)
-  // (Theorem 4.6) does not. On nearly serial writes (c <= 2, the
-  // practical_* rows) LBT wins. The smoke run fails if auto costs
+  // concurrency c from 3 to 512 at n ~ 16k, timing the deciders back
+  // to back. From c = 3 FZF wins (paired medians: FZF 45.9, LBT 52.2
+  // ns/op at c = 3; 42.6 vs 59.6 at c = 4) and the gap widens, since
+  // LBT's O(n log n + c*n) (Theorem 3.2) grows with c and FZF's
+  // O(n log n) (Theorem 4.6) does not. On nearly serial writes (c <= 2,
+  // the practical_* rows) LBT wins. The smoke run fails if auto costs
   // more than 1.25x the cheaper decider at any c of the sweep.
   if (profile.max_concurrent_writes <= 2) return Algorithm::lbt;
   return Algorithm::fzf;

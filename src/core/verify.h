@@ -28,7 +28,7 @@ enum class Algorithm : unsigned char {
                 // oracle/greedy for k>=3
   gk,           // k = 1 only
   lbt,          // k = 2 only (iterative deepening)
-  lbt_naive,    // k = 2 only (no iterative deepening; ablation)
+  lbt_naive,    // k = 2 only (no iterative deepening; a reference)
   fzf,          // k = 2 only
   greedy,       // any k; sound YES, otherwise undecided
   oracle,       // any k; exact but exponential, <= 64 ops

@@ -23,15 +23,14 @@ KeyId KeyInterner::intern(std::string_view key, bool& fresh) {
   return it->second;
 }
 
-void KeyInterner::append(KeyedChunk& chunk, std::string_view key,
-                         const Operation& op) {
+KeyId KeyInterner::name(KeyedChunk& chunk, std::string_view key) {
   bool fresh = false;
   const KeyId id = intern(key, fresh);
   if (fresh) {
     if (chunk.new_keys.empty()) chunk.first_new_key = id;
     chunk.new_keys.emplace_back(key);
   }
-  chunk.ops.push_back({id, op});
+  return id;
 }
 
 void KeyedChunk::check_continues(std::size_t named,

@@ -86,9 +86,12 @@ class KeyInterner {
  public:
   // `key`'s id, assigning the next one when `key` is new.
   KeyId intern(std::string_view key, bool& fresh);
-  // Interns `key` and appends (id, op) to `chunk`, naming the id in
-  // chunk.new_keys when it is new.
-  void append(KeyedChunk& chunk, std::string_view key, const Operation& op);
+  // Interns `key` for `chunk`: its id, named in chunk.new_keys when new.
+  KeyId name(KeyedChunk& chunk, std::string_view key);
+  // Interns `key` and appends (id, op) to `chunk`.
+  void append(KeyedChunk& chunk, std::string_view key, const Operation& op) {
+    chunk.ops.push_back({name(chunk, key), op});
+  }
 
  private:
   struct KeyHash {

@@ -10,16 +10,22 @@
 
 namespace kav {
 
-TraceSource::Pull TraceSource::pull(KeyedChunk& chunk, std::size_t max_ops,
-                                    std::chrono::milliseconds wait) {
-  (void)wait;
-  chunk.clear();
-  max_ops = std::max<std::size_t>(1, max_ops);
-  KeyedOperation kop;
-  while (chunk.ops.size() < max_ops && next(kop)) {
-    interner_.append(chunk, kop.key, kop.op);
+bool TraceSource::pull_segment(SegmentWalk& walk, KeyedChunk& chunk,
+                               std::size_t max_ops) {
+  KeyId table_id = 0;
+  Operation op;
+  while (chunk.ops.size() < max_ops) {
+    if (!walk.cursor.next(table_id, op)) return false;
+    if (table_id >= walk.ids.size()) {
+      walk.ids.resize(walk.cursor.key_count(), SegmentWalk::kUnnamed);
+    }
+    KeyId& id = walk.ids[table_id];
+    if (id == SegmentWalk::kUnnamed) {
+      id = interner_.name(chunk, walk.cursor.key(table_id));
+    }
+    chunk.ops.push_back({id, op});
   }
-  return chunk.ops.empty() ? Pull::closed : Pull::ready;
+  return true;
 }
 
 namespace {
@@ -43,12 +49,6 @@ TraceSource::Pull pull_from(const KeyedTrace& trace, std::size_t& pos,
 
 // --- MemoryTraceSource -----------------------------------------------------
 
-bool MemoryTraceSource::next(KeyedOperation& out) {
-  if (pos_ >= trace_->ops.size()) return false;
-  out = trace_->ops[pos_++];
-  return true;
-}
-
 TraceSource::Pull MemoryTraceSource::pull(KeyedChunk& chunk,
                                           std::size_t max_ops,
                                           std::chrono::milliseconds wait) {
@@ -64,14 +64,6 @@ std::string MemoryTraceSource::describe() const {
 
 TextFileTraceSource::TextFileTraceSource(const std::string& path)
     : path_(path), trace_(read_trace_file(path)) {}
-
-bool TextFileTraceSource::next(KeyedOperation& out) {
-  if (pos_ >= trace_.ops.size()) return false;
-  // Single-pass source: moving the key string out keeps drain() over
-  // this source a one-copy path.
-  out = std::move(trace_.ops[pos_++]);
-  return true;
-}
 
 TraceSource::Pull TextFileTraceSource::pull(KeyedChunk& chunk,
                                             std::size_t max_ops,
@@ -95,26 +87,14 @@ constexpr std::uint64_t kReleaseStride = std::uint64_t{1} << 20;
 
 BinaryFileTraceSource::BinaryFileTraceSource(
     std::unique_ptr<MappedSegment> segment)
-    : segment_(std::move(segment)), cursor_(segment_->cursor()) {}
+    : segment_(std::move(segment)), walk_(*segment_) {}
 
 void BinaryFileTraceSource::release_behind() {
-  if (cursor_.offset() >= next_release_) {
-    segment_->release_below(cursor_.offset());
-    next_release_ = cursor_.offset() + kReleaseStride;
+  const std::uint64_t offset = walk_.cursor.offset();
+  if (offset >= next_release_) {
+    segment_->release_below(offset);
+    next_release_ = offset + kReleaseStride;
   }
-}
-
-bool BinaryFileTraceSource::next(KeyedOperation& out) {
-  std::string_view key;
-  if (!cursor_.next(key, out.op)) {
-    // The stream is done, but the caller often keeps the source alive
-    // while it decides: drop the last window too.
-    segment_->release_below(segment_->size_bytes());
-    return false;
-  }
-  out.key.assign(key);
-  release_behind();
-  return true;
 }
 
 TraceSource::Pull BinaryFileTraceSource::pull(KeyedChunk& chunk,
@@ -122,20 +102,10 @@ TraceSource::Pull BinaryFileTraceSource::pull(KeyedChunk& chunk,
                                               std::chrono::milliseconds wait) {
   (void)wait;
   chunk.clear();
-  max_ops = std::max<std::size_t>(1, max_ops);
-  KeyId table_id = 0;
-  Operation op;
-  while (chunk.ops.size() < max_ops && cursor_.next(table_id, op)) {
-    if (table_id >= ids_.size()) ids_.resize(cursor_.key_count(), kUnnamed);
-    KeyId& id = ids_[table_id];
-    if (id == kUnnamed) {
-      id = named_++;
-      if (chunk.new_keys.empty()) chunk.first_new_key = id;
-      chunk.new_keys.emplace_back(cursor_.key(table_id));
-    }
-    chunk.ops.push_back({id, op});
-  }
+  pull_segment(walk_, chunk, std::max<std::size_t>(1, max_ops));
   if (chunk.ops.empty()) {
+    // The stream is done, but the caller often keeps the source alive
+    // while it decides: drop the last window too.
     segment_->release_below(segment_->size_bytes());
     return Pull::closed;
   }
@@ -254,8 +224,10 @@ std::unique_ptr<TraceSource> open_trace_source(const std::string& path) {
 
 KeyedTrace drain(TraceSource& source) {
   KeyedTrace trace;
-  KeyedOperation kop;
-  while (source.next(kop)) trace.ops.push_back(std::move(kop));
+  for_each_operation(source, [&trace](const std::string& key,
+                                      const Operation& op) {
+    trace.ops.push_back({key, op});
+  });
   return trace;
 }
 

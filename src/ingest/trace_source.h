@@ -1,17 +1,15 @@
 // TraceSource: the one polymorphic input kav::Engine (core/engine.h)
 // verifies and monitors from. Every way a trace reaches the library --
-// an in-memory KeyedTrace, a text-format file, a binary .kavb file, or
-// a live producer pushing operations one at a time -- is the same
-// pull-based stream of KeyedOperations, so new backends (sockets, RPC
-// front-ends, replay logs) plug in by implementing two methods (next()
-// and describe(); pull() has a default) instead of growing another
-// facade overload.
+// an in-memory KeyedTrace, a text-format file, a binary .kavb file, a
+// trace store, or a live producer pushing operations one at a time --
+// is the same chunked stream, read through one call, pull(): each
+// chunk names its operations by a dense KeyId assigned once, at the
+// source, so the grouping and monitoring layers index per-key state
+// instead of hashing a key string per operation. New backends
+// (sockets, RPC front-ends, replay logs) plug in by implementing
+// pull() and describe() instead of growing another facade overload.
 //
-// Sources are single-pass: next() or pull() walks the stream once.
-// pull() is the chunked form the Engine reads through: each chunk names
-// its operations by a dense KeyId assigned once, at the source, so the
-// grouping and monitoring layers index per-key state instead of hashing
-// a key string per operation. File sources
+// Sources are single-pass: pull() walks the stream once. File sources
 // detect format by magic bytes (open_trace_source), never by file
 // extension; drain() pulls any source into a KeyedTrace. Memory cost:
 // binary file sources map the file and keep O(1 MiB) of it resident
@@ -29,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "history/history.h"
 #include "history/keyed_trace.h"
 #include "store/mapped_segment.h"
 #include "util/thread_safety.h"
@@ -44,29 +41,18 @@ class TraceSource {
 
   virtual ~TraceSource() = default;
 
-  // Pulls the next operation; false at the end of the stream. May block
-  // (push sources block until an operation arrives or the producer
-  // closes). Throws std::runtime_error on malformed input.
-  virtual bool next(KeyedOperation& out) = 0;
-
-  // Chunked pull, the one kav::Engine reads through: clears `chunk` and
-  // fills it with up to `max_ops` (at least 1) of the operations the
-  // source already holds, each named by its dense KeyId, plus the names
-  // of the ids first seen in this chunk (KeyedChunk). Waits at most
-  // ~`wait`, and only for the first operation, so a consumer can
-  // re-check a CancelToken or deadline between pulls. Returns
-  // Pull::ready with at least one operation, Pull::pending with none
-  // (the stream is still open), Pull::closed at the end of the stream.
-  //
-  // Ids number keys in order of first appearance in what pull() has
-  // handed out; read a source through next() or through pull(), not
-  // both. The default pulls through next() and interns each key
-  // (KeyInterner) -- correct for sources that never block longer than
-  // their input takes to read (IndexedTraceSource uses it); the memory,
-  // text, binary-file and push sources override it to hand out what
-  // they hold without a per-operation copy.
+  // Clears `chunk` and fills it with up to `max_ops` (at least 1) of
+  // the operations the source already holds, each named by its dense
+  // KeyId, plus the names of the ids first seen in this chunk
+  // (KeyedChunk). Ids number keys in order of first appearance in what
+  // pull() has handed out. Waits at most ~`wait`, and only for the
+  // first operation, so a consumer can re-check a CancelToken or
+  // deadline between pulls. Returns Pull::ready with at least one
+  // operation, Pull::pending with none (the stream is still open),
+  // Pull::closed at the end of the stream. Throws std::runtime_error
+  // on malformed input.
   virtual Pull pull(KeyedChunk& chunk, std::size_t max_ops,
-                    std::chrono::milliseconds wait);
+                    std::chrono::milliseconds wait) = 0;
 
   // Human-readable origin for reports and error messages, e.g.
   // "memory(120 ops)" or "binary:trace.kavb".
@@ -76,36 +62,24 @@ class TraceSource {
   // Names the keys of the operations this source hands out by pull().
   KeyInterner& interner() { return interner_; }
 
+  // One .kavb segment being walked by key-table id: the cursor, and each
+  // table id's pull() id (kUnnamed until the key's first record).
+  struct SegmentWalk {
+    explicit SegmentWalk(const MappedSegment& segment)
+        : cursor(segment.cursor()) {}
+    static constexpr KeyId kUnnamed = ~KeyId{0};
+    MappedSegment::Cursor cursor;
+    std::vector<KeyId> ids;
+  };
+  // Appends `walk`'s next records to `chunk` until it holds `max_ops`;
+  // false once the segment is exhausted. Names each table id once per
+  // segment, through interner(), so a key several segments hold keeps
+  // its first id, and no key string is touched per operation.
+  bool pull_segment(SegmentWalk& walk, KeyedChunk& chunk,
+                    std::size_t max_ops);
+
  private:
   KeyInterner interner_;
-};
-
-// Capability interface for sources backed by a per-key index (the
-// trace store's mmap-backed IndexedTraceSource, store/indexed_source.h,
-// is the one implementation). Streaming via next() still yields the
-// full record stream in arrival order, so such a source behaves like
-// any other; the extra methods let kav::Engine serve a selective run
-// (RunOptions::key_filter) by materializing ONLY the requested keys'
-// histories -- each one loaded inside a pool worker, straight from the
-// index, with the rest of the input never decoded.
-//
-// Every per-key method costs an index lookup, independent of how many
-// other keys the source holds, so a selective run costs O(requested
-// keys), never a listing of the whole source.
-class SelectiveTraceSource : public TraceSource {
- public:
-  // True when the source's index holds `key` (even with zero records).
-  virtual bool contains(const std::string& key) const = 0;
-  // Distinct keys the source holds: Report::keys_available.
-  virtual std::size_t key_count() const = 0;
-  // Operations stored for `key`; 0 when absent. Available without
-  // decoding records -- this is what index-driven shard budgeting and
-  // scheduling read.
-  virtual std::size_t key_op_count(const std::string& key) const = 0;
-  // Decodes `key`'s operations (in arrival order) into a History.
-  // Must be thread-safe and independent of the next() cursor: Engine
-  // calls it concurrently from pool workers.
-  virtual History load_key(const std::string& key) const = 0;
 };
 
 // In-memory trace, replayed in insertion (arrival) order.
@@ -119,7 +93,6 @@ class MemoryTraceSource final : public TraceSource {
   MemoryTraceSource(const MemoryTraceSource&) = delete;
   MemoryTraceSource& operator=(const MemoryTraceSource&) = delete;
 
-  bool next(KeyedOperation& out) override;
   Pull pull(KeyedChunk& chunk, std::size_t max_ops,
             std::chrono::milliseconds wait) override;
   std::string describe() const override;
@@ -145,7 +118,6 @@ class TextFileTraceSource final : public TraceSource {
  public:
   explicit TextFileTraceSource(const std::string& path);
 
-  bool next(KeyedOperation& out) override;
   Pull pull(KeyedChunk& chunk, std::size_t max_ops,
             std::chrono::milliseconds wait) override;
   std::string describe() const override;
@@ -161,15 +133,15 @@ class TextFileTraceSource final : public TraceSource {
 // owns the mapping outright, so it releases the pages behind the
 // cursor as it goes, and the rest when the stream ends: resident
 // memory stays O(1 MiB) however large the file. pull() hands out the
-// file's key-table ids without touching a key string, renumbered by a
-// vector lookup into first-appearance order (the identity on v1 files;
-// a v2 file's block order can name a later id first). Throws
-// std::runtime_error with a byte offset on malformed input.
+// file's key-table ids without touching a key string per operation,
+// renumbered by a vector lookup into first-appearance order (the
+// identity on v1 files; a v2 file's block order can name a later id
+// first). Throws std::runtime_error with a byte offset on malformed
+// input.
 class BinaryFileTraceSource final : public TraceSource {
  public:
   explicit BinaryFileTraceSource(std::unique_ptr<MappedSegment> segment);
 
-  bool next(KeyedOperation& out) override;
   Pull pull(KeyedChunk& chunk, std::size_t max_ops,
             std::chrono::milliseconds wait) override;
   std::string describe() const override;
@@ -179,18 +151,14 @@ class BinaryFileTraceSource final : public TraceSource {
   void release_behind();
 
   std::unique_ptr<MappedSegment> segment_;
-  MappedSegment::Cursor cursor_;
+  SegmentWalk walk_;
   std::uint64_t next_release_ = 0;  // cursor offset of the next release
-  // Key-table id -> pull() id; kUnnamed until the key's first record.
-  static constexpr KeyId kUnnamed = ~KeyId{0};
-  std::vector<KeyId> ids_;
-  KeyId named_ = 0;
 };
 
 // Incremental push source: producers push() completed operations from
 // any thread; the consumer side (Engine::monitor, typically on another
-// thread) pulls them via pull() or next(), which wait until an
-// operation is available or the source is closed. push() blocks while
+// thread) pulls them via pull(), which waits until an operation is
+// available or the source is closed. push() blocks while
 // the shared queue holds `capacity` operations (backpressure) and
 // throws std::logic_error after close().
 //
@@ -213,7 +181,12 @@ class PushTraceSource final : public TraceSource {
   // Idempotent.
   void close() KAV_EXCLUDES(mutex_);
 
-  bool next(KeyedOperation& out) override KAV_EXCLUDES(mutex_);
+  // Hands out one operation, blocking until one arrives; false once
+  // the source is closed and drained. Not part of the TraceSource
+  // surface: it exists to time the producer/consumer handoff alone,
+  // without interning (kavbench's ingest.push_handoff stage). Read a
+  // source through pull() or through next(), not both.
+  bool next(KeyedOperation& out) KAV_EXCLUDES(mutex_);
   // Times out with Pull::pending instead of blocking forever, so a
   // cancelled Engine::monitor over a push source that is never closed
   // still returns.
@@ -256,6 +229,19 @@ class PushTraceSource final : public TraceSource {
 // opened, its header is malformed, or it claims an index it cannot
 // back up (corrupt footer).
 std::unique_ptr<TraceSource> open_trace_source(const std::string& path);
+
+// Pulls a source dry, calling fn(key, op) for each operation in stream
+// order; a pending pull (an open push source) just pulls again.
+template <typename Fn>
+void for_each_operation(TraceSource& source, Fn&& fn) {
+  KeyedChunk chunk;
+  std::vector<std::string> names;  // by KeyId
+  while (source.pull(chunk, 1'024, std::chrono::milliseconds(100)) !=
+         TraceSource::Pull::closed) {
+    names.insert(names.end(), chunk.new_keys.begin(), chunk.new_keys.end());
+    for (const IdOperation& iop : chunk.ops) fn(names[iop.key], iop.op);
+  }
+}
 
 // Pulls a source dry into a KeyedTrace; drain(*open_trace_source(path))
 // reads a trace file of either format.

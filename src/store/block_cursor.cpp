@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "ingest/binary_trace.h"
+
 namespace kav {
 
 BlockCursor::BlockCursor(const MappedSegment& segment, std::string_view key)
@@ -26,27 +28,6 @@ bool BlockCursor::ensure_block() {
     block_left_ = block.records;
     ++block_;
   }
-  return true;
-}
-
-bool BlockCursor::next(OpView& view) {
-  if (!ensure_block()) return false;
-  // Validate exactly like read_key's per-record walk: decode_record
-  // checks the type byte then the interval, then the key id must match
-  // the block's. The block entered via ensure_block is
-  // segment_->blocks_[block_ - 1].
-  Operation scratch;
-  const std::uint32_t key_id = segment_->decode_record(record_off_, scratch);
-  if (key_id != segment_->blocks_[block_ - 1].key_id) {
-    segment_->fail(record_off_,
-                   "foreign record (key id " + std::to_string(key_id) +
-                       ") in block of key id " +
-                       std::to_string(segment_->blocks_[block_ - 1].key_id));
-  }
-  view = OpView(segment_->at(record_off_));
-  record_off_ += kBinaryTraceRecordBytes;
-  --block_left_;
-  --remaining_;
   return true;
 }
 

@@ -1,27 +1,27 @@
 // The zero-copy hot path from a MappedSegment's index to a decidable
-// History: BlockCursor walks exactly one key's blocks and either
+// History, and the one per-key record decoder behind
+// IndexedTraceSource::load_key: BlockCursor walks exactly one key's
+// blocks and bulk-decodes its records into OperationColumns
+// (decode_columns()) with the SIMD strided-gather kernels of
+// util/simd.h -- each record field lands in its own contiguous column,
+// validation (key-id uniformity, type byte, start < finish) runs as
+// whole-block column scans, and History adopts the time columns in
+// place. No intermediate std::vector<Operation> exists anywhere on this
+// path.
 //
-//   - streams non-owning OpViews over the raw 33-byte records (next()),
-//     for consumers that want per-record access with zero heap, or
-//   - bulk-decodes every remaining record into OperationColumns
-//     (decode_columns()) with the SIMD strided-gather kernels of
-//     util/simd.h -- each record field lands in its own contiguous
-//     column, validation (key-id uniformity, type byte, start < finish)
-//     runs as whole-block column scans, and History adopts the time
-//     columns in place. No intermediate std::vector<Operation> exists
-//     anywhere on this path.
-//
-// Equivalence contract: for any byte stream, valid or corrupt, both
-// BlockCursor paths yield exactly what MappedSegment::read_key yields
-// -- the same operations in the same (add()) order, or a
-// std::runtime_error pointing at the same byte offset with the same
-// message. Corruption handling works by falling back to the scalar
-// per-record walk, so the exact error precedence of read_key (first
-// failing record; within a record type byte, then interval, then
-// foreign key id) is reproduced by construction, not re-implemented.
-// tests/store_fuzz_test.cpp enforces verdict/Report bit-identity over
-// the two paths; this is the safety invariant that makes the fast path
-// trustworthy (see docs/ALGORITHMS.md).
+// Equivalence contract: for any byte stream, valid or corrupt,
+// decode_columns yields exactly what MappedSegment::read_key (the
+// row-at-a-time reference) yields -- the same operations in the same
+// (add()) order, or a std::runtime_error pointing at the same byte
+// offset with the same message. Corruption handling works by falling
+// back to the scalar per-record walk, so the exact error precedence of
+// read_key (first failing record; within a record type byte, then
+// interval, then foreign key id) is reproduced by construction, not
+// re-implemented. tests/block_cursor_test.cpp checks every single-byte
+// corruption at every SIMD level, and tests/store_fuzz_test.cpp
+// enforces verdict/Report bit-identity over the two paths; this is the
+// safety invariant that makes the fast path trustworthy (see
+// docs/ALGORITHMS.md).
 //
 // Thread-safety: like read_key, a BlockCursor only reads the immutable
 // mapping, so many cursors over one segment may run concurrently; a
@@ -33,43 +33,10 @@
 #include <string_view>
 
 #include "history/history.h"
-#include "ingest/binary_trace.h"
 #include "store/mapped_segment.h"
 #include "util/simd.h"
 
 namespace kav {
-
-// Non-owning view of one on-disk record (kBinaryTraceRecordBytes bytes
-// in ingest/wire.h little-endian layout). Fields decode on access --
-// reading two fields costs two loads, not a 33-byte materialization.
-// Valid only while the segment that owns the bytes is alive. Accessors
-// do not validate; BlockCursor::next() hands out only views whose
-// type, interval, and key id have already been checked.
-class OpView {
- public:
-  OpView() = default;
-  explicit OpView(const unsigned char* record) : p_(record) {}
-
-  std::uint32_t key_id() const { return wire::load_u32(p_); }
-  TimePoint start() const { return wire::load_i64(p_ + 4); }
-  TimePoint finish() const { return wire::load_i64(p_ + 12); }
-  Value value() const { return wire::load_i64(p_ + 20); }
-  ClientId client() const {
-    return static_cast<ClientId>(wire::load_u32(p_ + 28));
-  }
-  OpType type() const { return p_[32] == 1 ? OpType::write : OpType::read; }
-  bool is_write() const { return p_[32] == 1; }
-  bool is_read() const { return p_[32] != 1; }
-
-  Operation materialize() const {
-    return Operation{start(), finish(), type(), value(), client()};
-  }
-
-  const unsigned char* raw() const { return p_; }
-
- private:
-  const unsigned char* p_ = nullptr;
-};
 
 class BlockCursor {
  public:
@@ -78,13 +45,8 @@ class BlockCursor {
   // (same contract as read_key).
   BlockCursor(const MappedSegment& segment, std::string_view key);
 
-  // Records not yet yielded, from the index (no decoding).
+  // Records not yet decoded, from the index (no decoding).
   std::uint64_t remaining() const { return remaining_; }
-
-  // Yields the next record as a validated view, or returns false at
-  // the end. Throws std::runtime_error on corrupt bytes, identically
-  // to read_key.
-  bool next(OpView& view);
 
   // Decodes every remaining record, appending one element per record
   // to each column of `out` (in add() order), then leaves the cursor

@@ -1,8 +1,8 @@
 // The v2.1 segment bloom filter (docs/FORMATS.md, "bloom page"): one
 // per segment, over the segment's key set, so cross-segment lookups
-// (TraceStore::stat/contains/read_key, IndexedTraceSource's selective
-// loads) skip segments that cannot hold the key without touching
-// their key tables. The win is not asymptotic -- a lookup still
+// (IndexedTraceSource's contains/stat/key_op_count/load_key) skip
+// segments that cannot hold the key without touching their key
+// tables. The win is not asymptotic -- a lookup still
 // visits every segment -- but the per-segment cost drops from a
 // string hash + table probe to k bit tests against an already-derived
 // probe, which is what keeps single-key stat over 1000 segments ~flat

@@ -45,8 +45,9 @@ IndexedTraceSource::IndexedTraceSource(const std::string& path)
 
 IndexedTraceSource::IndexedTraceSource(
     std::vector<std::shared_ptr<const MappedSegment>> segments,
-    std::string label, std::optional<std::size_t> key_count)
-    : segments_(std::move(segments)), label_(std::move(label)) {
+    std::string label, std::optional<std::size_t> key_count,
+    BloomCounters bloom)
+    : segments_(std::move(segments)), label_(std::move(label)), bloom_(bloom) {
   for (const auto& segment : segments_) {
     if (!segment->indexed()) {
       throw std::invalid_argument("not an indexed (v2) trace: " +
@@ -56,20 +57,18 @@ IndexedTraceSource::IndexedTraceSource(
   key_count_ = key_count ? *key_count : distinct_key_count(segments_);
 }
 
-bool IndexedTraceSource::next(KeyedOperation& out) {
-  std::string_view key;
-  for (;;) {
-    if (!cursor_.has_value()) {
-      if (segment_index_ >= segments_.size()) return false;
-      cursor_.emplace(segments_[segment_index_]->cursor());
-    }
-    if (cursor_->next(key, out.op)) {
-      out.key.assign(key);
-      return true;
-    }
-    cursor_.reset();
-    ++segment_index_;
+TraceSource::Pull IndexedTraceSource::pull(KeyedChunk& chunk,
+                                           std::size_t max_ops,
+                                           std::chrono::milliseconds wait) {
+  (void)wait;
+  chunk.clear();
+  max_ops = std::max<std::size_t>(1, max_ops);
+  for (; segment_index_ < segments_.size(); ++segment_index_) {
+    if (!walk_.has_value()) walk_.emplace(*segments_[segment_index_]);
+    if (pull_segment(*walk_, chunk, max_ops)) return Pull::ready;
+    walk_.reset();
   }
+  return chunk.ops.empty() ? Pull::closed : Pull::ready;
 }
 
 std::string IndexedTraceSource::describe() const {
@@ -85,40 +84,56 @@ std::vector<std::string> IndexedTraceSource::selectable_keys() const {
   return {merged.begin(), merged.end()};
 }
 
-bool IndexedTraceSource::contains(const std::string& key) const {
+template <typename Hit>
+void IndexedTraceSource::lookup(const std::string& key, Hit&& hit) const {
   const BloomProbe probe = bloom_probe(key);
+  std::uint64_t skips = 0;
+  std::uint64_t false_positives = 0;
   for (const auto& segment : segments_) {
-    if (segment->maybe_contains(probe) && segment->contains(key)) return true;
+    if (!segment->maybe_contains(probe)) {  // definitively absent
+      ++skips;
+      continue;
+    }
+    const KeyStat* stat = segment->stat(key);
+    if (stat == nullptr) {
+      ++false_positives;
+      continue;
+    }
+    hit(*segment, *stat);
   }
-  return false;
+  if (bloom_.checks != nullptr) {
+    bloom_.checks->add(segments_.size());
+    bloom_.skips->add(skips);
+    bloom_.false_positives->add(false_positives);
+  }
+}
+
+bool IndexedTraceSource::contains(const std::string& key) const {
+  bool found = false;
+  lookup(key, [&found](const MappedSegment&, const KeyStat&) { found = true; });
+  return found;
 }
 
 std::size_t IndexedTraceSource::key_op_count(const std::string& key) const {
-  const BloomProbe probe = bloom_probe(key);
   std::uint64_t records = 0;
-  for (const auto& segment : segments_) {
-    if (!segment->maybe_contains(probe)) continue;
-    if (const KeyStat* s = segment->stat(key)) records += s->records;
-  }
+  lookup(key, [&records](const MappedSegment&, const KeyStat& stat) {
+    records += stat.records;
+  });
   return static_cast<std::size_t>(records);
 }
 
 std::optional<KeyStat> IndexedTraceSource::stat(const std::string& key) const {
-  const BloomProbe probe = bloom_probe(key);
   std::optional<KeyStat> merged;
-  for (const auto& segment : segments_) {
-    if (!segment->maybe_contains(probe)) continue;
-    const KeyStat* s = segment->stat(key);
-    if (s == nullptr) continue;  // bloom false positive
+  lookup(key, [&merged](const MappedSegment&, const KeyStat& stat) {
     if (!merged.has_value()) {
-      merged = *s;
-      continue;
+      merged = stat;
+      return;
     }
-    merged->min_start = std::min(merged->min_start, s->min_start);
-    merged->max_finish = std::max(merged->max_finish, s->max_finish);
-    merged->records += s->records;
-    merged->blocks += s->blocks;
-  }
+    merged->min_start = std::min(merged->min_start, stat.min_start);
+    merged->max_finish = std::max(merged->max_finish, stat.max_finish);
+    merged->records += stat.records;
+    merged->blocks += stat.blocks;
+  });
   return merged;
 }
 
@@ -128,30 +143,40 @@ std::uint64_t IndexedTraceSource::total_records() const {
   return records;
 }
 
+std::vector<const MappedSegment*> IndexedTraceSource::holders(
+    const std::string& key, std::uint64_t& records) const {
+  std::vector<const MappedSegment*> found;
+  records = 0;
+  lookup(key, [&](const MappedSegment& segment, const KeyStat& stat) {
+    found.push_back(&segment);
+    records += stat.records;
+  });
+  return found;
+}
+
 History IndexedTraceSource::load_key(const std::string& key) const {
   // Zero-copy: each segment's blocks decode field-wise into one shared
   // set of columns (SIMD strided gathers, whole-block validation), and
   // History adopts the time columns in place -- no intermediate
   // std::vector<Operation>, no per-segment partial vectors. Must stay
   // bit-identical to load_key_materializing (store_fuzz differential).
-  const BloomProbe probe = bloom_probe(key);
+  std::uint64_t records = 0;
+  const std::vector<const MappedSegment*> segments = holders(key, records);
   OperationColumns columns;
-  columns.reserve(key_op_count(key));
-  for (const auto& segment : segments_) {
-    if (!segment->maybe_contains(probe)) continue;
-    BlockCursor cursor(*segment, key);
-    cursor.decode_columns(columns);
+  columns.reserve(static_cast<std::size_t>(records));
+  for (const MappedSegment* segment : segments) {
+    BlockCursor(*segment, key).decode_columns(columns);
   }
   return History(std::move(columns));
 }
 
 History IndexedTraceSource::load_key_materializing(
     const std::string& key) const {
-  const BloomProbe probe = bloom_probe(key);
+  std::uint64_t records = 0;
+  const std::vector<const MappedSegment*> segments = holders(key, records);
   std::vector<Operation> ops;
-  ops.reserve(key_op_count(key));
-  for (const auto& segment : segments_) {
-    if (!segment->maybe_contains(probe)) continue;
+  ops.reserve(static_cast<std::size_t>(records));
+  for (const MappedSegment* segment : segments) {
     std::vector<Operation> part = segment->read_key(key);
     ops.insert(ops.end(), part.begin(), part.end());
   }

@@ -109,20 +109,16 @@ class MappedSegment {
   std::vector<Operation> read_key(std::string_view key) const;
 
   // Sequential zero-copy walk over the whole record stream (works for
-  // v1 and unindexed files too). The string_view points into the
-  // mapping and stays valid for the segment's lifetime. Throws
-  // std::runtime_error naming the byte offset on malformed input.
+  // v1 and unindexed files too), naming each record by its key-table
+  // id. Throws std::runtime_error naming the byte offset on malformed
+  // input.
   class Cursor {
    public:
-    bool next(std::string_view& key, Operation& op) {
-      KeyId key_id = 0;
-      if (!next(key_id, op)) return false;
-      key = keys_[key_id];
-      return true;
-    }
-    // The same walk, naming each record by its key-table id; key(id)
-    // is its name (valid once the record has been read).
+    // The next record and its key-table id; false at the end.
     bool next(KeyId& key_id, Operation& op);
+    // The name of a table id the cursor has read a record of; the view
+    // points into the mapping and stays valid for the segment's
+    // lifetime.
     std::string_view key(KeyId key_id) const { return keys_[key_id]; }
     // Key-table entries introduced so far.
     std::size_t key_count() const { return keys_.size(); }

@@ -12,7 +12,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
-#include <set>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -201,7 +201,8 @@ struct TraceStore::Metrics {
             "Oldest segments dropped to respect retain_bytes.")),
         bloom_checks(registry.counter(
             "kav_store_bloom_checks_total",
-            "Per-segment bloom probes by stat/contains/read_key.")),
+            "Per-segment bloom probes by the per-key lookups of the "
+            "store's sources (open_source()).")),
         bloom_skips(registry.counter(
             "kav_store_bloom_skips_total",
             "Probes answered 'definitively absent' -- segments never "
@@ -583,109 +584,15 @@ std::filesystem::path TraceStore::import_file(const std::string& path,
     util::MutexLock writer(writer_mutex_);
     segment_file =
         append_segment_locked(records_per_block, [&](SegmentWriter& writer) {
-          const std::unique_ptr<TraceSource> source = open_trace_source(path);
-          KeyedOperation kop;
-          while (source->next(kop)) writer.add(kop.key, kop.op);
+          for_each_operation(*open_trace_source(path),
+                             [&writer](const std::string& key,
+                                       const Operation& op) {
+                               writer.add(key, op);
+                             });
         });
   }
   maybe_schedule_maintenance();
   return segment_file;
-}
-
-std::vector<std::string> TraceStore::keys() const {
-  std::set<std::string_view> merged;
-  const auto segments = snapshot();
-  for (const auto& segment : segments) {
-    merged.insert(segment->keys().begin(), segment->keys().end());
-  }
-  return {merged.begin(), merged.end()};
-}
-
-std::map<std::string, KeyStat> TraceStore::key_stats() const {
-  std::map<std::string, KeyStat> merged;
-  for (const auto& segment : snapshot()) {
-    for (const std::string_view key : segment->keys()) {
-      const KeyStat* s = segment->stat(key);
-      auto [it, inserted] = merged.try_emplace(std::string(key), *s);
-      if (inserted) continue;
-      KeyStat& stat = it->second;
-      stat.min_start = std::min(stat.min_start, s->min_start);
-      stat.max_finish = std::max(stat.max_finish, s->max_finish);
-      stat.records += s->records;
-      stat.blocks += s->blocks;
-    }
-  }
-  return merged;
-}
-
-std::optional<KeyStat> TraceStore::stat(const std::string& key) const {
-  const BloomProbe probe = bloom_probe(key);
-  std::optional<KeyStat> merged;
-  for (const auto& segment : snapshot()) {
-    metrics_->bloom_checks.add(1);
-    if (!segment->maybe_contains(probe)) {  // definitively absent
-      metrics_->bloom_skips.add(1);
-      continue;
-    }
-    const KeyStat* s = segment->stat(key);
-    if (s == nullptr) {  // bloom false positive
-      metrics_->bloom_false_positives.add(1);
-      continue;
-    }
-    if (!merged.has_value()) {
-      merged = *s;
-      continue;
-    }
-    merged->min_start = std::min(merged->min_start, s->min_start);
-    merged->max_finish = std::max(merged->max_finish, s->max_finish);
-    merged->records += s->records;
-    merged->blocks += s->blocks;
-  }
-  return merged;
-}
-
-bool TraceStore::contains(const std::string& key) const {
-  const BloomProbe probe = bloom_probe(key);
-  for (const auto& segment : snapshot()) {
-    metrics_->bloom_checks.add(1);
-    if (!segment->maybe_contains(probe)) {
-      metrics_->bloom_skips.add(1);
-      continue;
-    }
-    if (segment->contains(key)) return true;
-    metrics_->bloom_false_positives.add(1);
-  }
-  return false;
-}
-
-History TraceStore::read_key(const std::string& key) const {
-  const BloomProbe probe = bloom_probe(key);
-  const auto segments = snapshot();
-  // First pass over the indexes: which segments really hold the key,
-  // and how many records to reserve.
-  std::vector<const MappedSegment*> holders;
-  std::uint64_t expected = 0;
-  for (const auto& segment : segments) {
-    metrics_->bloom_checks.add(1);
-    if (!segment->maybe_contains(probe)) {
-      metrics_->bloom_skips.add(1);
-      continue;
-    }
-    const KeyStat* s = segment->stat(key);
-    if (s == nullptr) {
-      metrics_->bloom_false_positives.add(1);
-      continue;
-    }
-    holders.push_back(segment.get());
-    expected += s->records;
-  }
-  std::vector<Operation> ops;
-  ops.reserve(static_cast<std::size_t>(expected));
-  for (const MappedSegment* segment : holders) {
-    std::vector<Operation> part = segment->read_key(key);
-    ops.insert(ops.end(), part.begin(), part.end());
-  }
-  return History(std::move(ops));
 }
 
 std::unique_ptr<IndexedTraceSource> TraceStore::open_source() const {
@@ -697,7 +604,9 @@ std::unique_ptr<IndexedTraceSource> TraceStore::open_source() const {
     keys = key_count_;
   }
   return std::make_unique<IndexedTraceSource>(
-      std::move(segments), "store:" + directory_.string(), keys);
+      std::move(segments), "store:" + directory_.string(), keys,
+      BloomCounters{&metrics_->bloom_checks, &metrics_->bloom_skips,
+                    &metrics_->bloom_false_positives});
 }
 
 std::size_t TraceStore::compact(std::size_t first_n,
@@ -736,9 +645,9 @@ void TraceStore::fold_range_locked(std::size_t begin, std::size_t count,
         // Stream segment by segment in replay order; O(block) memory.
         for (const auto& victim : victims) {
           MappedSegment::Cursor cursor = victim->cursor();
-          std::string_view key;
+          KeyId key_id = 0;
           Operation op;
-          while (cursor.next(key, op)) writer.add(key, op);
+          while (cursor.next(key_id, op)) writer.add(cursor.key(key_id), op);
         }
       });
 

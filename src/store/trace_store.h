@@ -29,10 +29,17 @@
 // without a MANIFEST (created by an older build) adopts every
 // seg-*.kavb in number order and writes one.
 //
+// Reads: every read of the store's records goes through open_source(),
+// an IndexedTraceSource over a snapshot of the segment set -- streamed
+// by pull(), or looked up by key (contains / stat / key_op_count /
+// load_key, each skipping segments whose bloom filter rules the key
+// out). The store itself lists no keys and decodes no records; it
+// writes, compacts, and counts its sources' bloom probes into its
+// kav_store_bloom_* counters.
+//
 // Integrity: segments carry the v2.1 CRC + bloom pages; reads verify
-// block checksums transparently, cross-segment stat/contains/read_key
-// skip segments whose bloom filter rules the key out, and fsck()
-// re-verifies every byte on demand.
+// block checksums transparently, and fsck() re-verifies every byte on
+// demand.
 //
 // Concurrency: const methods are safe to call concurrently with each
 // other AND with writers (they serve an immutable snapshot of the
@@ -46,14 +53,12 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "history/history.h"
 #include "history/keyed_trace.h"
 #include "store/indexed_source.h"
 #include "store/mapped_segment.h"
@@ -167,23 +172,14 @@ class TraceStore {
                                     std::size_t records_per_block = 4096)
       KAV_EXCLUDES(writer_mutex_);
 
-  // Key listing/statting across all segments, straight from the
-  // indexes (no record decoding). keys() is sorted. stat/contains
-  // consult each segment's bloom filter first, so a key that is
-  // absent (or held by few segments) costs k bit-probes per segment,
-  // not a key-table lookup per segment.
-  std::vector<std::string> keys() const;
-  std::map<std::string, KeyStat> key_stats() const;
-  std::optional<KeyStat> stat(const std::string& key) const;
-  bool contains(const std::string& key) const;
-
-  // One key's operations across all segments, in replay order.
-  History read_key(const std::string& key) const;
-
-  // The whole store as one source (sequential + selective). The source
-  // holds shared mappings, so it stays valid across later append()s
-  // and compactions (it serves the segments that existed when it was
-  // opened, and their key count, both read under one lock).
+  // The whole store as one source, and the one way to read it: pulled
+  // in replay order, or looked up by key straight from the indexes
+  // (store/indexed_source.h). The source holds shared mappings, so it
+  // stays valid across later append()s and compactions (it serves the
+  // segments that existed when it was opened, and their key count,
+  // both read under one lock). Its per-key lookups count their bloom
+  // probes into this store's kav_store_bloom_* counters, which must
+  // therefore outlive the source (they live in the registry).
   std::unique_ptr<IndexedTraceSource> open_source() const
       KAV_EXCLUDES(segments_mutex_);
 

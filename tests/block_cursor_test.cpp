@@ -1,13 +1,14 @@
-// BlockCursor and OpView: the zero-copy record path over a mapped
-// segment. Covers the view accessors against the wire layout, cursor
-// iteration across block shapes (single, many-per-block, one-per-
-// block, multi-key interleavings, absent keys), decode_columns at
-// every dispatch level, and -- the safety half of the equivalence
-// contract -- an exhaustive single-byte corruption differential: for
-// EVERY byte of a segment file, flipping it must leave read_key, the
-// streaming cursor, and the column decoder in exact agreement (same
-// operations or a std::runtime_error with the same message, offset
-// included). See store/block_cursor.h for the contract this enforces.
+// BlockCursor: the zero-copy per-key decoder over a mapped segment.
+// Covers every record field against the wire layout (through a
+// SegmentWriter round trip that load_key and read_key both decode),
+// decoding across block shapes (single, many-per-block, one-per-block,
+// multi-key interleavings, absent keys), decode_columns at every
+// dispatch level, and -- the safety half of the equivalence contract --
+// an exhaustive single-byte corruption differential: for EVERY byte of
+// a segment file, flipping it must leave read_key and the column
+// decoder, at every dispatch level, in exact agreement (same operations
+// or a std::runtime_error with the same message, offset included). See
+// store/block_cursor.h for the contract this enforces.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -21,6 +22,7 @@
 #include "history/history.h"
 #include "ingest/binary_trace.h"
 #include "store/block_cursor.h"
+#include "store/indexed_source.h"
 #include "store/mapped_segment.h"
 #include "store/segment_writer.h"
 #include "util/simd.h"
@@ -83,49 +85,58 @@ std::vector<Operation> ops_of(const KeyedTrace& trace,
   return ops;
 }
 
-std::vector<Operation> drain_with_views(const MappedSegment& segment,
-                                        std::string_view key) {
-  BlockCursor cursor(segment, key);
+constexpr simd::Level kLevels[] = {simd::Level::scalar, simd::Level::sse2,
+                                   simd::Level::avx2};
+
+std::vector<Operation> rows_of(const OperationColumns& columns) {
   std::vector<Operation> ops;
-  OpView view;
-  while (cursor.next(view)) ops.push_back(view.materialize());
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    ops.push_back(Operation{columns.starts[i], columns.finishes[i],
+                            columns.types[i] != 0 ? OpType::write
+                                                  : OpType::read,
+                            columns.values[i], columns.clients[i]});
+  }
   return ops;
 }
 
-TEST(OpView, DecodesEveryFieldFromTheWireLayout) {
-  // One record laid out by hand at every interesting value: negative
-  // times, a value with all byte patterns, an all-ones client id.
-  std::string buffer;
-  wire::append_u32(buffer, 7);                     // key id
-  wire::append_i64(buffer, -1234567890123LL);      // start
-  wire::append_i64(buffer, -1LL);                  // finish
-  wire::append_i64(buffer, 0x0123456789ABCDEFLL);  // value
-  wire::append_u32(buffer, static_cast<std::uint32_t>(-1));  // client
-  buffer.push_back(static_cast<char>(1));          // type: write
-  ASSERT_EQ(buffer.size(), kBinaryTraceRecordBytes);
-  auto* record = reinterpret_cast<unsigned char*>(buffer.data());
+std::vector<Operation> decode_key(const MappedSegment& segment,
+                                  std::string_view key,
+                                  simd::Level level = simd::active_level()) {
+  OperationColumns columns;
+  BlockCursor(segment, key).decode_columns(columns, level);
+  return rows_of(columns);
+}
 
-  const OpView view(record);
-  EXPECT_EQ(view.key_id(), 7u);
-  EXPECT_EQ(view.start(), -1234567890123LL);
-  EXPECT_EQ(view.finish(), -1);
-  EXPECT_EQ(view.value(), 0x0123456789ABCDEFLL);
-  EXPECT_EQ(view.client(), static_cast<ClientId>(-1));
-  EXPECT_EQ(view.type(), OpType::write);
-  EXPECT_TRUE(view.is_write());
-  EXPECT_FALSE(view.is_read());
-  EXPECT_EQ(view.raw(), record);
+TEST(BlockCursor, DecodesEveryFieldFromTheWireLayout) {
+  // Records at every interesting value -- negative times, a value with
+  // all byte patterns, an all-ones client id, both types -- written by
+  // a SegmentWriter and read back by the column decoder (load_key) and
+  // the row-at-a-time reference (read_key).
+  TempDir dir("fields");
+  KeyedTrace trace;
+  trace.add("k", Operation{-1234567890123LL, -1LL, OpType::write,
+                           0x0123456789ABCDEFLL, static_cast<ClientId>(-1)});
+  trace.add("k", Operation{0, 1, OpType::read, 0x0123456789ABCDEFLL, 0});
+  trace.add("k", Operation{-7, 9, OpType::read, -0x0123456789ABCDEFLL,
+                           static_cast<ClientId>(0x80000000u)});
+  const std::string path = write_v2_file(dir, "s.kavb", trace, 2);
+  const std::vector<Operation> want = ops_of(trace, "k");
 
-  record[32] = 0;
-  EXPECT_EQ(view.type(), OpType::read);
-  EXPECT_TRUE(view.is_read());
-
-  const Operation op = view.materialize();
-  EXPECT_EQ(op.start, view.start());
-  EXPECT_EQ(op.finish, view.finish());
-  EXPECT_EQ(op.value, view.value());
-  EXPECT_EQ(op.client, view.client());
-  EXPECT_EQ(op.type, OpType::read);
+  const MappedSegment segment(path);
+  EXPECT_EQ(segment.read_key("k"), want);
+  const History loaded = IndexedTraceSource(path).load_key("k");
+  ASSERT_EQ(loaded.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const Operation& op = loaded.op(static_cast<OpId>(i));
+    EXPECT_EQ(op.start, want[i].start) << i;
+    EXPECT_EQ(op.finish, want[i].finish) << i;
+    EXPECT_EQ(op.type, want[i].type) << i;
+    EXPECT_EQ(op.value, want[i].value) << i;
+    EXPECT_EQ(op.client, want[i].client) << i;
+  }
+  for (const simd::Level level : kLevels) {
+    EXPECT_EQ(decode_key(segment, "k", level), want);
+  }
 }
 
 TEST(BlockCursor, StreamsEveryKeyInAddOrderAcrossBlockShapes) {
@@ -139,7 +150,7 @@ TEST(BlockCursor, StreamsEveryKeyInAddOrderAcrossBlockShapes) {
     const MappedSegment segment(path);
     for (const std::string key : {"alpha", "beta", "gamma"}) {
       const std::vector<Operation> want = ops_of(trace, key);
-      EXPECT_EQ(drain_with_views(segment, key), want)
+      EXPECT_EQ(decode_key(segment, key), want)
           << key << " @block " << records_per_block;
       EXPECT_EQ(segment.read_key(key), want)
           << key << " @block " << records_per_block;
@@ -153,8 +164,6 @@ TEST(BlockCursor, AbsentKeyIsExhaustedImmediately) {
       write_v2_file(dir, "s.kavb", sample_trace()));
   BlockCursor cursor(segment, "no-such-key");
   EXPECT_EQ(cursor.remaining(), 0u);
-  OpView view;
-  EXPECT_FALSE(cursor.next(view));
   OperationColumns columns;
   cursor.decode_columns(columns);
   EXPECT_EQ(columns.size(), 0u);
@@ -165,15 +174,13 @@ TEST(BlockCursor, RemainingCountsDownFromTheIndex) {
   const MappedSegment segment(
       write_v2_file(dir, "s.kavb", sample_trace(), 2));
   BlockCursor cursor(segment, "alpha");
-  EXPECT_EQ(cursor.remaining(), 3u);
-  OpView view;
-  ASSERT_TRUE(cursor.next(view));
-  EXPECT_EQ(cursor.remaining(), 2u);
+  EXPECT_EQ(cursor.remaining(), 3u);  // two blocks, nothing decoded yet
   OperationColumns columns;
-  cursor.decode_columns(columns);  // decodes the remaining two
-  EXPECT_EQ(columns.size(), 2u);
+  cursor.decode_columns(columns);
+  EXPECT_EQ(columns.size(), 3u);
   EXPECT_EQ(cursor.remaining(), 0u);
-  EXPECT_FALSE(cursor.next(view));
+  cursor.decode_columns(columns);  // an exhausted cursor appends nothing
+  EXPECT_EQ(columns.size(), 3u);
 }
 
 TEST(BlockCursor, UnindexedSegmentThrowsLogicError) {
@@ -246,8 +253,9 @@ DecodeOutcome outcome_of(Fn&& decode) {
 TEST(BlockCursor, EverySingleByteCorruptionMatchesReadKeyExactly) {
   // Flip every byte of a small segment (two keys, two records per
   // block so corruption can hit chunk headers, key tables, records,
-  // and the footer) and require the three decode paths to agree
-  // byte-for-byte on the result -- operations or error message. This
+  // and the footer) and require read_key and the column decoder at
+  // every dispatch level to agree byte-for-byte on the result --
+  // operations or error message. This
   // is the enforcement of the header's equivalence contract under
   // arbitrary single-byte damage, not just the corruptions we thought
   // of.
@@ -287,24 +295,13 @@ TEST(BlockCursor, EverySingleByteCorruptionMatchesReadKeyExactly) {
     for (const std::string key : {"a", "b"}) {
       const DecodeOutcome reference =
           outcome_of([&] { return segment->read_key(key); });
-      const DecodeOutcome streamed =
-          outcome_of([&] { return drain_with_views(*segment, key); });
-      EXPECT_EQ(streamed, reference) << "next() at byte " << at << " key "
-                                     << key;
-      const DecodeOutcome columns = outcome_of([&] {
-        OperationColumns decoded;
-        BlockCursor(*segment, key).decode_columns(decoded);
-        std::vector<Operation> ops;
-        for (std::size_t i = 0; i < decoded.size(); ++i) {
-          ops.push_back(Operation{
-              decoded.starts[i], decoded.finishes[i],
-              decoded.types[i] != 0 ? OpType::write : OpType::read,
-              decoded.values[i], decoded.clients[i]});
-        }
-        return ops;
-      });
-      EXPECT_EQ(columns, reference) << "decode_columns at byte " << at
-                                    << " key " << key;
+      for (const simd::Level level : kLevels) {
+        const DecodeOutcome columns =
+            outcome_of([&] { return decode_key(*segment, key, level); });
+        EXPECT_EQ(columns, reference)
+            << "decode_columns at byte " << at << " key " << key
+            << " level " << static_cast<int>(level);
+      }
       if (!reference.error.empty()) ++divergences;
     }
   }

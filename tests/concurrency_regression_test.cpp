@@ -147,7 +147,9 @@ TEST(ConcurrencyRegression, MonitorStatsRaceKeyRegistration) {
 // Writers (append + synchronous maintenance with folds and retention)
 // against concurrent readers of every flavor: the writer-side scans of
 // segments_/numbers_ now hold the shared lock, so TSan must stay
-// silent while readers copy the same vectors.
+// silent while readers copy the same vectors. Key readers go through
+// open_source(), as every read of a store's keys does, and count their
+// bloom probes into the registry the writers also update.
 TEST(ConcurrencyRegression, StoreWritersRaceReaders) {
   TempDir dir("store_rw");
   obs::MetricsRegistry registry;
@@ -163,13 +165,16 @@ TEST(ConcurrencyRegression, StoreWritersRaceReaders) {
             (void)store.segments();
             (void)store.total_records();
             break;
-          case 1:
-            (void)store.stat("key1");
-            (void)store.contains("key2");
+          case 1: {
+            const auto source = store.open_source();
+            (void)source->stat("key1");
+            (void)source->contains("key2");
+            (void)source->load_key("key3");
             break;
+          }
           default:
             (void)store.segment_count();
-            (void)store.keys();
+            (void)store.open_source()->selectable_keys();
             break;
         }
       }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -671,7 +672,8 @@ TEST(EngineObs, CatalogSpansEveryLayerWithAtLeast25Metrics) {
 
   // Exercise every instrumented layer once: batch verify (pipeline +
   // verify counters), monitor (ingest), and a store round trip
-  // (append, bloom-backed reads, maintenance, fsck).
+  // (append, a selective query's bloom-backed lookups, maintenance,
+  // fsck).
   const KeyedTrace trace = multi_key_trace(3, 12, 19);
   engine.verify(trace);
   engine.monitor(trace);
@@ -681,8 +683,9 @@ TEST(EngineObs, CatalogSpansEveryLayerWithAtLeast25Metrics) {
   {
     auto store = engine.open_store(dir.string());
     store->append(trace);
-    store->contains("key0");
-    store->contains("no-such-key");
+    RunOptions selective;
+    selective.key_filter = {"key0", "no-such-key"};
+    engine.verify(*store->open_source(), selective);
     store->run_maintenance();
     store->fsck();
   }
@@ -708,6 +711,65 @@ TEST(EngineObs, CatalogSpansEveryLayerWithAtLeast25Metrics) {
                             }))
         << "no metric with prefix " << prefix;
   }
+}
+
+// The kav_store_bloom_* counters count the lookups of real query
+// traffic: a selective Engine::verify over a store's source probes
+// every segment's bloom filter once per lookup -- one stat per
+// requested key, then one load per key the store holds.
+TEST(EngineObs, StoreQueriesCountBloomProbes) {
+  obs::MetricsRegistry registry;
+  EngineOptions options;
+  options.threads = 2;
+  options.metrics = &registry;
+  Engine engine(options);
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   "kav_engine_obs_bloom";
+  std::filesystem::remove_all(dir);
+  {
+    auto store = engine.open_store(dir.string());
+    constexpr std::uint64_t kSegments = 3;  // too few for a fold
+    for (std::uint64_t s = 0; s < kSegments; ++s) {
+      const TimePoint t = static_cast<TimePoint>(100 * s);
+      KeyedTrace part;
+      part.add("shared", make_write(t, t + 10, static_cast<Value>(s + 1)));
+      part.add("shared", make_read(t + 20, t + 30, static_cast<Value>(s + 1)));
+      part.add("only" + std::to_string(s), make_write(t, t + 5, 1));
+      store->append(part);
+    }
+    store->disable_background_compaction();  // waits for a pass in flight
+    ASSERT_EQ(store->segment_count(), kSegments);
+
+    const auto totals = [&engine] {
+      const obs::RegistrySnapshot snap = engine.snapshot();
+      return std::array<std::uint64_t, 3>{
+          series_total(snap, "kav_store_bloom_checks_total"),
+          series_total(snap, "kav_store_bloom_skips_total"),
+          series_total(snap, "kav_store_bloom_false_positives_total")};
+    };
+    const auto before = totals();
+    RunOptions run;
+    run.key_filter = {"shared", "absent"};
+    const Report report = engine.verify(*store->open_source(), run);
+    EXPECT_EQ(report.keys_selected, 1u);
+    EXPECT_EQ(report.missing_keys, std::vector<std::string>{"absent"});
+    EXPECT_EQ(report.keys_available, kSegments + 1);
+    EXPECT_TRUE(report.all_yes());
+    const auto after = totals();
+
+    // Three lookups: stat("shared"), stat("absent"), load("shared").
+    EXPECT_EQ(after[0] - before[0], 3 * kSegments);
+    // Every segment holds "shared", so every skip and false positive
+    // is "absent" being ruled out, once per segment.
+    EXPECT_GE(after[1] - before[1], 1u);
+    EXPECT_EQ((after[1] - before[1]) + (after[2] - before[2]), kSegments);
+
+    // A source opened from a bare segment file counts nothing.
+    auto file = open_trace_source(store->segments().front().path.string());
+    (void)engine.verify(*file, run);
+    EXPECT_EQ(totals(), after);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(BorrowedPool, MonitorQuiescesWithoutShuttingTheSharedPoolDown) {

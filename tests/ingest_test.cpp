@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <future>
 #include <sstream>
 #include <stdexcept>
@@ -30,6 +31,7 @@
 #include "chunk_feed.h"
 #include "scratch_file.h"
 #include "store/mapped_segment.h"
+#include "store/trace_store.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -134,9 +136,9 @@ TEST(BinaryTrace, StreamingReaderYieldsStableViews) {
   const MappedSegment segment(file.path());
   MappedSegment::Cursor cursor = segment.cursor();
   std::vector<std::string_view> keys;
-  std::string_view key;
+  KeyId key_id = 0;
   Operation op;
-  while (cursor.next(key, op)) keys.push_back(key);
+  while (cursor.next(key_id, op)) keys.push_back(cursor.key(key_id));
   ASSERT_EQ(keys.size(), trace.size());
   // Views handed out before later chunks were walked must still be
   // valid.
@@ -717,6 +719,45 @@ TEST(SourceIds, EverySourceYieldsTheSameNamedIdSequence) {
         << "sealed v2.1";
     EXPECT_EQ(pull_pushed(trace, chunk_ops), want) << "push";
   }
+}
+
+// A store's source streams segment after segment through one id space:
+// a key that a later segment holds again keeps the id its first segment
+// gave it, and each segment's table ids are named once.
+TEST(SourceIds, TwoSegmentStoreSourceKeepsEachKeysFirstId) {
+  // Each part key-grouped, so each segment's block order is its
+  // arrival order and the store streams `both` exactly.
+  KeyedTrace first, second, both;
+  for (const char* key : {"m", "b"}) {
+    for (TimePoint t = 0; t < 30; t += 10) {
+      first.add(key, make_write(t, t + 4, t + 1));
+    }
+  }
+  for (const char* key : {"b", "z"}) {
+    for (TimePoint t = 100; t < 130; t += 10) {
+      second.add(key, make_write(t, t + 4, t + 1));
+    }
+  }
+  both.ops = first.ops;
+  both.ops.insert(both.ops.end(), second.ops.begin(), second.ops.end());
+  const std::vector<NamedOp> want = expected_named(both);
+  ASSERT_EQ(want[first.size()].name, "b");
+  ASSERT_EQ(want[first.size()].id, 1u);  // "b"'s id from the first segment
+
+  const std::filesystem::path dir =
+      std::filesystem::path(ScratchFile("store").path());
+  std::filesystem::remove_all(dir);
+  {
+    TraceStore store(dir);
+    store.append(first);
+    store.append(second);
+    ASSERT_EQ(store.segment_count(), 2u);
+    for (std::size_t chunk_ops : {std::size_t{1}, std::size_t{4}, both.size()}) {
+      SCOPED_TRACE("chunk_ops " + std::to_string(chunk_ops));
+      EXPECT_EQ(pull_all(*store.open_source(), chunk_ops), want);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // Interleaved keys: the arrival-order sources agree exactly, and a v2

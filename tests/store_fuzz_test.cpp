@@ -18,8 +18,9 @@
 //      appends (shared and fresh keys), compactions, retention drops
 //      and reopens, a selective run's keys_available / keys_selected /
 //      missing_keys and per-key verdicts equal the answer derived from
-//      the store's full key listing (TraceStore::keys()) and a full
-//      run, after every step; likewise for a standalone sealed file;
+//      the store's full key listing (every key its records name, read
+//      by pull()) and a full run, after every step; likewise for a
+//      standalone sealed file;
 //
 //   4. zero-copy differential -- the BlockCursor/SIMD column-decode
 //      path (IndexedTraceSource::load_key) must be bit-identical to
@@ -44,6 +45,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -411,7 +413,11 @@ TEST(StoreFuzz, SelectionAccountingMatchesFullListing) {
     SCOPED_TRACE("after " + what);
     ++steps_run[what];
 
-    const std::vector<std::string> listing = store->keys();
+    std::set<std::string> named;
+    for (const KeyedOperation& kop : drain(*store->open_source()).ops) {
+      named.insert(kop.key);
+    }
+    const std::vector<std::string> listing(named.begin(), named.end());
     auto source = store->open_source();
     ASSERT_EQ(source->key_count(), listing.size());
     ASSERT_EQ(source->selectable_keys(), listing);
@@ -450,7 +456,7 @@ TEST(StoreFuzz, SelectionAccountingMatchesFullListing) {
   const std::string path = dir.file("sealed.kavb");
   write_binary_trace_file(path, trace, kBinaryTraceVersion2);
   auto file = open_trace_source(path);
-  auto* selective = dynamic_cast<SelectiveTraceSource*>(file.get());
+  auto* selective = dynamic_cast<IndexedTraceSource*>(file.get());
   ASSERT_NE(selective, nullptr);
   std::vector<std::string> listing;
   for (const auto& [key, history] : split_by_key(trace).per_key) {
@@ -607,7 +613,7 @@ TEST(StoreFuzz, IndexedSingleKeyBeatsFullDecodeTenfold) {
   // index, so Engine decodes every record and filters while draining.
   const auto full_begin = clock::now();
   auto flat = open_trace_source(v1_path);
-  ASSERT_EQ(dynamic_cast<SelectiveTraceSource*>(flat.get()), nullptr);
+  ASSERT_EQ(dynamic_cast<IndexedTraceSource*>(flat.get()), nullptr);
   const Report full = engine.verify(*flat, run);
   const double full_seconds =
       std::chrono::duration<double>(clock::now() - full_begin).count();
@@ -620,7 +626,7 @@ TEST(StoreFuzz, IndexedSingleKeyBeatsFullDecodeTenfold) {
   for (int attempt = 0; attempt < 3; ++attempt) {
     const auto begin = clock::now();
     auto indexed = open_trace_source(v2_path);
-    ASSERT_NE(dynamic_cast<SelectiveTraceSource*>(indexed.get()), nullptr);
+    ASSERT_NE(dynamic_cast<IndexedTraceSource*>(indexed.get()), nullptr);
     selective = engine.verify(*indexed, run);
     indexed_seconds = std::min(
         indexed_seconds,

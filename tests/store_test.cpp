@@ -98,9 +98,11 @@ void expect_same_keyed_content(const KeyedTrace& a, const KeyedTrace& b) {
 KeyedTrace walk(const MappedSegment& segment) {
   KeyedTrace trace;
   MappedSegment::Cursor cursor = segment.cursor();
-  std::string_view key;
+  KeyId key_id = 0;
   Operation op;
-  while (cursor.next(key, op)) trace.add(std::string(key), op);
+  while (cursor.next(key_id, op)) {
+    trace.add(std::string(cursor.key(key_id)), op);
+  }
   return trace;
 }
 
@@ -405,7 +407,7 @@ TEST(StoreErrors, ChoppedFooterDegradesToSequential) {
   // open_trace_source falls back to the sequential binary source,
   // which stops cleanly at the footer sentinel.
   auto source = open_trace_source(path);
-  EXPECT_EQ(dynamic_cast<SelectiveTraceSource*>(source.get()), nullptr);
+  EXPECT_EQ(dynamic_cast<IndexedTraceSource*>(source.get()), nullptr);
   expect_same_keyed_content(trace, drain(*source));
 }
 
@@ -711,26 +713,35 @@ TEST(TraceStore, AppendListStatRead) {
   EXPECT_EQ(store.segment_count(), 2u);
   EXPECT_EQ(store.total_records(), first.size() + second.size());
 
-  const std::vector<std::string> keys = store.keys();
-  EXPECT_EQ(keys, (std::vector<std::string>{"k0", "k1", "k2"}));
-  EXPECT_TRUE(store.contains("k0"));
-  EXPECT_FALSE(store.contains("zz"));
+  // Every read goes through the store's source.
+  const auto source = store.open_source();
+  EXPECT_EQ(source->selectable_keys(),
+            (std::vector<std::string>{"k0", "k1", "k2"}));
+  EXPECT_EQ(source->key_count(), 3u);
+  EXPECT_TRUE(source->contains("k0"));
+  EXPECT_FALSE(source->contains("zz"));
 
-  const std::optional<KeyStat> stat = store.stat("k0");
+  const std::optional<KeyStat> stat = source->stat("k0");
   ASSERT_TRUE(stat.has_value());
   EXPECT_EQ(stat->records, 4u);  // 2 per chunk
   EXPECT_EQ(stat->min_start, 0);
-  EXPECT_FALSE(store.stat("zz").has_value());
+  EXPECT_FALSE(source->stat("zz").has_value());
+  EXPECT_EQ(source->key_op_count("k0"), 4u);
+  EXPECT_EQ(source->key_op_count("zz"), 0u);
 
-  // read_key returns both segments' ops in append order.
+  // A key load returns both segments' ops in append order, through the
+  // column decoder and through the read_key reference alike.
   std::vector<Operation> expected = ops_of(first, "k0");
   const std::vector<Operation> tail = ops_of(second, "k0");
   expected.insert(expected.end(), tail.begin(), tail.end());
-  const History history = store.read_key("k0");
-  ASSERT_EQ(history.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(history.op(static_cast<OpId>(i)), expected[i]);
+  for (const History& history :
+       {source->load_key("k0"), source->load_key_materializing("k0")}) {
+    ASSERT_EQ(history.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(history.op(static_cast<OpId>(i)), expected[i]);
+    }
   }
+  EXPECT_TRUE(source->load_key("zz").empty());
 }
 
 TEST(TraceStore, ReopenFindsSegments) {
@@ -742,7 +753,8 @@ TEST(TraceStore, ReopenFindsSegments) {
   }
   TraceStore reopened(dir.path());
   EXPECT_EQ(reopened.segment_count(), 2u);
-  EXPECT_EQ(reopened.keys().size(), 6u);
+  EXPECT_EQ(reopened.open_source()->key_count(), 6u);
+  EXPECT_EQ(reopened.open_source()->selectable_keys().size(), 6u);
   // New appends continue the numbering past what was on disk.
   const std::filesystem::path next = reopened.append(trace_chunk(99, "c"));
   EXPECT_EQ(next.filename().string(), "seg-000003.kavb");
@@ -761,8 +773,9 @@ TEST(TraceStore, ImportFileStreamsAnyFormat) {
   store.import_file(v1_path);
   EXPECT_EQ(store.segment_count(), 2u);
   EXPECT_EQ(store.total_records(), 2 * trace.size());
-  ASSERT_TRUE(store.stat("alpha").has_value());
-  EXPECT_EQ(store.stat("alpha")->records, 6u);
+  const std::optional<KeyStat> alpha = store.open_source()->stat("alpha");
+  ASSERT_TRUE(alpha.has_value());
+  EXPECT_EQ(alpha->records, 6u);
 }
 
 TEST(TraceStore, CompactFoldsSegmentsPreservingContent) {
@@ -773,7 +786,7 @@ TEST(TraceStore, CompactFoldsSegmentsPreservingContent) {
   store.append(trace_chunk(200, "k"), 2);
 
   const KeyedTrace before = drain(*store.open_source());
-  const std::optional<KeyStat> k0_before = store.stat("k0");
+  const std::optional<KeyStat> k0_before = store.open_source()->stat("k0");
   ASSERT_TRUE(k0_before.has_value());
 
   EXPECT_EQ(store.compact(), 1u);
@@ -786,7 +799,7 @@ TEST(TraceStore, CompactFoldsSegmentsPreservingContent) {
 
   const KeyedTrace after = drain(*store.open_source());
   expect_same_keyed_content(before, after);
-  const std::optional<KeyStat> k0_after = store.stat("k0");
+  const std::optional<KeyStat> k0_after = store.open_source()->stat("k0");
   ASSERT_TRUE(k0_after.has_value());
   EXPECT_EQ(k0_after->records, k0_before->records);
   // Re-blocking at the default size folds each key into one block.
@@ -816,7 +829,7 @@ TEST(TraceStore, CompactFirstNKeepsReplayOrder) {
   const KeyedTrace before = drain(*store.open_source());
   EXPECT_EQ(store.compact(2), 2u);
   expect_same_keyed_content(before, drain(*store.open_source()));
-  const History history = store.read_key("k0");
+  const History history = store.open_source()->load_key("k0");
   EXPECT_EQ(history.size(), 6u);
 }
 
@@ -995,13 +1008,13 @@ TEST(TraceStoreMaintenance, RetentionDropsOldestSegments) {
   opt.retain_bytes = 1;  // far below one segment: drop all but the last
   EXPECT_EQ(store.run_maintenance(opt), 2u);
   EXPECT_EQ(store.segment_count(), 1u);
-  EXPECT_FALSE(store.contains("old0"));
-  EXPECT_TRUE(store.contains("new0"));
+  EXPECT_FALSE(store.open_source()->contains("old0"));
+  EXPECT_TRUE(store.open_source()->contains("new0"));
 
   // Reopen honors the post-retention manifest.
   TraceStore reopened(dir.path());
   EXPECT_EQ(reopened.segment_count(), 1u);
-  EXPECT_TRUE(reopened.contains("new0"));
+  EXPECT_TRUE(reopened.open_source()->contains("new0"));
 }
 
 TEST(TraceStoreMaintenance, BackgroundCompactionFoldsOnThePool) {
@@ -1056,7 +1069,7 @@ TEST(IndexedSource, OpenTraceSourceReturnsSelectiveForV2) {
   const std::string path = write_v2_file(dir, "seg.kavb", trace);
 
   auto source = open_trace_source(path);
-  auto* selective = dynamic_cast<SelectiveTraceSource*>(source.get());
+  auto* selective = dynamic_cast<IndexedTraceSource*>(source.get());
   ASSERT_NE(selective, nullptr);
   EXPECT_EQ(selective->key_count(), 3u);
   EXPECT_EQ(selective->key_op_count("alpha"), 3u);
@@ -1073,7 +1086,7 @@ TEST(IndexedSource, V1FilesStayNonSelective) {
   const std::string path = dir.file("v1.kavb");
   write_binary_trace_file(path, trace);
   auto source = open_trace_source(path);
-  EXPECT_EQ(dynamic_cast<SelectiveTraceSource*>(source.get()), nullptr);
+  EXPECT_EQ(dynamic_cast<IndexedTraceSource*>(source.get()), nullptr);
 }
 
 TEST(EngineKeyFilter, SelectiveMatchesFullOnIndexedSource) {
