@@ -27,9 +27,9 @@ void oracle_concurrency_explosion(benchmark::State& state) {
   const History h = concurrent_clump(static_cast<int>(state.range(0)), 4);
   std::uint64_t nodes = 0;
   for (auto _ : state) {
-    const OracleResult r = oracle_is_k_atomic(h, 3);
+    const Verdict r = oracle_is_k_atomic(h, 3);
     benchmark::DoNotOptimize(r);
-    nodes = r.nodes;
+    nodes = r.stats.nodes;
   }
   state.counters["writes"] = static_cast<double>(state.range(0));
   state.counters["search_nodes"] = static_cast<double>(nodes);
@@ -42,7 +42,7 @@ void oracle_memo_on(benchmark::State& state) {
   OracleOptions options;
   options.memoize = true;
   for (auto _ : state) {
-    const OracleResult r = oracle_is_k_atomic(h, 2, options);
+    const Verdict r = oracle_is_k_atomic(h, 2, options);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -54,7 +54,7 @@ void oracle_memo_off(benchmark::State& state) {
   options.memoize = false;
   options.node_limit = 500'000'000;
   for (auto _ : state) {
-    const OracleResult r = oracle_is_k_atomic(h, 2, options);
+    const Verdict r = oracle_is_k_atomic(h, 2, options);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -65,7 +65,7 @@ void oracle_k_effect(benchmark::State& state) {
   const History h = concurrent_clump(10, 6);
   const int k = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    const OracleResult r = oracle_is_k_atomic(h, k);
+    const Verdict r = oracle_is_k_atomic(h, k);
     benchmark::DoNotOptimize(r);
   }
   state.counters["k"] = static_cast<double>(k);
@@ -77,7 +77,7 @@ BENCHMARK(oracle_k_effect)->DenseRange(1, 5, 1)->Unit(benchmark::kMicrosecond);
 void oracle_vs_poly_contrast(benchmark::State& state) {
   const History h = concurrent_clump(static_cast<int>(state.range(0)), 6);
   for (auto _ : state) {
-    const OracleResult r = oracle_is_k_atomic(h, 2);
+    const Verdict r = oracle_is_k_atomic(h, 2);
     benchmark::DoNotOptimize(r);
   }
   state.counters["writes"] = static_cast<double>(state.range(0));

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Perf trajectory data points: runs the ingest, pipeline, engine,
-# store, obs, streaming, and LBT-vs-FZF benchmarks and writes
-# BENCH_ingest.json / BENCH_pipeline.json / BENCH_engine.json /
-# BENCH_store.json / BENCH_obs.json / BENCH_streaming.json /
-# BENCH_lbt_vs_fzf.json (Google Benchmark JSON: ops/s, peak_window,
-# keys/s, scrape counters, ns per op) at the repo root so successive
-# PRs can compare numbers.
+# store, obs, streaming, LBT-vs-FZF and (full mode only) oracle
+# benchmarks and writes BENCH_ingest.json / BENCH_pipeline.json /
+# BENCH_engine.json / BENCH_store.json / BENCH_obs.json /
+# BENCH_streaming.json / BENCH_lbt_vs_fzf.json / BENCH_oracle.json
+# (Google Benchmark JSON: ops/s, peak_window, keys/s, scrape counters,
+# ns per op, search nodes) at the repo root so successive changes can
+# compare numbers (bench/compare.py REV diffs them against a commit).
 #
 # Usage: bench/run_bench.sh [--smoke] [build-dir]   (default: build)
 #   --smoke: quick mode for CI -- a 200k-op workload and minimal
@@ -13,7 +14,8 @@
 #            crashes/regressions in the bench binaries themselves.
 #            Writes the JSON files to <build-dir>/bench-smoke/ instead
 #            of the repo root (the checked-in trajectory files stay
-#            untouched) and runs the guardrails on those.
+#            untouched) and runs the guardrails on those. Skips
+#            bench_oracle: BENCH_oracle.json is a ledger with no gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,7 +27,7 @@ fi
 BUILD_DIR="${1:-build}"
 
 for bench in bench_ingest bench_pipeline bench_engine bench_store \
-             bench_obs bench_streaming bench_lbt_vs_fzf; do
+             bench_obs bench_streaming bench_lbt_vs_fzf bench_oracle; do
   if [[ ! -x "$BUILD_DIR/$bench" ]]; then
     echo "run_bench.sh: $BUILD_DIR/$bench not built" \
          "(Google Benchmark missing or KAV_BUILD_BENCH=OFF)" >&2
@@ -103,11 +105,20 @@ fi
 "$BUILD_DIR/bench_lbt_vs_fzf" "${ARGS[@]}" --benchmark_repetitions=9 \
   --benchmark_enable_random_interleaving=true \
   --benchmark_out="$OUT_DIR/BENCH_lbt_vs_fzf.json"
+# The exact k >= 3 decider's cost ledger (search nodes and time against
+# write concurrency, k and memoization): numbers for the frontier-state
+# oracle to beat, no guardrail.
+ORACLE_NOTE=""
+if [[ "$MODE" == full ]]; then
+  "$BUILD_DIR/bench_oracle" "${ARGS[@]}" \
+    --benchmark_out="$OUT_DIR/BENCH_oracle.json"
+  ORACLE_NOTE=", BENCH_oracle.json"
+fi
 
 echo
 echo "wrote BENCH_ingest.json, BENCH_pipeline.json, BENCH_engine.json," \
-     "BENCH_store.json, BENCH_obs.json, BENCH_streaming.json, and" \
-     "BENCH_lbt_vs_fzf.json to $OUT_DIR ($MODE mode)"
+     "BENCH_store.json, BENCH_obs.json, BENCH_streaming.json," \
+     "BENCH_lbt_vs_fzf.json${ORACLE_NOTE} to $OUT_DIR ($MODE mode)"
 
 # Guardrail (smoke mode): the zero-copy decode+verify path must not be
 # slower than the materializing reference it replaced. The median of

@@ -144,6 +144,17 @@ if [[ -x "$BUILD_DIR/bench_ingest" ]]; then
   bench/run_bench.sh --smoke "$BUILD_DIR"
 fi
 
+# Ledger self-check: bench/compare.py must parse every checked-in
+# BENCH_*.json and find each one at HEAD (it prints ratios, gates
+# nothing else).
+if command -v python3 >/dev/null 2>&1 &&
+   git rev-parse --verify -q HEAD >/dev/null 2>&1; then
+  python3 bench/compare.py HEAD >/dev/null
+else
+  echo "!! SKIPPED: python3 or a git checkout missing --" \
+       "bench/compare.py did NOT run" >&2
+fi
+
 # End-to-end benchmark smoke: every kavbench workload once, briefly.
 # kavbench.py exits 1 when any workload's verdicts disagree with serial
 # verify_k_atomicity, so the benchmark's correctness checks gate CI too.

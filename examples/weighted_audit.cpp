@@ -54,7 +54,7 @@ void part_one_weighted_trace() {
   std::printf("read of v1 lags two writes; one of them is important "
               "(weight 5)\n");
   for (Weight budget = 3; budget <= 7; ++budget) {
-    const OracleResult result = check_weighted_k_atomicity(weighted, budget);
+    const Verdict result = check_weighted_k_atomicity(weighted, budget);
     std::printf("  weight budget k=%lld -> %s\n",
                 static_cast<long long>(budget), to_string(result.outcome));
   }
@@ -76,7 +76,7 @@ void part_two_reduction() {
   std::printf("  reduced to k-WAV: %zu operations, k = B + 2 = %lld\n",
               reduction.instance.history.size(),
               static_cast<long long>(reduction.k));
-  const OracleResult kwav =
+  const Verdict kwav =
       check_weighted_k_atomicity(reduction.instance, reduction.k);
   std::printf("  weighted verifier: %s  (matches bin packing: %s)\n",
               to_string(kwav.outcome),

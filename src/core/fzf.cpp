@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <string>
 
-#include "history/anomaly.h"
 
 namespace kav {
 
@@ -163,16 +161,6 @@ class ViabilityCheck {
   std::vector<Node> nodes_;  // grows to the largest chunk, never shrinks
   std::int32_t tail_ = kNone;
 };
-
-std::optional<Verdict> precondition_failure(const History& history,
-                                            const FzfOptions& options) {
-  if (!options.check_preconditions) return std::nullopt;
-  const AnomalyReport report = find_anomalies(history);
-  if (report.verifiable()) return std::nullopt;
-  return Verdict::make_precondition_failed(
-      "history must be normalized and anomaly-free: " +
-      describe(report.anomalies.front(), history));
-}
 
 // Stages 2 and 3 over a non-empty history's partition.
 Verdict decide(const History& history, const ChunkPartition& partition) {
@@ -362,16 +350,13 @@ ChunkPartition partition_chunks(std::span<const Zone> zones) {
   return partition;
 }
 
-Verdict check_2atomicity_fzf(const History& history, const FzfOptions& options) {
-  if (auto failed = precondition_failure(history, options)) return *failed;
+Verdict check_2atomicity_fzf(const History& history) {
   if (history.empty()) return Verdict::make_yes({});
   return decide(history, partition_chunks(compute_zones(history)));
 }
 
 Verdict check_2atomicity_fzf(const History& history,
-                             const ChunkPartition& partition,
-                             const FzfOptions& options) {
-  if (auto failed = precondition_failure(history, options)) return *failed;
+                             const ChunkPartition& partition) {
   if (history.empty()) return Verdict::make_yes({});
   return decide(history, partition);
 }

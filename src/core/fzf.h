@@ -26,6 +26,10 @@
 // buckets; and Stage 3 merges two already-sorted runs (chunk extents,
 // dangling lows).
 //
+// Input contract: an anomaly-free, normalized history (Section II-C).
+// FZF does not check it; on other input its verdict is meaningless.
+// verify_k_atomicity is the checked entry point.
+//
 // Paper-section map and guarantees for every procedure: docs/ALGORITHMS.md.
 #ifndef KAV_CORE_FZF_H
 #define KAV_CORE_FZF_H
@@ -74,17 +78,11 @@ struct ChunkPartition {
 // of a normalized history (sorted by low endpoint).
 ChunkPartition partition_chunks(std::span<const Zone> zones);
 
-struct FzfOptions {
-  bool check_preconditions = true;  // see LbtOptions
-};
-
-Verdict check_2atomicity_fzf(const History& history,
-                             const FzfOptions& options = {});
+Verdict check_2atomicity_fzf(const History& history);
 // Same, deciding over a partition the caller already computed from
 // this history's zones (auto dispatch shares the one zone_profile used).
 Verdict check_2atomicity_fzf(const History& history,
-                             const ChunkPartition& partition,
-                             const FzfOptions& options = {});
+                             const ChunkPartition& partition);
 
 }  // namespace kav
 

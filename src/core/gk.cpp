@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "history/anomaly.h"
 #include "history/cluster.h"
 
 namespace kav {
@@ -29,16 +28,7 @@ std::vector<OpId> cluster_pair(const History& history, OpId write_a,
 
 }  // namespace
 
-Verdict check_1atomicity_gk(const History& history,
-                            bool check_preconditions) {
-  if (check_preconditions) {
-    const AnomalyReport report = find_anomalies(history);
-    if (!report.verifiable()) {
-      return Verdict::make_precondition_failed(
-          "history has anomalies; run find_anomalies/normalize first: " +
-          describe(report.anomalies.front(), history));
-    }
-  }
+Verdict check_1atomicity_gk(const History& history) {
   if (history.empty()) return Verdict::make_yes({});
 
   const std::vector<Zone> zones = compute_zones(history);  // sorted by low

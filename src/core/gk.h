@@ -8,9 +8,9 @@
 // write first and reads by start time within each cluster, which is a
 // valid 1-atomic total order whenever the two conditions hold.
 //
-// Preconditions: anomaly-free, normalized history (Section II-C); the
-// public entry point checks and reports violations as
-// precondition_failed rather than silently mis-deciding.
+// Input contract: an anomaly-free, normalized history (Section II-C).
+// GK does not check it; on other input its verdict is meaningless.
+// verify_k_atomicity is the checked entry point.
 //
 // Paper-section map and guarantees for every procedure: docs/ALGORITHMS.md.
 #ifndef KAV_CORE_GK_H
@@ -21,11 +21,7 @@
 
 namespace kav {
 
-// check_preconditions = false skips the find_anomalies pass when the
-// caller has already established an anomaly-free normalized history
-// (verify_k_atomicity does) -- same contract as LbtOptions/FzfOptions.
-Verdict check_1atomicity_gk(const History& history,
-                            bool check_preconditions = true);
+Verdict check_1atomicity_gk(const History& history);
 
 }  // namespace kav
 

@@ -4,7 +4,6 @@
 
 #include "core/detail/linked_history.h"
 #include "core/witness.h"
-#include "history/anomaly.h"
 
 namespace kav {
 
@@ -176,17 +175,8 @@ class GreedyRun {
 
 }  // namespace
 
-Verdict check_k_atomicity_greedy(const History& history, int k,
-                                 const GreedyOptions& options) {
+Verdict check_k_atomicity_greedy(const History& history, int k) {
   if (k < 1) return Verdict::make_precondition_failed("k must be >= 1");
-  if (options.check_preconditions) {
-    const AnomalyReport report = find_anomalies(history);
-    if (!report.verifiable()) {
-      return Verdict::make_precondition_failed(
-          "history must be normalized and anomaly-free: " +
-          describe(report.anomalies.front(), history));
-    }
-  }
   if (history.empty()) return Verdict::make_yes({});
 
   GreedyRun run(history, k);

@@ -14,6 +14,10 @@
 // orders, hence YES answers are definitive (the witness is validated)
 // while exhausting the search space yields UNDECIDED, never NO.
 //
+// Input contract: an anomaly-free, normalized history (Section II-C).
+// Greedy does not check it; verify_k_atomicity is the checked entry
+// point.
+//
 // Paper-section map and guarantees for every procedure: docs/ALGORITHMS.md.
 #ifndef KAV_CORE_GREEDY_H
 #define KAV_CORE_GREEDY_H
@@ -23,13 +27,9 @@
 
 namespace kav {
 
-struct GreedyOptions {
-  bool check_preconditions = true;
-};
-
-// Outcome is yes (witness attached) or undecided; never no.
-Verdict check_k_atomicity_greedy(const History& history, int k,
-                                 const GreedyOptions& options = {});
+// Outcome is yes (witness attached) or undecided; never no. k < 1 is
+// precondition_failed.
+Verdict check_k_atomicity_greedy(const History& history, int k);
 
 }  // namespace kav
 

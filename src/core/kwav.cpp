@@ -4,11 +4,15 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "core/verify.h"
+
 namespace kav {
 
-OracleResult check_weighted_k_atomicity(const WeightedHistory& wh, Weight k,
-                                        const OracleOptions& options) {
-  return oracle_is_weighted_k_atomic(wh.history, wh.weights, k, options);
+Verdict check_weighted_k_atomicity(const WeightedHistory& wh, Weight k,
+                                   const OracleOptions& options) {
+  const detail::Gate gate = detail::gate(wh.history, /*normalize=*/true);
+  if (gate.failure) return *gate.failure;
+  return oracle_is_k_atomic(gate.decidable(wh.history), k, options, wh.weights);
 }
 
 namespace {

@@ -35,10 +35,15 @@ struct WeightedHistory {
   std::vector<Weight> weights;  // per op id; consulted for writes only
 };
 
-// Decides weighted k-atomicity exactly (delegates to the weighted
-// oracle; exponential in the worst case -- see Theorem 5.1).
-OracleResult check_weighted_k_atomicity(const WeightedHistory& wh, Weight k,
-                                        const OracleOptions& options = {});
+// Decides weighted k-atomicity exactly with the weighted oracle
+// (exponential in the worst case -- see Theorem 5.1). The one front
+// door for weighted histories: detail::gate (core/verify.h) classifies
+// wh.history and normalizes repairable anomalies (ids, and so weights,
+// are preserved) before the oracle, which trusts its input, runs. A
+// hard anomaly, k < 1, more than 64 operations, or a weight vector that
+// is not one positive weight per op is precondition_failed.
+Verdict check_weighted_k_atomicity(const WeightedHistory& wh, Weight k,
+                                   const OracleOptions& options = {});
 
 // ---------------------------------------------------------------------
 // Bin packing (the substrate of Theorem 5.1's reduction).

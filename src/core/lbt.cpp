@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "core/detail/linked_history.h"
-#include "history/anomaly.h"
 
 namespace kav {
 
@@ -188,14 +187,6 @@ class LbtRun {
 }  // namespace
 
 Verdict check_2atomicity_lbt(const History& history, const LbtOptions& options) {
-  if (options.check_preconditions) {
-    const AnomalyReport report = find_anomalies(history);
-    if (!report.verifiable()) {
-      return Verdict::make_precondition_failed(
-          "history must be normalized and anomaly-free: " +
-          describe(report.anomalies.front(), history));
-    }
-  }
   if (history.empty()) return Verdict::make_yes({});
   return LbtRun(history, options).run();
 }

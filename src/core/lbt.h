@@ -20,6 +20,10 @@
 // worst case when c = Theta(n). The naive mode (candidates tried to
 // completion one by one) is kept for the ablation benchmark.
 //
+// Input contract: an anomaly-free, normalized history (Section II-C).
+// LBT does not check it; on other input its verdict is meaningless.
+// verify_k_atomicity is the checked entry point.
+//
 // Paper-section map and guarantees for every procedure: docs/ALGORITHMS.md.
 #ifndef KAV_CORE_LBT_H
 #define KAV_CORE_LBT_H
@@ -34,9 +38,6 @@ struct LbtOptions {
   // Initial per-candidate step budget for iterative deepening (doubled
   // each round). Small values exercise the revert machinery harder.
   std::uint64_t initial_budget = 16;
-  // Skip the O(n) anomaly scan when the caller guarantees a normalized,
-  // anomaly-free history (benchmarks measure the algorithm alone).
-  bool check_preconditions = true;
 };
 
 Verdict check_2atomicity_lbt(const History& history,

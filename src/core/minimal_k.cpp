@@ -5,22 +5,23 @@
 #include "core/fzf.h"
 #include "core/gk.h"
 #include "core/greedy.h"
-#include "history/anomaly.h"
+#include "core/verify.h"
 
 namespace kav {
 
-MinimalKResult minimal_k(const History& history,
+MinimalKResult minimal_k(const History& input,
                          const MinimalKOptions& options) {
   MinimalKResult result;
-  const AnomalyReport report = find_anomalies(history);
-  if (!report.verifiable()) {
+  // Repairable anomalies are normalized away, as verify_k_atomicity
+  // does by default; only a hard anomaly is left to fail.
+  const detail::Gate gate = detail::gate(input, /*normalize=*/true);
+  if (gate.failure) {
     result.k = 0;
-    result.exact = report.hard_anomalies().empty() ? false : true;
-    result.note = "history has anomalies (" +
-                  std::string(to_string(report.anomalies.front().kind)) +
-                  "); not k-atomic for any k if hard, else normalize first";
+    result.exact = true;
+    result.note = gate.failure->reason;
     return result;
   }
+  const History& history = gate.decidable(input);
   if (history.empty() || history.read_count() == 0) {
     // No read can be stale; the history is trivially 1-atomic.
     result.k = 1;
@@ -53,7 +54,7 @@ MinimalKResult minimal_k(const History& history,
     bool undecided = false;
     while (lo < hi) {
       const int mid = lo + (hi - lo) / 2;
-      const OracleResult r = oracle_is_k_atomic(history, mid, options.oracle);
+      const Verdict r = oracle_is_k_atomic(history, mid, options.oracle);
       if (!r.decided()) {
         undecided = true;
         break;

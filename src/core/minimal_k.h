@@ -9,6 +9,11 @@
 //           histories too large for the oracle, the greedy checker
 //           provides an upper bound (sound YES), reported as inexact.
 //
+// minimal_k is a checked entry point: detail::gate (core/verify.h)
+// classifies the history once and normalizes repairable anomalies, and
+// every decider it probes -- GK, FZF, each oracle binary-search step,
+// each greedy k -- takes the gated history without a check of its own.
+//
 // Every history that is anomaly-free is W-atomic where W is its number
 // of writes (any valid order bounds a read's separation by the total
 // write count), so the search space is [1, max(1, W)].
@@ -34,7 +39,8 @@ struct MinimalKOptions {
 };
 
 struct MinimalKResult {
-  int k = 0;         // 0 => not k-atomic for any k (hard anomalies)
+  int k = 0;         // 0 => not k-atomic for any k (hard anomalies;
+                     // note holds the gate's reason)
   bool exact = false;
   std::string note;  // how the bound was obtained
 };

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <unordered_set>
 
-#include "history/anomaly.h"
-
 namespace kav {
 
 namespace {
@@ -39,20 +37,18 @@ class OracleSearch {
                         history_.writes_by_start().end());
   }
 
-  OracleResult run() {
-    OracleResult result;
+  Verdict run() {
     const bool found = dfs(0);
-    result.nodes = nodes_;
+    VerifyStats stats;
+    stats.nodes = nodes_;
     if (limit_hit_) {
-      result.outcome = OracleOutcome::node_limit;
-      result.reason = "node limit reached (" +
-                      std::to_string(options_.node_limit) + ")";
-      return result;
+      return Verdict::make_undecided(
+          "node limit reached (" + std::to_string(options_.node_limit) + ")",
+          stats);
     }
-    result.outcome = found ? OracleOutcome::yes : OracleOutcome::no;
-    if (found) result.witness = order_;
-    if (!found) result.reason = "exhaustive search found no k-atomic order";
-    return result;
+    if (found) return Verdict::make_yes(order_, stats);
+    return Verdict::make_no("exhaustive search found no k-atomic order",
+                            stats);
   }
 
  private:
@@ -204,52 +200,29 @@ class OracleSearch {
   bool limit_hit_ = false;
 };
 
-OracleResult run_oracle(const History& history, std::span<const Weight> weights,
-                        Weight budget, const OracleOptions& options) {
-  OracleResult invalid;
-  invalid.outcome = OracleOutcome::invalid;
-  if (budget < 1) {
-    invalid.reason = "k must be >= 1";
-    return invalid;
-  }
+}  // namespace
+
+Verdict oracle_is_k_atomic(const History& history, Weight k,
+                           const OracleOptions& options,
+                           std::span<const Weight> weights) {
+  if (k < 1) return Verdict::make_precondition_failed("k must be >= 1");
   if (history.size() > 64) {
-    invalid.reason = "oracle supports at most 64 operations, got " +
-                     std::to_string(history.size());
-    return invalid;
+    return Verdict::make_precondition_failed(
+        "oracle supports at most 64 operations, got " +
+        std::to_string(history.size()));
   }
   if (!weights.empty()) {
     if (weights.size() != history.size()) {
-      invalid.reason = "weights size mismatch";
-      return invalid;
+      return Verdict::make_precondition_failed("weights size mismatch");
     }
     for (OpId w : history.writes_by_start()) {
       if (weights[w] <= 0) {
-        invalid.reason = "write weights must be positive";
-        return invalid;
+        return Verdict::make_precondition_failed(
+            "write weights must be positive");
       }
     }
   }
-  const AnomalyReport report = find_anomalies(history);
-  if (!report.verifiable()) {
-    invalid.reason = "history has anomalies: " +
-                     describe(report.anomalies.front(), history);
-    return invalid;
-  }
-  return OracleSearch(history, weights, budget, options).run();
-}
-
-}  // namespace
-
-OracleResult oracle_is_k_atomic(const History& history, int k,
-                                const OracleOptions& options) {
-  return run_oracle(history, {}, k, options);
-}
-
-OracleResult oracle_is_weighted_k_atomic(const History& history,
-                                         std::span<const Weight> weights,
-                                         Weight k,
-                                         const OracleOptions& options) {
-  return run_oracle(history, weights, k, options);
+  return OracleSearch(history, weights, k, options).run();
 }
 
 }  // namespace kav

@@ -22,62 +22,34 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
+#include "core/verdict.h"
 #include "history/history.h"
 #include "util/time_types.h"
 
 namespace kav {
-
-enum class OracleOutcome : unsigned char {
-  yes,
-  no,
-  node_limit,  // undecided: search budget exhausted
-  invalid,     // bad input (anomalies, > 64 ops, k < 1)
-};
-
-inline const char* to_string(OracleOutcome o) {
-  switch (o) {
-    case OracleOutcome::yes:
-      return "YES";
-    case OracleOutcome::no:
-      return "NO";
-    case OracleOutcome::node_limit:
-      return "NODE-LIMIT";
-    case OracleOutcome::invalid:
-      return "INVALID";
-  }
-  return "unknown";
-}
 
 struct OracleOptions {
   std::uint64_t node_limit = 20'000'000;
   bool memoize = true;  // disable to cross-check the memoization itself
 };
 
-struct OracleResult {
-  OracleOutcome outcome = OracleOutcome::invalid;
-  std::vector<OpId> witness;  // filled on YES
-  std::uint64_t nodes = 0;
-  std::string reason;
-
-  bool yes() const { return outcome == OracleOutcome::yes; }
-  bool no() const { return outcome == OracleOutcome::no; }
-  bool decided() const { return yes() || no(); }
-};
-
-OracleResult oracle_is_k_atomic(const History& history, int k,
-                                const OracleOptions& options = {});
-
-// Weighted variant: weights[op] is consulted for writes (reads ignored);
-// all weights must be positive. A read's staleness is the total weight
-// of writes from its dictating write (inclusive) up to the read, which
-// must be at most k (Section V).
-OracleResult oracle_is_weighted_k_atomic(const History& history,
-                                         std::span<const Weight> weights,
-                                         Weight k,
-                                         const OracleOptions& options = {});
+// Decides k-AV exactly: YES with a witness, NO, or UNDECIDED once the
+// search has expanded options.node_limit nodes. stats.nodes counts the
+// nodes expanded. With `weights` (one per op id, consulted for writes,
+// all positive) it decides k-WAV instead: a read's staleness is the
+// total weight of writes from its dictating write (inclusive) up to
+// the read, which must be at most k (Section V).
+//
+// Input contract: an anomaly-free, normalized history (Section II-C);
+// this function does not check it. verify_k_atomicity and
+// check_weighted_k_atomicity (core/kwav.h) are the checked entry
+// points. Arguments are checked: k < 1, more than 64 operations, and a
+// weight count that is not the history's size or a write weight that is
+// not positive each answer precondition_failed.
+Verdict oracle_is_k_atomic(const History& history, Weight k,
+                           const OracleOptions& options = {},
+                           std::span<const Weight> weights = {});
 
 }  // namespace kav
 

@@ -499,12 +499,10 @@ void StreamingChecker::decide_run(const Run& run) {
         chunk_ops.push_back(read_nodes_[r].op);
       }
     });
-    // normalize() has just established FZF's preconditions (it throws
-    // on a hard anomaly), so FZF's own precondition pass is skipped.
+    // normalize() establishes FZF's input contract (it throws on a
+    // hard anomaly).
     const History chunk_history = normalize(History(std::move(chunk_ops)));
-    FzfOptions options;
-    options.check_preconditions = false;
-    const Verdict verdict = check_2atomicity_fzf(chunk_history, options);
+    const Verdict verdict = check_2atomicity_fzf(chunk_history);
     if (!verdict.yes()) {
       violations_.push_back({StreamingViolation::Kind::not_2atomic,
                              watermark_,

@@ -1,11 +1,13 @@
-// Verdicts returned by every verification algorithm. A YES verdict is
-// accompanied by a *witness*: a valid k-atomic total order over all
-// operation ids, which core/witness.h can re-validate independently of
-// whichever decision procedure produced it. A NO verdict carries a
-// human-readable reason. `undecided` is returned by incomplete or
-// budget-limited procedures (the greedy general-k checker, the oracle
-// at its node limit); precondition_failed reports inputs the algorithms
-// are not defined on (hard anomalies, see Section II-C of the paper).
+// Verdict: the one result type every decider returns (GK, LBT, FZF,
+// greedy, the oracle and k-WAV). A YES verdict is accompanied by a
+// *witness*: a valid k-atomic total order over all operation ids, which
+// core/witness.h can re-validate independently of whichever decision
+// procedure produced it. A NO verdict carries a human-readable reason.
+// `undecided` is returned by incomplete or budget-limited procedures
+// (the greedy general-k checker, the oracle at its node limit);
+// precondition_failed reports an input the deciders are not defined
+// on: a Section II-C violation refused by detail::gate (core/verify.h),
+// or a bad argument (k, the oracle's size cap, k-WAV weights).
 //
 // Paper-section map and guarantees for every procedure: docs/ALGORITHMS.md.
 #ifndef KAV_CORE_VERDICT_H

@@ -50,36 +50,9 @@ Algorithm select_2av_algorithm(const ZoneProfile& profile) {
 
 namespace {
 
-Verdict from_oracle(const OracleResult& result) {
-  switch (result.outcome) {
-    case OracleOutcome::yes: {
-      VerifyStats stats;
-      stats.nodes = result.nodes;
-      Verdict v = Verdict::make_yes(result.witness, stats);
-      return v;
-    }
-    case OracleOutcome::no: {
-      VerifyStats stats;
-      stats.nodes = result.nodes;
-      return Verdict::make_no(result.reason, stats);
-    }
-    case OracleOutcome::node_limit:
-      return Verdict::make_undecided(result.reason);
-    case OracleOutcome::invalid:
-      return Verdict::make_precondition_failed(result.reason);
-  }
-  return Verdict::make_precondition_failed("unreachable");
-}
-
 Verdict dispatch(const History& history, int k, Algorithm algorithm) {
-  // verify_k_atomicity (the only caller) has already classified the
-  // history and either bailed or normalized, so the deciders'
-  // own precondition passes are pure duplicate work -- skip them. The
-  // verdicts cannot change: the checks would succeed by construction.
-  LbtOptions lbt_options;
-  lbt_options.check_preconditions = false;
-  FzfOptions fzf_options;
-  fzf_options.check_preconditions = false;
+  // verify_k_atomicity (the only caller) has passed the history through
+  // detail::gate, so it meets every decider's input contract.
   auto wrong_k = [&](const char* name, int expected) {
     return Verdict::make_precondition_failed(
         std::string(name) + " decides only k = " + std::to_string(expected) +
@@ -88,23 +61,23 @@ Verdict dispatch(const History& history, int k, Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::gk:
       if (k != 1) return wrong_k("gk", 1);
-      return check_1atomicity_gk(history, /*check_preconditions=*/false);
+      return check_1atomicity_gk(history);
     case Algorithm::lbt:
       if (k != 2) return wrong_k("lbt", 2);
-      return check_2atomicity_lbt(history, lbt_options);
+      return check_2atomicity_lbt(history);
     case Algorithm::lbt_naive: {
       if (k != 2) return wrong_k("lbt-naive", 2);
-      LbtOptions options = lbt_options;
-      options.iterative_deepening = false;
-      return check_2atomicity_lbt(history, options);
+      LbtOptions naive;
+      naive.iterative_deepening = false;
+      return check_2atomicity_lbt(history, naive);
     }
     case Algorithm::fzf:
       if (k != 2) return wrong_k("fzf", 2);
-      return check_2atomicity_fzf(history, fzf_options);
+      return check_2atomicity_fzf(history);
     case Algorithm::greedy:
       return check_k_atomicity_greedy(history, k);
     case Algorithm::oracle:
-      return from_oracle(oracle_is_k_atomic(history, k));
+      return oracle_is_k_atomic(history, k);
     case Algorithm::auto_select:
       break;
   }
@@ -114,18 +87,18 @@ Verdict dispatch(const History& history, int k, Algorithm algorithm) {
   // the exact oracle when feasible, else the sound greedy checker with
   // an honest UNDECIDED when it finds no witness (Section VII open
   // problem).
-  if (k == 1) return check_1atomicity_gk(history, /*check_preconditions=*/false);
+  if (k == 1) return check_1atomicity_gk(history);
   if (k == 2) {
     // One zone pass and one Stage-1 partition per key: the profile
     // reads its counts off the partition, and FZF decides over it.
     const ChunkPartition partition = partition_chunks(compute_zones(history));
     return select_2av_algorithm(zone_profile(history, partition)) ==
                    Algorithm::lbt
-               ? check_2atomicity_lbt(history, lbt_options)
-               : check_2atomicity_fzf(history, partition, fzf_options);
+               ? check_2atomicity_lbt(history)
+               : check_2atomicity_fzf(history, partition);
   }
   if (history.size() <= 64) {
-    const Verdict v = from_oracle(oracle_is_k_atomic(history, k));
+    Verdict v = oracle_is_k_atomic(history, k);
     if (v.outcome != Outcome::undecided) return v;
   }
   Verdict v = check_k_atomicity_greedy(history, k);
@@ -138,27 +111,35 @@ Verdict dispatch(const History& history, int k, Algorithm algorithm) {
 
 }  // namespace
 
+namespace detail {
+
+Gate gate(const History& history, bool normalize) {
+  Gate result;
+  const bool hard = has_hard_anomaly(history);
+  if (!hard && is_normalized(history)) return result;
+  if (!hard && normalize) {
+    result.repaired = normalize_repairable(history);
+    return result;
+  }
+  const AnomalyReport report = find_anomalies(history);
+  result.failure = Verdict::make_precondition_failed(
+      "history has " +
+      std::string(hard ? "hard anomalies"
+                       : "repairable anomalies (enable options.normalize)") +
+      ": " + describe(report.anomalies.front(), history));
+  return result;
+}
+
+}  // namespace detail
+
 Verdict verify_k_atomicity(const History& history,
                            const VerifyOptions& options) {
   if (options.k < 1) {
     return Verdict::make_precondition_failed("k must be >= 1");
   }
-  // Two O(n) scans classify the history; find_anomalies lists the
-  // anomalies only to name the first one in a failure.
-  const bool hard = detail::has_hard_anomaly(history);
-  if (!hard && is_normalized(history)) {
-    return dispatch(history, options.k, options.algorithm);
-  }
-  if (!hard && options.normalize) {
-    return dispatch(detail::normalize_repairable(history), options.k,
-                    options.algorithm);
-  }
-  const AnomalyReport report = find_anomalies(history);
-  return Verdict::make_precondition_failed(
-      "history has " +
-      std::string(hard ? "hard anomalies"
-                       : "repairable anomalies (enable options.normalize)") +
-      ": " + describe(report.anomalies.front(), history));
+  const detail::Gate gate = detail::gate(history, options.normalize);
+  if (gate.failure) return *gate.failure;
+  return dispatch(gate.decidable(history), options.k, options.algorithm);
 }
 
 Report verify_keyed_trace(const KeyedTrace& trace,

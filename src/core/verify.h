@@ -14,6 +14,8 @@
 #ifndef KAV_CORE_VERIFY_H
 #define KAV_CORE_VERIFY_H
 
+#include <optional>
+
 #include "core/report.h"
 #include "core/verdict.h"
 #include "history/history.h"
@@ -54,13 +56,37 @@ struct VerifyOptions {
   bool normalize = true;
 };
 
-// Single-register verification. Classifying the history against the
-// Section II-C preconditions costs two O(n) scans
-// (detail::has_hard_anomaly, is_normalized; history/anomaly.h); only a
-// precondition_failed verdict runs find_anomalies, to name the first
-// offending operation in its reason.
+// Single-register verification: detail::gate classifies the history
+// once, then one decider (chosen by options.algorithm and k) decides
+// what passed. k < 1, and k other than 1 for gk or other than 2 for
+// lbt, lbt_naive and fzf, are precondition_failed.
 Verdict verify_k_atomicity(const History& history,
                            const VerifyOptions& options = {});
+
+namespace detail {
+
+// The Section II-C gate in front of the deciders. Every checked entry
+// point runs it once -- verify_k_atomicity, minimal_k and
+// check_weighted_k_atomicity (core/kwav.h) -- and the deciders (GK,
+// LBT, FZF, greedy, oracle) trust what passes. Two O(n) scans classify
+// the history (has_hard_anomaly, is_normalized; history/anomaly.h). A
+// hard anomaly fails; a history with only repairable anomalies is
+// repaired by normalize_repairable when `normalize` is on and fails
+// otherwise. find_anomalies runs only to name the first anomaly in a
+// failure's reason.
+struct Gate {
+  std::optional<Verdict> failure;   // precondition_failed
+  std::optional<History> repaired;  // set when the input needed repair
+
+  // What a decider may take: the repaired copy, else the input itself.
+  const History& decidable(const History& input) const {
+    return repaired ? *repaired : input;
+  }
+};
+
+Gate gate(const History& history, bool normalize);
+
+}  // namespace detail
 
 // Serial multi-register reference: splits by key (split_by_key) and
 // verifies each projection in key order on the calling thread -- no

@@ -72,7 +72,7 @@ TEST(StalenessSpectrum, MaxSeparationMatchesMinimalKOnMinimalWitness) {
     const History h = gen::generate_random_mix(config, rng);
     const MinimalKResult min_k = minimal_k(h);
     ASSERT_TRUE(min_k.exact);
-    const OracleResult r = oracle_is_k_atomic(h, min_k.k);
+    const Verdict r = oracle_is_k_atomic(h, min_k.k);
     ASSERT_TRUE(r.yes());
     const StalenessSpectrum spectrum = staleness_spectrum(h, r.witness);
     EXPECT_LE(spectrum.max_separation, min_k.k - 1);

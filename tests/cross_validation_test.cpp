@@ -64,7 +64,7 @@ TEST_P(CrossValidation, GkMatchesOracleK1) {
   Rng rng(GetParam().seed);
   for (int t = 0; t < kTrials; ++t) {
     const History h = next_history(rng);
-    const OracleResult truth = oracle_is_k_atomic(h, 1);
+    const Verdict truth = oracle_is_k_atomic(h, 1);
     ASSERT_TRUE(truth.decided());
     const Verdict gk = check_1atomicity_gk(h);
     ASSERT_TRUE(gk.yes() || gk.no()) << gk.reason;
@@ -80,7 +80,7 @@ TEST_P(CrossValidation, LbtMatchesOracleK2) {
   Rng rng(GetParam().seed + 1);
   for (int t = 0; t < kTrials; ++t) {
     const History h = next_history(rng);
-    const OracleResult truth = oracle_is_k_atomic(h, 2);
+    const Verdict truth = oracle_is_k_atomic(h, 2);
     ASSERT_TRUE(truth.decided());
     const Verdict lbt = check_2atomicity_lbt(h);
     ASSERT_TRUE(lbt.yes() || lbt.no()) << lbt.reason;
@@ -96,7 +96,7 @@ TEST_P(CrossValidation, FzfMatchesOracleK2) {
   Rng rng(GetParam().seed + 2);
   for (int t = 0; t < kTrials; ++t) {
     const History h = next_history(rng);
-    const OracleResult truth = oracle_is_k_atomic(h, 2);
+    const Verdict truth = oracle_is_k_atomic(h, 2);
     ASSERT_TRUE(truth.decided());
     const Verdict fzf = check_2atomicity_fzf(h);
     ASSERT_TRUE(fzf.yes() || fzf.no()) << fzf.reason;
@@ -126,7 +126,7 @@ TEST_P(CrossValidation, GreedySoundnessForK3) {
     const History h = next_history(rng);
     const Verdict greedy = check_k_atomicity_greedy(h, 3);
     if (greedy.yes()) {
-      const OracleResult truth = oracle_is_k_atomic(h, 3);
+      const Verdict truth = oracle_is_k_atomic(h, 3);
       ASSERT_TRUE(truth.decided());
       EXPECT_TRUE(truth.yes()) << "greedy unsound at trial " << t;
       const WitnessCheck check = validate_witness(h, greedy.witness, 3);
@@ -141,7 +141,7 @@ TEST_P(CrossValidation, MonotoneInK) {
     const History h = next_history(rng);
     bool previous_yes = false;
     for (int k = 1; k <= 4; ++k) {
-      const OracleResult r = oracle_is_k_atomic(h, k);
+      const Verdict r = oracle_is_k_atomic(h, k);
       ASSERT_TRUE(r.decided());
       if (previous_yes) {
         EXPECT_TRUE(r.yes()) << "monotonicity broken, trial " << t
@@ -213,7 +213,7 @@ TEST_P(ConstructiveSweep, GeneratedHistoriesAreKAtomic) {
       EXPECT_TRUE(check_2atomicity_fzf(g.history).yes());
       EXPECT_TRUE(check_2atomicity_lbt(g.history).yes());
     } else if (g.history.size() <= 24) {
-      const OracleResult r = oracle_is_k_atomic(g.history, config.k);
+      const Verdict r = oracle_is_k_atomic(g.history, config.k);
       ASSERT_TRUE(r.decided());
       EXPECT_TRUE(r.yes());
     }
@@ -263,8 +263,8 @@ TEST(CrossValidationAdversarial, DecidersAgreeOnAntiPatterns) {
 TEST(CrossValidationAdversarial, ForcedSeparationThresholds) {
   for (int s = 1; s <= 4; ++s) {
     const History h = gen::generate_forced_separation(s);
-    const OracleResult at_s = oracle_is_k_atomic(h, s);
-    const OracleResult above = oracle_is_k_atomic(h, s + 1);
+    const Verdict at_s = oracle_is_k_atomic(h, s);
+    const Verdict above = oracle_is_k_atomic(h, s + 1);
     ASSERT_TRUE(at_s.decided() && above.decided());
     EXPECT_TRUE(at_s.no()) << "s=" << s;
     EXPECT_TRUE(above.yes()) << "s=" << s;

@@ -13,6 +13,15 @@
 // std::runtime_error, and every accepted trace must round-trip through
 // write_trace and parse_trace.
 //
+// The store's MANIFEST parser gets it too, through
+// ManifestTestOneInput (also shaped like LLVMFuzzerTestOneInput): each
+// input is written as the MANIFEST of a scratch store that holds three
+// valid segments, and the store is opened. Every single-byte
+// substitution and every truncation of the committed manifest, raw and
+// re-sealed (CRC32C recomputed, so a mutation reaches the line parser
+// instead of stopping at the checksum), plus 3000 seeded random
+// re-sealed mutants: every input must open or throw std::runtime_error.
+//
 // Also enforces the sequential source's memory bound: draining a file
 // larger than 32 MiB keeps only O(1 MiB) of it resident (RssFile).
 #include <gtest/gtest.h>
@@ -20,18 +29,25 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "history/keyed_trace.h"
 #include "history/serialization.h"
 #include "ingest/wire.h"
 #include "ingest/binary_trace.h"
 #include "ingest/trace_source.h"
+#include "obs/metrics.h"
 #include "scratch_file.h"
 #include "store/indexed_source.h"
+#include "store/trace_store.h"
+#include "util/crc32c.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -258,6 +274,208 @@ TEST(DecodeFuzz, RandomMutationsOfATextTraceAreReadOrRejected) {
       }
     }
     text_input_survives(bytes, "trial " + std::to_string(trial));
+  }
+}
+
+// --- Store MANIFEST ----------------------------------------------------------
+
+// A store directory holding three valid segments, built once per
+// process, with the bytes of each segment and of the MANIFEST their
+// appends committed. An open sweeps segments its manifest does not
+// name, so restore() puts them back before every input.
+class ManifestStore {
+ public:
+  ManifestStore()
+      : dir_(std::filesystem::path(::testing::TempDir()) /
+             ("kav_" + std::to_string(::getpid()) + "_manifest_store")) {
+    std::filesystem::remove_all(dir_);
+    {
+      TraceStore store(dir_, &metrics_);
+      for (int segment = 0; segment < 3; ++segment) {
+        KeyedTrace trace;
+        const TimePoint base = 100 * segment;
+        trace.add("k" + std::to_string(segment),
+                  make_write(base, base + 5, segment + 1));
+        trace.add("shared", make_write(base + 10, base + 15, 10 + segment));
+        trace.add("shared", make_read(base + 20, base + 25, 10 + segment));
+        store.append(trace);
+      }
+    }
+    manifest_ = read_file(dir_ / "MANIFEST");
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      if (entry.path().extension() == ".kavb") {
+        segments_.emplace_back(entry.path(), read_file(entry.path()));
+      }
+    }
+  }
+  ~ManifestStore() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  ManifestStore(const ManifestStore&) = delete;
+  ManifestStore& operator=(const ManifestStore&) = delete;
+
+  const std::string& manifest() const { return manifest_; }
+  std::size_t segment_count() const { return segments_.size(); }
+
+  // Writes `bytes` as the MANIFEST over the original segments and opens
+  // the store: "" when it opened, else the std::runtime_error's
+  // message. Anything else escapes, as does a std::logic_error when an
+  // open serves more segments than the directory holds.
+  std::string open_with_manifest(const std::string& bytes) {
+    for (const auto& [path, contents] : segments_) {
+      if (!std::filesystem::exists(path)) write_file(path, contents);
+    }
+    write_file(dir_ / "MANIFEST", bytes);
+    try {
+      const TraceStore store(dir_, &metrics_);
+      if (store.segment_count() > segments_.size()) {
+        throw std::logic_error("manifest opened phantom segments");
+      }
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  }
+
+ private:
+  static std::string read_file(const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  }
+  static void write_file(const std::filesystem::path& path,
+                         const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    if (!out) throw std::logic_error("cannot write " + path.string());
+  }
+
+  std::filesystem::path dir_;
+  obs::MetricsRegistry metrics_;
+  std::string manifest_;
+  std::vector<std::pair<std::filesystem::path, std::string>> segments_;
+};
+
+ManifestStore& manifest_store() {
+  static ManifestStore store;
+  return store;
+}
+
+// Writes `data` as the MANIFEST of a store holding three valid segments
+// and opens it. Returns 0 when the store opened or threw
+// std::runtime_error; anything else escapes.
+int ManifestTestOneInput(const std::uint8_t* data, std::size_t size) {
+  manifest_store().open_with_manifest(
+      std::string(reinterpret_cast<const char*>(data), size));
+  return 0;
+}
+
+bool manifest_input_survives(const std::string& bytes,
+                             const std::string& what) {
+  try {
+    ManifestTestOneInput(reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                         bytes.size());
+    return true;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": " << e.what();
+  } catch (...) {
+    ADD_FAILURE() << what << ": non-std exception";
+  }
+  return false;
+}
+
+// The manifest minus its checksum line.
+std::string manifest_body(const std::string& manifest) {
+  return manifest.substr(0, manifest.rfind("crc32c "));
+}
+
+// `body` closed by a checksum line that matches it.
+std::string reseal(const std::string& body) {
+  char line[32];
+  std::snprintf(line, sizeof line, "crc32c %08x\n",
+                crc::crc32c(body.data(), body.size()));
+  return body + line;
+}
+
+TEST(DecodeFuzz, CommittedManifestOpensEverySegment) {
+  ManifestStore& store = manifest_store();
+  ASSERT_EQ(store.segment_count(), 3u);
+  EXPECT_EQ(reseal(manifest_body(store.manifest())), store.manifest());
+  EXPECT_EQ(store.open_with_manifest(store.manifest()), "");
+  // A re-sealed edit reaches the line parser, not just the checksum.
+  std::string body = manifest_body(store.manifest());
+  const std::size_t seg = body.rfind("seg ");
+  ASSERT_NE(seg, std::string::npos);
+  body[seg + 2] = 'x';
+  const std::string rejected = store.open_with_manifest(reseal(body));
+  EXPECT_NE(rejected.find("bad segment line"), std::string::npos) << rejected;
+  EXPECT_NE(store.open_with_manifest(body + "crc32c 00000000\n")
+                .find("checksum mismatch"),
+            std::string::npos);
+}
+
+TEST(DecodeFuzz, EveryTruncationAndSubstitutionOfAManifestOpensOrThrows) {
+  const std::string manifest = manifest_store().manifest();
+  const std::string body = manifest_body(manifest);
+  for (const bool resealed : {false, true}) {
+    const std::string& seed = resealed ? body : manifest;
+    const auto finish = [&](const std::string& bytes) {
+      return resealed ? reseal(bytes) : bytes;
+    };
+    const std::string tag = resealed ? "resealed " : "raw ";
+    for (std::size_t length = 0; length < seed.size(); ++length) {
+      manifest_input_survives(finish(seed.substr(0, length)),
+                              tag + "truncated to " + std::to_string(length));
+    }
+    for (std::size_t at = 0; at < seed.size(); ++at) {
+      for (int value = 0; value < 256; ++value) {
+        if (static_cast<char>(value) == seed[at]) continue;
+        std::string bytes = seed;
+        bytes[at] = static_cast<char>(value);
+        manifest_input_survives(finish(bytes),
+                                tag + "byte " + std::to_string(at) + " = " +
+                                    std::to_string(value));
+      }
+    }
+  }
+}
+
+// Bytes of the manifest grammar: digits, separators, keywords.
+constexpr char kManifestAlphabet[] = "0123456789 \nsegnext";
+
+TEST(DecodeFuzz, RandomResealedManifestMutantsOpenOrThrow) {
+  // 1-4 edits per input on the body (overwrite, insert or delete a
+  // byte, or splice in a copy of another span), then re-sealed.
+  const std::string body = manifest_body(manifest_store().manifest());
+  Rng rng(0x3A41);
+  for (int trial = 0; trial < 3'000; ++trial) {
+    std::string bytes = body;
+    for (std::uint64_t edits = 1 + rng.bounded(4); edits > 0; --edits) {
+      const std::size_t at = bytes.empty() ? 0 : rng.bounded(bytes.size());
+      const char c =
+          rng.bounded(2) == 0
+              ? kManifestAlphabet[rng.bounded(sizeof kManifestAlphabet - 1)]
+              : static_cast<char>(rng.bounded(256));
+      switch (rng.bounded(4)) {
+        case 0:
+          if (!bytes.empty()) bytes[at] = c;
+          break;
+        case 1:
+          bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), c);
+          break;
+        case 2:
+          if (!bytes.empty()) bytes.erase(at, 1);
+          break;
+        default: {
+          const std::size_t from = rng.bounded(body.size());
+          bytes.insert(at, body, from, 1 + rng.bounded(12));
+          break;
+        }
+      }
+    }
+    manifest_input_survives(reseal(bytes), "trial " + std::to_string(trial));
   }
 }
 

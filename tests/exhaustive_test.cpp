@@ -41,8 +41,8 @@ bool check_all_deciders(const std::vector<Operation>& ops,
   if (!report.repairable()) return false;
   const History h = normalize(raw);
 
-  const OracleResult truth1 = oracle_is_k_atomic(h, 1);
-  const OracleResult truth2 = oracle_is_k_atomic(h, 2);
+  const Verdict truth1 = oracle_is_k_atomic(h, 1);
+  const Verdict truth2 = oracle_is_k_atomic(h, 2);
   EXPECT_TRUE(truth1.decided() && truth2.decided());
 
   const Verdict gk = check_1atomicity_gk(h);

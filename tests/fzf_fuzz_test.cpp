@@ -2,9 +2,11 @@
 // (kept verbatim as kav::reference in reference_fzf.h). Both decide the
 // same histories; everything observable must be bit-identical -- the
 // outcome, the reason, the witness, the conflict and every VerifyStats
-// field -- through check_2atomicity_fzf with and without its
-// precondition pass and through the overload that takes a precomputed
-// ChunkPartition. The partition itself is compared chunk by chunk with
+// field -- through check_2atomicity_fzf and through the overload that
+// takes a precomputed ChunkPartition, against the reference with and
+// without its precondition pass. FZF itself trusts its input: where the
+// reference's pass refuses a history, verify_k_atomicity's gate must
+// refuse it too. The partition itself is compared chunk by chunk with
 // the reference's ChunkSet.
 //
 // Inputs: generate_k_atomic at k = 1..4 across spreads;
@@ -14,7 +16,7 @@
 // duplicate values) with and without normalize(); and the per-key
 // histories of sloppy-quorum simulations, on the raw simulator clock
 // (timestamp ties) and normalized. Histories with a hard anomaly only
-// go through the precondition-checking entry point.
+// go through the gate.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "core/fzf.h"
+#include "core/verify.h"
 #include "gen/generators.h"
 #include "gen/mutators.h"
 #include "history/anomaly.h"
@@ -38,7 +41,7 @@ struct Tally {
   int inputs = 0;
   int yes = 0;
   int no = 0;
-  int unchecked = 0;  // inputs also decided with check_preconditions off
+  int unchecked = 0;  // inputs also decided with the reference's pass off
   int mismatches = 0;
   std::string first_mismatch;
 };
@@ -113,29 +116,38 @@ void record(Tally& tally, const std::string& label, const std::string& diff) {
 
 void check(const History& history, const std::string& label, Tally& tally) {
   ++tally.inputs;
-  const Verdict checked = check_2atomicity_fzf(history);
   const Verdict expected = reference::check_2atomicity_fzf(history);
-  record(tally, label + " (checked)", compare(checked, expected));
   tally.yes += expected.yes();
   tally.no += expected.no();
+  if (expected.outcome == Outcome::precondition_failed) {
+    VerifyOptions gated;
+    gated.algorithm = Algorithm::fzf;
+    gated.normalize = false;
+    if (verify_k_atomicity(history, gated).outcome !=
+        Outcome::precondition_failed) {
+      record(tally, label + " (gated)", "the gate passed " + expected.reason);
+    }
+  } else {
+    record(tally, label + " (checked)",
+           compare(check_2atomicity_fzf(history), expected));
+  }
   // The reference indexes past a hard anomaly without its check.
   if (detail::has_hard_anomaly(history)) return;
 
   // Repairable anomalies (timestamp ties, unshortened writes) still
-  // decide with the precondition pass off; both sides must agree there
+  // decide with the reference's pass off; both sides must agree there
   // too, ties and all.
   ++tally.unchecked;
-  FzfOptions unchecked;
+  reference::FzfOptions unchecked;
   unchecked.check_preconditions = false;
   const Verdict reference_unchecked =
       reference::check_2atomicity_fzf(history, unchecked);
   record(tally, label + " (unchecked)",
-         compare(check_2atomicity_fzf(history, unchecked),
-                 reference_unchecked));
+         compare(check_2atomicity_fzf(history), reference_unchecked));
   const std::vector<Zone> zones = compute_zones(history);
   const ChunkPartition partition = partition_chunks(zones);
   record(tally, label + " (partition)",
-         compare(check_2atomicity_fzf(history, partition, unchecked),
+         compare(check_2atomicity_fzf(history, partition),
                  reference_unchecked));
   record(tally, label + " (chunks)",
          compare(partition, reference::compute_chunk_set(history, zones)));

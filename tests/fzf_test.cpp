@@ -7,6 +7,7 @@
 
 #include "core/fzf.h"
 #include "core/lbt.h"
+#include "core/verify.h"
 #include "core/witness.h"
 #include "gen/generators.h"
 #include "history/anomaly.h"
@@ -183,7 +184,9 @@ TEST(Fzf, RejectsAnomalousInput) {
   HistoryBuilder b;
   b.write(0, 10, 1);
   b.read(20, 30, 9);
-  EXPECT_EQ(check_2atomicity_fzf(b.build()).outcome,
+  VerifyOptions options;
+  options.algorithm = Algorithm::fzf;
+  EXPECT_EQ(verify_k_atomicity(b.build(), options).outcome,
             Outcome::precondition_failed);
 }
 

@@ -124,7 +124,7 @@ TEST(Generators, RandomMixProducesBothVerdicts) {
     config.operations = 10;
     config.staleness_decay = 0.6;
     const History h = gen::generate_random_mix(config, rng);
-    const OracleResult r = oracle_is_k_atomic(h, 2);
+    const Verdict r = oracle_is_k_atomic(h, 2);
     ASSERT_TRUE(r.decided());
     ++(r.yes() ? yes : no);
   }

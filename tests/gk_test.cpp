@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/gk.h"
+#include "core/verify.h"
 #include "core/witness.h"
 #include "history/anomaly.h"
 #include "history/history.h"
@@ -121,7 +122,10 @@ TEST(Gk, RejectsAnomalousInput) {
   HistoryBuilder b;
   b.write(0, 10, 1);
   b.read(20, 30, 99);
-  const Verdict v = check_1atomicity_gk(b.build());
+  VerifyOptions options;
+  options.k = 1;
+  options.algorithm = Algorithm::gk;
+  const Verdict v = verify_k_atomicity(b.build(), options);
   EXPECT_EQ(v.outcome, Outcome::precondition_failed);
 }
 

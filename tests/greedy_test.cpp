@@ -7,6 +7,7 @@
 #include "core/greedy.h"
 #include "core/lbt.h"
 #include "core/oracle.h"
+#include "core/verify.h"
 #include "core/witness.h"
 #include "gen/generators.h"
 #include "history/anomaly.h"
@@ -56,7 +57,7 @@ TEST(Greedy, MultipleDeadlinesInterleaved) {
   b.read(60, 70, 2);  // one hop if ordered w1 w2 w3? no: w3 intervenes
   b.read(80, 90, 1);
   const History h = b.build();
-  const OracleResult truth3 = oracle_is_k_atomic(h, 3);
+  const Verdict truth3 = oracle_is_k_atomic(h, 3);
   ASSERT_TRUE(truth3.yes());
   EXPECT_TRUE(check_k_atomicity_greedy(h, 3).yes());
   EXPECT_EQ(check_k_atomicity_greedy(h, 2).outcome, Outcome::undecided);
@@ -87,7 +88,7 @@ TEST(Greedy, SoundOnRandomK3K4Sweep) {
       const Verdict v = check_k_atomicity_greedy(h, k);
       if (v.yes()) {
         ++found;
-        const OracleResult truth = oracle_is_k_atomic(h, k);
+        const Verdict truth = oracle_is_k_atomic(h, k);
         ASSERT_TRUE(truth.decided());
         EXPECT_TRUE(truth.yes()) << "unsound at trial " << t << " k=" << k;
       }
@@ -117,7 +118,10 @@ TEST(Greedy, RejectsAnomalousInput) {
   HistoryBuilder b;
   b.write(0, 10, 1);
   b.read(20, 30, 9);
-  EXPECT_EQ(check_k_atomicity_greedy(b.build(), 3).outcome,
+  VerifyOptions options;
+  options.k = 3;
+  options.algorithm = Algorithm::greedy;
+  EXPECT_EQ(verify_k_atomicity(b.build(), options).outcome,
             Outcome::precondition_failed);
 }
 

@@ -108,7 +108,7 @@ TEST(KwavReduction, LayoutMatchesFigure5) {
 void expect_reduction_equivalence(const BinPackingInstance& instance) {
   const bool packing = bin_packing_feasible(instance);
   const KwavReduction red = reduce_bin_packing_to_kwav(instance);
-  const OracleResult kwav = check_weighted_k_atomicity(red.instance, red.k);
+  const Verdict kwav = check_weighted_k_atomicity(red.instance, red.k);
   ASSERT_TRUE(kwav.decided()) << "oracle exhausted budget";
   EXPECT_EQ(packing, kwav.yes())
       << "bin packing says " << packing << " on capacity "
@@ -180,6 +180,30 @@ TEST(Kwav, WeightedHistoryDirectUse) {
   // Important interveners: 1+3+3 = 7.
   EXPECT_TRUE(check_weighted_k_atomicity(heavy, 7).yes());
   EXPECT_TRUE(check_weighted_k_atomicity(heavy, 6).no());
+}
+
+// check_weighted_k_atomicity is the one front door for weighted
+// histories: it refuses a hard anomaly and normalizes repairable ones
+// (ids, and so weights, survive normalization).
+TEST(Kwav, GateRefusesHardAnomaliesAndNormalizesRepairable) {
+  HistoryBuilder hard;
+  hard.write(0, 10, 1);
+  hard.read(20, 30, 9);  // no dictating write
+  const Verdict refused =
+      check_weighted_k_atomicity({hard.build(), {1, 1}}, 3);
+  EXPECT_EQ(refused.outcome, Outcome::precondition_failed);
+  EXPECT_NE(refused.reason.find("hard anomalies"), std::string::npos)
+      << refused.reason;
+
+  HistoryBuilder tie;
+  tie.write(0, 10, 1);
+  tie.write(20, 30, 2);
+  tie.read(40, 50, 1);  // separated from w1 by w2: weight 1 + 4
+  tie.read(50, 60, 2);  // starts as the first read finishes: a tie
+  const WeightedHistory tied{tie.build(), {1, 4, 0, 0}};
+  ASSERT_FALSE(is_normalized(tied.history));
+  EXPECT_TRUE(check_weighted_k_atomicity(tied, 5).yes());
+  EXPECT_TRUE(check_weighted_k_atomicity(tied, 4).no());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/lbt.h"
+#include "core/verify.h"
 #include "core/witness.h"
 #include "gen/generators.h"
 #include "history/anomaly.h"
@@ -147,7 +148,9 @@ TEST(Lbt, RejectsAnomalousInput) {
   HistoryBuilder b;
   b.write(0, 10, 1);
   b.read(20, 30, 9);
-  EXPECT_EQ(check_2atomicity_lbt(b.build()).outcome,
+  VerifyOptions options;
+  options.algorithm = Algorithm::lbt;
+  EXPECT_EQ(verify_k_atomicity(b.build(), options).outcome,
             Outcome::precondition_failed);
 }
 

@@ -104,5 +104,27 @@ TEST(MinimalK, AnomalousHistoryReportsZero) {
   EXPECT_EQ(r.k, 0);
 }
 
+// Repairable anomalies are normalized away, as verify_k_atomicity does
+// by default; k = 0 is for hard anomalies only.
+TEST(MinimalK, RepairableHistoryIsNormalizedFirst) {
+  HistoryBuilder tie;
+  tie.write(0, 10, 1);
+  tie.read(10, 20, 1);  // starts as its write finishes: one duplicate
+  tie.write(30, 40, 2);
+  tie.read(50, 60, 2);
+  const MinimalKResult one = minimal_k(tie.build());
+  EXPECT_EQ(one.k, 1) << one.note;
+  EXPECT_TRUE(one.exact);
+
+  HistoryBuilder outlives;
+  outlives.write(0, 10, 1);
+  outlives.write(20, 90, 2);  // outlives its dictated read
+  outlives.read(30, 40, 2);
+  outlives.read(50, 60, 1);   // one write stale
+  const MinimalKResult two = minimal_k(outlives.build());
+  EXPECT_EQ(two.k, 2) << two.note;
+  EXPECT_TRUE(two.exact);
+}
+
 }  // namespace
 }  // namespace kav

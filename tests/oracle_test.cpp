@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/oracle.h"
+#include "core/verify.h"
 #include "core/witness.h"
 #include "history/anomaly.h"
 #include "history/history.h"
@@ -21,7 +22,7 @@ History forced_separation(int separation) {
 }
 
 TEST(Oracle, EmptyHistoryYes) {
-  const OracleResult r = oracle_is_k_atomic(History{}, 1);
+  const Verdict r = oracle_is_k_atomic(History{}, 1);
   EXPECT_TRUE(r.yes());
   EXPECT_TRUE(r.witness.empty());
 }
@@ -32,7 +33,7 @@ TEST(Oracle, AtomicPairYesForAllK) {
   b.read(12, 20, 1);
   const History h = b.build();
   for (int k = 1; k <= 3; ++k) {
-    const OracleResult r = oracle_is_k_atomic(h, k);
+    const Verdict r = oracle_is_k_atomic(h, k);
     ASSERT_TRUE(r.yes()) << "k=" << k;
     EXPECT_TRUE(validate_witness(h, r.witness, k).ok());
   }
@@ -43,7 +44,7 @@ TEST(Oracle, ForcedSeparationThresholds) {
   for (int s = 0; s <= 3; ++s) {
     const History h = forced_separation(s);
     for (int k = 1; k <= s + 2; ++k) {
-      const OracleResult r = oracle_is_k_atomic(h, k);
+      const Verdict r = oracle_is_k_atomic(h, k);
       ASSERT_TRUE(r.decided());
       EXPECT_EQ(r.yes(), k >= s + 1) << "s=" << s << " k=" << k;
       if (r.yes()) {
@@ -63,7 +64,7 @@ TEST(Oracle, MonotoneInK) {
   const History h = normalize(b.build());
   bool seen_yes = false;
   for (int k = 1; k <= 4; ++k) {
-    const OracleResult r = oracle_is_k_atomic(h, k);
+    const Verdict r = oracle_is_k_atomic(h, k);
     ASSERT_TRUE(r.decided());
     if (seen_yes) {
       EXPECT_TRUE(r.yes()) << "monotonicity broken at k=" << k;
@@ -85,8 +86,8 @@ TEST(Oracle, MemoizationDoesNotChangeVerdict) {
   for (int k = 1; k <= 3; ++k) {
     OracleOptions with, without;
     without.memoize = false;
-    const OracleResult a = oracle_is_k_atomic(h, k, with);
-    const OracleResult b2 = oracle_is_k_atomic(h, k, without);
+    const Verdict a = oracle_is_k_atomic(h, k, with);
+    const Verdict b2 = oracle_is_k_atomic(h, k, without);
     ASSERT_TRUE(a.decided());
     ASSERT_TRUE(b2.decided());
     EXPECT_EQ(a.yes(), b2.yes()) << "k=" << k;
@@ -101,27 +102,34 @@ TEST(Oracle, NodeLimitReportsUndecided) {
   b.read(1200, 1300, 1);
   OracleOptions options;
   options.node_limit = 5;
-  const OracleResult r = oracle_is_k_atomic(normalize(b.build()), 1, options);
-  EXPECT_EQ(r.outcome, OracleOutcome::node_limit);
+  const Verdict r = oracle_is_k_atomic(normalize(b.build()), 1, options);
+  EXPECT_EQ(r.outcome, Outcome::undecided);
   EXPECT_FALSE(r.decided());
+  EXPECT_EQ(r.stats.nodes, options.node_limit + 1);
 }
 
 TEST(Oracle, RejectsOversizedHistory) {
   HistoryBuilder b;
   for (int i = 0; i < 65; ++i) b.write(i * 10, i * 10 + 5, i + 1);
-  const OracleResult r = oracle_is_k_atomic(b.build(), 1);
-  EXPECT_EQ(r.outcome, OracleOutcome::invalid);
+  const Verdict r = oracle_is_k_atomic(b.build(), 1);
+  EXPECT_EQ(r.outcome, Outcome::precondition_failed);
 }
 
 TEST(Oracle, RejectsBadK) {
-  EXPECT_EQ(oracle_is_k_atomic(History{}, 0).outcome, OracleOutcome::invalid);
+  EXPECT_EQ(oracle_is_k_atomic(History{}, 0).outcome,
+            Outcome::precondition_failed);
 }
 
+// The oracle trusts its input; the gate in front of it refuses a hard
+// anomaly.
 TEST(Oracle, RejectsAnomalies) {
   HistoryBuilder b;
   b.write(0, 10, 1);
   b.read(20, 30, 7);
-  EXPECT_EQ(oracle_is_k_atomic(b.build(), 2).outcome, OracleOutcome::invalid);
+  VerifyOptions options;
+  options.algorithm = Algorithm::oracle;
+  EXPECT_EQ(verify_k_atomicity(b.build(), options).outcome,
+            Outcome::precondition_failed);
 }
 
 TEST(Oracle, ConcurrentWritesAllowAnyOrder) {
@@ -133,7 +141,7 @@ TEST(Oracle, ConcurrentWritesAllowAnyOrder) {
     b.write(5, 105, 2);
     b.write(10, 110, 3);
     b.read(120, 130, target);
-    const OracleResult r = oracle_is_k_atomic(normalize(b.build()), 1);
+    const Verdict r = oracle_is_k_atomic(normalize(b.build()), 1);
     EXPECT_TRUE(r.yes()) << "target=" << target;
   }
 }
@@ -160,8 +168,8 @@ TEST(OracleWeighted, DictatingWriteWeightCounts) {
   b.read(12, 20, 1);
   const History h = b.build();
   const std::vector<Weight> weights{4, 1};
-  EXPECT_TRUE(oracle_is_weighted_k_atomic(h, weights, 3).no());
-  EXPECT_TRUE(oracle_is_weighted_k_atomic(h, weights, 4).yes());
+  EXPECT_TRUE(oracle_is_k_atomic(h, 3, {}, weights).no());
+  EXPECT_TRUE(oracle_is_k_atomic(h, 4, {}, weights).yes());
 }
 
 TEST(OracleWeighted, HeavyIntervenerForcedBetween) {
@@ -172,8 +180,8 @@ TEST(OracleWeighted, HeavyIntervenerForcedBetween) {
   b.read(40, 50, 1);
   const History h = b.build();
   const std::vector<Weight> weights{1, 10, 1};
-  EXPECT_TRUE(oracle_is_weighted_k_atomic(h, weights, 10).no());
-  EXPECT_TRUE(oracle_is_weighted_k_atomic(h, weights, 11).yes());
+  EXPECT_TRUE(oracle_is_k_atomic(h, 10, {}, weights).no());
+  EXPECT_TRUE(oracle_is_k_atomic(h, 11, {}, weights).yes());
 }
 
 TEST(OracleWeighted, ConcurrentHeavyWriteCanBeDodged) {
@@ -185,7 +193,7 @@ TEST(OracleWeighted, ConcurrentHeavyWriteCanBeDodged) {
   b.read(12, 20, 1);
   const History h = normalize(b.build());
   const std::vector<Weight> weights{1, 100, 1};
-  EXPECT_TRUE(oracle_is_weighted_k_atomic(h, weights, 1).yes());
+  EXPECT_TRUE(oracle_is_k_atomic(h, 1, {}, weights).yes());
 }
 
 TEST(OracleWeighted, AllWeightOneMatchesUnweighted) {
@@ -198,7 +206,7 @@ TEST(OracleWeighted, AllWeightOneMatchesUnweighted) {
   const std::vector<Weight> ones(h.size(), 1);
   for (int k = 1; k <= 4; ++k) {
     EXPECT_EQ(oracle_is_k_atomic(h, k).yes(),
-              oracle_is_weighted_k_atomic(h, ones, k).yes())
+              oracle_is_k_atomic(h, k, {}, ones).yes())
         << "k=" << k;
   }
 }
@@ -207,16 +215,16 @@ TEST(OracleWeighted, RejectsNonPositiveWriteWeight) {
   HistoryBuilder b;
   b.write(0, 10, 1);
   const std::vector<Weight> weights{0};
-  EXPECT_EQ(oracle_is_weighted_k_atomic(b.build(), weights, 2).outcome,
-            OracleOutcome::invalid);
+  EXPECT_EQ(oracle_is_k_atomic(b.build(), 2, {}, weights).outcome,
+            Outcome::precondition_failed);
 }
 
 TEST(OracleWeighted, RejectsSizeMismatch) {
   HistoryBuilder b;
   b.write(0, 10, 1);
   const std::vector<Weight> weights{1, 1};
-  EXPECT_EQ(oracle_is_weighted_k_atomic(b.build(), weights, 2).outcome,
-            OracleOutcome::invalid);
+  EXPECT_EQ(oracle_is_k_atomic(b.build(), 2, {}, weights).outcome,
+            Outcome::precondition_failed);
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ namespace {
 
 void expect_all_agree(const History& h, bool expected_2atomic,
                       const char* label) {
-  const OracleResult truth = oracle_is_k_atomic(h, 2);
+  const Verdict truth = oracle_is_k_atomic(h, 2);
   ASSERT_TRUE(truth.decided()) << label;
   EXPECT_EQ(truth.yes(), expected_2atomic) << label;
   EXPECT_EQ(check_2atomicity_lbt(h).yes(), expected_2atomic) << label;
@@ -80,7 +80,7 @@ TEST(PaperExamples, Lemma42Case2ChainDecided) {
   b.write(75, 80, 3);
   b.read(120, 125, 3);
   const History h = normalize(b.build());
-  const OracleResult truth = oracle_is_k_atomic(h, 2);
+  const Verdict truth = oracle_is_k_atomic(h, 2);
   ASSERT_TRUE(truth.decided());
   EXPECT_EQ(check_2atomicity_fzf(h).yes(), truth.yes());
   EXPECT_EQ(check_2atomicity_lbt(h).yes(), truth.yes());
@@ -98,7 +98,7 @@ TEST(PaperExamples, Lemma43BackwardWritesSplitAroundForward) {
   b.write(33, 39, 3);
   b.read(35, 41, 3);   // backward cluster inside, late side
   const History h = normalize(b.build());
-  const OracleResult truth = oracle_is_k_atomic(h, 2);
+  const Verdict truth = oracle_is_k_atomic(h, 2);
   ASSERT_TRUE(truth.decided());
   expect_all_agree(h, truth.yes(), "two-backward split");
 }
@@ -115,13 +115,13 @@ TEST(PaperExamples, WriteShorteningPreservesVerdicts) {
   const History raw = b.build();
   const History shortened = normalize(raw);
   for (int k = 1; k <= 3; ++k) {
-    const OracleResult after = oracle_is_k_atomic(shortened, k);
+    const Verdict after = oracle_is_k_atomic(shortened, k);
     ASSERT_TRUE(after.decided());
     // The paper argues the transformation is semantics-preserving; the
     // raw history cannot be fed to the oracle (precondition), so the
     // check is: the normalized verdict is well-defined and monotone.
     if (k > 1) {
-      const OracleResult prev = oracle_is_k_atomic(shortened, k - 1);
+      const Verdict prev = oracle_is_k_atomic(shortened, k - 1);
       if (prev.yes()) {
         EXPECT_TRUE(after.yes());
       }
@@ -180,7 +180,7 @@ TEST(PaperExamples, BinarySearchLadderConsistent) {
   const History h = b.build();
   int first_yes = 0;
   for (int k = 1; k <= 5; ++k) {
-    const OracleResult r = oracle_is_k_atomic(h, k);
+    const Verdict r = oracle_is_k_atomic(h, k);
     ASSERT_TRUE(r.decided());
     if (r.yes() && first_yes == 0) first_yes = k;
   }

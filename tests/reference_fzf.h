@@ -222,6 +222,12 @@ inline ChunkSet compute_chunk_set(const History&,
   return result;
 }
 
+// The precondition pass the library's FZF dropped (callers gate their
+// input now, core/verify.h's detail::gate), kept as a local flag.
+struct FzfOptions {
+  bool check_preconditions = true;
+};
+
 inline Verdict check_2atomicity_fzf(const History& history,
                                     const FzfOptions& options = {}) {
   if (options.check_preconditions) {

@@ -22,36 +22,10 @@
 
 namespace kav::reference {
 
-inline Verdict from_oracle(const OracleResult& result) {
-  switch (result.outcome) {
-    case OracleOutcome::yes: {
-      VerifyStats stats;
-      stats.nodes = result.nodes;
-      Verdict v = Verdict::make_yes(result.witness, stats);
-      return v;
-    }
-    case OracleOutcome::no: {
-      VerifyStats stats;
-      stats.nodes = result.nodes;
-      return Verdict::make_no(result.reason, stats);
-    }
-    case OracleOutcome::node_limit:
-      return Verdict::make_undecided(result.reason);
-    case OracleOutcome::invalid:
-      return Verdict::make_precondition_failed(result.reason);
-  }
-  return Verdict::make_precondition_failed("unreachable");
-}
-
 inline Verdict dispatch(const History& history, int k, Algorithm algorithm) {
   // verify_k_atomicity (the only caller) has already run
-  // find_anomalies and either bailed or normalized, so the deciders'
-  // own precondition passes are pure duplicate work -- skip them. The
-  // verdicts cannot change: the checks would succeed by construction.
-  LbtOptions lbt_options;
-  lbt_options.check_preconditions = false;
-  FzfOptions fzf_options;
-  fzf_options.check_preconditions = false;
+  // find_anomalies and either bailed or normalized, so the history
+  // meets every decider's input contract.
   auto wrong_k = [&](const char* name, int expected) {
     return Verdict::make_precondition_failed(
         std::string(name) + " decides only k = " + std::to_string(expected) +
@@ -60,23 +34,23 @@ inline Verdict dispatch(const History& history, int k, Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::gk:
       if (k != 1) return wrong_k("gk", 1);
-      return check_1atomicity_gk(history, /*check_preconditions=*/false);
+      return check_1atomicity_gk(history);
     case Algorithm::lbt:
       if (k != 2) return wrong_k("lbt", 2);
-      return check_2atomicity_lbt(history, lbt_options);
+      return check_2atomicity_lbt(history);
     case Algorithm::lbt_naive: {
       if (k != 2) return wrong_k("lbt-naive", 2);
-      LbtOptions options = lbt_options;
+      LbtOptions options;
       options.iterative_deepening = false;
       return check_2atomicity_lbt(history, options);
     }
     case Algorithm::fzf:
       if (k != 2) return wrong_k("fzf", 2);
-      return check_2atomicity_fzf(history, fzf_options);
+      return check_2atomicity_fzf(history);
     case Algorithm::greedy:
       return check_k_atomicity_greedy(history, k);
     case Algorithm::oracle:
-      return from_oracle(oracle_is_k_atomic(history, k));
+      return oracle_is_k_atomic(history, k);
     case Algorithm::auto_select:
       break;
   }
@@ -86,14 +60,14 @@ inline Verdict dispatch(const History& history, int k, Algorithm algorithm) {
   // the exact oracle when feasible, else the sound greedy checker with
   // an honest UNDECIDED when it finds no witness (Section VII open
   // problem).
-  if (k == 1) return check_1atomicity_gk(history, /*check_preconditions=*/false);
+  if (k == 1) return check_1atomicity_gk(history);
   if (k == 2) {
     return select_2av_algorithm(zone_profile(history)) == Algorithm::lbt
-               ? check_2atomicity_lbt(history, lbt_options)
-               : check_2atomicity_fzf(history, fzf_options);
+               ? check_2atomicity_lbt(history)
+               : check_2atomicity_fzf(history);
   }
   if (history.size() <= 64) {
-    const Verdict v = from_oracle(oracle_is_k_atomic(history, k));
+    const Verdict v = oracle_is_k_atomic(history, k);
     if (v.outcome != Outcome::undecided) return v;
   }
   Verdict v = check_k_atomicity_greedy(history, k);

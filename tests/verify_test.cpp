@@ -3,8 +3,16 @@
 // (Section II-B).
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/fzf.h"
+#include "core/gk.h"
+#include "core/greedy.h"
+#include "core/lbt.h"
+#include "core/oracle.h"
 #include "core/verify.h"
 #include "core/witness.h"
+#include "history/anomaly.h"
 #include "history/history.h"
 
 namespace kav {
@@ -83,6 +91,107 @@ TEST(Verify, HardAnomaliesAlwaysRejected) {
   EXPECT_EQ(v.outcome, Outcome::precondition_failed);
   EXPECT_NE(v.reason.find("hard anomalies"), std::string::npos);
 }
+
+// The gate in front of every decider, over all seven Algorithm values:
+// a hard anomaly and an unrepaired repairable history are refused with
+// the gate's reason, and a repaired history gets exactly the verdict
+// the algorithm's decider returns on normalize(h).
+class VerifyGate : public testing::TestWithParam<Algorithm> {
+ protected:
+  static int k_for(Algorithm algorithm) {
+    switch (algorithm) {
+      case Algorithm::gk:
+        return 1;
+      case Algorithm::greedy:
+      case Algorithm::oracle:
+        return 3;
+      default:
+        return 2;
+    }
+  }
+
+  static Verdict decide(const History& h, Algorithm algorithm, int k) {
+    switch (algorithm) {
+      case Algorithm::gk:
+        return check_1atomicity_gk(h);
+      case Algorithm::lbt:
+        return check_2atomicity_lbt(h);
+      case Algorithm::lbt_naive: {
+        LbtOptions naive;
+        naive.iterative_deepening = false;
+        return check_2atomicity_lbt(h, naive);
+      }
+      case Algorithm::fzf:
+        return check_2atomicity_fzf(h);
+      case Algorithm::greedy:
+        return check_k_atomicity_greedy(h, k);
+      case Algorithm::oracle:
+        return oracle_is_k_atomic(h, k);
+      case Algorithm::auto_select:
+        break;
+    }
+    VerifyOptions options;  // h is normalized: the gate passes it as is
+    options.k = k;
+    return verify_k_atomicity(h, options);
+  }
+
+  VerifyOptions options() const {
+    VerifyOptions options;
+    options.k = k_for(GetParam());
+    options.algorithm = GetParam();
+    return options;
+  }
+};
+
+TEST_P(VerifyGate, HardAnomalyIsRefusedWithTheGatesReason) {
+  HistoryBuilder b;
+  b.write(0, 10, 1);
+  b.read(20, 30, 1);
+  b.read(40, 50, 9);  // no dictating write
+  const Verdict v = verify_k_atomicity(b.build(), options());
+  EXPECT_EQ(v.outcome, Outcome::precondition_failed);
+  EXPECT_EQ(v.reason.rfind("history has hard anomalies: ", 0), 0u)
+      << v.reason;
+}
+
+TEST_P(VerifyGate, RepairableHistoryIsRefusedOrRepaired) {
+  HistoryBuilder b;
+  b.write(0, 10, 1);
+  b.read(10, 20, 1);  // starts as its write finishes: a duplicate
+  b.write(15, 60, 2);  // outlives its dictated read
+  b.read(30, 40, 2);
+  b.read(70, 80, 1);  // one write stale
+  const History h = b.build();
+  VerifyOptions refuse = options();
+  refuse.normalize = false;
+  const Verdict refused = verify_k_atomicity(h, refuse);
+  EXPECT_EQ(refused.outcome, Outcome::precondition_failed);
+  EXPECT_EQ(refused.reason.rfind("history has repairable anomalies", 0), 0u)
+      << refused.reason;
+
+  const Verdict repaired = verify_k_atomicity(h, options());
+  const Verdict expected =
+      decide(normalize(h), GetParam(), k_for(GetParam()));
+  EXPECT_EQ(repaired.outcome, expected.outcome) << repaired.reason;
+  EXPECT_EQ(repaired.reason, expected.reason);
+  EXPECT_EQ(repaired.witness, expected.witness);
+  EXPECT_EQ(repaired.conflict, expected.conflict);
+  EXPECT_EQ(repaired.stats, expected.stats);
+  EXPECT_NE(repaired.outcome, Outcome::precondition_failed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryAlgorithm, VerifyGate,
+    testing::Values(Algorithm::auto_select, Algorithm::gk, Algorithm::lbt,
+                    Algorithm::lbt_naive, Algorithm::fzf, Algorithm::greedy,
+                    Algorithm::oracle),
+    [](const testing::TestParamInfo<Algorithm>& info) {
+      std::string name = to_string(info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 TEST(Verify, AutoKThreeUsesOracleThenGreedy) {
   // Small history: oracle decides exactly (NO at k=3 impossible here,
