@@ -86,9 +86,10 @@ struct RunOptions {
   std::chrono::milliseconds timeout{0};
   // Absolute wall-clock cutoff; composes with timeout (earlier wins).
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  // Batch: live per-key verdict sink, invoked from pool workers as
-  // each shard lands (serialized; completion order; exactly once per
-  // key, skipped shards included). Keep it cheap.
+  // Batch: live per-key verdict sink, invoked from pool workers (and
+  // from the calling thread for the largest shard, when it has 64Ki ops
+  // or more) as each shard lands (serialized; completion order; exactly
+  // once per key, skipped shards included). Keep it cheap.
   std::function<void(const std::string& key, const Verdict& verdict)> on_key;
   // Monitor: live violation sink, invoked at detection time (see
   // KeyedStreamingMonitor's constructor for the threading contract).

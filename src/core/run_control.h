@@ -70,7 +70,8 @@ struct RunControl {
   // answer UNDECIDED (kSkipDeadlineReason). Checked at shard
   // granularity: a shard already deciding runs to completion.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  // Live per-key sink, invoked from worker threads as each shard's
+  // Live per-key sink, invoked from worker threads (the calling thread
+  // for a batch's largest shard of 64Ki ops or more) as each shard's
   // verdict lands (serialized by the verifier; completion order, not
   // key order) -- exactly once per key, skipped shards included, so a
   // progress consumer can count callbacks against the key count. Must

@@ -115,19 +115,24 @@ void fill_batch_totals(Report& report) {
 // A shard this large leaves megabytes of freed working memory behind.
 constexpr std::size_t kReleaseAfterShardOps = std::size_t{1} << 16;
 
-// Every worker that ever decided a large shard would otherwise hold that
-// shard's working set from then on (util/memory.h). Which workers did
-// is up to scheduling (work stealing, and the arenas a fresh pool's
-// threads pick up), so resident memory stepped by whole working sets
-// between identical runs. Releasing the free memory after a batch with
-// a large shard keeps it to what the batch itself needs.
-void release_worker_memory(const std::vector<ShardSpec>& shards) {
+// glibc keeps what a pool worker frees in that worker's arena, and
+// malloc_trim does not give back the top of a thread's arena, so a
+// worker that once decided a large shard kept megabytes resident.
+// Which workers did is up to scheduling (work stealing, and the arenas
+// a fresh pool's threads pick up), so resident memory stepped by whole
+// working sets between identical runs. The largest shard, when it is
+// large, therefore runs on the calling thread, which waits for the
+// pool anyway; the free memory of the batch goes back to the OS after.
+const ShardSpec* shard_for_caller(const std::vector<ShardSpec>& shards) {
+  const ShardSpec* largest = nullptr;
   for (const ShardSpec& shard : shards) {
-    if (shard.op_count >= kReleaseAfterShardOps) {
-      util::release_free_memory();
-      return;
+    if (largest == nullptr || shard.op_count > largest->op_count) {
+      largest = &shard;
     }
   }
+  return largest != nullptr && largest->op_count >= kReleaseAfterShardOps
+             ? largest
+             : nullptr;
 }
 
 }  // namespace
@@ -232,14 +237,14 @@ Report ShardedVerifier::verify_shards(const std::vector<ShardSpec>& shards,
     return report;
   }
 
-  std::vector<std::future<Verdict>> futures;
-  futures.reserve(shards.size());
+  const ShardSpec* own = shard_for_caller(shards);
+  std::vector<std::future<Verdict>> futures(shards.size());
   try {
-    for (const ShardSpec& shard : shards) {
-      const ShardSpec* spec = &shard;
-      futures.push_back(pool_->submit([&run_shard, spec] {
-        return run_shard(spec);
-      }));
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      const ShardSpec* spec = &shards[i];
+      if (spec == own) continue;
+      futures[i] =
+          pool_->submit([&run_shard, spec] { return run_shard(spec); });
     }
   } catch (...) {
     // submit() can throw mid-fan-out (e.g. a borrowed pool shut down by
@@ -247,8 +252,17 @@ Report ShardedVerifier::verify_shards(const std::vector<ShardSpec>& shards,
     // WILL still run (shutdown drains, it does not abort), so they must
     // finish before this exception may unwind past the caller's
     // arguments.
-    for (const auto& future : futures) future.wait();
+    for (const auto& future : futures) {
+      if (future.valid()) future.wait();
+    }
     throw;
+  }
+  if (own != nullptr) {
+    // A throwing loader lands in the future, as on a worker.
+    std::packaged_task<Verdict()> task(
+        [&run_shard, own] { return run_shard(own); });
+    futures[static_cast<std::size_t>(own - shards.data())] = task.get_future();
+    task();
   }
 
   // Wait for every shard before any get() can rethrow: queued tasks
@@ -256,6 +270,7 @@ Report ShardedVerifier::verify_shards(const std::vector<ShardSpec>& shards,
   // unwinding while the reused pool lives on -- no task may outlive
   // this function.
   for (const auto& future : futures) future.wait();
+  if (own != nullptr) util::release_free_memory();
 
   // Merge into the key-ordered map, so the report layout never depends
   // on which worker finished first.
@@ -265,7 +280,6 @@ Report ShardedVerifier::verify_shards(const std::vector<ShardSpec>& shards,
     report.per_key.emplace(shard.key, KeyResult{futures[i++].get(), {}, {}});
   }
   fill_batch_totals(report);
-  release_worker_memory(shards);
   return report;
 }
 

@@ -77,9 +77,10 @@ class ShardedVerifier {
   // shard *descriptions* (key + op count from an index) instead of
   // materialized histories; each worker materializes, decides, and
   // discards its own shard, so peak memory is O(threads * max shard)
-  // rather than O(trace). After a pooled batch with a shard of 64Ki ops
-  // or more, the memory the workers freed goes back to the OS (glibc
-  // malloc_trim), so it is not kept once per worker arena. A lazy
+  // rather than O(trace). The largest shard, when it has 64Ki ops or
+  // more, runs on the calling thread while the pool runs the rest, and
+  // after that batch the freed memory goes back to the OS (glibc
+  // malloc_trim), so no worker arena keeps a large working set. A lazy
   // loader that throws (e.g. corrupt bytes under an mmap) propagates
   // out of this call after every other shard has been waited for.
   Report verify_shards(const std::vector<ShardSpec>& shards,

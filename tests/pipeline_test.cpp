@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/analysis.h"
@@ -18,6 +20,8 @@
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "history/keyed_trace.h"
+#include "obs/metrics.h"
+#include "pipeline/sharded_verifier.h"
 #include "pipeline/thread_pool.h"
 #include "util/rng.h"
 
@@ -297,6 +301,82 @@ TEST(ShardedVerifier, ShardOpBudgetSkipsOversizedShards) {
   EXPECT_EQ(report.per_key.at("large").verdict.outcome, Outcome::undecided);
   EXPECT_NE(report.per_key.at("large").verdict.reason.find("budget"),
             std::string::npos);
+}
+
+// A shard of at least 64Ki ops: a batch's largest such shard runs on
+// the thread that called verify_shards, the rest on the pool.
+History large_history(int extra_groups, Rng& rng) {
+  return gen::generate_high_concurrency(65'536 / 9 + extra_groups, 4, rng);
+}
+
+TEST(ShardedVerifier, LargestLargeShardRunsOnTheCallingThread) {
+  Rng rng(23);
+  KeyedHistories shards;
+  shards.per_key.emplace("big", large_history(1, rng));
+  shards.per_key.emplace("bigger", large_history(50, rng));
+  for (int i = 0; i < 6; ++i) {
+    gen::RandomMixConfig config;
+    config.operations = 20;
+    shards.per_key.emplace("small" + std::to_string(i),
+                           gen::generate_random_mix(config, rng));
+  }
+  Engine engine(engine_options(2));
+  // on_key is serialized by the verifier.
+  std::map<std::string, std::thread::id> ran_on;
+  RunOptions run;
+  run.on_key = [&ran_on](const std::string& key, const Verdict&) {
+    ran_on[key] = std::this_thread::get_id();
+  };
+  const Report report = engine.verify(shards, run);
+  ASSERT_EQ(report.per_key.size(), shards.per_key.size());
+  for (const auto& [key, history] : shards.per_key) {
+    SCOPED_TRACE("key " + key);
+    const Verdict direct = verify_k_atomicity(history, VerifyOptions{});
+    const Verdict& pooled = report.per_key.at(key).verdict;
+    EXPECT_EQ(pooled.outcome, direct.outcome);
+    EXPECT_EQ(pooled.witness, direct.witness);
+    EXPECT_EQ(pooled.reason, direct.reason);
+    EXPECT_TRUE(pooled.stats == direct.stats);
+    ASSERT_EQ(ran_on.count(key), 1u);
+    if (key == "bigger") {
+      EXPECT_EQ(ran_on.at(key), std::this_thread::get_id());
+    } else {
+      EXPECT_NE(ran_on.at(key), std::this_thread::get_id());
+    }
+  }
+}
+
+TEST(ShardedVerifier, ThrowingLoaderOnTheCallingThreadWaitsForThePool) {
+  pipeline::ThreadPool pool(2);
+  obs::MetricsRegistry registry;
+  ShardedVerifier verifier(pool, registry, EngineOptions{});
+  Rng rng(29);
+  std::vector<History> small;
+  for (int i = 0; i < 4; ++i) {
+    gen::RandomMixConfig config;
+    config.operations = 20;
+    small.push_back(gen::generate_random_mix(config, rng));
+  }
+  std::vector<ShardSpec> specs;
+  ShardSpec big;
+  big.key = "big";
+  big.op_count = std::size_t{1} << 16;
+  big.load = []() -> History { throw std::runtime_error("corrupt block"); };
+  specs.push_back(std::move(big));
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    ShardSpec spec;
+    spec.key = "small" + std::to_string(i);
+    spec.op_count = small[i].size();
+    spec.pinned = &small[i];
+    specs.push_back(std::move(spec));
+  }
+  std::atomic<int> landed{0};
+  RunControl run;
+  run.on_key = [&landed](const std::string&, const Verdict&) { ++landed; };
+  EXPECT_THROW(verifier.verify_shards(specs, VerifyOptions{}, run),
+               std::runtime_error);
+  // Every pool shard finished before the loader's exception left.
+  EXPECT_EQ(landed.load(), 4);
 }
 
 TEST(AutoDispatchPolicy, ExercisesBothDeciders) {
