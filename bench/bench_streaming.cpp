@@ -42,7 +42,7 @@ void streaming_throughput(benchmark::State& state) {
     StreamingChecker checker(options);
     for (OpId id : h.by_start()) {
       checker.add(h.op(id));
-      checker.advance_watermark(h.op(id).start);
+      checker.advance_watermark(h.start(id));
     }
     const Verdict v = checker.finish();
     benchmark::DoNotOptimize(v);
@@ -74,7 +74,7 @@ void streaming_throughput_wide(benchmark::State& state) {
     StreamingChecker checker(options);
     for (OpId id : h.by_start()) {
       checker.add(h.op(id));
-      checker.advance_watermark(h.op(id).start - 1);
+      checker.advance_watermark(h.start(id) - 1);
     }
     const Verdict v = checker.finish();
     benchmark::DoNotOptimize(v);

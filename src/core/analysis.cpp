@@ -38,8 +38,7 @@ StalenessSpectrum staleness_spectrum(const History& history,
   std::int64_t writes_seen = 0;
   double total = 0;
   for (OpId id : order) {
-    const Operation& op = history.op(id);
-    if (op.is_write()) {
+    if (history.is_write(id)) {
       writes_before[id] = writes_seen++;
       continue;
     }

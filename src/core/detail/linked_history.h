@@ -176,9 +176,9 @@ inline void collect_epoch_candidates(const History& history,
   candidates.clear();
   TimePoint max_start_after = kTimeMin;
   for (OpId w = state.w_tail(); w != kInvalidOp; w = state.w_prev(w)) {
-    if (history.op(w).finish < max_start_after) break;
+    if (history.finish(w) < max_start_after) break;
     candidates.push_back(w);
-    max_start_after = std::max(max_start_after, history.op(w).start);
+    max_start_after = std::max(max_start_after, history.start(w));
   }
 }
 

@@ -35,14 +35,14 @@ class ViabilityCheck {
     slot_ = &slot;
     if (nodes_.size() < ops.size()) nodes_.resize(ops.size());
     for (std::size_t p = 0; p < ops.size(); ++p) {
-      const Operation& op = history_.op(ops[p]);
-      nodes_[p].start = op.start;
-      if (op.is_write()) slot[ops[p]] = static_cast<std::int32_t>(p);
+      const OpId id = ops[p];
+      nodes_[p].start = history_.start(id);
+      if (history_.is_write(id)) slot[id] = static_cast<std::int32_t>(p);
     }
     // A read's owner is its dictating write's position; writes own
     // nothing (kNone).
     for (std::size_t p = 0; p < ops.size(); ++p) {
-      nodes_[p].owner = history_.op(ops[p]).is_write()
+      nodes_[p].owner = history_.is_write(ops[p])
                             ? kNone
                             : slot[history_.dictating_write(ops[p])];
     }
@@ -54,14 +54,13 @@ class ViabilityCheck {
   bool viable(std::span<const OpId> order, std::span<OpId> out) {
     build_lists();
     const std::vector<std::int32_t>& slot = *slot_;
-    const std::span<const TimePoint> finishes = history_.finish_column();
     std::size_t free = out.size();
 
     for (std::size_t j = order.size(); j-- > 0;) {
       const OpId w = order[j];
       const std::int32_t w_pos = slot[w];
       const std::int32_t pred_pos = j > 0 ? slot[order[j - 1]] : kNone;
-      const TimePoint w_finish = finishes[w];
+      const TimePoint w_finish = history_.finish(w);
 
       // Reads strictly after w come off the tail scan in descending
       // start order; placing them back to front leaves them ascending.
@@ -196,7 +195,7 @@ Verdict decide(const History& history, const ChunkPartition& partition) {
   for (std::size_t i = by_start.size(); i-- > 0;) {
     const OpId op = by_start[i];
     const OpId cluster_write =
-        history.op(op).is_write() ? op : history.dictating_write(op);
+        history.is_write(op) ? op : history.dictating_write(op);
     const std::int32_t c = slot[cluster_write];
     if (c != kNone) chunk_ops[--op_begin[c]] = op;
   }

@@ -75,12 +75,12 @@ class GreedyRun {
       if (--p.slack < 0) return false;
     }
 
-    const TimePoint w_finish = history_.op(w).finish;
+    const TimePoint w_finish = history_.finish(w);
     Segment segment{w, {}};
     for (OpId op = state_.h_tail();
-         op != kInvalidOp && history_.op(op).start > w_finish;) {
+         op != kInvalidOp && history_.start(op) > w_finish;) {
       const OpId next = state_.h_prev(op);
-      if (history_.op(op).is_write()) return false;
+      if (history_.is_write(op)) return false;
       const OpId dictating = history_.dictating_write(op);
       if (dictating != w) {
         // Deadline: at most k-2 further non-dictating writes may be

@@ -65,16 +65,16 @@ class LbtRun {
     std::uint64_t steps = 0;
     while (true) {
       OpId w_prime = kInvalidOp;  // line 12
-      const TimePoint w_finish = history_.op(w).finish;
+      const TimePoint w_finish = history_.finish(w);
       const auto reads_begin = static_cast<std::uint32_t>(reads_pool_.size());
 
       // Lines 13-18: every live op starting after w finishes must be a
       // read of w or of a unique other write w'. They form a suffix of
       // H by start time; scan from the tail (descending start).
       for (OpId op = state_.h_tail();
-           op != kInvalidOp && history_.op(op).start > w_finish;) {
+           op != kInvalidOp && history_.start(op) > w_finish;) {
         const OpId next = state_.h_prev(op);
-        if (history_.op(op).is_write()) {  // line 14
+        if (history_.is_write(op)) {  // line 14
           stats_.steps += steps;
           return EpochResult::fail;
         }

@@ -90,7 +90,7 @@ class OracleSearch {
       const OpId id = order_.back();
       order_.pop_back();
       placed_ &= ~(Mask{1} << id);
-      if (history_.op(id).is_read()) {
+      if (history_.is_read(id)) {
         ++pending_reads_[history_.dictating_write(id)];
       }
     }

@@ -37,13 +37,13 @@ WitnessCheck validate_impl(const History& history, std::span<const OpId> order,
   // running maximum of start times this is O(n).
   TimePoint max_start_so_far = kTimeMin;
   for (OpId id : order) {
-    const Operation& op = history.op(id);
-    if (op.finish < max_start_so_far) {
-      check.detail = "op " + std::to_string(id) + " " + describe(op) +
+    if (history.finish(id) < max_start_so_far) {
+      check.detail = "op " + std::to_string(id) + " " +
+                     describe(history.op(id)) +
                      " finishes before an earlier-ordered op starts";
       return check;
     }
-    max_start_so_far = std::max(max_start_so_far, op.start);
+    max_start_so_far = std::max(max_start_so_far, history.start(id));
   }
   check.respects_precedence = true;
 
@@ -54,8 +54,7 @@ WitnessCheck validate_impl(const History& history, std::span<const OpId> order,
   std::vector<std::int64_t> write_rank_of(history.size(), -1);
   write_prefix.push_back(0);
   for (OpId id : order) {
-    const Operation& op = history.op(id);
-    if (op.is_write()) {
+    if (history.is_write(id)) {
       write_rank_of[id] = static_cast<std::int64_t>(write_prefix.size()) - 1;
       const Weight w = weights.empty() ? Weight{1} : weights[id];
       write_prefix.push_back(write_prefix.back() + w);

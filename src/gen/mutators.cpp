@@ -12,26 +12,24 @@ std::optional<History> inject_staler_read(const History& history, Rng& rng) {
     const OpId w = history.dictating_write(r);
     if (w == kInvalidOp) continue;
     for (OpId older : history.writes_by_start()) {
-      if (history.op(older).start >= history.op(w).start) break;
-      if (history.op(older).start < history.op(r).finish) {
+      if (history.start(older) >= history.start(w)) break;
+      if (history.start(older) < history.finish(r)) {
         choices.emplace_back(r, older);
       }
     }
   }
   if (choices.empty()) return std::nullopt;
   const auto [read, older] = choices[rng.bounded(choices.size())];
-  std::vector<Operation> ops(history.operations().begin(),
-                             history.operations().end());
-  ops[read].value = history.op(older).value;
+  std::vector<Operation> ops = history.operations();
+  ops[read].value = history.value(older);
   return History(std::move(ops));
 }
 
 History delay_read(const History& history, OpId read, TimePoint delta) {
-  if (read >= history.size() || !history.op(read).is_read()) {
+  if (read >= history.size() || !history.is_read(read)) {
     throw std::invalid_argument("delay_read: not a read");
   }
-  std::vector<Operation> ops(history.operations().begin(),
-                             history.operations().end());
+  std::vector<Operation> ops = history.operations();
   ops[read].start += delta;
   ops[read].finish += delta;
   return History(std::move(ops));
@@ -50,8 +48,7 @@ History drop_operation(const History& history, OpId victim) {
 }
 
 History jitter_timestamps(const History& history, TimePoint amount, Rng& rng) {
-  std::vector<Operation> ops(history.operations().begin(),
-                             history.operations().end());
+  std::vector<Operation> ops = history.operations();
   for (Operation& op : ops) {
     op.start += rng.uniform(-amount, amount);
     op.finish += rng.uniform(-amount, amount);
@@ -68,8 +65,7 @@ History duplicate_write_value(const History& history, Rng& rng) {
   const OpId a = writes[rng.bounded(writes.size())];
   OpId b = a;
   while (b == a) b = writes[rng.bounded(writes.size())];
-  std::vector<Operation> ops(history.operations().begin(),
-                             history.operations().end());
+  std::vector<Operation> ops = history.operations();
   ops[a].value = ops[b].value;
   return History(std::move(ops));
 }

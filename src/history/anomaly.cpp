@@ -4,36 +4,33 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "util/simd.h"
-
 namespace kav {
 
 namespace {
 
-// Whether ANY two of the 2n event timestamps collide, via the
-// History's sorted time columns: a collision is an adjacent duplicate
-// inside either sorted column, or a common value between the two (one
-// merge scan). O(n) with SIMD adjacency scans, no hash table -- the
-// clean-history case, which is every case after normalization, never
-// allocates. Reporting WHICH events collide (and in the historical
-// encounter order) is the slow path's job.
+// Whether ANY two of the 2n event timestamps collide: merge the start
+// times (in by_start order) with the finish times (in by_finish order)
+// into one ascending sequence, and look for two equal neighbours. O(n),
+// no hash table -- the clean-history case, which is every case after
+// normalization, never allocates. Reporting WHICH events collide (and
+// in the historical encounter order) is the slow path's job.
 bool has_duplicate_timestamp(const History& history) {
-  const std::span<const TimePoint> starts = history.sorted_starts();
-  const std::span<const TimePoint> finishes = history.sorted_finishes();
-  if (simd::has_adjacent_duplicate_i64(starts.data(), starts.size()) ||
-      simd::has_adjacent_duplicate_i64(finishes.data(), finishes.size())) {
-    return true;
-  }
+  const std::span<const OpId> by_start = history.by_start();
+  const std::span<const OpId> by_finish = history.by_finish();
+  const std::size_t n = history.size();
   std::size_t i = 0;
   std::size_t j = 0;
-  while (i < starts.size() && j < finishes.size()) {
-    if (starts[i] < finishes[j]) {
-      ++i;
-    } else if (finishes[j] < starts[i]) {
-      ++j;
-    } else {
-      return true;
-    }
+  TimePoint previous = 0;
+  while (i < n || j < n) {
+    // Finishes go first on ties, so a start equal to a finish lands
+    // right after it.
+    const TimePoint t =
+        j == n || (i < n && history.start(by_start[i]) <
+                                history.finish(by_finish[j]))
+            ? history.start(by_start[i++])
+            : history.finish(by_finish[j++]);
+    if (i + j > 1 && t == previous) return true;
+    previous = t;
   }
   return false;
 }
@@ -92,7 +89,7 @@ AnomalyReport find_anomalies(const History& history) {
   if (history.has_duplicate_write_values()) {
     std::unordered_map<Value, OpId> seen;
     for (OpId w : history.writes_by_start()) {
-      auto [it, inserted] = seen.try_emplace(history.op(w).value, w);
+      auto [it, inserted] = seen.try_emplace(history.value(w), w);
       if (!inserted) {
         report.anomalies.push_back(
             {AnomalyKind::duplicate_write_value, w, it->second});
@@ -127,15 +124,15 @@ AnomalyReport find_anomalies(const History& history) {
       }
     };
     for (OpId id = 0; id < history.size(); ++id) {
-      check(history.op(id).start, id);
-      check(history.op(id).finish, id);
+      check(history.start(id), id);
+      check(history.finish(id), id);
     }
   }
 
   // Writes that outlive a dictated read's finish.
   for (OpId w : history.writes_by_start()) {
     for (OpId r : history.dictated_reads(w)) {
-      if (history.op(w).finish >= history.op(r).finish) {
+      if (history.finish(w) >= history.finish(r)) {
         report.anomalies.push_back(
             {AnomalyKind::write_outlives_dictated_read, w, r});
         break;
@@ -159,7 +156,7 @@ bool is_normalized(const History& history) {
   if (has_duplicate_timestamp(history)) return false;
   for (OpId w : history.writes_by_start()) {
     for (OpId r : history.dictated_reads(w)) {
-      if (history.op(w).finish >= history.op(r).finish) return false;
+      if (history.finish(w) >= history.finish(r)) return false;
     }
   }
   return true;
@@ -175,8 +172,7 @@ History normalize(const History& history) {
 
 History detail::normalize_repairable(const History& history) {
   const std::size_t n = history.size();
-  std::vector<Operation> ops(history.operations().begin(),
-                             history.operations().end());
+  std::vector<Operation> ops = history.operations();
 
   // Pass A: uniquify timestamps while preserving "precedes" exactly.
   // Sort all 2n events by (time, kind) with starts before finishes at

@@ -7,17 +7,15 @@ namespace kav {
 namespace {
 
 // Shared by both entry points: min finish / max start over the
-// cluster, reading the History's dense time columns (8-byte stride)
-// rather than 40-byte Operation rows -- dictated reads are start-
-// sorted and near-sequential, so the column walk is cache-friendly.
+// cluster, reading the History's dense time columns (8-byte stride) --
+// dictated reads are start-sorted and near-sequential, so the column
+// walk is cache-friendly.
 inline Zone zone_of(const History& history, OpId write) {
-  std::span<const TimePoint> starts = history.start_column();
-  std::span<const TimePoint> finishes = history.finish_column();
-  TimePoint min_finish = finishes[write];
-  TimePoint max_start = starts[write];
+  TimePoint min_finish = history.finish(write);
+  TimePoint max_start = history.start(write);
   for (OpId r : history.dictated_reads(write)) {
-    min_finish = std::min(min_finish, finishes[r]);
-    max_start = std::max(max_start, starts[r]);
+    min_finish = std::min(min_finish, history.finish(r));
+    max_start = std::max(max_start, history.start(r));
   }
   return Zone{write, min_finish, max_start, min_finish < max_start};
 }

@@ -49,43 +49,38 @@ namespace {
 
 }  // namespace
 
-History::History(std::vector<Operation> ops) : ops_(std::move(ops)) {
-  const std::size_t n = ops_.size();
-  start_col_.resize(n);
-  finish_col_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    start_col_[i] = ops_[i].start;
-    finish_col_[i] = ops_[i].finish;
+History::History(std::vector<Operation> ops) {
+  cols_.reserve(ops.size());
+  for (const Operation& op : ops) cols_.push_back(op);
+  const std::size_t bad = simd::first_not_less_i64(
+      cols_.starts.data(), cols_.finishes.data(), cols_.size());
+  if (bad != cols_.size()) throw_bad_interval(bad);
+  build_indexes();
+}
+
+History::History(OperationColumns columns) : cols_(std::move(columns)) {
+  const std::size_t n = cols_.size();
+  if (cols_.finishes.size() != n || cols_.values.size() != n ||
+      cols_.clients.size() != n || cols_.types.size() != n) {
+    throw std::invalid_argument("OperationColumns columns differ in length");
   }
-  const std::size_t bad =
-      simd::first_not_less_i64(start_col_.data(), finish_col_.data(), n);
+  const std::size_t bad = simd::first_not_less_i64(cols_.starts.data(),
+                                                   cols_.finishes.data(), n);
   if (bad != n) throw_bad_interval(bad);
   build_indexes();
 }
 
-History::History(OperationColumns columns) {
-  const std::size_t n = columns.size();
-  if (columns.finishes.size() != n || columns.values.size() != n ||
-      columns.clients.size() != n || columns.types.size() != n) {
-    throw std::invalid_argument("OperationColumns columns differ in length");
-  }
-  const std::size_t bad = simd::first_not_less_i64(columns.starts.data(),
-                                                   columns.finishes.data(), n);
-  if (bad != n) throw_bad_interval(bad);
-  start_col_ = std::move(columns.starts);
-  finish_col_ = std::move(columns.finishes);
-  ops_.reserve(n);  // push_back, not resize: skip the zero-fill pass
-  for (std::size_t i = 0; i < n; ++i) {
-    ops_.push_back(Operation{
-        start_col_[i], finish_col_[i],
-        columns.types[i] != 0 ? OpType::write : OpType::read,
-        columns.values[i], columns.clients[i]});
-  }
-  build_indexes();
+std::vector<Operation> History::operations() const {
+  std::vector<Operation> ops;
+  ops.reserve(size());
+  for (OpId id = 0; id < size(); ++id) ops.push_back(op(id));
+  return ops;
 }
 
 void History::build_indexes() {
-  const auto n = static_cast<OpId>(ops_.size());
+  const auto n = static_cast<OpId>(size());
+  const std::vector<TimePoint>& starts = cols_.starts;
+  const std::vector<TimePoint>& finishes = cols_.finishes;
 
   // Event orders. Stored traces arrive per key in add() order, which
   // for most workloads is already time-sorted -- detect that with one
@@ -93,47 +88,32 @@ void History::build_indexes() {
   // is exactly "sorted with ties broken by id" when the column is
   // strictly increasing). The check is on the data, not a caller hint,
   // so adversarial input degrades to the sort, never to a wrong index.
-  by_start_.resize(n);
-  std::iota(by_start_.begin(), by_start_.end(), 0);
-  if (simd::is_strictly_increasing_i64(start_col_.data(), n)) {
-    sorted_starts_ = start_col_;
-  } else {
-    std::sort(by_start_.begin(), by_start_.end(), [&](OpId a, OpId b) {
-      return start_col_[a] != start_col_[b] ? start_col_[a] < start_col_[b]
-                                            : a < b;
+  const auto sort_ids = [n](std::vector<OpId>& ids,
+                            const std::vector<TimePoint>& time) {
+    ids.resize(n);
+    std::iota(ids.begin(), ids.end(), 0);
+    if (simd::is_strictly_increasing_i64(time.data(), n)) return;
+    std::sort(ids.begin(), ids.end(), [&](OpId a, OpId b) {
+      return time[a] != time[b] ? time[a] < time[b] : a < b;
     });
-    sorted_starts_.resize(n);
-    for (OpId i = 0; i < n; ++i) sorted_starts_[i] = start_col_[by_start_[i]];
-  }
-  by_finish_.resize(n);
-  std::iota(by_finish_.begin(), by_finish_.end(), 0);
-  if (simd::is_strictly_increasing_i64(finish_col_.data(), n)) {
-    sorted_finishes_ = finish_col_;
-  } else {
-    std::sort(by_finish_.begin(), by_finish_.end(), [&](OpId a, OpId b) {
-      return finish_col_[a] != finish_col_[b] ? finish_col_[a] < finish_col_[b]
-                                              : a < b;
-    });
-    sorted_finishes_.resize(n);
-    for (OpId i = 0; i < n; ++i) {
-      sorted_finishes_[i] = finish_col_[by_finish_[i]];
-    }
-  }
+  };
+  sort_ids(by_start_, starts);
+  sort_ids(by_finish_, finishes);
 
   std::size_t write_count = 0;
-  for (const Operation& op : ops_) write_count += op.is_write() ? 1 : 0;
+  for (OpId id = 0; id < n; ++id) write_count += is_write(id) ? 1 : 0;
   writes_by_start_.reserve(write_count);
   reads_.reserve(n - write_count);
   writes_by_finish_.reserve(write_count);
   for (OpId id : by_start_) {
-    if (ops_[id].is_write()) {
+    if (is_write(id)) {
       writes_by_start_.push_back(id);
     } else {
       reads_.push_back(id);
     }
   }
   for (OpId id : by_finish_) {
-    if (ops_[id].is_write()) writes_by_finish_.push_back(id);
+    if (is_write(id)) writes_by_finish_.push_back(id);
   }
 
   // Value index; earliest-starting write wins on (anomalous) duplicates
@@ -147,7 +127,7 @@ void History::build_indexes() {
   value_index_.reserve(write_count);
   bool values_strictly_increasing = true;
   for (OpId w : writes_by_start_) {
-    const Value value = ops_[w].value;
+    const Value value = cols_.values[w];
     values_strictly_increasing =
         values_strictly_increasing &&
         (value_index_.empty() || value_index_.back().first < value);
@@ -177,7 +157,7 @@ void History::build_indexes() {
   const std::size_t index_size = value_index_.size();
   std::size_t hint = 0;  // lower-bound position of the last read's value
   for (OpId r : reads_) {
-    const Value value = ops_[r].value;
+    const Value value = cols_.values[r];
     std::size_t pos;
     if (hint < index_size && value_index_[hint].first == value) {
       pos = hint;
@@ -240,8 +220,7 @@ void History::build_indexes() {
   std::size_t fi = 0;
   std::size_t depth = 0;
   while (si < w_count) {
-    if (finish_col_[writes_by_finish_[fi]] <=
-        start_col_[writes_by_start_[si]]) {
+    if (finishes[writes_by_finish_[fi]] <= starts[writes_by_start_[si]]) {
       --depth;
       ++fi;
     } else {
@@ -264,11 +243,11 @@ OpId History::write_of_value(Value v) const {
 }
 
 TimePoint History::min_time() const {
-  return sorted_starts_.empty() ? 0 : sorted_starts_.front();
+  return empty() ? 0 : start(by_start_.front());
 }
 
 TimePoint History::max_time() const {
-  return sorted_finishes_.empty() ? 0 : sorted_finishes_.back();
+  return empty() ? 0 : finish(by_finish_.back());
 }
 
 }  // namespace kav

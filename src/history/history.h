@@ -4,6 +4,15 @@
 // write of each read, the dictated reads of each write, and the maximum
 // write-concurrency level c used in LBT's complexity bound.
 //
+// Layout: each operation field is stored exactly once, as five columns
+// indexed by op id (start 8 B, finish 8 B, value 8 B, client 4 B, type
+// 1 B: 29 B/op). The indexes add 4 B/op each for by_start/by_finish,
+// the writes/reads partitions and the dictating-write table, 4 B per
+// read and per op for the dictated-read lists, and 16 B per write for
+// the value index: ~60-65 B/op in all. Deciders read fields through
+// the per-id accessors; op() and operations() assemble Operation rows
+// on demand for cold callers (describe, mutators, serialization).
+//
 // Construction never fails on *semantic* anomalies (those are reported
 // by find_anomalies in anomaly.h, since the paper treats them as
 // pre-filtered); it only rejects structurally malformed operations
@@ -23,17 +32,17 @@
 namespace kav {
 
 // Structure-of-arrays form of an operation sequence: column i across
-// all five vectors is operation i. This is what the zero-copy decode
-// path (store/block_cursor.h) produces straight from mmap'd block
-// bytes -- each fixed-width record field is gathered into its own
-// contiguous column with a SIMD kernel -- and History can ingest it
-// without an intermediate std::vector<Operation> ever existing.
+// all five vectors is operation i. This is History's own storage, and
+// what the zero-copy decode path (store/block_cursor.h) produces
+// straight from mmap'd block bytes -- each fixed-width record field is
+// gathered into its own contiguous column with a SIMD kernel -- so
+// History adopts it without an Operation row ever existing.
 struct OperationColumns {
   std::vector<TimePoint> starts;
   std::vector<TimePoint> finishes;
   std::vector<Value> values;
   std::vector<ClientId> clients;
-  std::vector<unsigned char> types;  // 0 = read, 1 = write
+  std::vector<unsigned char> types;  // 0 = read, nonzero = write
 
   std::size_t size() const { return starts.size(); }
   void clear();
@@ -45,21 +54,34 @@ class History {
  public:
   History() = default;
 
-  // Throws std::invalid_argument if any operation has start >= finish.
+  // Transposes the rows into columns once. Throws std::invalid_argument
+  // if any operation has start >= finish.
   explicit History(std::vector<Operation> ops);
 
-  // Column-wise construction (all five columns must have equal length;
-  // this is checked). Semantically identical to building the
+  // Adopts all five columns in place (they must have equal length;
+  // this is checked). Semantically identical to building from the
   // equivalent std::vector<Operation> -- same validation, same
-  // exception text, same indexes -- but the time columns are adopted
-  // in place instead of re-extracted.
+  // exception text, same indexes.
   explicit History(OperationColumns columns);
 
-  std::size_t size() const { return ops_.size(); }
-  bool empty() const { return ops_.empty(); }
+  std::size_t size() const { return cols_.size(); }
+  bool empty() const { return cols_.starts.empty(); }
 
-  const Operation& op(OpId id) const { return ops_[id]; }
-  std::span<const Operation> operations() const { return ops_; }
+  // Per-id field reads: what the deciders use.
+  TimePoint start(OpId id) const { return cols_.starts[id]; }
+  TimePoint finish(OpId id) const { return cols_.finishes[id]; }
+  Value value(OpId id) const { return cols_.values[id]; }
+  bool is_write(OpId id) const { return cols_.types[id] != 0; }
+  bool is_read(OpId id) const { return cols_.types[id] == 0; }
+
+  // Rows assembled on demand, by value: operations() builds a fresh
+  // vector on every call, so bind it once before iterating or indexing.
+  Operation op(OpId id) const {
+    return Operation{start(id), finish(id),
+                     is_write(id) ? OpType::write : OpType::read, value(id),
+                     cols_.clients[id]};
+  }
+  std::vector<Operation> operations() const;
 
   std::size_t write_count() const { return writes_by_finish_.size(); }
   std::size_t read_count() const { return reads_.size(); }
@@ -87,21 +109,8 @@ class History {
     return has_duplicate_write_values_;
   }
 
-  bool precedes(OpId a, OpId b) const { return ops_[a].precedes(ops_[b]); }
-
-  // Contiguous time columns, indexed by op id -- the SIMD-scannable
-  // mirror of operations()[id].start / .finish. Kept alongside the
-  // sorted event columns below so anomaly scans and zone computations
-  // run over dense 8-byte columns instead of 40-byte Operation rows.
-  std::span<const TimePoint> start_column() const { return start_col_; }
-  std::span<const TimePoint> finish_column() const { return finish_col_; }
-
-  // All n start (resp. finish) times in ascending order; element i
-  // belongs to op by_start()[i] (resp. by_finish()[i]).
-  std::span<const TimePoint> sorted_starts() const { return sorted_starts_; }
-  std::span<const TimePoint> sorted_finishes() const {
-    return sorted_finishes_;
-  }
+  // The "precedes" relation (Section II-A): a finishes before b starts.
+  bool precedes(OpId a, OpId b) const { return finish(a) < start(b); }
 
   // Maximum number of pairwise-concurrent writes at any instant -- the
   // parameter c in LBT's O(n log n + c*n) bound (Theorem 3.2).
@@ -113,13 +122,7 @@ class History {
  private:
   void build_indexes();
 
-  std::vector<Operation> ops_;
-  // Per-id time columns (start_col_[id] == ops_[id].start) plus the
-  // same times in sorted event order; see the accessors above.
-  std::vector<TimePoint> start_col_;
-  std::vector<TimePoint> finish_col_;
-  std::vector<TimePoint> sorted_starts_;
-  std::vector<TimePoint> sorted_finishes_;
+  OperationColumns cols_;
   std::vector<OpId> by_start_;
   std::vector<OpId> by_finish_;
   std::vector<OpId> writes_by_start_;

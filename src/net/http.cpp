@@ -134,13 +134,15 @@ ParseResult parse_request(std::string_view input, HttpRequest& out,
   }
 
   // Read-only surface: refuse bodies outright rather than buffering
-  // and discarding attacker-sized payloads.
-  const std::string_view content_length = out.header("content-length");
-  if (!content_length.empty() && content_length != "0") {
-    return {ParseStatus::bad, 0};
-  }
-  if (!out.header("transfer-encoding").empty()) {
-    return {ParseStatus::bad, 0};
+  // and discarding attacker-sized payloads. Every Content-Length must
+  // read "0" (an empty one is malformed, and a later nonzero one would
+  // hide a body behind the first), and any Transfer-Encoding declares
+  // a body.
+  for (const auto& [name, value] : out.headers) {
+    if ((name == "content-length" && value != "0") ||
+        name == "transfer-encoding") {
+      return {ParseStatus::bad, 0};
+    }
   }
 
   return {ParseStatus::ok, head_end + 4};

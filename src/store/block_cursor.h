@@ -5,9 +5,8 @@
 // (decode_columns()) with the SIMD strided-gather kernels of
 // util/simd.h -- each record field lands in its own contiguous column,
 // validation (key-id uniformity, type byte, start < finish) runs as
-// whole-block column scans, and History adopts the time columns in
-// place. No intermediate std::vector<Operation> exists anywhere on this
-// path.
+// whole-block column scans, and History adopts all five columns in
+// place. No std::vector<Operation> exists anywhere on this path.
 //
 // Equivalence contract: for any byte stream, valid or corrupt,
 // decode_columns yields exactly what MappedSegment::read_key (the

@@ -157,8 +157,8 @@ std::vector<const MappedSegment*> IndexedTraceSource::holders(
 History IndexedTraceSource::load_key(const std::string& key) const {
   // Zero-copy: each segment's blocks decode field-wise into one shared
   // set of columns (SIMD strided gathers, whole-block validation), and
-  // History adopts the time columns in place -- no intermediate
-  // std::vector<Operation>, no per-segment partial vectors. Must stay
+  // History adopts all five columns in place as its own storage -- no
+  // Operation row is ever built, no per-segment partial vectors. Must stay
   // bit-identical to load_key_materializing (store_fuzz differential).
   std::uint64_t records = 0;
   const std::vector<const MappedSegment*> segments = holders(key, records);

@@ -83,8 +83,8 @@ class IndexedTraceSource final : public TraceSource {
   std::optional<KeyStat> stat(const std::string& key) const;
   // Decodes `key`'s operations (in arrival order) into a History.
   // Zero-copy: index -> BlockCursor -> SIMD column gathers -> History,
-  // with no intermediate Operation vector (see store/block_cursor.h
-  // for the equivalence contract).
+  // which adopts the columns in place; no Operation row is built (see
+  // store/block_cursor.h for the equivalence contract).
   History load_key(const std::string& key) const;
   // The reference decode path (MappedSegment::read_key row-at-a-time
   // into a vector<Operation>). Kept for the differential fuzz tests

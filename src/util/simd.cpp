@@ -40,13 +40,6 @@ bool scalar_is_strictly_increasing(const std::int64_t* a, std::size_t n) {
   return true;
 }
 
-bool scalar_has_adjacent_duplicate(const std::int64_t* a, std::size_t n) {
-  for (std::size_t i = 1; i < n; ++i) {
-    if (a[i - 1] == a[i]) return true;
-  }
-  return false;
-}
-
 std::size_t scalar_first_not_less(const std::int64_t* a, const std::int64_t* b,
                                   std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -117,20 +110,6 @@ __attribute__((target("avx2"))) bool avx2_is_strictly_increasing(
     if (_mm256_movemask_pd(_mm256_castsi256_pd(gt)) != 0xF) return false;
   }
   return scalar_is_strictly_increasing(a + (i - 1), n - (i - 1));
-}
-
-__attribute__((target("avx2"))) bool avx2_has_adjacent_duplicate(
-    const std::int64_t* a, std::size_t n) {
-  std::size_t i = 1;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i prev =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i - 1));
-    const __m256i cur =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i eq = _mm256_cmpeq_epi64(cur, prev);
-    if (_mm256_movemask_pd(_mm256_castsi256_pd(eq)) != 0) return true;
-  }
-  return scalar_has_adjacent_duplicate(a + (i - 1), n - (i - 1));
 }
 
 __attribute__((target("avx2"))) std::size_t avx2_first_not_less(
@@ -264,17 +243,6 @@ bool is_strictly_increasing_i64(const std::int64_t* a, std::size_t n,
   }
 #endif
   return scalar_is_strictly_increasing(a, n);
-}
-
-bool has_adjacent_duplicate_i64(const std::int64_t* a, std::size_t n,
-                                Level level) {
-  if (n <= 1) return false;
-#if KAV_SIMD_X86
-  if (level >= Level::avx2 && supported(Level::avx2)) {
-    return avx2_has_adjacent_duplicate(a, n);
-  }
-#endif
-  return scalar_has_adjacent_duplicate(a, n);
 }
 
 std::size_t first_not_less_i64(const std::int64_t* a, const std::int64_t* b,

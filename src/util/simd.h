@@ -1,7 +1,6 @@
 // Runtime-dispatched SIMD kernels for the hot decode/verify paths:
 // fixed-width little-endian record decode (ingest/wire.h layout) and
-// the column scans History / ZoneProfile / find_anomalies run over
-// per-operation time columns.
+// the column scans History runs over its per-operation time columns.
 //
 // Dispatch model:
 //   - Every kernel has a scalar reference implementation that is
@@ -54,11 +53,6 @@ Level active_level();
 // n <= 1). Used to detect already-sorted time columns so History can
 // skip its O(n log n) index sorts.
 bool is_strictly_increasing_i64(const std::int64_t* a, std::size_t n,
-                                Level level = active_level());
-
-// True iff a[i] == a[i+1] for some i -- duplicate detection over a
-// sorted column (find_anomalies' fast path).
-bool has_adjacent_duplicate_i64(const std::int64_t* a, std::size_t n,
                                 Level level = active_level());
 
 // First index with a[i] >= b[i], or n when a[i] < b[i] everywhere.

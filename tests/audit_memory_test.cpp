@@ -52,10 +52,10 @@ bool reset_peak_rss() {
 }
 
 // The bound, in bytes of peak RSS growth per audited operation. The
-// per-key histories (a 40-byte Operation plus ~70 bytes of indexes per
-// op, with vector slack) and one shard's normalized copy per worker
-// fit well under it; holding the whole trace a second time as a
-// KeyedTrace does not.
+// per-key histories (29 bytes of operation columns plus ~32 bytes of
+// indexes per op, with vector slack; see history/history.h) and one
+// shard's normalized copy per worker fit well under it; holding the
+// whole trace a second time as a KeyedTrace does not.
 constexpr double kMaxBytesPerOp = 160.0;
 
 TEST(FileAudit, PeakMemoryPerOperationIsBounded) {

@@ -43,8 +43,7 @@ std::string normalize_outcome(const History& history,
                               std::vector<Operation>& out) {
   try {
     const History normalized = fn(history);
-    out.assign(normalized.operations().begin(),
-               normalized.operations().end());
+    out = normalized.operations();
     return {};
   } catch (const std::invalid_argument& e) {
     return std::string("threw: ") + e.what();

@@ -156,8 +156,7 @@ TEST_P(CrossValidation, VerdictInvariantUnderTimeRescaling) {
   Rng rng(GetParam().seed + 6);
   for (int t = 0; t < kTrials / 3; ++t) {
     const History h = next_history(rng);
-    std::vector<Operation> scaled_ops(h.operations().begin(),
-                                      h.operations().end());
+    std::vector<Operation> scaled_ops = h.operations();
     for (Operation& op : scaled_ops) {
       op.start = op.start * 7 + 1000;
       op.finish = op.finish * 7 + 1000;

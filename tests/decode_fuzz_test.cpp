@@ -22,6 +22,14 @@
 // instead of stopping at the checksum), plus 3000 seeded random
 // re-sealed mutants: every input must open or throw std::runtime_error.
 //
+// The telemetry server's HTTP request parser (net::parse_request) gets
+// every truncation and small-alphabet substitution of four seed
+// requests (plain, pipelined, HTTP/1.0 keep-alive, many headers), plus
+// a seeded random driver, through HttpRequestTestOneInput (shaped like
+// LLVMFuzzerTestOneInput). Each input is parsed the way a connection
+// buffer is, request after request, with and without a head-size cap;
+// the properties checked are listed at the entry point.
+//
 // Also enforces the sequential source's memory bound: draining a file
 // larger than 32 MiB keeps only O(1 MiB) of it resident (RssFile).
 #include <gtest/gtest.h>
@@ -33,6 +41,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -43,6 +52,7 @@
 #include "ingest/wire.h"
 #include "ingest/binary_trace.h"
 #include "ingest/trace_source.h"
+#include "net/http.h"
 #include "obs/metrics.h"
 #include "scratch_file.h"
 #include "store/indexed_source.h"
@@ -274,6 +284,193 @@ TEST(DecodeFuzz, RandomMutationsOfATextTraceAreReadOrRejected) {
       }
     }
     text_input_survives(bytes, "trial " + std::to_string(trial));
+  }
+}
+
+// --- HTTP requests -----------------------------------------------------------
+
+// Parses `input` the way the telemetry server parses a connection's
+// buffer -- one request after another from the front, until a status
+// other than ok -- and throws std::logic_error when a property fails:
+//   - the status is one of ok / need_more / bad / too_large, and only
+//     ok consumes bytes;
+//   - on ok, `consumed` ends just past the first "\r\n\r\n", the
+//     version is HTTP/1.0 or HTTP/1.1, the head fits under a nonzero
+//     cap, and no header declares a body (a content-length other than
+//     "0", or any transfer-encoding);
+//   - re-parsing the remainder terminates: every ok consumes at least
+//     the 4-byte terminator, so at most size / 4 requests parse.
+void parse_request_stream(std::string_view input, std::size_t cap) {
+  std::size_t offset = 0;
+  for (std::size_t requests = 0;; ++requests) {
+    if (requests > input.size() / 4) {
+      throw std::logic_error("re-parsing the remainder does not terminate");
+    }
+    const std::string_view rest = input.substr(offset);
+    net::HttpRequest request;
+    const net::ParseResult parsed = net::parse_request(rest, request, cap);
+    switch (parsed.status) {
+      case net::ParseStatus::ok:
+        break;
+      case net::ParseStatus::need_more:
+      case net::ParseStatus::bad:
+      case net::ParseStatus::too_large:
+        if (parsed.consumed != 0) {
+          throw std::logic_error("a refused request consumed bytes");
+        }
+        return;
+      default:
+        throw std::logic_error("status outside ParseStatus");
+    }
+    const std::size_t head_end = rest.find("\r\n\r\n");
+    if (head_end == std::string_view::npos ||
+        parsed.consumed != head_end + 4) {
+      throw std::logic_error("ok did not consume exactly the first head");
+    }
+    if (cap != 0 && parsed.consumed > cap) {
+      throw std::logic_error("ok for a head longer than the cap");
+    }
+    if (request.version != "HTTP/1.1" && request.version != "HTTP/1.0") {
+      throw std::logic_error("ok for version '" + request.version + "'");
+    }
+    for (const auto& [name, value] : request.headers) {
+      if (name == "transfer-encoding" ||
+          (name == "content-length" && value != "0")) {
+        throw std::logic_error("ok for a request with a body");
+      }
+    }
+    offset += parsed.consumed;
+  }
+}
+
+// A cap every seed head fits under, and one that refuses the longer.
+constexpr std::size_t kHeadCaps[] = {0, 48};
+
+// Returns 0 when every property of parse_request_stream holds at every
+// cap in kHeadCaps; a failed property escapes as std::logic_error.
+int HttpRequestTestOneInput(const std::uint8_t* data, std::size_t size) {
+  const std::string_view input(reinterpret_cast<const char*>(data), size);
+  for (const std::size_t cap : kHeadCaps) parse_request_stream(input, cap);
+  return 0;
+}
+
+// `bytes` with CR, LF and non-printing bytes escaped, for failure
+// messages.
+std::string escaped(std::string_view bytes) {
+  std::string out;
+  for (const char c : bytes) {
+    if (c == '\r') {
+      out += "\\r";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c < ' ' || c > '~') {
+      char hex[8];
+      std::snprintf(hex, sizeof hex, "\\x%02x", static_cast<unsigned char>(c));
+      out += hex;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+bool http_input_survives(const std::string& bytes, const std::string& what) {
+  try {
+    HttpRequestTestOneInput(reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                            bytes.size());
+    return true;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": " << e.what() << " on \"" << escaped(bytes)
+                  << '"';
+  }
+  return false;
+}
+
+// Plain, pipelined (two heads in one buffer), HTTP/1.0 keep-alive, and
+// one with many headers (odd spacing, an empty value, a zero body).
+const std::string kHttpSeeds[] = {
+    "GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n",
+    "GET /metrics HTTP/1.1\r\nHost: a\r\n\r\n"
+    "HEAD /status?top=5 HTTP/1.1\r\nHost: a\r\n\r\n",
+    "GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+    "GET /status HTTP/1.1\r\nHost: 127.0.0.1:9464\r\nUser-Agent: kav/1\r\n"
+    "Accept:  */*  \r\nX-Empty:\r\nContent-Length: 0\r\n"
+    "Connection: close\r\n\r\n",
+};
+
+// Bytes that move the parser between states: line and field breaks,
+// the header separator, version and length digits, and a NUL and a
+// non-ASCII byte.
+constexpr char kHttpAlphabet[] = {'\0', ' ', '\r', '\n', ':',
+                                  '/',  '0', '5',  'H',  '\xff'};
+
+TEST(DecodeFuzz, HttpSeedsParseAsRequests) {
+  const std::size_t expected_requests[] = {1, 2, 1, 1};
+  for (std::size_t s = 0; s < std::size(kHttpSeeds); ++s) {
+    std::string_view rest = kHttpSeeds[s];
+    std::size_t requests = 0;
+    net::HttpRequest request;
+    for (net::ParseResult parsed = net::parse_request(rest, request);
+         parsed.status == net::ParseStatus::ok;
+         parsed = net::parse_request(rest, request)) {
+      ++requests;
+      rest.remove_prefix(parsed.consumed);
+    }
+    EXPECT_TRUE(rest.empty()) << "seed " << s;
+    EXPECT_EQ(requests, expected_requests[s]) << "seed " << s;
+    EXPECT_TRUE(http_input_survives(kHttpSeeds[s], "seed"));
+  }
+}
+
+TEST(DecodeFuzz, EveryTruncationAndSubstitutionOfARequestKeepsProperties) {
+  for (const std::string& seed : kHttpSeeds) {
+    for (std::size_t length = 0; length < seed.size(); ++length) {
+      http_input_survives(seed.substr(0, length),
+                          "truncated to " + std::to_string(length));
+    }
+    for (std::size_t at = 0; at < seed.size(); ++at) {
+      for (const char c : kHttpAlphabet) {
+        std::string bytes = seed;
+        bytes[at] = c;
+        http_input_survives(bytes, "byte " + std::to_string(at) + " = " +
+                                       std::to_string(static_cast<int>(c)));
+      }
+    }
+  }
+}
+
+TEST(DecodeFuzz, RandomMutationsOfRequestsKeepProperties) {
+  // 1-4 edits per input on a random seed: overwrite, insert or delete
+  // a byte (from the alphabet above or any byte), or splice in a span
+  // of any seed.
+  Rng rng(0x4774);
+  for (int trial = 0; trial < 3'000; ++trial) {
+    std::string bytes = kHttpSeeds[rng.bounded(std::size(kHttpSeeds))];
+    for (std::uint64_t edits = 1 + rng.bounded(4); edits > 0; --edits) {
+      const std::size_t at = bytes.empty() ? 0 : rng.bounded(bytes.size());
+      const char c = rng.bounded(2) == 0
+                         ? kHttpAlphabet[rng.bounded(sizeof kHttpAlphabet)]
+                         : static_cast<char>(rng.bounded(256));
+      switch (rng.bounded(4)) {
+        case 0:
+          if (!bytes.empty()) bytes[at] = c;
+          break;
+        case 1:
+          bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), c);
+          break;
+        case 2:
+          if (!bytes.empty()) bytes.erase(at, 1);
+          break;
+        default: {
+          const std::string& donor =
+              kHttpSeeds[rng.bounded(std::size(kHttpSeeds))];
+          bytes.insert(at, donor, rng.bounded(donor.size()),
+                       1 + rng.bounded(32));
+          break;
+        }
+      }
+    }
+    http_input_survives(bytes, "trial " + std::to_string(trial));
   }
 }
 

@@ -312,7 +312,7 @@ void expect_grouped_like_naive(const Engines& engines,
   auto it = split.per_key.begin();
   for (const auto& [key, ops] : groups) {
     ASSERT_EQ(it->first, key);
-    const std::span<const Operation> got = it->second.operations();
+    const std::vector<Operation> got = it->second.operations();
     ASSERT_TRUE(std::equal(got.begin(), got.end(), ops.begin(), ops.end()))
         << "key " << key;
     ++it;

@@ -215,6 +215,16 @@ TEST(NetHttp, MalformedRequestsAreBad) {
                 "POST / HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc", request)
                 .status,
             ParseStatus::bad);
+  // An empty Content-Length, and a nonzero one behind a zero one.
+  EXPECT_EQ(
+      parse_request("GET / HTTP/1.1\r\nContent-Length: \r\n\r\n", request)
+          .status,
+      ParseStatus::bad);
+  EXPECT_EQ(parse_request("GET / HTTP/1.1\r\nContent-Length: 0\r\n"
+                          "Content-Length: 5\r\n\r\nabcde",
+                          request)
+                .status,
+            ParseStatus::bad);
 }
 
 TEST(NetHttp, HeadSizeCapAnswersTooLarge) {

@@ -46,13 +46,6 @@ bool ref_strictly_increasing(const std::vector<std::int64_t>& a) {
   return true;
 }
 
-bool ref_adjacent_duplicate(const std::vector<std::int64_t>& a) {
-  for (std::size_t i = 1; i < a.size(); ++i) {
-    if (a[i - 1] == a[i]) return true;
-  }
-  return false;
-}
-
 std::size_t ref_first_not_less(const std::vector<std::int64_t>& a,
                                const std::vector<std::int64_t>& b) {
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -121,14 +114,6 @@ TEST_P(SimdLevelTest, StrictlyIncreasingMatchesReference) {
   }
 }
 
-TEST_P(SimdLevelTest, AdjacentDuplicateMatchesReference) {
-  for (const auto& a : i64_families()) {
-    EXPECT_EQ(simd::has_adjacent_duplicate_i64(a.data(), a.size(), level()),
-              ref_adjacent_duplicate(a))
-        << "n=" << a.size();
-  }
-}
-
 TEST_P(SimdLevelTest, FirstNotLessMatchesReference) {
   const auto families = i64_families();
   for (const auto& a : families) {
@@ -190,10 +175,6 @@ TEST_P(SimdLevelTest, ScansAcceptUnalignedBases) {
       EXPECT_EQ(
           simd::is_strictly_increasing_i64(buffer.data() + offset, n, level()),
           ref_strictly_increasing(window))
-          << "offset=" << offset << " n=" << n;
-      EXPECT_EQ(
-          simd::has_adjacent_duplicate_i64(buffer.data() + offset, n, level()),
-          ref_adjacent_duplicate(window))
           << "offset=" << offset << " n=" << n;
     }
   }
@@ -279,8 +260,6 @@ TEST_P(SimdLevelTest, RandomizedDifferentialAgainstScalarLevel) {
     if (rng.bernoulli(0.3)) std::sort(a.begin(), a.end());
     EXPECT_EQ(simd::is_strictly_increasing_i64(a.data(), n, level()),
               simd::is_strictly_increasing_i64(a.data(), n, Level::scalar));
-    EXPECT_EQ(simd::has_adjacent_duplicate_i64(a.data(), n, level()),
-              simd::has_adjacent_duplicate_i64(a.data(), n, Level::scalar));
     EXPECT_EQ(simd::first_not_less_i64(a.data(), b.data(), n, level()),
               simd::first_not_less_i64(a.data(), b.data(), n, Level::scalar));
     std::vector<std::uint32_t> u(n);
@@ -346,9 +325,11 @@ TEST(SimdDispatch, UnsupportedLevelDegradesToReferenceResults) {
   // Explicitly requesting a level the build/CPU lacks must degrade,
   // not crash or diverge: compare against scalar on a sorted array.
   std::vector<std::int64_t> a{1, 2, 3, 4, 5, 6, 7, 8, 9};
+  std::vector<std::int64_t> b{2, 3, 4, 5, 6, 7, 8, 9, 10};
   for (Level level : {Level::sse2, Level::avx2}) {
     EXPECT_TRUE(simd::is_strictly_increasing_i64(a.data(), a.size(), level));
-    EXPECT_FALSE(simd::has_adjacent_duplicate_i64(a.data(), a.size(), level));
+    EXPECT_EQ(simd::first_not_less_i64(a.data(), b.data(), a.size(), level),
+              a.size());
   }
 }
 

@@ -509,7 +509,7 @@ TEST(StoreFuzz, ZeroCopyDecodeMatchesMaterializingPath) {
       const History zero_copy = source.load_key(key);
       ASSERT_EQ(zero_copy.size(), reference.size()) << "key " << key;
       for (std::size_t i = 0; i < reference.size(); ++i) {
-        ASSERT_EQ(zero_copy.operations()[i], reference.operations()[i])
+        ASSERT_EQ(zero_copy.op(i), reference.op(i))
             << "key " << key << " op " << i;
       }
       for (simd::Level level :
@@ -523,7 +523,7 @@ TEST(StoreFuzz, ZeroCopyDecodeMatchesMaterializingPath) {
         ASSERT_EQ(at_level.size(), reference.size())
             << "key " << key << " level " << simd::to_string(level);
         for (std::size_t i = 0; i < reference.size(); ++i) {
-          ASSERT_EQ(at_level.operations()[i], reference.operations()[i])
+          ASSERT_EQ(at_level.op(i), reference.op(i))
               << "key " << key << " op " << i << " level "
               << simd::to_string(level);
         }

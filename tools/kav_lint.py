@@ -22,6 +22,14 @@ Rules (ids in parentheses; docs/STATIC_ANALYSIS.md has the catalog):
                        only inside src/util/thread_safety.h; everything
                        else uses the annotated kav::util wrappers so the
                        Clang thread-safety analysis sees every lock.
+  operations-view      History::operations() returns a fresh vector on
+                       every call, so it is never treated as a view:
+                       no .begin()/.end()/.data() or [i] on the call
+                       itself (two calls are two vectors; indexing
+                       copies the whole history per element), and no
+                       std::span bound to it (the vector dies at the
+                       end of the statement). Bind it to a vector, or
+                       read one op with op(id).
 
 Suppressions (each needs a justifying reason after the marker):
 
@@ -46,6 +54,7 @@ RULES = (
     "metric-names",
     "include-guard",
     "raw-sync-primitives",
+    "operations-view",
 )
 
 # Directories scanned during a repo run, relative to --root.
@@ -66,6 +75,20 @@ class Finding:
 
     def __str__(self):
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
+
+
+NUMBER_TOKEN_CHARS = frozenset(
+    "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_'.")
+
+
+def is_digit_separator(text, i):
+    """Whether the quote at text[i] is a C++14 digit separator (4'000),
+    not the start of a character literal: the token it continues starts
+    with a digit (a literal prefix like u8'x' or L'x' does not)."""
+    j = i
+    while j > 0 and text[j - 1] in NUMBER_TOKEN_CHARS:
+        j -= 1
+    return j < i and text[j].isdigit()
 
 
 def mask_comments_and_strings(text, keep_strings):
@@ -105,6 +128,8 @@ def mask_comments_and_strings(text, keep_strings):
             if not keep_strings:
                 blank(i + 1, j - 1)
             i = j
+        elif c == "'" and is_digit_separator(text, i):
+            i += 1
         elif c == '"' or c == "'":
             j = i + 1
             while j < n and text[j] != c:
@@ -151,6 +176,12 @@ RAW_SYNC_RE = re.compile(
     r"|shared_mutex|shared_timed_mutex|condition_variable"
     r"|condition_variable_any|lock_guard|unique_lock|shared_lock"
     r"|scoped_lock)\b")
+OPERATIONS_CALL = r"(?:\.|->)\s*operations\s*\(\s*\)"
+OPERATIONS_AS_VIEW_RE = re.compile(
+    OPERATIONS_CALL
+    + r"\s*(?:\[|\.\s*(?:c?r?begin|c?r?end|data)\s*\()")
+SPAN_OF_OPERATIONS_RE = re.compile(
+    r"std\s*::\s*span\s*<[^;{}]*?>\s*\w+\s*[=({][^;]*?" + OPERATIONS_CALL)
 
 
 def rule_wire_encoding(relpath, _text, bare, findings):
@@ -241,8 +272,19 @@ def rule_raw_sync(relpath, _text, bare, findings):
                          "util/thread_safety.h so -Wthread-safety sees it"))
 
 
+def rule_operations_view(_relpath, _text, bare, findings):
+    for m in OPERATIONS_AS_VIEW_RE.finditer(bare):
+        findings.append((m.start(), "operations-view",
+                         "operations() builds a new vector per call; bind "
+                         "it to a std::vector first, or read op(id)"))
+    for m in SPAN_OF_OPERATIONS_RE.finditer(bare):
+        findings.append((m.start(), "operations-view",
+                         "std::span over operations() dangles: the vector "
+                         "it views dies at the end of the statement"))
+
+
 RULE_FUNCS = (rule_wire_encoding, rule_naked_new, rule_metric_names,
-              rule_include_guard, rule_raw_sync)
+              rule_include_guard, rule_raw_sync, rule_operations_view)
 
 
 INCLUDE_LINE_RE = re.compile(r"^[ \t]*#[ \t]*include\b.*$", re.MULTILINE)
