@@ -8,6 +8,9 @@
 // get end-to-end monitored ops/sec plus the peak window (the memory
 // bound the O(slack + horizon) argument promises).
 //
+// Also times the history layer's precondition repair against a plain
+// History build (history_repair, history_build_columns; see below).
+//
 // The workload defaults to 1,000,000 operations over 64 keys;
 // KAV_BENCH_OPS overrides it (bench/run_bench.sh --smoke sets a small
 // value for CI data points). Scratch files live under TMPDIR.
@@ -22,13 +25,17 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/engine.h"
+#include "history/anomaly.h"
+#include "history/keyed_trace.h"
 #include "history/serialization.h"
 #include "ingest/binary_trace.h"
 #include "ingest/trace_source.h"
+#include "quorum/sim.h"
 #include "store/mapped_segment.h"
 #include "util/rng.h"
 
@@ -199,6 +206,92 @@ void monitor_stream(benchmark::State& state) {
 }
 BENCHMARK(monitor_stream)->Arg(1)->Arg(4)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// --- History layer: the precondition repair vs a plain build -------------
+//
+// The raw per-key histories of a sloppy-quorum trace in kavbench
+// audit_file's shape (W = R = 1 over three replicas, anti-entropy on;
+// ~1000 operations per key), keeping the keys without hard anomalies:
+// most of them carry duplicate stamps and writes that outlive their
+// reads, so the gate repairs them before deciding.
+// history_build_columns builds each key's History from its
+// OperationColumns (copying the columns in, since the constructor
+// adopts them); history_repair runs detail::normalize_repairable on
+// each prebuilt History, which copies the columns and inherits the
+// indexes. run_bench.sh --smoke fails when the repair costs more than
+// the build: a repair that sorts or re-derives the indexes sits at
+// ~1.9x the build, one that inherits them at ~0.4x.
+struct RepairFixture {
+  std::vector<OperationColumns> columns;
+  std::vector<History> histories;
+  std::size_t ops = 0;
+
+  RepairFixture() {
+    const std::size_t trace_ops = bench_ops();
+    quorum::QuorumConfig config;
+    config.replicas = 3;
+    config.write_quorum = 1;
+    config.read_quorum = 1;
+    config.first_responders = false;
+    config.anti_entropy = true;
+    config.anti_entropy_interval = 20;
+    config.clients = 64;
+    config.keys = static_cast<int>(std::max<std::size_t>(1, trace_ops / 1000));
+    config.ops_per_client = static_cast<int>(trace_ops / 64);
+    config.seed = 1;
+    KeyedHistories split =
+        split_by_key(quorum::run_sloppy_quorum_sim(config).trace);
+    for (auto& [key, history] : split.per_key) {
+      if (detail::has_hard_anomaly(history)) continue;
+      OperationColumns key_columns;
+      key_columns.reserve(history.size());
+      for (OpId id = 0; id < history.size(); ++id) {
+        key_columns.push_back(history.op(id));
+      }
+      columns.push_back(std::move(key_columns));
+      ops += history.size();
+      histories.push_back(std::move(history));
+    }
+  }
+};
+
+const RepairFixture& repair_fixture() {
+  static const RepairFixture instance;
+  return instance;
+}
+
+void repair_rate(benchmark::State& state) {
+  const RepairFixture& f = repair_fixture();
+  state.counters["trace_ops"] = static_cast<double>(f.ops);
+  state.counters["keys"] = static_cast<double>(f.histories.size());
+  state.counters["ops/s"] = benchmark::Counter(
+      static_cast<double>(f.ops) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
+void history_build_columns(benchmark::State& state) {
+  const RepairFixture& f = repair_fixture();
+  for (auto _ : state) {
+    for (const OperationColumns& key_columns : f.columns) {
+      const History history{OperationColumns(key_columns)};
+      benchmark::DoNotOptimize(history);
+    }
+  }
+  repair_rate(state);
+}
+BENCHMARK(history_build_columns)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void history_repair(benchmark::State& state) {
+  const RepairFixture& f = repair_fixture();
+  for (auto _ : state) {
+    for (const History& history : f.histories) {
+      const History repaired = detail::normalize_repairable(history);
+      benchmark::DoNotOptimize(repaired);
+    }
+  }
+  repair_rate(state);
+}
+BENCHMARK(history_repair)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace kav

@@ -172,58 +172,88 @@ History normalize(const History& history) {
 
 History detail::normalize_repairable(const History& history) {
   const std::size_t n = history.size();
-  std::vector<Operation> ops = history.operations();
+  const std::vector<OpId>& by_start = history.by_start_;
+  const std::vector<OpId>& by_finish = history.by_finish_;
+  History out;
+  out.cols_.starts.resize(n);
+  out.cols_.finishes.resize(n);
+  out.cols_.values = history.cols_.values;
+  out.cols_.clients = history.cols_.clients;
+  out.cols_.types = history.cols_.types;
+  std::vector<TimePoint>& starts = out.cols_.starts;
+  std::vector<TimePoint>& finishes = out.cols_.finishes;
 
   // Pass A: uniquify timestamps while preserving "precedes" exactly.
-  // Sort all 2n events by (time, kind) with starts before finishes at
-  // equal time, then renumber sequentially. Strict inequalities are
-  // preserved; an old tie f == s (concurrent: precedence needs f < s)
-  // becomes f > s, keeping the pair concurrent.
-  struct Event {
-    TimePoint time;
-    bool is_finish;
-    OpId op;
-  };
-  std::vector<Event> events;
-  events.reserve(2 * n);
-  for (OpId id = 0; id < n; ++id) {
-    events.push_back({ops[id].start, false, id});
-    events.push_back({ops[id].finish, true, id});
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Event& a, const Event& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.is_finish < b.is_finish;  // starts first
-                   });
-  // Space consecutive events by a gap wide enough that pass B's "-1"
-  // adjustments land strictly between existing stamps.
+  // Rank all 2n events by (time, kind, id) with starts before finishes
+  // at equal time, and renumber them sequentially: merging by_start and
+  // by_finish, which already break ties by id, taking the start on a
+  // tie, yields exactly that order. Strict inequalities are preserved;
+  // an old tie f == s (concurrent: precedence needs f < s) becomes
+  // f > s, keeping the pair concurrent. Consecutive events are spaced
+  // by a gap wide enough that pass B's "-1" adjustments land strictly
+  // between existing stamps. The latest event is a finish, so the
+  // starts run out first.
   const TimePoint gap = static_cast<TimePoint>(n) + 2;
-  for (std::size_t rank = 0; rank < events.size(); ++rank) {
-    const Event& ev = events[rank];
-    const TimePoint t = static_cast<TimePoint>(rank + 1) * gap;
-    if (ev.is_finish) {
-      ops[ev.op].finish = t;
+  TimePoint stamp = 0;
+  std::size_t i = 0;
+  for (std::size_t j = 0; j < n;) {
+    if (i < n &&
+        history.start(by_start[i]) <= history.finish(by_finish[j])) {
+      starts[by_start[i++]] = stamp += gap;
     } else {
-      ops[ev.op].start = t;
+      finishes[by_finish[j++]] = stamp += gap;
     }
   }
 
   // Pass B: shorten writes so each finishes before the earliest finish
-  // among its dictated reads. New finish times sit at (multiple of
-  // gap) - 1, which cannot collide with any pass-A stamp, and two
-  // writes cannot collide with each other because their earliest
-  // dictated-read finishes are distinct events.
-  for (OpId w : history.writes_by_start()) {
-    TimePoint min_read_finish = kTimeMax;
+  // among its dictated reads -- its anchor. New finish times sit at
+  // (multiple of gap) - 1, which cannot collide with any pass-A stamp,
+  // and two writes cannot collide with each other because a read has
+  // one dictating write, so their anchors are distinct events. The
+  // splice table records each move for the finish order below: a
+  // shortened write maps to itself, its anchor read to the write.
+  std::vector<OpId> splice(n, kInvalidOp);
+  for (OpId w : history.writes_by_start_) {
+    OpId anchor = kInvalidOp;
     for (OpId r : history.dictated_reads(w)) {
-      min_read_finish = std::min(min_read_finish, ops[r].finish);
+      if (anchor == kInvalidOp || finishes[r] < finishes[anchor]) anchor = r;
     }
-    if (min_read_finish != kTimeMax && ops[w].finish >= min_read_finish) {
-      ops[w].finish = min_read_finish - 1;
+    if (anchor != kInvalidOp && finishes[w] >= finishes[anchor]) {
+      finishes[w] = finishes[anchor] - 1;
+      splice[w] = w;
+      splice[anchor] = w;
     }
   }
 
-  return History(std::move(ops));
+  // Pass A keeps the start order and pass B no start, and neither
+  // touches a value or a type, so every index built from the start
+  // order and the values carries over unchanged.
+  out.by_start_ = by_start;
+  out.writes_by_start_ = history.writes_by_start_;
+  out.reads_ = history.reads_;
+  out.dictating_write_ = history.dictating_write_;
+  out.dictated_flat_ = history.dictated_flat_;
+  out.read_begin_ = history.read_begin_;
+  out.value_index_ = history.value_index_;
+  out.has_duplicate_write_values_ = history.has_duplicate_write_values_;
+
+  // Pass A keeps the finish order too. Pass B moves each shortened
+  // write to just before its anchor, and no other stamp lies between
+  // the two, so one walk over the old order rebuilds the new one.
+  out.by_finish_.reserve(n);
+  out.writes_by_finish_.reserve(history.writes_by_finish_.size());
+  for (OpId id : by_finish) {
+    const OpId moved = splice[id];
+    if (moved == id) continue;  // a shortened write: placed at its anchor
+    if (moved != kInvalidOp) {
+      out.by_finish_.push_back(moved);
+      out.writes_by_finish_.push_back(moved);
+    }
+    out.by_finish_.push_back(id);
+    if (history.is_write(id)) out.writes_by_finish_.push_back(id);
+  }
+  out.count_max_concurrent_writes();
+  return out;
 }
 
 }  // namespace kav

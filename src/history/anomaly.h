@@ -83,7 +83,8 @@ bool is_normalized(const History& history);
 // uniquification step, and only *adds* precedence pairs (w, op) implied
 // by moving write commit points earlier -- the paper argues this is
 // harmless (Section II-C). Throws std::invalid_argument if the history
-// has hard anomalies (normalize cannot give those meaning).
+// has hard anomalies (normalize cannot give those meaning). O(n): see
+// detail::normalize_repairable.
 History normalize(const History& history);
 
 namespace detail {
@@ -97,6 +98,14 @@ bool has_hard_anomaly(const History& history);
 // normalize() minus its has_hard_anomaly check, for a caller that
 // already ran it (verify_k_atomicity). On a history with hard anomalies
 // the result is meaningless.
+//
+// O(n) time, no sort and no Operation rows: the new stamps come from
+// one merge of the input's by_start() and by_finish(), and the copy
+// inherits every index built from the start order and the values
+// (by_start, writes_by_start, reads, dictating writes, dictated reads,
+// the value index). Only by_finish, writes_by_finish and
+// max_concurrent_writes are rebuilt, by one walk over the old finish
+// order. A friend of History for that reason.
 History normalize_repairable(const History& history);
 
 }  // namespace detail

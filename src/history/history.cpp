@@ -207,6 +207,10 @@ void History::build_indexes() {
     if (w != kInvalidOp) dictated_flat_[cursor[w]++] = r;
   }
 
+  count_max_concurrent_writes();
+}
+
+void History::count_max_concurrent_writes() {
   // Max concurrent writes. The old implementation sorted 2W
   // (time, delta) pairs with -1 ordered before +1 at equal time; the
   // write starts and write finishes are each already ascending along
@@ -215,10 +219,13 @@ void History::build_indexes() {
   // the sort. (A write finishing exactly when another starts counts as
   // not overlapping here, immaterial for the maximum on normalized
   // histories, whose timestamps are unique -- same caveat as before.)
+  const std::vector<TimePoint>& starts = cols_.starts;
+  const std::vector<TimePoint>& finishes = cols_.finishes;
   const std::size_t w_count = writes_by_start_.size();
   std::size_t si = 0;
   std::size_t fi = 0;
   std::size_t depth = 0;
+  max_concurrent_writes_ = 0;
   while (si < w_count) {
     if (finishes[writes_by_finish_[fi]] <= starts[writes_by_start_[si]]) {
       --depth;

@@ -17,6 +17,12 @@
 // by find_anomalies in anomaly.h, since the paper treats them as
 // pre-filtered); it only rejects structurally malformed operations
 // (start >= finish).
+//
+// The repair that establishes the deciders' input contract
+// (detail::normalize_repairable, anomaly.h) is a friend: it rewrites
+// the start and finish columns in O(n) and inherits every index the
+// repair cannot change, rebuilding only the finish order and the
+// write-concurrency count.
 #ifndef KAV_HISTORY_HISTORY_H
 #define KAV_HISTORY_HISTORY_H
 
@@ -30,6 +36,12 @@
 #include "util/time_types.h"
 
 namespace kav {
+
+class History;
+
+namespace detail {
+History normalize_repairable(const History& history);
+}  // namespace detail
 
 // Structure-of-arrays form of an operation sequence: column i across
 // all five vectors is operation i. This is History's own storage, and
@@ -120,7 +132,12 @@ class History {
   TimePoint max_time() const;  // latest finish (0 when empty)
 
  private:
+  friend History detail::normalize_repairable(const History& history);
+
   void build_indexes();
+  // Sets max_concurrent_writes_ from cols_, writes_by_start_ and
+  // writes_by_finish_.
+  void count_max_concurrent_writes();
 
   OperationColumns cols_;
   std::vector<OpId> by_start_;

@@ -1,13 +1,23 @@
 // Tests for Section II-C precondition handling: detection of each
 // anomaly kind, and the normalize() transformation (timestamp
 // uniquification + write shortening) with its contracts -- precedence
-// preservation, idempotence, and id stability.
+// preservation, idempotence, and id stability -- plus a differential
+// pinning the O(n) repair to the row-based one it replaced
+// (reference_normalize.h) on every History accessor.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "history/anomaly.h"
 #include "history/history.h"
+#include "history/keyed_trace.h"
+#include "history_model.h"
+#include "quorum/sim.h"
+#include "reference_normalize.h"
+#include "util/rng.h"
 
 namespace kav {
 namespace {
@@ -201,6 +211,134 @@ TEST(Normalize, ManySharedStampsGetDistinct) {
       }
     }
   }
+}
+
+// --- The O(n) repair vs the row-based reference ---------------------------
+
+// Random histories normalize() accepts: write values are unique and
+// every read returns a write it does not precede. Times come from a
+// small range, so starts, finishes and start == finish pairs collide
+// across operations; one write in three may run long enough to outlive
+// several of its reads; and the rows are shuffled, so ids arrive out of
+// start order.
+std::vector<Operation> random_repairable_ops(Rng& rng, std::size_t n) {
+  std::vector<Operation> ops;
+  std::vector<std::size_t> writes;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto client = static_cast<ClientId>(rng.uniform(-1, 3));
+    if (writes.empty() || rng.bernoulli(0.35)) {
+      const TimePoint start = rng.uniform(0, 30);
+      const TimePoint length =
+          1 + rng.uniform(0, rng.bernoulli(0.3) ? 30 : 5);
+      writes.push_back(ops.size());
+      ops.push_back(make_write(start, start + length,
+                               static_cast<Value>(writes.size()), client));
+    } else {
+      const Operation& w = ops[writes[rng.bounded(writes.size())]];
+      const TimePoint finish = w.start + rng.uniform(0, 12);
+      const TimePoint start = finish - 1 - rng.uniform(0, 6);
+      ops.push_back(make_read(start, finish, w.value, client));
+    }
+  }
+  for (std::size_t i = ops.size(); i > 1; --i) {
+    std::swap(ops[i - 1], ops[rng.bounded(i)]);
+  }
+  return ops;
+}
+
+// Which of the repair's cases a history exercises.
+struct RepairTally {
+  int histories = 0;
+  int duplicate_stamps = 0;    // some two of the 2n events collide
+  int start_meets_finish = 0;  // some op starts exactly where one ends
+  int shortened_writes = 0;    // writes outliving a dictated read
+  int outliving_several = 0;   // writes outliving >= 2 dictated reads
+  int unsorted_arrival = 0;    // ids out of start order
+};
+
+void expect_repair_matches_reference(const History& raw, RepairTally& tally) {
+  ASSERT_FALSE(detail::has_hard_anomaly(raw));
+  const History expected = reference::normalize_repairable(raw);
+  const History repaired = detail::normalize_repairable(raw);
+  testing_util::expect_matches_model(repaired, expected.operations());
+  EXPECT_TRUE(is_normalized(repaired));
+
+  ++tally.histories;
+  const AnomalyReport report = find_anomalies(raw);
+  for (const Anomaly& a : report.anomalies) {
+    if (a.kind == AnomalyKind::duplicate_timestamp) {
+      ++tally.duplicate_stamps;
+      break;
+    }
+  }
+  bool meets = false;
+  for (OpId a = 0; a < raw.size() && !meets; ++a) {
+    for (OpId b = 0; b < raw.size() && !meets; ++b) {
+      meets = raw.finish(a) == raw.start(b);
+    }
+  }
+  tally.start_meets_finish += meets ? 1 : 0;
+  for (OpId w : raw.writes_by_start()) {
+    int outlived = 0;
+    for (OpId r : raw.dictated_reads(w)) {
+      outlived += raw.finish(w) >= raw.finish(r) ? 1 : 0;
+    }
+    tally.shortened_writes += outlived >= 1 ? 1 : 0;
+    tally.outliving_several += outlived >= 2 ? 1 : 0;
+  }
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    if (raw.by_start()[i] != i) {
+      ++tally.unsorted_arrival;
+      break;
+    }
+  }
+}
+
+TEST(Normalize, MatchesRowBasedReferenceOnRandomHistories) {
+  Rng rng(0x4E0B);
+  RepairTally tally;
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t n = trial < 2 ? static_cast<std::size_t>(trial)
+                                    : 2 + rng.bounded(40);
+    expect_repair_matches_reference(History(random_repairable_ops(rng, n)),
+                                    tally);
+  }
+  EXPECT_EQ(tally.histories, 400);
+  EXPECT_GT(tally.duplicate_stamps, 300);
+  EXPECT_GT(tally.start_meets_finish, 300);
+  EXPECT_GT(tally.outliving_several, 100);
+  EXPECT_GT(tally.unsorted_arrival, 300);
+}
+
+TEST(Normalize, MatchesRowBasedReferenceOnSloppyQuorumKeys) {
+  // The file audit's input shape (kavbench's audit_file, scaled down):
+  // W = R = 1 over three replicas with anti-entropy, so most keys carry
+  // both repairable anomalies and none is hard.
+  quorum::QuorumConfig config;
+  config.replicas = 3;
+  config.write_quorum = 1;
+  config.read_quorum = 1;
+  config.first_responders = false;
+  config.anti_entropy = true;
+  config.anti_entropy_interval = 20;
+  config.clients = 16;
+  config.keys = 24;
+  config.ops_per_client = 150;
+  config.seed = 7;
+  const KeyedHistories split =
+      split_by_key(quorum::run_sloppy_quorum_sim(config).trace);
+  RepairTally tally;
+  int repaired = 0;
+  for (const auto& [key, history] : split.per_key) {
+    SCOPED_TRACE("key " + key);
+    if (detail::has_hard_anomaly(history)) continue;
+    repaired += is_normalized(history) ? 0 : 1;
+    expect_repair_matches_reference(history, tally);
+  }
+  EXPECT_GE(tally.histories, 20);
+  EXPECT_GE(repaired, 15);
+  EXPECT_GT(tally.shortened_writes, 5);
 }
 
 TEST(AnomalyDescribe, MentionsKindAndOps) {
