@@ -161,11 +161,11 @@ BENCHMARK(BM_ReadOneKey_TextParse)->Unit(benchmark::kMillisecond);
 // --- Zero-copy vs materializing decode+verify ------------------------------
 //
 // The differential pair behind the hot-path claim: load_key (the
-// BlockCursor/SIMD column decode, no intermediate Operation vector)
-// against load_key_materializing (the read_key reference). The fuzz
-// suite proves them bit-identical; this pair records what the
-// zero-copy path buys, and run_bench.sh --smoke asserts it never
-// regresses below the materializing path.
+// BlockCursor one-pass column decode, no intermediate Operation
+// vector) against load_key_materializing (the read_key reference).
+// The fuzz suite proves them bit-identical; the unpaired benchmarks
+// record what the zero-copy path buys, and the *Paired ones below are
+// what run_bench.sh --smoke gates on.
 
 void BM_LoadOneKey_ZeroCopy(benchmark::State& state) {
   const Fixture& f = fixture();
@@ -213,6 +213,65 @@ void BM_VerifyOneKey_Materializing(benchmark::State& state) {
 }
 BENCHMARK(BM_VerifyOneKey_Materializing)->Unit(benchmark::kMillisecond);
 
+// Times `a` and `b` back to back in every iteration, in the mirrored
+// order a, b, b, a: a stretch of scheduler or frequency noise lands on
+// both sides of one iteration alike, so the per-repetition ratio
+// `<a_name>_ratio` (a / b, summed over the repetition's iterations)
+// carries the difference between the two and little of the noise.
+// Also reports each side's mean time as `<name>_ms`.
+template <typename A, typename B>
+void time_paired(benchmark::State& state, const std::string& a_name, A&& a,
+                 const std::string& b_name, B&& b) {
+  double a_ns = 0;
+  double b_ns = 0;
+  const auto timed = [](auto& fn, double& ns) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+  };
+  for (auto _ : state) {
+    timed(a, a_ns);
+    timed(b, b_ns);
+    timed(b, b_ns);
+    timed(a, a_ns);
+  }
+  const double runs = 2.0 * static_cast<double>(state.iterations());
+  state.counters[a_name + "_ms"] = a_ns / runs / 1e6;
+  state.counters[b_name + "_ms"] = b_ns / runs / 1e6;
+  state.counters[a_name + "_ratio"] = b_ns > 0 ? a_ns / b_ns : 0.0;
+  state.SetItemsProcessed(static_cast<std::int64_t>(fixture().probe_ops) *
+                          4 * state.iterations());
+}
+
+void BM_LoadOneKey_ZeroCopyPaired(benchmark::State& state) {
+  const IndexedTraceSource source(fixture().v2_path);
+  time_paired(
+      state, "zc",
+      [&] { benchmark::DoNotOptimize(source.load_key(kProbeKey)); }, "mat",
+      [&] {
+        benchmark::DoNotOptimize(source.load_key_materializing(kProbeKey));
+      });
+}
+BENCHMARK(BM_LoadOneKey_ZeroCopyPaired)->Unit(benchmark::kMillisecond);
+
+void BM_VerifyOneKey_ZeroCopyPaired(benchmark::State& state) {
+  const IndexedTraceSource source(fixture().v2_path);
+  time_paired(
+      state, "zc",
+      [&] {
+        const History h = source.load_key(kProbeKey);
+        benchmark::DoNotOptimize(verify_k_atomicity(h, VerifyOptions{}));
+      },
+      "mat",
+      [&] {
+        const History h = source.load_key_materializing(kProbeKey);
+        benchmark::DoNotOptimize(verify_k_atomicity(h, VerifyOptions{}));
+      });
+}
+BENCHMARK(BM_VerifyOneKey_ZeroCopyPaired)->Unit(benchmark::kMillisecond);
+
 // The structural-profile scan that drives 2-AV algorithm selection:
 // zones + FZF's Stage-1 partition, whose counts the profile reads.
 void BM_ZoneProfileScan(benchmark::State& state) {
@@ -230,43 +289,24 @@ BENCHMARK(BM_ZoneProfileScan)->Unit(benchmark::kMillisecond);
 // --- v2.1 integrity: CRC verify overhead -----------------------------------
 //
 // The zero-copy single-key load with block-checksum verification on
-// and off, timed back to back in every iteration in the mirrored order
-// on, off, off, on: a stretch of scheduler or frequency noise lands on
-// both sides of one iteration alike, so the per-repetition ratio
-// crc_ratio (on / off, summed over the repetition's iterations)
-// carries the CRC cost and little of the noise. That cost is ~10-15%
-// of a load -- one hardware CRC32C pass over bytes the decode touches
-// anyway, against a decode that no longer builds Operation rows --
-// and run_bench.sh --smoke bounds the median crc_ratio at 1.25.
+// and off, timed as a mirrored pair (time_paired above); the
+// per-repetition crc_ratio (on / off) carries the CRC cost. That cost
+// is ~10-15% of a load -- one hardware CRC32C pass over bytes the
+// decode touches anyway, against a decode that no longer builds
+// Operation rows -- and run_bench.sh --smoke bounds the median
+// crc_ratio at 1.25.
 
 void BM_LoadOneKey_CrcPaired(benchmark::State& state) {
-  const Fixture& f = fixture();
-  const IndexedTraceSource crc(f.v2_path);
+  const IndexedTraceSource crc(fixture().v2_path);
   MappedSegmentOptions lax;
   lax.verify_block_crc = false;
   const IndexedTraceSource nocrc(
-      {std::make_shared<const MappedSegment>(f.v2_path, lax)}, "nocrc");
-  double crc_ns = 0;
-  double nocrc_ns = 0;
-  const auto timed_load = [](const IndexedTraceSource& source, double& ns) {
-    const auto start = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(source.load_key(kProbeKey));
-    ns += std::chrono::duration<double, std::nano>(
-              std::chrono::steady_clock::now() - start)
-              .count();
-  };
-  for (auto _ : state) {
-    timed_load(crc, crc_ns);
-    timed_load(nocrc, nocrc_ns);
-    timed_load(nocrc, nocrc_ns);
-    timed_load(crc, crc_ns);
-  }
-  const double loads = 2.0 * static_cast<double>(state.iterations());
-  state.counters["crc_ms"] = crc_ns / loads / 1e6;
-  state.counters["nocrc_ms"] = nocrc_ns / loads / 1e6;
-  state.counters["crc_ratio"] = nocrc_ns > 0 ? crc_ns / nocrc_ns : 0.0;
-  state.SetItemsProcessed(static_cast<std::int64_t>(f.probe_ops) * 4 *
-                          state.iterations());
+      {std::make_shared<const MappedSegment>(fixture().v2_path, lax)},
+      "nocrc");
+  time_paired(
+      state, "crc", [&] { benchmark::DoNotOptimize(crc.load_key(kProbeKey)); },
+      "nocrc",
+      [&] { benchmark::DoNotOptimize(nocrc.load_key(kProbeKey)); });
 }
 BENCHMARK(BM_LoadOneKey_CrcPaired)->Unit(benchmark::kMillisecond);
 

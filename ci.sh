@@ -9,14 +9,14 @@
 #           leak-check atexit hook, so the injected deaths are
 #           ASan-clean), plus the `fuzz` label at reduced trial counts
 #           (KAV_FUZZ_TRIALS / KAV_FUZZ_OPS) --
-#           the mmap-backed store, the zero-copy BlockCursor/SIMD
-#           decode, and the binary readers are exactly the code
-#           sanitizers exist for, and the differential fuzzers are what
-#           drive them through their adversarial paths. Both labels run
-#           twice: with hardware SIMD dispatch and with
-#           KAV_FORCE_SCALAR=1, so every tier is sanitized. Skips the
-#           integration sweeps and the bench smoke (sanitized timings
-#           are meaningless).
+#           the mmap-backed store, the zero-copy BlockCursor decode,
+#           and the binary readers are exactly the code sanitizers
+#           exist for, and the differential fuzzers are what drive them
+#           through their adversarial paths. The labels run twice:
+#           with hardware CRC32C and with KAV_FORCE_SCALAR=1, which
+#           runs the store's read path on the software CRC32C, so both
+#           checksum paths are sanitized. Skips the integration sweeps
+#           and the bench smoke (sanitized timings are meaningless).
 #   --tsan: rebuild under ThreadSanitizer (-DKAV_SANITIZE=thread) and
 #           run the `unit` and `fuzz` labels at reduced trial counts.
 #           This is the always-on observability layer's race check: the

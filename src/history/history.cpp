@@ -1,11 +1,10 @@
 #include "history/history.h"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <string>
-
-#include "util/simd.h"
 
 namespace kav {
 
@@ -42,9 +41,14 @@ void OperationColumns::push_back(const Operation& op) {
 
 namespace {
 
-[[noreturn]] void throw_bad_interval(std::size_t index) {
-  throw std::invalid_argument("operation " + std::to_string(index) +
-                              " has start >= finish");
+// Throws for the first operation with start >= finish, if any.
+void check_intervals(const OperationColumns& cols) {
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    if (cols.starts[i] >= cols.finishes[i]) {
+      throw std::invalid_argument("operation " + std::to_string(i) +
+                                  " has start >= finish");
+    }
+  }
 }
 
 }  // namespace
@@ -52,9 +56,7 @@ namespace {
 History::History(std::vector<Operation> ops) {
   cols_.reserve(ops.size());
   for (const Operation& op : ops) cols_.push_back(op);
-  const std::size_t bad = simd::first_not_less_i64(
-      cols_.starts.data(), cols_.finishes.data(), cols_.size());
-  if (bad != cols_.size()) throw_bad_interval(bad);
+  check_intervals(cols_);
   build_indexes();
 }
 
@@ -64,9 +66,7 @@ History::History(OperationColumns columns) : cols_(std::move(columns)) {
       cols_.clients.size() != n || cols_.types.size() != n) {
     throw std::invalid_argument("OperationColumns columns differ in length");
   }
-  const std::size_t bad = simd::first_not_less_i64(cols_.starts.data(),
-                                                   cols_.finishes.data(), n);
-  if (bad != n) throw_bad_interval(bad);
+  check_intervals(cols_);
   build_indexes();
 }
 
@@ -84,7 +84,7 @@ void History::build_indexes() {
 
   // Event orders. Stored traces arrive per key in add() order, which
   // for most workloads is already time-sorted -- detect that with one
-  // O(n) SIMD scan and skip the O(n log n) sorts entirely (an id-iota
+  // O(n) scan and skip the O(n log n) sorts entirely (an id-iota
   // is exactly "sorted with ties broken by id" when the column is
   // strictly increasing). The check is on the data, not a caller hint,
   // so adversarial input degrades to the sort, never to a wrong index.
@@ -92,7 +92,10 @@ void History::build_indexes() {
                             const std::vector<TimePoint>& time) {
     ids.resize(n);
     std::iota(ids.begin(), ids.end(), 0);
-    if (simd::is_strictly_increasing_i64(time.data(), n)) return;
+    if (std::adjacent_find(time.begin(), time.end(),
+                           std::greater_equal<>()) == time.end()) {
+      return;
+    }
     std::sort(ids.begin(), ids.end(), [&](OpId a, OpId b) {
       return time[a] != time[b] ? time[a] < time[b] : a < b;
     });

@@ -46,9 +46,9 @@ History normalize_repairable(const History& history);
 // Structure-of-arrays form of an operation sequence: column i across
 // all five vectors is operation i. This is History's own storage, and
 // what the zero-copy decode path (store/block_cursor.h) produces
-// straight from mmap'd block bytes -- each fixed-width record field is
-// gathered into its own contiguous column with a SIMD kernel -- so
-// History adopts it without an Operation row ever existing.
+// straight from mmap'd block bytes -- each fixed-width record field
+// lands in its own contiguous column -- so History adopts it without
+// an Operation row ever existing.
 struct OperationColumns {
   std::vector<TimePoint> starts;
   std::vector<TimePoint> finishes;

@@ -9,7 +9,7 @@
 //   1. Hot paths pay one relaxed atomic add. Counter and Histogram are
 //      sharded into cache-line-sized per-thread cells (a thread hashes
 //      to a cell once, via a thread_local slot id), so concurrent
-//      writers on the SIMD decode/verify path and the monitor's ingest
+//      writers on the zero-copy decode/verify path and the monitor's ingest
 //      path never contend on one cache line. Totals are exact: cells
 //      are summed on read.
 //   2. Reads never stop writers. snapshot() takes the registration

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "ingest/binary_trace.h"
+#include "ingest/wire.h"
 
 namespace kav {
 
@@ -32,11 +33,11 @@ bool BlockCursor::ensure_block() {
 }
 
 void BlockCursor::rescan_corrupt_block() const {
-  // Some column scan rejected the current block. Re-walk it record by
-  // record from the cursor position with the scalar validator, which
+  // decode_columns rejected the current block. Re-walk it record by
+  // record from the cursor position with read_key's validator, which
   // throws at the first bad record with read_key's exact offset and
-  // message. The walk cannot succeed: the scans only report failures
-  // the scalar checks also detect.
+  // message. The walk cannot succeed: the fused pass only rejects
+  // records those checks also reject.
   std::uint64_t off = record_off_;
   const MappedSegment::BlockEntry& block = segment_->blocks_[block_ - 1];
   for (std::uint32_t r = 0; r < block_left_; ++r) {
@@ -50,54 +51,49 @@ void BlockCursor::rescan_corrupt_block() const {
     off += kBinaryTraceRecordBytes;
   }
   throw std::logic_error(
-      "BlockCursor: column validation rejected a block the scalar walk "
-      "accepts (kernel bug)");
+      "BlockCursor: decode_columns rejected a block the record walk "
+      "accepts");
 }
 
-void BlockCursor::decode_columns(OperationColumns& out, simd::Level level) {
+void BlockCursor::decode_columns(OperationColumns& out) {
   out.reserve(out.size() + remaining_);
-  std::vector<std::uint32_t> key_ids;  // per-block scratch, reused
   while (ensure_block()) {
     const std::size_t n = block_left_;
-    const unsigned char* base = segment_->at(record_off_);
+    const std::uint32_t key_id = segment_->blocks_[block_ - 1].key_id;
+    const unsigned char* record = segment_->at(record_off_);
     const std::size_t at = out.size();
     out.starts.resize(at + n);
     out.finishes.resize(at + n);
     out.values.resize(at + n);
     out.clients.resize(at + n);
     out.types.resize(at + n);
+    TimePoint* starts = out.starts.data() + at;
+    TimePoint* finishes = out.finishes.data() + at;
+    Value* values = out.values.data() + at;
+    ClientId* clients = out.clients.data() + at;
+    unsigned char* types = out.types.data() + at;
 
-    // Field-wise strided gathers straight off the mapping into the
-    // column tails; no per-record materialization.
-    simd::gather_i64_strided(base + 4, kBinaryTraceRecordBytes, n,
-                             out.starts.data() + at, level);
-    simd::gather_i64_strided(base + 12, kBinaryTraceRecordBytes, n,
-                             out.finishes.data() + at, level);
-    simd::gather_i64_strided(base + 20, kBinaryTraceRecordBytes, n,
-                             out.values.data() + at, level);
-    static_assert(sizeof(ClientId) == sizeof(std::uint32_t));
-    simd::gather_u32_strided(
-        base + 28, kBinaryTraceRecordBytes, n,
-        reinterpret_cast<std::uint32_t*>(out.clients.data() + at), level);
-    bool types_ok = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      const unsigned char type = base[i * kBinaryTraceRecordBytes + 32];
-      out.types[at + i] = type;
-      types_ok &= type <= 1;
+    // One pass over the block's records straight off the mapping: each
+    // record writes all five columns and folds read_key's three checks
+    // into one flag. A failed block drops to the per-record re-walk for
+    // read_key's exact error (offset precedence included -- the re-walk
+    // stops at the first bad record whatever mix of defects the block
+    // has).
+    bool ok = true;
+    for (std::size_t i = 0; i < n; ++i, record += kBinaryTraceRecordBytes) {
+      const TimePoint start = wire::load_i64(record + 4);
+      const TimePoint finish = wire::load_i64(record + 12);
+      const unsigned char type = record[32];
+      starts[i] = start;
+      finishes[i] = finish;
+      values[i] = wire::load_i64(record + 20);
+      clients[i] = static_cast<ClientId>(wire::load_u32(record + 28));
+      types[i] = type;
+      ok &= wire::load_u32(record) == key_id;
+      ok &= type <= 1;
+      ok &= start < finish;
     }
-
-    // Whole-block validation as column scans; any failure drops to the
-    // scalar re-walk for the exact read_key error (offset precedence
-    // included -- the re-walk stops at the first bad record whatever
-    // mix of defects the block has).
-    const MappedSegment::BlockEntry& block = segment_->blocks_[block_ - 1];
-    key_ids.resize(n);
-    simd::gather_u32_strided(base, kBinaryTraceRecordBytes, n, key_ids.data(),
-                             level);
-    if (!types_ok ||
-        simd::first_mismatch_u32(key_ids.data(), n, block.key_id, level) != n ||
-        simd::first_not_less_i64(out.starts.data() + at,
-                                 out.finishes.data() + at, n, level) != n) {
+    if (!ok) {
       out.starts.resize(at);
       out.finishes.resize(at);
       out.values.resize(at);

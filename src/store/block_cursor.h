@@ -2,25 +2,24 @@
 // History, and the one per-key record decoder behind
 // IndexedTraceSource::load_key: BlockCursor walks exactly one key's
 // blocks and bulk-decodes its records into OperationColumns
-// (decode_columns()) with the SIMD strided-gather kernels of
-// util/simd.h -- each record field lands in its own contiguous column,
-// validation (key-id uniformity, type byte, start < finish) runs as
-// whole-block column scans, and History adopts all five columns in
-// place. No std::vector<Operation> exists anywhere on this path.
+// (decode_columns()) in one pass per block: each record writes all
+// five columns and folds read_key's checks (key id, type byte,
+// start < finish) into one flag per block, and History adopts the
+// columns in place. No std::vector<Operation> exists anywhere on this
+// path.
 //
 // Equivalence contract: for any byte stream, valid or corrupt,
 // decode_columns yields exactly what MappedSegment::read_key (the
 // row-at-a-time reference) yields -- the same operations in the same
 // (add()) order, or a std::runtime_error pointing at the same byte
 // offset with the same message. Corruption handling works by falling
-// back to the scalar per-record walk, so the exact error precedence of
+// back to read_key's per-record walk, so the exact error precedence of
 // read_key (first failing record; within a record type byte, then
 // interval, then foreign key id) is reproduced by construction, not
 // re-implemented. tests/block_cursor_test.cpp checks every single-byte
-// corruption at every SIMD level, and tests/store_fuzz_test.cpp
-// enforces verdict/Report bit-identity over the two paths; this is the
-// safety invariant that makes the fast path trustworthy (see
-// docs/ALGORITHMS.md).
+// corruption, and tests/store_fuzz_test.cpp enforces verdict/Report
+// bit-identity over the two paths; this is the safety invariant that
+// makes the fast path trustworthy (see docs/ALGORITHMS.md).
 //
 // Thread-safety: like read_key, a BlockCursor only reads the immutable
 // mapping, so many cursors over one segment may run concurrently; a
@@ -33,7 +32,6 @@
 
 #include "history/history.h"
 #include "store/mapped_segment.h"
-#include "util/simd.h"
 
 namespace kav {
 
@@ -49,10 +47,8 @@ class BlockCursor {
 
   // Decodes every remaining record, appending one element per record
   // to each column of `out` (in add() order), then leaves the cursor
-  // exhausted. The explicit level lets tests run every dispatch tier;
-  // results are bit-identical across tiers by the simd.h contract.
-  void decode_columns(OperationColumns& out,
-                      simd::Level level = simd::active_level());
+  // exhausted.
+  void decode_columns(OperationColumns& out);
 
  private:
   // Enters blocks until one with records remains; false when done.

@@ -155,8 +155,8 @@ std::vector<const MappedSegment*> IndexedTraceSource::holders(
 }
 
 History IndexedTraceSource::load_key(const std::string& key) const {
-  // Zero-copy: each segment's blocks decode field-wise into one shared
-  // set of columns (SIMD strided gathers, whole-block validation), and
+  // Zero-copy: each segment's blocks decode into one shared set of
+  // columns (one pass per block, whole-block validation), and
   // History adopts all five columns in place as its own storage -- no
   // Operation row is ever built, no per-segment partial vectors. Must stay
   // bit-identical to load_key_materializing (store_fuzz differential).

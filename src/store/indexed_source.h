@@ -82,7 +82,7 @@ class IndexedTraceSource final : public TraceSource {
   // everywhere.
   std::optional<KeyStat> stat(const std::string& key) const;
   // Decodes `key`'s operations (in arrival order) into a History.
-  // Zero-copy: index -> BlockCursor -> SIMD column gathers -> History,
+  // Zero-copy: index -> BlockCursor -> OperationColumns -> History,
   // which adopts the columns in place; no Operation row is built (see
   // store/block_cursor.h for the equivalence contract).
   History load_key(const std::string& key) const;

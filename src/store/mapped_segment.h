@@ -54,8 +54,9 @@ struct KeyStat {
 struct MappedSegmentOptions {
   // Verify each block's CRC page entry before decoding it (v2.1
   // segments only; a no-op on files without integrity pages). Off
-  // exists solely so bench_store can price the check -- every product
-  // path leaves it on.
+  // exists solely so bench_store can price the check and
+  // block_cursor_test can feed damaged records to the decoders --
+  // every product path leaves it on.
   bool verify_block_crc = true;
   // Incremented once per detected block-checksum mismatch, on every
   // read path (read_key, BlockCursor, the sequential Cursor), just

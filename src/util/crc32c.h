@@ -5,13 +5,15 @@
 // zero-copy read path costs ~10-15% of a one-key load (bench_store's
 // BM_LoadOneKey_CrcPaired), not a second decode.
 //
-// Dispatch follows util/simd.h's model: the software slicing-by-8
-// implementation is always compiled and IS the semantics; the SSE4.2
-// variant is compiled behind a target attribute, selected once at
-// runtime via cpuid, and must produce bit-identical results
-// (tests/store_test.cpp pits them against each other and against the
-// published check value crc32c("123456789") == 0xE3069283).
-// KAV_FORCE_SCALAR=1 pins the software path, same as the SIMD kernels.
+// Dispatch: the software slicing-by-8 implementation is always
+// compiled and IS the semantics; the SSE4.2 variant is compiled behind
+// a target attribute, selected once at runtime via cpuid, and must
+// produce bit-identical results (tests/store_test.cpp pits them
+// against each other and against the published check value
+// crc32c("123456789") == 0xE3069283). KAV_FORCE_SCALAR=1 in the
+// environment (read once) pins the software path, so a result
+// difference can be bisected to the hardware path by rerunning one
+// process.
 #ifndef KAV_UTIL_CRC32C_H
 #define KAV_UTIL_CRC32C_H
 

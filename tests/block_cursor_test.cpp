@@ -2,19 +2,19 @@
 // Covers every record field against the wire layout (through a
 // SegmentWriter round trip that load_key and read_key both decode),
 // decoding across block shapes (single, many-per-block, one-per-block,
-// multi-key interleavings, absent keys), decode_columns at every
-// dispatch level, and -- the safety half of the equivalence contract --
-// an exhaustive single-byte corruption differential: for EVERY byte of
-// a segment file, flipping it must leave read_key and the column
-// decoder, at every dispatch level, in exact agreement (same operations
-// or a std::runtime_error with the same message, offset included). See
-// store/block_cursor.h for the contract this enforces.
+// multi-key interleavings, absent keys), and -- the safety half of the
+// equivalence contract -- an exhaustive single-byte corruption
+// differential: for EVERY byte of a segment file, flipping it must
+// leave read_key and the column decoder in exact agreement (same
+// operations or a std::runtime_error with the same message, offset
+// included). See store/block_cursor.h for the contract this enforces.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,7 +25,6 @@
 #include "store/indexed_source.h"
 #include "store/mapped_segment.h"
 #include "store/segment_writer.h"
-#include "util/simd.h"
 
 namespace kav {
 namespace {
@@ -85,9 +84,6 @@ std::vector<Operation> ops_of(const KeyedTrace& trace,
   return ops;
 }
 
-constexpr simd::Level kLevels[] = {simd::Level::scalar, simd::Level::sse2,
-                                   simd::Level::avx2};
-
 std::vector<Operation> rows_of(const OperationColumns& columns) {
   std::vector<Operation> ops;
   for (std::size_t i = 0; i < columns.size(); ++i) {
@@ -100,10 +96,9 @@ std::vector<Operation> rows_of(const OperationColumns& columns) {
 }
 
 std::vector<Operation> decode_key(const MappedSegment& segment,
-                                  std::string_view key,
-                                  simd::Level level = simd::active_level()) {
+                                  std::string_view key) {
   OperationColumns columns;
-  BlockCursor(segment, key).decode_columns(columns, level);
+  BlockCursor(segment, key).decode_columns(columns);
   return rows_of(columns);
 }
 
@@ -134,9 +129,7 @@ TEST(BlockCursor, DecodesEveryFieldFromTheWireLayout) {
     EXPECT_EQ(op.value, want[i].value) << i;
     EXPECT_EQ(op.client, want[i].client) << i;
   }
-  for (const simd::Level level : kLevels) {
-    EXPECT_EQ(decode_key(segment, "k", level), want);
-  }
+  EXPECT_EQ(decode_key(segment, "k"), want);
 }
 
 TEST(BlockCursor, StreamsEveryKeyInAddOrderAcrossBlockShapes) {
@@ -208,26 +201,6 @@ TEST(BlockCursor, DecodeColumnsAppendsAcrossCursors) {
   EXPECT_EQ(columns.types[alpha.size()], 1);  // beta's write
 }
 
-TEST(BlockCursor, DecodeColumnsIsIdenticalAtEveryDispatchLevel) {
-  TempDir dir("levels");
-  const KeyedTrace trace = sample_trace();
-  const MappedSegment segment(write_v2_file(dir, "s.kavb", trace, 2));
-  for (const std::string key : {"alpha", "beta", "gamma"}) {
-    OperationColumns reference;
-    BlockCursor(segment, key).decode_columns(reference, simd::Level::scalar);
-    for (simd::Level level : {simd::Level::sse2, simd::Level::avx2}) {
-      OperationColumns columns;
-      BlockCursor(segment, key).decode_columns(columns, level);
-      ASSERT_EQ(columns.size(), reference.size()) << key;
-      EXPECT_EQ(columns.starts, reference.starts) << key;
-      EXPECT_EQ(columns.finishes, reference.finishes) << key;
-      EXPECT_EQ(columns.values, reference.values) << key;
-      EXPECT_EQ(columns.clients, reference.clients) << key;
-      EXPECT_EQ(columns.types, reference.types) << key;
-    }
-  }
-}
-
 // --- Corruption differential ----------------------------------------------
 
 // Outcome of decoding one key through some path: the operations, or
@@ -238,6 +211,16 @@ struct DecodeOutcome {
 
   bool operator==(const DecodeOutcome& other) const = default;
 };
+
+// Failure messages show the error text or the operation count, not
+// the object's bytes.
+void PrintTo(const DecodeOutcome& outcome, std::ostream* os) {
+  if (outcome.ops) {
+    *os << outcome.ops->size() << " operations";
+  } else {
+    *os << "error \"" << outcome.error << "\"";
+  }
+}
 
 template <typename Fn>
 DecodeOutcome outcome_of(Fn&& decode) {
@@ -251,14 +234,17 @@ DecodeOutcome outcome_of(Fn&& decode) {
 }
 
 TEST(BlockCursor, EverySingleByteCorruptionMatchesReadKeyExactly) {
-  // Flip every byte of a small segment (two keys, two records per
-  // block so corruption can hit chunk headers, key tables, records,
-  // and the footer) and require read_key and the column decoder at
-  // every dispatch level to agree byte-for-byte on the result --
-  // operations or error message. This
-  // is the enforcement of the header's equivalence contract under
-  // arbitrary single-byte damage, not just the corruptions we thought
-  // of.
+  // Flip every byte of a small segment (two keys, two or three records
+  // per block so corruption can hit chunk headers, key tables, records
+  // -- a block's last one included -- and the footer) and require
+  // read_key and the column decoder to agree byte-for-byte on the
+  // result -- operations or error message. This is the enforcement of
+  // the header's equivalence contract under arbitrary single-byte
+  // damage, not just the corruptions we thought of. With block CRCs
+  // verified, the checksum rejects every damaged record before either
+  // decoder sees it; the sweep repeats with verification off so each
+  // damaged record reaches both decoders' own record checks (key id,
+  // type byte, start < finish), and requires every check to fire.
   TempDir dir("corrupt");
   KeyedTrace trace;
   trace.add("a", make_write(0, 10, 1, 1));
@@ -266,48 +252,67 @@ TEST(BlockCursor, EverySingleByteCorruptionMatchesReadKeyExactly) {
   trace.add("a", make_read(12, 20, 1, 3));
   trace.add("a", make_write(25, 30, 2, 1));
   trace.add("b", make_read(16, 22, 2, 4));
-  const std::string clean_path = write_v2_file(dir, "clean.kavb", trace, 2);
-  std::string bytes;
-  {
-    std::ifstream in(clean_path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    bytes = buffer.str();
-  }
-  ASSERT_FALSE(bytes.empty());
-
-  const std::string mutant_path = dir.file("mutant.kavb");
   std::size_t divergences = 0;
-  for (std::size_t at = 0; at < bytes.size(); ++at) {
-    std::string mutant = bytes;
-    mutant[at] = static_cast<char>(mutant[at] ^ 0x41);
+  std::size_t foreign = 0;
+  std::size_t bad_type = 0;
+  std::size_t bad_interval = 0;
+  for (const std::size_t records_per_block : {2ULL, 3ULL}) {
+    const std::string clean_path =
+        write_v2_file(dir, "clean.kavb", trace, records_per_block);
+    std::string bytes;
     {
-      std::ofstream out(mutant_path, std::ios::binary | std::ios::trunc);
-      out.write(mutant.data(), static_cast<std::streamsize>(mutant.size()));
+      std::ifstream in(clean_path, std::ios::binary);
+      std::stringstream buffer;
+      buffer << in.rdbuf();
+      bytes = buffer.str();
     }
-    std::optional<MappedSegment> segment;
-    try {
-      segment.emplace(mutant_path);
-    } catch (const std::exception&) {
-      continue;  // open() failed identically for every path by sharing
-    }
-    if (!segment->indexed()) continue;  // version byte damage: no index
-    for (const std::string key : {"a", "b"}) {
-      const DecodeOutcome reference =
-          outcome_of([&] { return segment->read_key(key); });
-      for (const simd::Level level : kLevels) {
-        const DecodeOutcome columns =
-            outcome_of([&] { return decode_key(*segment, key, level); });
-        EXPECT_EQ(columns, reference)
-            << "decode_columns at byte " << at << " key " << key
-            << " level " << static_cast<int>(level);
+    ASSERT_FALSE(bytes.empty());
+
+    const std::string mutant_path = dir.file("mutant.kavb");
+    for (const bool verify_crc : {true, false}) {
+      MappedSegmentOptions options;
+      options.verify_block_crc = verify_crc;
+      for (std::size_t at = 0; at < bytes.size(); ++at) {
+        std::string mutant = bytes;
+        mutant[at] = static_cast<char>(mutant[at] ^ 0x41);
+        {
+          std::ofstream out(mutant_path, std::ios::binary | std::ios::trunc);
+          out.write(mutant.data(),
+                    static_cast<std::streamsize>(mutant.size()));
+        }
+        std::optional<MappedSegment> segment;
+        try {
+          segment.emplace(mutant_path, options);
+        } catch (const std::exception&) {
+          continue;  // open() failed identically for every path by sharing
+        }
+        if (!segment->indexed()) continue;  // version byte damage: no index
+        for (const std::string key : {"a", "b"}) {
+          const DecodeOutcome reference =
+              outcome_of([&] { return segment->read_key(key); });
+          const DecodeOutcome columns =
+              outcome_of([&] { return decode_key(*segment, key); });
+          EXPECT_EQ(columns, reference)
+              << "decode_columns at byte " << at << " key " << key
+              << " records_per_block " << records_per_block
+              << " verify_crc " << verify_crc;
+          if (reference.error.empty()) continue;
+          ++divergences;
+          const std::string& error = reference.error;
+          foreign += error.find("foreign record") != std::string::npos;
+          bad_type += error.find("bad record type byte") != std::string::npos;
+          bad_interval +=
+              error.find("start must be < finish") != std::string::npos;
+        }
       }
-      if (!reference.error.empty()) ++divergences;
     }
   }
-  // Sanity: the sweep actually exercised corrupt-path agreement (some
-  // byte flips must land in records and produce errors).
+  // Sanity: the sweep actually exercised corrupt-path agreement, on
+  // each of the three record checks.
   EXPECT_GT(divergences, 0u);
+  EXPECT_GT(foreign, 0u);
+  EXPECT_GT(bad_type, 0u);
+  EXPECT_GT(bad_interval, 0u);
 }
 
 }  // namespace

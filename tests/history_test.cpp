@@ -4,8 +4,10 @@
 // (rows and columns) agreeing with each other and a brute-force model.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "history/history.h"
@@ -250,14 +252,45 @@ TEST(History, RowsAndColumnsAgreeOnEveryAccessor) {
 }
 
 TEST(History, ColumnsAcceptTimeSortedInput) {
-  // The already-sorted fast path: strictly increasing starts and
-  // finishes, and increasing write values.
-  std::vector<Operation> ops;
-  for (TimePoint t = 0; t < 20; ++t) {
-    ops.push_back(t % 3 == 0 ? make_write(10 * t, 10 * t + 15, t)
-                             : make_read(10 * t, 10 * t + 15, t - t % 3));
+  // The already-sorted fast path: History skips its index sorts when a
+  // time column is strictly increasing. Columns that increase but for
+  // one equal adjacent stamp or one step back -- in starts, finishes or
+  // both, at every position of every length up to 18 -- and columns at
+  // the 64-bit extremes must index exactly like the model.
+  std::vector<std::vector<Operation>> cases;
+  for (std::size_t n = 0; n <= 18; ++n) {
+    std::vector<Operation> increasing;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto t = static_cast<TimePoint>(3 * i) - 8;
+      const auto v = static_cast<Value>(i - i % 3);  // increasing writes
+      increasing.push_back(i % 3 == 0 ? make_write(t, t + 5, v)
+                                      : make_read(t, t + 5, v));
+    }
+    cases.push_back(increasing);
+    for (std::size_t at = 1; at < n; ++at) {
+      for (const TimePoint back : {0, 1}) {
+        std::vector<Operation> starts = increasing;
+        starts[at].start = starts[at - 1].start - back;
+        std::vector<Operation> finishes = increasing;
+        finishes[at].finish = finishes[at - 1].finish - back;
+        std::vector<Operation> both = increasing;
+        both[at].start = both[at - 1].start - back;
+        both[at].finish = both[at - 1].finish - back;
+        cases.insert(cases.end(), {starts, finishes, both});
+      }
+    }
   }
-  expect_matches_model(History(columns_of(ops)), ops);
+  constexpr TimePoint kMin = std::numeric_limits<TimePoint>::min();
+  constexpr TimePoint kMax = std::numeric_limits<TimePoint>::max();
+  cases.push_back({make_write(kMin, kMin + 1, 1), make_read(-1, 0, 1),
+                   make_write(kMax - 1, kMax, 2), make_read(kMin, kMax, 2)});
+  cases.push_back({make_write(kMin, kMax, 1), make_read(kMin, kMax, 1),
+                   make_read(kMin + 1, kMax, 1)});
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    expect_matches_model(History(cases[i]), cases[i]);
+    expect_matches_model(History(columns_of(cases[i])), cases[i]);
+  }
 }
 
 std::string constructor_error(const auto& build) {
@@ -287,18 +320,38 @@ TEST(History, ColumnsRejectMismatchedLengths) {
 }
 
 TEST(History, ColumnsRejectBadIntervalsLikeRows) {
-  std::vector<Operation> ops = {make_write(0, 10, 1), make_read(5, 15, 1),
-                                make_read(20, 30, 1)};
-  for (std::size_t bad = 0; bad < ops.size(); ++bad) {
-    for (const TimePoint finish : {ops[bad].start, ops[bad].start - 3}) {
-      std::vector<Operation> broken = ops;
-      broken[bad].finish = finish;
-      const std::string expected =
-          "operation " + std::to_string(bad) + " has start >= finish";
-      EXPECT_EQ(constructor_error([&] { History{broken}; }), expected);
-      EXPECT_EQ(constructor_error([&] { History{columns_of(broken)}; }),
-                expected);
+  // A bad interval (start == finish or start > finish) at every
+  // position of every length up to 18, with a second bad one after it,
+  // and at the 64-bit extremes: both constructors name the first.
+  std::vector<std::pair<std::vector<Operation>, std::size_t>> cases;
+  for (std::size_t n = 1; n <= 18; ++n) {
+    std::vector<Operation> ops;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto t = static_cast<TimePoint>(3 * i);
+      ops.push_back(i == 0 ? make_write(t, t + 5, 1) : make_read(t, t + 5, 1));
     }
+    for (std::size_t bad = 0; bad < n; ++bad) {
+      for (const TimePoint finish : {ops[bad].start, ops[bad].start - 3}) {
+        std::vector<Operation> broken = ops;
+        broken[bad].finish = finish;
+        if (bad + 2 < n) broken[bad + 2].finish = broken[bad + 2].start;
+        cases.emplace_back(broken, bad);
+      }
+    }
+  }
+  constexpr TimePoint kMin = std::numeric_limits<TimePoint>::min();
+  constexpr TimePoint kMax = std::numeric_limits<TimePoint>::max();
+  cases.push_back({{make_write(kMin, kMax, 1), make_read(kMin, kMin + 1, 1),
+                    make_read(kMax - 1, kMax, 1), make_read(kMax, kMin, 1)},
+                   3});
+  for (const auto& [broken, bad] : cases) {
+    const std::string expected =
+        "operation " + std::to_string(bad) + " has start >= finish";
+    EXPECT_EQ(constructor_error([&] { History{broken}; }), expected)
+        << broken.size() << " operations";
+    EXPECT_EQ(constructor_error([&] { History{columns_of(broken)}; }),
+              expected)
+        << broken.size() << " operations";
   }
 }
 

@@ -22,13 +22,13 @@
 //      by pull()) and a full run, after every step; likewise for a
 //      standalone sealed file;
 //
-//   4. zero-copy differential -- the BlockCursor/SIMD column-decode
-//      path (IndexedTraceSource::load_key) must be bit-identical to
-//      the materializing reference (load_key_materializing): same
+//   4. zero-copy differential -- the BlockCursor column-decode path
+//      (IndexedTraceSource::load_key) must be bit-identical to the
+//      materializing reference (load_key_materializing): same
 //      Histories record for record, same Engine verdicts and Report
-//      stats, full and selective, across 1/2/8 worker threads and at
-//      every SIMD dispatch level. This is the safety invariant that
-//      lets the hot path skip per-record materialization.
+//      stats, full and selective, across 1/2/8 worker threads. This
+//      is the safety invariant that lets the hot path skip
+//      per-record materialization.
 //
 // The master seed comes from KAV_FUZZ_SEED when set and is printed on
 // every failure; KAV_FUZZ_OPS scales the speedup workload and
@@ -54,12 +54,10 @@
 #include "history/serialization.h"
 #include "ingest/binary_trace.h"
 #include "ingest/trace_source.h"
-#include "store/block_cursor.h"
 #include "store/indexed_source.h"
 #include "store/segment_writer.h"
 #include "store/trace_store.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace kav {
 namespace {
@@ -476,8 +474,7 @@ TEST(StoreFuzz, SelectionAccountingMatchesFullListing) {
 // reference, record for record and verdict for verdict. Every trial
 // writes a fresh randomized trace at a random block size, then checks:
 //   - load_key == load_key_materializing as raw operation sequences,
-//     for every key and at every SIMD dispatch level (decode_columns
-//     takes the level explicitly, so one binary covers all tiers);
+//     for every key;
 //   - Engine reports over the indexed source are bit-identical to the
 //     in-memory reference, full-trace and per-key selective, at 1, 2,
 //     and 8 worker threads (the single-shard inline fast path, the
@@ -503,7 +500,7 @@ TEST(StoreFuzz, ZeroCopyDecodeMatchesMaterializingPath) {
     }
     IndexedTraceSource source(path);
 
-    // Record-level identity, per key, at every dispatch level.
+    // Record-level identity, per key.
     for (const std::string& key : source.selectable_keys()) {
       const History reference = source.load_key_materializing(key);
       const History zero_copy = source.load_key(key);
@@ -511,22 +508,6 @@ TEST(StoreFuzz, ZeroCopyDecodeMatchesMaterializingPath) {
       for (std::size_t i = 0; i < reference.size(); ++i) {
         ASSERT_EQ(zero_copy.op(i), reference.op(i))
             << "key " << key << " op " << i;
-      }
-      for (simd::Level level :
-           {simd::Level::scalar, simd::Level::sse2, simd::Level::avx2}) {
-        OperationColumns columns;
-        for (const auto& segment : source.segments()) {
-          BlockCursor cursor(*segment, key);
-          cursor.decode_columns(columns, level);
-        }
-        const History at_level(std::move(columns));
-        ASSERT_EQ(at_level.size(), reference.size())
-            << "key " << key << " level " << simd::to_string(level);
-        for (std::size_t i = 0; i < reference.size(); ++i) {
-          ASSERT_EQ(at_level.op(i), reference.op(i))
-              << "key " << key << " op " << i << " level "
-              << simd::to_string(level);
-        }
       }
     }
 
