@@ -1,6 +1,6 @@
 // Serial vs sharded-parallel keyed verification: the speedup the
 // Section II-B locality argument buys once per-key shards run on the
-// work-stealing pool. `keyed_serial` times the serial reference
+// Engine's pool. `keyed_serial` times the serial reference
 // verify_keyed_trace; `keyed_parallel` and `keyed_fail_fast` time one
 // reused kav::Engine. Sweeps key counts and thread counts on the same
 // deterministic multi-key workload, so the `keyed_serial` /

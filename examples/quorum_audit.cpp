@@ -5,7 +5,7 @@
 // kav::Engine three ways over the same trace: a batch k = 1 audit, a
 // batch k = 2 audit (per-call VerifyOptions overrides on the same
 // shards), and an online monitoring replay -- all three share the
-// engine's single work-stealing pool, which is the point of the
+// engine's single thread pool, which is the point of the
 // session API.
 //
 //   $ ./quorum_audit --replicas=5 --write-quorum=1 --read-quorum=1

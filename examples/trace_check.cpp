@@ -38,7 +38,6 @@ Algorithm parse_algorithm(const std::string& name) {
   if (name == "auto") return Algorithm::auto_select;
   if (name == "gk") return Algorithm::gk;
   if (name == "lbt") return Algorithm::lbt;
-  if (name == "lbt-naive") return Algorithm::lbt_naive;
   if (name == "fzf") return Algorithm::fzf;
   if (name == "greedy") return Algorithm::greedy;
   if (name == "oracle") return Algorithm::oracle;

@@ -406,9 +406,6 @@ Engine::Engine(EngineOptions options)
       pool_(std::make_unique<pipeline::ThreadPool>(options_.threads,
                                                    metrics_)) {
   verifier_ = std::make_unique<ShardedVerifier>(*pool_, *metrics_, options_);
-  if (options_.telemetry_port >= 0) {
-    serve_telemetry(options_.telemetry_address, options_.telemetry_port);
-  }
 }
 
 Engine::~Engine() {

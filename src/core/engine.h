@@ -2,7 +2,7 @@
 // object in the spirit of a production verifier (the paper's Section
 // VII experiment run as a service, not a one-shot function call):
 // constructed once from EngineOptions (core/options.h), owning ONE
-// work-stealing thread pool shared by sharded batch verification
+// thread pool shared by sharded batch verification
 // (pipeline/sharded_verifier.h) and keyed online monitoring
 // (ingest/keyed_monitor.h), and consuming any input through the
 // polymorphic TraceSource abstraction (ingest/trace_source.h). Both

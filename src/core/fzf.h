@@ -50,10 +50,13 @@ namespace kav {
 // backward writes contained in its extent, backward(c), in zone order.
 // Chunks lie along the timeline (extent lows strictly increase);
 // dangling backward clusters keep their zone low so Stage 3 can merge
-// them with the chunks without recomputing a zone. This is the only
+// them with the chunks without recomputing a zone. This is the batch
 // implementation of the chunk-merging rule: zone_profile reads its
 // counts from it, and auto dispatch at k = 2 hands the same partition
-// to FZF, so a key's zones and chunks are computed once.
+// to FZF, so a key's zones and chunks are computed once. The one other
+// copy is incremental: StreamingChecker::decide_settled
+// (core/streaming.cpp) merges settled clusters into runs as a stream's
+// watermark advances.
 struct ChunkPartition {
   std::vector<Interval> extents;
   std::vector<std::uint32_t> forward_begin{0};   // chunks + 1 offsets

@@ -1,7 +1,6 @@
 #include "core/lbt.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "core/detail/linked_history.h"
 
@@ -21,10 +20,14 @@ struct SegmentRef {
 
 enum class EpochResult : unsigned char { success, fail, budget_exceeded };
 
+// Step budget of a candidate's first attempt in an epoch; each round of
+// iterative deepening doubles it.
+constexpr std::uint64_t kInitialBudget = 16;
+
 class LbtRun {
  public:
-  LbtRun(const History& history, const LbtOptions& options)
-      : history_(history), options_(options), state_(history) {}
+  explicit LbtRun(const History& history)
+      : history_(history), state_(history) {}
 
   Verdict run() {
     std::vector<OpId> candidates;  // reused across epochs, no per-epoch alloc
@@ -142,23 +145,9 @@ class LbtRun {
   bool run_one_epoch(const std::vector<OpId>& candidates) {
     const std::size_t segments_checkpoint = segments_.size();
     const std::size_t pool_checkpoint = reads_pool_.size();
-    if (!options_.iterative_deepening) {
-      for (OpId candidate : candidates) {
-        const std::size_t checkpoint = state_.checkpoint();
-        const EpochResult result =
-            run_epoch(candidate, std::numeric_limits<std::uint64_t>::max());
-        if (result == EpochResult::success) return true;
-        state_.revert_to(checkpoint);
-        segments_.resize(segments_checkpoint);
-        reads_pool_.resize(pool_checkpoint);
-      }
-      return false;
-    }
-
     std::vector<OpId> survivors = candidates;
-    for (std::uint64_t budget =
-             std::max<std::uint64_t>(options_.initial_budget, 1);
-         !survivors.empty(); budget *= 2) {
+    for (std::uint64_t budget = kInitialBudget; !survivors.empty();
+         budget *= 2) {
       std::vector<OpId> next_round;
       for (OpId candidate : survivors) {
         const std::size_t checkpoint = state_.checkpoint();
@@ -177,7 +166,6 @@ class LbtRun {
   }
 
   const History& history_;
-  const LbtOptions& options_;
   detail::LinkedHistory state_;
   std::vector<SegmentRef> segments_;
   std::vector<OpId> reads_pool_;  // all segments' reads, back to front
@@ -186,9 +174,9 @@ class LbtRun {
 
 }  // namespace
 
-Verdict check_2atomicity_lbt(const History& history, const LbtOptions& options) {
+Verdict check_2atomicity_lbt(const History& history) {
   if (history.empty()) return Verdict::make_yes({});
-  return LbtRun(history, options).run();
+  return LbtRun(history).run();
 }
 
 }  // namespace kav

@@ -15,10 +15,9 @@
 //
 // Complexity (Theorem 3.2): O(n log n + c*n) with the iterative-
 // deepening candidate search (per epoch, every surviving candidate is
-// re-run with a doubling step budget, so the search costs O(c * t)
-// where t is the work of the cheapest successful candidate); O(n^2)
-// worst case when c = Theta(n). The naive mode (candidates tried to
-// completion one by one) is kept for the ablation benchmark.
+// re-run with a doubling step budget, starting at 16 steps, so the
+// search costs O(c * t) where t is the work of the cheapest successful
+// candidate); O(n^2) worst case when c = Theta(n).
 //
 // Input contract: an anomaly-free, normalized history (Section II-C).
 // LBT does not check it; on other input its verdict is meaningless.
@@ -33,15 +32,7 @@
 
 namespace kav {
 
-struct LbtOptions {
-  bool iterative_deepening = true;
-  // Initial per-candidate step budget for iterative deepening (doubled
-  // each round). Small values exercise the revert machinery harder.
-  std::uint64_t initial_budget = 16;
-};
-
-Verdict check_2atomicity_lbt(const History& history,
-                             const LbtOptions& options = {});
+Verdict check_2atomicity_lbt(const History& history);
 
 }  // namespace kav
 

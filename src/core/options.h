@@ -9,7 +9,6 @@
 #define KAV_CORE_OPTIONS_H
 
 #include <cstddef>
-#include <string>
 
 #include "core/streaming.h"
 #include "core/verify.h"
@@ -58,14 +57,6 @@ struct EngineOptions {
   // isolate one engine's series (tests do) or to scrape several
   // engines separately from one process.
   obs::MetricsRegistry* metrics = nullptr;
-
-  // Live telemetry (obs/telemetry_server.h): >= 0 starts an HTTP
-  // server over this engine's registry at construction -- 0 picks an
-  // ephemeral port (read engine.telemetry()->port() back), -1 (the
-  // default) serves nothing. Equivalent to calling serve_telemetry()
-  // yourself after construction.
-  int telemetry_port = -1;
-  std::string telemetry_address = "127.0.0.1";
 };
 
 }  // namespace kav

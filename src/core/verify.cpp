@@ -18,8 +18,6 @@ const char* to_string(Algorithm algorithm) {
       return "gk";
     case Algorithm::lbt:
       return "lbt";
-    case Algorithm::lbt_naive:
-      return "lbt-naive";
     case Algorithm::fzf:
       return "fzf";
     case Algorithm::greedy:
@@ -65,12 +63,6 @@ Verdict dispatch(const History& history, int k, Algorithm algorithm) {
     case Algorithm::lbt:
       if (k != 2) return wrong_k("lbt", 2);
       return check_2atomicity_lbt(history);
-    case Algorithm::lbt_naive: {
-      if (k != 2) return wrong_k("lbt-naive", 2);
-      LbtOptions naive;
-      naive.iterative_deepening = false;
-      return check_2atomicity_lbt(history, naive);
-    }
     case Algorithm::fzf:
       if (k != 2) return wrong_k("fzf", 2);
       return check_2atomicity_fzf(history);

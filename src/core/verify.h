@@ -30,7 +30,6 @@ enum class Algorithm : unsigned char {
                 // oracle/greedy for k>=3
   gk,           // k = 1 only
   lbt,          // k = 2 only (iterative deepening)
-  lbt_naive,    // k = 2 only (no iterative deepening; a reference)
   fzf,          // k = 2 only
   greedy,       // any k; sound YES, otherwise undecided
   oracle,       // any k; exact but exponential, <= 64 ops
@@ -59,7 +58,7 @@ struct VerifyOptions {
 // Single-register verification: detail::gate classifies the history
 // once, then one decider (chosen by options.algorithm and k) decides
 // what passed. k < 1, and k other than 1 for gk or other than 2 for
-// lbt, lbt_naive and fzf, are precondition_failed.
+// lbt and fzf, are precondition_failed.
 Verdict verify_k_atomicity(const History& history,
                            const VerifyOptions& options = {});
 

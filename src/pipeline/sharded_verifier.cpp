@@ -118,11 +118,12 @@ constexpr std::size_t kReleaseAfterShardOps = std::size_t{1} << 16;
 // glibc keeps what a pool worker frees in that worker's arena, and
 // malloc_trim does not give back the top of a thread's arena, so a
 // worker that once decided a large shard kept megabytes resident.
-// Which workers did is up to scheduling (work stealing, and the arenas
-// a fresh pool's threads pick up), so resident memory stepped by whole
-// working sets between identical runs. The largest shard, when it is
-// large, therefore runs on the calling thread, which waits for the
-// pool anyway; the free memory of the batch goes back to the OS after.
+// Which workers did is up to scheduling (which idle worker pops each
+// task, and the arenas a fresh pool's threads pick up), so resident
+// memory stepped by whole working sets between identical runs. The
+// largest shard, when it is large, therefore runs on the calling
+// thread, which waits for the pool anyway; the free memory of the
+// batch goes back to the OS after.
 const ShardSpec* shard_for_caller(const std::vector<ShardSpec>& shards) {
   const ShardSpec* largest = nullptr;
   for (const ShardSpec& shard : shards) {

@@ -2,7 +2,7 @@
 // Section II-B): a trace is k-atomic iff its projection onto each
 // register is, and the projections share no state, so per-key shards
 // are embarrassingly parallel. ShardedVerifier dispatches each per-key
-// shard to a work-stealing ThreadPool and merges the per-key Verdicts
+// shard to a ThreadPool and merges the per-key Verdicts
 // back into a Report in key order.
 //
 // The pool is borrowed: kav::Engine (core/engine.h, the library's front

@@ -1,13 +1,12 @@
-// A small work-stealing thread pool for per-shard verification tasks.
+// A fixed-size thread pool with one FIFO task queue.
 //
-// Each worker owns a deque; submissions are distributed round-robin
-// across the deques. A worker drains its own deque front-first (FIFO:
-// all tasks here are external submissions, so this keeps execution
-// close to submission order -- which is what makes fail-fast skips
-// land on the *later* shards) and, when idle, steals from the back of
-// the other deques, so uneven shard sizes (one hot key, many cold
-// ones) keep every thread busy while owner and thief contend on
-// opposite ends.
+// Every task kav runs here is an independent, coarse job submitted
+// from outside the pool -- a per-key shard, one monitor partition's
+// drain, a store maintenance pass -- and no task submits another. So
+// the workers share a single deque: submit() pushes to the back and
+// each idle worker pops the front. Tasks therefore start in submission
+// order, which is what makes fail-fast skips land on the *later*
+// shards.
 //
 // The pool makes two guarantees the verification pipeline leans on:
 //
@@ -42,7 +41,7 @@ class ThreadPool {
  public:
   // threads == 0 picks std::thread::hardware_concurrency() (at least 1).
   // The pool instruments itself (kav_pool_* metrics: queue depth,
-  // steals, task latency) into `metrics`; nullptr means the process
+  // task counts and latency) into `metrics`; nullptr means the process
   // registry, obs::MetricsRegistry::global(). The registry must
   // outlive the pool.
   explicit ThreadPool(std::size_t threads = 0,
@@ -79,37 +78,20 @@ class ThreadPool {
   void shutdown();
 
  private:
-  // Locking contract: state_mutex_ orders the submission cursor, the
-  // pending-task count, and shutdown; each WorkerQueue's own mutex
-  // orders its deque. The only nesting anywhere is state_mutex_ ->
-  // queue mutex (enqueue); workers never take state_mutex_ while
-  // holding a queue mutex.
-  struct WorkerQueue {
-    util::Mutex mutex;
-    std::deque<std::function<void()>> tasks KAV_GUARDED_BY(mutex);
-  };
-
-  void enqueue(std::function<void()> task) KAV_EXCLUDES(state_mutex_);
-  void run_worker(std::size_t self) KAV_EXCLUDES(state_mutex_);
-  // Pops own front, else steals another queue's back. Claims one unit
-  // of pending_ on success.
-  bool try_run_one(std::size_t self) KAV_EXCLUDES(state_mutex_);
+  void enqueue(std::function<void()> task) KAV_EXCLUDES(mutex_);
+  void run_worker() KAV_EXCLUDES(mutex_);
 
   // kav_pool_* instruments, resolved once at construction (see
   // thread_pool.cpp). Owned by the registry, not the pool.
   struct Metrics;
   std::unique_ptr<Metrics> metrics_;
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
 
-  util::Mutex state_mutex_;
+  util::Mutex mutex_;
   util::CondVar wake_;
-  // Round-robin submission cursor.
-  std::size_t next_queue_ KAV_GUARDED_BY(state_mutex_) = 0;
-  // Queued tasks not yet claimed by any worker.
-  std::size_t pending_ KAV_GUARDED_BY(state_mutex_) = 0;
-  bool stopping_ KAV_GUARDED_BY(state_mutex_) = false;
+  std::deque<std::function<void()>> tasks_ KAV_GUARDED_BY(mutex_);
+  bool stopping_ KAV_GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace kav::pipeline

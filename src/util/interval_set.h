@@ -1,6 +1,4 @@
-// Interval utilities used by the zone/chunk machinery (FZF Stage 1) and
-// its tests: a sorted-disjoint interval set built by merging, plus a
-// static interval tree supporting stabbing and overlap queries.
+// The time interval used by the zone/chunk machinery (FZF Stage 1).
 //
 // All intervals are treated as open-ended real segments (lo, hi) with
 // lo < hi; the library guarantees distinct endpoints after
@@ -9,11 +7,6 @@
 // assumption (Section II-C).
 #ifndef KAV_UTIL_INTERVAL_SET_H
 #define KAV_UTIL_INTERVAL_SET_H
-
-#include <algorithm>
-#include <cstddef>
-#include <stdexcept>
-#include <vector>
 
 #include "util/time_types.h"
 
@@ -28,129 +21,6 @@ struct Interval {
   bool contains(TimePoint t) const { return lo < t && t < hi; }
 
   friend bool operator==(const Interval&, const Interval&) = default;
-};
-
-// Union of intervals kept as a minimal sorted list of disjoint runs.
-class IntervalSet {
- public:
-  void add(Interval iv) {
-    if (iv.lo >= iv.hi) throw std::invalid_argument("empty interval");
-    pending_.push_back(iv);
-    dirty_ = true;
-  }
-
-  // Disjoint maximal runs in increasing order.
-  const std::vector<Interval>& runs() const {
-    compact();
-    return runs_;
-  }
-
-  bool covers(TimePoint t) const {
-    compact();
-    auto it = std::upper_bound(
-        runs_.begin(), runs_.end(), t,
-        [](TimePoint v, const Interval& r) { return v < r.lo; });
-    if (it == runs_.begin()) return false;
-    --it;
-    return it->contains(t);
-  }
-
-  // True when the union contains interval iv entirely (strictly).
-  bool covers(const Interval& iv) const {
-    compact();
-    for (const Interval& r : runs_) {
-      if (r.contains(iv)) return true;
-    }
-    return false;
-  }
-
- private:
-  void compact() const {
-    if (!dirty_) return;
-    std::vector<Interval> all = runs_;
-    all.insert(all.end(), pending_.begin(), pending_.end());
-    std::sort(all.begin(), all.end(),
-              [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-    std::vector<Interval> merged;
-    for (const Interval& iv : all) {
-      if (!merged.empty() && iv.lo < merged.back().hi) {
-        merged.back().hi = std::max(merged.back().hi, iv.hi);
-      } else {
-        merged.push_back(iv);
-      }
-    }
-    runs_ = std::move(merged);
-    pending_.clear();
-    dirty_ = false;
-  }
-
-  mutable std::vector<Interval> runs_;
-  mutable std::vector<Interval> pending_;
-  mutable bool dirty_ = false;
-};
-
-// Immutable interval tree (centered / augmented-array flavor): built
-// once over a fixed interval collection, answers "all intervals
-// overlapping a query interval" and "all intervals containing a point".
-// Build is O(n log n); queries are O(log n + answer).
-class IntervalTree {
- public:
-  struct Entry {
-    Interval iv;
-    std::size_t tag = 0;  // caller-defined payload (e.g. zone index)
-  };
-
-  IntervalTree() = default;
-
-  explicit IntervalTree(std::vector<Entry> entries)
-      : entries_(std::move(entries)) {
-    std::sort(entries_.begin(), entries_.end(),
-              [](const Entry& a, const Entry& b) { return a.iv.lo < b.iv.lo; });
-    max_hi_.resize(entries_.size());
-    build_max(0, entries_.size());
-  }
-
-  std::size_t size() const { return entries_.size(); }
-
-  // Tags of all stored intervals overlapping `query`, in lo order.
-  std::vector<std::size_t> overlapping(const Interval& query) const {
-    std::vector<std::size_t> out;
-    collect_overlap(0, entries_.size(), query, out);
-    return out;
-  }
-
-  std::vector<std::size_t> stabbing(TimePoint t) const {
-    return overlapping(Interval{t, t + 1});
-  }
-
- private:
-  // Segment-tree-over-sorted-array: max_hi_[node(range)] is the max hi
-  // in that range; descend only into ranges whose max hi exceeds
-  // query.lo, and stop scanning right of the first lo >= query.hi.
-  TimePoint build_max(std::size_t lo, std::size_t hi) {
-    if (lo >= hi) return kTimeMin;
-    const std::size_t mid = lo + (hi - lo) / 2;
-    TimePoint best = entries_[mid].iv.hi;
-    best = std::max(best, build_max(lo, mid));
-    best = std::max(best, build_max(mid + 1, hi));
-    max_hi_[mid] = best;
-    return best;
-  }
-
-  void collect_overlap(std::size_t lo, std::size_t hi, const Interval& query,
-                       std::vector<std::size_t>& out) const {
-    if (lo >= hi) return;
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (max_hi_[mid] <= query.lo) return;  // nothing here can overlap
-    collect_overlap(lo, mid, query, out);
-    if (entries_[mid].iv.overlaps(query)) out.push_back(entries_[mid].tag);
-    if (entries_[mid].iv.lo < query.hi) {
-      collect_overlap(mid + 1, hi, query, out);
-    }
-  }
-
-  std::vector<Entry> entries_;
-  std::vector<TimePoint> max_hi_;
 };
 
 }  // namespace kav

@@ -81,25 +81,6 @@ class Rng {
 
   bool bernoulli(double p) { return uniform_double() < p; }
 
-  // Picks an index in [0, weights.size()) proportionally to weights.
-  template <typename Container>
-  std::size_t weighted_index(const Container& weights) {
-    double total = 0;
-    for (double w : weights) total += w;
-    double x = uniform_double() * total;
-    std::size_t i = 0;
-    for (double w : weights) {
-      if (x < w || i + 1 == static_cast<std::size_t>(weights.size())) break;
-      x -= w;
-      ++i;
-    }
-    return i;
-  }
-
-  // Derives an independent child stream; used to give each simulated
-  // client its own stream so event interleavings stay reproducible.
-  Rng fork() { return Rng(next() ^ 0x5851f42d4c957f2dULL); }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int s) {
     return (x << s) | (x >> (64 - s));

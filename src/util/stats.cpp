@@ -1,33 +1,11 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <sstream>
 
 namespace kav {
-
-void OnlineStats::add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double OnlineStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 double Samples::mean() const {
   if (xs_.empty()) return 0.0;
@@ -44,38 +22,6 @@ double Samples::quantile(double q) const {
   const auto rank = static_cast<std::size_t>(
       q * static_cast<double>(sorted.size() - 1) + 0.5);
   return sorted[rank];
-}
-
-PowerFit fit_power_law(const std::vector<double>& xs,
-                       const std::vector<double>& ys) {
-  PowerFit fit;
-  const std::size_t n = std::min(xs.size(), ys.size());
-  double sx = 0, sy = 0, sxx = 0, sxy = 0, syy = 0;
-  std::size_t m = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (xs[i] <= 0 || ys[i] <= 0) continue;
-    const double lx = std::log(xs[i]);
-    const double ly = std::log(ys[i]);
-    sx += lx;
-    sy += ly;
-    sxx += lx * lx;
-    sxy += lx * ly;
-    syy += ly * ly;
-    ++m;
-  }
-  fit.points = m;
-  if (m < 2) return fit;
-  const double dm = static_cast<double>(m);
-  const double denom = dm * sxx - sx * sx;
-  if (denom == 0) return fit;
-  fit.exponent = (dm * sxy - sx * sy) / denom;
-  const double intercept = (sy - fit.exponent * sx) / dm;
-  fit.coefficient = std::exp(intercept);
-  const double sst = syy - sy * sy / dm;
-  const double ssr =
-      syy - intercept * sy - fit.exponent * sxy;
-  fit.r_squared = sst == 0 ? 1.0 : 1.0 - ssr / sst;
-  return fit;
 }
 
 TablePrinter::TablePrinter(std::vector<std::string> headers)

@@ -1,7 +1,5 @@
-// Small statistics toolkit used by benchmarks and the simulator:
-// streaming moments, quantiles over collected samples, and a log-log
-// least-squares fit used to sanity-check asymptotic growth exponents
-// (e.g. "LBT on adversarial inputs grows like n^2", Theorem 3.2).
+// Small reporting toolkit for the examples and kavbench: quantiles over
+// collected samples, and a fixed-width text table.
 #ifndef KAV_UTIL_STATS_H
 #define KAV_UTIL_STATS_H
 
@@ -11,26 +9,6 @@
 #include <vector>
 
 namespace kav {
-
-// Streaming mean/variance (Welford) plus min/max.
-class OnlineStats {
- public:
-  void add(double x);
-
-  std::size_t count() const { return count_; }
-  double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  double variance() const;  // sample variance; 0 if fewer than 2 points
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-};
 
 // Batch sample container with quantiles. Quantile uses the nearest-rank
 // method on a sorted copy, which is adequate for reporting.
@@ -49,18 +27,6 @@ class Samples {
  private:
   std::vector<double> xs_;
 };
-
-// Least-squares fit of y = a * x^b via log-log regression.
-// Points with non-positive coordinates are skipped.
-struct PowerFit {
-  double exponent = 0;     // b
-  double coefficient = 0;  // a
-  double r_squared = 0;
-  std::size_t points = 0;
-};
-
-PowerFit fit_power_law(const std::vector<double>& xs,
-                       const std::vector<double>& ys);
 
 // Renders a fixed-width text table; used by examples and the "--table"
 // style bench reports so series are easy to eyeball against the paper.

@@ -2,8 +2,8 @@
 // 64 operations; these sweeps push LBT and FZF to hundreds of
 // operations where chunk structures, epoch chains and candidate sets
 // get shapes the small histories cannot produce. The properties:
-// the two deciders agree, YES witnesses validate independently, both
-// modes of LBT agree, and verdicts survive normalization idempotence.
+// the two deciders agree, YES witnesses validate independently, and
+// verdicts survive normalization idempotence.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -73,20 +73,6 @@ TEST_P(AgreementFuzz, LbtAndFzfAgreeWithValidWitnesses) {
   // The family is chosen to produce both verdicts; a degenerate sweep
   // would silently weaken the property.
   EXPECT_GT(yes + no, 0);
-}
-
-TEST_P(AgreementFuzz, LbtModesAgree) {
-  Rng rng(GetParam().seed + 1);
-  LbtOptions naive;
-  naive.iterative_deepening = false;
-  LbtOptions tiny_budget;
-  tiny_budget.initial_budget = 1;
-  for (int t = 0; t < kTrials; ++t) {
-    const History h = next_history(rng);
-    const bool expected = check_2atomicity_lbt(h).yes();
-    EXPECT_EQ(check_2atomicity_lbt(h, naive).yes(), expected) << t;
-    EXPECT_EQ(check_2atomicity_lbt(h, tiny_budget).yes(), expected) << t;
-  }
 }
 
 TEST_P(AgreementFuzz, StalenessInjectionNeverRaisesVerdict) {

@@ -110,8 +110,7 @@ TEST(EngineFuzz, VerifyBitIdenticalToLegacySerialForAllAlgorithms) {
       {Algorithm::auto_select, 1}, {Algorithm::auto_select, 2},
       {Algorithm::auto_select, 3}, {Algorithm::gk, 1},
       {Algorithm::gk, 2},          {Algorithm::lbt, 2},
-      {Algorithm::lbt, 3},         {Algorithm::lbt_naive, 2},
-      {Algorithm::lbt_naive, 1},   {Algorithm::fzf, 2},
+      {Algorithm::lbt, 3},         {Algorithm::fzf, 2},
       {Algorithm::fzf, 1},         {Algorithm::greedy, 2},
       {Algorithm::greedy, 3},      {Algorithm::oracle, 2},
       {Algorithm::oracle, 3},

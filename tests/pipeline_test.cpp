@@ -24,6 +24,7 @@
 #include "pipeline/sharded_verifier.h"
 #include "pipeline/thread_pool.h"
 #include "util/rng.h"
+#include "util/thread_safety.h"
 
 namespace kav {
 namespace {
@@ -98,9 +99,47 @@ TEST(ThreadPool, TasksMaySubmitMoreTasks) {
   EXPECT_EQ(ran.load(), 8);
 }
 
+TEST(ThreadPool, StartsQueuedTasksInSubmissionOrder) {
+  // Both workers park on a gate while eight tasks queue up behind them;
+  // the one worker released must then start the eight in submission
+  // order (the sharded verifier's fail-fast skips rely on it).
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    pipeline::ThreadPool pool(2);
+    std::promise<void> first_gate;
+    std::promise<void> second_gate;
+    std::atomic<int> parked{0};
+    auto park = [&parked](std::shared_future<void> gate) {
+      return [&parked, gate] {
+        parked.fetch_add(1);
+        gate.wait();
+      };
+    };
+    std::future<void> first = pool.submit(park(first_gate.get_future()));
+    std::future<void> second = pool.submit(park(second_gate.get_future()));
+    while (parked.load() < 2) std::this_thread::yield();
+
+    util::Mutex order_mutex;
+    std::vector<int> order;
+    std::vector<std::future<void>> queued;
+    for (int i = 0; i < 8; ++i) {
+      queued.push_back(pool.submit([i, &order_mutex, &order] {
+        util::MutexLock lock(order_mutex);
+        order.push_back(i);
+      }));
+    }
+    first_gate.set_value();
+    for (auto& f : queued) f.get();
+    second_gate.set_value();
+    first.get();
+    second.get();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  }
+}
+
 TEST(ThreadPool, UnevenLoadCompletesEverywhere) {
-  // One queue gets all the heavy tasks (round-robin spreads them, but
-  // the load is skewed by cost); stealing must still finish them all.
+  // Every fourth task is ~2000x the cost of the others, so the workers
+  // finish their tasks at very different rates; all 64 must still run.
   pipeline::ThreadPool pool(4);
   std::atomic<long> total{0};
   std::vector<std::future<void>> futures;

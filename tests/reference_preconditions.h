@@ -38,12 +38,6 @@ inline Verdict dispatch(const History& history, int k, Algorithm algorithm) {
     case Algorithm::lbt:
       if (k != 2) return wrong_k("lbt", 2);
       return check_2atomicity_lbt(history);
-    case Algorithm::lbt_naive: {
-      if (k != 2) return wrong_k("lbt-naive", 2);
-      LbtOptions options;
-      options.iterative_deepening = false;
-      return check_2atomicity_lbt(history, options);
-    }
     case Algorithm::fzf:
       if (k != 2) return wrong_k("fzf", 2);
       return check_2atomicity_fzf(history);

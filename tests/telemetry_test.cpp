@@ -3,7 +3,7 @@
 // contract between GET /metrics and a same-instant
 // render_prometheus(registry.snapshot()), health flips via custom
 // checks and the kav_store_maintenance_ok gauge, keep-alive reuse, and
-// Engine integration (EngineOptions::telemetry_port / serve_telemetry)
+// Engine integration (Engine::serve_telemetry)
 // including concurrent scraping while verify/monitor runs are live --
 // the load shape the ASan/TSan jobs must stay clean under.
 #include <gtest/gtest.h>
@@ -277,8 +277,9 @@ TEST(EngineTelemetry, OptionsPortStartsServerAndStatusTracksRuns) {
   EngineOptions options;
   options.threads = 2;
   options.metrics = &registry;
-  options.telemetry_port = 0;  // ephemeral
   Engine engine(options);
+  EXPECT_EQ(engine.telemetry(), nullptr);
+  engine.serve_telemetry("127.0.0.1", 0);  // ephemeral
   ASSERT_NE(engine.telemetry(), nullptr);
   ASSERT_NE(engine.telemetry()->port(), 0);
   // serve_telemetry() is idempotent: same server back.
@@ -318,9 +319,6 @@ TEST(EngineTelemetry, PortOutsideU16RangeIsRejectedNotWrapped) {
                std::invalid_argument);
   EXPECT_THROW(engine.serve_telemetry("127.0.0.1", -5), std::invalid_argument);
   EXPECT_EQ(engine.telemetry(), nullptr);
-  EngineOptions options;
-  options.telemetry_port = 65536;
-  EXPECT_THROW(Engine{options}, std::invalid_argument);
 }
 
 TEST(EngineTelemetry, StatusLedgerCountsWithoutServer) {

@@ -39,9 +39,8 @@ TEST(Verify, AutoSelectLadder) {
 
 TEST(Verify, ExplicitAlgorithmsAgree) {
   const History h = one_hop_history();
-  for (Algorithm algorithm : {Algorithm::lbt, Algorithm::lbt_naive,
-                              Algorithm::fzf, Algorithm::greedy,
-                              Algorithm::oracle}) {
+  for (Algorithm algorithm : {Algorithm::lbt, Algorithm::fzf,
+                              Algorithm::greedy, Algorithm::oracle}) {
     VerifyOptions options;
     options.k = 2;
     options.algorithm = algorithm;
@@ -116,11 +115,6 @@ class VerifyGate : public testing::TestWithParam<Algorithm> {
         return check_1atomicity_gk(h);
       case Algorithm::lbt:
         return check_2atomicity_lbt(h);
-      case Algorithm::lbt_naive: {
-        LbtOptions naive;
-        naive.iterative_deepening = false;
-        return check_2atomicity_lbt(h, naive);
-      }
       case Algorithm::fzf:
         return check_2atomicity_fzf(h);
       case Algorithm::greedy:
@@ -183,14 +177,9 @@ TEST_P(VerifyGate, RepairableHistoryIsRefusedOrRepaired) {
 INSTANTIATE_TEST_SUITE_P(
     EveryAlgorithm, VerifyGate,
     testing::Values(Algorithm::auto_select, Algorithm::gk, Algorithm::lbt,
-                    Algorithm::lbt_naive, Algorithm::fzf, Algorithm::greedy,
-                    Algorithm::oracle),
+                    Algorithm::fzf, Algorithm::greedy, Algorithm::oracle),
     [](const testing::TestParamInfo<Algorithm>& info) {
-      std::string name = to_string(info.param);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
+      return std::string(to_string(info.param));
     });
 
 TEST(Verify, AutoKThreeUsesOracleThenGreedy) {
