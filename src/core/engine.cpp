@@ -340,17 +340,11 @@ std::function<bool(std::string_view)> keep_for(const KeyFilter& filter) {
   return [&filter](std::string_view key) { return filter.pass(key); };
 }
 
-// The earlier of the absolute deadline and the relative timeout,
-// anchored at call entry (RunOptions precedence rule 2).
+// RunOptions::timeout as an absolute cutoff, anchored at call entry.
 std::optional<std::chrono::steady_clock::time_point> effective_deadline(
     const RunOptions& run) {
-  std::optional<std::chrono::steady_clock::time_point> deadline =
-      run.deadline;
-  if (run.timeout.count() > 0) {
-    const auto from_timeout = std::chrono::steady_clock::now() + run.timeout;
-    if (!deadline || from_timeout < *deadline) deadline = from_timeout;
-  }
-  return deadline;
+  if (run.timeout.count() <= 0) return std::nullopt;
+  return std::chrono::steady_clock::now() + run.timeout;
 }
 
 // Shared run-control scaffolding for every source-consuming loop.
@@ -405,7 +399,8 @@ Engine::Engine(EngineOptions options)
       status_(std::make_unique<StatusCollector>()),
       pool_(std::make_unique<pipeline::ThreadPool>(options_.threads,
                                                    metrics_)) {
-  verifier_ = std::make_unique<ShardedVerifier>(*pool_, *metrics_, options_);
+  verifier_ =
+      std::make_unique<ShardedVerifier>(*pool_, *metrics_, options_.fail_fast);
 }
 
 Engine::~Engine() {
@@ -438,27 +433,12 @@ obs::StatusSnapshot Engine::status(std::size_t top_n) const {
 std::size_t Engine::thread_count() const { return pool_->thread_count(); }
 
 std::unique_ptr<TraceStore> Engine::open_store(const std::string& directory) {
-  return open_store(directory, CompactionOptions{});
-}
-
-std::unique_ptr<TraceStore> Engine::open_store(
-    const std::string& directory, const CompactionOptions& compaction) {
   auto store = std::make_unique<TraceStore>(directory, metrics_);
-  store->enable_background_compaction(*pool_, compaction);
+  store->enable_background_compaction(*pool_);
   return store;
 }
 
 namespace {
-
-RunControl run_control_for(
-    const RunOptions& run,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
-  RunControl control;
-  control.cancel = run.cancel;
-  control.deadline = deadline;
-  control.on_key = run.on_key;
-  return control;
-}
 
 // One pinned ShardSpec per shard that passes `filter`, in key order. Each
 // History is pinned by pointer -- no copies; verify_shards waits for
@@ -498,9 +478,8 @@ Report finish_monitor(KeyedStreamingMonitor& monitor, const std::string& stop) {
 Report Engine::run_specs(
     const std::vector<ShardSpec>& specs, const RunOptions& run,
     const std::optional<std::chrono::steady_clock::time_point>& deadline) {
-  return verifier_->verify_shards(specs,
-                                  run.verify ? *run.verify : options_.verify,
-                                  run_control_for(run, deadline));
+  return verifier_->verify_shards(
+      specs, run.verify ? *run.verify : options_.verify, run.cancel, deadline);
 }
 
 Report Engine::verify_pinned(
@@ -527,8 +506,8 @@ Report Engine::verify_selective(
     present.insert(key);
     ShardSpec spec;
     spec.key = key;
-    // Op count from index statistics: the budget check and any
-    // scheduling decision happen before a single record is decoded.
+    // Op count from index statistics: the scheduling decision happens
+    // before a single record is decoded.
     spec.op_count = static_cast<std::size_t>(stat->records);
     spec.load = [&source, key]() { return source.load_key(key); };
     specs.push_back(std::move(spec));

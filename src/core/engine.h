@@ -8,19 +8,17 @@
 // polymorphic TraceSource abstraction (ingest/trace_source.h). Both
 // entry points return the unified Report (core/report.h) and accept
 // per-call RunOptions: a VerifyOptions override, a CancelToken, a
-// wall-clock deadline, live per-key / per-violation callbacks, and a
+// wall-clock timeout, a live per-violation callback (monitor), and a
 // key_filter for selective runs (index-backed sources decode only the
 // requested keys' blocks; see src/store/).
 //
 // Option precedence, from strongest to weakest:
 //   1. RunOptions::verify (per call) overrides EngineOptions::verify.
-//   2. RunOptions::deadline and ::timeout compose: the earlier cutoff
-//      wins when both are set.
-//   3. EngineOptions::threads is the only pool size: the verifier and
+//   2. EngineOptions::threads is the only pool size: the verifier and
 //      every monitor borrow the engine's pool and never spawn their own.
 //
 // Determinism: Engine::verify inherits the sharded pipeline's
-// guarantee -- with fail_fast off and no cancel/deadline trigger, the
+// guarantee -- with fail_fast off and no cancel/timeout trigger, the
 // Report's verdicts are bit-identical to the serial reference
 // verify_keyed_trace (core/verify.h) for any thread count
 // (differentially fuzzed by tests/engine_fuzz_test.cpp).
@@ -58,7 +56,6 @@ class IndexedTraceSource;
 class ShardedVerifier;
 struct ShardSpec;
 class TraceStore;
-struct CompactionOptions;
 
 // Per-call run options. Default-constructed RunOptions verify (or
 // monitor) everything under EngineOptions, with no early stop.
@@ -82,15 +79,11 @@ struct RunOptions {
   // (kSkipCancelledReason); a monitor run stops ingesting. Checked at
   // shard / pulled-chunk granularity -- running deciders complete.
   CancelToken cancel;
-  // Relative wall-clock budget for this call; 0 = none.
+  // Wall-clock budget for this call, anchored once at call entry: one
+  // cutoff covers reading the source and the shard phase. Shards that
+  // have not started by then answer UNDECIDED (kSkipDeadlineReason); a
+  // source read or monitor run stops between chunks. 0 = none.
   std::chrono::milliseconds timeout{0};
-  // Absolute wall-clock cutoff; composes with timeout (earlier wins).
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  // Batch: live per-key verdict sink, invoked from pool workers (and
-  // from the calling thread for the largest shard, when it has 64Ki ops
-  // or more) as each shard lands (serialized; completion order; exactly
-  // once per key, skipped shards included). Keep it cheap.
-  std::function<void(const std::string& key, const Verdict& verdict)> on_key;
   // Monitor: live violation sink, invoked at detection time (see
   // KeyedStreamingMonitor's constructor for the threading contract).
   std::function<void(const std::string& key,
@@ -136,8 +129,6 @@ class Engine {
   // Destroy the returned store before the engine: its destructor
   // quiesces the background pass, which needs the pool alive.
   std::unique_ptr<TraceStore> open_store(const std::string& directory);
-  std::unique_ptr<TraceStore> open_store(const std::string& directory,
-                                         const CompactionOptions& compaction);
 
   const EngineOptions& options() const { return options_; }
   std::size_t thread_count() const;

@@ -1,10 +1,10 @@
 // EngineOptions -- the library's one options type. kav::Engine
-// (core/engine.h) is constructed from it and hands the same struct to
-// the components it wires onto its shared pool: the sharded batch
-// verifier (pipeline/sharded_verifier.h) reads the batch fields, the
-// keyed online monitor (ingest/keyed_monitor.h) the monitoring ones.
-// It lives in its own header so those components need not include the
-// Engine itself.
+// (core/engine.h) is constructed from it and configures the components
+// it wires onto its shared pool: the sharded batch verifier
+// (pipeline/sharded_verifier.h) takes fail_fast, and the keyed online
+// monitor (ingest/keyed_monitor.h) reads the monitoring fields from this
+// struct. It lives in its own header so the monitor need not include
+// the Engine itself.
 #ifndef KAV_CORE_OPTIONS_H
 #define KAV_CORE_OPTIONS_H
 
@@ -26,12 +26,8 @@ struct EngineOptions {
   // Size of the one shared pool; 0 picks hardware_concurrency().
   std::size_t threads = 0;
 
-  // Batch verification (Engine::verify):
-  // Largest per-key shard handed to a decider; bigger shards answer
-  // UNDECIDED. 0 = unlimited. The cutoff depends only on the shard, so
-  // it does not break determinism.
-  std::size_t shard_op_budget = 0;
-  // Once one shard answers NO, not-yet-started shards are skipped.
+  // Batch verification (Engine::verify): once one shard answers NO,
+  // not-yet-started shards are skipped.
   bool fail_fast = false;
 
   // Online monitoring (Engine::monitor):

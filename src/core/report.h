@@ -75,7 +75,7 @@ struct Report {
   // Monitor: throughput / window aggregates. Zeros in batch mode.
   MonitorStats monitor_totals;
   // True when the run stopped early -- a CancelToken fired or the
-  // wall-clock deadline passed. Skipped shards appear in per_key as
+  // RunOptions::timeout ran out. Skipped shards appear in per_key as
   // UNDECIDED with the exact reasons in core/run_control.h.
   bool cancelled = false;
   std::string stop_reason;  // why, when cancelled

@@ -86,7 +86,6 @@ void BinaryTraceWriter::flush() {
               static_cast<std::streamsize>(pending_keys_.size()));
   out_->write(pending_records_.data(),
               static_cast<std::streamsize>(pending_records_.size()));
-  records_written_ += pending_record_count_;
   pending_keys_.clear();
   pending_records_.clear();
   pending_key_count_ = 0;

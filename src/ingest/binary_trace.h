@@ -131,7 +131,6 @@ class BinaryTraceWriter {
   // Emits buffered records as a chunk (no-op when empty).
   void flush();
 
-  std::uint64_t records_written() const { return records_written_; }
   std::size_t key_count() const { return key_ids_.size(); }
 
  private:
@@ -142,7 +141,6 @@ class BinaryTraceWriter {
   std::uint32_t pending_key_count_ = 0;
   std::string pending_records_;  // encoded records for the open chunk
   std::uint32_t pending_record_count_ = 0;
-  std::uint64_t records_written_ = 0;
 };
 
 // Whole-trace writers, mirroring history/serialization.h. `version`

@@ -97,14 +97,6 @@ class MemoryTraceSource final : public TraceSource {
             std::chrono::milliseconds wait) override;
   std::string describe() const override;
 
-  // Memory sources alone are re-runnable: rewind to replay the same
-  // trace through another Engine call. The replay names its keys
-  // afresh, from id 0.
-  void rewind() {
-    pos_ = 0;
-    interner() = KeyInterner{};
-  }
-
  private:
   KeyedTrace owned_;
   const KeyedTrace* trace_;

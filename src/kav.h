@@ -9,8 +9,9 @@
 //
 // Inputs come from any TraceSource (in-memory trace, text or binary
 // .kavb file, live push stream); runs take per-call RunOptions
-// (VerifyOptions override, CancelToken, deadline, live callbacks);
-// results come back as the unified Report. Surface map: docs/API.md.
+// (VerifyOptions override, CancelToken, timeout, key_filter, live
+// findings); results come back as the unified Report. Surface map:
+// docs/API.md.
 // Paper-section map and per-algorithm guarantees: docs/ALGORITHMS.md.
 #ifndef KAV_KAV_H
 #define KAV_KAV_H

@@ -9,7 +9,6 @@
 
 #include "obs/span.h"
 #include "util/memory.h"
-#include "util/thread_safety.h"
 
 namespace kav {
 
@@ -23,7 +22,6 @@ struct ShardedVerifier::Metrics {
   obs::Histogram& shard_verify_seconds;
   obs::Histogram& shard_decode_seconds;
   obs::Counter& shards_verified;
-  obs::Counter& skipped_budget;
   obs::Counter& skipped_cancelled;
   obs::Counter& skipped_deadline;
   obs::Counter& skipped_fail_fast;
@@ -46,9 +44,6 @@ struct ShardedVerifier::Metrics {
         shards_verified(registry.counter(
             "kav_engine_shards_verified_total",
             "Per-key shards a decision procedure actually ran on.")),
-        skipped_budget(registry.counter("kav_engine_shards_skipped_total",
-                                        "Shards skipped without deciding.",
-                                        {{"reason", "budget"}})),
         skipped_cancelled(registry.counter("kav_engine_shards_skipped_total",
                                            "Shards skipped without deciding.",
                                            {{"reason", "cancelled"}})),
@@ -86,9 +81,8 @@ struct ShardedVerifier::Metrics {
 
 ShardedVerifier::ShardedVerifier(pipeline::ThreadPool& pool,
                                  obs::MetricsRegistry& metrics,
-                                 const EngineOptions& options)
-    : shard_op_budget_(options.shard_op_budget),
-      fail_fast_(options.fail_fast),
+                                 bool fail_fast)
+    : fail_fast_(fail_fast),
       pool_(&pool),
       metrics_(std::make_shared<Metrics>(metrics)) {}
 
@@ -96,8 +90,8 @@ namespace {
 
 // Sums the merged verdicts' work counters into verify_totals and marks
 // the run cancelled when a caller's cancel or deadline skipped a shard
-// (budget and fail-fast skips do not count), keeping the first such
-// reason in key order.
+// (fail-fast skips do not count), keeping the first such reason in key
+// order.
 void fill_batch_totals(Report& report) {
   for (const auto& [key, result] : report.per_key) {
     const Verdict& verdict = result.verdict;
@@ -138,49 +132,33 @@ const ShardSpec* shard_for_caller(const std::vector<ShardSpec>& shards) {
 
 }  // namespace
 
-Report ShardedVerifier::verify_shards(const std::vector<ShardSpec>& shards,
-                                      const VerifyOptions& options,
-                                      const RunControl& run) {
+Report ShardedVerifier::verify_shards(
+    const std::vector<ShardSpec>& shards, const VerifyOptions& options,
+    const CancelToken& cancel,
+    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
   // One fail-fast flag per call: a NO on one trace must not poison a
   // later call on the same (reused) pool. Caller cancellation is
-  // the token inside `run` -- also per call, by construction.
+  // `cancel` -- also per call, by construction.
   auto failed = std::make_shared<std::atomic<bool>>(false);
-  // Serializes the optional live per-key callback across workers.
-  auto sink_mutex = std::make_shared<util::Mutex>();
   const bool fail_fast = fail_fast_;
-  const std::size_t budget = shard_op_budget_;
   const VerifyOptions verify_options = options;
 
-  // Captured by pointer, not copied per shard: every exit path of this
-  // function (normal merge AND the submit-failure catch below) waits
-  // for all submitted futures first, so `run` and the specs strictly
-  // outlive every task that dereferences them.
-  const RunControl* run_ptr = &run;
-
-  const auto run_shard = [verify_options, budget, fail_fast, failed,
-                          sink_mutex, run_ptr,
+  const auto run_shard = [verify_options, fail_fast, failed, cancel, deadline,
                           metrics = metrics_](const ShardSpec* spec)
       -> Verdict {
         bool decided = false;
         const Verdict verdict = [&]() -> Verdict {
-          if (budget > 0 && spec->op_count > budget) {
-            metrics->skipped_budget.add(1);
-            return Verdict::make_undecided(
-                "shard exceeds per-shard op budget (" +
-                std::to_string(spec->op_count) + " ops > " +
-                std::to_string(budget) + ")");
-          }
           // Skip checks in precedence order: the caller's intent
           // (cancel, then deadline) outranks the internal fail-fast
           // flag, so a cancelled run reports "cancelled" even if a NO
           // also landed. All three fire BEFORE a lazy shard decodes
           // anything -- skipping costs no I/O.
-          if (run_ptr->cancel.cancelled()) {
+          if (cancel.cancelled()) {
             metrics->skipped_cancelled.add(1);
             return Verdict::make_undecided(kSkipCancelledReason);
           }
-          if (run_ptr->deadline.has_value() &&
-              std::chrono::steady_clock::now() >= *run_ptr->deadline) {
+          if (deadline.has_value() &&
+              std::chrono::steady_clock::now() >= *deadline) {
             metrics->skipped_deadline.add(1);
             return Verdict::make_undecided(kSkipDeadlineReason);
           }
@@ -214,22 +192,15 @@ Report ShardedVerifier::verify_shards(const std::vector<ShardSpec>& shards,
         if (fail_fast && verdict.no()) {
           failed->store(true, std::memory_order_release);
         }
-        // Every shard's verdict reaches the sink, skipped shards
-        // (budget, cancel, deadline, fail-fast) included: a progress
-        // consumer counting callbacks sees exactly one per key.
-        if (run_ptr->on_key) {
-          util::MutexLock lock(*sink_mutex);
-          run_ptr->on_key(spec->key, verdict);
-        }
         return verdict;
       };
 
   // Single-shard fast path: run on the caller's thread. A one-key
   // selective audit pays no pool handoff (submit + wake + future wait
   // dwarf a small shard's decode-and-decide); semantics are identical
-  // -- same skip precedence, same sink callback, and a throwing lazy
-  // loader propagates out of this call exactly as the pooled path
-  // rethrows it from future::get with no sibling shards to wait on.
+  // -- same skip precedence, and a throwing lazy loader propagates out
+  // of this call exactly as the pooled path rethrows it from
+  // future::get with no sibling shards to wait on.
   if (shards.size() == 1) {
     Report report;
     report.per_key.emplace(shards.front().key,

@@ -8,34 +8,34 @@
 // The pool is borrowed: kav::Engine (core/engine.h, the library's front
 // door) owns it and wires batch and monitor work onto that ONE pool.
 //
-// Determinism guarantee: with fail_fast off and no RunControl trigger,
-// every shard's verdict is a pure function of (shard history,
-// VerifyOptions, shard_op_budget) -- including the ZoneProfile-based
-// LBT/FZF choice under Algorithm::auto_select, which looks only at the
-// shard -- and the merge orders by key, so the returned Report never
-// depends on thread count or scheduling; with shard_op_budget also
-// unset it is bit-identical to the serial verify_keyed_trace()
-// (checked by tests/pipeline_fuzz_test.cpp and tests/engine_fuzz_test.cpp).
+// Determinism guarantee: with fail_fast off and no cancel or deadline
+// trigger, every shard's verdict is a pure function of (shard history,
+// VerifyOptions) -- including the ZoneProfile-based LBT/FZF choice
+// under Algorithm::auto_select, which looks only at the shard -- and
+// the merge orders by key, so the returned Report never depends on
+// thread count or scheduling and is bit-identical to the serial
+// verify_keyed_trace() (checked by tests/pipeline_fuzz_test.cpp and
+// tests/engine_fuzz_test.cpp).
 //
 // Early-stop modes trade that for latency, and all three report skipped
 // shards as UNDECIDED with the exact reasons in core/run_control.h:
 // fail_fast (once any shard answers NO, shards that have not started
-// are skipped; at least one NO always survives into the report),
-// RunControl::cancel (caller-initiated), and RunControl::deadline
-// (wall-clock). *Which* shards still get verdicts under any of them
-// depends on scheduling.
+// are skipped; at least one NO always survives into the report), the
+// caller's CancelToken, and the wall-clock deadline. *Which* shards
+// still get verdicts under any of them depends on scheduling.
 //
 // Paper-section map and guarantees for every procedure: docs/ALGORITHMS.md.
 #ifndef KAV_PIPELINE_SHARDED_VERIFIER_H
 #define KAV_PIPELINE_SHARDED_VERIFIER_H
 
+#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/options.h"
 #include "core/report.h"
 #include "core/run_control.h"
 #include "core/verify.h"
@@ -50,9 +50,8 @@ namespace kav {
 // trace store's index-driven path: op_count comes from index
 // statistics, and the shard's operations are decoded from their mmap
 // blocks inside the pool worker -- the full trace is never
-// materialized anywhere). op_count is what shard_op_budget is checked
-// against, so over-budget lazy shards are skipped without decoding a
-// single record.
+// materialized anywhere). op_count picks the shard that runs on the
+// calling thread (see verify_shards), before anything is decoded.
 struct ShardSpec {
   std::string key;
   std::size_t op_count = 0;
@@ -66,15 +65,19 @@ class ShardedVerifier {
   // Runs every shard on `pool` and instruments per-shard work
   // (kav_engine_shard_* latency histograms, kav_verify_*
   // decision-procedure counters) into `metrics`; both must outlive the
-  // verifier. Reads EngineOptions::shard_op_budget and ::fail_fast.
+  // verifier. With `fail_fast`, once one shard answers NO the shards
+  // that have not started are skipped.
   ShardedVerifier(pipeline::ThreadPool& pool, obs::MetricsRegistry& metrics,
-                  const EngineOptions& options);
+                  bool fail_fast);
 
   // One task per ShardSpec on the pool, merged into a batch Report in
   // key order (keys must be unique), with Report::verify_totals summed
   // over every verdict and Report::cancelled set when a cancel or
-  // deadline skipped a shard. Lazy specs let a caller hand the pipeline
-  // shard *descriptions* (key + op count from an index) instead of
+  // deadline skipped a shard. A shard that has not started when
+  // `cancel` fires or `deadline` (an absolute cutoff the caller
+  // anchored; nullopt = none) passes answers UNDECIDED without
+  // deciding or loading anything. Lazy specs let a caller hand the
+  // pipeline shard *descriptions* (key + op count from an index) instead of
   // materialized histories; each worker materializes, decides, and
   // discards its own shard, so peak memory is O(threads * max shard)
   // rather than O(trace). The largest shard, when it has 64Ki ops or
@@ -83,11 +86,12 @@ class ShardedVerifier {
   // malloc_trim), so no worker arena keeps a large working set. A lazy
   // loader that throws (e.g. corrupt bytes under an mmap) propagates
   // out of this call after every other shard has been waited for.
-  Report verify_shards(const std::vector<ShardSpec>& shards,
-                       const VerifyOptions& options, const RunControl& run);
+  Report verify_shards(
+      const std::vector<ShardSpec>& shards, const VerifyOptions& options,
+      const CancelToken& cancel,
+      const std::optional<std::chrono::steady_clock::time_point>& deadline);
 
  private:
-  std::size_t shard_op_budget_;
   bool fail_fast_;
   pipeline::ThreadPool* pool_;
   // Shard latency + decision-procedure instruments (sharded_verifier.cpp);

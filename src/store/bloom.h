@@ -1,6 +1,6 @@
 // The v2.1 segment bloom filter (docs/FORMATS.md, "bloom page"): one
 // per segment, over the segment's key set, so cross-segment lookups
-// (IndexedTraceSource's contains/stat/key_op_count/load_key) skip
+// (IndexedTraceSource's stat/load_key) skip
 // segments that cannot hold the key without touching their key
 // tables. The win is not asymptotic -- a lookup still
 // visits every segment -- but the per-segment cost drops from a

@@ -108,20 +108,6 @@ void IndexedTraceSource::lookup(const std::string& key, Hit&& hit) const {
   }
 }
 
-bool IndexedTraceSource::contains(const std::string& key) const {
-  bool found = false;
-  lookup(key, [&found](const MappedSegment&, const KeyStat&) { found = true; });
-  return found;
-}
-
-std::size_t IndexedTraceSource::key_op_count(const std::string& key) const {
-  std::uint64_t records = 0;
-  lookup(key, [&records](const MappedSegment&, const KeyStat& stat) {
-    records += stat.records;
-  });
-  return static_cast<std::size_t>(records);
-}
-
 std::optional<KeyStat> IndexedTraceSource::stat(const std::string& key) const {
   std::optional<KeyStat> merged;
   lookup(key, [&merged](const MappedSegment&, const KeyStat& stat) {

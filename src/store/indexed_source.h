@@ -10,11 +10,11 @@
 //     is unaffected (verdicts depend only on per-key order), and
 //     Engine::monitor sees each key's stream in order, just not the
 //     original cross-key interleaving;
-//   - by key, contains / key_op_count / stat / load_key answer from the
-//     segments' indexes without decoding records (bloom filter, then
-//     key table, per segment), key_count is kept rather than recounted,
-//     and load_key materializes one key's History straight from its
-//     blocks -- Engine::verify with RunOptions::key_filter runs these
+//   - by key, stat / load_key answer from the segments' indexes
+//     without decoding records (bloom filter, then key table, per
+//     segment), key_count is kept rather than recounted, and load_key
+//     materializes one key's History straight from its blocks --
+//     Engine::verify with RunOptions::key_filter runs these
 //     concurrently on pool workers, at a cost that does not grow with
 //     the number of keys held.
 //
@@ -73,11 +73,6 @@ class IndexedTraceSource final : public TraceSource {
   // none depends on the pull() cursor. All are const and safe to call
   // concurrently: Engine::verify calls load_key from pool workers.
   //
-  // True when some segment's index holds `key`.
-  bool contains(const std::string& key) const;
-  // Operations stored for `key`; 0 when absent. What index-driven
-  // shard budgeting and scheduling read.
-  std::size_t key_op_count(const std::string& key) const;
   // Aggregate stat across segments; nullopt when the key is absent
   // everywhere.
   std::optional<KeyStat> stat(const std::string& key) const;

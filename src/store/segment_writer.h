@@ -82,9 +82,7 @@ class SegmentWriter {
   // footer. Idempotent; after it returns, add() throws.
   SegmentStats finish();
 
-  std::uint64_t records_added() const { return records_added_; }
   std::size_t key_count() const { return keys_.size(); }
-  std::uint64_t blocks_written() const { return blocks_.size(); }
 
  private:
   struct KeyState {

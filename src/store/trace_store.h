@@ -31,9 +31,8 @@
 //
 // Reads: every read of the store's records goes through open_source(),
 // an IndexedTraceSource over a snapshot of the segment set -- streamed
-// by pull(), or looked up by key (contains / stat / key_op_count /
-// load_key, each skipping segments whose bloom filter rules the key
-// out). The store itself lists no keys and decodes no records; it
+// by pull(), or looked up by key (stat / load_key, each skipping
+// segments whose bloom filter rules the key out). The store itself lists no keys and decodes no records; it
 // writes, compacts, and counts its sources' bloom probes into its
 // kav_store_bloom_* counters.
 //

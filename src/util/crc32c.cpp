@@ -189,6 +189,4 @@ std::uint32_t crc32c(const void* data, std::size_t n) {
   return crc32c_extend(0, data, n);
 }
 
-bool hardware_accelerated() { return use_hardware(); }
-
 }  // namespace kav::crc

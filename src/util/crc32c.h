@@ -32,10 +32,6 @@ std::uint32_t crc32c(const void* data, std::size_t n);
 std::uint32_t crc32c_extend(std::uint32_t crc, const void* data,
                             std::size_t n);
 
-// True when the SSE4.2 instruction path is active (false on non-x86
-// builds, pre-SSE4.2 hardware, or under KAV_FORCE_SCALAR=1).
-bool hardware_accelerated();
-
 // The software reference, always available regardless of dispatch --
 // the differential test target.
 std::uint32_t crc32c_software(std::uint32_t crc, const void* data,

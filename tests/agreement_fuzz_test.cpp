@@ -6,6 +6,7 @@
 // verdicts survive normalization idempotence.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "core/analysis.h"
@@ -29,10 +30,17 @@ struct FuzzParam {
   TimePoint horizon;  // generator time horizon: density knob
 };
 
+// One label per parameter, used both as the test name and as gtest's
+// printed value (PrintTo), so listed names never show raw bytes.
+std::string label(const FuzzParam& p) {
+  return "s" + std::to_string(p.seed) + "_n" + std::to_string(p.operations) +
+         "_h" + std::to_string(p.horizon);
+}
+
+void PrintTo(const FuzzParam& p, std::ostream* os) { *os << label(p); }
+
 std::string param_name(const testing::TestParamInfo<FuzzParam>& info) {
-  return "s" + std::to_string(info.param.seed) + "_n" +
-         std::to_string(info.param.operations) + "_h" +
-         std::to_string(info.param.horizon);
+  return label(info.param);
 }
 
 class AgreementFuzz : public testing::TestWithParam<FuzzParam> {

@@ -168,7 +168,7 @@ TEST(ConcurrencyRegression, StoreWritersRaceReaders) {
           case 1: {
             const auto source = store.open_source();
             (void)source->stat("key1");
-            (void)source->contains("key2");
+            (void)source->stat("key2");
             (void)source->load_key("key3");
             break;
           }

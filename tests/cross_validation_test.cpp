@@ -13,6 +13,7 @@
 // under affine time rescaling.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -191,6 +192,17 @@ struct ConstructiveParam {
   double spread;
 };
 
+// One label per parameter, used both as the test name and as gtest's
+// printed value (PrintTo), so listed names never show raw bytes.
+std::string label(const ConstructiveParam& p) {
+  return "seed" + std::to_string(p.seed) + "_m" + std::to_string(p.writes) +
+         "_k" + std::to_string(p.k);
+}
+
+void PrintTo(const ConstructiveParam& p, std::ostream* os) {
+  *os << label(p);
+}
+
 class ConstructiveSweep : public testing::TestWithParam<ConstructiveParam> {};
 
 TEST_P(ConstructiveSweep, GeneratedHistoriesAreKAtomic) {
@@ -229,9 +241,7 @@ INSTANTIATE_TEST_SUITE_P(
                     ConstructiveParam{66, 5, 3, 0.8},
                     ConstructiveParam{77, 6, 4, 1.2}),
     [](const testing::TestParamInfo<ConstructiveParam>& info) {
-      return "seed" + std::to_string(info.param.seed) + "_m" +
-             std::to_string(info.param.writes) + "_k" +
-             std::to_string(info.param.k);
+      return label(info.param);
     });
 
 // Adversarial NO instances at scale: LBT and FZF agree on NO without

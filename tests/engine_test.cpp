@@ -1,7 +1,7 @@
 // Tests for the kav::Engine session API: options precedence (per-call
 // VerifyOptions overrides), pool sharing (one Engine running batch and
 // monitor work creates exactly one ThreadPool -- the created_count
-// hook), cancellation and deadline semantics, TraceSource equivalence
+// hook), cancellation and timeout semantics, TraceSource equivalence
 // (memory == text file == binary file == push), the unified Report /
 // one-formatter summary contract, and the pipeline components used
 // directly on a caller's pool.
@@ -151,52 +151,63 @@ TEST(Engine, PreCancelledTokenSkipsEveryShard) {
   EXPECT_NE(report.summary().find("cancelled"), std::string::npos);
 }
 
-TEST(Engine, OnKeyCallbackCanCancelTheRun) {
-  EngineOptions options;
-  options.threads = 1;  // shards run in key order, one at a time
-  Engine engine(options);
-  RunOptions run;
-  std::atomic<int> decided{0};
-  std::atomic<int> skipped{0};
-  run.on_key = [&](const std::string&, const Verdict& verdict) {
-    if (verdict.reason == kSkipCancelledReason) {
-      skipped.fetch_add(1);
-      return;
-    }
-    decided.fetch_add(1);
-    run.cancel.cancel();  // copies share state: cancels the run
-  };
-  const Report report = engine.verify(multi_key_trace(5, 10, 33), run);
-  // The sink fires exactly once per key, skipped shards included.
-  EXPECT_EQ(decided.load(), 1);
-  EXPECT_EQ(skipped.load(), 4);
+TEST(Engine, CancelFromAShardLoaderSkipsTheRest) {
+  // One worker runs the shards in submission (key) order, so the first
+  // shard's loader cancels the run before any other shard starts.
+  const KeyedHistories shards = split_by_key(multi_key_trace(5, 10, 33));
+  pipeline::ThreadPool pool(1);
+  obs::MetricsRegistry registry;
+  ShardedVerifier verifier(pool, registry, /*fail_fast=*/false);
+  CancelToken cancel;
+  std::atomic<int> loaded{0};
+  std::vector<ShardSpec> specs;
+  for (const auto& [key, history] : shards.per_key) {
+    ShardSpec spec;
+    spec.key = key;
+    spec.op_count = history.size();
+    spec.load = [&history, &cancel, &loaded] {
+      loaded.fetch_add(1);
+      cancel.cancel();
+      return history;
+    };
+    specs.push_back(std::move(spec));
+  }
+  const Report report =
+      verifier.verify_shards(specs, VerifyOptions{}, cancel, std::nullopt);
+  EXPECT_EQ(loaded.load(), 1);
   EXPECT_TRUE(report.cancelled);
+  EXPECT_EQ(report.stop_reason, kSkipCancelledReason);
+  const std::string& first = shards.per_key.begin()->first;
+  expect_verdicts_equal(
+      report.per_key.at(first).verdict,
+      verify_k_atomicity(shards.per_key.begin()->second, VerifyOptions{}));
+  for (const auto& [key, result] : report.per_key) {
+    if (key == first) continue;
+    EXPECT_EQ(result.verdict.reason, kSkipCancelledReason) << key;
+  }
   EXPECT_EQ(report.count(Outcome::undecided), 4u);
 }
 
 TEST(Engine, ExpiredDeadlineSkipsEveryShard) {
+  // The push source is never closed: reading it stops at the timeout,
+  // and the three keys it named are then past the same cutoff.
   Engine engine;
+  PushTraceSource source;
+  for (int k = 0; k < 3; ++k) {
+    const std::string key = "key" + std::to_string(k);
+    source.push(key, make_write(0, 10, 1));
+    source.push(key, make_read(12, 20, 1));
+  }
   RunOptions run;
-  run.deadline = std::chrono::steady_clock::now() -
-                 std::chrono::milliseconds(1);
-  const Report report = engine.verify(multi_key_trace(3, 12, 5), run);
+  run.timeout = std::chrono::milliseconds(1);
+  const Report report = engine.verify(source, run);
   EXPECT_TRUE(report.cancelled);
+  EXPECT_NE(report.stop_reason.find("deadline"), std::string::npos);
+  EXPECT_EQ(report.per_key.size(), 3u);
   EXPECT_EQ(report.count(Outcome::undecided), 3u);
   for (const auto& [key, result] : report.per_key) {
     EXPECT_EQ(result.verdict.reason, kSkipDeadlineReason) << key;
   }
-}
-
-TEST(Engine, TimeoutAndDeadlineComposeEarlierWins) {
-  Engine engine;
-  RunOptions run;
-  // Generous timeout, already-expired deadline: the deadline must win.
-  run.timeout = std::chrono::minutes(10);
-  run.deadline = std::chrono::steady_clock::now() -
-                 std::chrono::milliseconds(1);
-  const Report report = engine.verify(multi_key_trace(2, 8, 11), run);
-  EXPECT_TRUE(report.cancelled);
-  EXPECT_EQ(report.count(Outcome::undecided), 2u);
 }
 
 TEST(Engine, CancelledMonitorStillReportsThePrefixSoundly) {
@@ -553,8 +564,9 @@ TEST(BorrowedPool, ShardedVerifierRunsOnACallerPool) {
   pipeline::ThreadPool pool(2);
   obs::MetricsRegistry registry;
   const std::uint64_t pools_before = pipeline::ThreadPool::created_count();
-  ShardedVerifier verifier(pool, registry, EngineOptions{});
-  const Report parallel = verifier.verify_shards(specs, {}, RunControl{});
+  ShardedVerifier verifier(pool, registry, /*fail_fast=*/false);
+  const Report parallel =
+      verifier.verify_shards(specs, {}, CancelToken{}, std::nullopt);
   EXPECT_EQ(pipeline::ThreadPool::created_count(), pools_before);
   const Report serial = verify_keyed_trace(trace);
   expect_reports_equal(parallel, serial);

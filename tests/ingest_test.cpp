@@ -792,12 +792,13 @@ TEST(SourceIds, InterleavedKeysAndV2BlockOrder) {
   EXPECT_EQ(got.front().name, "b");
 }
 
-TEST(SourceIds, RewoundMemorySourceNamesItsKeysAfresh) {
+TEST(SourceIds, EachMemorySourceNamesItsKeysFromZero) {
   const KeyedTrace trace = sample_trace();
-  MemoryTraceSource memory(trace);
-  const std::vector<NamedOp> first = pull_all(memory, 2);
-  memory.rewind();
-  EXPECT_EQ(pull_all(memory, 4), first);
+  MemoryTraceSource first(&trace);
+  const std::vector<NamedOp> named = pull_all(first, 2);
+  EXPECT_EQ(named.front().id, 0u);
+  MemoryTraceSource second(&trace);
+  EXPECT_EQ(pull_all(second, 4), named);
 }
 
 TEST(SourceIds, ConsumersRejectChunksThatSkipIds) {

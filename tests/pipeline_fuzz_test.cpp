@@ -119,30 +119,6 @@ TEST(PipelineFuzz, ParallelReportIdenticalToSerial) {
   }
 }
 
-TEST(PipelineFuzz, BudgetCutoffIsDeterministicAcrossThreadCounts) {
-  const std::uint64_t seed = fuzz_seed() ^ 0xb00dUL;
-  Rng rng(seed);
-  EngineOptions one_thread = engine_options(1);
-  one_thread.shard_op_budget = 12;
-  EngineOptions many_threads = one_thread;
-  many_threads.threads = 6;
-  Engine one(one_thread);
-  Engine many(many_threads);
-  for (int trial = 0; trial < 10; ++trial) {
-    SCOPED_TRACE("reproduce with KAV_FUZZ_SEED=" + std::to_string(fuzz_seed()) +
-                 " (budget trial " + std::to_string(trial) + ")");
-    KeyedTrace trace;
-    const int keys = 2 + static_cast<int>(rng.bounded(6));
-    for (int k = 0; k < keys; ++k) {
-      const History shard = random_shard(rng);
-      for (const Operation& op : shard.operations()) {
-        trace.add("k" + std::to_string(k), op);
-      }
-    }
-    expect_reports_identical(one.verify(trace), many.verify(trace));
-  }
-}
-
 TEST(PipelineFuzz, FailFastAlwaysSurfacesANo) {
   // Which shards get skipped under fail-fast depends on scheduling, but
   // two properties hold on every run: at least one NO reaches the

@@ -2,8 +2,7 @@
 // pool's contract (drain-on-shutdown, exception propagation, rejection
 // after shutdown), determinism of the sharded verifier across thread
 // counts (the Engine's report must be bit-identical to the serial
-// reference), fail-fast cancellation, per-shard budgets, and stats
-// aggregation.
+// reference), fail-fast cancellation, and stats aggregation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -325,23 +324,6 @@ TEST(ShardedVerifier, PerCallOptionsReuseOnePool) {
                            engine.verify(shards, run));
 }
 
-TEST(ShardedVerifier, ShardOpBudgetSkipsOversizedShards) {
-  KeyedTrace trace;
-  trace.add("small", make_write(0, 10, 1));
-  trace.add("small", make_read(12, 20, 1));
-  for (int i = 0; i < 5; ++i) {
-    trace.add("large", make_write(i * 100, i * 100 + 10, i + 1));
-  }
-  EngineOptions options = engine_options(2);
-  options.shard_op_budget = 3;
-  Engine engine(options);
-  const Report report = engine.verify(trace);
-  EXPECT_TRUE(report.per_key.at("small").verdict.yes());
-  EXPECT_EQ(report.per_key.at("large").verdict.outcome, Outcome::undecided);
-  EXPECT_NE(report.per_key.at("large").verdict.reason.find("budget"),
-            std::string::npos);
-}
-
 // A shard of at least 64Ki ops: a batch's largest such shard runs on
 // the thread that called verify_shards, the rest on the pool.
 History large_history(int extra_groups, Rng& rng) {
@@ -359,14 +341,24 @@ TEST(ShardedVerifier, LargestLargeShardRunsOnTheCallingThread) {
     shards.per_key.emplace("small" + std::to_string(i),
                            gen::generate_random_mix(config, rng));
   }
-  Engine engine(engine_options(2));
-  // on_key is serialized by the verifier.
+  pipeline::ThreadPool pool(2);
+  obs::MetricsRegistry registry;
+  ShardedVerifier verifier(pool, registry, /*fail_fast=*/false);
+  // Each loader records its thread in its own slot, made before the run.
   std::map<std::string, std::thread::id> ran_on;
-  RunOptions run;
-  run.on_key = [&ran_on](const std::string& key, const Verdict&) {
-    ran_on[key] = std::this_thread::get_id();
-  };
-  const Report report = engine.verify(shards, run);
+  std::vector<ShardSpec> specs;
+  for (const auto& [key, history] : shards.per_key) {
+    ShardSpec spec;
+    spec.key = key;
+    spec.op_count = history.size();
+    spec.load = [&history, slot = &ran_on[key]] {
+      *slot = std::this_thread::get_id();
+      return history;
+    };
+    specs.push_back(std::move(spec));
+  }
+  const Report report = verifier.verify_shards(specs, VerifyOptions{},
+                                               CancelToken{}, std::nullopt);
   ASSERT_EQ(report.per_key.size(), shards.per_key.size());
   for (const auto& [key, history] : shards.per_key) {
     SCOPED_TRACE("key " + key);
@@ -376,7 +368,7 @@ TEST(ShardedVerifier, LargestLargeShardRunsOnTheCallingThread) {
     EXPECT_EQ(pooled.witness, direct.witness);
     EXPECT_EQ(pooled.reason, direct.reason);
     EXPECT_TRUE(pooled.stats == direct.stats);
-    ASSERT_EQ(ran_on.count(key), 1u);
+    ASSERT_NE(ran_on.at(key), std::thread::id{});  // its loader ran
     if (key == "bigger") {
       EXPECT_EQ(ran_on.at(key), std::this_thread::get_id());
     } else {
@@ -388,7 +380,7 @@ TEST(ShardedVerifier, LargestLargeShardRunsOnTheCallingThread) {
 TEST(ShardedVerifier, ThrowingLoaderOnTheCallingThreadWaitsForThePool) {
   pipeline::ThreadPool pool(2);
   obs::MetricsRegistry registry;
-  ShardedVerifier verifier(pool, registry, EngineOptions{});
+  ShardedVerifier verifier(pool, registry, /*fail_fast=*/false);
   Rng rng(29);
   std::vector<History> small;
   for (int i = 0; i < 4; ++i) {
@@ -402,19 +394,23 @@ TEST(ShardedVerifier, ThrowingLoaderOnTheCallingThreadWaitsForThePool) {
   big.op_count = std::size_t{1} << 16;
   big.load = []() -> History { throw std::runtime_error("corrupt block"); };
   specs.push_back(std::move(big));
+  std::atomic<int> landed{0};
   for (std::size_t i = 0; i < small.size(); ++i) {
     ShardSpec spec;
     spec.key = "small" + std::to_string(i);
     spec.op_count = small[i].size();
-    spec.pinned = &small[i];
+    spec.load = [&landed, history = &small[i]] {
+      History loaded = *history;
+      ++landed;
+      return loaded;
+    };
     specs.push_back(std::move(spec));
   }
-  std::atomic<int> landed{0};
-  RunControl run;
-  run.on_key = [&landed](const std::string&, const Verdict&) { ++landed; };
-  EXPECT_THROW(verifier.verify_shards(specs, VerifyOptions{}, run),
+  EXPECT_THROW(verifier.verify_shards(specs, VerifyOptions{}, CancelToken{},
+                                      std::nullopt),
                std::runtime_error);
-  // Every pool shard finished before the loader's exception left.
+  // Every pool shard's loader completed before the calling thread's
+  // loader exception left the call.
   EXPECT_EQ(landed.load(), 4);
 }
 

@@ -718,16 +718,12 @@ TEST(TraceStore, AppendListStatRead) {
   EXPECT_EQ(source->selectable_keys(),
             (std::vector<std::string>{"k0", "k1", "k2"}));
   EXPECT_EQ(source->key_count(), 3u);
-  EXPECT_TRUE(source->contains("k0"));
-  EXPECT_FALSE(source->contains("zz"));
 
   const std::optional<KeyStat> stat = source->stat("k0");
   ASSERT_TRUE(stat.has_value());
   EXPECT_EQ(stat->records, 4u);  // 2 per chunk
   EXPECT_EQ(stat->min_start, 0);
   EXPECT_FALSE(source->stat("zz").has_value());
-  EXPECT_EQ(source->key_op_count("k0"), 4u);
-  EXPECT_EQ(source->key_op_count("zz"), 0u);
 
   // A key load returns both segments' ops in append order, through the
   // column decoder and through the read_key reference alike.
@@ -1008,13 +1004,13 @@ TEST(TraceStoreMaintenance, RetentionDropsOldestSegments) {
   opt.retain_bytes = 1;  // far below one segment: drop all but the last
   EXPECT_EQ(store.run_maintenance(opt), 2u);
   EXPECT_EQ(store.segment_count(), 1u);
-  EXPECT_FALSE(store.open_source()->contains("old0"));
-  EXPECT_TRUE(store.open_source()->contains("new0"));
+  EXPECT_FALSE(store.open_source()->stat("old0").has_value());
+  EXPECT_TRUE(store.open_source()->stat("new0").has_value());
 
   // Reopen honors the post-retention manifest.
   TraceStore reopened(dir.path());
   EXPECT_EQ(reopened.segment_count(), 1u);
-  EXPECT_TRUE(reopened.open_source()->contains("new0"));
+  EXPECT_TRUE(reopened.open_source()->stat("new0").has_value());
 }
 
 TEST(TraceStoreMaintenance, BackgroundCompactionFoldsOnThePool) {
@@ -1045,13 +1041,13 @@ TEST(TraceStoreMaintenance, EngineOpenStoreRunsSelfMaintainingStore) {
   opt.fanout = 2;
   opt.tier0_records = 1 << 20;
   {
-    auto store = engine.open_store(dir.path().string(), opt);
+    auto store = engine.open_store(dir.path().string());
     for (int i = 0; i < 4; ++i) store->append(trace_chunk(100 * i, "k"), 2);
-    // Quiesce, then force one final pass over the settled segment set
-    // (an append's pass may have raced an earlier in-flight one).
+    // Quiesce the background passes (default fanout 4: they may have
+    // folded the four tier-0 segments already), then force one final
+    // pass over the settled segment set at fanout 2.
     store->disable_background_compaction();
-    store->enable_background_compaction(engine.pool(), opt);
-    store->disable_background_compaction();
+    store->run_maintenance(opt);
     EXPECT_EQ(store->segment_count(), 1u);
     EXPECT_EQ(store->last_maintenance_error(), "");
 
@@ -1072,8 +1068,10 @@ TEST(IndexedSource, OpenTraceSourceReturnsSelectiveForV2) {
   auto* selective = dynamic_cast<IndexedTraceSource*>(source.get());
   ASSERT_NE(selective, nullptr);
   EXPECT_EQ(selective->key_count(), 3u);
-  EXPECT_EQ(selective->key_op_count("alpha"), 3u);
-  EXPECT_EQ(selective->key_op_count("absent"), 0u);
+  const std::optional<KeyStat> alpha = selective->stat("alpha");
+  ASSERT_TRUE(alpha.has_value());
+  EXPECT_EQ(alpha->records, 3u);
+  EXPECT_FALSE(selective->stat("absent").has_value());
   EXPECT_EQ(selective->load_key("beta").size(), 2u);
   EXPECT_NE(source->describe().find("indexed:"), std::string::npos);
   // As a plain source it still drains the whole segment.

@@ -3,6 +3,7 @@
 // (Section II-B).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "core/fzf.h"
@@ -16,6 +17,15 @@
 #include "history/history.h"
 
 namespace kav {
+
+// gtest prints a parameter through a PrintTo that argument-dependent
+// lookup finds in the parameter type's namespace: the algorithm's name,
+// not its raw byte, so listed test names never depend on the enum's
+// numbering.
+void PrintTo(Algorithm algorithm, std::ostream* os) {
+  *os << to_string(algorithm);
+}
+
 namespace {
 
 History one_hop_history() {
