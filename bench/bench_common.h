@@ -6,7 +6,10 @@
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "gen/generators.h"
 #include "history/history.h"
@@ -68,6 +71,40 @@ class ProcessCpu {
  private:
   double start_ns_;
 };
+
+// Times `a` and `b` back to back in every iteration, in the mirrored
+// order a, b, b, a: a stretch of scheduler or frequency noise lands on
+// both sides of one iteration alike, so the per-repetition ratio
+// `<a_name>_ratio` (a / b, summed over the repetition's iterations)
+// carries the difference between the two and little of the noise.
+// Also reports each side's mean time as `<name>_ms`, and
+// `items_per_call` items per timed call.
+template <typename A, typename B>
+void time_paired(benchmark::State& state, const std::string& a_name, A&& a,
+                 const std::string& b_name, B&& b,
+                 std::size_t items_per_call) {
+  double a_ns = 0;
+  double b_ns = 0;
+  const auto timed = [](auto& fn, double& ns) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+  };
+  for (auto _ : state) {
+    timed(a, a_ns);
+    timed(b, b_ns);
+    timed(b, b_ns);
+    timed(a, a_ns);
+  }
+  const double runs = 2.0 * static_cast<double>(state.iterations());
+  state.counters[a_name + "_ms"] = a_ns / runs / 1e6;
+  state.counters[b_name + "_ms"] = b_ns / runs / 1e6;
+  state.counters[a_name + "_ratio"] = b_ns > 0 ? a_ns / b_ns : 0.0;
+  state.SetItemsProcessed(static_cast<std::int64_t>(items_per_call) * 4 *
+                          state.iterations());
+}
 
 }  // namespace kav::bench
 

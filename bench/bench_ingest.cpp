@@ -9,7 +9,9 @@
 // bound the O(slack + horizon) argument promises).
 //
 // Also times the history layer's precondition repair against a plain
-// History build (history_repair, history_build_columns; see below).
+// History build (history_repair, history_build_columns), and a History
+// build on time-sorted columns against the same columns with one
+// adjacent pair swapped (history_build_swap_paired; see below).
 //
 // The workload defaults to 1,000,000 operations over 64 keys;
 // KAV_BENCH_OPS overrides it (bench/run_bench.sh --smoke sets a small
@@ -219,8 +221,10 @@ BENCHMARK(monitor_stream)->Arg(1)->Arg(4)
 // adopts them); history_repair runs detail::normalize_repairable on
 // each prebuilt History, which copies the columns and inherits the
 // indexes. run_bench.sh --smoke fails when the repair costs more than
-// the build: a repair that sorts or re-derives the indexes sits at
-// ~1.9x the build, one that inherits them at ~0.4x.
+// the build. One that inherits the indexes sits at ~0.9x the build
+// (~18 vs ~21 ns/op at 1M ops); one that sorts or re-derives them cost
+// ~1.9x a build that still fully sorted nearly every key, and that
+// build costs ~1.7x today's.
 struct RepairFixture {
   std::vector<OperationColumns> columns;
   std::vector<History> histories;
@@ -292,6 +296,42 @@ void history_repair(benchmark::State& state) {
   repair_rate(state);
 }
 BENCHMARK(history_repair)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// --- History layer: the event-order sort on nearly sorted input ----------
+//
+// One key's time-sorted history (key0 of the fixture's trace: ops / 64
+// operations, start and finish columns both strictly increasing) and
+// the same history with one adjacent pair of ids swapped, each built
+// from its columns, timed as a mirrored pair (bench::time_paired). One inverted pair should cost one more
+// comparison per event order, not a sort: run_bench.sh --smoke fails
+// when the median swapped_ratio (swapped / sorted) is above 1.25. A
+// build that sorts whenever a column is not exactly increasing sits at
+// ~3x on the smoke run's 3,125-op key.
+struct SortedKeyFixture {
+  OperationColumns sorted;
+  OperationColumns swapped;
+
+  SortedKeyFixture() {
+    std::vector<Operation> ops;
+    for (const KeyedOperation& kop : fixture().trace.ops) {
+      if (kop.key == "key0") ops.push_back(kop.op);
+    }
+    for (const Operation& op : ops) sorted.push_back(op);
+    std::swap(ops[ops.size() / 2], ops[ops.size() / 2 + 1]);
+    for (const Operation& op : ops) swapped.push_back(op);
+  }
+};
+
+void history_build_swap_paired(benchmark::State& state) {
+  static const SortedKeyFixture f;
+  bench::time_paired(
+      state, "swapped",
+      [&] { benchmark::DoNotOptimize(History{OperationColumns(f.swapped)}); },
+      "sorted",
+      [&] { benchmark::DoNotOptimize(History{OperationColumns(f.sorted)}); },
+      f.sorted.size());
+}
+BENCHMARK(history_build_swap_paired)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace kav

@@ -15,7 +15,6 @@
 //                 --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -213,52 +212,21 @@ void BM_VerifyOneKey_Materializing(benchmark::State& state) {
 }
 BENCHMARK(BM_VerifyOneKey_Materializing)->Unit(benchmark::kMillisecond);
 
-// Times `a` and `b` back to back in every iteration, in the mirrored
-// order a, b, b, a: a stretch of scheduler or frequency noise lands on
-// both sides of one iteration alike, so the per-repetition ratio
-// `<a_name>_ratio` (a / b, summed over the repetition's iterations)
-// carries the difference between the two and little of the noise.
-// Also reports each side's mean time as `<name>_ms`.
-template <typename A, typename B>
-void time_paired(benchmark::State& state, const std::string& a_name, A&& a,
-                 const std::string& b_name, B&& b) {
-  double a_ns = 0;
-  double b_ns = 0;
-  const auto timed = [](auto& fn, double& ns) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    ns += std::chrono::duration<double, std::nano>(
-              std::chrono::steady_clock::now() - start)
-              .count();
-  };
-  for (auto _ : state) {
-    timed(a, a_ns);
-    timed(b, b_ns);
-    timed(b, b_ns);
-    timed(a, a_ns);
-  }
-  const double runs = 2.0 * static_cast<double>(state.iterations());
-  state.counters[a_name + "_ms"] = a_ns / runs / 1e6;
-  state.counters[b_name + "_ms"] = b_ns / runs / 1e6;
-  state.counters[a_name + "_ratio"] = b_ns > 0 ? a_ns / b_ns : 0.0;
-  state.SetItemsProcessed(static_cast<std::int64_t>(fixture().probe_ops) *
-                          4 * state.iterations());
-}
-
 void BM_LoadOneKey_ZeroCopyPaired(benchmark::State& state) {
   const IndexedTraceSource source(fixture().v2_path);
-  time_paired(
+  bench::time_paired(
       state, "zc",
       [&] { benchmark::DoNotOptimize(source.load_key(kProbeKey)); }, "mat",
       [&] {
         benchmark::DoNotOptimize(source.load_key_materializing(kProbeKey));
-      });
+      },
+      fixture().probe_ops);
 }
 BENCHMARK(BM_LoadOneKey_ZeroCopyPaired)->Unit(benchmark::kMillisecond);
 
 void BM_VerifyOneKey_ZeroCopyPaired(benchmark::State& state) {
   const IndexedTraceSource source(fixture().v2_path);
-  time_paired(
+  bench::time_paired(
       state, "zc",
       [&] {
         const History h = source.load_key(kProbeKey);
@@ -268,7 +236,8 @@ void BM_VerifyOneKey_ZeroCopyPaired(benchmark::State& state) {
       [&] {
         const History h = source.load_key_materializing(kProbeKey);
         benchmark::DoNotOptimize(verify_k_atomicity(h, VerifyOptions{}));
-      });
+      },
+      fixture().probe_ops);
 }
 BENCHMARK(BM_VerifyOneKey_ZeroCopyPaired)->Unit(benchmark::kMillisecond);
 
@@ -289,7 +258,7 @@ BENCHMARK(BM_ZoneProfileScan)->Unit(benchmark::kMillisecond);
 // --- v2.1 integrity: CRC verify overhead -----------------------------------
 //
 // The zero-copy single-key load with block-checksum verification on
-// and off, timed as a mirrored pair (time_paired above); the
+// and off, timed as a mirrored pair (bench::time_paired); the
 // per-repetition crc_ratio (on / off) carries the CRC cost. That cost
 // is ~10-15% of a load -- one hardware CRC32C pass over bytes the
 // decode touches anyway, against a decode that no longer builds
@@ -303,10 +272,11 @@ void BM_LoadOneKey_CrcPaired(benchmark::State& state) {
   const IndexedTraceSource nocrc(
       {std::make_shared<const MappedSegment>(fixture().v2_path, lax)},
       "nocrc");
-  time_paired(
+  bench::time_paired(
       state, "crc", [&] { benchmark::DoNotOptimize(crc.load_key(kProbeKey)); },
       "nocrc",
-      [&] { benchmark::DoNotOptimize(nocrc.load_key(kProbeKey)); });
+      [&] { benchmark::DoNotOptimize(nocrc.load_key(kProbeKey)); },
+      fixture().probe_ops);
 }
 BENCHMARK(BM_LoadOneKey_CrcPaired)->Unit(benchmark::kMillisecond);
 

@@ -201,10 +201,11 @@ EOF
   # same keys' histories from their columns. bench_ingest's
   # history_repair and history_build_columns run over the same raw
   # sloppy-quorum keys; the bound compares the medians of their
-  # interleaved repetitions. A repair that round-trips through
-  # Operation rows, sorts the 2n events or re-derives the indexes costs
-  # ~1.9x the build; one that merges the two event orders and inherits
-  # the indexes ~0.4x.
+  # interleaved repetitions. A repair that merges the two event orders
+  # and inherits the indexes costs ~0.9x the build. One that
+  # round-trips through Operation rows, sorts the 2n events or
+  # re-derives the indexes cost ~1.9x a build that still fully sorted
+  # nearly every key, and that build costs ~1.7x today's.
   python3 - <<'EOF'
 import json, statistics, sys
 
@@ -224,6 +225,29 @@ print(f"history repair (median of {len(samples['history_repair'])} reps): "
       f"(x{repair / build:.2f}, budget x1.00) -> {verdict}")
 if verdict != "ok":
     sys.exit("normalize_repairable costs more than building the history")
+EOF
+
+  # Nearly-sorted guardrail: one inverted pair may not make a History
+  # build sort. bench_ingest's history_build_swap_paired builds one
+  # key's time-sorted history and the same history with one adjacent
+  # pair of ids swapped, back to back in mirrored order; the bound is
+  # the median over the repetitions of that paired ratio. A build that
+  # falls back to a full sort of both event orders on any inversion
+  # costs ~3x; one that sorts in O(n + inversions) ~1.0x.
+  python3 - <<'EOF'
+import json, statistics, sys
+
+with open("BENCH_ingest.json") as f:
+    entries = json.load(f)["benchmarks"]
+ratios = [b["swapped_ratio"] for b in entries
+          if "aggregate_name" not in b
+          and b["name"].startswith("history_build_swap_paired")]
+ratio = statistics.median(ratios)
+verdict = "ok" if ratio <= 1.25 else "SORT-CLIFF"
+print(f"history build, one adjacent swap / time-sorted: x{ratio:.2f} "
+      f"(median of {len(ratios)} paired reps, budget x1.25) -> {verdict}")
+if verdict != "ok":
+    sys.exit("one inverted pair makes the History build sort")
 EOF
 
   # Store-width guardrail: a selective query must cost the same however

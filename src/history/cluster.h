@@ -34,7 +34,10 @@ struct Zone {
   Interval interval() const { return Interval{low(), high()}; }
 };
 
-// One zone per cluster (i.e. per write), sorted by low endpoint.
+// One zone per cluster (i.e. per write), sorted by low endpoint, ties
+// by write id. Costs O(n + I) for a history of n operations whose
+// zones, taken in write start order, hold I inverted pairs; O(n log n)
+// in the worst case.
 // Requires a normalized history (distinct timestamps) so that strict
 // forward/backward classification is unambiguous.
 std::vector<Zone> compute_zones(const History& history);

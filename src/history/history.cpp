@@ -1,10 +1,11 @@
 #include "history/history.h"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+
+#include "util/adaptive_sort.h"
 
 namespace kav {
 
@@ -82,21 +83,16 @@ void History::build_indexes() {
   const std::vector<TimePoint>& starts = cols_.starts;
   const std::vector<TimePoint>& finishes = cols_.finishes;
 
-  // Event orders. Stored traces arrive per key in add() order, which
-  // for most workloads is already time-sorted -- detect that with one
-  // O(n) scan and skip the O(n log n) sorts entirely (an id-iota
-  // is exactly "sorted with ties broken by id" when the column is
-  // strictly increasing). The check is on the data, not a caller hint,
-  // so adversarial input degrades to the sort, never to a wrong index.
+  // Event orders, ties broken by id. Stored traces arrive per key in
+  // add() order, which is time order but for the few operations that
+  // overlap out of order, so adaptive_sort costs O(n + I) for the I
+  // inverted pairs (an exactly sorted column is n - 1 comparisons) and
+  // O(n log n) at worst.
   const auto sort_ids = [n](std::vector<OpId>& ids,
                             const std::vector<TimePoint>& time) {
     ids.resize(n);
     std::iota(ids.begin(), ids.end(), 0);
-    if (std::adjacent_find(time.begin(), time.end(),
-                           std::greater_equal<>()) == time.end()) {
-      return;
-    }
-    std::sort(ids.begin(), ids.end(), [&](OpId a, OpId b) {
+    adaptive_sort(ids.begin(), ids.end(), [&](OpId a, OpId b) {
       return time[a] != time[b] ? time[a] < time[b] : a < b;
     });
   };

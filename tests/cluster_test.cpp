@@ -2,9 +2,16 @@
 // forward/backward classification, endpoints, and ordering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "gen/generators.h"
 #include "history/anomaly.h"
 #include "history/cluster.h"
 #include "history/history.h"
+#include "util/rng.h"
 
 namespace kav {
 namespace {
@@ -100,6 +107,35 @@ TEST(Zones, OnePerWriteEvenWithoutReads) {
   b.write(20, 30, 2);
   b.write(40, 50, 3);
   EXPECT_EQ(compute_zones(b.build()).size(), 3u);
+}
+
+TEST(Zones, MatchAnExplicitSortInAnyArrivalOrder) {
+  // c = 256 clumps of pairwise-concurrent writes, their ops shuffled so
+  // that the writes' start order is far from their zones' low order.
+  Rng rng(0x20E5);
+  const History clumps = gen::generate_high_concurrency(3, 256, rng);
+  std::vector<Operation> ops = clumps.operations();
+  for (int trial = 0; trial < 3; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::shuffle(ops.begin(), ops.end(), rng);
+    const History history(ops);
+    std::vector<Zone> expected;
+    for (OpId id = 0; id < history.size(); ++id) {
+      if (history.is_write(id)) expected.push_back(compute_zone(history, id));
+    }
+    std::sort(expected.begin(), expected.end(),
+              [](const Zone& a, const Zone& b) {
+                return std::pair(a.low(), a.write) < std::pair(b.low(), b.write);
+              });
+    const std::vector<Zone> zones = compute_zones(history);
+    ASSERT_EQ(zones.size(), expected.size());
+    for (std::size_t i = 0; i < zones.size(); ++i) {
+      EXPECT_EQ(zones[i].write, expected[i].write) << "zone " << i;
+      EXPECT_EQ(zones[i].min_finish, expected[i].min_finish) << "zone " << i;
+      EXPECT_EQ(zones[i].max_start, expected[i].max_start) << "zone " << i;
+      EXPECT_EQ(zones[i].forward, expected[i].forward) << "zone " << i;
+    }
+  }
 }
 
 // The zone structure is invariant under normalization in the cases that

@@ -4,6 +4,7 @@
 // (rows and columns) agreeing with each other and a brute-force model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -252,11 +253,11 @@ TEST(History, RowsAndColumnsAgreeOnEveryAccessor) {
 }
 
 TEST(History, ColumnsAcceptTimeSortedInput) {
-  // The already-sorted fast path: History skips its index sorts when a
-  // time column is strictly increasing. Columns that increase but for
-  // one equal adjacent stamp or one step back -- in starts, finishes or
-  // both, at every position of every length up to 18 -- and columns at
-  // the 64-bit extremes must index exactly like the model.
+  // Time-sorted columns cost the event-order sort one comparison per
+  // op. Columns that increase but for one equal adjacent stamp or one
+  // step back -- in starts, finishes or both, at every position of
+  // every length up to 18 -- and columns at the 64-bit extremes must
+  // index exactly like the model.
   std::vector<std::vector<Operation>> cases;
   for (std::size_t n = 0; n <= 18; ++n) {
     std::vector<Operation> increasing;
@@ -290,6 +291,46 @@ TEST(History, ColumnsAcceptTimeSortedInput) {
     SCOPED_TRACE("case " + std::to_string(i));
     expect_matches_model(History(cases[i]), cases[i]);
     expect_matches_model(History(columns_of(cases[i])), cases[i]);
+  }
+}
+
+TEST(History, ColumnsInAnyArrivalOrderIndexLikeTheModel) {
+  // The event orders sort ids by (time, id) from any arrival order:
+  // nearly sorted (jittered stamps, some of them equal), a few adjacent
+  // swaps of a start-sorted trace, reversed and shuffled, at sizes past
+  // the point where the sort's insertion budget runs out.
+  Rng rng(0x50A7);
+  for (const std::size_t n : {64, 600}) {
+    std::vector<Operation> jittered;
+    Value latest = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const TimePoint start = 2 * static_cast<TimePoint>(i) + rng.uniform(0, 3);
+      const TimePoint finish = start + 1 + rng.uniform(0, 8);
+      if (latest == 0 || rng.bernoulli(0.4)) {
+        jittered.push_back(make_write(start, finish, ++latest));
+      } else {
+        jittered.push_back(make_read(start, finish, latest - rng.uniform(0, 1)));
+      }
+    }
+    std::vector<Operation> swapped = jittered;
+    std::stable_sort(swapped.begin(), swapped.end(),
+                     [](const Operation& a, const Operation& b) {
+                       return a.start < b.start;
+                     });
+    for (int s = 0; s < 5; ++s) {
+      const std::size_t at = rng.bounded(n - 1);
+      std::swap(swapped[at], swapped[at + 1]);
+    }
+    std::vector<Operation> reversed(jittered.rbegin(), jittered.rend());
+    std::vector<Operation> shuffled = jittered;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    for (const auto& [shape, ops] :
+         {std::pair{"jittered", jittered}, std::pair{"swapped", swapped},
+          std::pair{"reversed", reversed}, std::pair{"shuffled", shuffled}}) {
+      SCOPED_TRACE(std::string(shape) + ", n = " + std::to_string(n));
+      expect_matches_model(History(ops), ops);
+      expect_matches_model(History(columns_of(ops)), ops);
+    }
   }
 }
 

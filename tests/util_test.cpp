@@ -1,11 +1,17 @@
 // Unit tests for src/util: rng determinism and distribution sanity,
-// sample quantiles, the interval predicates, and the flag parser.
+// sample quantiles, the interval predicates, the adaptive sort, and the
+// flag parser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "util/adaptive_sort.h"
 #include "util/flags.h"
 #include "util/interval_set.h"
 #include "util/rng.h"
@@ -84,6 +90,117 @@ TEST(Interval, OverlapAndContainment) {
   EXPECT_FALSE(a.contains(a));  // strict
   EXPECT_TRUE(a.contains(TimePoint{5}));
   EXPECT_FALSE(a.contains(TimePoint{0}));  // strict endpoints
+}
+
+// --- adaptive_sort ----------------------------------------------------------
+
+// A key with few distinct values and a unique id: ordering by (key, id)
+// is a strict total order in which equal keys fall to the tie-break,
+// like History's (time, id) and the zones' (low, write).
+struct Keyed {
+  int key = 0;
+  std::uint32_t id = 0;
+  friend bool operator==(const Keyed&, const Keyed&) = default;
+};
+
+bool by_key_then_id(const Keyed& a, const Keyed& b) {
+  return a.key != b.key ? a.key < b.key : a.id < b.id;
+}
+
+std::vector<Keyed> ascending(std::size_t n) {
+  std::vector<Keyed> items;
+  for (std::size_t i = 0; i < n; ++i) {
+    items.push_back({static_cast<int>(i), static_cast<std::uint32_t>(i)});
+  }
+  return items;
+}
+
+// Every input shape the sort switches on: no work, one inversion, a few
+// far-flung ones, and enough to exhaust the insertion budget.
+std::vector<std::pair<std::string, std::vector<Keyed>>> sort_inputs(
+    std::size_t n, Rng& rng) {
+  std::vector<std::pair<std::string, std::vector<Keyed>>> inputs;
+  inputs.emplace_back("sorted", ascending(n));
+  if (n >= 2) {
+    std::vector<Keyed> swapped = ascending(n);
+    const std::size_t at = rng.bounded(n - 1);
+    std::swap(swapped[at], swapped[at + 1]);
+    inputs.emplace_back("one adjacent swap", swapped);
+    for (const std::size_t k : {1, 4, 32}) {
+      std::vector<Keyed> random_swaps = ascending(n);
+      for (std::size_t s = 0; s < k; ++s) {
+        std::swap(random_swaps[rng.bounded(n)], random_swaps[rng.bounded(n)]);
+      }
+      inputs.emplace_back(std::to_string(k) + " random swaps", random_swaps);
+    }
+  }
+  std::vector<Keyed> reversed = ascending(n);
+  std::reverse(reversed.begin(), reversed.end());
+  inputs.emplace_back("reversed", reversed);
+  for (const std::size_t period : {std::size_t{2}, std::size_t{7}, n / 4 + 1}) {
+    std::vector<Keyed> sawtooth = ascending(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      sawtooth[i].key = static_cast<int>(i % period);
+    }
+    inputs.emplace_back("sawtooth " + std::to_string(period), sawtooth);
+  }
+  std::vector<Keyed> ties = ascending(n);
+  for (Keyed& item : ties) item.key = static_cast<int>(rng.bounded(4));
+  std::shuffle(ties.begin(), ties.end(), rng);
+  inputs.emplace_back("shuffled equal keys", ties);
+  return inputs;
+}
+
+TEST(AdaptiveSort, MatchesStdSort) {
+  Rng rng(0x5047);
+  for (const std::size_t n : {0, 1, 2, 3, 17, 100, 1000}) {
+    for (const auto& [shape, input] : sort_inputs(n, rng)) {
+      SCOPED_TRACE(shape + ", n = " + std::to_string(n));
+      std::vector<Keyed> expected = input;
+      std::sort(expected.begin(), expected.end(), by_key_then_id);
+      std::vector<Keyed> actual = input;
+      adaptive_sort(actual.begin(), actual.end(), by_key_then_id);
+      EXPECT_EQ(actual, expected);
+    }
+  }
+}
+
+// Comparisons adaptive_sort makes on `items` (which it sorts).
+std::size_t comparisons(std::vector<Keyed>& items) {
+  std::size_t count = 0;
+  adaptive_sort(items.begin(), items.end(),
+                [&count](const Keyed& a, const Keyed& b) {
+                  ++count;
+                  return by_key_then_id(a, b);
+                });
+  EXPECT_TRUE(std::is_sorted(items.begin(), items.end(), by_key_then_id));
+  return count;
+}
+
+TEST(AdaptiveSort, ComparisonsStayWithinNLogNOnDisorderedInput) {
+  // An insertion sort without its budget costs ~n^2/4 comparisons on
+  // shuffled input and ~n^2/2 on reversed: 4M and 8M here.
+  constexpr std::size_t n = 4096;
+  constexpr std::size_t log2n = 12;
+  constexpr std::size_t bound = 2 * n * log2n + 2 * n;
+  std::vector<Keyed> reversed = ascending(n);
+  std::reverse(reversed.begin(), reversed.end());
+  EXPECT_LE(comparisons(reversed), bound);
+  Rng rng(0x5048);
+  std::vector<Keyed> shuffled = ascending(n);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  EXPECT_LE(comparisons(shuffled), bound);
+}
+
+TEST(AdaptiveSort, NearlySortedInputCostsLinear) {
+  // std::sort makes ~n log n comparisons whatever the input's order;
+  // a sorted range costs n - 1 and each inverted pair one more.
+  constexpr std::size_t n = 4096;
+  std::vector<Keyed> sorted = ascending(n);
+  EXPECT_EQ(comparisons(sorted), n - 1);
+  std::vector<Keyed> swapped = ascending(n);
+  std::swap(swapped[n / 2], swapped[n / 2 + 1]);
+  EXPECT_EQ(comparisons(swapped), n);
 }
 
 TEST(Flags, ParsesForms) {
