@@ -38,16 +38,13 @@ struct SweepParam {
   double staleness_decay;
 };
 
-// One label per parameter, used both as the test name and as gtest's
-// printed value (PrintTo), so listed names never show raw bytes.
-std::string label(const SweepParam& p) {
-  return "seed" + std::to_string(p.seed) + "_n" +
-         std::to_string(p.operations) + "_w" +
-         std::to_string(static_cast<int>(p.write_fraction * 100)) + "_d" +
-         std::to_string(static_cast<int>(p.staleness_decay * 100));
+std::string param_name(const testing::TestParamInfo<SweepParam>& info) {
+  return "seed" + std::to_string(info.param.seed) + "_n" +
+         std::to_string(info.param.operations) + "_w" +
+         std::to_string(static_cast<int>(info.param.write_fraction * 100)) +
+         "_d" +
+         std::to_string(static_cast<int>(info.param.staleness_decay * 100));
 }
-
-void PrintTo(const SweepParam& p, std::ostream* os) { *os << label(p); }
 
 class CrossValidation : public testing::TestWithParam<SweepParam> {
  protected:
@@ -184,9 +181,7 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{707, 12, 0.8, 0.5},
         // Very stale (high decay: reads often several writes behind).
         SweepParam{808, 10, 0.5, 0.8}, SweepParam{909, 12, 0.45, 0.75}),
-    [](const testing::TestParamInfo<SweepParam>& info) {
-      return label(info.param);
-    });
+    param_name);
 
 // Constructive YES instances: generate_k_atomic(k) must be accepted at
 // level k by the exact deciders, and its intended order must validate.
