@@ -9,9 +9,10 @@
 // bound the O(slack + horizon) argument promises).
 //
 // Also times the history layer's precondition repair against a plain
-// History build (history_repair, history_build_columns), and a History
-// build on time-sorted columns against the same columns with one
-// adjacent pair swapped (history_build_swap_paired; see below).
+// History build (history_repair_paired), and a History build on
+// time-sorted columns against the same columns with one adjacent pair
+// swapped (history_build_swap_paired), each as a mirrored pair (see
+// below).
 //
 // The workload defaults to 1,000,000 operations over 64 keys;
 // KAV_BENCH_OPS overrides it (bench/run_bench.sh --smoke sets a small
@@ -216,15 +217,15 @@ BENCHMARK(monitor_stream)->Arg(1)->Arg(4)
 // ~1000 operations per key), keeping the keys without hard anomalies:
 // most of them carry duplicate stamps and writes that outlive their
 // reads, so the gate repairs them before deciding.
-// history_build_columns builds each key's History from its
-// OperationColumns (copying the columns in, since the constructor
-// adopts them); history_repair runs detail::normalize_repairable on
-// each prebuilt History, which copies the columns and inherits the
-// indexes. run_bench.sh --smoke fails when the repair costs more than
-// the build. One that inherits the indexes sits at ~0.9x the build
-// (~18 vs ~21 ns/op at 1M ops); one that sorts or re-derives them cost
-// ~1.9x a build that still fully sorted nearly every key, and that
-// build costs ~1.7x today's.
+// history_repair_paired times, as a mirrored pair (bench::time_paired),
+// detail::normalize_repairable on each prebuilt History (it copies the
+// columns and inherits the indexes) against building each key's
+// History from its OperationColumns (copying the columns in, since the
+// constructor adopts them). run_bench.sh --smoke fails when the median
+// repair_ratio (repair / build) is above 1.00. One that inherits the
+// indexes sits at ~0.9x the build (~18 vs ~21 ns/op at 1M ops); one
+// that sorts or re-derives them cost ~1.9x a build that still fully
+// sorted nearly every key, and that build costs ~1.7x today's.
 struct RepairFixture {
   std::vector<OperationColumns> columns;
   std::vector<History> histories;
@@ -264,38 +265,25 @@ const RepairFixture& repair_fixture() {
   return instance;
 }
 
-void repair_rate(benchmark::State& state) {
+void history_repair_paired(benchmark::State& state) {
   const RepairFixture& f = repair_fixture();
-  state.counters["trace_ops"] = static_cast<double>(f.ops);
+  bench::time_paired(
+      state, "repair",
+      [&] {
+        for (const History& history : f.histories) {
+          benchmark::DoNotOptimize(detail::normalize_repairable(history));
+        }
+      },
+      "build",
+      [&] {
+        for (const OperationColumns& key_columns : f.columns) {
+          benchmark::DoNotOptimize(History{OperationColumns(key_columns)});
+        }
+      },
+      f.ops);
   state.counters["keys"] = static_cast<double>(f.histories.size());
-  state.counters["ops/s"] = benchmark::Counter(
-      static_cast<double>(f.ops) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
 }
-
-void history_build_columns(benchmark::State& state) {
-  const RepairFixture& f = repair_fixture();
-  for (auto _ : state) {
-    for (const OperationColumns& key_columns : f.columns) {
-      const History history{OperationColumns(key_columns)};
-      benchmark::DoNotOptimize(history);
-    }
-  }
-  repair_rate(state);
-}
-BENCHMARK(history_build_columns)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-void history_repair(benchmark::State& state) {
-  const RepairFixture& f = repair_fixture();
-  for (auto _ : state) {
-    for (const History& history : f.histories) {
-      const History repaired = detail::normalize_repairable(history);
-      benchmark::DoNotOptimize(repaired);
-    }
-  }
-  repair_rate(state);
-}
-BENCHMARK(history_repair)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(history_repair_paired)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // --- History layer: the event-order sort on nearly sorted input ----------
 //

@@ -47,9 +47,10 @@ fi
 
 INGEST_ARGS=("${ARGS[@]}")
 if [[ "$MODE" == smoke ]]; then
-  # The pool-width and repair guardrails below read medians over
-  # interleaved repetitions (monitor_stream/1 and /4; history_repair
-  # and history_build_columns). One-thread monitor samples are
+  # The pool-width, repair and nearly-sorted guardrails below read
+  # medians over interleaved repetitions (monitor_stream/1 and /4; the
+  # paired ratios of history_repair_paired and
+  # history_build_swap_paired). One-thread monitor samples are
   # bimodal on a shared VM (~300 or ~420 ns/op, by which vCPUs the two
   # threads land on); fifteen repetitions keep the median from flipping
   # between the modes.
@@ -199,11 +200,11 @@ EOF
   # Repair guardrail: the gate's precondition repair
   # (detail::normalize_repairable) may cost no more than building the
   # same keys' histories from their columns. bench_ingest's
-  # history_repair and history_build_columns run over the same raw
-  # sloppy-quorum keys; the bound compares the medians of their
-  # interleaved repetitions. A repair that merges the two event orders
-  # and inherits the indexes costs ~0.9x the build. One that
-  # round-trips through Operation rows, sorts the 2n events or
+  # history_repair_paired times both over the same raw sloppy-quorum
+  # keys, back to back in mirrored order; the bound is the median over
+  # the repetitions of that paired ratio. A repair that merges the two
+  # event orders and inherits the indexes costs ~0.9x the build. One
+  # that round-trips through Operation rows, sorts the 2n events or
   # re-derives the indexes cost ~1.9x a build that still fully sorted
   # nearly every key, and that build costs ~1.7x today's.
   python3 - <<'EOF'
@@ -211,18 +212,13 @@ import json, statistics, sys
 
 with open("BENCH_ingest.json") as f:
     entries = json.load(f)["benchmarks"]
-samples = {}
-for b in entries:
-    if "aggregate_name" in b or not b["name"].startswith("history_"):
-        continue  # raw repetition samples only
-    samples.setdefault(b["name"].split("/")[0], []).append(b["real_time"])
-
-repair = statistics.median(samples["history_repair"])
-build = statistics.median(samples["history_build_columns"])
-verdict = "ok" if repair <= build * 1.0 else "REPAIR-COST"
-print(f"history repair (median of {len(samples['history_repair'])} reps): "
-      f"{repair:.3f}ms vs build from columns: {build:.3f}ms "
-      f"(x{repair / build:.2f}, budget x1.00) -> {verdict}")
+ratios = [b["repair_ratio"] for b in entries
+          if "aggregate_name" not in b
+          and b["name"].startswith("history_repair_paired")]
+ratio = statistics.median(ratios)
+verdict = "ok" if ratio <= 1.0 else "REPAIR-COST"
+print(f"history repair / build from columns: x{ratio:.2f} "
+      f"(median of {len(ratios)} paired reps, budget x1.00) -> {verdict}")
 if verdict != "ok":
     sys.exit("normalize_repairable costs more than building the history")
 EOF

@@ -74,7 +74,9 @@ std::string ZoneProfile::to_string() const {
 }
 
 ZoneProfile zone_profile(const History& history) {
-  return zone_profile(history, partition_chunks(compute_zones(history)));
+  ChunkPartition partition;
+  partition_chunks(compute_zones(history), partition);
+  return zone_profile(history, partition);
 }
 
 ZoneProfile zone_profile(const History& history,

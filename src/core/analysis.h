@@ -61,7 +61,7 @@ struct ZoneProfile {
 };
 
 // Reads the chunk fields off FZF's Stage-1 partition (core/fzf.h), the
-// batch implementation of the chunk-merging rule.
+// one implementation of the chunk-merging rule.
 ZoneProfile zone_profile(const History& history);
 // Same over a partition the caller already computed from this
 // history's zones; auto dispatch then hands that partition to FZF.

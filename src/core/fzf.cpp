@@ -300,58 +300,65 @@ Verdict decide(const History& history, const ChunkPartition& partition) {
 
 }  // namespace
 
-ChunkPartition partition_chunks(std::span<const Zone> zones) {
-  // Maximal runs of transitively overlapping forward zones. Endpoints
-  // are distinct, so "continuous union" is plain interval merging with
-  // strict overlap. A backward zone can only lie inside the chunk open
-  // when it is reached (every later chunk starts at or after its low,
-  // and containment is strict), but the open chunk's extent is final
-  // only once the next chunk starts: close() then sorts the backward
-  // zones seen since the chunk opened into contained and dangling.
-  ChunkPartition partition;
+void partition_chunks(std::span<const Zone> zones, ChunkPartition& out) {
+  // Maximal runs of transitively overlapping forward zones: plain
+  // interval merging with strict overlap. A backward zone can only lie
+  // inside the chunk open when it is reached (every later chunk starts
+  // at or after its low, and containment is strict), but the open
+  // chunk's extent is final only once the next chunk starts: close()
+  // then sorts the backward zones seen since the chunk opened into
+  // contained and dangling.
+  out.extents.clear();
+  out.forward_begin.assign(1, 0);
+  out.forward_writes.clear();
+  out.backward_begin.assign(1, 0);
+  out.backward_writes.clear();
+  out.dangling_writes.clear();
+  out.dangling_lows.clear();
   const std::size_t none = zones.size();
   std::size_t open = none;  // index of the open chunk's first zone
   const auto close = [&](std::size_t end) {
-    const Interval extent = partition.extents.back();
+    const Interval extent = out.extents.back();
     for (std::size_t j = open; j < end; ++j) {
       const Zone& z = zones[j];
       if (z.forward) continue;
       if (extent.contains(z.interval())) {
-        partition.backward_writes.push_back(z.write);
+        out.backward_writes.push_back(z.write);
       } else {
-        partition.dangling_writes.push_back(z.write);
-        partition.dangling_lows.push_back(z.low());
+        out.dangling_writes.push_back(z.write);
+        out.dangling_lows.push_back(z.low());
       }
     }
-    partition.forward_begin.push_back(
-        static_cast<std::uint32_t>(partition.forward_writes.size()));
-    partition.backward_begin.push_back(
-        static_cast<std::uint32_t>(partition.backward_writes.size()));
+    out.forward_begin.push_back(
+        static_cast<std::uint32_t>(out.forward_writes.size()));
+    out.backward_begin.push_back(
+        static_cast<std::uint32_t>(out.backward_writes.size()));
   };
   for (std::size_t i = 0; i < zones.size(); ++i) {
     const Zone& z = zones[i];
     if (z.forward) {
-      if (open != none && z.low() < partition.extents.back().hi) {
-        Interval& extent = partition.extents.back();
+      if (open != none && z.low() < out.extents.back().hi) {
+        Interval& extent = out.extents.back();
         extent.hi = std::max(extent.hi, z.high());
       } else {
         if (open != none) close(i);
         open = i;
-        partition.extents.push_back(z.interval());
+        out.extents.push_back(z.interval());
       }
-      partition.forward_writes.push_back(z.write);
+      out.forward_writes.push_back(z.write);
     } else if (open == none) {
-      partition.dangling_writes.push_back(z.write);
-      partition.dangling_lows.push_back(z.low());
+      out.dangling_writes.push_back(z.write);
+      out.dangling_lows.push_back(z.low());
     }
   }
   if (open != none) close(zones.size());
-  return partition;
 }
 
 Verdict check_2atomicity_fzf(const History& history) {
   if (history.empty()) return Verdict::make_yes({});
-  return decide(history, partition_chunks(compute_zones(history)));
+  ChunkPartition partition;
+  partition_chunks(compute_zones(history), partition);
+  return decide(history, partition);
 }
 
 Verdict check_2atomicity_fzf(const History& history,

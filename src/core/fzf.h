@@ -50,13 +50,11 @@ namespace kav {
 // backward writes contained in its extent, backward(c), in zone order.
 // Chunks lie along the timeline (extent lows strictly increase);
 // dangling backward clusters keep their zone low so Stage 3 can merge
-// them with the chunks without recomputing a zone. This is the batch
-// implementation of the chunk-merging rule: zone_profile reads its
-// counts from it, and auto dispatch at k = 2 hands the same partition
-// to FZF, so a key's zones and chunks are computed once. The one other
-// copy is incremental: StreamingChecker::decide_settled
-// (core/streaming.cpp) merges settled clusters into runs as a stream's
-// watermark advances.
+// them with the chunks without recomputing a zone. partition_chunks is
+// the only implementation of the chunk-merging rule: zone_profile reads
+// its counts from it, auto dispatch at k = 2 hands the same partition
+// to FZF, and the streaming checker refills one partition per sweep
+// over its settled clusters (core/streaming.cpp).
 struct ChunkPartition {
   std::vector<Interval> extents;
   std::vector<std::uint32_t> forward_begin{0};   // chunks + 1 offsets
@@ -77,9 +75,17 @@ struct ChunkPartition {
   }
 };
 
-// Stage 1 in one pass over `zones`, which must be compute_zones(history)
-// of a normalized history (sorted by low endpoint).
-ChunkPartition partition_chunks(std::span<const Zone> zones);
+// Stage 1 in one pass over `zones`: clears `out` and refills it, so a
+// caller that keeps one partition keeps its buffers' capacity.
+// Contract: `zones` are sorted by low endpoint, ties in any fixed
+// order. Every comparison is strict (a forward zone joins the open
+// chunk only if its low is below the extent's high; a backward zone is
+// contained only strictly inside an extent), so raw zones with shared
+// endpoints partition deterministically. Zone::write is an opaque tag,
+// passed through to the partition unread. compute_zones(history) of a
+// normalized history satisfies this; so do the streaming checker's
+// raw, not normalized, cluster zones tagged with their slots.
+void partition_chunks(std::span<const Zone> zones, ChunkPartition& out);
 
 Verdict check_2atomicity_fzf(const History& history);
 // Same, deciding over a partition the caller already computed from

@@ -232,10 +232,8 @@ void StreamingChecker::clear_window() {
   orphan_min_finish_ = kTimeMax;
   duplicates_ = {};
   promote_ = {};
-  forward_ = {};
-  attached_ = {};
-  dangling_ = {};
-  runs_ = {};
+  zones_ = {};
+  partition_ = {};
   window_size_ = 0;
 }
 
@@ -371,66 +369,36 @@ void StreamingChecker::decide_settled(TimePoint line) {
     std::inplace_merge(settled_.begin(), sorted_end, settled_.end(), by_low);
   }
 
-  // Chunk runs (Stage 1 of FZF) over the settled clusters whose lows lie
-  // below the line. An unsettled cluster's low is at or above the line,
-  // so it can neither join nor contain a run that ends below it: those
-  // runs are final, and decided from settled clusters alone.
-  forward_.clear();
-  attached_.clear();
-  dangling_.clear();
-  runs_.clear();
+  // Stage 1 of FZF over the settled clusters whose lows lie below the
+  // line. An unsettled cluster's low is at or above the line, so it can
+  // neither join nor contain a chunk that ends below it: those chunks
+  // are final, and decided from settled clusters alone.
+  zones_.clear();
   std::size_t prefix = 0;
   for (; prefix < settled_.size() && slots_[settled_[prefix]].low() < line;
        ++prefix) {
     const std::uint32_t slot = settled_[prefix];
     const Cluster& cluster = slots_[slot];
-    if (!cluster.forward()) continue;
-    if (!runs_.empty() && cluster.low() < runs_.back().hi) {
-      runs_.back().hi = std::max(runs_.back().hi, cluster.high());
-      runs_.back().fwd_end = forward_.size() + 1;
-    } else {
-      runs_.push_back({cluster.low(), cluster.high(), forward_.size(),
-                       forward_.size() + 1, 0, 0});
-    }
-    forward_.push_back(slot);
+    zones_.push_back(
+        {slot, cluster.min_finish, cluster.max_start, cluster.forward()});
   }
-  // Attach contained backward clusters; the rest dangle. Backward lows
-  // ascend, so each run's attachments are contiguous.
-  for (std::size_t i = 0; i < prefix; ++i) {
-    const std::uint32_t slot = settled_[i];
-    const Cluster& cluster = slots_[slot];
-    if (cluster.forward()) continue;
-    auto it = std::upper_bound(
-        runs_.begin(), runs_.end(), cluster.low(),
-        [](TimePoint t, const Run& run) { return t < run.lo; });
-    if (it != runs_.begin() && (it - 1)->lo < cluster.low() &&
-        cluster.high() < (it - 1)->hi) {
-      Run& run = *(it - 1);
-      if (run.back_begin == run.back_end) {
-        run.back_begin = run.back_end = attached_.size();
-      }
-      attached_.push_back(slot);
-      run.back_end = attached_.size();
-    } else {
-      dangling_.push_back(slot);
-    }
-  }
+  partition_chunks(zones_, partition_);
 
-  // Decide and evict the final runs. Whatever survives wakes the next
-  // sweep only once the line passes its run's (or its own) high, or
+  // Decide and evict the final chunks. Whatever survives wakes the next
+  // sweep only once the line passes its chunk's (or its own) high, or
   // the first low outside the prefix.
   wake_line_ = prefix < settled_.size() ? slots_[settled_[prefix]].low()
                                         : kTimeMax;
-  for (const Run& run : runs_) {
-    if (run.hi < line) {
-      decide_run(run);
+  for (std::size_t c = 0; c < partition_.chunk_count(); ++c) {
+    if (partition_.extents[c].hi < line) {
+      decide_chunk(c);
     } else {
-      wake_line_ = std::min(wake_line_, run.hi);
+      wake_line_ = std::min(wake_line_, partition_.extents[c].hi);
     }
   }
   // Settled dangling backward clusters below the settle line are
   // trivially 2-atomic in isolation (Lemma 4.1's concatenation).
-  for (const std::uint32_t slot : dangling_) {
+  for (const std::uint32_t slot : partition_.dangling_writes) {
     if (slots_[slot].high() < line) {
       ++stats_.dangling_clusters;
       evict(slot);
@@ -456,18 +424,17 @@ void StreamingChecker::decide_settled(TimePoint line) {
   promote_.clear();
 }
 
-void StreamingChecker::decide_run(const Run& run) {
+void StreamingChecker::decide_chunk(std::size_t c) {
   ++stats_.chunks_verified;
+  const std::span<const std::uint32_t> forward = partition_.forward(c);
+  const std::span<const std::uint32_t> backward = partition_.backward(c);
   const auto members = [&](auto&& visit) {
-    for (std::size_t i = run.fwd_begin; i < run.fwd_end; ++i) {
-      visit(slots_[forward_[i]]);
-    }
-    for (std::size_t i = run.back_begin; i < run.back_end; ++i) {
-      visit(slots_[attached_[i]]);
-    }
+    for (const std::uint32_t slot : forward) visit(slots_[slot]);
+    for (const std::uint32_t slot : backward) visit(slots_[slot]);
   };
-  const std::string extent =
-      "[" + std::to_string(run.lo) + ", " + std::to_string(run.hi) + "]";
+  const Interval& bounds = partition_.extents[c];
+  const std::string extent = "[" + std::to_string(bounds.lo) + ", " +
+                             std::to_string(bounds.hi) + "]";
 
   // A read that precedes its dictating write is a hard anomaly: the
   // chunk is not k-atomic for any k, and normalize() rejects it.
@@ -489,8 +456,7 @@ void StreamingChecker::decide_run(const Run& run) {
          "settled chunk over " + extent +
              " has a read preceding its dictating write: " +
              describe(*early_read) + " before " + describe(*its_write)});
-  } else if (run.fwd_end - run.fwd_begin > 1 ||
-             run.back_end > run.back_begin) {
+  } else if (forward.size() > 1 || !backward.empty()) {
     std::vector<Operation> chunk_ops;
     members([&](const Cluster& cluster) {
       chunk_ops.push_back(cluster.write);
@@ -510,15 +476,11 @@ void StreamingChecker::decide_run(const Run& run) {
                                  " is not 2-atomic: " + verdict.reason});
     }
   }
-  // Otherwise the run is one forward cluster with no read preceding its
-  // write: the write first, then its reads, is a 1-atomic order.
+  // Otherwise the chunk is one forward cluster with no read preceding
+  // its write: the write first, then its reads, is a 1-atomic order.
 
-  for (std::size_t i = run.fwd_begin; i < run.fwd_end; ++i) {
-    evict(forward_[i]);
-  }
-  for (std::size_t i = run.back_begin; i < run.back_end; ++i) {
-    evict(attached_[i]);
-  }
+  for (const std::uint32_t slot : forward) evict(slot);
+  for (const std::uint32_t slot : backward) evict(slot);
 }
 
 void StreamingChecker::evict(std::uint32_t slot) {

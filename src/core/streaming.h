@@ -25,11 +25,13 @@
 // cluster once (a read whose write has not arrived yet is parked under
 // its value until it does); advance_watermark() settles clusters off a
 // min-heap on write finish, takes the settle line from an ordered view
-// of the unsettled zone lows, and builds chunk runs only from settled,
-// not yet evicted clusters. A run of one forward cluster is decided
-// directly -- the write first, then its reads -- and only larger runs
-// go through normalize() + FZF. The cost of a watermark advance
-// follows what settles, not the window size.
+// of the unsettled zone lows, and partitions only the settled, not yet
+// evicted clusters into chunks, with FZF's own Stage 1
+// (partition_chunks) refilling one reused partition. A chunk of one
+// forward cluster is decided directly -- the write first, then its
+// reads -- and only larger chunks go through normalize() + FZF. The
+// cost of a watermark advance follows what settles, not the window
+// size.
 //
 // Paper-section map and guarantees for every procedure: docs/ALGORITHMS.md.
 #ifndef KAV_CORE_STREAMING_H
@@ -42,7 +44,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/fzf.h"
 #include "core/verdict.h"
+#include "history/cluster.h"
 #include "history/history.h"
 
 namespace kav {
@@ -147,13 +151,6 @@ class StreamingChecker {
     std::uint64_t seq;
     Operation op;
   };
-  // One chunk run over the settled clusters: forward_[fwd_begin,
-  // fwd_end) plus the contained backward clusters attached_[back_begin,
-  // back_end).
-  struct Run {
-    TimePoint lo, hi;
-    std::size_t fwd_begin, fwd_end, back_begin, back_end;
-  };
 
   // Starts the cluster of `write` (adopting its parked reads) and
   // returns its slot.
@@ -169,7 +166,8 @@ class StreamingChecker {
   void report_duplicates();
   void report_orphans();
   void decide_settled(TimePoint settle_line);
-  void decide_run(const Run& run);
+  // Decides and evicts chunk c of partition_.
+  void decide_chunk(std::size_t c);
   void evict(std::uint32_t slot);
 
   StreamingOptions options_;
@@ -197,9 +195,10 @@ class StreamingChecker {
   TimePoint orphan_min_finish_ = kTimeMax;  // earliest among orphans_
   std::vector<Pending> duplicates_;  // arrival order
   std::vector<Value> promote_;       // evicted values with a duplicate
-  // Sweep scratch, kept to reuse capacity.
-  std::vector<std::uint32_t> forward_, attached_, dangling_;
-  std::vector<Run> runs_;
+  // Sweep scratch, kept to reuse capacity: the settled zones below the
+  // line, tagged with their slots, and their partition.
+  std::vector<Zone> zones_;
+  ChunkPartition partition_;
   // Values of evicted writes, kept to tell a horizon violation from a
   // read without any write. It grows with the trace (one entry per
   // write), so it is an open-addressing set: ~15 bytes per value, a

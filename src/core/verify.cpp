@@ -83,7 +83,8 @@ Verdict dispatch(const History& history, int k, Algorithm algorithm) {
   if (k == 2) {
     // One zone pass and one Stage-1 partition per key: the profile
     // reads its counts off the partition, and FZF decides over it.
-    const ChunkPartition partition = partition_chunks(compute_zones(history));
+    ChunkPartition partition;
+    partition_chunks(compute_zones(history), partition);
     return select_2av_algorithm(zone_profile(history, partition)) ==
                    Algorithm::lbt
                ? check_2atomicity_lbt(history)

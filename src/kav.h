@@ -61,7 +61,7 @@
 #include "obs/telemetry_server.h"
 
 // Networking substrate (Linux epoll): the event loop under the
-// telemetry server and the future kavd listener.
+// telemetry server.
 #include "net/event_loop.h"
 #include "net/http.h"
 #include "net/tcp.h"

@@ -2,10 +2,8 @@
 // outside world. One EventLoop is one epoll instance driven by one
 // thread: non-blocking fds register interest + a callback, periodic
 // timers fire between polls, and other threads reach the loop only
-// through post() (task queue + eventfd wakeup) or stop(). This is the
-// event loop ROADMAP item 1 blesses as its own PR: the telemetry
-// server (obs/telemetry_server.h) runs on it today, and the kavd
-// frame-protocol listener sits on the same loop next.
+// through post() (task queue + eventfd wakeup) or stop(). The
+// telemetry server (obs/telemetry_server.h) runs on it.
 //
 // Threading contract, enforced with assertions where cheap:
 //

@@ -1,7 +1,7 @@
 // Exposition renderers: pure functions from a RegistrySnapshot to
-// text, with no clocks, no I/O, and no global state, so the kavd HTTP
-// endpoint (ROADMAP item 1) can serve their output verbatim and golden
-// tests can pin it byte-for-byte.
+// text, with no clocks, no I/O, and no global state, so the telemetry
+// server (obs/telemetry_server.h) can serve their output verbatim and
+// golden tests can pin it byte-for-byte.
 //
 //   render_prometheus() -- Prometheus text exposition format 0.0.4:
 //     # HELP/# TYPE per metric name, histograms as cumulative

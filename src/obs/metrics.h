@@ -1,8 +1,8 @@
 // kav::obs -- the always-on observability spine. One MetricsRegistry
 // per process (or per Engine, when injected via EngineOptions::metrics)
 // holds every instrument the engine, pipeline, monitor, and store
-// update while they run; kavd (ROADMAP item 1) and the scale-out
-// coordinator (item 2) scrape it through obs/export.h's pure renderers.
+// update while they run; the telemetry server (obs/telemetry_server.h)
+// scrapes it through obs/export.h's pure renderers.
 //
 // Design constraints, in order:
 //

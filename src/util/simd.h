@@ -1,6 +1,6 @@
 // A leftover name, not a dispatch layer: every column scan is plain
 // scalar code. Only kavbench still prints a `simd` info line per run
-// (kavbench.cpp); the shim goes once that line does (ROADMAP item 8).
+// (kavbench.cpp); the shim goes once that line does (ROADMAP item 9).
 #ifndef KAV_UTIL_SIMD_H
 #define KAV_UTIL_SIMD_H
 

@@ -143,8 +143,9 @@ std::string profile_mismatch(const History& h) {
   if (profile.largest_chunk_clusters != largest) return "largest";
   if (profile.max_backward_per_chunk != max_backward) return "max_backward";
   // The partition overload must read the same partition the same way.
-  const ZoneProfile shared =
-      zone_profile(h, partition_chunks(compute_zones(h)));
+  ChunkPartition partition;
+  partition_chunks(compute_zones(h), partition);
+  const ZoneProfile shared = zone_profile(h, partition);
   if (shared.chunks != profile.chunks ||
       shared.largest_chunk_clusters != profile.largest_chunk_clusters ||
       shared.max_backward_per_chunk != profile.max_backward_per_chunk) {

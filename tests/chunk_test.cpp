@@ -74,7 +74,29 @@ std::vector<OpId> to_vector(std::span<const OpId> v) {
 }
 
 ChunkPartition chunks_of(const History& history) {
-  return partition_chunks(compute_zones(history));
+  ChunkPartition partition;
+  partition_chunks(compute_zones(history), partition);
+  return partition;
+}
+
+// Every field, so a refill that leaves a stale offset or entry shows.
+void expect_same_partition(const ChunkPartition& got,
+                           const ChunkPartition& want) {
+  EXPECT_EQ(got.extents, want.extents);
+  EXPECT_EQ(got.forward_begin, want.forward_begin);
+  EXPECT_EQ(got.forward_writes, want.forward_writes);
+  EXPECT_EQ(got.backward_begin, want.backward_begin);
+  EXPECT_EQ(got.backward_writes, want.backward_writes);
+  EXPECT_EQ(got.dangling_writes, want.dangling_writes);
+  EXPECT_EQ(got.dangling_lows, want.dangling_lows);
+}
+
+Zone forward_zone(OpId tag, TimePoint low, TimePoint high) {
+  return Zone{tag, low, high, true};  // Z.f = low < Z.s_bar = high
+}
+
+Zone backward_zone(OpId tag, TimePoint low, TimePoint high) {
+  return Zone{tag, high, low, false};  // Z.s_bar = low <= Z.f = high
 }
 
 TEST(ChunkSet, Figure3Reproduction) {
@@ -187,6 +209,57 @@ TEST(ChunkSet, ChunksOrderedAlongTimeline) {
   ASSERT_EQ(cs.chunk_count(), 5u);
   for (std::size_t i = 1; i < cs.chunk_count(); ++i) {
     EXPECT_LT(cs.extents[i - 1].hi, cs.extents[i].lo);
+  }
+}
+
+TEST(ChunkSet, RefillMatchesAFreshPartition) {
+  const Figure3 fig = build_figure3();
+  const std::vector<Zone> large = compute_zones(fig.history);
+  HistoryBuilder b;
+  b.write(0, 10, 1);
+  b.read(20, 30, 1);
+  b.write(40, 50, 2);  // no reads: a dangling backward zone
+  const std::vector<Zone> small = compute_zones(b.build());
+
+  ChunkPartition reused;
+  partition_chunks(large, reused);
+  ASSERT_EQ(reused.chunk_count(), 3u);
+  ChunkPartition fresh;
+  partition_chunks(small, fresh);
+  partition_chunks(small, reused);
+  expect_same_partition(reused, fresh);
+
+  // Refilled from nothing, it is the default partition.
+  partition_chunks(large, reused);
+  partition_chunks({}, reused);
+  expect_same_partition(reused, ChunkPartition{});
+}
+
+TEST(ChunkSet, RawZonesWithSharedEndpointsCompareStrictly) {
+  // Raw zones, as the streaming checker hands them over: endpoints are
+  // shared, and the tags are slots in no particular order.
+  const Zone f7 = forward_zone(7, 10, 50);
+  const Zone b3 = backward_zone(3, 10, 20);  // low == chunk 0's lo
+  const Zone b5 = backward_zone(5, 15, 40);  // strictly inside chunk 0
+  const Zone f1 = forward_zone(1, 50, 70);   // low == chunk 0's hi
+  const Zone b2 = backward_zone(2, 55, 70);  // high == chunk 1's hi
+  const Zone b9 = backward_zone(9, 60, 65);  // strictly inside chunk 1
+
+  ChunkPartition want;
+  want.extents = {Interval{10, 50}, Interval{50, 70}};
+  want.forward_begin = {0, 1, 2};
+  want.forward_writes = {7, 1};
+  want.backward_begin = {0, 1, 2};
+  want.backward_writes = {5, 9};
+  want.dangling_writes = {3, 2};
+  want.dangling_lows = {10, 55};
+  // The tie on low 10 may come in either order: b3 dangles both ways.
+  for (const std::vector<Zone>& zones :
+       {std::vector<Zone>{f7, b3, b5, f1, b2, b9},
+        std::vector<Zone>{b3, f7, b5, f1, b2, b9}}) {
+    ChunkPartition got;
+    partition_chunks(zones, got);
+    expect_same_partition(got, want);
   }
 }
 

@@ -145,7 +145,8 @@ void check(const History& history, const std::string& label, Tally& tally) {
   record(tally, label + " (unchecked)",
          compare(check_2atomicity_fzf(history), reference_unchecked));
   const std::vector<Zone> zones = compute_zones(history);
-  const ChunkPartition partition = partition_chunks(zones);
+  ChunkPartition partition;
+  partition_chunks(zones, partition);
   record(tally, label + " (partition)",
          compare(check_2atomicity_fzf(history, partition),
                  reference_unchecked));

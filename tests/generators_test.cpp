@@ -96,7 +96,8 @@ TEST(Generators, PropertyPFanOverlapStructure) {
 TEST(Generators, B3ChunkHasSingleChunkWithBBackwardClusters) {
   for (int b = 3; b <= 6; ++b) {
     const History h = gen::generate_b3_chunk(b);
-    const ChunkPartition cs = partition_chunks(compute_zones(h));
+    ChunkPartition cs;
+    partition_chunks(compute_zones(h), cs);
     ASSERT_EQ(cs.chunk_count(), 1u) << "b=" << b;
     EXPECT_EQ(cs.backward(0).size(),
               static_cast<std::size_t>(b));
