@@ -321,10 +321,11 @@ void account_selection(Report& report, const KeyFilter& filter,
 
 // An input's keys seen as account_selection's offered set: how many
 // keys it holds, and the kept keys -- under a filter, exactly the
-// requested keys it holds. A streamed input's are read from the
+// requested keys it holds. A streamed input's count is read from the
 // consumer (KeyGrouper, KeyedStreamingMonitor) that made the keep
-// decision, once per id; an indexed source's from its key count and one
-// index lookup per requested key.
+// decision, once per id, and its kept keys are the report's, which
+// holds one result per kept key; an indexed source's from its key count
+// and one index lookup per requested key.
 template <typename KeptMap>
 struct NamedKeys {
   std::size_t named;
@@ -548,18 +549,30 @@ Report Engine::verify(TraceSource& source, const RunOptions& run) {
     }
   }
   // Any other source: group it by key while reading -- one pass, each
-  // operation stored once, in its key's History, found by its KeyId. A
-  // key_filter is applied once per key, when the key is first named;
-  // every record is still decoded.
+  // operation stored once, as a row in its key's vector, found by its
+  // KeyId. A key_filter is applied once per key, when the key is first
+  // named; every record is still decoded.
   const KeyFilter filter(run);
   KeyGrouper grouper(keep_for(filter));
   const std::string stop = drive_source(
       source, kVerifyChunkOps, run, deadline, "reading " + source.describe(),
       [&grouper](const KeyedChunk& chunk) { grouper.add(chunk); });
   const std::size_t named = grouper.key_count();
-  const KeyedHistories shards = grouper.finish();
-  Report report = run_specs(pinned_specs(shards, filter), run, deadline);
-  account_selection(report, filter, NamedKeys{named, shards.per_key});
+  // One lazy shard per kept key: the worker that decides a key builds
+  // its History from the rows, freeing them, and repairs it in place,
+  // so beside the rows only the Histories being decided are resident.
+  std::vector<KeyRows> groups = grouper.finish();
+  std::vector<ShardSpec> specs;
+  specs.reserve(groups.size());
+  for (KeyRows& group : groups) {
+    ShardSpec spec;
+    spec.key = std::move(group.key);
+    spec.op_count = group.ops.size();
+    spec.load = [ops = &group.ops] { return History(std::move(*ops)); };
+    specs.push_back(std::move(spec));
+  }
+  Report report = run_specs(specs, run, deadline);
+  account_selection(report, filter, NamedKeys{named, report.per_key});
   if (!stop.empty()) {
     report.cancelled = true;
     report.stop_reason = stop;

@@ -105,7 +105,11 @@ class Engine {
   Report verify(const KeyedHistories& shards, const RunOptions& run = {});
   // Pulls the source dry first in chunks (TraceSource::pull;
   // cancellable between chunks), grouping each operation into its key's
-  // History by KeyId as it is read (KeyGrouper), then verifies -- unless
+  // rows by KeyId as it is read (KeyGrouper), then verifies: each key's
+  // History is built from its rows, and repaired in place, on the pool
+  // worker that decides it, so only the rows and the Histories in
+  // flight are resident. Throws std::invalid_argument, before deciding
+  // anything, for an operation with start >= finish. Unless
   // RunOptions::key_filter is set and the source is index-backed (an
   // IndexedTraceSource: an indexed .kavb file or a TraceStore), in which
   // case only the requested keys' blocks are ever decoded, each inside a

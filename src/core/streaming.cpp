@@ -465,9 +465,15 @@ void StreamingChecker::decide_chunk(std::size_t c) {
         chunk_ops.push_back(read_nodes_[r].op);
       }
     });
-    // normalize() establishes FZF's input contract (it throws on a
-    // hard anomaly).
-    const History chunk_history = normalize(History(std::move(chunk_ops)));
+    // FZF's input contract, as normalize() establishes it (refusing a
+    // hard anomaly, then repairing), but on the chunk's own History, in
+    // place, rather than into a second copy.
+    History chunk_history(std::move(chunk_ops));
+    if (detail::has_hard_anomaly(chunk_history)) {
+      throw std::invalid_argument(
+          "settled chunk over " + extent + " has hard anomalies");
+    }
+    detail::repair(chunk_history);
     const Verdict verdict = check_2atomicity_fzf(chunk_history);
     if (!verdict.yes()) {
       violations_.push_back({StreamingViolation::Kind::not_2atomic,

@@ -29,9 +29,9 @@
 // evicted clusters into chunks, with FZF's own Stage 1
 // (partition_chunks) refilling one reused partition. A chunk of one
 // forward cluster is decided directly -- the write first, then its
-// reads -- and only larger chunks go through normalize() + FZF. The
-// cost of a watermark advance follows what settles, not the window
-// size.
+// reads -- and only larger chunks build a History, repaired in place
+// (detail::repair), for FZF. The cost of a watermark advance follows
+// what settles, not the window size.
 //
 // Paper-section map and guarantees for every procedure: docs/ALGORITHMS.md.
 #ifndef KAV_CORE_STREAMING_H

@@ -106,21 +106,43 @@ Verdict dispatch(const History& history, int k, Algorithm algorithm) {
 
 namespace detail {
 
-Gate gate(const History& history, bool normalize) {
-  Gate result;
+namespace {
+
+// The gate's one classification: the failure, if `history` may not be
+// decided; else nullopt, with `needs_repair` set when it must be
+// repaired first.
+std::optional<Verdict> classify(const History& history, bool normalize,
+                                bool& needs_repair) {
   const bool hard = has_hard_anomaly(history);
-  if (!hard && is_normalized(history)) return result;
+  needs_repair = false;
+  if (!hard && is_normalized(history)) return std::nullopt;
   if (!hard && normalize) {
-    result.repaired = normalize_repairable(history);
-    return result;
+    needs_repair = true;
+    return std::nullopt;
   }
   const AnomalyReport report = find_anomalies(history);
-  result.failure = Verdict::make_precondition_failed(
+  return Verdict::make_precondition_failed(
       "history has " +
       std::string(hard ? "hard anomalies"
                        : "repairable anomalies (enable options.normalize)") +
       ": " + describe(report.anomalies.front(), history));
+}
+
+}  // namespace
+
+Gate gate(const History& history, bool normalize) {
+  Gate result;
+  bool needs_repair = false;
+  result.failure = classify(history, normalize, needs_repair);
+  if (needs_repair) result.repaired = normalize_repairable(history);
   return result;
+}
+
+std::optional<Verdict> gate_owned(History& history, bool normalize) {
+  bool needs_repair = false;
+  std::optional<Verdict> failure = classify(history, normalize, needs_repair);
+  if (needs_repair) repair(history);
+  return failure;
 }
 
 }  // namespace detail
@@ -133,6 +155,16 @@ Verdict verify_k_atomicity(const History& history,
   const detail::Gate gate = detail::gate(history, options.normalize);
   if (gate.failure) return *gate.failure;
   return dispatch(gate.decidable(history), options.k, options.algorithm);
+}
+
+Verdict verify_k_atomicity(History&& history, const VerifyOptions& options) {
+  if (options.k < 1) {
+    return Verdict::make_precondition_failed("k must be >= 1");
+  }
+  if (auto failure = detail::gate_owned(history, options.normalize)) {
+    return *failure;
+  }
+  return dispatch(history, options.k, options.algorithm);
 }
 
 Report verify_keyed_trace(const KeyedTrace& trace,

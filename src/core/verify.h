@@ -61,6 +61,10 @@ struct VerifyOptions {
 // lbt and fzf, are precondition_failed.
 Verdict verify_k_atomicity(const History& history,
                            const VerifyOptions& options = {});
+// The same verdict for a history the caller gives up: a repairable one
+// is repaired in place (detail::gate_owned) instead of copied.
+Verdict verify_k_atomicity(History&& history,
+                           const VerifyOptions& options = {});
 
 namespace detail {
 
@@ -70,7 +74,8 @@ namespace detail {
 // LBT, FZF, greedy, oracle) trust what passes. Two O(n) scans classify
 // the history (has_hard_anomaly, is_normalized; history/anomaly.h). A
 // hard anomaly fails; a history with only repairable anomalies is
-// repaired by normalize_repairable when `normalize` is on and fails
+// repaired by detail::repair when `normalize` is on -- into a copy for
+// a const history, in place for an owned one (gate_owned) -- and fails
 // otherwise. find_anomalies runs only to name the first anomaly in a
 // failure's reason.
 struct Gate {
@@ -84,6 +89,10 @@ struct Gate {
 };
 
 Gate gate(const History& history, bool normalize);
+// The gate for a history the caller owns: repairs `history` itself when
+// it needs repair, and returns the failure, if any. On nullopt,
+// `history` is what a decider may take.
+std::optional<Verdict> gate_owned(History& history, bool normalize);
 
 }  // namespace detail
 

@@ -171,15 +171,33 @@ History normalize(const History& history) {
 }
 
 History detail::normalize_repairable(const History& history) {
-  const std::size_t n = history.size();
-  const std::vector<OpId>& by_start = history.by_start_;
-  const std::vector<OpId>& by_finish = history.by_finish_;
   History out;
-  out.cols_.starts.resize(n);
-  out.cols_.finishes.resize(n);
-  out.cols_.values = history.cols_.values;
-  out.cols_.clients = history.cols_.clients;
-  out.cols_.types = history.cols_.types;
+  repair(history, out);
+  return out;
+}
+
+void detail::repair(const History& source, History& out) {
+  const std::size_t n = source.size();
+  const std::vector<OpId>& by_start = source.by_start_;
+  const std::vector<OpId>& by_finish = source.by_finish_;
+  if (&out != &source) {
+    out.cols_.starts.resize(n);
+    out.cols_.finishes.resize(n);
+    out.cols_.values = source.cols_.values;
+    out.cols_.clients = source.cols_.clients;
+    out.cols_.types = source.cols_.types;
+    // Pass A keeps the start order and pass B no start, and neither
+    // touches a value or a type, so every index built from the start
+    // order and the values carries over unchanged.
+    out.by_start_ = by_start;
+    out.writes_by_start_ = source.writes_by_start_;
+    out.reads_ = source.reads_;
+    out.dictating_write_ = source.dictating_write_;
+    out.dictated_flat_ = source.dictated_flat_;
+    out.read_begin_ = source.read_begin_;
+    out.value_index_ = source.value_index_;
+    out.has_duplicate_write_values_ = source.has_duplicate_write_values_;
+  }
   std::vector<TimePoint>& starts = out.cols_.starts;
   std::vector<TimePoint>& finishes = out.cols_.finishes;
 
@@ -192,13 +210,14 @@ History detail::normalize_repairable(const History& history) {
   // f > s, keeping the pair concurrent. Consecutive events are spaced
   // by a gap wide enough that pass B's "-1" adjustments land strictly
   // between existing stamps. The latest event is a finish, so the
-  // starts run out first.
+  // starts run out first. Each event's old stamp is read for the last
+  // time when it is taken, just before its new stamp is written, so
+  // `out` may be `source`.
   const TimePoint gap = static_cast<TimePoint>(n) + 2;
   TimePoint stamp = 0;
   std::size_t i = 0;
   for (std::size_t j = 0; j < n;) {
-    if (i < n &&
-        history.start(by_start[i]) <= history.finish(by_finish[j])) {
+    if (i < n && source.start(by_start[i]) <= source.finish(by_finish[j])) {
       starts[by_start[i++]] = stamp += gap;
     } else {
       finishes[by_finish[j++]] = stamp += gap;
@@ -213,9 +232,9 @@ History detail::normalize_repairable(const History& history) {
   // splice table records each move for the finish order below: a
   // shortened write maps to itself, its anchor read to the write.
   std::vector<OpId> splice(n, kInvalidOp);
-  for (OpId w : history.writes_by_start_) {
+  for (OpId w : out.writes_by_start_) {
     OpId anchor = kInvalidOp;
-    for (OpId r : history.dictated_reads(w)) {
+    for (OpId r : out.dictated_reads(w)) {
       if (anchor == kInvalidOp || finishes[r] < finishes[anchor]) anchor = r;
     }
     if (anchor != kInvalidOp && finishes[w] >= finishes[anchor]) {
@@ -225,35 +244,26 @@ History detail::normalize_repairable(const History& history) {
     }
   }
 
-  // Pass A keeps the start order and pass B no start, and neither
-  // touches a value or a type, so every index built from the start
-  // order and the values carries over unchanged.
-  out.by_start_ = by_start;
-  out.writes_by_start_ = history.writes_by_start_;
-  out.reads_ = history.reads_;
-  out.dictating_write_ = history.dictating_write_;
-  out.dictated_flat_ = history.dictated_flat_;
-  out.read_begin_ = history.read_begin_;
-  out.value_index_ = history.value_index_;
-  out.has_duplicate_write_values_ = history.has_duplicate_write_values_;
-
   // Pass A keeps the finish order too. Pass B moves each shortened
   // write to just before its anchor, and no other stamp lies between
   // the two, so one walk over the old order rebuilds the new one.
-  out.by_finish_.reserve(n);
-  out.writes_by_finish_.reserve(history.writes_by_finish_.size());
+  std::vector<OpId> new_by_finish;
+  std::vector<OpId> new_writes_by_finish;
+  new_by_finish.reserve(n);
+  new_writes_by_finish.reserve(source.writes_by_finish_.size());
   for (OpId id : by_finish) {
     const OpId moved = splice[id];
     if (moved == id) continue;  // a shortened write: placed at its anchor
     if (moved != kInvalidOp) {
-      out.by_finish_.push_back(moved);
-      out.writes_by_finish_.push_back(moved);
+      new_by_finish.push_back(moved);
+      new_writes_by_finish.push_back(moved);
     }
-    out.by_finish_.push_back(id);
-    if (history.is_write(id)) out.writes_by_finish_.push_back(id);
+    new_by_finish.push_back(id);
+    if (out.is_write(id)) new_writes_by_finish.push_back(id);
   }
+  out.by_finish_ = std::move(new_by_finish);
+  out.writes_by_finish_ = std::move(new_writes_by_finish);
   out.count_max_concurrent_writes();
-  return out;
 }
 
 }  // namespace kav

@@ -84,7 +84,7 @@ bool is_normalized(const History& history);
 // by moving write commit points earlier -- the paper argues this is
 // harmless (Section II-C). Throws std::invalid_argument if the history
 // has hard anomalies (normalize cannot give those meaning). O(n): see
-// detail::normalize_repairable.
+// detail::repair.
 History normalize(const History& history);
 
 namespace detail {
@@ -96,16 +96,28 @@ namespace detail {
 bool has_hard_anomaly(const History& history);
 
 // normalize() minus its has_hard_anomaly check, for a caller that
-// already ran it (verify_k_atomicity). On a history with hard anomalies
-// the result is meaningless.
+// already ran it (detail::gate). On a history with hard anomalies the
+// result is meaningless. This is the one repair body, with two entry
+// points: `out` is either a default-constructed History, which
+// receives a repaired copy of `source` (normalize_repairable below), or
+// `source` itself, repaired in place (repair(History&)).
 //
 // O(n) time, no sort and no Operation rows: the new stamps come from
-// one merge of the input's by_start() and by_finish(), and the copy
-// inherits every index built from the start order and the values
-// (by_start, writes_by_start, reads, dictating writes, dictated reads,
-// the value index). Only by_finish, writes_by_finish and
+// one merge of the input's by_start() and by_finish(), which reads
+// each stamp before it overwrites it, so the merge can rewrite the
+// columns it reads. Every index built from the start order and the
+// values (by_start, writes_by_start, reads, dictating writes, dictated
+// reads, the value index) stays as it is, or is copied once into a
+// fresh `out`. Only by_finish, writes_by_finish and
 // max_concurrent_writes are rebuilt, by one walk over the old finish
 // order. A friend of History for that reason.
+void repair(const History& source, History& out);
+
+// Repairs a history the caller owns in place: no copy of its columns or
+// indexes.
+inline void repair(History& history) { repair(history, history); }
+
+// A repaired copy; `history` is left as it is.
 History normalize_repairable(const History& history);
 
 }  // namespace detail

@@ -19,10 +19,11 @@
 // (start >= finish).
 //
 // The repair that establishes the deciders' input contract
-// (detail::normalize_repairable, anomaly.h) is a friend: it rewrites
-// the start and finish columns in O(n) and inherits every index the
-// repair cannot change, rebuilding only the finish order and the
-// write-concurrency count.
+// (detail::repair, anomaly.h) is a friend: one body that rewrites the
+// start and finish columns in O(n) -- in place when the caller owns
+// the history, else into a copy -- keeps every index the repair cannot
+// change, and rebuilds only the finish order and the write-concurrency
+// count.
 #ifndef KAV_HISTORY_HISTORY_H
 #define KAV_HISTORY_HISTORY_H
 
@@ -40,7 +41,7 @@ namespace kav {
 class History;
 
 namespace detail {
-History normalize_repairable(const History& history);
+void repair(const History& source, History& out);
 }  // namespace detail
 
 // Structure-of-arrays form of an operation sequence: column i across
@@ -89,9 +90,8 @@ class History {
   // Rows assembled on demand, by value: operations() builds a fresh
   // vector on every call, so bind it once before iterating or indexing.
   Operation op(OpId id) const {
-    return Operation{start(id), finish(id),
-                     is_write(id) ? OpType::write : OpType::read, value(id),
-                     cols_.clients[id]};
+    return Operation{start(id), finish(id), value(id), cols_.clients[id],
+                     is_write(id) ? OpType::write : OpType::read};
   }
   std::vector<Operation> operations() const;
 
@@ -132,7 +132,7 @@ class History {
   TimePoint max_time() const;  // latest finish (0 when empty)
 
  private:
-  friend History detail::normalize_repairable(const History& history);
+  friend void detail::repair(const History& source, History& out);
 
   void build_indexes();
   // Sets max_concurrent_writes_ from cols_, writes_by_start_ and

@@ -62,18 +62,24 @@ void KeyGrouper::add(const KeyedChunk& chunk) {
   for (const IdOperation& iop : chunk.ops) add(iop.key, iop.op);
 }
 
-KeyedHistories KeyGrouper::finish() {
+void KeyGrouper::reject_malformed(KeyId id) const {
+  throw std::invalid_argument("operation " +
+                              std::to_string(groups_[id].size()) +
+                              " of key '" + names_[id] +
+                              "' has start >= finish");
+}
+
+std::vector<KeyRows> KeyGrouper::finish() {
   std::vector<std::uint32_t> order(names_.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
             [this](std::uint32_t a, std::uint32_t b) {
               return names_[a] < names_[b];
             });
-  KeyedHistories out;
+  std::vector<KeyRows> out;
   for (const std::uint32_t id : order) {
     if (!kept_[id]) continue;
-    out.per_key.emplace_hint(out.per_key.end(), std::move(names_[id]),
-                             History(std::move(groups_[id])));
+    out.push_back({std::move(names_[id]), std::move(groups_[id])});
   }
   return out;
 }
@@ -87,7 +93,12 @@ KeyedHistories split_by_key(const KeyedTrace& trace) {
     if (fresh) grouper.add_key(kop.key);
     grouper.add(id, kop.op);
   }
-  return grouper.finish();
+  KeyedHistories out;
+  for (KeyRows& rows : grouper.finish()) {
+    out.per_key.emplace_hint(out.per_key.end(), std::move(rows.key),
+                             History(std::move(rows.ops)));
+  }
+  return out;
 }
 
 }  // namespace kav

@@ -4,8 +4,9 @@
 // key and reasons per register. KeyedTrace is the raw form emitted by
 // workload sources (the quorum simulator, trace files); a stream names
 // each key by a dense KeyId once read (KeyInterner), KeyGrouper groups
-// operations into one single-register History per id as they are read,
-// and split_by_key applies both to a whole KeyedTrace.
+// operations into one row vector per id as they are read, and
+// split_by_key applies both to a whole KeyedTrace, building one
+// single-register History per key.
 #ifndef KAV_HISTORY_KEYED_TRACE_H
 #define KAV_HISTORY_KEYED_TRACE_H
 
@@ -103,11 +104,18 @@ class KeyInterner {
   std::unordered_map<std::string, KeyId, KeyHash, std::equal_to<>> ids_;
 };
 
+// One key's operations as KeyGrouper grouped them, in input order.
+struct KeyRows {
+  std::string key;
+  std::vector<Operation> ops;
+};
+
 // Groups operations by key in one pass, as they arrive: operations come
 // named by KeyId (a source chunk) and are appended to that id's vector
-// -- an index, not a hash probe. finish() moves every vector into its
-// key's History, so the operations are stored once and no intermediate
-// KeyedTrace exists.
+// -- an index, not a hash probe. finish() hands the vectors out by key,
+// so the operations are stored once (32 B/op) and no intermediate
+// KeyedTrace exists; whoever builds a key's History from its rows
+// (History(std::vector<Operation>)) frees them as it does.
 class KeyGrouper {
  public:
   // `keep`, when set, is asked once per distinct key, on its first
@@ -117,23 +125,30 @@ class KeyGrouper {
 
   // Names the next id (ids arrive dense: each call names one more).
   void add_key(std::string name);
+  // Throws std::invalid_argument, as History would, for an operation of
+  // a kept key with start >= finish: a malformed input fails while it
+  // is read, before any of it is decided.
   void add(KeyId id, const Operation& op) {
-    if (kept_[id]) groups_[id].push_back(op);
+    if (!kept_[id]) return;
+    if (op.start >= op.finish) reject_malformed(id);
+    groups_[id].push_back(op);
   }
   // Names the chunk's new ids, then groups its operations. Throws
   // std::invalid_argument, grouping nothing, when the chunk's ids do
-  // not continue this grouper's id space.
+  // not continue this grouper's id space, and as add(id, op) does for a
+  // malformed operation (the operations before it stay grouped).
   void add(const KeyedChunk& chunk);
   // Ids named so far, kept or not.
   std::size_t key_count() const { return names_.size(); }
 
-  // One History per kept key, in key order. Call once: the keys and
-  // grouped operations are moved out. Throws std::invalid_argument, as
-  // History does, for the first key in key order holding an operation
-  // with start >= finish.
-  KeyedHistories finish();
+  // Each kept key's rows, in key order (empty keys included). Call
+  // once: the keys and grouped operations are moved out. Every row has
+  // start < finish (add checked it), so each builds a History.
+  std::vector<KeyRows> finish();
 
  private:
+  [[noreturn]] void reject_malformed(KeyId id) const;
+
   std::function<bool(std::string_view)> keep_;
   // Indexed by id: the key, whether it is kept, and its operations.
   std::vector<std::string> names_;
@@ -141,7 +156,9 @@ class KeyGrouper {
   std::vector<std::vector<Operation>> groups_;
 };
 
-// Groups a whole trace by key, preserving the within-key order.
+// Groups a whole trace by key, preserving the within-key order. Throws
+// std::invalid_argument, as KeyGrouper::add does, for the first
+// operation in trace order with start >= finish.
 KeyedHistories split_by_key(const KeyedTrace& trace);
 
 }  // namespace kav

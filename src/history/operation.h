@@ -17,12 +17,15 @@ inline const char* to_string(OpType t) {
   return t == OpType::read ? "read" : "write";
 }
 
+// Fields ordered widest first, so a row packs into 32 bytes (8 + 8 +
+// 8 + 4 + 1, padded): the size of every grouped row, chunk entry and
+// reorder-buffer entry.
 struct Operation {
   TimePoint start = 0;
   TimePoint finish = 0;
-  OpType type = OpType::read;
   Value value = 0;
   ClientId client = kNoClient;
+  OpType type = OpType::read;
 
   bool is_read() const { return type == OpType::read; }
   bool is_write() const { return type == OpType::write; }
@@ -35,15 +38,16 @@ struct Operation {
 
   friend bool operator==(const Operation&, const Operation&) = default;
 };
+static_assert(sizeof(Operation) == 32, "Operation rows pack into 32 bytes");
 
 inline Operation make_read(TimePoint start, TimePoint finish, Value value,
                            ClientId client = kNoClient) {
-  return Operation{start, finish, OpType::read, value, client};
+  return Operation{start, finish, value, client, OpType::read};
 }
 
 inline Operation make_write(TimePoint start, TimePoint finish, Value value,
                             ClientId client = kNoClient) {
-  return Operation{start, finish, OpType::write, value, client};
+  return Operation{start, finish, value, client, OpType::write};
 }
 
 std::string describe(const Operation& op);  // "write(v=3) [10, 20)"

@@ -94,7 +94,7 @@ KeyedTrace read_trace(std::istream& in) {
                         ", " + std::to_string(finish) + ")");
     }
     trace.add(std::string(tokens[1]),
-              Operation{start, finish, type, value, client});
+              Operation{start, finish, value, client, type});
   }
   return trace;
 }

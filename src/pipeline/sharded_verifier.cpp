@@ -173,8 +173,9 @@ Report ShardedVerifier::verify_shards(
                                           "shard.verify", "pipeline");
             return verify_k_atomicity(*spec->pinned, verify_options);
           }
-          // Lazy shard: materialize on this worker, decide, discard.
-          const History loaded = [&] {
+          // Lazy shard: materialize on this worker, decide (repairing
+          // in place: the worker owns the History), discard.
+          History loaded = [&] {
             obs::ScopedTimer decode_timer(&metrics->shard_decode_seconds,
                                           &obs::Tracer::global(),
                                           "shard.decode", "pipeline");
@@ -183,7 +184,7 @@ Report ShardedVerifier::verify_shards(
           obs::ScopedTimer verify_timer(&metrics->shard_verify_seconds,
                                         &obs::Tracer::global(),
                                         "shard.verify", "pipeline");
-          return verify_k_atomicity(loaded, verify_options);
+          return verify_k_atomicity(std::move(loaded), verify_options);
         }();
         if (decided) {
           metrics->shards_verified.add(1);

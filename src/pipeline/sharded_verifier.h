@@ -45,18 +45,23 @@
 namespace kav {
 
 // One unit of parallel work for verify_shards: a key plus EITHER a
-// pre-materialized history (`pinned`, the in-memory KeyedHistories path)
-// OR a loader the worker invokes to materialize it lazily (`load`, the
-// trace store's index-driven path: op_count comes from index
+// pre-materialized history (`pinned`, the in-memory KeyedHistories path,
+// decided through a const reference, so a repair copies it) OR a loader
+// the worker invokes to materialize it lazily (`load`). Lazy specs
+// serve the trace store's index-driven path (op_count comes from index
 // statistics, and the shard's operations are decoded from their mmap
 // blocks inside the pool worker -- the full trace is never
-// materialized anywhere). op_count picks the shard that runs on the
-// calling thread (see verify_shards), before anything is decoded.
+// materialized anywhere) and every streamed audit (Engine::verify over
+// a TraceSource: the loader builds the key's History from the rows
+// KeyGrouper grouped). The worker owns what `load` returns and decides
+// it by rvalue, so a repair rewrites it in place. op_count picks the
+// shard that runs on the calling thread (see verify_shards), before
+// anything is decoded.
 struct ShardSpec {
   std::string key;
   std::size_t op_count = 0;
   const History* pinned = nullptr;   // used when non-null
-  std::function<History()> load;     // else called on the worker;
+  std::function<History()> load;     // else called once, on the worker;
                                      // must be thread-safe
 };
 

@@ -258,10 +258,19 @@ struct RepairTally {
 
 void expect_repair_matches_reference(const History& raw, RepairTally& tally) {
   ASSERT_FALSE(detail::has_hard_anomaly(raw));
-  const History expected = reference::normalize_repairable(raw);
+  const std::vector<Operation> expected =
+      reference::normalize_repairable(raw).operations();
+  // Both entry points of the one repair body: a repaired copy, which
+  // leaves the input as it was, and an owned history repaired in place.
+  const std::vector<Operation> before = raw.operations();
   const History repaired = detail::normalize_repairable(raw);
-  testing_util::expect_matches_model(repaired, expected.operations());
+  testing_util::expect_matches_model(repaired, expected);
   EXPECT_TRUE(is_normalized(repaired));
+  EXPECT_EQ(raw.operations(), before);
+  History owned = raw;
+  detail::repair(owned);
+  testing_util::expect_matches_model(owned, expected);
+  EXPECT_TRUE(is_normalized(owned));
 
   ++tally.histories;
   const AnomalyReport report = find_anomalies(raw);

@@ -1,7 +1,9 @@
 // Memory bound of the file audit: Engine::verify over an unindexed
-// .kavb file groups operations into per-key histories while reading, so
-// the operations are held once -- no intermediate KeyedTrace (72 bytes
-// per op plus its vector's slack) beside the histories. Peak RSS growth
+// .kavb file groups operations into per-key rows while reading (32
+// bytes per op), so the operations are held once -- no intermediate
+// KeyedTrace (64 bytes per op plus its vector's slack) -- and each
+// key's History is built from its rows only on the worker that decides
+// it, so the histories are never all resident at once. Peak RSS growth
 // is measured the way kavbench measures it: clear_refs resets VmHWM,
 // and the growth of VmHWM over the VmRSS baseline, less file-backed
 // pages, is the audit's footprint.
@@ -52,12 +54,13 @@ bool reset_peak_rss() {
 }
 
 // The bound, in bytes of peak RSS growth per audited operation. The
-// per-key histories (29 bytes of operation columns plus ~32 bytes of
-// indexes per op, with vector slack; see history/history.h: ~61 B/op
-// measured) and one key's transient repaired copy per worker fit under
-// it; holding the whole trace a second time as a KeyedTrace (72 bytes
-// per op) does not.
-constexpr double kMaxBytesPerOp = 96.0;
+// grouped rows (32 bytes per op with vector slack) and the histories
+// of the keys in flight fit under it (~45 B/op measured); keeping every
+// key's History resident until the last key is decided (29 bytes of
+// operation columns plus ~32 bytes of indexes per op, see
+// history/history.h: ~61 B/op measured) does not, nor does holding the
+// trace a second time as a KeyedTrace (64 bytes per op).
+constexpr double kMaxBytesPerOp = 56.0;
 
 TEST(FileAudit, PeakMemoryPerOperationIsBounded) {
 #ifdef KAV_UNDER_SANITIZER

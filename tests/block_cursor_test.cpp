@@ -88,9 +88,9 @@ std::vector<Operation> rows_of(const OperationColumns& columns) {
   std::vector<Operation> ops;
   for (std::size_t i = 0; i < columns.size(); ++i) {
     ops.push_back(Operation{columns.starts[i], columns.finishes[i],
+                            columns.values[i], columns.clients[i],
                             columns.types[i] != 0 ? OpType::write
-                                                  : OpType::read,
-                            columns.values[i], columns.clients[i]});
+                                                  : OpType::read});
   }
   return ops;
 }
@@ -109,11 +109,11 @@ TEST(BlockCursor, DecodesEveryFieldFromTheWireLayout) {
   // the row-at-a-time reference (read_key).
   TempDir dir("fields");
   KeyedTrace trace;
-  trace.add("k", Operation{-1234567890123LL, -1LL, OpType::write,
-                           0x0123456789ABCDEFLL, static_cast<ClientId>(-1)});
-  trace.add("k", Operation{0, 1, OpType::read, 0x0123456789ABCDEFLL, 0});
-  trace.add("k", Operation{-7, 9, OpType::read, -0x0123456789ABCDEFLL,
-                           static_cast<ClientId>(0x80000000u)});
+  trace.add("k", Operation{-1234567890123LL, -1LL, 0x0123456789ABCDEFLL,
+                           static_cast<ClientId>(-1), OpType::write});
+  trace.add("k", Operation{0, 1, 0x0123456789ABCDEFLL, 0, OpType::read});
+  trace.add("k", Operation{-7, 9, -0x0123456789ABCDEFLL,
+                           static_cast<ClientId>(0x80000000u), OpType::read});
   const std::string path = write_v2_file(dir, "s.kavb", trace, 2);
   const std::vector<Operation> want = ops_of(trace, "k");
 

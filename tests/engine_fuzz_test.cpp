@@ -23,6 +23,7 @@
 #include "gen/generators.h"
 #include "gen/mutators.h"
 #include "kav.h"
+#include "scratch_file.h"
 #include "util/rng.h"
 
 namespace kav {
@@ -127,9 +128,15 @@ TEST(EngineFuzz, VerifyBitIdenticalToLegacySerialForAllAlgorithms) {
     engines.push_back(std::make_unique<Engine>(options));
   }
 
+  // Each trace also reaches the engines streamed: through a
+  // MemoryTraceSource and through a v1 .kavb file, whose keys are
+  // grouped into rows and built into Histories on the pool workers
+  // (repaired in place there) rather than pinned.
+  const testing_util::ScratchFile file("trace.kavb");
   constexpr int kTrials = 12;
   for (int trial = 0; trial < kTrials; ++trial) {
     const KeyedTrace trace = random_trace(rng);
+    write_binary_trace_file(file.path(), trace);
     for (const Config& config : configs) {
       VerifyOptions options;
       options.k = config.k;
@@ -138,13 +145,20 @@ TEST(EngineFuzz, VerifyBitIdenticalToLegacySerialForAllAlgorithms) {
       RunOptions run;
       run.verify = options;
       for (std::size_t i = 0; i < engines.size(); ++i) {
-        expect_bit_identical(
-            serial, engines[i]->verify(trace, run),
+        const std::string context =
             "reproduce with KAV_FUZZ_SEED=" + std::to_string(seed) +
-                " (trial " + std::to_string(trial) + ", algorithm " +
-                to_string(config.algorithm) + ", k " +
-                std::to_string(config.k) + ", threads " +
-                std::to_string(thread_counts[i]) + ")");
+            " (trial " + std::to_string(trial) + ", algorithm " +
+            to_string(config.algorithm) + ", k " +
+            std::to_string(config.k) + ", threads " +
+            std::to_string(thread_counts[i]);
+        expect_bit_identical(serial, engines[i]->verify(trace, run),
+                             context + ", KeyedTrace)");
+        MemoryTraceSource memory(&trace);
+        expect_bit_identical(serial, engines[i]->verify(memory, run),
+                             context + ", MemoryTraceSource)");
+        expect_bit_identical(
+            serial, engines[i]->verify(*open_trace_source(file.path()), run),
+            context + ", v1 .kavb file)");
       }
     }
   }

@@ -135,6 +135,29 @@ TEST(Engine, FailFastFromEngineOptionsSkipsShards) {
   EXPECT_FALSE(report.cancelled);
 }
 
+TEST(Engine, MalformedOperationThrowsEvenWhereFailFastSkipsItsKey) {
+  // Key "a" answers NO and runs first on one thread; key "z", which
+  // fail_fast then skips without building its History, holds an
+  // operation with start >= finish. The streamed sources reject it
+  // while they are read, before any key is decided.
+  EngineOptions options;
+  options.threads = 1;
+  options.fail_fast = true;
+  Engine engine(options);
+  KeyedTrace trace = one_bad_key_trace(2);
+  trace.add("z", make_write(0, 10, 1));
+  trace.add("z", make_read(20, 20, 1));
+  MemoryTraceSource memory(&trace);
+  EXPECT_THROW(engine.verify(memory), std::invalid_argument);
+  PushTraceSource push;
+  for (const KeyedOperation& kop : trace.ops) push.push(kop);
+  push.close();
+  EXPECT_THROW(engine.verify(push), std::invalid_argument);
+  EXPECT_THROW(engine.verify(trace), std::invalid_argument);
+  // The engine stays usable.
+  EXPECT_EQ(engine.verify(one_bad_key_trace(2)).count(Outcome::no), 1u);
+}
+
 // --- Cancellation and deadlines -------------------------------------------
 
 TEST(Engine, PreCancelledTokenSkipsEveryShard) {

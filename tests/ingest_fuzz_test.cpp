@@ -84,9 +84,8 @@ KeyedTrace random_trace(Rng& rng) {
     const ClientId client =
         rng.bernoulli(0.5) ? static_cast<ClientId>(rng.bounded(100))
                            : kNoClient;
-    const Operation op{start, finish,
-                       rng.bernoulli(0.4) ? OpType::write : OpType::read,
-                       value, client};
+    const OpType type = rng.bernoulli(0.4) ? OpType::write : OpType::read;
+    const Operation op{start, finish, value, client, type};
     trace.add(key_pool[rng.bounded(key_pool.size())], op);
   }
   return trace;
@@ -381,9 +380,10 @@ TEST(IngestFuzz, GroupingMatchesANaiveMapOnEdgeCaseKeys) {
   Rng rng(fuzz_seed() ^ 0xed6eULL);
   const Engines engines = audit_engines();
   auto op = [&rng](TimePoint t) {
-    return Operation{t, t + 1 + static_cast<TimePoint>(rng.bounded(5)),
-                     rng.bernoulli(0.5) ? OpType::write : OpType::read,
-                     static_cast<Value>(rng.bounded(4)), kNoClient};
+    const TimePoint finish = t + 1 + static_cast<TimePoint>(rng.bounded(5));
+    const OpType type = rng.bernoulli(0.5) ? OpType::write : OpType::read;
+    return Operation{t, finish, static_cast<Value>(rng.bounded(4)), kNoClient,
+                     type};
   };
   {
     SCOPED_TRACE("empty trace");

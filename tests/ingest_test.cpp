@@ -816,7 +816,7 @@ TEST(SourceIds, ConsumersRejectChunksThatSkipIds) {
   EXPECT_THROW(harness.monitor.ingest(chunk), std::invalid_argument);
   EXPECT_THROW(grouper.add(chunk), std::invalid_argument);
   // A rejected chunk leaves either consumer untouched.
-  EXPECT_TRUE(grouper.finish().per_key.empty());
+  EXPECT_TRUE(grouper.finish().empty());
   const Report report = harness.monitor.finish();
   EXPECT_TRUE(report.per_key.empty());
   EXPECT_EQ(report.monitor_totals.operations_ingested, 0u);
