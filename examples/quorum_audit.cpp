@@ -117,9 +117,7 @@ int main(int argc, char** argv) {
     const bool atomic1 = report1.per_key.at(key).verdict.yes();
     const bool atomic2 = report2.per_key.at(key).verdict.yes();
     violations += !atomic2;
-    const History normalized = normalize(history);
-    MinimalKOptions min_options;
-    const MinimalKResult min_k = minimal_k(normalized, min_options);
+    const MinimalKResult min_k = minimal_k(history);
     std::string min_k_text = std::to_string(min_k.k);
     if (!min_k.exact) min_k_text = "<= " + min_k_text;
     table.add_row({key, std::to_string(history.size()),

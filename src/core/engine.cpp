@@ -374,7 +374,8 @@ std::string check_stop(
 // through bounded waits -- so a blocking source (PushTraceSource)
 // cannot starve cancellation -- handing each chunk to `per_chunk`.
 // Returns the empty string on a clean end of stream, else the stop
-// reason.
+// reason. A stop cuts the read short only if something is left to
+// read: one more pull, without waiting, tells.
 template <typename PerChunk>
 std::string drive_source(
     TraceSource& source, std::size_t chunk_ops, const RunOptions& run,
@@ -386,7 +387,12 @@ std::string drive_source(
     if (pull == TraceSource::Pull::closed) return {};
     if (pull == TraceSource::Pull::ready) per_chunk(chunk);
     std::string stop = check_stop(run, deadline, activity);
-    if (!stop.empty()) return stop;
+    if (!stop.empty()) {
+      return source.pull(chunk, 1, std::chrono::milliseconds(0)) ==
+                     TraceSource::Pull::closed
+                 ? std::string()
+                 : stop;
+    }
   }
 }
 
@@ -483,15 +489,6 @@ Report Engine::run_specs(
       specs, run.verify ? *run.verify : options_.verify, run.cancel, deadline);
 }
 
-Report Engine::verify_pinned(
-    const KeyedHistories& shards, const RunOptions& run,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
-  const KeyFilter filter(run);
-  Report report = run_specs(pinned_specs(shards, filter), run, deadline);
-  account_selection(report, filter, shards.per_key);
-  return report;
-}
-
 Report Engine::verify_selective(
     const IndexedTraceSource& source, const RunOptions& run,
     const std::optional<std::chrono::steady_clock::time_point>& deadline) {
@@ -519,16 +516,17 @@ Report Engine::verify_selective(
 }
 
 Report Engine::verify(const KeyedTrace& trace, const RunOptions& run) {
-  Metrics::RunScope scope(*em_, *status_, /*batch=*/true);
-  const auto deadline = effective_deadline(run);
-  Report report = verify_pinned(split_by_key(trace), run, deadline);
-  scope.finish(report);
-  return report;
+  // Read in place, like monitor(): the streamed path groups the trace.
+  MemoryTraceSource source(&trace);
+  return verify(source, run);
 }
 
 Report Engine::verify(const KeyedHistories& shards, const RunOptions& run) {
   Metrics::RunScope scope(*em_, *status_, /*batch=*/true);
-  Report report = verify_pinned(shards, run, effective_deadline(run));
+  const KeyFilter filter(run);
+  Report report =
+      run_specs(pinned_specs(shards, filter), run, effective_deadline(run));
+  account_selection(report, filter, shards.per_key);
   scope.finish(report);
   return report;
 }

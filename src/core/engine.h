@@ -100,7 +100,10 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   // Batch verification: split by key, verify shards on the shared
-  // pool, merge in key order. Report::mode == batch.
+  // pool, merge in key order. Report::mode == batch. The KeyedTrace
+  // overload reads the trace in place through a MemoryTraceSource, so
+  // it takes the streamed path below; pre-split shards are decided
+  // where they are, pinned by pointer.
   Report verify(const KeyedTrace& trace, const RunOptions& run = {});
   Report verify(const KeyedHistories& shards, const RunOptions& run = {});
   // Pulls the source dry first in chunks (TraceSource::pull;
@@ -109,7 +112,7 @@ class Engine {
   // History is built from its rows, and repaired in place, on the pool
   // worker that decides it, so only the rows and the Histories in
   // flight are resident. Throws std::invalid_argument, before deciding
-  // anything, for an operation with start >= finish. Unless
+  // anything, for a kept key's operation with start >= finish. Unless
   // RunOptions::key_filter is set and the source is index-backed (an
   // IndexedTraceSource: an indexed .kavb file or a TraceStore), in which
   // case only the requested keys' blocks are ever decoded, each inside a
@@ -173,11 +176,6 @@ class Engine {
   // phase cannot re-arm a relative timeout for the shard phase.
   Report run_specs(
       const std::vector<ShardSpec>& specs, const RunOptions& run,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline);
-  // Pre-split shards, pinned by pointer (no copies): all of them, or only
-  // the key_filter's keys with the selection accounting filled.
-  Report verify_pinned(
-      const KeyedHistories& shards, const RunOptions& run,
       const std::optional<std::chrono::steady_clock::time_point>& deadline);
   // key_filter over an index-backed source: one lazy spec per
   // requested key, decoded on the pool straight from the index.

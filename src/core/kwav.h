@@ -40,8 +40,8 @@ struct WeightedHistory {
 // door for weighted histories: detail::gate (core/verify.h) classifies
 // wh.history and normalizes repairable anomalies (ids, and so weights,
 // are preserved) before the oracle, which trusts its input, runs. A
-// hard anomaly, k < 1, more than 64 operations, or a weight vector that
-// is not one positive weight per op is precondition_failed.
+// hard anomaly, k < 1, more than kOracleMaxOps operations, or a weight
+// vector that is not one positive weight per op is precondition_failed.
 Verdict check_weighted_k_atomicity(const WeightedHistory& wh, Weight k,
                                    const OracleOptions& options = {});
 

@@ -9,6 +9,7 @@ namespace kav {
 namespace {
 
 using Mask = std::uint64_t;
+static_assert(kOracleMaxOps <= 8 * sizeof(Mask));
 
 class OracleSearch {
  public:
@@ -206,10 +207,10 @@ Verdict oracle_is_k_atomic(const History& history, Weight k,
                            const OracleOptions& options,
                            std::span<const Weight> weights) {
   if (k < 1) return Verdict::make_precondition_failed("k must be >= 1");
-  if (history.size() > 64) {
+  if (history.size() > kOracleMaxOps) {
     return Verdict::make_precondition_failed(
-        "oracle supports at most 64 operations, got " +
-        std::to_string(history.size()));
+        "oracle supports at most " + std::to_string(kOracleMaxOps) +
+        " operations, got " + std::to_string(history.size()));
   }
   if (!weights.empty()) {
     if (weights.size() != history.size()) {

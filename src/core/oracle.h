@@ -13,13 +13,14 @@
 // dictated reads has exhausted its separation budget, and dead states
 // are memoized by (placed-set, per-pending-write used budget).
 //
-// Limits: histories up to 64 operations (bitmask states); a node budget
-// guards against exponential blowups in property sweeps.
+// Limits: histories up to kOracleMaxOps operations (bitmask states); a
+// node budget guards against exponential blowups in property sweeps.
 //
 // Paper-section map and guarantees for every procedure: docs/ALGORITHMS.md.
 #ifndef KAV_CORE_ORACLE_H
 #define KAV_CORE_ORACLE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -28,6 +29,11 @@
 #include "util/time_types.h"
 
 namespace kav {
+
+// The largest history the oracle takes: one bit per operation in its
+// uint64_t search masks. verify's decider ladder (core/verify.h) hands it
+// every history up to this size.
+inline constexpr std::size_t kOracleMaxOps = 64;
 
 struct OracleOptions {
   std::uint64_t node_limit = 20'000'000;
@@ -44,9 +50,9 @@ struct OracleOptions {
 // Input contract: an anomaly-free, normalized history (Section II-C);
 // this function does not check it. verify_k_atomicity and
 // check_weighted_k_atomicity (core/kwav.h) are the checked entry
-// points. Arguments are checked: k < 1, more than 64 operations, and a
-// weight count that is not the history's size or a write weight that is
-// not positive each answer precondition_failed.
+// points. Arguments are checked: k < 1, more than kOracleMaxOps
+// operations, and a weight count that is not the history's size or a
+// write weight that is not positive each answer precondition_failed.
 Verdict oracle_is_k_atomic(const History& history, Weight k,
                            const OracleOptions& options = {},
                            std::span<const Weight> weights = {});

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/fzf.h"
+#include "core/verify.h"
 #include "history/anomaly.h"
 
 namespace kav {
@@ -465,16 +465,13 @@ void StreamingChecker::decide_chunk(std::size_t c) {
         chunk_ops.push_back(read_nodes_[r].op);
       }
     });
-    // FZF's input contract, as normalize() establishes it (refusing a
-    // hard anomaly, then repairing), but on the chunk's own History, in
-    // place, rather than into a second copy.
+    // Repaired in place even when already normalized: FZF's reason
+    // names extents on the repaired clock, as every finding always has.
+    // verify's gate then finds it normalized and its ladder runs FZF.
     History chunk_history(std::move(chunk_ops));
-    if (detail::has_hard_anomaly(chunk_history)) {
-      throw std::invalid_argument(
-          "settled chunk over " + extent + " has hard anomalies");
-    }
     detail::repair(chunk_history);
-    const Verdict verdict = check_2atomicity_fzf(chunk_history);
+    const Verdict verdict = verify_k_atomicity(
+        std::move(chunk_history), {.k = 2, .algorithm = Algorithm::fzf});
     if (!verdict.yes()) {
       violations_.push_back({StreamingViolation::Kind::not_2atomic,
                              watermark_,

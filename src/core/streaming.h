@@ -30,8 +30,9 @@
 // (partition_chunks) refilling one reused partition. A chunk of one
 // forward cluster is decided directly -- the write first, then its
 // reads -- and only larger chunks build a History, repaired in place
-// (detail::repair), for FZF. The cost of a watermark advance follows
-// what settles, not the window size.
+// (detail::repair) and decided by verify_k_atomicity with
+// Algorithm::fzf, whose reason the finding quotes. The cost of a
+// watermark advance follows what settles, not the window size.
 //
 // Paper-section map and guarantees for every procedure: docs/ALGORITHMS.md.
 #ifndef KAV_CORE_STREAMING_H
@@ -107,7 +108,6 @@ class StreamingChecker {
   // instead of reallocating one per stream.
   void reset();
 
-  bool clean_so_far() const { return violations_.empty(); }
   TimePoint watermark() const { return watermark_; }
   const std::vector<StreamingViolation>& violations() const {
     return violations_;

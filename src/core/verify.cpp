@@ -46,11 +46,11 @@ Algorithm select_2av_algorithm(const ZoneProfile& profile) {
   return Algorithm::fzf;
 }
 
-namespace {
+namespace detail {
 
-Verdict dispatch(const History& history, int k, Algorithm algorithm) {
-  // verify_k_atomicity (the only caller) has passed the history through
-  // detail::gate, so it meets every decider's input contract.
+Verdict decide(const History& history, int k, Algorithm algorithm) {
+  // The caller has passed the history through the gate, so it meets
+  // every decider's input contract.
   auto wrong_k = [&](const char* name, int expected) {
     return Verdict::make_precondition_failed(
         std::string(name) + " decides only k = " + std::to_string(expected) +
@@ -90,7 +90,7 @@ Verdict dispatch(const History& history, int k, Algorithm algorithm) {
                ? check_2atomicity_lbt(history)
                : check_2atomicity_fzf(history, partition);
   }
-  if (history.size() <= 64) {
+  if (history.size() <= kOracleMaxOps) {
     Verdict v = oracle_is_k_atomic(history, k);
     if (v.outcome != Outcome::undecided) return v;
   }
@@ -101,10 +101,6 @@ Verdict dispatch(const History& history, int k, Algorithm algorithm) {
       "VII); greedy search found no witness",
       v.stats);
 }
-
-}  // namespace
-
-namespace detail {
 
 namespace {
 
@@ -154,7 +150,8 @@ Verdict verify_k_atomicity(const History& history,
   }
   const detail::Gate gate = detail::gate(history, options.normalize);
   if (gate.failure) return *gate.failure;
-  return dispatch(gate.decidable(history), options.k, options.algorithm);
+  return detail::decide(gate.decidable(history), options.k,
+                        options.algorithm);
 }
 
 Verdict verify_k_atomicity(History&& history, const VerifyOptions& options) {
@@ -164,7 +161,7 @@ Verdict verify_k_atomicity(History&& history, const VerifyOptions& options) {
   if (auto failure = detail::gate_owned(history, options.normalize)) {
     return *failure;
   }
-  return dispatch(history, options.k, options.algorithm);
+  return detail::decide(history, options.k, options.algorithm);
 }
 
 Report verify_keyed_trace(const KeyedTrace& trace,

@@ -32,7 +32,7 @@ enum class Algorithm : unsigned char {
   lbt,          // k = 2 only (iterative deepening)
   fzf,          // k = 2 only
   greedy,       // any k; sound YES, otherwise undecided
-  oracle,       // any k; exact but exponential, <= 64 ops
+  oracle,       // any k; exact but exponential, <= kOracleMaxOps ops
 };
 
 const char* to_string(Algorithm algorithm);
@@ -93,6 +93,15 @@ Gate gate(const History& history, bool normalize);
 // it needs repair, and returns the failure, if any. On nullopt,
 // `history` is what a decider may take.
 std::optional<Verdict> gate_owned(History& history, bool normalize);
+
+// The decider ladder behind the gate: runs the decider `algorithm`
+// names on a history that passed gate() or gate_owned(). For
+// auto_select that is GK at k = 1, LBT or FZF by select_2av_algorithm
+// at k = 2, and at k >= 3 the oracle up to kOracleMaxOps operations
+// (core/oracle.h), then greedy, whose miss is UNDECIDED. A k the named
+// decider does not take is precondition_failed. verify_k_atomicity and
+// minimal_k are its callers, so every checked query runs one ladder.
+Verdict decide(const History& history, int k, Algorithm algorithm);
 
 }  // namespace detail
 

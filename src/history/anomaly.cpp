@@ -71,17 +71,6 @@ bool AnomalyReport::repairable() const {
   });
 }
 
-std::vector<Anomaly> AnomalyReport::hard_anomalies() const {
-  std::vector<Anomaly> hard;
-  for (const Anomaly& a : anomalies) {
-    if (a.kind != AnomalyKind::duplicate_timestamp &&
-        a.kind != AnomalyKind::write_outlives_dictated_read) {
-      hard.push_back(a);
-    }
-  }
-  return hard;
-}
-
 AnomalyReport find_anomalies(const History& history) {
   AnomalyReport report;
 
@@ -195,7 +184,6 @@ void detail::repair(const History& source, History& out) {
     out.dictating_write_ = source.dictating_write_;
     out.dictated_flat_ = source.dictated_flat_;
     out.read_begin_ = source.read_begin_;
-    out.value_index_ = source.value_index_;
     out.has_duplicate_write_values_ = source.has_duplicate_write_values_;
   }
   std::vector<TimePoint>& starts = out.cols_.starts;

@@ -58,11 +58,6 @@ struct AnomalyReport {
   // True when only repairable anomalies are present, i.e. normalize()
   // yields a history the checkers accept.
   bool repairable() const;
-
-  // True when the history is already in verifiable form as-is.
-  bool verifiable() const { return anomalies.empty(); }
-
-  std::vector<Anomaly> hard_anomalies() const;
 };
 
 // Every anomaly, in a fixed order: duplicate write values, read
@@ -107,7 +102,7 @@ bool has_hard_anomaly(const History& history);
 // each stamp before it overwrites it, so the merge can rewrite the
 // columns it reads. Every index built from the start order and the
 // values (by_start, writes_by_start, reads, dictating writes, dictated
-// reads, the value index) stays as it is, or is copied once into a
+// reads) stays as it is, or is copied once into a
 // fresh `out`. Only by_finish, writes_by_finish and
 // max_concurrent_writes are rebuilt, by one walk over the old finish
 // order. A friend of History for that reason.

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/adaptive_sort.h"
 
@@ -123,26 +124,27 @@ void History::build_indexes() {
   // increasing values (version counters, the common stored-trace shape)
   // arrive already sorted and unique, making both the sort and the
   // unique pass no-ops -- detect that while building and skip them.
-  value_index_.reserve(write_count);
+  std::vector<std::pair<Value, OpId>> value_index;
+  value_index.reserve(write_count);
   bool values_strictly_increasing = true;
   for (OpId w : writes_by_start_) {
     const Value value = cols_.values[w];
     values_strictly_increasing =
         values_strictly_increasing &&
-        (value_index_.empty() || value_index_.back().first < value);
-    value_index_.emplace_back(value, w);
+        (value_index.empty() || value_index.back().first < value);
+    value_index.emplace_back(value, w);
   }
   if (values_strictly_increasing) {
     has_duplicate_write_values_ = false;
   } else {
     std::stable_sort(
-        value_index_.begin(), value_index_.end(),
+        value_index.begin(), value_index.end(),
         [](const auto& a, const auto& b) { return a.first < b.first; });
     const auto first_of_run = std::unique(
-        value_index_.begin(), value_index_.end(),
+        value_index.begin(), value_index.end(),
         [](const auto& a, const auto& b) { return a.first == b.first; });
-    has_duplicate_write_values_ = first_of_run != value_index_.end();
-    value_index_.erase(first_of_run, value_index_.end());
+    has_duplicate_write_values_ = first_of_run != value_index.end();
+    value_index.erase(first_of_run, value_index.end());
   }
 
   // Dictating writes and (flattened) dictated-read lists. Reads arrive
@@ -153,46 +155,46 @@ void History::build_indexes() {
   // to the plain O(log w) search -- never worse than before.
   dictating_write_.assign(n, kInvalidOp);
   std::vector<std::uint32_t> counts(n + 1, 0);
-  const std::size_t index_size = value_index_.size();
+  const std::size_t index_size = value_index.size();
   std::size_t hint = 0;  // lower-bound position of the last read's value
   for (OpId r : reads_) {
     const Value value = cols_.values[r];
     std::size_t pos;
-    if (hint < index_size && value_index_[hint].first == value) {
+    if (hint < index_size && value_index[hint].first == value) {
       pos = hint;
-    } else if (hint < index_size && value_index_[hint].first < value) {
-      // Gallop forward: find probe with value_index_[probe].first >= value.
+    } else if (hint < index_size && value_index[hint].first < value) {
+      // Gallop forward: find probe with value_index[probe].first >= value.
       std::size_t low = hint + 1;
       std::size_t step = 1;
       std::size_t high = low;
-      while (high < index_size && value_index_[high].first < value) {
+      while (high < index_size && value_index[high].first < value) {
         low = high + 1;
         high = hint + (step *= 2);
       }
       high = std::min(high, index_size);
       pos = static_cast<std::size_t>(
-          std::lower_bound(value_index_.begin() + static_cast<std::ptrdiff_t>(low),
-                           value_index_.begin() + static_cast<std::ptrdiff_t>(high),
+          std::lower_bound(value_index.begin() + static_cast<std::ptrdiff_t>(low),
+                           value_index.begin() + static_cast<std::ptrdiff_t>(high),
                            value,
                            [](const auto& entry, Value v) {
                              return entry.first < v;
                            }) -
-          value_index_.begin());
+          value_index.begin());
     } else {
       // Value moved backward: full search of the prefix [0, hint).
       pos = static_cast<std::size_t>(
-          std::lower_bound(value_index_.begin(),
-                           value_index_.begin() + static_cast<std::ptrdiff_t>(
+          std::lower_bound(value_index.begin(),
+                           value_index.begin() + static_cast<std::ptrdiff_t>(
                                                       std::min(hint, index_size)),
                            value,
                            [](const auto& entry, Value v) {
                              return entry.first < v;
                            }) -
-          value_index_.begin());
+          value_index.begin());
     }
     hint = pos;
-    if (pos < index_size && value_index_[pos].first == value) {
-      const OpId w = value_index_[pos].second;
+    if (pos < index_size && value_index[pos].first == value) {
+      const OpId w = value_index[pos].second;
       dictating_write_[r] = w;
       ++counts[w];
     }
@@ -239,13 +241,6 @@ void History::count_max_concurrent_writes() {
 std::span<const OpId> History::dictated_reads(OpId write) const {
   return {dictated_flat_.data() + read_begin_[write],
           dictated_flat_.data() + read_begin_[write + 1]};
-}
-
-OpId History::write_of_value(Value v) const {
-  const auto it = std::lower_bound(
-      value_index_.begin(), value_index_.end(), v,
-      [](const auto& entry, Value value) { return entry.first < value; });
-  return it == value_index_.end() || it->first != v ? kInvalidOp : it->second;
 }
 
 TimePoint History::min_time() const {

@@ -8,8 +8,10 @@
 // indexed by op id (start 8 B, finish 8 B, value 8 B, client 4 B, type
 // 1 B: 29 B/op). The indexes add 4 B/op each for by_start/by_finish,
 // the writes/reads partitions and the dictating-write table, 4 B per
-// read and per op for the dictated-read lists, and 16 B per write for
-// the value index: ~60-65 B/op in all. Deciders read fields through
+// write for writes_by_finish, and 4 B per read and per op for the
+// dictated-read lists: 53 B/op in all. The value index that resolves
+// each read's dictating write is built and freed inside the
+// constructor (16 B per write while it runs). Deciders read fields through
 // the per-id accessors; op() and operations() assemble Operation rows
 // on demand for cold callers (describe, mutators, serialization).
 //
@@ -30,7 +32,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "history/operation.h"
@@ -113,10 +114,8 @@ class History {
   // Reads that obtained `write`'s value, sorted by start time.
   std::span<const OpId> dictated_reads(OpId write) const;
 
-  // The write that stored `v`, or kInvalidOp. If multiple writes stored
-  // the same value (an anomaly; see Section II-C), the earliest-
-  // starting one is indexed and has_duplicate_write_values() is true.
-  OpId write_of_value(Value v) const;
+  // True when two writes stored the same value (an anomaly; see Section
+  // II-C); the earliest-starting one dictates the value's reads.
   bool has_duplicate_write_values() const {
     return has_duplicate_write_values_;
   }
@@ -150,10 +149,6 @@ class History {
   // dictated_flat_[read_begin_[w] .. read_begin_[w + 1]).
   std::vector<OpId> dictated_flat_;
   std::vector<std::uint32_t> read_begin_;
-  // Value -> write id, sorted by value for binary search. Duplicate
-  // values (an anomaly) keep only the earliest-starting write, exactly
-  // like the hash map this replaced.
-  std::vector<std::pair<Value, OpId>> value_index_;
   bool has_duplicate_write_values_ = false;
   std::size_t max_concurrent_writes_ = 0;
 };

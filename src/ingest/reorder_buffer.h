@@ -57,7 +57,6 @@ class ReorderBuffer {
 
   // Every future accepted push starts strictly after this; monotone.
   TimePoint watermark() const { return watermark_; }
-  TimePoint max_start_seen() const { return max_start_seen_; }
   std::size_t pending() const { return pending_.size(); }
   std::uint64_t accepted() const { return accepted_; }
   std::uint64_t late_rejected() const { return late_rejected_; }

@@ -89,7 +89,6 @@ class Counter {
     cells_[detail::thread_slot() & (detail::kCounterCells - 1)]
         .value.fetch_add(n, std::memory_order_relaxed);
   }
-  void inc() noexcept { add(1); }
 
   // Exact sum over cells (each increment lands in exactly one cell).
   std::uint64_t value() const noexcept {

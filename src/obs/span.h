@@ -49,7 +49,6 @@ class Tracer {
     return enabled_.load(std::memory_order_relaxed);
   }
   void enable() { enabled_.store(true, std::memory_order_relaxed); }
-  void disable() { enabled_.store(false, std::memory_order_relaxed); }
 
   void record(const TraceEvent& event);
 

@@ -290,6 +290,37 @@ TEST_F(EngineSourceTest, MemoryTextAndBinarySourcesVerifyIdentically) {
   expect_reports_equal(from_trace, engine.verify(*binary));
 }
 
+TEST_F(EngineSourceTest, KeyFilteredMemoryAndBinaryFileReportsMatch) {
+  // An in-memory trace is read through a MemoryTraceSource, so under a
+  // key_filter it goes the way a .kavb file goes: the same Report, and
+  // a dropped key is never checked, malformed or not.
+  Engine engine;
+  RunOptions run;
+  run.key_filter = {"key1", "key3", "absent"};
+  auto binary = open_trace_source(binary_path_);
+  const Report from_file = engine.verify(*binary, run);
+  const auto expect_same = [&](const Report& got) {
+    expect_reports_equal(from_file, got);
+    EXPECT_EQ(got.verify_totals, from_file.verify_totals);
+    EXPECT_EQ(got.selected, from_file.selected);
+    EXPECT_EQ(got.keys_selected, from_file.keys_selected);
+    EXPECT_EQ(got.keys_available, from_file.keys_available);
+    EXPECT_EQ(got.missing_keys, from_file.missing_keys);
+    EXPECT_EQ(got.cancelled, from_file.cancelled);
+    EXPECT_EQ(got.summary(), from_file.summary());
+  };
+  ASSERT_EQ(from_file.per_key.size(), 2u);
+  EXPECT_EQ(from_file.missing_keys, std::vector<std::string>{"absent"});
+  expect_same(engine.verify(trace_, run));
+
+  KeyedTrace with_malformed = trace_;
+  with_malformed.add("key0", make_read(30, 30, 1));  // start == finish
+  const Report got = engine.verify(with_malformed, run);
+  expect_reports_equal(from_file, got);
+  EXPECT_EQ(got.missing_keys, from_file.missing_keys);
+  EXPECT_THROW(engine.verify(with_malformed), std::invalid_argument);
+}
+
 TEST_F(EngineSourceTest, MonitorAgreesAcrossFileFormats) {
   Engine engine;
   const Report from_trace = engine.monitor(trace_);

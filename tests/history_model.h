@@ -84,7 +84,7 @@ inline void expect_matches_model(const History& h,
   EXPECT_EQ(h.write_count(), writes_by_start.size());
   EXPECT_EQ(h.read_count(), reads.size());
 
-  // The earliest-starting write of each value is the one indexed.
+  // The earliest-starting write of each value dictates its reads.
   const auto first_write_of = [&](Value v) {
     for (OpId w : writes_by_start) {
       if (ops[w].value == v) return w;
@@ -96,13 +96,6 @@ inline void expect_matches_model(const History& h,
     duplicate_values = duplicate_values || first_write_of(ops[w].value) != w;
   }
   EXPECT_EQ(h.has_duplicate_write_values(), duplicate_values);
-  for (Value v = -1; v <= 7; ++v) {
-    EXPECT_EQ(h.write_of_value(v), first_write_of(v)) << "value " << v;
-  }
-  for (const Operation& op : ops) {
-    EXPECT_EQ(h.write_of_value(op.value), first_write_of(op.value))
-        << "value " << op.value;
-  }
   std::vector<OpId> dictating(ops.size(), kInvalidOp);
   for (OpId r : reads) {
     dictating[r] = first_write_of(ops[r].value);

@@ -75,19 +75,20 @@ TEST(History, DictatingWriteResolution) {
   const OpId r2 = b.read(22, 30, 7);
   const OpId w2 = b.write(40, 50, 8);
   const OpId orphan = b.read(52, 60, 99);
+  const OpId w3 = b.write(62, 70, 9);
+  const OpId r3 = b.read(72, 80, 9);
   const History h = b.build();
 
   EXPECT_EQ(h.dictating_write(r1), w1);
   EXPECT_EQ(h.dictating_write(r2), w1);
+  EXPECT_EQ(h.dictating_write(r3), w3);
   EXPECT_EQ(h.dictating_write(orphan), kInvalidOp);
 
   const auto reads = h.dictated_reads(w1);
   EXPECT_EQ(std::vector<OpId>(reads.begin(), reads.end()),
             (std::vector<OpId>{r1, r2}));
   EXPECT_TRUE(h.dictated_reads(w2).empty());
-  EXPECT_EQ(h.write_of_value(7), w1);
-  EXPECT_EQ(h.write_of_value(8), w2);
-  EXPECT_EQ(h.write_of_value(1234), kInvalidOp);
+  EXPECT_EQ(h.dictated_reads(w3).size(), 1u);
 }
 
 TEST(History, DictatedReadsSortedByStart) {
@@ -104,12 +105,13 @@ TEST(History, DictatedReadsSortedByStart) {
 
 TEST(History, DuplicateWriteValuesFlagged) {
   HistoryBuilder b;
-  b.write(0, 10, 5);
   b.write(20, 30, 5);
+  b.write(0, 10, 5);
+  const OpId read = b.read(40, 50, 5);
   const History h = b.build();
   EXPECT_TRUE(h.has_duplicate_write_values());
-  // Earliest-starting write wins the index.
-  EXPECT_EQ(h.write_of_value(5), 0u);
+  // The earliest-starting write dictates the value's reads.
+  EXPECT_EQ(h.dictating_write(read), 1u);
 }
 
 TEST(History, DictatingWritesWithAdversarialValueOrder) {

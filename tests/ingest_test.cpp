@@ -311,7 +311,7 @@ TEST(StreamingReset, ResetChecksLikeAFreshInstance) {
   EXPECT_EQ(checker.stats().operations_ingested, 0u);
   EXPECT_EQ(checker.window_size(), 0u);
   EXPECT_EQ(checker.watermark(), kTimeMin);
-  EXPECT_TRUE(checker.clean_so_far());
+  EXPECT_TRUE(checker.violations().empty());
   // A clean stream after reset() must come out clean -- no residue.
   Rng rng(3);
   gen::KAtomicConfig config;

@@ -77,7 +77,7 @@ TEST(KwavReduction, LayoutMatchesFigure5) {
   EXPECT_EQ(red.long_writes.size(), 2u);
   EXPECT_EQ(red.k, 6);  // B + 2
   const History& h = red.instance.history;
-  EXPECT_TRUE(find_anomalies(h).verifiable());
+  EXPECT_TRUE(find_anomalies(h).empty());
 
   // Short ops are totally ordered: w1 w2 r1 w3 r2.
   const Operation& w1 = h.op(red.short_writes[0]);

@@ -1,11 +1,14 @@
 // Tests for minimal-k computation (Section II-B's binary search over
-// the decider ladder): exactness on small instances, agreement with the
-// dedicated deciders at k = 1 and 2, and honest inexact bounds at
-// scale.
+// the decider ladder): exactness on small instances, agreement with
+// verify_k_atomicity at the k it reports and the k below, and honest
+// inexact bounds at scale.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "core/minimal_k.h"
 #include "core/oracle.h"
+#include "core/verify.h"
 #include "gen/generators.h"
 #include "history/history.h"
 #include "util/rng.h"
@@ -41,7 +44,7 @@ TEST(MinimalK, OneHopIsTwo) {
   const MinimalKResult r = minimal_k(b.build());
   EXPECT_EQ(r.k, 2);
   EXPECT_TRUE(r.exact);
-  EXPECT_EQ(r.note, "FZF");
+  EXPECT_EQ(r.note, "the ladder answers NO at k = 1");
 }
 
 TEST(MinimalK, ForcedSeparationLadder) {
@@ -78,7 +81,44 @@ TEST(MinimalK, LargeHistoryFallsBackToGreedyBound) {
   const MinimalKResult r = minimal_k(h);
   EXPECT_EQ(r.k, 4);
   EXPECT_FALSE(r.exact);
-  EXPECT_NE(r.note.find("greedy upper bound"), std::string::npos);
+  EXPECT_NE(r.note.find("upper bound"), std::string::npos);
+}
+
+// minimal_k answers what verify_k_atomicity answers: YES at the k it
+// reports, and exact iff k = 1 or verify answers NO at k - 1. The
+// oracle decides every k up to kOracleMaxOps operations, so those
+// histories are all exact; past it the W bound still holds.
+MinimalKResult expect_agrees_with_verify(const History& h,
+                                         const std::string& label) {
+  const MinimalKResult r = minimal_k(h);
+  EXPECT_GE(r.k, 1) << label;
+  EXPECT_TRUE(verify_k_atomicity(h, {.k = r.k}).yes())
+      << label << ": k = " << r.k << ", " << r.note;
+  const bool no_below =
+      r.k > 1 && verify_k_atomicity(h, {.k = r.k - 1}).no();
+  EXPECT_EQ(r.exact, r.k == 1 || no_below) << label << ": " << r.note;
+  if (h.size() <= kOracleMaxOps) {
+    EXPECT_TRUE(r.exact) << label << ": k = " << r.k << ", " << r.note;
+  }
+  return r;
+}
+
+TEST(MinimalK, AgreesWithVerifyOnRandomMixesAndForcedSeparations) {
+  Rng rng(7);
+  for (int t = 0; t < 110; ++t) {
+    gen::RandomMixConfig config;
+    config.operations = 10 + t % 55;  // 10..64 ops
+    config.staleness_decay = 0.6;
+    const History h = gen::generate_random_mix(config, rng);
+    expect_agrees_with_verify(h, "mix " + std::to_string(t) + " (" +
+                                     std::to_string(h.size()) + " ops)");
+  }
+  for (int s = 0; s <= 70; ++s) {
+    const History h = gen::generate_forced_separation(s);
+    const MinimalKResult r =
+        expect_agrees_with_verify(h, "separation " + std::to_string(s));
+    EXPECT_EQ(r.k, s + 1) << "s=" << s << ": " << r.note;
+  }
 }
 
 TEST(MinimalK, GeneratedKAtomicWithinBudget) {

@@ -36,13 +36,13 @@ TEST(ObsCounter, ConcurrentHammerIsExact) {
         if ((i & 3) == 0) {
           counter.add(3);
         } else {
-          counter.inc();
+          counter.add(1);
         }
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  // Per thread: kPerThread/4 adds of 3 plus 3*kPerThread/4 incs.
+  // Per thread: kPerThread/4 adds of 3 plus 3*kPerThread/4 adds of 1.
   const std::uint64_t expected =
       kThreads * (kPerThread / 4 * 3 + kPerThread / 4 * 3);
   EXPECT_EQ(counter.value(), expected);

@@ -232,7 +232,7 @@ inline Verdict check_2atomicity_fzf(const History& history,
                                     const FzfOptions& options = {}) {
   if (options.check_preconditions) {
     const AnomalyReport report = find_anomalies(history);
-    if (!report.verifiable()) {
+    if (!report.empty()) {
       return Verdict::make_precondition_failed(
           "history must be normalized and anomaly-free: " +
           describe(report.anomalies.front(), history));

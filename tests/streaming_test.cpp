@@ -85,7 +85,7 @@ TEST(Streaming, DetectsForcedSeparationMidStream) {
   for (OpId id : h.by_start()) {
     checker.add(h.op(id));
     checker.advance_watermark(h.op(id).start);
-    if (!checker.clean_so_far()) detected_before_finish = true;
+    if (!checker.violations().empty()) detected_before_finish = true;
   }
   EXPECT_TRUE(checker.finish().no());
   // With a tight horizon the violation surfaces before the trace ends.
@@ -117,7 +117,7 @@ TEST(Streaming, HorizonViolationReported) {
   checker.add(make_write(0, 10, 1));
   checker.add(make_read(20, 30, 1));
   checker.advance_watermark(10'000);  // the cluster settles and evicts
-  EXPECT_TRUE(checker.clean_so_far());
+  EXPECT_TRUE(checker.violations().empty());
   checker.add(make_read(10'050, 10'060, 1));  // way past the horizon
   const Verdict v = checker.finish();
   EXPECT_TRUE(v.no());

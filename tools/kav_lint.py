@@ -30,6 +30,15 @@ Rules (ids in parentheses; docs/STATIC_ANALYSIS.md has the catalog):
                        std::span bound to it (the vector dies at the
                        end of the statement). Bind it to a vector, or
                        read one op with op(id).
+  one-ladder           In src/, only core/verify.cpp's decider ladder
+                       (detail::decide), the deciders' own files
+                       (core/{gk,lbt,fzf,greedy,oracle}.*) and k-WAV's
+                       weighted oracle (core/kwav.cpp) call a decider
+                       (check_1atomicity_gk, check_2atomicity_lbt,
+                       check_2atomicity_fzf, check_k_atomicity_greedy,
+                       oracle_is_k_atomic); everything else asks
+                       verify_k_atomicity or detail::decide, so every
+                       query runs one gate and one ladder.
 
 Suppressions (each needs a justifying reason after the marker):
 
@@ -55,6 +64,7 @@ RULES = (
     "include-guard",
     "raw-sync-primitives",
     "operations-view",
+    "one-ladder",
 )
 
 # Directories scanned during a repo run, relative to --root.
@@ -182,6 +192,12 @@ OPERATIONS_AS_VIEW_RE = re.compile(
     + r"\s*(?:\[|\.\s*(?:c?r?begin|c?r?end|data)\s*\()")
 SPAN_OF_OPERATIONS_RE = re.compile(
     r"std\s*::\s*span\s*<[^;{}]*?>\s*\w+\s*[=({][^;]*?" + OPERATIONS_CALL)
+DECIDER_CALL_RE = re.compile(
+    r"\b(?:check_1atomicity_gk|check_2atomicity_lbt|check_2atomicity_fzf"
+    r"|check_k_atomicity_greedy|oracle_is_k_atomic)\s*\(")
+LADDER_FILES_RE = re.compile(
+    r"src/core/(?:verify\.cpp|kwav\.cpp"
+    r"|(?:gk|lbt|fzf|greedy|oracle)\.(?:h|cpp))")
 
 
 def rule_wire_encoding(relpath, _text, bare, findings):
@@ -283,8 +299,19 @@ def rule_operations_view(_relpath, _text, bare, findings):
                          "it views dies at the end of the statement"))
 
 
+def rule_one_ladder(relpath, _text, bare, findings):
+    if not relpath.startswith("src/") or LADDER_FILES_RE.fullmatch(relpath):
+        return
+    for m in DECIDER_CALL_RE.finditer(bare):
+        findings.append((m.start(), "one-ladder",
+                         "direct decider call; go through verify_k_atomicity "
+                         "or detail::decide (core/verify.h) so the query "
+                         "runs the one gate and ladder"))
+
+
 RULE_FUNCS = (rule_wire_encoding, rule_naked_new, rule_metric_names,
-              rule_include_guard, rule_raw_sync, rule_operations_view)
+              rule_include_guard, rule_raw_sync, rule_operations_view,
+              rule_one_ladder)
 
 
 INCLUDE_LINE_RE = re.compile(r"^[ \t]*#[ \t]*include\b.*$", re.MULTILINE)
